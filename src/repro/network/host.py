@@ -103,7 +103,8 @@ class Host(NetworkNode):
             raise ValueError("duration must be non-negative")
         effective = duration / (self.cpu_percentage / 100.0)
         request = self.cpu.request()
-        yield request
+        if not request.processed:  # every core busy: queue for one
+            yield request
         try:
             if effective > 0:
                 yield self.sim.timeout(effective)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional
 
 from repro.network.host import Host
 from repro.network.packet import Packet, estimate_size
@@ -32,6 +32,10 @@ class RequestTimeout(Exception):
 
 class RemoteError(Exception):
     """Raised when the remote handler raised an exception."""
+
+
+class _AttemptExpired(Exception):
+    """Fails one attempt's reply waiter when its timeout passes (internal)."""
 
 
 @dataclass
@@ -134,11 +138,10 @@ class Transport:
         error: Optional[str] = None
         result: Any = None
         try:
-            outcome = handler(request)
-            if hasattr(outcome, "send") and hasattr(outcome, "throw"):
-                result = yield self.sim.process(outcome, name="handler")
-            else:
-                result = outcome
+            result = handler(request)
+            if hasattr(result, "send") and hasattr(result, "throw"):
+                # A generator handler runs inside this serve process.
+                result = yield from result
         except Exception as exc:  # noqa: BLE001 - remote errors travel to the caller
             error = f"{type(exc).__name__}: {exc}"
         if request_id is None:
@@ -170,6 +173,12 @@ class Transport:
             waiter.fail(RemoteError(error))
         else:
             waiter.succeed(packet.payload)
+
+    def _expire(self, request_id: int) -> None:
+        waiter = self._pending.pop(request_id, None)
+        if waiter is not None and not waiter.triggered:
+            waiter.defuse()  # the requester may be gone (interrupted)
+            waiter.fail(_AttemptExpired())
 
     def request(
         self,
@@ -210,19 +219,18 @@ class Transport:
                     src_port=self.reply_port,
                     headers={"request_id": request_id},
                 )
-                timeout_event = self.sim.timeout(attempt_timeout)
-                outcome = yield self.sim.any_of([waiter, timeout_event])
-                if waiter in outcome:
-                    return waiter.value
-                if waiter.triggered and not waiter.ok:
-                    raise waiter.value
-                # Timed out: deregister so a late reply cannot resolve this
-                # (now stale) request id, then retry under a fresh id.
-                self._pending.pop(request_id, None)
-                last_error = RequestTimeout(
-                    f"{self.host.name} -> {dst}:{port} timed out after {attempt_timeout}s "
-                    f"(attempt {attempt + 1}/{attempts})"
-                )
+                # One expiry per attempt: it fails the waiter this process is
+                # parked on, unless the reply got there first.
+                self.sim.call_later(attempt_timeout, self._expire, request_id)
+                try:
+                    return (yield waiter)
+                except _AttemptExpired:
+                    # _expire deregistered the (now stale) request id, so a
+                    # late reply cannot resolve it; retry under a fresh id.
+                    last_error = RequestTimeout(
+                        f"{self.host.name} -> {dst}:{port} timed out after "
+                        f"{attempt_timeout}s (attempt {attempt + 1}/{attempts})"
+                    )
             self.requests_failed += 1
             raise last_error if last_error is not None else RequestTimeout("request failed")
         finally:
@@ -262,11 +270,3 @@ class Transport:
             src_port=self.reply_port,
             headers={},
         )
-
-
-def wait_any(sim, events):
-    """Small helper mirroring ``any_of`` for readability in component code."""
-    return sim.any_of(events)
-
-
-ResponseTuple = Tuple[Any, Optional[int]]

@@ -13,6 +13,11 @@ Two scheduling tiers share one heap:
 Both tiers are ordered by ``(time, priority, sequence)`` from a single
 monotonic counter, so mixing them cannot reorder same-time events and
 determinism is preserved.
+
+A heap entry exists only for something that has a waiter (or a time to wait
+for): an event that succeeds while nothing waits on it is settled inline
+(:meth:`Event._settle`) and never reaches the dispatch loop — see
+``docs/event_model.md``.
 """
 
 from __future__ import annotations
@@ -32,6 +37,10 @@ NORMAL = 1
 
 class EmptySchedule(Exception):
     """Raised internally when there are no more events to process."""
+
+
+def _until_interest(event: Event) -> None:
+    """``run(until=event)``'s registered interest in ``event`` (a no-op waiter)."""
 
 
 class _Callback:
@@ -158,22 +167,7 @@ class Simulator:
 
     def step(self) -> None:
         """Process exactly one event."""
-        try:
-            when, _priority, _eid, event = heapq.heappop(self._queue)
-        except IndexError:
-            raise EmptySchedule() from None
-        self._now = when
-        self._processed_events += 1
-        if type(event) is _Callback:
-            event.fn(*event.args)
-            return
-        callbacks, event.callbacks = event.callbacks, None
-        if callbacks:
-            for callback in callbacks:
-                callback(event)
-        if not event._ok and not event._defused:
-            # Unhandled failure: crash the simulation like an uncaught exception.
-            raise event._value
+        self._dispatch(budget=1)
 
     def run(self, until: Union[None, float, Event] = None) -> Any:
         """Run the simulation.
@@ -189,11 +183,16 @@ class Simulator:
             if isinstance(until, Event):
                 until_event = until
                 if until_event.processed:
-                    # Already fired and delivered in an earlier run() — there
-                    # is nothing left to wait for.
+                    # Already fired and delivered (in an earlier run(), or
+                    # inline because nothing waited on it) — there is nothing
+                    # left to wait for.
                     if until_event._ok:
                         return until_event._value
                     raise until_event._value
+                # run() itself waits on the event: without a registered
+                # waiter an unobserved event is settled inline and would
+                # never reach the dispatch loop.
+                until_event.callbacks.append(_until_interest)
             else:
                 deadline = float(until)
                 if deadline < self._now:
@@ -204,20 +203,42 @@ class Simulator:
                 until_event._ok = True
                 until_event._value = None
                 self._schedule(until_event, delay=deadline - self._now, priority=URGENT)
+        try:
+            return self._dispatch(until_event)
+        except EmptySchedule:
+            return None
 
-        # Hot loop: an inlined copy of step() with the heap, pop and counters
-        # held in locals.  step() stays the single-step API; keep both in sync.
-        #
-        # The until-event is detected by identity *after* its callbacks have
-        # all run — stopping from inside the callback list (the old
-        # ``_stop_callback`` approach) silently destroyed every sibling
-        # callback behind it, losing e.g. a process parked on the same event
-        # before run() was entered.
+    def run_until_idle(self, max_time: Optional[float] = None) -> float:
+        """Drain the event queue (optionally bounded by ``max_time``) and return the clock."""
+        if max_time is None:
+            self.run()
+            return self._now
+        queue = self._queue
+        while queue:
+            if queue[0][0] > max_time:
+                self._now = max_time
+                break
+            self._dispatch(budget=1)
+        return self._now
+
+    def _dispatch(self, until_event: Optional[Event] = None, budget: int = -1) -> Any:
+        """The dispatch loop: pop and deliver events in time order.
+
+        Stops after ``budget`` events (never, when negative), or once
+        ``until_event`` has been delivered — returning its value or raising
+        its exception.  Raises :class:`EmptySchedule` when the queue runs dry
+        first.
+
+        The until-event is detected by identity *after* its callbacks have
+        all run — stopping from inside the callback list silently destroyed
+        every sibling callback behind it, losing e.g. a process parked on the
+        same event before run() was entered.
+        """
         queue = self._queue
         pop = heapq.heappop
         processed = 0
         try:
-            while True:
+            while processed != budget:
                 try:
                     when, _priority, _eid, event = pop(queue)
                 except IndexError:
@@ -232,42 +253,16 @@ class Simulator:
                     for callback in callbacks:
                         callback(event)
                 if not event._ok and not event._defused:
+                    # Unhandled failure: crash the simulation like an
+                    # uncaught exception.
                     raise event._value
                 if event is until_event:
                     if event._ok:
                         return event._value
-                    raise event._value
-        except EmptySchedule:
-            return None
+                    raise event._value  # a defused failure still ends run()
         finally:
             self._processed_events += processed
-
-    def run_until_idle(self, max_time: Optional[float] = None) -> float:
-        """Drain the event queue (optionally bounded by ``max_time``) and return the clock."""
-        # Same inlined dispatch as run(); bounded by peeking before each pop.
-        queue = self._queue
-        pop = heapq.heappop
-        processed = 0
-        try:
-            while queue:
-                if max_time is not None and queue[0][0] > max_time:
-                    self._now = max_time
-                    break
-                when, _priority, _eid, event = pop(queue)
-                self._now = when
-                processed += 1
-                if type(event) is _Callback:
-                    event.fn(*event.args)
-                    continue
-                callbacks, event.callbacks = event.callbacks, None
-                if callbacks:
-                    for callback in callbacks:
-                        callback(event)
-                if not event._ok and not event._defused:
-                    raise event._value
-        finally:
-            self._processed_events += processed
-        return self._now
+        return None
 
     def __repr__(self) -> str:
         return f"<Simulator t={self._now:.6f} queued={len(self._queue)}>"

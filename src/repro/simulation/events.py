@@ -70,7 +70,7 @@ class Event:
             raise RuntimeError(f"{self!r} has already been triggered")
         self._ok = True
         self._value = value
-        self.sim._schedule(self)
+        self._settle()
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -81,14 +81,29 @@ class Event:
             raise TypeError("fail() requires an exception instance")
         self._ok = False
         self._value = exception
-        self.sim._schedule(self)
+        self._settle()
         return self
 
     def trigger(self, event: "Event") -> None:
         """Copy the outcome of ``event`` onto this event (used by conditions)."""
         self._ok = event._ok
         self._value = event._value
-        self.sim._schedule(self)
+        self._settle()
+
+    def _settle(self) -> None:
+        """Deliver the (just triggered) event at the current time.
+
+        No event without a waiter: a heap entry is pushed only when a
+        callback is registered, or when the event is a failure nobody
+        defused — that one must still reach the dispatch loop and crash the
+        run.  Otherwise the event is marked processed inline; a process that
+        yields it later resumes at the same timestamp through the
+        already-processed branch of ``Process._resume``.
+        """
+        if self.callbacks or not (self._ok or self._defused):
+            self.sim._schedule(self)
+        else:
+            self.callbacks = None
 
     def __repr__(self) -> str:
         state = "pending" if self._value is PENDING else ("ok" if self._ok else "failed")

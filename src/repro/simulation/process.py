@@ -106,13 +106,13 @@ class Process(Event):
             self.sim._active_process = None
             self._ok = True
             self._value = stop.value
-            self.sim._schedule(self)
+            self._settle()
             return
         except BaseException as exc:  # noqa: BLE001 - propagate into the event graph
             self.sim._active_process = None
             self._ok = False
             self._value = exc
-            self.sim._schedule(self)
+            self._settle()
             return
         self.sim._active_process = None
 
@@ -122,13 +122,13 @@ class Process(Event):
             )
             self._ok = False
             self._value = error
-            self.sim._schedule(self)
+            self._settle()
             return
         if next_event.sim is not self.sim:
             error = RuntimeError("process yielded an event from a different simulator")
             self._ok = False
             self._value = error
-            self.sim._schedule(self)
+            self._settle()
             return
 
         if next_event.callbacks is not None:

@@ -116,7 +116,7 @@ def test_different_seeds_diverge():
 
 #: run_trace(seed=42) observables on the PR 1 code.
 GOLDEN_TRACE_SEED42 = {
-    "processed_events": 14097,
+    "processed_events": 10790,
     "final_clock": 40.0,
     "records_sent": 200,
     "records_acked": 200,

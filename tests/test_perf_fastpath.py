@@ -8,7 +8,7 @@ cleanup (late replies must neither leak memory nor resolve stale ids).
 import pytest
 
 from repro.network import LinkConfig, Network
-from repro.network.transport import RequestTimeout, Transport
+from repro.network.transport import RemoteError, RequestTimeout, Transport
 from repro.simulation import Interrupt, Simulator
 from repro.simulation.engine import EmptySchedule
 
@@ -135,6 +135,50 @@ class TestConditionFastPaths:
         assert outcome["contains"] == (True, False)
 
 
+    def test_any_of_over_elided_and_pending_events(self):
+        sim = Simulator()
+        done = []
+
+        def proc():
+            elided = sim.event().succeed("inline")  # nobody waited: settled inline
+            pending = sim.event()
+            result = yield sim.any_of([pending, elided])
+            done.append((sim.now, elided in result, pending in result, result[elided]))
+
+        sim.process(proc())
+        sim.run()
+        assert done == [(0.0, True, False, "inline")]
+
+    def test_all_of_over_elided_and_pending_events(self):
+        sim = Simulator()
+        done = []
+
+        def proc():
+            elided = sim.event().succeed(1)
+            pending = sim.event()
+            sim.call_later(2.0, pending.succeed, 2)
+            timer = sim.timeout(1.0, value=3)
+            result = yield sim.all_of([elided, pending, timer])
+            done.append((sim.now, [result[e] for e in (elided, pending, timer)]))
+
+        sim.process(proc())
+        sim.run()
+        assert done == [(2.0, [1, 2, 3])]
+
+    def test_all_of_over_only_elided_events_fires_at_once(self):
+        sim = Simulator()
+        done = []
+
+        def proc():
+            yield sim.timeout(1.0)
+            events = [sim.event().succeed(i) for i in range(3)]
+            result = yield sim.all_of(events)
+            done.append((sim.now, [result[e] for e in events]))
+
+        sim.process(proc())
+        sim.run()
+        assert done == [(1.0, [0, 1, 2])]
+
 class TestLinkConfigDerived:
     def test_derived_values_follow_mutation(self):
         cfg = LinkConfig(latency_ms=10.0, bandwidth_mbps=100.0, loss_percent=0.0)
@@ -239,3 +283,85 @@ class TestTransportPendingCleanup:
         sim.run_until_idle(max_time=10.0)
         assert results == [{"pong": "hi"}]
         assert client._pending == {}
+
+
+class TestTransportRequestPaths:
+    """``Transport.request`` parks on the reply waiter; one expiry per attempt
+    fails it.  Exceptions, counters and ``_pending`` cleanup are unchanged."""
+
+    def _two_hosts(self, **kwargs):
+        sim, net = make_two_host_net(latency_ms=5.0, **kwargs)
+        return sim, net, Transport(net.host("h1")), Transport(net.host("h2"))
+
+    def test_exhausted_retries_raise_request_timeout_and_count(self):
+        sim, net, client, server = self._two_hosts(loss=100.0)
+        server.register(80, lambda request: "never")
+        errors = []
+
+        def caller():
+            try:
+                yield from client.request("h2", 80, "ping", timeout=0.2, retries=2)
+            except RequestTimeout as exc:
+                errors.append((sim.now, str(exc)))
+
+        sim.process(caller())
+        sim.run()
+        assert len(errors) == 1
+        assert errors[0][0] == pytest.approx(0.6)
+        assert "attempt 3/3" in errors[0][1]
+        assert (client.requests_sent, client.requests_retried, client.requests_failed) == (3, 2, 1)
+        assert client._pending == {}
+
+    def test_retry_after_a_lost_attempt_returns_the_reply(self):
+        sim, net, client, server = self._two_hosts()
+        server.register(80, lambda request: {"pong": request.payload})
+        link = net.link_between("h1", "s1")
+        link.set_down()
+        sim.call_later(0.3, link.set_up)
+        replies = []
+
+        def caller():
+            replies.append((yield from client.request("h2", 80, "hi", timeout=0.5, retries=3)))
+
+        sim.process(caller())
+        sim.run()
+        assert replies == [{"pong": "hi"}]
+        assert (client.requests_retried, client.requests_failed) == (1, 0)
+        assert client._pending == {}
+
+    def test_remote_error_from_generator_handler_is_not_retried(self):
+        sim, net, client, server = self._two_hosts()
+
+        def failing_handler(request):
+            yield sim.timeout(0.1)
+            raise ValueError("boom")
+
+        server.register(80, failing_handler)
+        errors = []
+
+        def caller():
+            try:
+                yield from client.request("h2", 80, "x", timeout=1.0, retries=3)
+            except RemoteError as exc:
+                errors.append(str(exc))
+
+        sim.process(caller())
+        sim.run()
+        assert errors == ["ValueError: boom"]
+        assert (client.requests_sent, client.requests_retried, client.requests_failed) == (1, 0, 0)
+        assert client._pending == {}
+
+    def test_round_trip_event_budget(self):
+        """One request/reply on a two-host topology costs a pinned number of
+        simulator events (exact for the topology, so gated with no slack)."""
+        sim, net, client, server = self._two_hosts()
+        server.register(80, lambda request: "pong")
+
+        def caller():
+            yield from client.request("h2", 80, "ping", size=64)
+
+        sim.process(caller())
+        sim.run()
+        # caller start + 2 x (transmit, 2 x (serialized, arrive)) + serve
+        # start + waiter wake-up + the attempt's expiry.
+        assert sim.processed_events == 14

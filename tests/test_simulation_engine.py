@@ -343,3 +343,101 @@ def test_two_phase_run_until_events_resume_cleanly():
     assert sim.now == 1.0 and ticks == []
     sim.run(until=second)
     assert ticks == [1.5, 2.0, 2.5]
+
+
+# -- no event without a waiter ---------------------------------------------------
+
+
+def test_unobserved_success_is_settled_inline_and_late_waiter_resumes_same_time():
+    sim = Simulator()
+    marker = sim.event()
+    log = []
+
+    def late_waiter():
+        yield sim.timeout(3.0)
+        value = yield marker  # fired (unobserved) long ago
+        log.append((sim.now, value))
+
+    sim.process(late_waiter())
+    sim.run(until=1.0)
+    before = sim.processed_events
+    marker.succeed("early")
+    assert marker.processed  # nobody waited: no heap entry, delivered inline
+    sim.run(until=2.0)
+    assert sim.processed_events - before == 1  # only run()'s own deadline
+    sim.run()
+    assert log == [(3.0, "early")]
+
+
+def test_unobserved_finished_process_costs_no_event_and_keeps_its_value():
+    sim = Simulator()
+
+    def child():
+        yield sim.timeout(1.0)
+        return "result"
+
+    finished = sim.process(child())
+    sim.run()
+    assert finished.processed and sim.peek() == float("inf")
+    got = []
+
+    def parent():
+        got.append((yield finished))
+
+    sim.process(parent())
+    sim.run()
+    assert got == ["result"] and sim.now == 1.0
+
+
+def test_unobserved_undefused_failure_still_crashes_run():
+    sim = Simulator()
+    sim.event().fail(KeyError("nobody handles this"))
+    with pytest.raises(KeyError):
+        sim.run()
+
+    def crasher():
+        yield sim.timeout(1.0)
+        raise ValueError("process crashed unobserved")
+
+    sim.process(crasher())
+    with pytest.raises(ValueError):
+        sim.run()
+
+
+def test_unobserved_defused_failure_is_settled_inline():
+    sim = Simulator()
+    failure = sim.event()
+    failure.defuse()
+    failure.fail(RuntimeError("ignored"))
+    assert failure.processed and sim.peek() == float("inf")
+    caught = []
+
+    def late_waiter():
+        try:
+            yield failure
+        except RuntimeError as exc:
+            caught.append(str(exc))
+
+    sim.process(late_waiter())
+    sim.run()
+    assert caught == ["ignored"]
+
+
+def test_run_until_event_nobody_else_waits_on_returns_its_value():
+    sim = Simulator()
+    marker = sim.event()
+    sim.call_later(2.0, marker.succeed, "fired")
+    sim.call_later(5.0, lambda: None)
+    assert sim.run(until=marker) == "fired"
+    assert sim.now == 2.0  # stopped at the event, not at queue exhaustion
+
+
+def test_run_until_unobserved_process_returns_its_value():
+    sim = Simulator()
+
+    def proc():
+        yield sim.timeout(1.5)
+        return 99
+
+    assert sim.run(until=sim.process(proc())) == 99
+    assert sim.now == 1.5
