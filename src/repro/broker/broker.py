@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.broker.coordinator import COORDINATOR_PORT, CoordinationMode
 from repro.broker.errors import (
@@ -17,8 +17,13 @@ from repro.broker.segment import LogStorageConfig, resolve_log_storage
 from repro.network.host import Host
 from repro.network.packet import estimate_size
 from repro.network.transport import Request, RequestTimeout, Response, Transport
+from repro.simulation.events import Event
 
 BROKER_PORT = 9092
+
+#: How long an ``acks="all"`` produce may sit in purgatory waiting for the
+#: high watermark before it is answered ``not_enough_replicas``.
+PRODUCE_PURGATORY_TIMEOUT = 30.0
 
 
 def find_coordinator_host(transport: Transport, bootstrap: List[str], timeout: float = 1.0):
@@ -109,6 +114,9 @@ class Broker:
         self.replica_states: Dict[str, ReplicaState] = {}
         self._local_epochs: Dict[str, int] = {}
         self._truncation_pending: Dict[str, bool] = {}
+        #: Produce purgatory: per partition, the parked ``acks="all"`` waits
+        #: as ``(target offset, waiter)`` pairs (see _await_high_watermark).
+        self._purgatory: Dict[str, List[Tuple[int, Event]]] = {}
         self.last_session_refresh: float = host.sim.now
         self._metadata_size_cache: tuple = (None, 0)
         self.running = False
@@ -213,6 +221,10 @@ class Broker:
             new_epoch = info["leader_epoch"]
             if new_epoch > previous_epoch:
                 self._local_epochs[key] = new_epoch
+                # Whatever was promised under the old epoch is void: a deposed
+                # leader must answer its parked produces *now*, before it
+                # adopts the new leader's high watermark and truncates.
+                self._fail_produce_waits(key)
                 if info["leader"] == self.name:
                     # Taking (or keeping) leadership under a new epoch.
                     self.replica_states.setdefault(key, ReplicaState(since=self.sim.now))
@@ -366,9 +378,9 @@ class Broker:
                             if base_offset >= 0
                             else entry.last_base_offset + entry.last_count
                         )
-                        replicated = yield from self._await_high_watermark(log, target)
-                        if not replicated:
-                            return {"error": "not_enough_replicas"}
+                        failure = yield from self._await_high_watermark(key, target)
+                        if failure is not None:
+                            return failure
                     return Response(
                         payload={
                             "error": None,
@@ -404,9 +416,9 @@ class Broker:
             self._log_maintenance(log)
             self._maybe_advance_high_watermark(key)
             if acks == "all":
-                replicated = yield from self._await_high_watermark(log, log.log_end_offset)
-                if not replicated:
-                    return {"error": "not_enough_replicas"}
+                failure = yield from self._await_high_watermark(key, log.log_end_offset)
+                if failure is not None:
+                    return failure
             if partial_prefix:
                 # The ack covers prefix records whose original offsets this
                 # leader cannot echo: a duplicate-style ack (positions not
@@ -427,16 +439,61 @@ class Broker:
 
         return produce_process()
 
-    def _await_high_watermark(self, log: PartitionLog, target: int):
-        """acks=all durability bar: wait until the HW covers ``target``.
+    def _await_high_watermark(self, key: str, target: int):
+        """acks=all durability bar: park until the HW covers ``target``.
 
-        Returns True once replicated, False if the 30 s bar expires first
-        (the caller answers ``not_enough_replicas`` and the producer retries).
+        The produce purgatory: no polling — the wait is completed by
+        :meth:`_maybe_advance_high_watermark` (the only place a leader's HW
+        moves), by its one deadline expiry, or by :meth:`_fail_produce_waits`
+        when this broker stops leading the partition under the epoch the
+        record was appended in.  Returns ``None`` once replicated, otherwise
+        the error reply (``not_enough_replicas`` after
+        ``PRODUCE_PURGATORY_TIMEOUT``, ``not_leader`` on leadership loss) —
+        the producer retries either.
         """
-        deadline = self.sim.now + 30.0
-        while log.high_watermark < target and self.sim.now < deadline:
-            yield self.sim.timeout(0.01)
-        return log.high_watermark >= target
+        if self.logs[key].high_watermark >= target:
+            return None
+        if not self._is_leader(key):  # deposed while the append was computing
+            return {"error": "not_leader", "leader_host": self._leader_hint(key)}
+        waiter = self.sim.event()
+        self._purgatory.setdefault(key, []).append((target, waiter))
+        self.sim.call_later(
+            PRODUCE_PURGATORY_TIMEOUT, self._expire_produce_wait, key, target, waiter
+        )
+        return (yield waiter)
+
+    def _expire_produce_wait(self, key: str, target: int, waiter: Event) -> None:
+        if not waiter.triggered:
+            self._purgatory[key].remove((target, waiter))
+            waiter.succeed({"error": "not_enough_replicas"})
+
+    def _complete_produce_waits(self, key: str, high_watermark: int) -> None:
+        """Release every parked produce the high watermark now covers."""
+        waits = self._purgatory.get(key)
+        if not waits:
+            return
+        parked = []
+        for wait in waits:
+            if wait[0] <= high_watermark:
+                wait[1].succeed(None)
+            else:
+                parked.append(wait)
+        self._purgatory[key] = parked
+
+    def _fail_produce_waits(self, key: str) -> None:
+        """Answer every parked produce of ``key`` with ``not_leader``.
+
+        Their records were appended under an epoch this broker no longer
+        leads in; the new leader's log decides whether they survive, so they
+        must never be acknowledged from here — in particular not on a high
+        watermark later *adopted* as a follower, which says nothing about
+        records reconciliation is about to truncate.
+        """
+        waits = self._purgatory.pop(key, None)
+        if waits:
+            reply = {"error": "not_leader", "leader_host": self._leader_hint(key)}
+            for _target, waiter in waits:
+                waiter.succeed(reply)
 
     def _maybe_advance_high_watermark(self, key: str) -> None:
         """Leader-side: HW = min(LEO, slowest in-sync follower's fetched offset)."""
@@ -446,16 +503,16 @@ class Broker:
         log = self.logs[key]
         replica_state = self.replica_states.setdefault(key, ReplicaState())
         isr_followers = [b for b in info["isr"] if b != self.name]
-        if not isr_followers:
-            if len(info["isr"]) <= 1 and len(info["replicas"]) == 1:
-                log.advance_high_watermark(log.log_end_offset)
-            elif set(info["isr"]) == {self.name}:
-                log.advance_high_watermark(log.log_end_offset)
-            return
-        offsets = [
-            replica_state.follower_offsets.get(follower, 0) for follower in isr_followers
-        ]
-        log.advance_high_watermark(min([log.log_end_offset] + offsets))
+        if isr_followers:
+            offsets = [
+                replica_state.follower_offsets.get(follower, 0) for follower in isr_followers
+            ]
+            log.advance_high_watermark(min([log.log_end_offset] + offsets))
+        elif set(info["isr"]) == {self.name} or (
+            len(info["isr"]) <= 1 and len(info["replicas"]) == 1
+        ):
+            log.advance_high_watermark(log.log_end_offset)
+        self._complete_produce_waits(key, log.high_watermark)
 
     # -- consumer fetch path -----------------------------------------------------------------------------
     def _handle_fetch(self, payload: dict):
@@ -551,9 +608,9 @@ class Broker:
             ):
                 # The marker already closed this transaction here (retry of a
                 # write whose ack was lost): re-ack at the same durability bar.
-                replicated = yield from self._await_high_watermark(log, last[2] + 1)
-                if not replicated:
-                    return {"error": "not_enough_replicas"}
+                failure = yield from self._await_high_watermark(key, last[2] + 1)
+                if failure is not None:
+                    return failure
                 return Response(
                     payload={"error": None, "duplicate": True, "offset": last[2]},
                     size=48,
@@ -572,9 +629,9 @@ class Broker:
             self.metrics["control_batch_bytes"] += CONTROL_RECORD_SIZE
             self._log_maintenance(log)
             self._maybe_advance_high_watermark(key)
-            replicated = yield from self._await_high_watermark(log, offset + 1)
-            if not replicated:
-                return {"error": "not_enough_replicas"}
+            failure = yield from self._await_high_watermark(key, offset + 1)
+            if failure is not None:
+                return failure
             return Response(payload={"error": None, "offset": offset}, size=48)
 
         return marker_process()

@@ -47,10 +47,10 @@ class ProducerConfig:
 
     * ``batch_size`` — byte threshold per partition batch.  A batch that
       reaches it (or ``max_batch_records``) is flushed *immediately* rather
-      than waiting for the next linger tick, so one RPC, one size estimate
-      and one broker CPU charge cover many records under heavy traffic.
-    * ``linger`` — how long an under-filled batch may wait for more records
-      before the sender flushes it anyway.
+      than waiting out its linger, so one RPC, one size estimate and one
+      broker CPU charge cover many records under heavy traffic.
+    * ``linger`` — how long an under-filled batch may wait for more records,
+      measured from the moment its first record was queued (``linger.ms``).
 
     ``idempotence`` turns on the exactly-once produce path: the producer
     initializes a coordinator-allocated ``(producer_id, epoch)`` pair before
@@ -192,7 +192,18 @@ class Producer:
         self._accumulator: Dict[str, Deque[PendingRecord]] = {}
         self._queued_bytes: Dict[str, int] = {}
         self._in_flight: set = set()
-        self._flush_scheduled: set = set()
+        #: Per partition, when its one armed flush timer fires (_arm_flush).
+        self._flush_at: Dict[str, float] = {}
+        #: True inside a flush barrier: linger is ignored (Kafka's flush()).
+        self._flushing = False
+        #: The parked flush barrier, if any (_await_drained).
+        self._drained: Optional[Event] = None
+        #: Set once the sender bootstrap (producer identity, first metadata)
+        #: is done; nothing is flushed before.
+        self._sender_ready = False
+        #: What the sender is parked on while the waiting line is empty.
+        self._wakeup: Optional[Event] = None
+        self._metadata_refreshed_at = float("-inf")
         self._waiting_for_buffer: List[PendingRecord] = []
         self._buffer_used = 0
         self._sequence = 0
@@ -238,6 +249,7 @@ class Producer:
 
     def stop(self) -> None:
         self.running = False
+        self._wake_sender()  # a parked sender sees ``running`` and exits
 
     @property
     def buffer_used(self) -> int:
@@ -296,16 +308,18 @@ class Producer:
         never wait on metadata (the broker validates them on produce).
         """
         record = pending.record
-        if not self._resolve_partition(pending):
-            self._waiting_for_buffer.append(pending)
-            return
-        if self._buffer_used + record.size <= self.config.buffer_memory:
+        if (
+            self._resolve_partition(pending)
+            and self._buffer_used + record.size <= self.config.buffer_memory
+        ):
             self._buffer_used += record.size
             self._enqueue(pending)
         else:
-            # Buffer full: the record waits outside the accumulator until
-            # acknowledgements free space (blocking-producer semantics).
+            # No metadata yet, or buffer full: the record waits outside the
+            # accumulator until a refresh / acknowledgements make room
+            # (blocking-producer semantics).  The sender watches the line.
             self._waiting_for_buffer.append(pending)
+            self._wake_sender()
 
     def _resolve_partition(self, pending: PendingRecord) -> bool:
         """Assign the pending record's partition if the metadata allows.
@@ -337,51 +351,71 @@ class Producer:
         queue.append(pending)
         queued = self._queued_bytes.get(key, 0) + pending.record.size
         self._queued_bytes[key] = queued
-        # Size-triggered eager flush: a full batch goes out now instead of
-        # waiting (up to ``linger``) for the sender loop's next tick.  The
-        # threshold check lives here (before the call) so under-filled
-        # enqueues — the common case — pay no extra function call.
+        # A batch's first record arms its linger timer; a full batch ships
+        # now.  The check lives here (before the call) so the common enqueue
+        # — neither first nor filling — pays no extra function call.
         if (
-            queued >= self.config.batch_size
+            len(queue) == 1
+            or queued >= self.config.batch_size
             or len(queue) >= self.config.max_batch_records
         ):
-            self._maybe_schedule_flush(key)
+            self._arm_flush(key)
 
-    def _maybe_schedule_flush(self, key: str) -> None:
-        """Schedule an immediate flush if a full batch is waiting.
+    def _flush_due_at(self, key: str) -> Optional[float]:
+        """When ``key``'s queue should next be flushed (None: nothing to do).
 
-        Kafka semantics: ``linger`` only delays *under-filled* batches; full
-        ones ship as soon as the partition's in-flight slot frees up.  One
-        scheduled flush per key at a time, so a same-instant burst past the
-        threshold does not push a callback per record.
+        Kafka semantics: a full batch ships as soon as the partition's
+        in-flight slot is free, an under-filled one once ``linger`` has
+        passed since its *first* record was queued.  A busy partition has no
+        due time — the freed slot re-arms it (_send_batch_guarded).
         """
-        if (
-            not self.running
-            or key in self._in_flight
-            or key in self._flush_scheduled
-        ):
-            return
+        if not self._sender_ready or not self.running or key in self._in_flight:
+            return None
         queue = self._accumulator.get(key)
         if not queue:
-            return
+            return None
+        now = self.sim.now
         if (
-            self._queued_bytes.get(key, 0) >= self.config.batch_size
+            self._flushing
+            or self._queued_bytes.get(key, 0) >= self.config.batch_size
             or len(queue) >= self.config.max_batch_records
         ):
-            self._flush_scheduled.add(key)
-            self.sim.call_later(0.0, self._eager_flush, key)
+            return now
+        return max(queue[0].enqueued_at + self.config.linger, now)
 
-    def _eager_flush(self, key: str) -> None:
-        self._flush_scheduled.discard(key)
-        self._flush_key(key)
+    def _arm_flush(self, key: str) -> None:
+        """Arm ``key``'s flush timer for its due time.
+
+        At most one live timer per partition: a later due time rides on the
+        armed one (it re-arms itself when it fires early), an earlier one —
+        the batch filled up before its linger ran out — supersedes it.  A
+        same-instant burst past the threshold therefore pushes one callback,
+        not one per record.
+        """
+        when = self._flush_due_at(key)
+        if when is None:
+            return
+        armed = self._flush_at.get(key)
+        if armed is not None and armed <= when:
+            return
+        self._flush_at[key] = when
+        self.sim.call_later(when - self.sim.now, self._timed_flush, key, when)
+
+    def _timed_flush(self, key: str, when: float) -> None:
+        if self._flush_at.get(key) != when:
+            return  # superseded by an earlier timer
+        del self._flush_at[key]
+        due = self._flush_due_at(key)
+        if due is None:
+            return
+        if due <= when:
+            self._flush_key(key)
+        else:
+            self._arm_flush(key)  # armed for a batch that has since shipped
 
     def _flush_key(self, key: str) -> None:
         """Drain and transmit one partition's batch if one is ready."""
         if not self.running or key in self._in_flight:
-            return
-        if self.config.idempotence and self.producer_id < 0:
-            # Sequences are only meaningful under an allocated identity; the
-            # sender loop flushes everything once the init handshake lands.
             return
         batch, wire_batch = self._drain_batch(key)
         if not batch:
@@ -414,32 +448,51 @@ class Producer:
 
     # -- sender machinery -----------------------------------------------------------------
     def _sender_loop(self):
+        """Bootstrap, then look after the waiting line.
+
+        Batches ship from per-partition timers (:meth:`_arm_flush`), so a
+        started producer with nothing queued is parked here on ``_wakeup``
+        and costs no events.  Sequences are only meaningful under an
+        allocated identity and placement needs metadata, hence nothing is
+        flushed before the bootstrap is done.
+        """
         if self.config.idempotence:
             yield from self._init_producer_id()
         yield from self._refresh_metadata()
-        last_metadata_refresh = self.sim.now
+        self._sender_ready = True
+        for key in list(self._accumulator):
+            self._arm_flush(key)
         while self.running:
-            yield self.sim.timeout(self.config.linger)
-            if self.sim.now - last_metadata_refresh > self.config.metadata_refresh_interval:
+            waiting = self._waiting_for_buffer
+            if not waiting:
+                self._wakeup = self.sim.event()
+                yield self._wakeup
+                self._wakeup = None
+                continue
+            # Waiting records are admitted by whatever frees them (an ack, a
+            # metadata refresh); what they need from here is a refresh while
+            # their topic is unknown and their ``delivery_timeout``.  The line
+            # is in send order, so its head expires first.
+            refresh_at = self._metadata_refreshed_at + self.config.metadata_refresh_interval
+            expire_at = waiting[0].enqueued_at + self.config.delivery_timeout
+            yield self.sim.timeout(max(min(refresh_at, expire_at) - self.sim.now, 0.0))
+            if self._waiting_for_buffer and refresh_at <= expire_at:
                 yield from self._refresh_metadata()
-                last_metadata_refresh = self.sim.now
             self._admit_waiting_records()
-            for key in list(self._accumulator.keys()):
-                # One in-flight batch per partition (enforced inside
-                # _flush_key): a partition whose leader is unreachable must
-                # not block the other partitions' traffic (the disconnected
-                # producer in Figure 6 keeps feeding its local topic while
-                # retrying the remote one).
-                self._flush_key(key)
+
+    def _wake_sender(self) -> None:
+        if self._wakeup is not None and not self._wakeup.triggered:
+            self._wakeup.succeed()
 
     def _send_batch_guarded(self, key: str, batch: List[PendingRecord], wire_batch: RecordBatch):
         try:
             yield from self._send_batch(key, batch, wire_batch)
         finally:
             self._in_flight.discard(key)
-            # The freed in-flight slot immediately serves the next full
-            # batch; under-filled remainders wait for the linger tick.
-            self._maybe_schedule_flush(key)
+            # The freed in-flight slot serves the next batch: now if it is
+            # full or past its linger, else at its linger deadline.
+            self._arm_flush(key)
+            self._check_drained()
 
     def _expire_accumulated_records(self) -> None:
         """Fail accumulator records whose ``delivery_timeout`` passed.
@@ -567,6 +620,11 @@ class Producer:
             if self.sim.now >= deadline or attempts > self.config.retries:
                 self._fail_batch(batch, reason="delivery timeout")
                 return
+            if self.sim.now - self._metadata_refreshed_at > self.config.metadata_refresh_interval:
+                # Lazy periodic refresh: metadata only matters when sending.
+                # It is also how retries against a cut-off leader (which
+                # answers nothing) find the newly elected one.
+                yield from self._refresh_metadata()
             leader_host = self._leader_host(key)
             if leader_host is None:
                 yield self.sim.timeout(self.config.retry_backoff)
@@ -652,6 +710,8 @@ class Producer:
                 )
         self._buffer_used -= freed
         self.records_acked += len(batch)
+        if self._waiting_for_buffer:
+            self._admit_waiting_records()  # the freed space may admit them
 
     def _fail_batch(
         self, batch: List[PendingRecord], reason: str, free_buffer: bool = True
@@ -674,6 +734,9 @@ class Producer:
                 failure = pending.future
                 failure._defused = True  # experiment code may ignore the future
                 failure.fail(DeliveryFailed(reason))
+        if free_buffer and self._waiting_for_buffer:
+            self._admit_waiting_records()  # the freed space may admit them
+        self._check_drained()
 
     # -- idempotence handshake --------------------------------------------------------------
     def _init_producer_id(self):
@@ -771,16 +834,18 @@ class Producer:
             timeout if timeout is not None else self.config.delivery_timeout
         )
         # Flush barrier: every record of the transaction must be acknowledged
-        # (or failed) before the outcome is decided.
-        while (self.flush_pending() or self._in_flight) and not self._txn_fatal:
-            if self.sim.now >= deadline:
-                if outcome == "commit":
-                    yield from self._force_abort()
-                    raise DeliveryFailed(
-                        "transaction flush timed out before commit; aborted"
-                    )
-                break
-            yield self.sim.timeout(0.01)
+        # (or failed) before the outcome is decided.  Like Kafka's flush() it
+        # ships every queued batch now instead of waiting out its linger.
+        self._flushing = True
+        try:
+            for key in list(self._accumulator):
+                self._arm_flush(key)
+            drained = yield from self._await_drained(deadline)
+        finally:
+            self._flushing = False
+        if not drained and outcome == "commit":
+            yield from self._force_abort()
+            raise DeliveryFailed("transaction flush timed out before commit; aborted")
         if self._txn_fatal:
             self._txn_active = False
             raise ProducerFencedError(
@@ -823,25 +888,54 @@ class Producer:
             raise DeliveryFailed(f"transaction commit did not complete ({result})")
         self.transactions_aborted += 1
 
+    def _is_drained(self) -> bool:
+        return self._txn_fatal or not (self._in_flight or self.flush_pending())
+
+    def _await_drained(self, deadline: float):
+        """Generator: park until nothing is queued or in flight.
+
+        Returns True once drained (or fenced — waiting is pointless then),
+        False when ``deadline`` passes first.  Completed from the two places
+        a record stops being pending: a finished send and a failed batch.
+        """
+        if self._is_drained():
+            return True
+        waiter = self._drained = self.sim.event()
+        self.sim.call_later(
+            max(deadline - self.sim.now, 0.0), self._expire_drain_wait, waiter
+        )
+        return (yield waiter)
+
+    def _expire_drain_wait(self, waiter: Event) -> None:
+        if not waiter.triggered:
+            self._drained = None
+            waiter.succeed(False)
+
+    def _check_drained(self) -> None:
+        waiter = self._drained
+        if waiter is not None and self._is_drained():
+            self._drained = None
+            waiter.succeed(True)
+
     def _force_abort(self):
         """Abandon a transaction whose flush never completed (best effort).
 
         Unsent records fail immediately; in-flight requests get a short grace
         to settle so same-epoch stragglers cannot land after the abort marker.
         """
-        grace = self.sim.now + self.config.request_timeout + self.config.retry_backoff
-        while self._in_flight and self.sim.now < grace:
-            yield self.sim.timeout(0.01)
+        waiting = self._waiting_for_buffer
+        self._waiting_for_buffer = []
+        if waiting:
+            self._fail_batch(waiting, reason="transaction_aborted", free_buffer=False)
         for key, queue in list(self._accumulator.items()):
             stranded = list(queue)
             queue.clear()
             self._queued_bytes[key] = 0
             if stranded:
                 self._fail_batch(stranded, reason="transaction_aborted")
-        waiting = self._waiting_for_buffer
-        self._waiting_for_buffer = []
-        if waiting:
-            self._fail_batch(waiting, reason="transaction_aborted", free_buffer=False)
+        yield from self._await_drained(
+            self.sim.now + self.config.request_timeout + self.config.retry_backoff
+        )
         if self._txn_registered:
             yield from self._send_end_txn("abort", self.sim.now + 10.0)
         self._txn_active = False
@@ -949,6 +1043,8 @@ class Producer:
         return broker_entry["host"] if broker_entry else None
 
     def _refresh_metadata(self):
+        # Stamped at the start, so concurrent senders do not all refresh.
+        self._metadata_refreshed_at = self.sim.now
         for bootstrap_host in self.bootstrap:
             try:
                 reply = yield from self.transport.request(

@@ -1,0 +1,268 @@
+"""No event without a waiter (``docs/event_model.md``).
+
+Idle components cost no simulator events, waits are completed by what they
+wait for instead of polling, and a seeded Fig. 6 run stays inside its event
+budget.  Event counts are exact for a seed, so every bound here is gated with
+no slack.
+"""
+
+import pytest
+
+from repro.broker import (
+    BrokerCluster,
+    ClusterConfig,
+    CoordinationMode,
+    ProducerConfig,
+    ProducerRecord,
+    TopicConfig,
+)
+from repro.broker import broker as broker_module
+from repro.broker.broker import Broker
+from repro.experiments import fig6_partition
+from repro.experiments.fig6_partition import Fig6Config, run_fig6
+from repro.network.link import LinkConfig
+from repro.network.topology import star_topology
+from repro.simulation import Simulator
+
+
+def build_cluster(replication=2, mode=CoordinationMode.ZOOKEEPER, seed=1):
+    sim = Simulator(seed=seed)
+    network, sites = star_topology(
+        sim, 3, link_config=LinkConfig(latency_ms=2.0, bandwidth_mbps=100.0)
+    )
+    cluster = BrokerCluster(network, coordinator_host=sites[0], config=ClusterConfig(mode=mode))
+    for site in sites:
+        cluster.add_broker(site)
+    cluster.add_topic(
+        TopicConfig(name="events", replication_factor=replication, preferred_leader="broker-site1")
+    )
+    cluster.start(settle_time=2.0)
+    sim.run(until=4.5)  # topics created, every broker holds the metadata
+    return sim, network, sites, cluster
+
+
+# -- idle cost ---------------------------------------------------------------------
+
+
+def _events_over_idle_minute(with_producer: bool) -> int:
+    sim, _network, sites, cluster = build_cluster()
+    if with_producer:
+        producer = cluster.create_producer(sites[2], config=ProducerConfig(acks="all"))
+        producer.start()
+    sim.run(until=6.0)  # producer bootstrap (first metadata refresh) is over
+    before = sim.processed_events
+    sim.run(until=66.0)
+    return sim.processed_events - before
+
+
+def test_idle_started_producer_and_idle_leader_cost_no_events():
+    """A started producer with nothing to send is parked, and a leader with
+    no parked produce has nothing armed: over 60 simulated seconds the run
+    with the producer processes exactly the events of the run without it
+    (broker heartbeats, replica fetches and the coordinator's detector)."""
+    assert _events_over_idle_minute(True) == _events_over_idle_minute(False)
+
+
+def test_stopped_producer_releases_its_parked_sender():
+    sim, _network, sites, cluster = build_cluster()
+    producer = cluster.create_producer(sites[2])
+    producer.start()
+    sim.run(until=6.0)
+    assert producer._wakeup is not None  # parked
+    producer.stop()
+    sim.run(until=7.0)
+    assert producer._wakeup is None  # the sender process saw ``running`` and left
+
+
+# -- linger --------------------------------------------------------------------------
+
+
+def _produce(sim, cluster, site, config, sends):
+    """Start a producer now (t=4.5) and send ``(delay, key)`` pairs from
+    t=6; returns it."""
+    producer = cluster.create_producer(site, config=config)
+
+    def workload():
+        producer.start()
+        yield sim.timeout(1.5)
+        for delay, key in sends:
+            yield sim.timeout(delay)
+            producer.send(ProducerRecord(topic="events", key=key, value=key, size=100))
+
+    sim.process(workload())
+    return producer
+
+
+def test_linger_is_measured_from_the_batch_first_record():
+    sim, _network, sites, cluster = build_cluster(replication=1)
+    leader = cluster.brokers["broker-site1"]
+    appended_at = []
+    original = leader.logs["events-0"].append_batch
+
+    def recording_append(batch, **kwargs):
+        appended_at.append((sim.now, len(batch)))
+        return original(batch, **kwargs)
+
+    leader.logs["events-0"].append_batch = recording_append
+    # a at t=6.0, b 30 ms later (rides along), c long after (its own batch).
+    producer = _produce(
+        sim, cluster, sites[2], ProducerConfig(linger=0.05),
+        [(0.0, "a"), (0.03, "b"), (1.0, "c")],
+    )
+    sim.run(until=10.0)
+    assert [count for _when, count in appended_at] == [2, 1]
+    # Shipped at first record + linger (then two 2 ms hops and broker CPU),
+    # not at the next tick of a free-running sender.
+    assert appended_at[0][0] == pytest.approx(6.0 + 0.05 + 0.004, abs=0.001)
+    assert appended_at[1][0] == pytest.approx(7.03 + 0.05 + 0.004, abs=0.001)
+    assert producer.records_acked == 3
+
+
+def test_full_batch_ships_now_and_supersedes_the_linger_timer():
+    sim, _network, sites, cluster = build_cluster(replication=1)
+    producer = _produce(
+        sim, cluster, sites[2], ProducerConfig(linger=5.0, max_batch_records=3),
+        [(0.0, "a"), (0.0, "b"), (0.0, "c")],
+    )
+    sim.run(until=7.0)  # far short of the 5 s linger
+    assert producer.records_acked == 3
+
+
+# -- produce purgatory ----------------------------------------------------------------
+
+
+def test_acks_all_wait_is_completed_by_the_high_watermark_not_a_poll():
+    sim, _network, sites, cluster = build_cluster(replication=2)
+    leader = cluster.brokers["broker-site1"]
+    released_at = []
+    complete = leader._complete_produce_waits
+
+    def recording_complete(key, high_watermark):
+        parked = len(leader._purgatory.get(key) or ())
+        complete(key, high_watermark)
+        if len(leader._purgatory.get(key) or ()) < parked:
+            released_at.append(sim.now)
+
+    leader._complete_produce_waits = recording_complete
+    producer = _produce(
+        sim, cluster, sites[2], ProducerConfig(acks="all", linger=0.0), [(0.0, "a")]
+    )
+    sim.run(until=9.0)
+    report = producer.reports[0]
+    assert report.acknowledged
+    assert leader.logs["events-0"].high_watermark == 1
+    assert leader._purgatory["events-0"] == []  # nothing left parked
+    # Answered the instant the follower's fetch moved the high watermark (the
+    # reply then takes two 2 ms hops), not at the next tick of a 10 ms poll.
+    assert len(released_at) == 1
+    assert report.acknowledged_at - released_at[0] == pytest.approx(0.004, abs=0.0005)
+
+
+def test_parked_produce_expires_with_not_enough_replicas(monkeypatch):
+    monkeypatch.setattr(broker_module, "PRODUCE_PURGATORY_TIMEOUT", 3.0)
+    sim, network, sites, cluster = build_cluster(replication=2)
+    leader = cluster.brokers["broker-site1"]
+    follower_site = next(
+        site for site in sites
+        if f"broker-{site}" in leader.metadata["partitions"]["events-0"]["replicas"]
+        and site != "site1"
+    )
+    producer = _produce(
+        sim, cluster, sites[2],
+        ProducerConfig(acks="all", linger=0.0, request_timeout=10.0), [(0.0, "a")],
+    )
+    sim.call_later(1.0, network.link_between(follower_site, "s0").set_down)
+    sim.run(until=8.0)
+    assert len(leader._purgatory["events-0"]) == 1  # parked: the follower is gone
+    sim.run(until=9.2)  # past the (shortened) bar, before the producer's retry
+    assert leader._purgatory["events-0"] == []
+    assert not producer.reports[0].acknowledged  # answered not_enough_replicas
+
+
+# A deposed leader must not acknowledge from purgatory (perf/README known
+# issue 2).  Fig. 6 shape with a 30 s disconnection: the cut-off leader's
+# parked acks=all produces are still inside their 30 s bar when the link
+# returns.  The first four seeds lost one acknowledged record each at the
+# parent commit (10 ms HW poll); the last two lose one with a purgatory that
+# completes on an *adopted* high watermark (the control arm below).
+DEPOSED_LEADER_SEEDS = [9, 23, 33, 56, 4, 26]
+
+
+def _fig6_short_disconnection(seed: int):
+    return run_fig6(
+        Fig6Config(
+            n_sites=4,
+            replication_factor=3,
+            rate_kbps=30.0,
+            message_size=1024,
+            duration=75.0,
+            disconnect_start=15.0,
+            disconnect_duration=30.0,
+            mode=CoordinationMode.KRAFT,
+            acks="all",
+            preferred_election_interval=1e9,
+            seed=seed,
+        )
+    )
+
+
+@pytest.mark.parametrize("seed", DEPOSED_LEADER_SEEDS)
+def test_deposed_leader_never_acknowledges_from_purgatory(seed):
+    result = _fig6_short_disconnection(seed)
+    assert len(result.election_times()) >= 1
+    assert result.acked_but_lost == 0
+
+
+def test_control_arm_acknowledging_on_an_adopted_high_watermark_loses_records(monkeypatch):
+    """Without the leadership-loss rule the same run loses an acked record."""
+    monkeypatch.setattr(Broker, "_fail_produce_waits", lambda self, key: None)
+    fetch_once = Broker._fetch_once_from_leader
+
+    def fetch_then_complete(self, key, leader_host, log):
+        yield from fetch_once(self, key, leader_host, log)
+        self._complete_produce_waits(key, log.high_watermark)
+
+    monkeypatch.setattr(Broker, "_fetch_once_from_leader", fetch_then_complete)
+    assert _fig6_short_disconnection(4).acked_but_lost == 1
+
+
+# -- event budget ---------------------------------------------------------------------
+
+#: Simulator events and deliveries of the benchmark's smoke shape (4 sites,
+#: 75 s, KRaft, acks=all, leader cut off 15..55 s), seed 11: 23.21 events per
+#: delivered record (183,932 / 3,994 = 46.05 before the event-driven waits).
+#: Exact for the seed: lower it when a change removes events, never raise it
+#: without saying why in CHANGES.md.
+FIG6_SMOKE_EVENTS = 92_441
+FIG6_SMOKE_DELIVERIES = 3_983
+
+
+def test_fig6_smoke_event_budget(monkeypatch):
+    simulators = []
+
+    class RecordingSimulator(Simulator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            simulators.append(self)
+
+    monkeypatch.setattr(fig6_partition, "Simulator", RecordingSimulator)
+    result = run_fig6(
+        Fig6Config(
+            n_sites=4,
+            replication_factor=3,
+            rate_kbps=30.0,
+            message_size=1024,
+            duration=75.0,
+            disconnect_start=15.0,
+            disconnect_duration=40.0,
+            mode=CoordinationMode.KRAFT,
+            acks="all",
+            preferred_election_interval=1e9,
+            seed=11,
+        )
+    )
+    assert result.acked_but_lost == 0
+    events = sum(sim.processed_events for sim in simulators)
+    assert (
+        events / result.messages_consumed <= FIG6_SMOKE_EVENTS / FIG6_SMOKE_DELIVERIES
+    ), (events, result.messages_consumed)
