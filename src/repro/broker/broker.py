@@ -453,8 +453,6 @@ class Broker:
         """
         if self.logs[key].high_watermark >= target:
             return None
-        if not self._is_leader(key):  # deposed while the append was computing
-            return {"error": "not_leader", "leader_host": self._leader_hint(key)}
         waiter = self.sim.event()
         self._purgatory.setdefault(key, []).append((target, waiter))
         self.sim.call_later(

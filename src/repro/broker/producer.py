@@ -406,17 +406,13 @@ class Producer:
             return  # superseded by an earlier timer
         del self._flush_at[key]
         due = self._flush_due_at(key)
-        if due is None:
-            return
-        if due <= when:
+        if due is not None and due <= when:
             self._flush_key(key)
         else:
             self._arm_flush(key)  # armed for a batch that has since shipped
 
     def _flush_key(self, key: str) -> None:
-        """Drain and transmit one partition's batch if one is ready."""
-        if not self.running or key in self._in_flight:
-            return
+        """Drain and transmit one batch of a partition that is due."""
         batch, wire_batch = self._drain_batch(key)
         if not batch:
             return

@@ -262,7 +262,6 @@ class Simulator:
                     raise event._value  # a defused failure still ends run()
         finally:
             self._processed_events += processed
-        return None
 
     def __repr__(self) -> str:
         return f"<Simulator t={self._now:.6f} queued={len(self._queue)}>"
