@@ -618,9 +618,18 @@ class Producer:
                 return
             if self.sim.now - self._metadata_refreshed_at > self.config.metadata_refresh_interval:
                 # Lazy periodic refresh: metadata only matters when sending.
-                # It is also how retries against a cut-off leader (which
-                # answers nothing) find the newly elected one.
-                yield from self._refresh_metadata()
+                # A first attempt does not wait for it — a saturated
+                # partition would lose a round trip of its one in-flight
+                # slot per interval; a retry does, it is how retries against
+                # a cut-off leader (which answers nothing) find the new one.
+                if attempts:
+                    yield from self._refresh_metadata()
+                else:
+                    # Stamped here too: the process starts an event later.
+                    self._metadata_refreshed_at = self.sim.now
+                    self.sim.process(
+                        self._refresh_metadata(), name=f"{self.name}:metadata"
+                    )
             leader_host = self._leader_host(key)
             if leader_host is None:
                 yield self.sim.timeout(self.config.retry_backoff)
