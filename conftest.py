@@ -41,6 +41,8 @@ every golden was captured on):
   requesting the ``log_backend`` fixture over both backends.
 """
 
+import hashlib
+
 import pytest
 
 
@@ -118,6 +120,30 @@ def pytest_generate_tests(metafunc):
         mode = metafunc.config.getoption("--log-backend")
         backends = ["memory", "segments"] if mode == "both" else [mode]
         metafunc.parametrize("log_backend", backends, indirect=True)
+
+
+def _reports_digest(producers):
+    digest = hashlib.sha256()
+    count = 0
+    for producer in sorted(producers, key=lambda producer: producer.name):
+        digest.update(producer.name.encode())
+        for report in producer.reports:
+            row = (
+                report.sequence, report.topic, report.key, report.enqueued_at,
+                report.acknowledged_at, report.failed_at, report.offset,
+                report.duplicate,
+            )
+            digest.update(repr(row).encode())
+            count += 1
+    return count, digest.hexdigest()
+
+
+@pytest.fixture(scope="session")
+def reports_digest():
+    """``reports_digest(producers) -> (reports, sha256)`` over every field of
+    every delivery report, producers in name order: what the goldens of the
+    producer's derived ``reports`` are compared by."""
+    return _reports_digest
 
 
 @pytest.fixture

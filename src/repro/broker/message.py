@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from collections.abc import Sequence
+from typing import Any, Callable, Dict, Iterator, Optional
 
 from repro.network.packet import estimate_size
 
@@ -30,7 +31,9 @@ class ProducerRecord:
         self.value = value
         self.key = key
         self.partition = partition
-        self.headers = {} if headers is None else headers
+        #: ``None`` when absent: no dict per record (the batch column treats
+        #: any falsy headers as "no headers").
+        self.headers = headers
         if size is None:
             size = estimate_size(value) + estimate_size(key, floor=0)
         elif size < 0:
@@ -99,6 +102,73 @@ class RecordMetadata:
             f"offset={self.offset}, timestamp={self.timestamp}, "
             f"produced_at={self.produced_at})"
         )
+
+
+class DeliveryReport:
+    """Final outcome of one record (built when
+    :attr:`Producer.reports <repro.broker.producer.Producer.reports>` is read)."""
+
+    __slots__ = (
+        "sequence",
+        "topic",
+        "key",
+        "enqueued_at",
+        "acknowledged_at",
+        "failed_at",
+        "offset",
+        "duplicate",
+    )
+
+    def __init__(self, sequence: int, topic: str, key: Any, enqueued_at: float) -> None:
+        self.sequence = sequence
+        self.topic = topic
+        self.key = key
+        self.enqueued_at = enqueued_at
+        self.acknowledged_at: Optional[float] = None
+        self.failed_at: Optional[float] = None
+        self.offset: Optional[int] = None
+        #: True when the acknowledgement was a broker-side dedup hit (the
+        #: record was already durable from an earlier attempt whose ack was
+        #: lost) — a DuplicateSequence ack, not a silent success.
+        self.duplicate = False
+
+    @property
+    def acknowledged(self) -> bool:
+        return self.acknowledged_at is not None
+
+
+class DeliveryReports(Sequence):
+    """A producer's ``reports``: one :class:`DeliveryReport` per send, in
+    sequence order (``reports[seq]`` is the report for sequence ``seq``).
+
+    Read-only and lazy.  Nothing is stored per record: ``slots`` is the
+    producer's one-slot-per-send list (its length is all that is read here)
+    and ``build(sequence)`` derives a report from the record's batch — its
+    columns and its one outcome — at the moment the report is indexed or
+    iterated over.  A report is therefore a snapshot: read it after the run,
+    or index again, rather than holding one across simulated time.
+    """
+
+    __slots__ = ("_slots", "_build")
+
+    def __init__(self, slots: list, build: Callable[[int], DeliveryReport]) -> None:
+        self._slots = slots
+        self._build = build
+
+    def __len__(self) -> int:
+        return len(self._slots)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._build(i) for i in range(*index.indices(len(self._slots)))]
+        if index < 0:
+            index += len(self._slots)
+        if not 0 <= index < len(self._slots):
+            raise IndexError("report index out of range")
+        return self._build(index)
+
+    def __iter__(self) -> Iterator[DeliveryReport]:
+        return map(self._build, range(len(self._slots)))
 
 
 def _stable_hash(value: Any) -> int:

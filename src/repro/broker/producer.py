@@ -12,17 +12,22 @@ Implements the Kafka producer behaviours the paper's experiments depend on:
 * metadata refresh on ``not_leader`` errors so producers find newly elected
   leaders after a failure.
 
-Records are tracked end to end: every send returns a future that fires with
+Records are tracked end to end, but nothing is kept *per record*: the unit of
+bookkeeping is the per-partition wire batch (``docs/event_model.md``, "no
+object without a reader").  Every send returns a future that fires with
 :class:`RecordMetadata` on acknowledgement or fails with
-:class:`DeliveryFailed`, and the producer keeps per-record accounting that the
-delivery-matrix experiment (Figure 6b) reads back.
+:class:`DeliveryFailed` — an object that does nothing until somebody waits on
+it — and :attr:`Producer.reports`, the per-record accounting the
+delivery-matrix experiment (Figure 6b) reads back, is built from the batches'
+columns and outcomes when it is read.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, List, Optional
+from typing import Any, Deque, Dict, List, Optional, Union
 
 from repro.broker.batch import RecordBatch
 from repro.broker.broker import BROKER_PORT, find_coordinator_host
@@ -32,7 +37,12 @@ from repro.broker.errors import (
     InvalidTxnStateError,
     ProducerFencedError,
 )
-from repro.broker.message import ProducerRecord, RecordMetadata
+from repro.broker.message import (
+    DeliveryReport,
+    DeliveryReports,
+    ProducerRecord,
+    RecordMetadata,
+)
 from repro.network.host import Host
 from repro.network.transport import RequestTimeout, Transport
 from repro.simulation.events import Event
@@ -103,69 +113,94 @@ class ProducerConfig:
             self.idempotence = True
 
 
-class PendingRecord:
-    """A record sitting in the accumulator awaiting acknowledgement.
+class _Batch:
+    """One wire batch and everything the producer keeps about its records.
 
-    Fire-and-forget sends (:meth:`Producer.send_noreport`) carry no delivery
-    future and no report slot: ``future`` is ``None`` and ``sequence`` is
-    ``-1``, and the ack/fail paths skip their bookkeeping for them.
-
-    ``partition`` is -1 while the record waits for topic metadata (keyed and
-    round-robin placement need the real partition count — hashing against a
-    guessed count would split a key across partitions).  ``fallback`` is the
-    shared round-robin index captured at send time, so late placement puts
-    the record exactly where send-time placement would have.
+    The accumulator's unit.  Rows go straight into ``wire``'s columns, the
+    records' sequence numbers into the parallel ``seqs`` list.  ``topic``,
+    ``partition``, ``keys`` and ``produced_ats`` alias the wire batch's header
+    and columns; when the batch settles ``wire`` is dropped — the payload is
+    the broker's to keep — and those stay for delivery reports and late
+    waiters to read.  The outcome is recorded once per batch: ``settled_at``,
+    plus ``base_offset`` / ``duplicate`` on acknowledgement or ``reason`` on
+    failure.
     """
 
-    __slots__ = ("record", "partition", "future", "enqueued_at", "sequence", "fallback")
-
-    def __init__(
-        self,
-        record: ProducerRecord,
-        partition: int,
-        future: Optional[Event],
-        enqueued_at: float,
-        sequence: int,
-        fallback: int = 0,
-    ) -> None:
-        self.record = record
-        self.partition = partition
-        self.future = future
-        self.enqueued_at = enqueued_at
-        self.sequence = sequence
-        self.fallback = fallback
-
-
-class DeliveryReport:
-    """Final outcome of one record (kept for experiment post-processing)."""
-
     __slots__ = (
-        "sequence",
-        "topic",
-        "key",
-        "enqueued_at",
-        "acknowledged_at",
-        "failed_at",
-        "offset",
-        "duplicate",
+        "wire", "topic", "partition", "keys", "produced_ats", "seqs",
+        "settled_at", "base_offset", "duplicate", "reason",
     )
 
-    def __init__(self, sequence: int, topic: str, key: Any, enqueued_at: float) -> None:
-        self.sequence = sequence
+    def __init__(self, topic: str, partition: int) -> None:
+        wire = self.wire = RecordBatch(topic, partition)
         self.topic = topic
-        self.key = key
-        self.enqueued_at = enqueued_at
-        self.acknowledged_at: Optional[float] = None
-        self.failed_at: Optional[float] = None
-        self.offset: Optional[int] = None
-        #: True when the acknowledgement was a broker-side dedup hit (the
-        #: record was already durable from an earlier attempt whose ack was
-        #: lost) — a DuplicateSequence ack, not a silent success.
+        self.partition = partition
+        self.keys = wire.keys
+        self.produced_ats = wire.produced_ats
+        self.seqs: List[int] = []
+        self.settled_at: Optional[float] = None
+        self.base_offset = -1
         self.duplicate = False
+        self.reason: Optional[str] = None
 
-    @property
-    def acknowledged(self) -> bool:
-        return self.acknowledged_at is not None
+    def row_of(self, sequence: int) -> int:
+        """The row of the record sent as ``sequence``.  ``seqs`` ascends unless
+        a record admitted from the waiting line joined a batch behind later
+        sends, so bisect and fall back to a scan."""
+        seqs = self.seqs
+        row = bisect_left(seqs, sequence)
+        if row == len(seqs) or seqs[row] != sequence:
+            row = seqs.index(sequence)
+        return row
+
+    def offset_of(self, row: int) -> Optional[int]:
+        """The acknowledged offset of ``row``.  A duplicate ack for a stale
+        retry may not know the original offsets (``base_offset`` -1): the
+        records are durable, their positions just aren't echoed back — None
+        then, in report and metadata both, never a fake position."""
+        return self.base_offset + row if self.base_offset >= 0 else None
+
+
+class SendFuture(Event):
+    """What :meth:`Producer.send` returns: nothing but ``(producer, sequence)``
+    until somebody looks at it, and the producer keeps no reference to it.
+
+    The slots of :class:`Event` are left unset.  Whatever waits on an event
+    or asks for its outcome reads one of them (``Process._resume``,
+    ``Condition`` and ``run(until=)`` read ``callbacks``), and that first
+    read lands in :meth:`__getattr__`, which makes this an ordinary event:
+    already *processed* with its batch's outcome if the batch has settled —
+    like any event that fired before its waiter came — else pending and
+    registered with the producer, which triggers it when the batch settles.
+    A future nobody reads costs no list, no heap entry, no
+    :class:`RecordMetadata`.
+    """
+
+    __slots__ = ("_producer", "_sequence")
+
+    def __init__(self, producer: "Producer", sequence: int) -> None:
+        # Not Event.__init__: that is Producer._attach's, on the first look.
+        self.sim = producer.sim
+        self._producer = producer
+        self._sequence = sequence
+
+    def __getattr__(self, name: str) -> Any:
+        if name not in Event.__slots__:
+            raise AttributeError(name)
+        self._producer._attach(self)  # sets every slot of Event
+        return getattr(self, name)
+
+    def _take(self, batch: _Batch, row: int) -> None:
+        """Adopt the outcome ``batch`` recorded for the record in ``row``."""
+        if batch.reason is None:
+            self._value = RecordMetadata(
+                batch.topic, batch.partition, batch.offset_of(row),
+                batch.settled_at, batch.produced_ats[row],
+            )
+        else:
+            self._ok = False
+            self._defused = True  # experiment code may ignore the future
+            self._value = DeliveryFailed(batch.reason)
 
 
 class Producer:
@@ -189,8 +224,9 @@ class Producer:
             host, default_timeout=self.config.request_timeout, max_retries=0
         )
         self.metadata: dict = {"version": -1, "partitions": {}, "brokers": {}}
-        self._accumulator: Dict[str, Deque[PendingRecord]] = {}
-        self._queued_bytes: Dict[str, int] = {}
+        #: Per partition, its wire batches in send order; only the last one is
+        #: open (still taking rows), and a drain is a ``popleft``.
+        self._accumulator: Dict[str, Deque[_Batch]] = {}
         self._in_flight: set = set()
         #: Per partition, when its one armed flush timer fires (_arm_flush).
         self._flush_at: Dict[str, float] = {}
@@ -204,16 +240,22 @@ class Producer:
         #: What the sender is parked on while the waiting line is empty.
         self._wakeup: Optional[Event] = None
         self._metadata_refreshed_at = float("-inf")
-        self._waiting_for_buffer: List[PendingRecord] = []
+        #: ``(sequence, enqueued_at, record)`` of the records outside
+        #: ``buffer.memory`` accounting, in send order: the buffer was full
+        #: or their topic's partition count is still unknown.
+        self._waiting: List[tuple] = []
         self._buffer_used = 0
+        #: Sequence of the next send.  It is also the keyless round-robin
+        #: index, so late placement puts a record exactly where send-time
+        #: placement would have.
         self._sequence = 0
-        #: Keyless-record round-robin fallback, shared by send and
-        #: send_noreport so partition placement is identical however the two
-        #: paths interleave (counts every send; equals _sequence when only
-        #: reported sends are used, preserving historical placement).
-        self._partition_fallback = 0
+        #: Per sequence, where the record is: its batch, or its waiting-line
+        #: entry.  One list slot per record — what ``reports`` and late
+        #: waiters are resolved through.
+        self._placement: List[Union[_Batch, tuple]] = []
+        #: Send futures somebody waits on whose batch has not settled yet.
+        self._waiters: Dict[int, SendFuture] = {}
         self.running = False
-        self.records_sent = 0
         self.records_acked = 0
         self.records_failed = 0
         #: Idempotence state: the coordinator-allocated identity (-1 until
@@ -234,10 +276,13 @@ class Producer:
         self._coordinator_host: Optional[str] = None
         self.transactions_committed = 0
         self.transactions_aborted = 0
-        #: One report per send, appended in sequence order — ``reports[seq]``
-        #: is the report for sequence ``seq`` (no side dict needed).
-        self.reports: List[DeliveryReport] = []
-        self._partition_count_cache: tuple = (None, None)
+        #: One :class:`DeliveryReport` per send, ``reports[seq]`` for sequence
+        #: ``seq``: read-only, each built when read (:meth:`_report`).
+        self.reports = DeliveryReports(self._placement, self._report)
+        #: ``"topic-partition"`` accumulator keys per topic, and the metadata
+        #: object they were built from (_index_metadata).
+        self._partition_keys: Dict[str, List[str]] = {}
+        self._keys_from: Optional[dict] = None
         host.register_component(self)
 
     # -- lifecycle -------------------------------------------------------------------
@@ -252,6 +297,10 @@ class Producer:
         self._wake_sender()  # a parked sender sees ``running`` and exits
 
     @property
+    def records_sent(self) -> int:
+        return self._sequence
+
+    @property
     def buffer_used(self) -> int:
         """Bytes of ``buffer.memory`` currently occupied by unacknowledged records."""
         return self._buffer_used
@@ -261,105 +310,84 @@ class Producer:
         return self.config.buffer_memory - self._buffer_used
 
     # -- public API ------------------------------------------------------------------
-    def send(self, record: ProducerRecord) -> Event:
-        """Queue a record for delivery; returns a future firing with RecordMetadata."""
-        self._check_txn_send()
-        future = self.sim.event()
-        now = self.sim.now
-        pending = PendingRecord(
-            record, -1, future, now, self._sequence, fallback=self._partition_fallback
-        )
-        self._partition_fallback += 1
-        self.reports.append(
-            DeliveryReport(self._sequence, record.topic, record.key, now)
-        )
-        self._sequence += 1
-        self.records_sent += 1
-        self._place_or_wait(pending)
-        return future
+    def send(self, record: ProducerRecord) -> SendFuture:
+        """Queue a record for delivery; returns a future firing with RecordMetadata.
 
-    def send_noreport(self, record: ProducerRecord) -> None:
-        """Fire-and-forget send (``acks=0``-style client bookkeeping).
-
-        Skips the per-record future, :class:`DeliveryReport` and sequence
-        allocation of :meth:`send` — the dominant client-side cost for
-        throughput workloads that never inspect delivery outcomes.  Wire
-        behavior is identical to :meth:`send`: the record takes the same
-        accumulator/batch path, respects ``buffer.memory``, and still counts
-        in ``records_sent`` / ``records_acked`` / ``records_failed``.
+        The record becomes one row of its partition's open wire batch.  It
+        waits in line (outside ``buffer.memory`` accounting) while the buffer
+        is full *or* the topic's partition count is unknown: placing keyed or
+        round-robin records against a guessed count would strand a key on the
+        wrong partition.  Explicit-partition records never wait on metadata
+        (the broker validates them on produce).
         """
-        self._check_txn_send()
+        if not self._txn_active and self.config.transactional_id:
+            raise InvalidTxnStateError(
+                "transactional producer requires begin_transaction() before send"
+            )
+        sequence = self._sequence
         now = self.sim.now
-        pending = PendingRecord(
-            record, -1, None, now, -1, fallback=self._partition_fallback
-        )
-        self._partition_fallback += 1
-        self.records_sent += 1
-        self._place_or_wait(pending)
-
-    def _place_or_wait(self, pending: PendingRecord) -> None:
-        """Route a fresh pending record: accumulator, or the waiting line.
-
-        A record waits (outside ``buffer.memory`` accounting) when the buffer
-        is full *or* when the topic's partition count is still unknown —
-        keyed/round-robin placement against a guessed count would strand
-        records of one key on the wrong partition, so placement is deferred
-        to the first metadata refresh instead.  Explicit-partition records
-        never wait on metadata (the broker validates them on produce).
-        """
-        record = pending.record
-        if (
-            self._resolve_partition(pending)
-            and self._buffer_used + record.size <= self.config.buffer_memory
-        ):
-            self._buffer_used += record.size
-            self._enqueue(pending)
-        else:
-            # No metadata yet, or buffer full: the record waits outside the
-            # accumulator until a refresh / acknowledgements make room
+        placed = self._enqueue(record, sequence, now)
+        if placed is None:
+            # The record waits until a refresh / acknowledgements make room
             # (blocking-producer semantics).  The sender watches the line.
-            self._waiting_for_buffer.append(pending)
+            placed = (sequence, now, record)
+            self._waiting.append(placed)
             self._wake_sender()
-
-    def _resolve_partition(self, pending: PendingRecord) -> bool:
-        """Assign the pending record's partition if the metadata allows.
-
-        Returns False while the topic's partition count is unknown and the
-        record has no explicit partition — the single placement rule shared
-        by send-time and admit-time paths, so a record places identically
-        whenever the decision happens.
-        """
-        if pending.partition >= 0:
-            return True
-        record = pending.record
-        n_partitions = self._partition_count(record.topic)
-        if record.partition is None and n_partitions == 0:
-            return False
-        pending.partition = record.partition_for(n_partitions, fallback=pending.fallback)
-        return True
+        self._placement.append(placed)
+        self._sequence = sequence + 1
+        return SendFuture(self, sequence)
 
     def flush_pending(self) -> int:
-        """Number of records not yet acknowledged or failed."""
-        queued = sum(len(batch) for batch in self._accumulator.values())
-        return queued + len(self._waiting_for_buffer)
+        """Number of records not yet sent (queued or in the waiting line)."""
+        queued = sum(
+            len(batch.seqs) for queue in self._accumulator.values() for batch in queue
+        )
+        return queued + len(self._waiting)
 
-    def _enqueue(self, pending: PendingRecord) -> None:
-        key = f"{pending.record.topic}-{pending.partition}"
+    def _enqueue(self, record: ProducerRecord, sequence: int, at: float) -> Optional[_Batch]:
+        """Append one record to its partition's open batch, opening the next
+        batch exactly where a drain-time greedy split would cut; ``None`` if
+        the record has to wait (unknown partition count, or buffer full).
+        The one placement rule of send-time and admit-time paths, so a record
+        places identically whenever the decision happens."""
+        if self.metadata is not self._keys_from:
+            self._index_metadata()
+        topic = record.topic
+        keys = self._partition_keys.get(topic, ())
+        if not keys and record.partition is None:
+            return None
+        partition = record.partition_for(len(keys), fallback=sequence)
+        config = self.config
+        size = record.size
+        if self._buffer_used + size > config.buffer_memory:
+            return None
+        key = keys[partition] if partition < len(keys) else f"{topic}-{partition}"
         queue = self._accumulator.get(key)
         if queue is None:
             queue = self._accumulator[key] = deque()
-        queue.append(pending)
-        queued = self._queued_bytes.get(key, 0) + pending.record.size
-        self._queued_bytes[key] = queued
-        # A batch's first record arms its linger timer; a full batch ships
-        # now.  The check lives here (before the call) so the common enqueue
-        # — neither first nor filling — pays no extra function call.
+        batch = queue[-1] if queue else None
+        opened = (
+            batch is None
+            or batch.wire.total_size + size > config.batch_size
+            or len(batch.seqs) >= config.max_batch_records
+        )
+        if opened:
+            batch = _Batch(topic, partition)
+            queue.append(batch)
+        wire = batch.wire
+        wire.append(record.key, record.value, size, at, record.headers)
+        batch.seqs.append(sequence)
+        self._buffer_used += size
+        # A queue's first record arms its linger timer, a batch that fills up
+        # or closes the one before it makes the queue due now.  Checked here
+        # so the common append — neither — pays no extra call.
         if (
-            len(queue) == 1
-            or queued >= self.config.batch_size
-            or len(queue) >= self.config.max_batch_records
+            opened
+            or wire.total_size >= config.batch_size
+            or len(batch.seqs) >= config.max_batch_records
         ):
             self._arm_flush(key)
+        return batch
 
     def _flush_due_at(self, key: str) -> Optional[float]:
         """When ``key``'s queue should next be flushed (None: nothing to do).
@@ -375,13 +403,15 @@ class Producer:
         if not queue:
             return None
         now = self.sim.now
+        head = queue[0]
         if (
             self._flushing
-            or self._queued_bytes.get(key, 0) >= self.config.batch_size
-            or len(queue) >= self.config.max_batch_records
+            or len(queue) > 1  # the head was closed by a record that did not fit
+            or head.wire.total_size >= self.config.batch_size
+            or len(head.seqs) >= self.config.max_batch_records
         ):
             return now
-        return max(queue[0].enqueued_at + self.config.linger, now)
+        return max(head.produced_ats[0] + self.config.linger, now)
 
     def _arm_flush(self, key: str) -> None:
         """Arm ``key``'s flush timer for its due time.
@@ -413,34 +443,29 @@ class Producer:
 
     def _flush_key(self, key: str) -> None:
         """Drain and transmit one batch of a partition that is due."""
-        batch, wire_batch = self._drain_batch(key)
-        if not batch:
+        batch = self._drain_batch(key)
+        if batch is None:
             return
         self._in_flight.add(key)
         self.sim.process(
-            self._send_batch_guarded(key, batch, wire_batch),
-            name=f"{self.name}:send:{key}",
+            self._send_batch_guarded(key, batch), name=f"{self.name}:send:{key}"
         )
 
-    def _partition_count(self, topic: str) -> int:
-        """Partition count per topic, cached per metadata version.
-
-        ``send`` calls this once per record; rescanning the whole partition
-        map each time dominated the client-side cost at high record rates.
-        Returns 0 while the topic is absent from the metadata (placement then
-        trusts an explicit partition and routes everything else to 0).
-        """
-        version = self.metadata.get("version", -1)
-        cached_version, counts = self._partition_count_cache
-        if cached_version != version:
-            counts = {}
-            for info in self.metadata.get("partitions", {}).values():
-                topic_name = info["topic"]
-                counts[topic_name] = max(
-                    counts.get(topic_name, 0), info["partition"] + 1
-                )
-            self._partition_count_cache = (version, counts)
-        return counts.get(topic, 0)
+    def _index_metadata(self) -> None:
+        """Rebuild the per-topic accumulator keys for the current metadata:
+        ``send`` resolves a partition per record, and rescanning the partition
+        map (or formatting the key) each time dominated its cost.  A topic
+        absent from the metadata has no keys — placement then trusts an
+        explicit partition and makes everything else wait."""
+        counts: Dict[str, int] = {}
+        for info in self.metadata.get("partitions", {}).values():
+            topic = info["topic"]
+            counts[topic] = max(counts.get(topic, 0), info["partition"] + 1)
+        self._partition_keys = {
+            topic: [f"{topic}-{partition}" for partition in range(count)]
+            for topic, count in counts.items()
+        }
+        self._keys_from = self.metadata
 
     # -- sender machinery -----------------------------------------------------------------
     def _sender_loop(self):
@@ -459,8 +484,7 @@ class Producer:
         for key in list(self._accumulator):
             self._arm_flush(key)
         while self.running:
-            waiting = self._waiting_for_buffer
-            if not waiting:
+            if not self._waiting:
                 self._wakeup = self.sim.event()
                 yield self._wakeup
                 self._wakeup = None
@@ -470,9 +494,9 @@ class Producer:
             # their topic is unknown and their ``delivery_timeout``.  The line
             # is in send order, so its head expires first.
             refresh_at = self._metadata_refreshed_at + self.config.metadata_refresh_interval
-            expire_at = waiting[0].enqueued_at + self.config.delivery_timeout
+            expire_at = self._waiting[0][1] + self.config.delivery_timeout
             yield self.sim.timeout(max(min(refresh_at, expire_at) - self.sim.now, 0.0))
-            if self._waiting_for_buffer and refresh_at <= expire_at:
+            if self._waiting and refresh_at <= expire_at:
                 yield from self._refresh_metadata()
             self._admit_waiting_records()
 
@@ -480,9 +504,9 @@ class Producer:
         if self._wakeup is not None and not self._wakeup.triggered:
             self._wakeup.succeed()
 
-    def _send_batch_guarded(self, key: str, batch: List[PendingRecord], wire_batch: RecordBatch):
+    def _send_batch_guarded(self, key: str, batch: _Batch):
         try:
-            yield from self._send_batch(key, batch, wire_batch)
+            yield from self._send_batch(key, batch)
         finally:
             self._in_flight.discard(key)
             # The freed in-flight slot serves the next batch: now if it is
@@ -490,33 +514,25 @@ class Producer:
             self._arm_flush(key)
             self._check_drained()
 
+    def _deadline(self, batch: _Batch) -> float:
+        """When ``batch`` fails with "delivery timeout": ``delivery_timeout``
+        after its oldest record was sent — the single rule of every expiry
+        site for records that reached a batch."""
+        return min(batch.produced_ats) + self.config.delivery_timeout
+
     def _expire_accumulated_records(self) -> None:
-        """Fail accumulator records whose ``delivery_timeout`` passed.
-
-        The sender loop normally enforces the deadline inside ``_send_batch``
-        after a drain; while flushing is gated (idempotence init still
-        pending) nothing drains, so the deadline is enforced directly on the
-        queued records instead of letting their futures hang forever.
-        """
+        """Fail the queued batches whose deadline passed.  ``_send_batch``
+        enforces it on a sent batch; while flushing is gated (idempotence
+        init still pending) nothing is sent, so it is enforced directly on
+        the queues instead of letting their futures hang forever."""
         now = self.sim.now
-        for key, queue in self._accumulator.items():
-            expired = self._overdue(queue, now)
-            if not expired:
-                continue
-            for pending in expired:
-                queue.remove(pending)
-            freed = sum(pending.record.size for pending in expired)
-            self._queued_bytes[key] = self._queued_bytes.get(key, 0) - freed
-            self._fail_batch(expired, reason="delivery timeout")
-
-    def _overdue(self, records, now: float) -> List[PendingRecord]:
-        """The single ``delivery_timeout`` deadline rule, shared by every
-        expiry site (accumulator queues and the waiting line)."""
-        deadline_margin = self.config.delivery_timeout
-        return [
-            pending for pending in records
-            if now >= pending.enqueued_at + deadline_margin
-        ]
+        for queue in self._accumulator.values():
+            for _ in range(len(queue)):  # one rotation: survivors keep their order
+                batch = queue.popleft()
+                if now >= self._deadline(batch):
+                    self._fail_batch(batch, reason="delivery timeout")
+                else:
+                    queue.append(batch)
 
     def _admit_waiting_records(self) -> None:
         """Move waiting records into the accumulator as space/metadata allow.
@@ -524,81 +540,83 @@ class Producer:
         Waiting records still honor ``delivery_timeout``: a record parked on
         a topic that never appears in the metadata (or starved by a full
         buffer) fails with :class:`DeliveryFailed` at its deadline instead of
-        waiting forever.
+        waiting forever.  The line is rebuilt in one pass per call, in send
+        order; a smaller later record may be admitted past a larger earlier
+        one that still does not fit.
         """
-        if not self._waiting_for_buffer:
+        waiting = self._waiting
+        if not waiting:
             return
         now = self.sim.now
-        expired = self._overdue(self._waiting_for_buffer, now)
-        if expired:
-            for pending in expired:
-                self._waiting_for_buffer.remove(pending)
-            # Waiting records never entered buffer accounting.
-            self._fail_batch(expired, reason="delivery timeout", free_buffer=False)
-        admitted = []
-        for pending in self._waiting_for_buffer:
-            record = pending.record
-            if not self._resolve_partition(pending):
-                continue  # still no metadata for this topic
-            if self._buffer_used + record.size <= self.config.buffer_memory:
-                self._buffer_used += record.size
-                self._enqueue(pending)
-                admitted.append(pending)
-        for pending in admitted:
-            self._waiting_for_buffer.remove(pending)
+        timeout = self.config.delivery_timeout
+        overdue = 0  # send order: the overdue records are the head of the line
+        while overdue < len(waiting) and now >= waiting[overdue][1] + timeout:
+            overdue += 1
+        if overdue:
+            expired, waiting = waiting[:overdue], waiting[overdue:]
+            self._waiting = waiting  # before failing: a flush barrier counts it
+            self._fail_waiting(expired, reason="delivery timeout")
+        placement = self._placement
+        buffer_memory = self.config.buffer_memory
+        still_waiting = []
+        for entry in waiting:
+            sequence, enqueued_at, record = entry
+            # Room first: behind a full buffer this test is all that a long
+            # line costs per acknowledgement.
+            fits = self._buffer_used + record.size <= buffer_memory
+            batch = self._enqueue(record, sequence, enqueued_at) if fits else None
+            if batch is None:
+                still_waiting.append(entry)  # no room, or still no metadata
+            else:
+                placement[sequence] = batch
+        self._waiting = still_waiting
 
-    def _drain_batch(self, key: str):
+    def _fail_waiting(self, entries: List[tuple], reason: str) -> None:
+        """Fail records that never left the waiting line.
+
+        They never reached a wire batch (nor buffer accounting): each run of
+        one topic's records fails as a batch that holds nothing but the
+        report columns.
+        """
+        failed: List[_Batch] = []
+        for sequence, enqueued_at, record in entries:
+            if not failed or failed[-1].topic != record.topic:
+                failed.append(_Batch(record.topic, -1))
+            batch = self._placement[sequence] = failed[-1]
+            batch.wire.append(record.key, None, 0, enqueued_at)
+            batch.seqs.append(sequence)
+        for batch in failed:
+            self._fail_batch(batch, reason)
+
+    def _drain_batch(self, key: str) -> Optional[_Batch]:
         """Pop one ready batch off the accumulator.
 
-        Returns ``(pending_records, wire_batch)`` built in a single pass: the
-        wire :class:`RecordBatch` is the one object per flush that travels to
-        the broker (and is reused verbatim across retries — the broker never
-        mutates it); the pending list keeps the futures/report bookkeeping.
+        Its wire :class:`RecordBatch` is the one object per flush that
+        travels to the broker (and is reused verbatim across retries — the
+        broker never mutates it).
         """
         queue = self._accumulator.get(key)
         if not queue:
-            return [], None
-        first = queue[0]
-        wire_batch = RecordBatch(first.record.topic, first.partition)
-        batch: List[PendingRecord] = []
-        size = 0
-        max_records = self.config.max_batch_records
-        batch_size = self.config.batch_size
-        while queue and len(batch) < max_records:
-            candidate = queue[0]
-            record = candidate.record
-            if batch and size + record.size > batch_size:
-                break
-            queue.popleft()
-            batch.append(candidate)
-            size += record.size
-            wire_batch.append(
-                record.key,
-                record.value,
-                record.size,
-                produced_at=candidate.enqueued_at,
-                headers=record.headers,
-            )
-        if size:
-            self._queued_bytes[key] = self._queued_bytes.get(key, 0) - size
-        if batch and self.config.idempotence:
+            return None
+        batch = queue.popleft()
+        if self.config.idempotence:
             # Stamp the producer identity once per drained batch.  The wire
             # batch is reused verbatim across retries, so its base_sequence
             # never moves — which is exactly what lets the leader recognize
             # a retry as a duplicate.
-            wire_batch.producer_id = self.producer_id
-            wire_batch.producer_epoch = self.producer_epoch
+            wire = batch.wire
+            wire.producer_id = self.producer_id
+            wire.producer_epoch = self.producer_epoch
             base_sequence = self._next_sequences.get(key, 0)
-            wire_batch.base_sequence = base_sequence
-            self._next_sequences[key] = base_sequence + len(batch)
+            wire.base_sequence = base_sequence
+            self._next_sequences[key] = base_sequence + len(batch.seqs)
             if self._txn_active:
-                wire_batch.transactional = True
-        return batch, wire_batch
+                wire.transactional = True
+        return batch
 
-    def _send_batch(self, key: str, batch: List[PendingRecord], wire_batch: RecordBatch):
-        topic = wire_batch.topic
-        partition = wire_batch.partition
-        deadline = min(p.enqueued_at for p in batch) + self.config.delivery_timeout
+    def _send_batch(self, key: str, batch: _Batch):
+        wire_batch = batch.wire
+        deadline = self._deadline(batch)
         attempts = 0
         request_size = wire_batch.wire_size + 35
         if wire_batch.transactional and key not in self._txn_registered:
@@ -642,8 +660,8 @@ class Producer:
                     BROKER_PORT,
                     {
                         "type": "produce",
-                        "topic": topic,
-                        "partition": partition,
+                        "topic": batch.topic,
+                        "partition": batch.partition,
                         "batch": wire_batch,
                         "acks": self.config.acks,
                     },
@@ -659,13 +677,7 @@ class Producer:
                 duplicate = bool(reply.get("duplicate"))
                 if duplicate:
                     self.duplicate_acks += 1
-                self._ack_batch(
-                    batch,
-                    reply.get("base_offset", 0),
-                    topic,
-                    partition,
-                    duplicate=duplicate,
-                )
+                self._settle(batch, reply.get("base_offset", 0), duplicate)
                 return
             if error == "producer_fenced":
                 # A newer instance re-initialized our producer id: fatal for
@@ -685,63 +697,74 @@ class Producer:
             self._fail_batch(batch, reason=error)
             return
 
-    def _ack_batch(
-        self,
-        batch: List[PendingRecord],
-        base_offset: int,
-        topic: str,
-        partition: int,
-        duplicate: bool = False,
+    def _settle(
+        self, batch: _Batch, base_offset: int = -1, duplicate: bool = False,
+        reason: Optional[str] = None,
     ) -> None:
-        now = self.sim.now
-        reports = self.reports
-        freed = 0
-        for index, pending in enumerate(batch):
-            # A duplicate ack for a stale retry may not know the original
-            # offsets (base_offset -1): the records are durable, their
-            # positions just aren't echoed back — report and metadata both
-            # carry None then, never a fake position.
-            offset = base_offset + index if base_offset >= 0 else None
-            freed += pending.record.size
-            if pending.sequence < 0:  # fire-and-forget: no report, no future
-                continue
-            report = reports[pending.sequence]
-            report.acknowledged_at = now
-            report.offset = offset
-            report.duplicate = duplicate
-            if not pending.future.triggered:
-                pending.future.succeed(
-                    RecordMetadata(topic, partition, offset, now, pending.enqueued_at)
-                )
+        """Record the one outcome of ``batch`` — acknowledged at
+        ``base_offset``, or failed with ``reason`` — and release what it held.
+        One step per batch whatever its size: reports are derived from the
+        outcome when read, and only futures somebody waits on are triggered."""
+        batch.settled_at = self.sim.now
+        batch.base_offset = base_offset
+        batch.duplicate = duplicate
+        batch.reason = reason
+        freed = batch.wire.total_size
+        batch.wire = None  # the payload is the broker's; the report columns stay
         self._buffer_used -= freed
-        self.records_acked += len(batch)
-        if self._waiting_for_buffer:
+        if reason is None:
+            self.records_acked += len(batch.seqs)
+        else:
+            self.records_failed += len(batch.seqs)
+        waiters = self._waiters
+        if waiters:
+            for row, sequence in enumerate(batch.seqs):
+                future = waiters.pop(sequence, None)
+                if future is not None:
+                    future._take(batch, row)
+                    future._settle()
+        if freed and self._waiting:
             self._admit_waiting_records()  # the freed space may admit them
 
-    def _fail_batch(
-        self, batch: List[PendingRecord], reason: str, free_buffer: bool = True
-    ) -> None:
-        now = self.sim.now
+    def _fail_batch(self, batch: _Batch, reason: str) -> None:
         if self.config.transactional_id:
             # A lost record poisons the transaction: commit_transaction will
             # abort instead of committing a partial write set.
             self._txn_had_failure = True
             if reason == "producer_fenced":
                 self._txn_fatal = True
-        for pending in batch:
-            if free_buffer:
-                self._buffer_used -= pending.record.size
-            self.records_failed += 1
-            if pending.sequence < 0:  # fire-and-forget: no report, no future
-                continue
-            self.reports[pending.sequence].failed_at = now
-            if not pending.future.triggered:
-                failure = pending.future
-                failure._defused = True  # experiment code may ignore the future
-                failure.fail(DeliveryFailed(reason))
-        if free_buffer and self._waiting_for_buffer:
-            self._admit_waiting_records()  # the freed space may admit them
+        self._settle(batch, reason=reason)
         self._check_drained()
+
+    def _attach(self, future: SendFuture) -> None:
+        """First look at a send future (:class:`SendFuture`): hand it the
+        outcome of its settled batch, or register it to be triggered."""
+        Event.__init__(future, self.sim)
+        sequence = future._sequence
+        placed = self._placement[sequence]
+        if type(placed) is tuple or placed.settled_at is None:
+            self._waiters[sequence] = future
+        else:
+            future._take(placed, placed.row_of(sequence))
+            future.callbacks = None  # processed: it fired before the waiter came
+
+    def _report(self, sequence: int) -> DeliveryReport:
+        """The delivery report of one record as of now (``reports[sequence]``)."""
+        placed = self._placement[sequence]
+        if type(placed) is tuple:
+            _sequence, enqueued_at, record = placed
+            return DeliveryReport(sequence, record.topic, record.key, enqueued_at)
+        row = placed.row_of(sequence)
+        report = DeliveryReport(
+            sequence, placed.topic, placed.keys[row], placed.produced_ats[row]
+        )
+        if placed.reason is not None:
+            report.failed_at = placed.settled_at
+        elif placed.settled_at is not None:
+            report.acknowledged_at = placed.settled_at
+            report.offset = placed.offset_of(row)
+            report.duplicate = placed.duplicate
+        return report
 
     # -- idempotence handshake --------------------------------------------------------------
     def _init_producer_id(self):
@@ -791,9 +814,7 @@ class Producer:
         if not self.config.transactional_id:
             raise InvalidTxnStateError("producer has no transactional_id")
         if self._txn_fatal:
-            raise ProducerFencedError(
-                f"transactional id {self.config.transactional_id!r} was fenced"
-            )
+            raise self._fenced()
         if self._txn_active:
             raise InvalidTxnStateError("a transaction is already in progress")
         self._txn_active = True
@@ -819,11 +840,10 @@ class Producer:
     def in_transaction(self) -> bool:
         return self._txn_active
 
-    def _check_txn_send(self) -> None:
-        if self.config.transactional_id and not self._txn_active:
-            raise InvalidTxnStateError(
-                "transactional producer requires begin_transaction() before send"
-            )
+    def _fenced(self) -> ProducerFencedError:
+        return ProducerFencedError(
+            f"transactional id {self.config.transactional_id!r} was fenced"
+        )
 
     def _end_transaction(self, outcome: str, timeout: Optional[float]):
         if not self.config.transactional_id:
@@ -832,9 +852,7 @@ class Producer:
             raise InvalidTxnStateError(f"no open transaction to {outcome}")
         if self._txn_fatal:
             self._txn_active = False
-            raise ProducerFencedError(
-                f"transactional id {self.config.transactional_id!r} was fenced"
-            )
+            raise self._fenced()
         deadline = self.sim.now + (
             timeout if timeout is not None else self.config.delivery_timeout
         )
@@ -853,9 +871,7 @@ class Producer:
             raise DeliveryFailed("transaction flush timed out before commit; aborted")
         if self._txn_fatal:
             self._txn_active = False
-            raise ProducerFencedError(
-                f"transactional id {self.config.transactional_id!r} was fenced"
-            )
+            raise self._fenced()
         if outcome == "commit" and self._txn_had_failure:
             # Some record of the transaction was never appended: committing
             # would expose a torn write set.  Abort and surface the failure.
@@ -865,33 +881,23 @@ class Producer:
             raise DeliveryFailed(
                 "records failed during the transaction; aborted instead of committed"
             )
-        if not self._txn_registered:
-            # Nothing was sent (or nothing reached a partition): no markers
-            # to write — the transaction completes locally.
-            self._txn_active = False
-            if outcome == "commit":
-                self.transactions_committed += 1
-            else:
-                self.transactions_aborted += 1
-            return
-        result = yield from self._send_end_txn(outcome, deadline)
+        # Nothing sent (or nothing reached a partition): no markers to write,
+        # the transaction completes locally.
+        result = "ok"
+        if self._txn_registered:
+            result = yield from self._send_end_txn(outcome, deadline)
         self._txn_active = False
         if result == "fenced":
-            raise ProducerFencedError(
-                f"transactional id {self.config.transactional_id!r} was fenced"
-            )
-        if result == "ok":
-            if outcome == "commit":
-                self.transactions_committed += 1
-            else:
-                self.transactions_aborted += 1
-            return
-        if outcome == "commit":
+            raise self._fenced()
+        if outcome == "abort":
+            self.transactions_aborted += 1
+        elif result == "ok":
+            self.transactions_committed += 1
+        else:
             # The coordinator refused the commit (its timeout sweeper or a
             # fencing re-init aborted the transaction first) or the deadline
             # expired mid-handshake.
             raise DeliveryFailed(f"transaction commit did not complete ({result})")
-        self.transactions_aborted += 1
 
     def _is_drained(self) -> bool:
         return self._txn_fatal or not (self._in_flight or self.flush_pending())
@@ -928,16 +934,11 @@ class Producer:
         Unsent records fail immediately; in-flight requests get a short grace
         to settle so same-epoch stragglers cannot land after the abort marker.
         """
-        waiting = self._waiting_for_buffer
-        self._waiting_for_buffer = []
-        if waiting:
-            self._fail_batch(waiting, reason="transaction_aborted", free_buffer=False)
-        for key, queue in list(self._accumulator.items()):
-            stranded = list(queue)
-            queue.clear()
-            self._queued_bytes[key] = 0
-            if stranded:
-                self._fail_batch(stranded, reason="transaction_aborted")
+        waiting, self._waiting = self._waiting, []
+        self._fail_waiting(waiting, reason="transaction_aborted")
+        for queue in list(self._accumulator.values()):
+            while queue:
+                self._fail_batch(queue.popleft(), reason="transaction_aborted")
         yield from self._await_drained(
             self.sim.now + self.config.request_timeout + self.config.retry_backoff
         )
@@ -958,6 +959,32 @@ class Producer:
         self._coordinator_host = coordinator_host
         return coordinator_host
 
+    def _ask_coordinator(self, kind: str, timeout: float, **fields):
+        """Generator: one transactional request under this producer's identity.
+
+        Returns the reply, or None — one ``retry_backoff`` later — when the
+        coordinator cannot be found or does not answer in ``timeout``.
+        """
+        coordinator_host = yield from self._txn_coordinator()
+        if coordinator_host is not None:
+            request = {
+                "type": kind,
+                "transactional_id": self.config.transactional_id,
+                "producer_id": self.producer_id,
+                "producer_epoch": self.producer_epoch,
+                **fields,
+            }
+            try:
+                return (
+                    yield from self.transport.request(
+                        coordinator_host, COORDINATOR_PORT, request, size=64, timeout=timeout
+                    )
+                )
+            except RequestTimeout:
+                pass
+        yield self.sim.timeout(self.config.retry_backoff)
+        return None
+
     def _add_partitions_to_txn(self, key: str, deadline: float):
         """Generator: register one partition with the current transaction.
 
@@ -966,26 +993,12 @@ class Producer:
         completing its marker fan-out) is retried.
         """
         while self.running and self.sim.now < deadline:
-            coordinator_host = yield from self._txn_coordinator()
-            if coordinator_host is None:
-                yield self.sim.timeout(self.config.retry_backoff)
-                continue
-            try:
-                reply = yield from self.transport.request(
-                    coordinator_host,
-                    COORDINATOR_PORT,
-                    {
-                        "type": "add_partitions_to_txn",
-                        "transactional_id": self.config.transactional_id,
-                        "producer_id": self.producer_id,
-                        "producer_epoch": self.producer_epoch,
-                        "partitions": [key],
-                    },
-                    size=64,
-                    timeout=min(1.0, self.config.request_timeout),
-                )
-            except RequestTimeout:
-                yield self.sim.timeout(self.config.retry_backoff)
+            reply = yield from self._ask_coordinator(
+                "add_partitions_to_txn",
+                min(1.0, self.config.request_timeout),
+                partitions=[key],
+            )
+            if reply is None:
                 continue
             error = reply.get("error")
             if error is None:
@@ -1007,26 +1020,10 @@ class Producer:
         while self.running:
             if self.sim.now >= deadline:
                 return "timeout"
-            coordinator_host = yield from self._txn_coordinator()
-            if coordinator_host is None:
-                yield self.sim.timeout(self.config.retry_backoff)
-                continue
-            try:
-                reply = yield from self.transport.request(
-                    coordinator_host,
-                    COORDINATOR_PORT,
-                    {
-                        "type": "end_txn",
-                        "transactional_id": self.config.transactional_id,
-                        "producer_id": self.producer_id,
-                        "producer_epoch": self.producer_epoch,
-                        "outcome": outcome,
-                    },
-                    size=64,
-                    timeout=self.config.request_timeout,
-                )
-            except RequestTimeout:
-                yield self.sim.timeout(self.config.retry_backoff)
+            reply = yield from self._ask_coordinator(
+                "end_txn", self.config.request_timeout, outcome=outcome
+            )
+            if reply is None:
                 continue
             error = reply.get("error")
             if error is None:
@@ -1069,7 +1066,6 @@ class Producer:
                 # placement identical to send-time placement).
                 self._admit_waiting_records()
             return
-        return
 
     # -- experiment helpers -----------------------------------------------------------------
     def acked_sequences(self) -> List[int]:

@@ -132,8 +132,8 @@ def run_single(n_consumers: int, config: Fig7aConfig) -> Dict[str, object]:
         if config.transactional_id:
             producer.begin_transaction()
         for index, frame in enumerate(frames):
-            # Fire-and-forget: the experiment only watches records_acked.
-            producer.send_noreport(
+            # The future goes unread: the experiment only watches records_acked.
+            producer.send(
                 ProducerRecord(
                     topic="frames", key=frame["frame_id"], value=frame, size=frame["size"]
                 )

@@ -181,11 +181,11 @@ def run_single(n_users: int, config: Fig7bConfig) -> Dict[str, float]:
             if config.transactional_id:
                 producer.begin_transaction()
             for key, value, size in slot.iter_keyed_reports():
-                # Fire-and-forget: the mirror never reads delivery outcomes,
-                # so skip the per-record future/report allocation entirely.
-                # Reports are keyed by the user's stable flow id, so sharded
-                # topics keep each flow's history ordered on one partition.
-                producer.send_noreport(
+                # The mirror never reads delivery outcomes (an unread send
+                # future costs nothing).  Reports are keyed by the user's
+                # stable flow id, so sharded topics keep each flow's history
+                # ordered on one partition.
+                producer.send(
                     ProducerRecord(
                         topic="mirrored-packets",
                         key=key,

@@ -21,6 +21,12 @@ class Event:
     sim:
         The owning simulator.  Events can only be scheduled on the simulator
         that created them.
+
+    Everything that waits on an event or asks for its outcome goes through
+    the slots below (a waiter registers by appending to ``callbacks``; a
+    processed event has ``callbacks is None``).  A subclass may therefore
+    leave all but ``sim`` unset and fill them in on the first read — the
+    producer's send future does, so a future nobody looks at costs nothing.
     """
 
     __slots__ = ("sim", "callbacks", "_value", "_ok", "_defused")

@@ -118,9 +118,10 @@ class TestProduceConsume:
         assert consumer.records_consumed == 20
         assert [r.key for r in consumer.received] == list(range(20))
 
-    def test_fire_and_forget_send_noreport(self):
-        """send_noreport delivers identically to send but allocates no
-        futures or delivery reports (the acks=0-style throughput path)."""
+    def test_unread_futures_and_reports_are_not_kept(self):
+        """A send whose future nobody reads delivers like any other and
+        leaves nothing per record behind: no registered waiter, no stored
+        report — ``reports`` builds a fresh snapshot on every read."""
         sim, network, sites, cluster = build_cluster()
         producer = cluster.create_producer(sites[0])
         consumer = cluster.create_consumer(sites[2])
@@ -131,7 +132,7 @@ class TestProduceConsume:
             producer.start()
             consumer.start()
             for i in range(20):
-                producer.send_noreport(
+                producer.send(
                     ProducerRecord(topic="topicA", key=i, value=f"msg-{i}", size=200)
                 )
                 yield sim.timeout(0.1)
@@ -141,59 +142,93 @@ class TestProduceConsume:
         assert producer.records_sent == 20
         assert producer.records_acked == 20
         assert producer.records_failed == 0
-        assert producer.reports == []  # no per-record report allocation
+        assert producer._waiters == {}  # nobody waited: no future was retained
+        assert len(producer.reports) == 20
+        assert producer.reports[3] is not producer.reports[3]  # derived on read
+        assert [r.key for r in producer.reports] == list(range(20))
+        assert all(r.acknowledged for r in producer.reports)
+        assert all(batch.wire is None for batch in producer._placement)  # payload released
         assert producer.buffer_used == 0  # buffer.memory fully released
         assert consumer.records_consumed == 20
         assert [r.key for r in consumer.received] == list(range(20))
 
-    def test_noreport_delivery_matches_reported_send(self):
-        """The wire behavior of the two send paths is identical: same keys,
-        same bytes, same consumed order for the same seeded run."""
+    def test_waiting_on_futures_does_not_change_delivery(self):
+        """Wire behavior does not depend on whether anybody reads the
+        futures: same keys, same bytes, same consumed order, same ack times
+        for the same seeded run."""
 
-        def run_once(noreport: bool):
+        def run_once(observed: bool):
             sim, network, sites, cluster = build_cluster()
             producer = cluster.create_producer(sites[0])
             consumer = cluster.create_consumer(sites[2])
             consumer.subscribe(["topicA"])
-            send = producer.send_noreport if noreport else producer.send
+            offsets = []
+
+            def wait_for(future):
+                offsets.append((yield future).offset)
 
             def workload():
                 yield sim.timeout(10.0)
                 producer.start()
                 consumer.start()
                 for i in range(30):
-                    send(ProducerRecord(topic="topicA", key=i, value=f"m-{i}", size=150))
+                    future = producer.send(
+                        ProducerRecord(topic="topicA", key=i, value=f"m-{i}", size=150)
+                    )
+                    if observed:
+                        sim.process(wait_for(future))
                     yield sim.timeout(0.05)
 
             sim.process(workload())
             sim.run(until=40.0)
+            assert offsets == (list(range(30)) if observed else [])
             return (
                 [r.key for r in consumer.received],
                 consumer.bytes_consumed,
                 producer.records_acked,
+                [r.acknowledged_at for r in producer.reports],
             )
 
-        assert run_once(noreport=False) == run_once(noreport=True)
+        assert run_once(observed=False) == run_once(observed=True)
 
-    def test_interleaved_send_paths_share_partition_round_robin(self):
-        """Keyless round-robin placement is one shared counter: interleaving
-        send and send_noreport spreads records exactly like all-send would."""
-        sim, network, sites, cluster = build_cluster()
-        producer = cluster.create_producer(sites[0])
-        producer.metadata = {
-            "version": 1,
-            "brokers": {},
-            "partitions": {
-                "t-0": {"topic": "t", "partition": 0, "leader": None},
-                "t-1": {"topic": "t", "partition": 1, "leader": None},
-            },
+    def test_deferred_placement_matches_send_time_placement(self):
+        """Keyless round-robin placement follows the send sequence: records
+        that waited for metadata land exactly where they would have landed
+        had the partition count been known when they were sent."""
+
+        def placements(metadata_first: bool):
+            sim, network, sites, cluster = build_cluster()
+            producer = cluster.create_producer(sites[0])
+            metadata = {
+                "version": 1,
+                "brokers": {},
+                "partitions": {
+                    "t-0": {"topic": "t", "partition": 0, "leader": None},
+                    "t-1": {"topic": "t", "partition": 1, "leader": None},
+                },
+            }
+            if metadata_first:
+                producer.metadata = metadata
+            for i in range(3):
+                producer.send(ProducerRecord(topic="t", value=f"early{i}", size=10))
+            if not metadata_first:
+                assert producer.flush_pending() == 3 and not producer._accumulator
+                producer.metadata = metadata
+                producer._admit_waiting_records()
+            for i in range(3):
+                producer.send(ProducerRecord(topic="t", value=f"late{i}", size=10))
+            assert producer.buffer_used == 60
+            return {
+                key: [value for batch in queue for value in batch.wire.values]
+                for key, queue in producer._accumulator.items()
+            }
+
+        # Sequence 0..5 -> partitions 0,1,0,1,0,1 whenever placement happens.
+        assert placements(metadata_first=True) == {
+            "t-0": ["early0", "early2", "late1"],
+            "t-1": ["early1", "late0", "late2"],
         }
-        for i in range(2):
-            producer.send(ProducerRecord(topic="t", value=f"r{i}", size=10))
-            producer.send_noreport(ProducerRecord(topic="t", value=f"n{i}", size=10))
-        # Fallback sequence 0,1,2,3 -> partitions 0,1,0,1 across both paths.
-        assert [p.record.value for p in producer._accumulator["t-0"]] == ["r0", "r1"]
-        assert [p.record.value for p in producer._accumulator["t-1"]] == ["n0", "n1"]
+        assert placements(metadata_first=False) == placements(metadata_first=True)
 
     def test_consumer_latency_accounting(self):
         sim, network, sites, cluster = build_cluster()

@@ -18,6 +18,7 @@ from repro.broker import (
 )
 from repro.broker import broker as broker_module
 from repro.broker.broker import Broker
+from repro.broker.producer import Producer
 from repro.experiments import fig6_partition
 from repro.experiments.fig6_partition import Fig6Config, run_fig6
 from repro.network.link import LinkConfig
@@ -266,32 +267,64 @@ FIG6_SMOKE_EVENTS = 92_475
 FIG6_SMOKE_DELIVERIES = 3_983
 
 
-def test_fig6_smoke_event_budget(monkeypatch):
-    simulators = []
+#: ``(reports, sha256)`` over every field of every producer's delivery
+#: reports in that run, captured on the per-record ``DeliveryReport``
+#: bookkeeping before reports became derived from batch outcomes
+#: (``tests/test_producer_accumulator.py`` has its siblings).
+FIG6_SMOKE_REPORTS = (
+    955, "4e6c7a81a04e3313e883b5774a2bdd3d853131653bdf47e6efdf5b27bc26de5e"
+)
+
+
+@pytest.fixture(scope="module")
+def fig6_smoke():
+    """One run of the smoke shape; its result, simulators and producers."""
+    simulators, producers = [], []
 
     class RecordingSimulator(Simulator):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             simulators.append(self)
 
-    monkeypatch.setattr(fig6_partition, "Simulator", RecordingSimulator)
-    result = run_fig6(
-        Fig6Config(
-            n_sites=4,
-            replication_factor=3,
-            rate_kbps=30.0,
-            message_size=1024,
-            duration=75.0,
-            disconnect_start=15.0,
-            disconnect_duration=40.0,
-            mode=CoordinationMode.KRAFT,
-            acks="all",
-            preferred_election_interval=1e9,
-            seed=11,
+    producer_init = Producer.__init__
+
+    def recording_init(self, *args, **kwargs):
+        producer_init(self, *args, **kwargs)
+        producers.append(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fig6_partition, "Simulator", RecordingSimulator)
+        patch.setattr(Producer, "__init__", recording_init)
+        result = run_fig6(
+            Fig6Config(
+                n_sites=4,
+                replication_factor=3,
+                rate_kbps=30.0,
+                message_size=1024,
+                duration=75.0,
+                disconnect_start=15.0,
+                disconnect_duration=40.0,
+                mode=CoordinationMode.KRAFT,
+                acks="all",
+                preferred_election_interval=1e9,
+                seed=11,
+            )
         )
-    )
+    return result, simulators, producers
+
+
+def test_fig6_smoke_event_budget(fig6_smoke):
+    result, simulators, _producers = fig6_smoke
     assert result.acked_but_lost == 0
     events = sum(sim.processed_events for sim in simulators)
     assert (
         events / result.messages_consumed <= FIG6_SMOKE_EVENTS / FIG6_SMOKE_DELIVERIES
     ), (events, result.messages_consumed)
+
+
+def test_fig6_smoke_delivery_reports_equal_the_per_record_bookkeeping(
+    fig6_smoke, reports_digest
+):
+    _result, _simulators, producers = fig6_smoke
+    assert len(producers) == 4
+    assert reports_digest(producers) == FIG6_SMOKE_REPORTS
