@@ -44,6 +44,13 @@ every golden was captured on):
 import hashlib
 
 import pytest
+from hypothesis import settings
+
+# Property tests draw the same examples on every run: a tier-1 failure must
+# replay bit-for-bit, like everything else here.  (Simulated time makes
+# wall-clock deadlines meaningless.)
+settings.register_profile("repro", derandomize=True, deadline=None)
+settings.load_profile("repro")
 
 
 def pytest_addoption(parser):
