@@ -47,7 +47,7 @@ from repro.broker.consumer import ConsumerConfig
 from repro.broker.coordinator import CoordinationMode
 from repro.broker.message import ProducerRecord
 from repro.broker.producer import Producer, ProducerConfig
-from repro.broker.segment import LogStorageConfig, default_log_backend
+from repro.broker.segment import LogStorageConfig
 from repro.broker.topic import TopicConfig
 from repro.engine import StreamingConfig, StreamingContext
 from repro.experiments.fig6_partition import Fig6Config, run_fig6
@@ -57,15 +57,6 @@ from repro.network.topology import one_big_switch
 from repro.simulation import Simulator
 
 from benchmarks.conftest import report
-
-# The trajectory/gate baselines were measured on the flat memory log layout;
-# running the whole module under ``--log-backend=segments`` would record
-# incomparable numbers into BENCH_core.json.  (The segmented-storage benches
-# below configure their logs explicitly and run on either backend.)
-pytestmark = pytest.mark.skipif(
-    default_log_backend() == "segments",
-    reason="bench trajectory baselines are pinned to the memory log backend",
-)
 
 BENCH_FILE = Path(__file__).resolve().parents[1] / "BENCH_core.json"
 
@@ -975,7 +966,7 @@ def test_bench_fetch_cold_tier_throughput():
     with tempfile.TemporaryDirectory() as tmp_dir:
         log, _storage = _build_cold_tier_log(tmp_dir, n_records, payload)
         for _ in range(3):
-            log._apply_eviction(0)  # drop every sealed segment's columns
+            log._evict_down_to(0)  # drop every sealed segment's columns
             assert log.size_bytes == 0  # hot tier fully bounded
             gc.collect()
             gc.disable()

@@ -26,19 +26,11 @@ the whole run (default ``columnar``, the production default):
   requests the ``engine_path`` fixture once per path (the SPE-facing chaos
   tests and the vectorized equivalence suite use it).
 
-Log backend
------------
-``--log-backend={memory,segments,both}`` selects the partition-log storage
-shape for the whole run (default ``memory``, the flat single-array layout
-every golden was captured on):
-
-* ``segments`` makes every :class:`~repro.broker.log.PartitionLog` without
-  explicit storage config run segmented (512-record roll) — the way to
-  re-run the broker/chaos suites against sealed-segment storage.  The
-  seeded determinism goldens and the bench trajectory skip themselves under
-  this backend (their byte-exact traces/baselines assume ``memory``);
-* ``both`` keeps the session default ``memory`` but parametrizes every test
-  requesting the ``log_backend`` fixture over both backends.
+Hypothesis
+----------
+Property tests (``tests/test_property_based.py``, the log oracle in
+``tests/test_log_model.py``) run under the ``repro`` profile registered below:
+derandomized, so every run draws the same examples and a failure replays.
 """
 
 import hashlib
@@ -46,9 +38,8 @@ import hashlib
 import pytest
 from hypothesis import settings
 
-# Property tests draw the same examples on every run: a tier-1 failure must
-# replay bit-for-bit, like everything else here.  (Simulated time makes
-# wall-clock deadlines meaningless.)
+# A tier-1 failure must replay bit-for-bit, property tests included; simulated
+# time makes wall-clock deadlines meaningless.
 settings.register_profile("repro", derandomize=True, deadline=None)
 settings.load_profile("repro")
 
@@ -62,17 +53,6 @@ def pytest_addoption(parser):
             "SPE execution plane: 'columnar' (vectorized, default), 'record' "
             "(force the per-record reference path session-wide), or 'both' "
             "(parametrize engine_path-fixture tests over the two paths)"
-        ),
-    )
-    parser.addoption(
-        "--log-backend",
-        choices=("memory", "segments", "both"),
-        default="memory",
-        help=(
-            "Partition-log storage: 'memory' (flat single-array layout, "
-            "default), 'segments' (segmented 512-record-roll logs "
-            "session-wide), or 'both' (parametrize log_backend-fixture tests "
-            "over the two backends)"
         ),
     )
 
@@ -104,18 +84,6 @@ def pytest_configure(config):
                 raise
         else:
             set_default_engine_path(path)
-    backend = config.getoption("--log-backend")
-    if backend in ("memory", "segments"):
-        try:
-            from repro.broker.segment import set_default_log_backend
-        except ImportError:
-            # Same contract as --engine-path: "memory" is the in-code
-            # default; an explicit "segments" run must not silently proceed
-            # on the flat layout.
-            if backend == "segments":
-                raise
-        else:
-            set_default_log_backend(backend)
 
 
 def pytest_generate_tests(metafunc):
@@ -123,10 +91,6 @@ def pytest_generate_tests(metafunc):
         mode = metafunc.config.getoption("--engine-path")
         paths = ["columnar", "record"] if mode == "both" else [mode]
         metafunc.parametrize("engine_path", paths, indirect=True)
-    if "log_backend" in metafunc.fixturenames:
-        mode = metafunc.config.getoption("--log-backend")
-        backends = ["memory", "segments"] if mode == "both" else [mode]
-        metafunc.parametrize("log_backend", backends, indirect=True)
 
 
 def _reports_digest(producers):
@@ -164,17 +128,3 @@ def engine_path(request):
     set_default_engine_path(path)
     yield path
     set_default_engine_path(previous)
-
-
-@pytest.fixture
-def log_backend(request):
-    """The partition-log storage backend this test runs under; sets the
-    session default for its duration (parametrized over both backends under
-    ``--log-backend=both``)."""
-    from repro.broker.segment import default_log_backend, set_default_log_backend
-
-    backend = request.param
-    previous = default_log_backend()
-    set_default_log_backend(backend)
-    yield backend
-    set_default_log_backend(previous)

@@ -73,9 +73,9 @@ class BrokerConfig:
     #: In KRaft mode a leader only accepts produce requests while its
     #: coordinator session has been refreshed within this horizon.
     leadership_lease: float = 4.0
-    #: Broker-wide default log storage shape (segment roll size, retention,
-    #: cleanup policy, cold tier).  ``None`` — the default — keeps every
-    #: partition on the flat single-array layout; per-topic overrides from
+    #: Broker-wide default log storage policy (segment roll size, retention,
+    #: cleanup policy, cold tier).  ``None`` — the default — means logs
+    #: never roll and keep every record; per-topic overrides from
     #: the metadata snapshot are merged on top (``resolve_log_storage``).
     log_storage: Optional[LogStorageConfig] = None
 
@@ -801,14 +801,11 @@ class Broker:
         if reply.get("error") is not None:
             return
         batch: RecordBatch = reply["batch"]
-        if len(batch) and (
-            batch.base_offset <= log.log_end_offset or log.storage is not None
-        ):
+        if len(batch):
             # Whole-batch replica append: the already-present overlap (if the
-            # follower refetched from an older LEO) is trimmed inside.  A
-            # segmented follower also accepts batches *past* its LEO — the
-            # leader's retention/compaction left a gap the follower adopts
-            # with a forced segment boundary.
+            # follower refetched from an older LEO) is trimmed inside, and a
+            # batch *past* the LEO — the leader's retention/compaction left a
+            # gap — is adopted with a forced segment boundary.
             log.append_wire_batch(batch)
             self._log_maintenance(log)
         log.set_high_watermark(reply["high_watermark"])
@@ -816,12 +813,10 @@ class Broker:
     # -- storage maintenance -------------------------------------------------------------
     def _log_maintenance(self, log: PartitionLog) -> None:
         """Run one retention/compaction/eviction pass on ``log`` and fold the
-        per-log storage counters up into the broker metrics (no-op, and two
-        dict probes cheap, for flat-layout logs)."""
-        if log.storage is None:
-            return
-        log.maybe_maintain(self.sim.now)
-        self.refresh_storage_metrics()
+        per-log storage counters up into the broker metrics (a log without a
+        storage policy has neither)."""
+        if log.maybe_maintain(self.sim.now):
+            self.refresh_storage_metrics()
 
     def refresh_storage_metrics(self) -> None:
         """Fold the per-log storage counters up into ``metrics``.

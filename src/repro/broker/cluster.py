@@ -36,8 +36,8 @@ class ClusterConfig:
     #: Catalog-wide log storage defaults (sweepable like every other knob
     #: here).  When any is set they are folded into one
     #: :class:`~repro.broker.segment.LogStorageConfig` on
-    #: ``broker.log_storage``; all-``None`` (the default) keeps the flat
-    #: in-memory log layout.  ``retention_ms`` follows Kafka's unit;
+    #: ``broker.log_storage``; all-``None`` (the default) means logs never
+    #: roll and keep every record.  ``retention_ms`` follows Kafka's unit;
     #: ``log_dir`` enables the on-disk cold tier for sealed segments.
     segment_records: Optional[int] = None
     retention_bytes: Optional[int] = None

@@ -7,69 +7,61 @@ replica set; only records below it are visible to consumers).  Leader
 failover and follower rejoin are implemented with epoch bookkeeping and
 truncation, which is where the ZooKeeper-mode silent message loss comes from.
 
-Each replica also keeps a per-producer dedup table (:class:`ProducerEntry`,
-``producer_state``): the last sequence number appended per producer id, fed
-by the producer-identity columns that every append carries and that replica
-fetches hand down to followers — so the exactly-once produce guarantee
-survives leader elections (see ``docs/exactly_once.md``).
+One layout (``docs/log_storage.md``)
+------------------------------------
+The log is an ordered list of :class:`~repro.broker.segment.Segment` objects
+whose last element — the *head* — takes every append and never seals.  The
+segment owns the columns (parallel arrays of keys/values/sizes/timestamps
+rather than one record object per entry) and everything done to one
+segment's rows; the log owns the list and the state *derived* from the rows.
+The hot paths — :meth:`PartitionLog.append_batch` on produce,
+:meth:`PartitionLog.read_batch` on fetch — move whole
+:class:`~repro.broker.batch.RecordBatch` payloads with C-level list
+extends/slices and compute sizes once from the batch header; the per-record
+views (:class:`LogRecord`) are materialized only on the cold paths (tests,
+truncation loss accounting, ``record_at`` debugging).
 
-Storage is columnar: parallel arrays of keys/values/sizes/timestamps rather
-than one record object per entry.  The hot paths — :meth:`append_batch` on
-produce, :meth:`read_batch` on fetch — move whole :class:`RecordBatch`
-payloads with C-level list extends/slices and compute sizes once from the
-batch header.  The per-record views (:class:`LogRecord`) are materialized
-lazily only on the cold paths (tests, truncation loss accounting,
-``record_at`` debugging).
-
-Segmented storage (``docs/log_storage.md``)
--------------------------------------------
-With a :class:`~repro.broker.segment.LogStorageConfig` the log is the
-*head segment* (exactly the flat columns above — every hot path untouched)
-plus a list of immutable :class:`~repro.broker.segment.SealedSegment`
-chunks.  When the head reaches ``segment_records`` rows it is sealed in
-O(1) (the column lists move, nothing is copied) and reads below the head
-bisect the sealed base offsets to locate their segment.  Sealed segments
-are the unit of retention (whole-segment deletes advance
+With a :class:`~repro.broker.segment.LogStorageConfig` the head *rolls* when
+it reaches ``segment_records`` rows: it stays where it is in the list, now
+sealed, and a fresh head opens at the next offset (O(1), nothing is copied).
+Sealed segments are the unit of retention (whole-segment deletes advance
 ``log_start_offset``), key compaction (in-place rewrite keeping original
-offsets), cold-tier eviction (columns dropped, faulted back from the
-segment file on fetch) and recovery (:meth:`PartitionLog.recover` replays
-segment files back into a full replica — producer state, epoch boundaries
-and transaction state included).  Without storage config the log is one
-flat head forever — byte-identical to the pre-segmentation layout.
+offsets), cold-tier eviction (columns dropped, faulted back from the segment
+file on fetch) and recovery (:meth:`PartitionLog.recover` replays segment
+files back into a full replica).  Without storage config the log never rolls
+— one segment forever — and every read, scan, truncation and rebuild below
+is the same code either way.
+
+Derived state: one fold
+-----------------------
+The leader-epoch cache (``epoch_boundaries``), the per-producer dedup table
+(``producer_state``, :class:`ProducerEntry`; see ``docs/exactly_once.md``) and
+the transaction state (open transactions / LSO, ``aborted_ranges``,
+``last_markers``) are a fold over the rows in offset order.  Its steps are
+``_note_epoch``, ``_note_producer_batch``, ``_note_control`` and the
+open-transaction mark; leader appends apply them once per batch from the
+batch header, :meth:`PartitionLog._fold_rows` applies them to rows that
+arrive as columns (replica fetches), and :meth:`PartitionLog._rebuild_derived`
+— truncation and recovery — resets the state and folds every surviving
+segment again.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.broker.batch import CONTROL_RECORD_SIZE, EMPTY_BATCH, RecordBatch
 from repro.broker.segment import (
+    LogRecord,
     LogStorageConfig,
-    SealedSegment,
+    Segment,
     list_segment_files,
     segment_file_name,
-    session_default_storage,
 )
 
-
-@dataclass
-class LogRecord:
-    """One record as viewed out of a partition log (materialized on demand)."""
-
-    offset: int
-    key: Any
-    value: Any
-    size: int
-    timestamp: float
-    produced_at: float
-    leader_epoch: int
-    headers: Dict[str, Any] = field(default_factory=dict)
-    #: Producer identity the record was appended under (-1 = non-idempotent).
-    producer_id: int = -1
-    producer_epoch: int = -1
-    sequence: int = -1
+_base_offset = attrgetter("base_offset")
 
 
 class ProducerEntry:
@@ -114,28 +106,23 @@ class PartitionLog:
     ) -> None:
         self.topic = topic
         self.partition = partition
-        if storage is None:
-            # Session backend default: ``--log-backend=segments`` makes every
-            # log without explicit storage run segmented (None under the
-            # default memory backend — the flat pre-segmentation layout).
-            storage = session_default_storage()
-        #: Storage shape (None = flat single-array log, today's default).
+        #: Storage policy (None = never roll, no maintenance).
         self.storage = storage
-        #: Distinguishes replicas of the same partition in a shared cold-tier
+        #: What this replica's segment file names start with; ``file_tag``
+        #: distinguishes replicas of the same partition in a shared cold-tier
         #: directory (the broker passes its own name).
-        self._file_tag = file_tag
-        #: Head roll threshold; 0 = never roll (flat log).
+        self._file_stem = (
+            f"{file_tag}-{topic}-{partition}" if file_tag else f"{topic}-{partition}"
+        )
+        #: Head roll threshold; 0 = never roll.
         self._seg_limit = (storage.segment_records or 0) if storage else 0
-        #: Immutable sealed segments, oldest first, plus their base offsets
-        #: for bisect (``_sealed_bases[i] == _sealed[i].base_offset``).
-        self._sealed: List[SealedSegment] = []
-        self._sealed_bases: List[int] = []
-        #: Bytes of sealed segments currently resident in memory.
-        self._sealed_hot_bytes = 0
+        #: Oldest first; the last one is the head.  Every earlier segment is
+        #: sealed (immutable but for compaction and truncation).
+        self._segments: List[Segment] = [Segment(0)]
         #: First offset still present anywhere in the log; advanced only by
         #: whole-segment retention deletes (compaction keeps boundaries).
         self._log_start = 0
-        #: Sealed-segment churn since the last compaction pass.
+        #: Segments sealed since the last compaction pass.
         self._dirty_sealed = 0
         #: Storage-plane counters (brokers fold these into their metrics).
         self.stats: Dict[str, int] = {
@@ -145,48 +132,15 @@ class PartitionLog:
             "compaction_records_removed": 0,
             "cold_loads": 0,
         }
-        # Columnar head storage; index i holds record (base_offset + i).
-        self._keys: List[Any] = []
-        self._values: List[Any] = []
-        self._sizes: List[int] = []
-        self._timestamps: List[float] = []
-        self._produced_ats: List[float] = []
-        self._epochs: List[int] = []
-        self._headers: List[Optional[Dict[str, Any]]] = []
-        #: True once any record landed here with headers — lets the fetch
-        #: hot path (``read_batch``) skip slicing and scanning the headers
-        #: column entirely in the overwhelmingly common header-free case.
-        self._has_headers = False
-        #: Per-record producer identity columns (-1 = no producer id).  Kept
-        #: in the log — not in leader-only session state — so a follower's
-        #: replica fetches rebuild the same dedup table and guarantees
-        #: survive leader elections.  Materialized lazily: they stay empty
-        #: (and cost the hot append path nothing) until the first idempotent
-        #: append backfills them — ``_has_producers`` gates every reader.
-        self._producer_ids: List[int] = []
-        self._producer_epochs: List[int] = []
-        self._sequences: List[int] = []
-        self._base_offset = 0
-        self._size_bytes = 0
         self.high_watermark = 0
+        self.truncated_records = 0
+        self._reset_derived()
+
+    def _reset_derived(self) -> None:
         #: (epoch, start_offset) pairs, newest last — Kafka's leader epoch cache.
         self.epoch_boundaries: List[Tuple[int, int]] = []
-        self.truncated_records = 0
-        #: producer_id -> :class:`ProducerEntry`, maintained incrementally on
-        #: every append (and rebuilt from the columns after truncation).
+        #: producer_id -> :class:`ProducerEntry`.
         self.producer_state: Dict[int, ProducerEntry] = {}
-        #: True once any record with a producer id landed here (lets the
-        #: non-idempotent read path skip slicing the producer columns).
-        self._has_producers = False
-        #: Per-record transaction columns, lazily materialized exactly like
-        #: the producer columns: ``_transactionals[i]`` is True for records of
-        #: an (eventually committed or aborted) transaction, ``_controls[i]``
-        #: holds a ``(marker, producer_id, producer_epoch)`` tuple for
-        #: COMMIT/ABORT control records (``None`` for data).  Kept in the log
-        #: so replica fetches rebuild the same LSO/abort state on followers.
-        self._transactionals: List[bool] = []
-        self._controls: List[Optional[Tuple[str, int, int]]] = []
-        self._has_txn = False
         #: producer_id -> first offset of its currently *open* transaction in
         #: this partition (removed when the end marker lands).  The Last
         #: Stable Offset is the earliest of these (capped by the HW).
@@ -204,7 +158,7 @@ class PartitionLog:
     @property
     def log_end_offset(self) -> int:
         """The offset that the *next* appended record will receive."""
-        return self._base_offset + len(self._values)
+        return self._segments[-1].next_offset
 
     @property
     def log_start_offset(self) -> int:
@@ -212,67 +166,59 @@ class PartitionLog:
         return self._log_start
 
     def __len__(self) -> int:
-        count = len(self._values)
-        for segment in self._sealed:
-            count += segment.count
-        return count
+        return sum(segment.count for segment in self._segments)
 
     @property
     def size_bytes(self) -> int:
-        """Bytes resident in memory (head + non-evicted sealed segments).
+        """Bytes resident in memory (every segment not evicted).
 
         This is what the emulated broker's memory accounting charges; evicted
         cold-tier segments cost disk, not RAM.  Equals :attr:`total_size_bytes`
         until something is evicted.
         """
-        return self._size_bytes + self._sealed_hot_bytes
+        return sum(
+            segment.size_bytes for segment in self._segments if not segment.evicted
+        )
 
     @property
     def total_size_bytes(self) -> int:
         """Bytes across all tiers, including evicted cold segments."""
-        total = self._size_bytes
-        for segment in self._sealed:
-            total += segment.size_bytes
-        return total
+        return sum(segment.size_bytes for segment in self._segments)
 
     @property
     def segment_count(self) -> int:
         """Sealed segments plus the head."""
-        return len(self._sealed) + 1
+        return len(self._segments)
 
     @property
-    def sealed_segments(self) -> List[SealedSegment]:
-        return list(self._sealed)
+    def sealed_segments(self) -> List[Segment]:
+        return self._segments[:-1]
 
-    # -- transaction state ------------------------------------------------------------
-    @property
-    def has_transactions(self) -> bool:
-        """True once any transactional record or control marker landed here."""
-        return self._has_txn
+    # -- derived state: the fold ---------------------------------------------------------
+    def _note_epoch(self, leader_epoch: int, start_offset: int) -> None:
+        if self.epoch_boundaries and leader_epoch < self.epoch_boundaries[-1][0]:
+            raise ValueError(
+                f"appending with stale epoch {leader_epoch} < "
+                f"{self.epoch_boundaries[-1][0]}"
+            )
+        if not self.epoch_boundaries or self.epoch_boundaries[-1][0] != leader_epoch:
+            self.epoch_boundaries.append((leader_epoch, start_offset))
 
-    @property
-    def last_stable_offset(self) -> int:
-        """First offset of the earliest open transaction, capped at the HW.
-
-        With no open transaction this equals the high watermark — so the
-        non-transactional read path is unchanged.  ``read_committed``
-        consumers never fetch at or past this offset.
-        """
-        if not self._open_txn_first:
-            return self.high_watermark
-        return min(self.high_watermark, min(self._open_txn_first.values()))
-
-    def open_txn_first_offset(self, producer_id: int) -> Optional[int]:
-        return self._open_txn_first.get(producer_id)
-
-    def _ensure_txn_columns(self, backfill: int) -> None:
-        """First transactional append: backfill the transaction columns for
-        the ``backfill`` records already in the head."""
-        if self._has_txn:
+    def _note_producer_batch(
+        self, producer_id: int, producer_epoch: int, base_sequence: int,
+        count: int, base_offset: int,
+    ) -> None:
+        entry = self.producer_state.get(producer_id)
+        last_sequence = base_sequence + count - 1
+        if entry is None:
+            self.producer_state[producer_id] = ProducerEntry(
+                producer_epoch, last_sequence, base_offset, count
+            )
             return
-        self._transactionals = [False] * backfill
-        self._controls = [None] * backfill
-        self._has_txn = True
+        entry.epoch = producer_epoch
+        entry.last_sequence = last_sequence
+        entry.last_base_offset = base_offset
+        entry.last_count = count
 
     def _note_control(
         self, offset: int, marker: str, producer_id: int, producer_epoch: int
@@ -292,48 +238,98 @@ class PartitionLog:
             entry.epoch = producer_epoch
             entry.last_sequence = -1
 
-    def _rebuild_txn_state(self) -> None:
-        """Recompute open-transaction/abort state from the columns
-        (post-truncation path, mirroring ``_rebuild_producer_state``)."""
-        self._open_txn_first = {}
-        self.aborted_ranges = []
-        self.last_markers = {}
-        for offset, transactional, control, producer_id in self._iter_txn_rows():
-            if control is not None:
-                marker, ctrl_producer, ctrl_epoch = control
-                first = self._open_txn_first.pop(ctrl_producer, None)
-                if marker == "abort" and first is not None:
-                    self.aborted_ranges.append((first, offset, ctrl_producer))
-                self.last_markers[ctrl_producer] = (ctrl_epoch, marker, offset)
-            elif transactional and producer_id >= 0:
-                if producer_id not in self._open_txn_first:
-                    self._open_txn_first[producer_id] = offset
-
-    def _iter_txn_rows(self) -> Iterator[Tuple[int, bool, Any, int]]:
-        """Yield ``(offset, transactional, control, producer_id)`` across all
-        tiers in offset order (loads evicted segments; cold path)."""
-        for segment in self._sealed:
-            self._ensure_loaded(segment)
-            transactionals = segment.transactionals
-            controls = segment.controls
-            producer_ids = segment.producer_ids
-            for index in range(segment.count):
-                yield (
-                    segment.offset_at(index),
-                    transactionals[index] if transactionals is not None else False,
-                    controls[index] if controls is not None else None,
-                    producer_ids[index] if producer_ids is not None else -1,
+    def _fold_rows(self, segment: Segment, start: int = 0) -> None:
+        """Fold rows ``[start, count)`` of ``segment`` into the derived state
+        (rows that arrived as columns: replica fetches, rebuilds)."""
+        count = segment.count
+        offset_at = segment.offset_at
+        epochs = segment.epochs
+        last = self.epoch_boundaries[-1][0] if self.epoch_boundaries else None
+        for index in range(start, count):
+            if epochs[index] != last:
+                last = epochs[index]
+                self._note_epoch(last, offset_at(index))
+        producer_ids = segment.producer_ids
+        if producer_ids is not None:
+            # Contiguous same-producer runs fold as single batches, so the
+            # ProducerEntry carries a real batch extent (last_base_offset /
+            # last_count) — what lets a promoted follower echo original
+            # offsets and bound the acks=all wait on a duplicate retry.
+            producer_epochs = segment.producer_epochs
+            sequences = segment.sequences
+            offsets = segment.offsets
+            index = start
+            while index < count:
+                producer_id = producer_ids[index]
+                if producer_id < 0:
+                    index += 1
+                    continue
+                first = index
+                epoch = producer_epochs[index]
+                while (
+                    index + 1 < count
+                    and producer_ids[index + 1] == producer_id
+                    and producer_epochs[index + 1] == epoch
+                    and sequences[index + 1] == sequences[index] + 1
+                    and (offsets is None or offsets[index + 1] == offsets[index] + 1)
+                ):
+                    index += 1
+                self._note_producer_batch(
+                    producer_id, epoch, sequences[first], index - first + 1,
+                    offset_at(first),
                 )
-        base = self._base_offset
-        has_txn = self._has_txn
-        has_producers = self._has_producers
-        for index in range(len(self._values)):
-            yield (
-                base + index,
-                self._transactionals[index] if has_txn else False,
-                self._controls[index] if has_txn else None,
-                self._producer_ids[index] if has_producers else -1,
-            )
+                index += 1
+        transactionals = segment.transactionals
+        if transactionals is not None:
+            # Markers and transaction opens replay in offset order, so a
+            # promoted follower holds the same LSO, abort index and fencing
+            # state as the old leader.
+            controls = segment.controls
+            for index in range(start, count):
+                control = controls[index]
+                if control is not None:
+                    self._note_control(offset_at(index), *control)
+                elif transactionals[index] and producer_ids is not None:
+                    producer_id = producer_ids[index]
+                    if producer_id >= 0:
+                        self._open_txn_first.setdefault(producer_id, offset_at(index))
+
+    def _rebuild_derived(self) -> None:
+        """Recompute the derived state from the rows that survive (truncation
+        rolls the dedup table and transactions back with the log; recovery
+        starts from the segment files).  Cold path: faults every segment in.
+
+        Batch extents are recoverable only as contiguous sequence runs — good
+        enough for duplicate *detection*; the cached ack offsets only matter
+        on a live leader, whose state is never rebuilt mid-flight.
+        """
+        self._reset_derived()
+        for segment in self._segments:
+            self._ensure_loaded(segment)
+            self._fold_rows(segment)
+
+    # -- transaction state ------------------------------------------------------------
+    @property
+    def has_transactions(self) -> bool:
+        """True once any transactional record or control marker landed here
+        (a transaction is open, or a marker closed one): lets the fetch path
+        skip the invisibility scan otherwise."""
+        return bool(self.last_markers or self._open_txn_first)
+
+    @property
+    def last_stable_offset(self) -> int:
+        """First offset of the earliest open transaction, capped at the HW.
+
+        With no open transaction this equals the high watermark — so the
+        non-transactional read path is unchanged.  ``read_committed``
+        consumers never fetch at or past this offset.
+        """
+        if not self._open_txn_first:
+            return self.high_watermark
+        return min(self.high_watermark, min(self._open_txn_first.values()))
+
+    def open_txn_first_offset(self, producer_id: int) -> Optional[int]:
+        return self._open_txn_first.get(producer_id)
 
     def invisible_offsets(
         self, from_offset: int, up_to: int, isolation: str
@@ -344,96 +340,35 @@ class PartitionLog:
         delivers them to clients); records of aborted transactions are
         additionally invisible under ``read_committed``.  Returns the sorted
         offset list plus their total payload bytes, so fetch accounting can
-        exclude them in O(len(skipped)).
+        exclude them.  Row lookups go through each segment's offset index,
+        so compacted (gapped) segments need no special case.
         """
-        if not self._has_txn:
+        if not self.has_transactions:
             return [], 0
-        if from_offset < self._base_offset and self._sealed:
-            return self._invisible_offsets_sealed(from_offset, up_to, isolation)
-        base = self._base_offset
-        skipped: List[int] = []
-        start = max(from_offset, base)
-        end = min(up_to, self.log_end_offset)
-        for offset in range(start, end):
-            if self._controls[offset - base] is not None:
-                skipped.append(offset)
-        if isolation == "read_committed" and self.aborted_ranges:
-            producer_ids = self._producer_ids if self._has_producers else None
-            for first, marker_offset, producer_id in self.aborted_ranges:
-                lo = max(first, start)
-                hi = min(marker_offset, end)
-                for offset in range(lo, hi):
-                    index = offset - base
-                    if (
-                        self._transactionals[index]
-                        and producer_ids is not None
-                        and producer_ids[index] == producer_id
-                    ):
-                        skipped.append(offset)
-        if not skipped:
-            return [], 0
-        skipped = sorted(set(skipped))
-        bytes_skipped = sum(self._sizes[offset - base] for offset in skipped)
-        return skipped, bytes_skipped
-
-    def _invisible_offsets_sealed(
-        self, from_offset: int, up_to: int, isolation: str
-    ) -> Tuple[List[int], int]:
-        """Segment-aware invisibility scan (fetches served below the head).
-
-        Row-wise rather than range-arithmetic: compacted segments hold gapped
-        offsets, so every row in range is checked against the control column
-        and (under ``read_committed``) the aborted-transaction index.
-        """
-        committed = isolation == "read_committed"
-        aborted_by_producer: Dict[int, List[Tuple[int, int]]] = {}
-        if committed:
-            for first, marker_offset, producer_id in self.aborted_ranges:
-                aborted_by_producer.setdefault(producer_id, []).append(
-                    (first, marker_offset)
-                )
+        aborted = self.aborted_ranges if isolation == "read_committed" else ()
         skipped: List[int] = []
         bytes_skipped = 0
-        end = min(up_to, self.log_end_offset)
-        for segment in self._sealed:
-            if segment.next_offset <= from_offset:
-                continue
-            if segment.base_offset >= end:
-                break
-            start_index, end_index = segment.index_range(from_offset, end)
-            if start_index >= end_index:
-                continue
+        for segment, start, end in self._row_ranges(from_offset, up_to):
             self._ensure_loaded(segment)
             controls = segment.controls
+            if controls is None:
+                continue
+            hidden = [
+                index for index in range(start, end) if controls[index] is not None
+            ]
             transactionals = segment.transactionals
             producer_ids = segment.producer_ids
+            if producer_ids is not None:
+                for first, marker_offset, producer_id in aborted:
+                    lo, hi = segment.index_range(first, marker_offset)
+                    for index in range(max(lo, start), min(hi, end)):
+                        if transactionals[index] and producer_ids[index] == producer_id:
+                            hidden.append(index)
+            hidden.sort()
             sizes = segment.sizes
-            for index in range(start_index, end_index):
-                if controls is not None and controls[index] is not None:
-                    skipped.append(segment.offset_at(index))
-                    bytes_skipped += sizes[index]
-                    continue
-                if (
-                    committed
-                    and transactionals is not None
-                    and transactionals[index]
-                    and producer_ids is not None
-                ):
-                    producer_id = producer_ids[index]
-                    offset = segment.offset_at(index)
-                    for first, marker_offset in aborted_by_producer.get(
-                        producer_id, ()
-                    ):
-                        if first <= offset < marker_offset:
-                            skipped.append(offset)
-                            bytes_skipped += sizes[index]
-                            break
-        if from_offset < self.log_end_offset and end > self._base_offset:
-            head_skipped, head_bytes = self.invisible_offsets(
-                max(from_offset, self._base_offset), up_to, isolation
-            )
-            skipped.extend(head_skipped)
-            bytes_skipped += head_bytes
+            for index in hidden:
+                skipped.append(segment.offset_at(index))
+                bytes_skipped += sizes[index]
         return skipped, bytes_skipped
 
     # -- producer dedup table ---------------------------------------------------------
@@ -477,100 +412,7 @@ class PartitionLog:
     def producer_entry(self, producer_id: int) -> Optional[ProducerEntry]:
         return self.producer_state.get(producer_id)
 
-    def _ensure_producer_columns(self, backfill: int) -> None:
-        """First idempotent append: backfill the identity columns with -1 for
-        the ``backfill`` records already in the head, then keep them in
-        lockstep with every later append."""
-        if self._has_producers:
-            return
-        self._producer_ids = [-1] * backfill
-        self._producer_epochs = [-1] * backfill
-        self._sequences = [-1] * backfill
-        self._has_producers = True
-
-    def _note_producer_batch(
-        self, producer_id: int, producer_epoch: int, base_sequence: int,
-        count: int, base_offset: int,
-    ) -> None:
-        entry = self.producer_state.get(producer_id)
-        last_sequence = base_sequence + count - 1
-        if entry is None:
-            self.producer_state[producer_id] = ProducerEntry(
-                producer_epoch, last_sequence, base_offset, count
-            )
-            return
-        entry.epoch = producer_epoch
-        entry.last_sequence = last_sequence
-        entry.last_base_offset = base_offset
-        entry.last_count = count
-
-    def _rebuild_producer_state(self) -> None:
-        """Recompute the dedup table from the columns (post-truncation path).
-
-        Appends are per-producer in-order, so the last occurrence of each
-        producer id in the remaining columns is its current state; batch
-        base offsets/counts are not recoverable per batch and collapse to
-        the record itself (good enough for duplicate *detection*; the cached
-        ack offsets only matter on the live leader, whose state was never
-        rebuilt this way mid-flight).
-        """
-        state: Dict[int, ProducerEntry] = {}
-        for offset, producer_id, producer_epoch, sequence in self._iter_producer_rows():
-            if producer_id < 0:
-                continue
-            entry = state.get(producer_id)
-            if entry is None:
-                state[producer_id] = ProducerEntry(
-                    producer_epoch, sequence, offset, 1
-                )
-            else:
-                entry.epoch = producer_epoch
-                entry.last_sequence = sequence
-                entry.last_base_offset = offset
-                entry.last_count = 1
-        self.producer_state = state
-
-    def _iter_producer_rows(self) -> Iterator[Tuple[int, int, int, int]]:
-        """Yield ``(offset, producer_id, producer_epoch, sequence)`` across
-        all tiers in offset order (cold path; loads evicted segments)."""
-        for segment in self._sealed:
-            self._ensure_loaded(segment)
-            producer_ids = segment.producer_ids
-            if producer_ids is None:
-                continue
-            producer_epochs = segment.producer_epochs
-            sequences = segment.sequences
-            for index, producer_id in enumerate(producer_ids):
-                if producer_id >= 0:
-                    yield (
-                        segment.offset_at(index),
-                        producer_id,
-                        producer_epochs[index],
-                        sequences[index],
-                    )
-        if self._has_producers:
-            base = self._base_offset
-            producer_epochs = self._producer_epochs
-            sequences = self._sequences
-            for index, producer_id in enumerate(self._producer_ids):
-                if producer_id >= 0:
-                    yield (
-                        base + index,
-                        producer_id,
-                        producer_epochs[index],
-                        sequences[index],
-                    )
-
     # -- writes -----------------------------------------------------------------------
-    def _note_epoch(self, leader_epoch: int, start_offset: int) -> None:
-        if self.epoch_boundaries and leader_epoch < self.epoch_boundaries[-1][0]:
-            raise ValueError(
-                f"appending with stale epoch {leader_epoch} < "
-                f"{self.epoch_boundaries[-1][0]}"
-            )
-        if not self.epoch_boundaries or self.epoch_boundaries[-1][0] != leader_epoch:
-            self.epoch_boundaries.append((leader_epoch, start_offset))
-
     def append(
         self,
         key: Any,
@@ -582,28 +424,14 @@ class PartitionLog:
         headers: Optional[Dict[str, Any]] = None,
     ) -> LogRecord:
         """Append one record and return its view (offset assigned here)."""
-        offset = self.log_end_offset
-        self._note_epoch(leader_epoch, offset)
-        self._keys.append(key)
-        self._values.append(value)
-        self._sizes.append(size)
-        self._timestamps.append(timestamp)
-        self._produced_ats.append(produced_at)
-        self._epochs.append(leader_epoch)
-        self._headers.append(dict(headers) if headers else None)
-        if headers:
-            self._has_headers = True
-        if self._has_producers:
-            self._producer_ids.append(-1)
-            self._producer_epochs.append(-1)
-            self._sequences.append(-1)
-        if self._has_txn:
-            self._transactionals.append(False)
-            self._controls.append(None)
-        self._size_bytes += size
-        record = self._record_view(offset - self._base_offset)
-        if self._seg_limit and len(self._values) >= self._seg_limit:
-            self._seal_head()
+        head = self._segments[-1]
+        self._note_epoch(leader_epoch, head.next_offset)
+        head.extend(
+            [key], [value], [size], [timestamp], [produced_at], [leader_epoch], size,
+            headers=[dict(headers)] if headers else None,
+        )
+        record = head.record_view(head.count - 1)
+        self._maybe_roll(head)
         return record
 
     def append_batch(
@@ -611,56 +439,39 @@ class PartitionLog:
     ) -> int:
         """Append a whole produce batch under one epoch; returns its base offset.
 
-        This is the leader-side hot path: one epoch check, C-level column
-        extends, and the size accounted once from the batch header.  Produce
-        batches are never split across segments: the head rolls *after* the
-        whole batch landed (so a segment may exceed ``segment_records`` by
-        one batch).
+        This is the leader-side hot path: the fold steps run once from the
+        batch header, the columns grow by C-level extends, and the size is
+        accounted once from the header.  Produce batches are never split
+        across segments: the head rolls *after* the whole batch landed (so a
+        segment may exceed ``segment_records`` by one batch).
         """
-        base_offset = self.log_end_offset
+        head = self._segments[-1]
+        base_offset = head.next_offset
         count = len(batch)
         if count == 0:
             return base_offset
         self._note_epoch(leader_epoch, base_offset)
-        self._keys.extend(batch.keys)
-        self._values.extend(batch.values)
-        self._sizes.extend(batch.sizes)
-        self._timestamps.extend([timestamp] * count)
-        self._produced_ats.extend(batch.produced_ats)
-        self._epochs.extend([leader_epoch] * count)
-        if batch.headers is not None:
-            self._headers.extend(batch.headers)
-            self._has_headers = True
-        else:
-            self._headers.extend([None] * count)
         producer_id = batch.producer_id
+        producer_ids = producer_epochs = sequences = transactionals = controls = None
         if producer_id >= 0:
-            # The payload columns were already extended: backfill everything
-            # before this batch, then add the batch's identity.
-            self._ensure_producer_columns(len(self._values) - count)
             base_sequence = batch.base_sequence
-            self._producer_ids.extend([producer_id] * count)
-            self._producer_epochs.extend([batch.producer_epoch] * count)
-            self._sequences.extend(range(base_sequence, base_sequence + count))
             self._note_producer_batch(
                 producer_id, batch.producer_epoch, base_sequence, count, base_offset
             )
-        elif self._has_producers:
-            self._producer_ids.extend([-1] * count)
-            self._producer_epochs.extend([-1] * count)
-            self._sequences.extend([-1] * count)
-        if batch.transactional and producer_id >= 0:
-            self._ensure_txn_columns(len(self._values) - count)
-            self._transactionals.extend([True] * count)
-            self._controls.extend([None] * count)
-            if producer_id not in self._open_txn_first:
-                self._open_txn_first[producer_id] = base_offset
-        elif self._has_txn:
-            self._transactionals.extend([False] * count)
-            self._controls.extend([None] * count)
-        self._size_bytes += batch.total_size
-        if self._seg_limit and len(self._values) >= self._seg_limit:
-            self._seal_head()
+            producer_ids = [producer_id] * count
+            producer_epochs = [batch.producer_epoch] * count
+            sequences = range(base_sequence, base_sequence + count)
+            if batch.transactional:
+                transactionals = [True] * count
+                controls = [None] * count
+                self._open_txn_first.setdefault(producer_id, base_offset)
+        head.extend(
+            batch.keys, batch.values, batch.sizes, [timestamp] * count,
+            batch.produced_ats, [leader_epoch] * count, batch.total_size,
+            batch.headers, producer_ids, producer_epochs, sequences,
+            transactionals, controls,
+        )
+        self._maybe_roll(head)
         return base_offset
 
     def append_control(
@@ -676,31 +487,19 @@ class PartitionLog:
         Control records live in the log like data records (so they replicate
         and survive elections) but are invisible to consumers.  Landing one
         closes the producer's open transaction here: the LSO advances, and an
-        abort marker files the transaction's range in the abort index.  The
-        producer-identity columns stay -1 — the marker's identity lives in
-        the control tuple, keeping it out of the sequence-dedup fold that
-        followers run over replicated producer columns.
+        abort marker files the transaction's range in the abort index.
         """
-        offset = self.log_end_offset
+        head = self._segments[-1]
+        offset = head.next_offset
         self._note_epoch(leader_epoch, offset)
-        self._keys.append(None)
-        self._values.append(marker)
-        self._sizes.append(CONTROL_RECORD_SIZE)
-        self._timestamps.append(timestamp)
-        self._produced_ats.append(timestamp)
-        self._epochs.append(leader_epoch)
-        self._headers.append(None)
-        if self._has_producers:
-            self._producer_ids.append(-1)
-            self._producer_epochs.append(-1)
-            self._sequences.append(-1)
-        self._ensure_txn_columns(len(self._values) - 1)
-        self._transactionals.append(False)
-        self._controls.append((marker, producer_id, producer_epoch))
-        self._size_bytes += CONTROL_RECORD_SIZE
+        head.extend(
+            [None], [marker], [CONTROL_RECORD_SIZE], [timestamp], [timestamp],
+            [leader_epoch], CONTROL_RECORD_SIZE,
+            transactionals=[False],
+            controls=[(marker, producer_id, producer_epoch)],
+        )
         self._note_control(offset, marker, producer_id, producer_epoch)
-        if self._seg_limit and len(self._values) >= self._seg_limit:
-            self._seal_head()
+        self._maybe_roll(head)
         return offset
 
     def append_wire_batch(self, batch: RecordBatch) -> int:
@@ -710,132 +509,47 @@ class PartitionLog:
         from its LEO after a timeout); the already-present prefix is skipped.
         A *gapped* batch — compacted ranges ship per-record ``offsets``, and
         a retention-advanced leader may answer above the follower's LEO — is
-        only legal on a segmented log: the head is force-sealed and restarts
-        at the batch's base, so the follower holds the same records at the
-        same offsets with a segment boundary where the leader had the gap.
+        adopted with a forced roll: the head restarts at the batch's base, so
+        the follower holds the same records at the same offsets with a
+        segment boundary where the leader had the gap.  A log configured
+        never to roll (no storage) refuses it: there a gap is corruption.
         Returns the number of records actually appended.
         """
-        leo = self.log_end_offset
         if batch.offsets is not None:
             return self._append_wire_gapped(batch)
+        head = self._segments[-1]
+        leo = head.next_offset
         if batch.base_offset > leo:
-            if self.storage is None:
-                raise ValueError(
-                    f"non-contiguous append: expected offset {leo}, "
-                    f"got {batch.base_offset}"
-                )
             self._begin_head_at(batch.base_offset)
+            head = self._segments[-1]
         elif batch.base_offset < leo:
             batch = batch.tail(leo - batch.base_offset)
         count = len(batch)
         if count == 0:
             return 0
+        transactionals, controls = batch.transactionals, batch.controls
+        if transactionals is not None or controls is not None:
+            transactionals = transactionals or [False] * count
+            controls = controls or [None] * count
         epochs = batch.leader_epochs
-        if epochs is None:
-            self._note_epoch(batch.leader_epoch, batch.base_offset)
-            self._epochs.extend([batch.leader_epoch] * count)
-        else:
-            last = self.epoch_boundaries[-1][0] if self.epoch_boundaries else None
-            for index, epoch in enumerate(epochs):
-                if epoch != last:
-                    self._note_epoch(epoch, batch.base_offset + index)
-                    last = epoch
-            self._epochs.extend(epochs)
-        self._keys.extend(batch.keys)
-        self._values.extend(batch.values)
-        self._sizes.extend(batch.sizes)
-        self._produced_ats.extend(batch.produced_ats)
-        if batch.timestamps is not None:
-            self._timestamps.extend(batch.timestamps)
-        else:
-            self._timestamps.extend(batch.produced_ats)
-        if batch.headers is not None:
-            self._headers.extend(batch.headers)
-            self._has_headers = True
-        else:
-            self._headers.extend([None] * count)
-        if batch.producer_ids is not None:
-            # Replicated producer identities: extend the columns and fold
-            # them into the follower's dedup table, so the table survives a
-            # promotion of this replica to leader.
-            self._ensure_producer_columns(len(self._values) - count)
-            producer_ids = batch.producer_ids
-            producer_epochs = batch.producer_epochs
-            sequences = batch.sequences
-            self._producer_ids.extend(producer_ids)
-            self._producer_epochs.extend(producer_epochs)
-            self._sequences.extend(sequences)
-            base_offset = batch.base_offset
-            # Fold contiguous same-producer runs as single batches, so a
-            # promoted follower's ProducerEntry carries a real batch extent
-            # (last_base_offset/last_count) — what lets it echo original
-            # offsets and bound the acks=all wait on a duplicate retry.
-            index = 0
-            total = len(producer_ids)
-            while index < total:
-                producer_id = producer_ids[index]
-                if producer_id < 0:
-                    index += 1
-                    continue
-                start = index
-                epoch = producer_epochs[index]
-                while (
-                    index + 1 < total
-                    and producer_ids[index + 1] == producer_id
-                    and producer_epochs[index + 1] == epoch
-                    and sequences[index + 1] == sequences[index] + 1
-                ):
-                    index += 1
-                self._note_producer_batch(
-                    producer_id,
-                    epoch,
-                    sequences[start],
-                    index - start + 1,
-                    base_offset + start,
-                )
-                index += 1
-        elif self._has_producers:
-            self._producer_ids.extend([-1] * count)
-            self._producer_epochs.extend([-1] * count)
-            self._sequences.extend([-1] * count)
-        if batch.transactionals is not None or batch.controls is not None:
-            # Replicated transaction columns: extend them and replay markers /
-            # transaction opens in offset order, so a promoted follower holds
-            # the same LSO, abort index and fencing state as the old leader.
-            self._ensure_txn_columns(len(self._values) - count)
-            transactionals = batch.transactionals or [False] * count
-            controls = batch.controls or [None] * count
-            self._transactionals.extend(transactionals)
-            self._controls.extend(controls)
-            base_offset = batch.base_offset
-            producer_ids = batch.producer_ids
-            for index in range(count):
-                control = controls[index]
-                if control is not None:
-                    marker, producer_id, producer_epoch = control
-                    self._note_control(
-                        base_offset + index, marker, producer_id, producer_epoch
-                    )
-                elif transactionals[index] and producer_ids is not None:
-                    producer_id = producer_ids[index]
-                    if producer_id >= 0 and producer_id not in self._open_txn_first:
-                        self._open_txn_first[producer_id] = base_offset + index
-        elif self._has_txn:
-            self._transactionals.extend([False] * count)
-            self._controls.extend([None] * count)
-        self._size_bytes += batch.total_size
-        if self._seg_limit and len(self._values) >= self._seg_limit:
-            self._seal_head()
+        start = head.count
+        head.extend(
+            batch.keys, batch.values, batch.sizes,
+            batch.timestamps if batch.timestamps is not None else batch.produced_ats,
+            batch.produced_ats,
+            epochs if epochs is not None else [batch.leader_epoch] * count,
+            batch.total_size,
+            batch.headers,
+            batch.producer_ids, batch.producer_epochs, batch.sequences,
+            transactionals, controls,
+        )
+        self._fold_rows(head, start)
+        self._maybe_roll(head)
         return count
 
     def _append_wire_gapped(self, batch: RecordBatch) -> int:
         """Replicate a gapped (compacted-range) batch: split it into its
-        contiguous runs and append each, force-sealing across the gaps."""
-        if self.storage is None:
-            raise ValueError(
-                "gapped wire batch on a non-segmented log: expected offset "
-                f"{self.log_end_offset}, got offsets {batch.offsets!r}"
-            )
+        contiguous runs and append each, rolling across the gaps."""
         offsets = batch.offsets
         total = len(offsets)
         appended = 0
@@ -850,142 +564,72 @@ class PartitionLog:
             start = end
         return appended
 
-    def append_record(self, record: LogRecord) -> None:
-        """Append a single record view (compat shim for tests/tools)."""
-        if record.offset != self.log_end_offset:
-            raise ValueError(
-                f"non-contiguous append: expected offset {self.log_end_offset}, "
-                f"got {record.offset}"
-            )
-        if not self.epoch_boundaries or self.epoch_boundaries[-1][0] != record.leader_epoch:
-            self.epoch_boundaries.append((record.leader_epoch, record.offset))
-        self._keys.append(record.key)
-        self._values.append(record.value)
-        self._sizes.append(record.size)
-        self._timestamps.append(record.timestamp)
-        self._produced_ats.append(record.produced_at)
-        self._epochs.append(record.leader_epoch)
-        self._headers.append(dict(record.headers) if record.headers else None)
-        if record.headers:
-            self._has_headers = True
-        if record.producer_id >= 0:
-            self._ensure_producer_columns(len(self._values) - 1)
-            self._note_producer_batch(
-                record.producer_id,
-                record.producer_epoch,
-                record.sequence,
-                1,
-                record.offset,
-            )
-        if self._has_producers:
-            self._producer_ids.append(record.producer_id)
-            self._producer_epochs.append(record.producer_epoch)
-            self._sequences.append(record.sequence)
-        if self._has_txn:
-            self._transactionals.append(False)
-            self._controls.append(None)
-        self._size_bytes += record.size
-        if self._seg_limit and len(self._values) >= self._seg_limit:
+    # -- segment lifecycle -------------------------------------------------------------
+    def _maybe_roll(self, head: Segment) -> None:
+        if self._seg_limit and head.count >= self._seg_limit:
             self._seal_head()
 
-    # -- segment lifecycle -------------------------------------------------------------
     def _seal_head(self) -> None:
-        """Move the head columns into a sealed segment (zero copy) and start
-        a fresh head at the next offset.  O(1) in the record count."""
-        count = len(self._values)
-        if count == 0:
+        """Roll: the head stays in place as a sealed segment and a fresh head
+        opens at the next offset.  O(1) in the record count."""
+        head = self._segments[-1]
+        if head.count == 0:
             return
-        segment = SealedSegment(self._base_offset, self._base_offset + count)
-        segment.count = count
-        segment.size_bytes = self._size_bytes
-        segment.max_timestamp = max(self._timestamps[0], self._timestamps[-1])
-        segment.keys = self._keys
-        segment.values = self._values
-        segment.sizes = self._sizes
-        segment.timestamps = self._timestamps
-        segment.produced_ats = self._produced_ats
-        segment.epochs = self._epochs
-        segment.headers = self._headers if self._has_headers else None
-        if self._has_producers:
-            segment.producer_ids = self._producer_ids
-            segment.producer_epochs = self._producer_epochs
-            segment.sequences = self._sequences
-        if self._has_txn:
-            segment.transactionals = self._transactionals
-            segment.controls = self._controls
-        self._sealed.append(segment)
-        self._sealed_bases.append(segment.base_offset)
-        self._sealed_hot_bytes += segment.size_bytes
-        self._base_offset = segment.next_offset
-        self._size_bytes = 0
-        self._keys = []
-        self._values = []
-        self._sizes = []
-        self._timestamps = []
-        self._produced_ats = []
-        self._epochs = []
-        self._headers = []
-        # The lazily-materialized columns restart empty but keep their flags:
-        # once a log saw producers/transactions, every tier carries the
-        # columns consistently.
-        self._producer_ids = []
-        self._producer_epochs = []
-        self._sequences = []
-        self._transactionals = []
-        self._controls = []
+        head.max_timestamp = max(head.timestamps[0], head.timestamps[-1])
+        self._segments.append(Segment(head.next_offset))
         self._dirty_sealed += 1
         self.stats["segments_sealed"] += 1
         storage = self.storage
         if storage is not None and storage.segment_dir is not None:
-            segment.write_file(self._segment_path(segment.base_offset))
+            name = segment_file_name(self._file_stem, head.base_offset)
+            head.write_file(f"{storage.segment_dir}/{name}")
 
     def _begin_head_at(self, offset: int) -> None:
         """Seal whatever the head holds and restart it at ``offset`` (replica
         adopting a leader's retention/compaction gap)."""
+        if self.storage is None:
+            raise ValueError(
+                f"non-contiguous append: expected offset {self.log_end_offset}, "
+                f"got {offset}"
+            )
         self._seal_head()
-        if not self._sealed:
+        if len(self._segments) == 1:
             self._log_start = max(self._log_start, offset)
-        self._base_offset = offset
+        head = self._segments[-1]
+        head.base_offset = head.next_offset = offset
 
-    def _segment_path(self, base_offset: int) -> str:
-        stem = f"{self._file_tag}-{self.topic}-{self.partition}" if self._file_tag \
-            else f"{self.topic}-{self.partition}"
-        return f"{self.storage.segment_dir}/{segment_file_name(stem, base_offset)}"
-
-    def _ensure_loaded(self, segment: SealedSegment) -> None:
+    def _ensure_loaded(self, segment: Segment) -> None:
         """Fault an evicted segment's columns back in from the cold tier."""
         if not segment.evicted:
             return
         segment.load()
-        self._sealed_hot_bytes += segment.size_bytes
         self.stats["cold_loads"] += 1
         retention_bytes = self.storage.retention_bytes
-        if retention_bytes is not None and self.size_bytes > retention_bytes:
+        if retention_bytes is not None:
             # A consumer scanning cold history must not re-inflate the hot
             # tier between maintenance passes: push other resident segments
             # back out so (at worst) only the faulted segment stays hot.
-            for other in self._sealed:
-                if self.size_bytes <= retention_bytes:
-                    break
-                if other is segment or other.evicted:
-                    continue
-                other.evict()
-                self._sealed_hot_bytes -= other.size_bytes
-                self.stats["segments_evicted"] += 1
+            self._evict_down_to(retention_bytes, spare=segment)
 
-    def _segment_for(self, offset: int) -> Optional[SealedSegment]:
-        """The sealed segment whose ``[base, next)`` range covers ``offset``."""
-        index = bisect_right(self._sealed_bases, offset) - 1
-        if index < 0:
-            return None
-        segment = self._sealed[index]
-        if offset < segment.next_offset:
-            return segment
-        return None
+    def _evict_down_to(
+        self, retention_bytes: int, spare: Optional[Segment] = None
+    ) -> None:
+        """Cold tier: evict oldest sealed segments (columns only — the data
+        stays readable via fault-in) until hot memory fits the bound."""
+        hot = self.size_bytes
+        for segment in self._segments[:-1]:
+            if hot <= retention_bytes:
+                break
+            if segment.evicted or segment is spare:
+                continue
+            segment.evict()
+            hot -= segment.size_bytes
+            self.stats["segments_evicted"] += 1
 
     # -- maintenance: retention / compaction / eviction ---------------------------------
-    def maybe_maintain(self, now: float) -> None:
-        """One storage-maintenance pass (brokers call this after appends).
+    def maybe_maintain(self, now: float) -> bool:
+        """One storage-maintenance pass (brokers call this after appends);
+        False when the log has no storage policy and so nothing to maintain.
 
         Order matters: compaction first (it shrinks segments, so retention
         sees real sizes), then time retention (deletes), then the size bound
@@ -993,55 +637,35 @@ class PartitionLog:
         """
         storage = self.storage
         if storage is None:
-            return
+            return False
         if (
             storage.cleanup_policy == "compact"
             and self._dirty_sealed >= storage.compaction_min_segments
         ):
             self.compact()
+        segments = self._segments
         retention_seconds = storage.retention_seconds
         if retention_seconds is not None:
-            self._apply_time_retention(now - retention_seconds)
-        if storage.retention_bytes is not None:
+            # Whole sealed segments whose newest append is older than the
+            # cutoff go (cold-tier files included); the head never does.
+            cutoff = now - retention_seconds
+            while len(segments) > 1 and segments[0].max_timestamp < cutoff:
+                self._drop_oldest()
+        retention_bytes = storage.retention_bytes
+        if retention_bytes is not None:
             if storage.segment_dir is not None:
-                self._apply_eviction(storage.retention_bytes)
+                self._evict_down_to(retention_bytes)
             else:
-                self._apply_size_retention(storage.retention_bytes)
+                while len(segments) > 1 and self.total_size_bytes > retention_bytes:
+                    self._drop_oldest()
+        return True
 
-    def _drop_segment(self, index: int) -> None:
-        segment = self._sealed.pop(index)
-        self._sealed_bases.pop(index)
-        if not segment.evicted:
-            self._sealed_hot_bytes -= segment.size_bytes
+    def _drop_oldest(self) -> None:
+        segment = self._segments.pop(0)
         self.stats["retention_records_dropped"] += segment.count
         segment.delete_file()
-        self._log_start = (
-            self._sealed[0].base_offset if self._sealed else self._base_offset
-        )
-        self._dirty_sealed = min(self._dirty_sealed, len(self._sealed))
-
-    def _apply_time_retention(self, cutoff: float) -> None:
-        """Delete whole sealed segments whose newest append is older than the
-        cutoff (cold-tier files included); the head is never deleted."""
-        while self._sealed and self._sealed[0].max_timestamp < cutoff:
-            self._drop_segment(0)
-
-    def _apply_size_retention(self, retention_bytes: int) -> None:
-        """Delete oldest sealed segments while the log exceeds the bound."""
-        while self._sealed and self.total_size_bytes > retention_bytes:
-            self._drop_segment(0)
-
-    def _apply_eviction(self, retention_bytes: int) -> None:
-        """Cold tier: evict oldest sealed segments (columns only — the data
-        stays readable via fault-in) until hot memory fits the bound."""
-        for segment in self._sealed:
-            if self.size_bytes <= retention_bytes:
-                break
-            if segment.evicted:
-                continue
-            segment.evict()
-            self._sealed_hot_bytes -= segment.size_bytes
-            self.stats["segments_evicted"] += 1
+        self._log_start = self._segments[0].base_offset
+        self._dirty_sealed = min(self._dirty_sealed, len(self._segments) - 1)
 
     def compact(self) -> int:
         """Key-compact the sealed segments; returns records removed.
@@ -1066,11 +690,15 @@ class PartitionLog:
         read must never resurrect them) and survive only as producer-state
         carriers, still masked by ``aborted_ranges``.
         """
-        if not self._sealed:
-            self._dirty_sealed = 0
-            return 0
-        for segment in self._sealed:
-            self._ensure_loaded(segment)
+        sealed = self._segments[:-1]
+        self._dirty_sealed = 0
+        for segment in sealed:
+            # Both passes below need every sealed segment resident, so no
+            # push-back eviction here; the size bound is re-applied by the
+            # eviction step that follows compaction in a maintenance pass.
+            if segment.evicted:
+                segment.load()
+                self.stats["cold_loads"] += 1
         uncleanable = (
             min(self._open_txn_first.values()) if self._open_txn_first else None
         )
@@ -1088,7 +716,7 @@ class PartitionLog:
 
         latest_by_key: Dict[Any, int] = {}
         latest_by_producer: Dict[int, int] = {}
-        for segment in self._sealed:
+        for segment in sealed:
             controls = segment.controls
             producer_ids = segment.producer_ids
             keys = segment.keys
@@ -1105,8 +733,7 @@ class PartitionLog:
                         continue
                 latest_by_key[keys[index]] = offset
         removed = 0
-        drop_indices: List[int] = []
-        for position, segment in enumerate(self._sealed):
+        for segment in sealed:
             controls = segment.controls
             producer_ids = segment.producer_ids
             keys = segment.keys
@@ -1131,49 +758,14 @@ class PartitionLog:
             if len(keep) == segment.count:
                 continue
             removed += segment.count - len(keep)
-            self._rewrite_segment(segment, keep)
-            if segment.count == 0:
-                drop_indices.append(position)
-        for position in reversed(drop_indices):
-            segment = self._sealed.pop(position)
-            self._sealed_bases.pop(position)
-            segment.delete_file()
-            # An emptied segment's boundary range is simply absorbed by its
-            # neighbours; the log start never advances on compaction.
+            segment.rewrite(keep)
+            if not keep:
+                # An emptied segment's boundary range is simply absorbed by
+                # its neighbours; the log start never advances on compaction.
+                self._segments.remove(segment)
+                segment.delete_file()
         self.stats["compaction_records_removed"] += removed
-        self._dirty_sealed = 0
         return removed
-
-    def _rewrite_segment(self, segment: SealedSegment, keep: List[int]) -> None:
-        """Rewrite one sealed segment in place to the ``keep`` row subset,
-        materializing its offset index (rows keep original offsets)."""
-        old_bytes = segment.size_bytes
-        segment.offsets = [segment.offset_at(index) for index in keep]
-        segment.keys = [segment.keys[index] for index in keep]
-        segment.values = [segment.values[index] for index in keep]
-        segment.sizes = [segment.sizes[index] for index in keep]
-        segment.timestamps = [segment.timestamps[index] for index in keep]
-        segment.produced_ats = [segment.produced_ats[index] for index in keep]
-        segment.epochs = [segment.epochs[index] for index in keep]
-        if segment.headers is not None:
-            segment.headers = [segment.headers[index] for index in keep]
-        if segment.producer_ids is not None:
-            segment.producer_ids = [segment.producer_ids[index] for index in keep]
-            segment.producer_epochs = [
-                segment.producer_epochs[index] for index in keep
-            ]
-            segment.sequences = [segment.sequences[index] for index in keep]
-        if segment.transactionals is not None:
-            segment.transactionals = [
-                segment.transactionals[index] for index in keep
-            ]
-        if segment.controls is not None:
-            segment.controls = [segment.controls[index] for index in keep]
-        segment.count = len(keep)
-        segment.size_bytes = sum(segment.sizes)
-        self._sealed_hot_bytes += segment.size_bytes - old_bytes
-        if segment.file_path is not None and segment.count > 0:
-            segment.write_file(segment.file_path)
 
     # -- recovery -----------------------------------------------------------------------
     @classmethod
@@ -1186,10 +778,9 @@ class PartitionLog:
     ) -> "PartitionLog":
         """Bootstrap a replica by replaying its cold-tier segment files.
 
-        Loads every segment file in base-offset order, adopts the sealed
-        tier, then rebuilds the derived state the same way follower
-        replication does — epoch boundaries, the producer dedup table and
-        the transaction (LSO/abort/fencing) state — so the recovered log is
+        Loads every segment file in base-offset order as the sealed tier,
+        opens a fresh head behind it, then rebuilds the derived state with
+        the same fold follower replication runs — so the recovered log is
         indistinguishable from one that replicated every record.  The high
         watermark restarts at 0 (the recovered replica re-learns it from the
         leader, exactly like a follower rejoining after an outage).
@@ -1197,62 +788,41 @@ class PartitionLog:
         if storage.segment_dir is None:
             raise ValueError("recovery needs a cold tier (segment_dir unset)")
         log = cls(topic, partition, storage=storage, file_tag=file_tag)
-        stem = f"{file_tag}-{topic}-{partition}" if file_tag \
-            else f"{topic}-{partition}"
-        for path in list_segment_files(storage.segment_dir, stem):
-            segment = SealedSegment.from_file(path)
-            log._sealed.append(segment)
-            log._sealed_bases.append(segment.base_offset)
-            log._sealed_hot_bytes += segment.size_bytes
-        if log._sealed:
-            log._log_start = log._sealed[0].base_offset
-            log._base_offset = log._sealed[-1].next_offset
-            log._rebuild_epoch_boundaries()
-            log._rebuild_producer_state()
-            log._rebuild_txn_state()
-            if log.producer_state:
-                log._has_producers = True
-            if any(
-                segment.transactionals is not None or segment.controls is not None
-                for segment in log._sealed
-            ):
-                log._has_txn = True
+        sealed = [
+            Segment.from_file(path)
+            for path in list_segment_files(storage.segment_dir, log._file_stem)
+        ]
+        if sealed:
+            log._segments = sealed + [Segment(sealed[-1].next_offset)]
+            log._log_start = sealed[0].base_offset
+            log._rebuild_derived()
         return log
 
-    def _rebuild_epoch_boundaries(self) -> None:
-        """Recompute the leader epoch cache from the epoch columns (recovery)."""
-        boundaries: List[Tuple[int, int]] = []
-        last: Optional[int] = None
-        for segment in self._sealed:
-            epochs = segment.epochs
-            for index in range(segment.count):
-                epoch = epochs[index]
-                if epoch != last:
-                    boundaries.append((epoch, segment.offset_at(index)))
-                    last = epoch
-        base = self._base_offset
-        for index, epoch in enumerate(self._epochs):
-            if epoch != last:
-                boundaries.append((epoch, base + index))
-                last = epoch
-        self.epoch_boundaries = boundaries
-
     # -- reads -------------------------------------------------------------------------
-    def _clamp_range(
-        self,
-        from_offset: int,
-        max_records: Optional[int],
-        up_to: Optional[int],
-    ) -> Tuple[int, int]:
-        if from_offset < self._base_offset:
-            from_offset = self._base_offset
-        start = from_offset - self._base_offset
-        end = len(self._values)
-        if up_to is not None:
-            end = min(end, max(0, up_to - self._base_offset))
-        if max_records is not None:
-            end = min(end, start + max_records)
-        return start, max(start, end)
+    def _row_ranges(
+        self, from_offset: int, up_to: Optional[int]
+    ) -> Iterator[Tuple[Segment, int, int]]:
+        """``(segment, start, end)`` for every segment holding rows with
+        offsets in ``[from_offset, up_to)``, in offset order; the first one is
+        located by bisect over the base offsets."""
+        segments = self._segments
+        head = segments[-1]
+        limit = head.next_offset
+        if up_to is not None and up_to < limit:
+            limit = up_to
+        if from_offset < self._log_start:
+            from_offset = self._log_start
+        if from_offset >= head.base_offset:
+            first = len(segments) - 1
+        else:
+            first = max(0, bisect_right(segments, from_offset, key=_base_offset) - 1)
+        for position in range(first, len(segments)):
+            segment = segments[position]
+            if segment.base_offset >= limit:
+                return
+            start, end = segment.index_range(from_offset, limit)
+            if start < end:
+                yield segment, start, end
 
     def read_batch(
         self,
@@ -1264,152 +834,19 @@ class PartitionLog:
         """Read a contiguous range as one columnar :class:`RecordBatch`.
 
         This is the fetch-side hot path: column slices plus one size sum over
-        ints — no per-record objects.  Reads below the head are served from
-        *one* sealed segment per call (located by bisect): fetch replies stop
-        at segment boundaries and the consumer's next poll continues in the
-        following segment, mirroring Kafka's one-segment fetch answers.
+        ints — no per-record objects.  A read is served from *one* segment
+        per call: fetch replies stop at segment boundaries and the consumer's
+        next poll continues in the following segment, mirroring Kafka's
+        one-segment fetch answers.
         """
-        if from_offset < self._base_offset and self._sealed:
-            return self._read_sealed(from_offset, max_records, up_to, with_epochs)
-        start, end = self._clamp_range(from_offset, max_records, up_to)
-        if start >= end:
-            return EMPTY_BATCH
-        # Headers are rare: skip the slice + any() scan entirely unless some
-        # record in this log ever carried one (mirrors _has_producers).
-        headers = self._headers[start:end] if self._has_headers else None
-        # Producer identities travel only on replica fetches (with_epochs) —
-        # consumer fetches never need the dedup columns — and, like headers,
-        # only when the *range* actually holds one (None otherwise, so
-        # all-plain ranges ship no identity columns at all).
-        producer_ids = None
-        if with_epochs and self._has_producers:
-            producer_ids = self._producer_ids[start:end]
-            if not any(pid >= 0 for pid in producer_ids):
-                producer_ids = None
-        # Transaction columns ride replica fetches the same way, so markers
-        # and the transactional bits survive leader elections.
-        transactionals = None
-        controls = None
-        if with_epochs and self._has_txn:
-            transactionals = self._transactionals[start:end]
-            controls = self._controls[start:end]
-            if not any(transactionals) and not any(
-                control is not None for control in controls
-            ):
-                transactionals = None
-                controls = None
-        return RecordBatch.from_columns(
-            self.topic,
-            self.partition,
-            base_offset=self._base_offset + start,
-            keys=self._keys[start:end],
-            values=self._values[start:end],
-            sizes=self._sizes[start:end],
-            produced_ats=self._produced_ats[start:end],
-            timestamps=self._timestamps[start:end],
-            leader_epochs=self._epochs[start:end] if with_epochs else None,
-            producer_ids=producer_ids,
-            producer_epochs=(
-                self._producer_epochs[start:end]
-                if producer_ids is not None
-                else None
-            ),
-            sequences=(
-                self._sequences[start:end] if producer_ids is not None else None
-            ),
-            transactionals=transactionals,
-            controls=controls,
-            headers=headers if headers is not None and any(headers) else None,
-        )
-
-    def _read_sealed(
-        self,
-        from_offset: int,
-        max_records: Optional[int],
-        up_to: Optional[int],
-        with_epochs: bool,
-    ) -> RecordBatch:
-        """Serve a below-head read out of the sealed tier (bisect lookup)."""
-        end_limit = self.log_end_offset if up_to is None else min(
-            up_to, self.log_end_offset
-        )
-        if from_offset < self._log_start:
-            from_offset = self._log_start
-        index = bisect_right(self._sealed_bases, from_offset) - 1
-        if index < 0:
-            index = 0
-        while index < len(self._sealed):
-            segment = self._sealed[index]
-            if segment.base_offset >= end_limit:
-                return EMPTY_BATCH
-            start, end = segment.index_range(from_offset, end_limit)
-            if max_records is not None:
-                end = min(end, start + max_records)
-            if start < end:
-                return self._segment_batch(segment, start, end, with_epochs)
-            index += 1
-        # Past the sealed tier (a gap right before the head): serve the head.
-        return self.read_batch(self._base_offset, max_records, up_to, with_epochs)
-
-    def _segment_batch(
-        self, segment: SealedSegment, start: int, end: int, with_epochs: bool
-    ) -> RecordBatch:
-        """Column slices of one sealed segment as a RecordBatch (faults the
-        segment in from the cold tier first when evicted)."""
-        self._ensure_loaded(segment)
-        headers = segment.headers[start:end] if segment.headers is not None else None
-        producer_ids = None
-        if with_epochs and segment.producer_ids is not None:
-            producer_ids = segment.producer_ids[start:end]
-            if not any(pid >= 0 for pid in producer_ids):
-                producer_ids = None
-        transactionals = None
-        controls = None
-        if with_epochs and (
-            segment.transactionals is not None or segment.controls is not None
-        ):
-            transactionals = (
-                segment.transactionals[start:end]
-                if segment.transactionals is not None
-                else [False] * (end - start)
-            )
-            controls = (
-                segment.controls[start:end]
-                if segment.controls is not None
-                else [None] * (end - start)
-            )
-            if not any(transactionals) and not any(
-                control is not None for control in controls
-            ):
-                transactionals = None
-                controls = None
-        batch = RecordBatch.from_columns(
-            self.topic,
-            self.partition,
-            base_offset=segment.offset_at(start),
-            keys=segment.keys[start:end],
-            values=segment.values[start:end],
-            sizes=segment.sizes[start:end],
-            produced_ats=segment.produced_ats[start:end],
-            timestamps=segment.timestamps[start:end],
-            leader_epochs=segment.epochs[start:end] if with_epochs else None,
-            producer_ids=producer_ids,
-            producer_epochs=(
-                segment.producer_epochs[start:end]
-                if producer_ids is not None
-                else None
-            ),
-            sequences=(
-                segment.sequences[start:end] if producer_ids is not None else None
-            ),
-            transactionals=transactionals,
-            controls=controls,
-            headers=headers if headers is not None and any(headers) else None,
-        )
-        if segment.offsets is not None:
-            # Compacted range: retained rows keep original (gapped) offsets.
-            batch.offsets = segment.offsets[start:end]
-        return batch
+        for segment, start, end in self._row_ranges(from_offset, up_to):
+            if max_records is not None and end - start > max_records:
+                end = start + max_records
+                if end <= start:
+                    break
+            self._ensure_loaded(segment)
+            return segment.batch(self.topic, self.partition, start, end, with_epochs)
+        return EMPTY_BATCH
 
     def committed_read_batch(
         self, from_offset: int, max_records: Optional[int] = None
@@ -1426,35 +863,15 @@ class PartitionLog:
         up_to: Optional[int] = None,
     ) -> List[LogRecord]:
         """Read records starting at ``from_offset`` as materialized views."""
-        if from_offset < self._base_offset and self._sealed:
-            records: List[LogRecord] = []
-            end_limit = self.log_end_offset if up_to is None else min(
-                up_to, self.log_end_offset
-            )
-            start_offset = max(from_offset, self._log_start)
-            for segment in self._sealed:
-                if segment.base_offset >= end_limit:
-                    return records
-                if segment.next_offset <= start_offset:
-                    continue
-                lo, hi = segment.index_range(start_offset, end_limit)
-                if max_records is not None:
-                    hi = min(hi, lo + (max_records - len(records)))
-                if lo < hi:
-                    self._ensure_loaded(segment)
-                    records.extend(
-                        self._segment_record_view(segment, index)
-                        for index in range(lo, hi)
-                    )
-                if max_records is not None and len(records) >= max_records:
-                    return records
-            remaining = None if max_records is None else max_records - len(records)
-            records.extend(
-                self.read(self._base_offset, remaining, up_to)
-            )
-            return records
-        start, end = self._clamp_range(from_offset, max_records, up_to)
-        return [self._record_view(index) for index in range(start, end)]
+        records: List[LogRecord] = []
+        for segment, start, end in self._row_ranges(from_offset, up_to):
+            if max_records is not None:
+                end = min(end, start + max_records - len(records))
+            self._ensure_loaded(segment)
+            records.extend(segment.record_view(index) for index in range(start, end))
+            if max_records is not None and len(records) >= max_records:
+                break
+        return records
 
     def committed_read(
         self, from_offset: int, max_records: Optional[int] = None
@@ -1463,64 +880,13 @@ class PartitionLog:
         return self.read(from_offset, max_records=max_records, up_to=self.high_watermark)
 
     def record_at(self, offset: int) -> Optional[LogRecord]:
-        index = offset - self._base_offset
-        if 0 <= index < len(self._values):
-            return self._record_view(index)
-        if offset < self._base_offset and self._sealed:
-            segment = self._segment_for(offset)
-            if segment is not None:
-                row = segment.index_of(offset)
-                if row is not None:
-                    self._ensure_loaded(segment)
-                    return self._segment_record_view(segment, row)
+        for segment, start, _end in self._row_ranges(offset, offset + 1):
+            self._ensure_loaded(segment)
+            return segment.record_view(start)
         return None
 
     def all_records(self) -> List[LogRecord]:
-        records: List[LogRecord] = []
-        for segment in self._sealed:
-            self._ensure_loaded(segment)
-            records.extend(
-                self._segment_record_view(segment, index)
-                for index in range(segment.count)
-            )
-        records.extend(
-            self._record_view(index) for index in range(len(self._values))
-        )
-        return records
-
-    def _record_view(self, index: int) -> LogRecord:
-        has_producers = self._has_producers
-        return LogRecord(
-            offset=self._base_offset + index,
-            key=self._keys[index],
-            value=self._values[index],
-            size=self._sizes[index],
-            timestamp=self._timestamps[index],
-            produced_at=self._produced_ats[index],
-            leader_epoch=self._epochs[index],
-            headers=self._headers[index] or {},
-            producer_id=self._producer_ids[index] if has_producers else -1,
-            producer_epoch=self._producer_epochs[index] if has_producers else -1,
-            sequence=self._sequences[index] if has_producers else -1,
-        )
-
-    def _segment_record_view(self, segment: SealedSegment, index: int) -> LogRecord:
-        producer_ids = segment.producer_ids
-        return LogRecord(
-            offset=segment.offset_at(index),
-            key=segment.keys[index],
-            value=segment.values[index],
-            size=segment.sizes[index],
-            timestamp=segment.timestamps[index],
-            produced_at=segment.produced_ats[index],
-            leader_epoch=segment.epochs[index],
-            headers=(segment.headers[index] or {}) if segment.headers else {},
-            producer_id=producer_ids[index] if producer_ids is not None else -1,
-            producer_epoch=(
-                segment.producer_epochs[index] if producer_ids is not None else -1
-            ),
-            sequence=segment.sequences[index] if producer_ids is not None else -1,
-        )
+        return self.read(self._log_start)
 
     # -- watermark / truncation ------------------------------------------------------------
     def advance_high_watermark(self, offset: int) -> None:
@@ -1537,112 +903,42 @@ class PartitionLog:
         Returns the discarded records.  This is the mechanism behind the
         silent message loss observed with ZooKeeper-based Kafka: a stale
         leader that accepted writes during a partition truncates them away
-        when it rejoins and follows the new leader.  A cut below the head's
-        base offset slices into the sealed tier: later segments are dropped
-        whole, the boundary segment is rewritten in place, and the head
-        restarts empty at the cut.
+        when it rejoins and follows the new leader.  Segments wholly beyond
+        the cut are dropped (files included), the one the cut lands in keeps
+        its rows below it, and if that was a sealed segment a fresh head
+        opens at the cut.
         """
-        if offset >= self.log_end_offset:
+        segments = self._segments
+        head = segments[-1]
+        if offset >= head.next_offset:
             return []
-        if offset < self._base_offset:
-            return self._truncate_into_sealed(offset)
-        keep = max(0, offset - self._base_offset)
-        discarded = [
-            self._record_view(index) for index in range(keep, len(self._values))
-        ]
-        del self._keys[keep:]
-        del self._values[keep:]
-        del self._timestamps[keep:]
-        del self._produced_ats[keep:]
-        del self._epochs[keep:]
-        del self._headers[keep:]
-        if self._has_producers:
-            del self._producer_ids[keep:]
-            del self._producer_epochs[keep:]
-            del self._sequences[keep:]
-        if self._has_txn:
-            del self._transactionals[keep:]
-            del self._controls[keep:]
-        self._size_bytes -= sum(self._sizes[keep:])
-        del self._sizes[keep:]
-        self.truncated_records += len(discarded)
-        self.high_watermark = min(self.high_watermark, self.log_end_offset)
-        self.epoch_boundaries = [
-            (epoch, start) for epoch, start in self.epoch_boundaries
-            if start < self.log_end_offset
-        ]
-        if self._has_producers:
-            # Truncation may have discarded a producer's latest batches; the
-            # dedup table must roll back with the log (cold path — faults
-            # only).
-            self._rebuild_producer_state()
-        if self._has_txn:
-            # Same for the transaction state: a discarded marker re-opens its
-            # transaction, a discarded open re-closes it.
-            self._rebuild_txn_state()
-        return discarded
-
-    def _truncate_into_sealed(self, offset: int) -> List[LogRecord]:
-        """Truncation whose cut lands inside (or before) the sealed tier."""
         offset = max(offset, self._log_start)
+        position = len(segments)
+        while position and segments[position - 1].next_offset > offset:
+            position -= 1
+        # Out of the list first: fault-in below may push resident segments
+        # back out, and must only ever see segments that keep their files.
+        beyond = segments[position:]
+        del segments[position:]
         discarded: List[LogRecord] = []
-        keep_sealed: List[SealedSegment] = []
-        for segment in self._sealed:
-            if segment.next_offset <= offset:
-                keep_sealed.append(segment)
-                continue
+        for segment in beyond:
             self._ensure_loaded(segment)
             cut, _ = segment.index_range(offset, segment.next_offset)
             discarded.extend(
-                self._segment_record_view(segment, index)
-                for index in range(cut, segment.count)
+                segment.record_view(index) for index in range(cut, segment.count)
             )
             if cut > 0:
-                self._rewrite_segment(segment, list(range(cut)))
-                segment.next_offset = offset
-                keep_sealed.append(segment)
+                segment.cut_tail(cut, offset)
+                segments.append(segment)
             else:
-                self._sealed_hot_bytes -= segment.size_bytes
                 segment.delete_file()
-        # Everything in the head is beyond the cut: discard it wholesale.
-        discarded.extend(
-            self._record_view(index) for index in range(len(self._values))
-        )
-        self._size_bytes = 0
-        self._keys = []
-        self._values = []
-        self._sizes = []
-        self._timestamps = []
-        self._produced_ats = []
-        self._epochs = []
-        self._headers = []
-        self._producer_ids = []
-        self._producer_epochs = []
-        self._sequences = []
-        self._transactionals = []
-        self._controls = []
-        self._sealed = keep_sealed
-        self._sealed_bases = [segment.base_offset for segment in keep_sealed]
-        self._base_offset = offset
-        self._dirty_sealed = min(self._dirty_sealed, len(keep_sealed))
+        if not segments or segments[-1] is not head:
+            segments.append(Segment(offset))
+        self._dirty_sealed = min(self._dirty_sealed, len(segments) - 1)
         self.truncated_records += len(discarded)
-        self.high_watermark = min(self.high_watermark, self.log_end_offset)
-        self.epoch_boundaries = [
-            (epoch, start) for epoch, start in self.epoch_boundaries
-            if start < self.log_end_offset
-        ]
-        if self._has_producers:
-            self._rebuild_producer_state()
-        if self._has_txn:
-            self._rebuild_txn_state()
+        self.high_watermark = min(self.high_watermark, offset)
+        self._rebuild_derived()
         return discarded
-
-    def epoch_start_offset(self, epoch: int) -> Optional[int]:
-        """First offset written under ``epoch`` (None if the epoch never led here)."""
-        for known_epoch, start in self.epoch_boundaries:
-            if known_epoch == epoch:
-                return start
-        return None
 
     def __repr__(self) -> str:
         return (

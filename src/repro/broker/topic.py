@@ -26,8 +26,8 @@ class TopicConfig:
         Per-topic log storage knobs (Kafka's ``retention.bytes`` /
         ``retention.ms`` / ``segment.*`` / ``cleanup.policy``).  All default
         to "unset" — topics then inherit the broker-wide
-        :class:`~repro.broker.segment.LogStorageConfig` (or the flat
-        in-memory layout when no storage is configured at all).  Non-default
+        :class:`~repro.broker.segment.LogStorageConfig` (or, when no storage
+        is configured at all, logs that never roll).  Non-default
         values travel in the metadata snapshot's per-partition ``"log"``
         entry and are merged over the broker default on every replica.
     """

@@ -57,6 +57,12 @@ from repro.simulation.rng import SeededRandom
 #: Schedule shapes :meth:`FaultSchedule.generate` understands.
 CHAOS_PROFILES = ("broker-kill", "link-loss", "mixed")
 
+#: Every chaos cluster rolls its logs this often: a seeded arm sends at most a
+#: few hundred records, so at 32 every one of them seals segments, serves
+#: sealed reads to replicas and consumers, and truncates across segment
+#: boundaries on fail-over.
+CHAOS_SEGMENT_RECORDS = 32
+
 
 @dataclass(frozen=True)
 class FaultAction:
@@ -329,7 +335,9 @@ def run_chaos_produce(
     cluster = BrokerCluster(
         network,
         coordinator_host=broker_hosts[0],
-        config=ClusterConfig(mode=mode, session_timeout=5.0),
+        config=ClusterConfig(
+            mode=mode, session_timeout=5.0, segment_records=CHAOS_SEGMENT_RECORDS
+        ),
     )
     for host in broker_hosts:
         cluster.add_broker(host)
@@ -647,6 +655,7 @@ def run_chaos_txn_produce(
             # Short enough that a transaction orphaned by a fault is swept
             # mid-run (unpinning the LSO for the consumers' drain tail).
             transaction_timeout=15.0,
+            segment_records=CHAOS_SEGMENT_RECORDS,
         ),
     )
     for host in broker_hosts:

@@ -76,22 +76,12 @@ class TestPartitionLog:
         log.append(key=None, value="b", size=1, timestamp=0, produced_at=0, leader_epoch=0)
         log.append(key=None, value="c", size=1, timestamp=0, produced_at=0, leader_epoch=2)
         assert log.epoch_boundaries == [(0, 0), (2, 2)]
-        assert log.epoch_start_offset(2) == 2
-        assert log.epoch_start_offset(1) is None
 
     def test_stale_epoch_append_rejected(self):
         log = PartitionLog("t")
         log.append(key=None, value="a", size=1, timestamp=0, produced_at=0, leader_epoch=3)
         with pytest.raises(ValueError):
             log.append(key=None, value="b", size=1, timestamp=0, produced_at=0, leader_epoch=1)
-
-    def test_append_record_requires_contiguity(self):
-        log = self.make_log(2)
-        other = self.make_log(5)
-        with pytest.raises(ValueError):
-            log.append_record(other.record_at(4))
-        log.append_record(other.record_at(2))
-        assert log.log_end_offset == 3
 
     def test_size_bytes(self):
         log = self.make_log(4)

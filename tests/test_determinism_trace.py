@@ -13,26 +13,14 @@ event-driven (see ``GOLDEN_TRACE_SEED42``).  If an intentional behavior change
 ever breaks them, re-capture the constants and say so in the PR.
 """
 
-import pytest
-
 from repro.broker.cluster import BrokerCluster, ClusterConfig
 from repro.broker.consumer import ConsumerConfig
 from repro.broker.message import ProducerRecord
 from repro.broker.producer import ProducerConfig
-from repro.broker.segment import default_log_backend
 from repro.broker.topic import TopicConfig
 from repro.network.link import LinkConfig
 from repro.network.topology import star_topology
 from repro.simulation import Simulator
-
-# The goldens below were captured on the flat in-memory log layout.  Under
-# ``--log-backend=segments`` fetch replies stop at 512-record segment
-# boundaries, which changes simulated timing (not delivered data) — the
-# byte-exact trace constants only hold on the memory backend.
-pytestmark = pytest.mark.skipif(
-    default_log_backend() == "segments",
-    reason="determinism goldens are pinned to the flat memory log backend",
-)
 
 DURATION = 40.0
 

@@ -37,11 +37,6 @@ Row = namedtuple(
     "Row", "offset key value size timestamp epoch pid pepoch seq txn control"
 )
 
-#: Where the log deviates from the reference today, the reference follows the
-#: log (each branch on this flag names the deviation) or the machine steers
-#: around it; the one-layout refactor removes the deviations and this flag.
-PINNED_DEVIATIONS = True
-
 PRODUCERS = (1, 2)
 KEYS = ("k0", "k1", "k2", "k3")
 RECORD_SIZE = 10
@@ -60,8 +55,6 @@ class ReferenceLog:
         self.log_end = 0
         self.high_watermark = 0
         self.dirty = 0
-        self.saw_producers = False
-        self.stale_file = False
         self.reset_derived()
 
     # -- derived state: one fold, one rebuild ---------------------------------------
@@ -89,34 +82,15 @@ class ReferenceLog:
             if row.txn:
                 self.open.setdefault(row.pid, row.offset)
 
-    def rebuild(self, truncation=False):
-        before = (self.epochs, self.producers)
+    def rebuild(self):
         self.reset_derived()
         for row in self.rows:
             self.fold(row)
-        if PINNED_DEVIATIONS:
-            # Rebuilds read the producer columns only: a marker's epoch bump
-            # of the dedup table is forgotten, and a log that never saw an
-            # idempotent batch keeps its (marker-made) table untouched.
-            self.producers = {}
-            for row in self.rows:
-                if row.pid >= 0:
-                    self.producers[row.pid] = (row.pepoch, row.seq)
-            if truncation:
-                if not self.saw_producers:
-                    self.producers = before[1]
-                # Truncation filters the epoch cache instead of refolding it,
-                # so starts of rows long compacted or retained away remain.
-                self.epochs = [
-                    (epoch, start) for epoch, start in before[0]
-                    if start < self.log_end
-                ]
 
     # -- appends ---------------------------------------------------------------------
     def append(self, rows):
         for row in rows:
             assert row.offset == self.log_end
-            self.saw_producers = self.saw_producers or row.pid >= 0
             self.rows.append(row)
             self.fold(row)
             self.log_end += 1
@@ -234,8 +208,6 @@ class ReferenceLog:
             for segment in self.sealed:
                 if segment[1] > offset:
                     segment[1] = offset
-                    # The cut segment's file keeps its old end offset.
-                    self.stale_file = True
                 if self.rows_in(segment):
                     kept.append(segment)
             self.sealed = kept
@@ -243,7 +215,7 @@ class ReferenceLog:
             self.dirty = min(self.dirty, len(kept))
         self.log_end = offset
         self.high_watermark = min(self.high_watermark, offset)
-        self.rebuild(truncation=True)
+        self.rebuild()
         return discarded
 
     def recover(self):
@@ -254,7 +226,6 @@ class ReferenceLog:
         self.high_watermark = 0
         self.dirty = 0
         self.rebuild()
-        self.saw_producers = bool(self.producers)
 
 
 storage_configs = st.builds(
@@ -265,6 +236,9 @@ storage_configs = st.builds(
     retention_ms=st.sampled_from([None, 15_000.0]),
     compaction_min_segments=st.sampled_from([1, 2]),
     cold=st.booleans(),
+    # Maintenance after every append, as a broker runs it, or only when the
+    # ``maintain`` rule fires.
+    eager=st.booleans(),
 )
 
 
@@ -279,10 +253,7 @@ class PartitionLogMachine(RuleBasedStateMachine):
     @initialize(config=storage_configs)
     def create(self, config):
         cold = config.pop("cold")
-        if PINNED_DEVIATIONS and cold and config["retention_bytes"] is not None:
-            # Fault-in pushes other resident segments back out while the
-            # compactor (and a truncation below the head) still needs them.
-            config["cleanup_policy"] = "delete"
+        self.eager = config.pop("eager")
         self.storage = LogStorageConfig(
             segment_dir=self.directory.name if cold else None, **config
         )
@@ -328,7 +299,7 @@ class PartitionLogMachine(RuleBasedStateMachine):
             batch, timestamp=timestamp, leader_epoch=self.leader_epoch
         )
         assert base == self.model.log_end
-        self.model.append(
+        self.appended(
             [
                 Row(
                     base + index, key, value, RECORD_SIZE, timestamp,
@@ -337,6 +308,11 @@ class PartitionLogMachine(RuleBasedStateMachine):
                 for index, (key, value) in enumerate(zip(keys, values))
             ]
         )
+
+    def appended(self, rows):
+        self.model.append(rows)
+        if self.eager:
+            self.maintain(idle=0.0)
 
     def fresh_values(self, count):
         values = [f"v{self.serial + index}" for index in range(count)]
@@ -354,7 +330,7 @@ class PartitionLogMachine(RuleBasedStateMachine):
         base = self.log.append_batch(
             batch, timestamp=timestamp, leader_epoch=self.leader_epoch
         )
-        self.model.append(
+        self.appended(
             [
                 Row(
                     base + index, key, value, RECORD_SIZE, timestamp,
@@ -373,7 +349,7 @@ class PartitionLogMachine(RuleBasedStateMachine):
             produced_at=timestamp, leader_epoch=self.leader_epoch,
         )
         assert record.offset == self.model.log_end
-        self.model.append(
+        self.appended(
             [
                 Row(
                     record.offset, key, value, RECORD_SIZE, timestamp,
@@ -388,6 +364,8 @@ class PartitionLogMachine(RuleBasedStateMachine):
         txn=st.booleans(),
     )
     def produce(self, pid, keys, txn):
+        # A producer inside a transaction sends transactional batches only.
+        txn = txn or pid in self.model.open
         values = self.fresh_values(len(keys))
         sent = (pid, self.pepoch[pid], self.next_seq[pid], keys, values, txn)
         self.next_seq[pid] += len(keys)
@@ -416,7 +394,7 @@ class PartitionLogMachine(RuleBasedStateMachine):
             timestamp=timestamp, leader_epoch=self.leader_epoch,
         )
         assert offset == self.model.log_end
-        self.model.append(
+        self.appended(
             [
                 Row(
                     offset, None, marker, CONTROL_RECORD_SIZE, timestamp,
@@ -457,18 +435,13 @@ class PartitionLogMachine(RuleBasedStateMachine):
         or, once the log rolled, inside a sealed (perhaps evicted) segment."""
         span = self.model.log_end - self.model.log_start
         offset = self.model.log_start + int(span * fraction)
-        if PINNED_DEVIATIONS and self.evicting:
-            offset = max(offset, self.model.head_base)
         discarded = self.log.truncate_to(offset)
         expected = self.model.truncate(offset)
         assert [(r.offset, r.value) for r in discarded] == [
             (row.offset, row.value) for row in expected
         ]
 
-    @precondition(
-        lambda self: self.storage.segment_dir is not None
-        and not (PINNED_DEVIATIONS and self.model.stale_file)
-    )
+    @precondition(lambda self: self.storage.segment_dir is not None)
     @rule()
     def recover(self):
         self.log = PartitionLog.recover("t", 0, self.storage, file_tag="b0")

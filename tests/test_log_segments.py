@@ -35,11 +35,15 @@ def make_segmented(n=0, segment_records=16, **storage_kwargs):
 
 def fill(log, n, start_time=0.0, size=10, epoch=0):
     for i in range(n):
-        log.append(
-            key=f"k{i % 7}", value=f"v{i}", size=size,
-            timestamp=start_time + float(i), produced_at=start_time + float(i),
-            leader_epoch=epoch,
-        )
+        fill_one(log, i, start_time, size, epoch)
+
+
+def fill_one(log, i, start_time=0.0, size=10, epoch=0):
+    log.append(
+        key=f"k{i % 7}", value=f"v{i}", size=size,
+        timestamp=start_time + float(i), produced_at=start_time + float(i),
+        leader_epoch=epoch,
+    )
 
 
 class TestSealing:
@@ -50,10 +54,9 @@ class TestSealing:
         assert log.log_end_offset == 100
         assert len(log) == 100
 
-    def test_segmented_reads_match_flat_layout(self):
+    def test_segmented_reads_match_single_segment_log(self):
         segmented = make_segmented(100, segment_records=16)
-        flat = PartitionLog("t", 0, storage=None)
-        flat.storage = None  # immune to --log-backend=segments
+        flat = PartitionLog("t", 0)
         fill(flat, 100)
         assert len(segmented) == len(flat)
         assert segmented.size_bytes == flat.size_bytes
@@ -217,7 +220,7 @@ class TestCompaction:
         log.compact()
         # Every retained record for producer 7 must keep the dedup table
         # rebuildable: the latest sequence survives compaction.
-        log._rebuild_producer_state()
+        log._rebuild_derived()
         entry = log.producer_entry(7)
         assert entry is not None
         assert entry.last_sequence == 23
@@ -313,6 +316,30 @@ class TestColdTier:
             offset = chunk.next_offset
             assert log.size_bytes <= 400
         assert scanned == 100
+
+    def test_compaction_on_a_cold_tier_keeps_its_segments_resident(self, tmp_path):
+        log = make_segmented(
+            0, segment_records=16, cleanup_policy="compact",
+            retention_bytes=100, segment_dir=str(tmp_path),
+        )
+        # Maintenance after every append, as a broker does: each pass evicts
+        # down to the bound, so from the second seal on the compactor starts
+        # from evicted segments and must hold all of them at once.
+        for i in range(70):
+            fill_one(log, i)
+            log.maybe_maintain(now=float(i))
+        assert log.stats["segments_sealed"] == 4
+        assert log.stats["compaction_records_removed"] > 0
+        assert log.size_bytes <= 100
+        # Latest value per key (keys cycle k0..k6) over the sealed offsets
+        # 0..63 survives, at its original offset and back on the cold tier,
+        # plus the untouched head.
+        before = log.stats["cold_loads"]
+        assert log.record_at(57).value == "v57"
+        assert log.stats["cold_loads"] == before + 1
+        assert log.record_at(0) is None
+        survivors = list(range(57, 64)) + list(range(64, 70))
+        assert [r.offset for r in log.all_records()] == survivors
 
     def test_recovery_replays_segment_files(self, tmp_path):
         storage = LogStorageConfig(segment_records=8, segment_dir=str(tmp_path))

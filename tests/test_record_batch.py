@@ -16,6 +16,7 @@ from repro.broker.consumer import ConsumerConfig
 from repro.broker.log import PartitionLog
 from repro.broker.message import ProducerRecord
 from repro.broker.producer import ProducerConfig
+from repro.broker.segment import LogStorageConfig
 from repro.broker.topic import TopicConfig
 from repro.network.link import LinkConfig
 from repro.network.topology import one_big_switch
@@ -162,16 +163,19 @@ class TestPartitionLogBatchPaths:
         follower = PartitionLog("t", 0)
         gap = RecordBatch("t", 0, base_offset=5)
         gap.append(None, "x", 1, 0.0)
-        if follower.storage is None:
-            # Flat layout: offsets are array indices, gaps are corruption.
-            with pytest.raises(ValueError):
-                follower.append_wire_batch(gap)
-        else:
-            # Segmented logs (--log-backend=segments) adopt a leader's
-            # retention/compaction gap with a forced segment boundary.
-            assert follower.append_wire_batch(gap) == 1
-            assert follower.log_end_offset == 6
-            assert follower.record_at(5).value == "x"
+        # A log with no storage policy never rolls: a gap is corruption.
+        with pytest.raises(ValueError):
+            follower.append_wire_batch(gap)
+
+    def test_append_wire_batch_adopts_gap_with_a_roll(self):
+        follower = PartitionLog("t", 0, storage=LogStorageConfig(segment_records=8))
+        gap = RecordBatch("t", 0, base_offset=5)
+        gap.append(None, "x", 1, 0.0)
+        # A leader's retention/compaction gap becomes a segment boundary.
+        assert follower.append_wire_batch(gap) == 1
+        assert follower.log_start_offset == 5
+        assert follower.log_end_offset == 6
+        assert follower.record_at(5).value == "x"
 
     def test_truncate_after_batch_append_keeps_size_accounting(self):
         log = self.make_log_via_batches()
