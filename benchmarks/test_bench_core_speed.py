@@ -17,11 +17,9 @@ trajectory to beat:
   its overhead ratio versus the plain reported-send path, plus the
   transactional variant (1000-record commits drained read_committed) and
   its overhead ratio versus the idempotent rate;
-* SPE drain throughput with a map->filter->reduce_by_key pipeline attached,
-  once on the columnar operator plane (``spe_vectorized_records_per_sec``,
-  regression-gated) and once pinned to the per-record reference path
-  (``spe_record_path_records_per_sec``), with the speedup ratio asserted
-  >= 1.5x, plus a windowed-reduce kernel micro-bench (columnar vs record);
+* SPE drain throughput with a map->filter->reduce_by_key pipeline attached
+  (``spe_vectorized_records_per_sec``, regression-gated), plus a
+  windowed-reduce kernel micro-bench (reported, ungated);
 * wall-clock of two packet-heavy experiments at their quick-test scale
   (fig6 partition, fig7b traffic monitoring) *and* at paper scale
   (fig6: 10 sites / 600 s; fig7b: the full 20-100-user sweep).
@@ -501,16 +499,14 @@ def test_bench_produce_consume_4part_group_throughput():
         )
 
 
-def _spe_pipeline_once(n_records: int, payload: str, vectorized: bool) -> float:
+def _spe_pipeline_once(n_records: int, payload: str) -> float:
     """One SPE drain run; returns the wall seconds of fetch -> operators -> sink.
 
     The topic is pre-populated *outside* the timed window (production and log
-    appends are identical on both engine paths and would only dilute the
-    comparison); the timed window opens with the context started and measures
-    the consumer fetch slices flowing through a map -> filter ->
-    reduce_by_key pipeline into a header-accounting memory sink.  The
-    simulated timeline is identical for either ``vectorized`` value — only
-    the wall-clock differs.
+    appends would only dilute the engine's share); the timed window opens
+    with the context started and measures the consumer fetch slices flowing
+    through a map -> filter -> reduce_by_key pipeline into a
+    header-accounting memory sink.
     """
     sim = Simulator(seed=7)
     network = one_big_switch(
@@ -528,7 +524,7 @@ def _spe_pipeline_once(n_records: int, payload: str, vectorized: bool) -> float:
     )
     ctx = StreamingContext(
         network.host("spe"),
-        config=StreamingConfig(batch_interval=0.25, vectorized=vectorized),
+        config=StreamingConfig(batch_interval=0.25),
         cluster=cluster,
     )
     (
@@ -578,7 +574,7 @@ def _spe_pipeline_once(n_records: int, payload: str, vectorized: bool) -> float:
     return elapsed
 
 
-def _spe_stable_best_seconds(n_records: int, payload: str, vectorized: bool) -> float:
+def _spe_stable_best_seconds(n_records: int, payload: str) -> float:
     """Best-of-three stabilized SPE drain (same GC protocol as the others)."""
     import gc
 
@@ -587,16 +583,16 @@ def _spe_stable_best_seconds(n_records: int, payload: str, vectorized: bool) -> 
         gc.collect()
         gc.disable()
         try:
-            best = min(best, _spe_pipeline_once(n_records, payload, vectorized))
+            best = min(best, _spe_pipeline_once(n_records, payload))
         finally:
             gc.enable()
     return best
 
 
 def test_bench_spe_vectorized_throughput():
-    """Columnar SPE drain rate with map->filter->reduce_by_key attached.
+    """SPE drain rate with map->filter->reduce_by_key attached.
 
-    The tentpole metric of the vectorized operator plane: fetch slices adopt
+    The tentpole metric of the columnar operator plane: fetch slices adopt
     the broker's column slices zero-copy, kernels run whole-column, and the
     memory sink counts headers without ever materializing a StreamRecord.
     Regression-gated (stabilized best-of-three, session-health-scaled floor
@@ -604,7 +600,7 @@ def test_bench_spe_vectorized_throughput():
     """
     n_records = 50_000
     payload = "x" * 100
-    best = _spe_stable_best_seconds(n_records, payload, vectorized=True)
+    best = _spe_stable_best_seconds(n_records, payload)
     rate = _record("spe_vectorized_records_per_sec", n_records / best)
     report(
         "SPE drain throughput (columnar plane, map->filter->reduce)",
@@ -613,120 +609,55 @@ def test_bench_spe_vectorized_throughput():
     assert rate > 5_000
 
 
-def test_bench_spe_record_path_throughput():
-    """The identical drain pinned to the per-record reference path.
-
-    Runs right after the columnar bench under the same stabilized protocol,
-    so the pair is comparable; records the record-path rate and the columnar
-    speedup ratio, and asserts the vectorized plane clears 1.5x — the
-    ratio compares two back-to-back stabilized measurements of the same
-    deterministic simulation, so it is far less noise-prone than
-    cross-session wall-clock comparisons.
-    """
-    n_records = 50_000
-    payload = "x" * 100
-    best = _spe_stable_best_seconds(n_records, payload, vectorized=False)
-    rate = _record("spe_record_path_records_per_sec", n_records / best)
-    vectorized = _results.get("spe_vectorized_records_per_sec", 0.0)
-    ratio = vectorized / rate if rate else 0.0
-    if vectorized:
-        _record("spe_vectorized_speedup_ratio", ratio)
-    report(
-        "SPE drain throughput (record reference path)",
-        {
-            "records": n_records,
-            "seconds": best,
-            "records/sec": rate,
-            "columnar_speedup": f"{ratio:.2f}x" if vectorized else "n/a",
-        },
-    )
-    assert rate > 2_000
-    if vectorized:
-        assert ratio >= 1.5, (
-            f"expected the columnar plane to beat the record path by >=1.5x, "
-            f"got {ratio:.2f}x ({vectorized:.0f} vs {rate:.0f} records/sec)"
-        )
-
-
 def test_bench_spe_windowed_reduce_kernels():
-    """Windowed reduce micro-bench: columnar kernels vs record operators.
+    """Windowed reduce micro-bench over the operator kernels alone.
 
     Pure operator-plane measurement (no broker, no network): a 30-batch
-    stream of keyed batches flows through window(5.0) -> reduce_by_key on
-    both paths.  The window re-emits its whole buffer every batch, so this
-    is the amplification-heavy shape where whole-column concatenation pays
-    off most.  Reported-but-ungated (micro-rates are noisier than the
+    stream of keyed batches flows through window(5.0) -> reduce_by_key.  The
+    window re-emits its whole buffer every batch, so this is the
+    amplification-heavy shape where most of the cost is buffer
+    concatenation.  Reported-but-ungated (micro-rates are noisier than the
     stabilized end-to-end benches).
     """
     import gc
 
     from repro.engine.columns import ColumnBatch
     from repro.engine.operators import ReduceByKeyOperator, WindowOperator
-    from repro.engine.records import StreamRecord
 
     n_batches = 30
     batch_size = 2_000
-    batches = [
-        [
-            StreamRecord(
-                value=index,
-                key=f"k{index % 32}",
-                event_time=float(batch_index),
-                ingest_time=float(batch_index),
-                size=112,
-            )
-            for index in range(batch_size)
-        ]
+    column_batches = [
+        ColumnBatch(
+            values=list(range(batch_size)),
+            keys=[f"k{index % 32}" for index in range(batch_size)],
+            event_times=[float(batch_index)] * batch_size,
+            ingest_times=[float(batch_index)] * batch_size,
+            sizes=[112] * batch_size,
+        )
         for batch_index in range(n_batches)
     ]
-    column_batches = [ColumnBatch.from_records(batch) for batch in batches]
     total = n_batches * batch_size
 
-    def record_pass() -> float:
-        window = WindowOperator(5.0)
-        reduce_op = ReduceByKeyOperator(lambda a, b: b)
-        started = time.perf_counter()
-        for now, batch in enumerate(batches):
-            reduce_op.apply(window.apply(list(batch), float(now)), float(now))
-        return time.perf_counter() - started
-
-    def columnar_pass() -> float:
+    def kernel_pass() -> float:
         window = WindowOperator(5.0)
         reduce_op = ReduceByKeyOperator(lambda a, b: b)
         started = time.perf_counter()
         for now, cols in enumerate(column_batches):
-            reduce_op.apply_columns(window.apply_columns(cols, float(now)), float(now))
+            reduce_op.apply(window.apply(cols, float(now)), float(now))
         return time.perf_counter() - started
 
     gc.collect()
     gc.disable()
     try:
-        record_seconds = min(record_pass() for _ in range(3))
-        columnar_seconds = min(columnar_pass() for _ in range(3))
+        seconds = min(kernel_pass() for _ in range(3))
     finally:
         gc.enable()
-    record_rate = _record("spe_window_reduce_record_records_per_sec", total / record_seconds)
-    columnar_rate = _record(
-        "spe_window_reduce_columnar_records_per_sec", total / columnar_seconds
-    )
-    speedup = columnar_rate / record_rate if record_rate else 0.0
-    _record("spe_window_reduce_columnar_speedup", speedup)
+    rate = _record("spe_window_reduce_columnar_records_per_sec", total / seconds)
     report(
         "windowed reduce kernels (window(5.0) -> reduce_by_key, 30 batches)",
-        {
-            "records": total,
-            "record_path_records/sec": record_rate,
-            "columnar_records/sec": columnar_rate,
-            "columnar_speedup": f"{speedup:.2f}x",
-        },
+        {"records": total, "records/sec": rate},
     )
-    # The window's re-emission keeps most of the cost in buffer concatenation
-    # on both paths, so the kernel win here is modest; only guard against the
-    # columnar pass actually *losing* (with margin for micro-bench noise).
-    assert columnar_rate > record_rate * 0.85, (
-        f"columnar windowed reduce materially slower than the record path "
-        f"({columnar_rate:.0f} vs {record_rate:.0f} records/sec)"
-    )
+    assert rate > 5_000
 
 
 def test_bench_fig6_wall_clock():
@@ -1088,7 +1019,7 @@ _REMEASURE = {
     "produce_consume_4part_records_per_sec": lambda: 50_000
     / _stable_best_seconds(50_000, "x" * 100, partitions=4, group_members=4),
     "spe_vectorized_records_per_sec": lambda: 50_000
-    / _spe_stable_best_seconds(50_000, "x" * 100, vectorized=True),
+    / _spe_stable_best_seconds(50_000, "x" * 100),
     "log_recovery_records_per_sec": lambda: 100_000
     / _log_recovery_best_seconds(100_000),
 }

@@ -14,17 +14,11 @@ invocations:
 * ``PYTHONPATH=src python -m pytest benchmarks -q`` — paper figures/tables
   plus the core-speed trajectory (updates ``BENCH_core.json``).
 
-Engine path
------------
-``--engine-path={columnar,record,both}`` selects the SPE execution plane for
-the whole run (default ``columnar``, the production default):
-
-* ``record`` forces the per-record reference path everywhere — contexts
-  follow the session default unless a test pins ``StreamingConfig
-  (vectorized=...)`` explicitly;
-* ``both`` keeps the session default columnar but runs every test that
-  requests the ``engine_path`` fixture once per path (the SPE-facing chaos
-  tests and the vectorized equivalence suite use it).
+Engine
+------
+The SPE has one execution plane (columnar kernels over ``ColumnBatch``, see
+``docs/vectorized_engine.md``), so there is nothing to select:
+``tests/test_engine_model.py`` is the row-list reference it is judged against.
 
 Hypothesis
 ----------
@@ -44,19 +38,6 @@ settings.register_profile("repro", derandomize=True, deadline=None)
 settings.load_profile("repro")
 
 
-def pytest_addoption(parser):
-    parser.addoption(
-        "--engine-path",
-        choices=("columnar", "record", "both"),
-        default="columnar",
-        help=(
-            "SPE execution plane: 'columnar' (vectorized, default), 'record' "
-            "(force the per-record reference path session-wide), or 'both' "
-            "(parametrize engine_path-fixture tests over the two paths)"
-        ),
-    )
-
-
 def pytest_configure(config):
     config.addinivalue_line(
         "markers",
@@ -72,25 +53,6 @@ def pytest_configure(config):
         "hosts where forking pools is unavailable); the rest of the quick tier "
         "never needs a subprocess",
     )
-    path = config.getoption("--engine-path")
-    if path in ("columnar", "record"):
-        try:
-            from repro.engine import set_default_engine_path
-        except ImportError:
-            # src/ not importable yet (PYTHONPATH unset): "columnar" is the
-            # in-code default anyway; an explicit "record" run must not
-            # silently proceed on the wrong path.
-            if path == "record":
-                raise
-        else:
-            set_default_engine_path(path)
-
-
-def pytest_generate_tests(metafunc):
-    if "engine_path" in metafunc.fixturenames:
-        mode = metafunc.config.getoption("--engine-path")
-        paths = ["columnar", "record"] if mode == "both" else [mode]
-        metafunc.parametrize("engine_path", paths, indirect=True)
 
 
 def _reports_digest(producers):
@@ -115,16 +77,3 @@ def reports_digest():
     every delivery report, producers in name order: what the goldens of the
     producer's derived ``reports`` are compared by."""
     return _reports_digest
-
-
-@pytest.fixture
-def engine_path(request):
-    """The SPE path this test runs under; sets the session default for its
-    duration (parametrized over both paths under ``--engine-path=both``)."""
-    from repro.engine import default_engine_path, set_default_engine_path
-
-    path = request.param
-    previous = default_engine_path()
-    set_default_engine_path(path)
-    yield path
-    set_default_engine_path(previous)

@@ -75,7 +75,6 @@ def create_task(
     idempotence: bool = False,
     transactional_id: Optional[str] = None,
     isolation_level: str = "read_uncommitted",
-    vectorized: bool = True,
 ) -> TaskDescription:
     """Build the fraud-detection task description (5 components).
 
@@ -105,7 +104,6 @@ def create_task(
             "inputTopics": [TRANSACTIONS_TOPIC],
             "outputTopic": ALERTS_TOPIC,
             "batchInterval": batch_interval,
-            "vectorized": vectorized,
         },
     )
     task.add_node(

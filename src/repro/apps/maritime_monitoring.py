@@ -63,7 +63,6 @@ def create_task(
     idempotence: bool = False,
     transactional_id: Optional[str] = None,
     isolation_level: str = "read_uncommitted",
-    vectorized: bool = True,
 ) -> TaskDescription:
     """Build the maritime-monitoring task description (4 components)."""
     watched = watched_ports or ["halifax", "boston"]
@@ -91,7 +90,6 @@ def create_task(
             "windowSeconds": window_seconds,
             "watchedPorts": watched,
             "storeNode": "h4",
-            "vectorized": vectorized,
         },
     )
     task.add_node("h4", storeType="MYSQL", storeCfg={"tables": [RESULTS_TABLE]})

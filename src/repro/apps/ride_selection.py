@@ -77,7 +77,6 @@ def create_task(
     idempotence: bool = False,
     transactional_id: Optional[str] = None,
     isolation_level: str = "read_uncommitted",
-    vectorized: bool = True,
 ) -> TaskDescription:
     """Build the ride-selection task description (5 components)."""
     task = TaskDescription(name="ride-selection")
@@ -117,7 +116,6 @@ def create_task(
             "ridesTopic": RIDES_TOPIC,
             "tipsTopic": TIPS_TOPIC,
             "windowSeconds": window_seconds,
-            "vectorized": vectorized,
         },
     )
     task.add_node(

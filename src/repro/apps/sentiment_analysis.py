@@ -59,7 +59,6 @@ def create_task(
     idempotence: bool = False,
     transactional_id: Optional[str] = None,
     isolation_level: str = "read_uncommitted",
-    vectorized: bool = True,
 ) -> TaskDescription:
     """Build the sentiment-analysis task description (3 components)."""
     task = TaskDescription(name="sentiment-analysis")
@@ -83,7 +82,6 @@ def create_task(
             "app": "sentiment_analysis",
             "inputTopics": [TWEETS_TOPIC],
             "batchInterval": batch_interval,
-            "vectorized": vectorized,
         },
     )
     task.add_switch("s1")

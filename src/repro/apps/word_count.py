@@ -99,7 +99,6 @@ def create_task(
     idempotence: bool = False,
     transactional_id: Optional[str] = None,
     isolation_level: str = "read_uncommitted",
-    vectorized: bool = True,
 ) -> TaskDescription:
     """Build the Figure 2 word-count task description.
 
@@ -107,8 +106,7 @@ def create_task(
     components (keys: source, broker, spe_job1, spe_job2, sink) — the knob the
     Figure 5 / Figure 8 experiments sweep.  ``partitions`` shards every topic;
     documents are keyed by file name, so a document's records stay ordered on
-    one partition.  ``vectorized=False`` pins both SPE jobs to the per-record
-    reference path (results are identical either way).
+    one partition.
     """
     overrides = per_component_latency or {}
     task = TaskDescription(name="word-count")
@@ -133,7 +131,6 @@ def create_task(
             "inputTopics": [RAW_TOPIC],
             "outputTopic": WORDS_TOPIC,
             "batchInterval": batch_interval,
-            "vectorized": vectorized,
         },
     )
     task.add_node(
@@ -144,7 +141,6 @@ def create_task(
             "inputTopics": [WORDS_TOPIC],
             "outputTopic": AVERAGE_TOPIC,
             "batchInterval": batch_interval,
-            "vectorized": vectorized,
         },
     )
     task.add_node(

@@ -281,8 +281,6 @@ def _deploy_spe(node: NodeDescription, deployment: Deployment, emulation: "Emula
                 parallelism=config.parallelism,
                 executor_memory=config.executor_memory,
             ),
-            # True defers to the session engine path; False pins records.
-            vectorized=None if config.vectorized else False,
         ),
         cluster=deployment.cluster,
         name=f"spe-{node.node_id}",

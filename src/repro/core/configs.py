@@ -251,9 +251,6 @@ class SPEAppConfig:
     parallelism: int = 4
     executor_memory: int = 1024 * 1024 * 1024
     event_log: bool = False
-    #: Columnar SPE operator plane (True follows the session engine path;
-    #: False pins the per-record reference path — results are identical).
-    vectorized: bool = True
     options: Dict[str, Any] = field(default_factory=dict)
 
     @classmethod
@@ -267,7 +264,7 @@ class SPEAppConfig:
             app = os.path.splitext(os.path.basename(app))[0].replace("-", "_")
         known = {
             "app", "inputTopics", "inputTopic", "outputTopic", "batchInterval",
-            "parallelism", "executorMemory", "eventLog", "vectorized",
+            "parallelism", "executorMemory", "eventLog",
         }
         options = {key: value for key, value in data.items() if key not in known}
         return cls(
@@ -278,7 +275,6 @@ class SPEAppConfig:
             parallelism=int(data.get("parallelism", 4)),
             executor_memory=_size_to_bytes(data.get("executorMemory"), 1024**3),
             event_log=bool(data.get("eventLog", False)),
-            vectorized=bool(data.get("vectorized", True)),
             options=options,
         )
 

@@ -6,32 +6,26 @@ applications use:
 * a :class:`StreamingContext` bound to a driver host, with a configurable
   micro-batch interval;
 * DStream-style operator chaining (``map``, ``flat_map``, ``filter``,
-  ``map_pairs``, ``reduce_by_key``, ``window``, ``join``,
-  ``update_state_by_key``, ``for_each``);
+  ``map_pairs``, ``repartition_by_key``, ``reduce_by_key``,
+  ``group_by_key``, ``window``, ``join``, ``update_state_by_key``,
+  ``for_each``);
 * receivers that ingest records from the event streaming platform
   (:class:`KafkaSource`) and sinks that write back to it, to data stores or
   to in-memory collections;
 * an executor cost model that charges per-record processing time to the
   host's CPU, so job runtimes scale with input volume and saturate with core
   count — the behaviours Figures 5, 7a and 7b rely on;
-* a vectorized operator plane (:mod:`repro.engine.columns`): micro-batches
-  flow as :class:`ColumnBatch` columns from the broker fetch slice through
-  columnar operator kernels to the sink, with per-record ``StreamRecord``
-  materialization deferred until something actually demands records.  Both
-  paths produce bitwise-identical simulated traces; see
+* one columnar plane (:mod:`repro.engine.columns`): a micro-batch is a
+  :class:`ColumnBatch` from the broker fetch slice through every operator
+  kernel to the sink; a per-record ``StreamRecord`` is built only as the row
+  view a per-record user callback receives.  See
   ``docs/vectorized_engine.md``.
 """
 
 from repro.engine.columns import ColumnBatch
-from repro.engine.context import (
-    StreamingContext,
-    StreamingConfig,
-    default_engine_path,
-    set_default_engine_path,
-)
+from repro.engine.context import StreamingContext, StreamingConfig
 from repro.engine.dstream import DStream
 from repro.engine.executor import ExecutorConfig
-from repro.engine.operators import columnar_kernel
 from repro.engine.sinks import KafkaSink, MemorySink, StoreSink
 from repro.engine.sources import KafkaSource, MemorySource, MergingSource
 
@@ -47,7 +41,4 @@ __all__ = [
     "KafkaSink",
     "MemorySink",
     "StoreSink",
-    "columnar_kernel",
-    "default_engine_path",
-    "set_default_engine_path",
 ]

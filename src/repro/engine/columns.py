@@ -1,14 +1,13 @@
-"""Columnar micro-batches for the vectorized operator plane.
+"""Columnar micro-batches: the SPE's one micro-batch representation.
 
 A :class:`ColumnBatch` is the SPE-side sibling of the broker's
 :class:`~repro.broker.batch.RecordBatch`: one object holding the micro-batch
 as five parallel columns (``values``, ``keys``, ``event_times``,
-``ingest_times``, ``sizes``) instead of a list of per-record
-:class:`~repro.engine.records.StreamRecord` objects.  Columnar kernels on
-the operators (see :mod:`repro.engine.operators`) transform these columns as
-whole-column operations — list comprehensions over raw values, key-group
-folds over the key column — so an n-stage pipeline allocates O(stages)
-Python objects per micro-batch instead of O(records × stages).
+``ingest_times``, ``sizes``).  Sources accumulate one, every operator kernel
+(see :mod:`repro.engine.operators`) maps one to the next, and sinks consume
+one; a per-record :class:`~repro.engine.records.StreamRecord` exists only as
+the row view :meth:`ColumnBatch.to_records` builds for per-record user
+callbacks.
 
 Zero-copy ingest
 ----------------
@@ -21,13 +20,12 @@ reuses the broker's slices without copying a single element.
 
 Size-carry rules
 ----------------
-The ``sizes`` column mirrors ``StreamRecord``'s lazy size semantics: an
-entry is either a positive int (observed — e.g. the wire size from ingest)
-or ``None`` (deferred — a derived value nobody has observed yet).  Deferred
-entries are resolved through the same pure
+An entry of the ``sizes`` column is either a positive int (observed — e.g.
+the wire size from ingest) or ``None`` (deferred — a derived value nobody has
+observed yet).  Deferred entries are resolved through the pure
 :func:`~repro.network.packet.estimate_size`, at most once, at the point of
-observation (batch byte-accounting or a Kafka sink), so observed values are
-byte-identical to the record path and simulated traces do not change.
+observation (batch byte-accounting or a Kafka sink), so what is observed
+never depends on how many operators a value passed through.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ from repro.network.packet import estimate_size
 
 
 class ColumnBatch:
-    """One micro-batch as parallel columns (the vectorized execution unit).
+    """One micro-batch as parallel columns (the engine's execution unit).
 
     Columns are plain Python lists and always the same length.  Kernels
     never mutate an input batch's columns in place — they either return the
@@ -69,7 +67,7 @@ class ColumnBatch:
     # -- construction ----------------------------------------------------------------
     @classmethod
     def from_records(cls, records: Iterable[StreamRecord]) -> "ColumnBatch":
-        """Decompose materialized records into columns (record-mode bridge).
+        """Decompose row views into columns.
 
         Cached sizes carry over verbatim; unobserved records stay deferred
         (``None``), exactly as they were on the record.
@@ -87,6 +85,14 @@ class ColumnBatch:
             ingest_times.append(record.ingest_time)
             sizes.append(record._size)
         return batch
+
+    def append(self, record: StreamRecord) -> None:
+        """Append one row (a source fed record by record)."""
+        self.values.append(record.value)
+        self.keys.append(record.key)
+        self.event_times.append(record.event_time)
+        self.ingest_times.append(record.ingest_time)
+        self.sizes.append(record._size)
 
     def extend_from_wire(self, batch, received_at: float, skip=None) -> int:
         """Ingest one fetched :class:`RecordBatch`; returns records ingested.
@@ -143,8 +149,8 @@ class ColumnBatch:
         When this batch is empty the other's column lists are adopted
         outright (and may be appended to later) — callers must relinquish
         ``other`` afterwards.  This is the partition-order merge used by
-        ``MergingSource.drain_columns`` over its children's drained (and
-        thereby disowned) batches.
+        ``MergingSource.drain`` over its children's drained (and thereby
+        disowned) batches.
         """
         if not self.values:
             self.values = other.values
@@ -189,9 +195,9 @@ class ColumnBatch:
     def derive(self, values: List[Any], keys: Optional[List[Any]] = None) -> "ColumnBatch":
         """A new batch with rewritten values (and optionally keys), same provenance.
 
-        Size semantics mirror ``StreamRecord.with_value``: an output value
-        that *is* the input value (identity rewrite) shares the parent's
-        size state; anything else defers sizing until observed.
+        Size-carry: an output value that *is* the input value (identity
+        rewrite) shares the parent's size state; anything else defers sizing
+        until observed.
         """
         old_values = self.values
         sizes = [
@@ -228,8 +234,7 @@ class ColumnBatch:
     def total_bytes(self) -> int:
         """Sum of record sizes, resolving (and caching) deferred entries.
 
-        This is the micro-batch boundary's byte observation — identical to
-        ``sum(record.size for record in batch)`` on the record path.
+        This is the micro-batch boundary's byte observation.
         """
         sizes = self.sizes
         try:

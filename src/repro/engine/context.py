@@ -7,7 +7,6 @@ from typing import TYPE_CHECKING, List, Optional
 
 from repro.broker.consumer import ConsumerConfig
 from repro.broker.producer import ProducerConfig
-from repro.engine.columns import ColumnBatch
 from repro.engine.dstream import DStream
 from repro.engine.executor import Executor, ExecutorConfig
 from repro.engine.sinks import KafkaSink, Sink
@@ -18,24 +17,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.network.host import Host
 
 
-#: Session-wide engine-path default: "columnar" runs the vectorized operator
-#: plane wherever a context doesn't opt out, "record" forces per-record
-#: execution everywhere (the CI matrix's ``--engine-path=record`` run).
-_DEFAULT_ENGINE_PATH = "columnar"
-
-
-def set_default_engine_path(path: str) -> None:
-    """Set the session-wide engine path ("columnar" or "record")."""
-    global _DEFAULT_ENGINE_PATH
-    if path not in ("columnar", "record"):
-        raise ValueError(f"unknown engine path {path!r}")
-    _DEFAULT_ENGINE_PATH = path
-
-
-def default_engine_path() -> str:
-    return _DEFAULT_ENGINE_PATH
-
-
 @dataclass
 class StreamingConfig:
     """Context-level configuration (``streamProcCfg`` keys map onto these)."""
@@ -44,12 +25,6 @@ class StreamingConfig:
     executor: ExecutorConfig = field(default_factory=ExecutorConfig)
     #: Stop scheduling new batches after this many (None = run forever).
     max_batches: Optional[int] = None
-    #: Columnar operator plane: ``None`` follows the session default (see
-    #: :func:`set_default_engine_path`), ``True``/``False`` pin this context
-    #: to the columnar/record path regardless of it.  Either path produces
-    #: bitwise-identical simulated traces and outputs; only wall-clock speed
-    #: differs (see ``docs/vectorized_engine.md``).
-    vectorized: Optional[bool] = None
 
     def __post_init__(self) -> None:
         if self.batch_interval <= 0:
@@ -89,10 +64,6 @@ class StreamingContext:
         self.cluster = cluster
         self.name = name or f"spe-{host.name}"
         self.executor = Executor(host, self.config.executor)
-        if self.config.vectorized is None:
-            self.vectorized = _DEFAULT_ENGINE_PATH == "columnar"
-        else:
-            self.vectorized = self.config.vectorized
         self.sources: List[Source] = []
         self.output_streams: List[DStream] = []
         self.batch_metrics: List[BatchMetric] = []
@@ -111,7 +82,6 @@ class StreamingContext:
         self,
         topics: List[str],
         consumer_config: Optional[ConsumerConfig] = None,
-        value_from_record=None,
         partitions: Optional[List[int]] = None,
         group: Optional[str] = None,
     ) -> DStream:
@@ -128,7 +98,6 @@ class StreamingContext:
             topics=topics,
             bootstrap=self.cluster.bootstrap_hosts(prefer=self.host.name),
             consumer_config=consumer_config,
-            value_from_record=value_from_record,
             partitions=partitions,
             group=group,
         )
@@ -226,51 +195,28 @@ class StreamingContext:
 
     def _run_batch(self, scheduled_at: float):
         for index, stream in enumerate(self.output_streams):
-            # The columnar plane applies when this context runs vectorized,
-            # the source drains columns natively, and the stream has no join
-            # (the join's right side drains a second source mid-chain — the
-            # record path is its semantic reference).  Either branch charges
-            # the executor cost model first — simulated time depends only on
-            # input record count, input bytes and stage count, which both
-            # paths observe identically, so traces are bitwise equal.
-            columnar = (
-                self.vectorized
-                and stream.joined_with is None
-                and stream.source.supports_columns
-            )
-            if columnar:
-                cols = stream.source.drain_columns()
-                input_records = len(cols)
-                input_bytes = cols.total_bytes()
-            else:
-                batch = stream.source.drain()
-                input_records = len(batch)
-                input_bytes = sum(record.size for record in batch)
+            cols = stream.source.drain()
+            input_records = len(cols)
+            input_bytes = cols.total_bytes()
             start = self.sim.now
+            # The cost model is charged before the kernels run: simulated time
+            # depends only on input record count, input bytes and stage count.
             duration = yield from self.executor.run_job(
                 n_records=input_records,
                 n_bytes=input_bytes,
                 n_stages=stream.n_stages,
             )
-            if columnar:
-                output = stream.execute_columns(cols, self.sim.now)
-            else:
-                output = stream.execute(batch, self.sim.now)
-            if isinstance(output, ColumnBatch):
-                # StreamRecord materialization is deferred past any sink that
-                # takes columns; if several sinks need records, they share
-                # one materialization.
-                records = None
-                for sink in stream.sinks:
-                    if sink.accepts_columns:
-                        sink.write_columns(output, self.sim.now)
-                    else:
-                        if records is None:
-                            records = output.to_records()
-                        sink.write(records, self.sim.now)
-            else:
-                for sink in stream.sinks:
-                    sink.write(output, self.sim.now)
+            output = stream.execute_columns(cols, self.sim.now)
+            # Row views are materialised only for sinks that need them, and
+            # shared between those that do.
+            records = None
+            for sink in stream.sinks:
+                if sink.accepts_columns:
+                    sink.write_columns(output, self.sim.now)
+                else:
+                    if records is None:
+                        records = output.to_records()
+                    sink.write(records, self.sim.now)
             self.batch_metrics.append(
                 BatchMetric(
                     batch_time=scheduled_at,

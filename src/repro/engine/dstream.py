@@ -18,7 +18,6 @@ from repro.engine.operators import (
     RepartitionByKeyOperator,
     UpdateStateByKeyOperator,
     WindowOperator,
-    columnar_kernel,
 )
 from repro.engine.records import StreamRecord
 from repro.engine.sinks import CallbackSink, MemorySink, Sink
@@ -49,10 +48,6 @@ class DStream:
         self.operators: List[Operator] = list(operators or [])
         self.joined_with = joined_with
         self.sinks: List[Sink] = []
-        #: Cached columnar execution plan (resolved once; the operator list
-        #: is immutable after construction — transformations derive new
-        #: DStreams).  See :meth:`_columnar_plan`.
-        self._kernel_plan: Optional[List[Any]] = None
 
     # -- transformations -----------------------------------------------------------
     def _derive(self, operator: Operator) -> "DStream":
@@ -111,7 +106,7 @@ class DStream:
         return joined
 
     def for_each(self, fn: Callable[[StreamRecord], None]) -> "DStream":
-        """Run a side effect on every element (pass-through)."""
+        """Run a side effect on a row view of every element (pass-through)."""
         return self._derive(ForEachOperator(fn))
 
     # -- outputs ------------------------------------------------------------------------
@@ -142,47 +137,24 @@ class DStream:
     def n_stages(self) -> int:
         return max(1, len(self.operators))
 
-    def execute(self, batch: List[StreamRecord], now: float) -> List[StreamRecord]:
-        """Run the operator chain over one micro-batch (pure computation)."""
+    def execute_columns(self, cols: ColumnBatch, now: float) -> ColumnBatch:
+        """Run the operator chain over one micro-batch (pure computation).
+
+        A join's right side drains its own source and runs its own chain
+        first, within the same micro-batch.
+        """
         if self.joined_with is not None:
             other_stream, join_operator = self.joined_with
-            other_batch = other_stream.execute(other_stream.source.drain(), now)
-            join_operator.set_right_batch(other_batch)
-        current = batch
+            join_operator.set_right_batch(
+                other_stream.execute_columns(other_stream.source.drain(), now)
+            )
         for operator in self.operators:
-            current = operator.apply(current, now)
-        return current
+            cols = operator.apply(cols, now)
+        return cols
 
-    def _columnar_plan(self) -> List[Any]:
-        """Kernels for the longest columnar prefix of the operator chain.
-
-        The chain executes columnar up to the first operator without a
-        kernel, materializes there, and stays on the record path for the
-        remainder — one static fallback point per chain, so every stateful
-        operator sees exactly one representation for the whole run.
-        """
-        if self._kernel_plan is None:
-            plan: List[Any] = []
-            for operator in self.operators:
-                kernel = columnar_kernel(operator)
-                if kernel is None:
-                    break
-                plan.append(kernel)
-            self._kernel_plan = plan
-        return self._kernel_plan
-
-    def execute_columns(self, cols: ColumnBatch, now: float):
-        """Columnar execution: returns a ColumnBatch, or a record list after
-        the chain's fallback point (the context handles either output)."""
-        plan = self._columnar_plan()
-        for kernel in plan:
-            cols = kernel(cols, now)
-        if len(plan) == len(self.operators):
-            return cols
-        current = cols.to_records()
-        for operator in self.operators[len(plan):]:
-            current = operator.apply(current, now)
-        return current
+    def execute(self, batch: List[StreamRecord], now: float) -> List[StreamRecord]:
+        """:meth:`execute_columns` for callers holding row views."""
+        return self.execute_columns(ColumnBatch.from_records(batch), now).to_records()
 
     def reset_state(self) -> None:
         for operator in self.operators:

@@ -1,30 +1,27 @@
 """Operator implementations for the DStream DAG.
 
-Operators are pure objects: given the list of :class:`StreamRecord` elements
-of the current micro-batch (and, for stateful operators, their private
-state), they return the transformed list.  The engine charges CPU time per
-processed element separately (see :mod:`repro.engine.executor`), keeping the
-functional logic here deterministic and easily unit-testable.
+Every operator is one columnar kernel: ``apply(cols, now)`` takes the
+micro-batch as a :class:`~repro.engine.columns.ColumnBatch` and returns the
+transformed batch (plus, for stateful operators, an update of their private
+state).  Kernels are whole-column operations — list comprehensions over raw
+values, key-group folds over the key column — so an n-stage pipeline
+allocates O(stages) Python objects per micro-batch, not O(records x stages).
+The engine charges CPU time per processed element separately (see
+:mod:`repro.engine.executor`), keeping the functional logic here
+deterministic and easily unit-testable.
 
-Size-carry: every derivation goes through ``StreamRecord.with_value``, which
-defers re-sizing of the new value until a sink or the batch accounting
-actually observes it (see :mod:`repro.engine.records`).  Operators therefore
-never trigger ``estimate_size`` themselves — an n-stage pipeline sizes each
-record at most once, at ingest or at the observation point, not per hop.
+What a kernel must preserve (``tests/test_engine_model.py`` is the row-list
+reference every kernel is judged against):
 
-Columnar kernels
-----------------
-Operators with a whole-column implementation additionally define
-``apply_columns(cols, now)`` taking and returning a
-:class:`~repro.engine.columns.ColumnBatch`.  The record-path ``apply`` is
-the semantic reference: a kernel must emit exactly the rows ``apply`` would
-emit, in the same order, with the same values/keys/provenance and the same
-size-carry behaviour (see ``ColumnBatch.derive``), so seeded traces are
-bitwise identical on either path.  :func:`columnar_kernel` resolves an
-operator's kernel — and deliberately refuses one for a subclass that
-re-implemented ``apply`` without a matching kernel, so user-supplied
-operators fall back to the record path instead of silently running stale
-inherited columnar semantics (see ``docs/vectorized_engine.md``).
+* provenance — a derived row keeps its parent's event / ingest time, a
+  per-key aggregate those of the key's first row in the batch;
+* order — first-seen key order for keyed output, arrival order within a key;
+* size-carry — an output value that *is* its input value shares the
+  parent's size state, anything else defers sizing until a sink or the batch
+  accounting observes it (``ColumnBatch.derive``), so an n-stage pipeline
+  sizes each record at most once, never per hop;
+* its input — a kernel never mutates the columns it was handed; it returns
+  them unchanged or builds a new batch (windows re-emit retained batches).
 """
 
 from __future__ import annotations
@@ -36,23 +33,18 @@ from repro.engine.columns import ColumnBatch
 from repro.engine.records import StreamRecord
 
 
-def columnar_kernel(operator: "Operator"):
-    """The operator's columnar kernel (bound method), or None for record path.
-
-    A kernel is valid only when the class that defines ``apply_columns`` is
-    the same class (or a superclass-of-neither situation) as the one defining
-    ``apply``: a subclass that overrides ``apply`` deeper in the MRO than its
-    inherited kernel has changed record-path semantics the kernel knows
-    nothing about, so it must fall back.
-    """
-    cls = type(operator)
-    if getattr(cls, "apply_columns", None) is None:
-        return None
-    kernel_owner = next(k for k in cls.__mro__ if "apply_columns" in vars(k))
-    apply_owner = next(k for k in cls.__mro__ if "apply" in vars(k))
-    if apply_owner is not kernel_owner and issubclass(apply_owner, kernel_owner):
-        return None
-    return operator.apply_columns
+def _first_rows_by_key(cols: ColumnBatch) -> Tuple[Dict[Any, List[Any]], List[int]]:
+    """Values grouped per key (first-seen key order) and each key's first row."""
+    values = cols.values
+    grouped: Dict[Any, List[Any]] = {}
+    first_rows: List[int] = []
+    for index, key in enumerate(cols.keys):
+        if key in grouped:
+            grouped[key].append(values[index])
+        else:
+            grouped[key] = [values[index]]
+            first_rows.append(index)
+    return grouped, first_rows
 
 
 class Operator:
@@ -60,8 +52,8 @@ class Operator:
 
     name = "identity"
 
-    def apply(self, batch: List[StreamRecord], now: float) -> List[StreamRecord]:
-        return batch
+    def apply(self, cols: ColumnBatch, now: float) -> ColumnBatch:
+        return cols
 
     def reset(self) -> None:
         """Clear any operator state (used between experiment repetitions)."""
@@ -75,10 +67,7 @@ class MapOperator(Operator):
     def __init__(self, fn: Callable[[Any], Any]) -> None:
         self.fn = fn
 
-    def apply(self, batch: List[StreamRecord], now: float) -> List[StreamRecord]:
-        return [record.with_value(self.fn(record.value)) for record in batch]
-
-    def apply_columns(self, cols: ColumnBatch, now: float) -> ColumnBatch:
+    def apply(self, cols: ColumnBatch, now: float) -> ColumnBatch:
         fn = self.fn
         return cols.derive([fn(value) for value in cols.values])
 
@@ -91,14 +80,7 @@ class FlatMapOperator(Operator):
     def __init__(self, fn: Callable[[Any], List[Any]]) -> None:
         self.fn = fn
 
-    def apply(self, batch: List[StreamRecord], now: float) -> List[StreamRecord]:
-        output: List[StreamRecord] = []
-        for record in batch:
-            for value in self.fn(record.value):
-                output.append(record.with_value(value))
-        return output
-
-    def apply_columns(self, cols: ColumnBatch, now: float) -> ColumnBatch:
+    def apply(self, cols: ColumnBatch, now: float) -> ColumnBatch:
         fn = self.fn
         in_keys = cols.keys
         in_event = cols.event_times
@@ -136,10 +118,7 @@ class FilterOperator(Operator):
     def __init__(self, predicate: Callable[[Any], bool]) -> None:
         self.predicate = predicate
 
-    def apply(self, batch: List[StreamRecord], now: float) -> List[StreamRecord]:
-        return [record for record in batch if self.predicate(record.value)]
-
-    def apply_columns(self, cols: ColumnBatch, now: float) -> ColumnBatch:
+    def apply(self, cols: ColumnBatch, now: float) -> ColumnBatch:
         predicate = self.predicate
         keep = [index for index, value in enumerate(cols.values) if predicate(value)]
         if len(keep) == len(cols.values):
@@ -155,21 +134,14 @@ class MapPairsOperator(Operator):
     def __init__(self, fn: Callable[[Any], Tuple[Any, Any]]) -> None:
         self.fn = fn
 
-    def apply(self, batch: List[StreamRecord], now: float) -> List[StreamRecord]:
-        output = []
-        for record in batch:
-            key, value = self.fn(record.value)
-            output.append(record.with_value(value, key=key))
-        return output
-
-    def apply_columns(self, cols: ColumnBatch, now: float) -> ColumnBatch:
+    def apply(self, cols: ColumnBatch, now: float) -> ColumnBatch:
         fn = self.fn
         in_keys = cols.keys
         keys: List[Any] = []
         values: List[Any] = []
         for index, in_value in enumerate(cols.values):
             key, value = fn(in_value)
-            # with_value semantics: a None key keeps the record's old key.
+            # A None key keeps the row's old key.
             keys.append(key if key is not None else in_keys[index])
             values.append(value)
         return cols.derive(values, keys=keys)
@@ -184,24 +156,24 @@ class RepartitionByKeyOperator(Operator):
     Because keyed producers route a key to exactly one partition and
     partition order is FIFO, the per-key sequence after repartitioning equals
     the per-key produce order — per-key order survives sharding.
+
+    The shuffle moves row indices, not rows: one stable bucket of indices per
+    key, then a single gather over the five columns.
     """
 
     name = "repartition_by_key"
 
-    def apply(self, batch: List[StreamRecord], now: float) -> List[StreamRecord]:
-        groups: Dict[Any, List[StreamRecord]] = {}
-        for record in batch:
-            group = groups.get(record.key)
-            if group is None:
-                groups[record.key] = [record]
+    def apply(self, cols: ColumnBatch, now: float) -> ColumnBatch:
+        buckets: Dict[Any, List[int]] = {}
+        for index, key in enumerate(cols.keys):
+            bucket = buckets.get(key)
+            if bucket is None:
+                buckets[key] = [index]
             else:
-                group.append(record)
-        if len(groups) <= 1:
-            return batch
-        output: List[StreamRecord] = []
-        for group in groups.values():
-            output.extend(group)
-        return output
+                bucket.append(index)
+        if len(buckets) <= 1:
+            return cols
+        return cols.take([index for bucket in buckets.values() for index in bucket])
 
 
 class ReduceByKeyOperator(Operator):
@@ -212,36 +184,19 @@ class ReduceByKeyOperator(Operator):
     def __init__(self, fn: Callable[[Any, Any], Any]) -> None:
         self.fn = fn
 
-    def apply(self, batch: List[StreamRecord], now: float) -> List[StreamRecord]:
-        # Fold values directly while grouping: no per-key record lists.
-        fn = self.fn
-        accumulators: Dict[Any, Any] = {}
-        representatives: Dict[Any, StreamRecord] = {}
-        for record in batch:
-            key = record.key
-            if key in accumulators:
-                accumulators[key] = fn(accumulators[key], record.value)
-            else:
-                accumulators[key] = record.value
-                representatives[key] = record
-        return [
-            representatives[key].with_value(value, key=key)
-            for key, value in accumulators.items()
-        ]
-
-    def apply_columns(self, cols: ColumnBatch, now: float) -> ColumnBatch:
+    def apply(self, cols: ColumnBatch, now: float) -> ColumnBatch:
+        # Fold values directly while grouping: no per-key value lists.
         fn = self.fn
         values = cols.values
         accumulators: Dict[Any, Any] = {}
-        rep_indices: Dict[Any, int] = {}
+        first_rows: List[int] = []
         for index, key in enumerate(cols.keys):
             if key in accumulators:
                 accumulators[key] = fn(accumulators[key], values[index])
             else:
                 accumulators[key] = values[index]
-                rep_indices[key] = index
-        representatives = cols.take(list(rep_indices.values()))
-        return representatives.derive(
+                first_rows.append(index)
+        return cols.take(first_rows).derive(
             list(accumulators.values()), keys=list(accumulators.keys())
         )
 
@@ -251,33 +206,9 @@ class GroupByKeyOperator(Operator):
 
     name = "group_by_key"
 
-    def apply(self, batch: List[StreamRecord], now: float) -> List[StreamRecord]:
-        grouped: Dict[Any, List[Any]] = {}
-        representatives: Dict[Any, StreamRecord] = {}
-        for record in batch:
-            key = record.key
-            if key in grouped:
-                grouped[key].append(record.value)
-            else:
-                grouped[key] = [record.value]
-                representatives[key] = record
-        return [
-            representatives[key].with_value(values, key=key)
-            for key, values in grouped.items()
-        ]
-
-    def apply_columns(self, cols: ColumnBatch, now: float) -> ColumnBatch:
-        values = cols.values
-        grouped: Dict[Any, List[Any]] = {}
-        rep_indices: Dict[Any, int] = {}
-        for index, key in enumerate(cols.keys):
-            if key in grouped:
-                grouped[key].append(values[index])
-            else:
-                grouped[key] = [values[index]]
-                rep_indices[key] = index
-        representatives = cols.take(list(rep_indices.values()))
-        return representatives.derive(list(grouped.values()), keys=list(grouped.keys()))
+    def apply(self, cols: ColumnBatch, now: float) -> ColumnBatch:
+        grouped, first_rows = _first_rows_by_key(cols)
+        return cols.take(first_rows).derive(list(grouped.values()), keys=list(grouped.keys()))
 
 
 class WindowOperator(Operator):
@@ -296,42 +227,25 @@ class WindowOperator(Operator):
             raise ValueError("window_duration must be positive")
         self.window_duration = window_duration
         self.slide = slide
+        #: ``(arrival, ColumnBatch)`` chunks, oldest first.  Every row of one
+        #: ``apply`` call shares the same arrival time, so chunk-granular
+        #: eviction is exactly per-row eviction.
         self._buffer: deque = deque()
-        #: Columnar window state: ``(arrival, ColumnBatch)`` chunks.  Every
-        #: record of one ``apply_columns`` call shares the same arrival time,
-        #: so chunk-granular eviction is exactly the record path's per-record
-        #: eviction.  A given operator instance runs one path per run (the
-        #: chain's execution plan is static), so the two buffers never mix.
-        self._cbuffer: deque = deque()
         self._last_emit: float = float("-inf")
 
-    def apply(self, batch: List[StreamRecord], now: float) -> List[StreamRecord]:
-        for record in batch:
-            self._buffer.append((now, record))
+    def apply(self, cols: ColumnBatch, now: float) -> ColumnBatch:
+        if len(cols):
+            self._buffer.append((now, cols))
         cutoff = now - self.window_duration
         while self._buffer and self._buffer[0][0] < cutoff:
             self._buffer.popleft()
         if self.slide is not None and now - self._last_emit < self.slide:
-            return []
-        self._last_emit = now
-        return [record for _, record in self._buffer]
-
-    def apply_columns(self, cols: ColumnBatch, now: float) -> ColumnBatch:
-        if len(cols):
-            self._cbuffer.append((now, cols))
-        cutoff = now - self.window_duration
-        while self._cbuffer and self._cbuffer[0][0] < cutoff:
-            self._cbuffer.popleft()
-        if self.slide is not None and now - self._last_emit < self.slide:
             return ColumnBatch()
         self._last_emit = now
-        if not self._cbuffer:
-            return ColumnBatch()
-        return ColumnBatch.concat([chunk for _, chunk in self._cbuffer])
+        return ColumnBatch.concat([chunk for _, chunk in self._buffer])
 
     def reset(self) -> None:
         self._buffer.clear()
-        self._cbuffer.clear()
         self._last_emit = float("-inf")
 
 
@@ -348,33 +262,8 @@ class UpdateStateByKeyOperator(Operator):
         self.fn = fn
         self.state: Dict[Any, Any] = {}
 
-    def apply(self, batch: List[StreamRecord], now: float) -> List[StreamRecord]:
-        grouped: Dict[Any, List[Any]] = {}
-        representatives: Dict[Any, StreamRecord] = {}
-        for record in batch:
-            key = record.key
-            if key in grouped:
-                grouped[key].append(record.value)
-            else:
-                grouped[key] = [record.value]
-                representatives[key] = record
-        output = []
-        for key, values in grouped.items():
-            new_state = self.fn(values, self.state.get(key))
-            self.state[key] = new_state
-            output.append(representatives[key].with_value(new_state, key=key))
-        return output
-
-    def apply_columns(self, cols: ColumnBatch, now: float) -> ColumnBatch:
-        values = cols.values
-        grouped: Dict[Any, List[Any]] = {}
-        rep_indices: Dict[Any, int] = {}
-        for index, key in enumerate(cols.keys):
-            if key in grouped:
-                grouped[key].append(values[index])
-            else:
-                grouped[key] = [values[index]]
-                rep_indices[key] = index
+    def apply(self, cols: ColumnBatch, now: float) -> ColumnBatch:
+        grouped, first_rows = _first_rows_by_key(cols)
         fn = self.fn
         state = self.state
         new_states = []
@@ -382,8 +271,7 @@ class UpdateStateByKeyOperator(Operator):
             new_state = fn(key_values, state.get(key))
             state[key] = new_state
             new_states.append(new_state)
-        representatives = cols.take(list(rep_indices.values()))
-        return representatives.derive(new_states, keys=list(grouped.keys()))
+        return cols.take(first_rows).derive(new_states, keys=list(grouped.keys()))
 
     def reset(self) -> None:
         self.state.clear()
@@ -394,45 +282,53 @@ class JoinOperator(Operator):
 
     The other stream's batch is provided by the engine at execution time via
     :meth:`set_right_batch`; output values are ``(left_value, right_value)``
-    tuples, one per matching key pair.
+    tuples, one row per matching pair: left rows in order, each with its
+    right matches in the right batch's order, carrying the left row's key and
+    provenance.
     """
 
     name = "join"
 
     def __init__(self) -> None:
-        self._right: List[StreamRecord] = []
+        self._right = ColumnBatch()
 
-    def set_right_batch(self, batch: List[StreamRecord]) -> None:
-        self._right = batch
+    def set_right_batch(self, cols: ColumnBatch) -> None:
+        self._right = cols
 
-    def apply(self, batch: List[StreamRecord], now: float) -> List[StreamRecord]:
+    def apply(self, cols: ColumnBatch, now: float) -> ColumnBatch:
         right_by_key: Dict[Any, List[Any]] = {}
-        for record in self._right:
-            right_by_key.setdefault(record.key, []).append(record.value)
-        output = []
-        for left in batch:
-            right_values = right_by_key.get(left.key)
+        for key, value in zip(self._right.keys, self._right.values):
+            right_by_key.setdefault(key, []).append(value)
+        left_values = cols.values
+        left_rows: List[int] = []
+        pairs: List[Tuple[Any, Any]] = []
+        for index, key in enumerate(cols.keys):
+            right_values = right_by_key.get(key)
             if right_values:
-                left_value = left.value
+                left_value = left_values[index]
                 for right_value in right_values:
-                    output.append(
-                        left.with_value((left_value, right_value), key=left.key)
-                    )
-        return output
+                    left_rows.append(index)
+                    pairs.append((left_value, right_value))
+        return cols.take(left_rows).derive(pairs)
 
     def reset(self) -> None:
-        self._right = []
+        self._right = ColumnBatch()
 
 
 class ForEachOperator(Operator):
-    """Side-effecting operator: call a function on every element, pass through."""
+    """Side-effecting operator: call a function on every element, pass through.
+
+    ``fn`` sees each row as a :class:`StreamRecord` view materialised for the
+    call; the columns themselves pass through untouched.
+    """
 
     name = "for_each"
 
     def __init__(self, fn: Callable[[StreamRecord], None]) -> None:
         self.fn = fn
 
-    def apply(self, batch: List[StreamRecord], now: float) -> List[StreamRecord]:
-        for record in batch:
-            self.fn(record)
-        return batch
+    def apply(self, cols: ColumnBatch, now: float) -> ColumnBatch:
+        fn = self.fn
+        for record in cols.to_records():
+            fn(record)
+        return cols

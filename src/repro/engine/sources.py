@@ -6,7 +6,7 @@ import dataclasses
 from typing import TYPE_CHECKING, Any, List, Optional, Sequence
 
 from repro.broker.batch import RecordBatch
-from repro.broker.consumer import Consumer, ConsumerConfig, ConsumerRecord
+from repro.broker.consumer import Consumer, ConsumerConfig
 from repro.engine.columns import ColumnBatch
 from repro.engine.records import StreamRecord
 
@@ -16,31 +16,24 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class Source:
-    """Base class: accumulates records until the driver drains a micro-batch."""
-
-    #: True when ``drain_columns()`` is the native drain (no per-record
-    #: materialization) — the context then feeds the columnar operator plane
-    #: directly.  Sources that buffer ``StreamRecord`` objects leave this
-    #: False and the engine uses the record path.
-    supports_columns = False
+    """Base class: accumulates rows until the driver drains a micro-batch."""
 
     def __init__(self, name: str = "source") -> None:
         self.name = name
-        self._pending: List[StreamRecord] = []
+        self._pending = ColumnBatch()
         self.records_ingested = 0
 
     def push(self, record: StreamRecord) -> None:
         self._pending.append(record)
         self.records_ingested += 1
 
-    def drain(self) -> List[StreamRecord]:
-        """Take every record accumulated since the previous micro-batch."""
-        batch, self._pending = self._pending, []
-        return batch
+    def drain(self) -> ColumnBatch:
+        """Take every row accumulated since the previous micro-batch.
 
-    def drain_columns(self) -> ColumnBatch:
-        """Take the pending micro-batch as columns (bridge for record sources)."""
-        return ColumnBatch.from_records(self.drain())
+        The caller owns the returned batch; the source starts a new one.
+        """
+        batch, self._pending = self._pending, ColumnBatch()
+        return batch
 
     @property
     def backlog(self) -> int:
@@ -69,12 +62,11 @@ class MemorySource(Source):
 class KafkaSource(Source):
     """A receiver that consumes records from the event streaming platform.
 
-    Wraps a :class:`~repro.broker.consumer.Consumer` feeding the micro-batch
-    buffer.  When no per-record ``value_from_record`` hook is needed, the
-    consumer hands over whole :class:`RecordBatch` objects and the source
-    decodes them straight into :class:`StreamRecord` elements — no
-    intermediate ``ConsumerRecord`` (or dict) per message.  The original
-    produce timestamp is preserved as the stream record's ``event_time`` so
+    Wraps a :class:`~repro.broker.consumer.Consumer` that hands over whole
+    fetched :class:`RecordBatch` objects; the source accumulates them as
+    pending columns (adopting the reply's slices zero-copy when possible), so
+    no ``ConsumerRecord`` or ``StreamRecord`` is built per message.  The
+    original produce timestamp is preserved as the row's ``event_time`` so
     end-to-end latency can be measured after several pipeline stages.
     """
 
@@ -85,7 +77,6 @@ class KafkaSource(Source):
         bootstrap: List[str],
         consumer_config: Optional[ConsumerConfig] = None,
         name: Optional[str] = None,
-        value_from_record=None,
         partitions: Optional[Sequence[int]] = None,
         group: Optional[str] = None,
     ) -> None:
@@ -94,29 +85,19 @@ class KafkaSource(Source):
         sharded-ingest pattern — see :meth:`StreamingContext.sharded_kafka_stream`);
         ``group`` instead joins a coordinator-managed consumer group."""
         super().__init__(name=name or f"kafka-source-{host.name}")
-        config = consumer_config or ConsumerConfig(keep_payloads=False)
+        # The source owns its consumer and reads batches only, so the
+        # consumer never needs to keep per-record payloads.
+        config = dataclasses.replace(consumer_config or ConsumerConfig(), keep_payloads=False)
         if group is not None:
             config = dataclasses.replace(config, group=group)
         if partitions is not None and len(topics) != 1:
             raise ValueError("a partition-assigned KafkaSource takes exactly one topic")
-        self.value_from_record = value_from_record
-        # The batch fast path only applies while nothing demands per-record
-        # ConsumerRecord objects (custom value hook or kept payloads).
-        batch_native = value_from_record is None and not config.keep_payloads
-        self.supports_columns = batch_native
-        #: Fused source→operator ingest: fetched wire batches accumulate here
-        #: as columns (adopting the reply's slices zero-copy when possible)
-        #: and flow into the columnar operator plane without ever becoming
-        #: StreamRecord objects — unless ``drain()`` (the record path, or a
-        #: join's right side) materializes them at the batch boundary.
-        self._pending_columns = ColumnBatch()
         self.consumer = Consumer(
             host,
             bootstrap=bootstrap,
             config=config,
             name=f"{self.name}-consumer",
-            on_record=None if batch_native else self._on_record,
-            on_batch=self._on_wire_batch if batch_native else None,
+            on_batch=self._on_wire_batch,
         )
         self.consumer.subscribe(topics)
         if partitions is not None:
@@ -137,39 +118,7 @@ class KafkaSource(Source):
         control markers and, under ``read_committed``, aborted records) —
         they ship inside the contiguous wire batch but must never enter the
         stream."""
-        self.records_ingested += self._pending_columns.extend_from_wire(
-            batch, received_at, skip
-        )
-
-    def drain(self) -> List[StreamRecord]:
-        """Record-path drain: materialize the pending columns at the boundary."""
-        if self.supports_columns:
-            return self.drain_columns().to_records()
-        return super().drain()
-
-    def drain_columns(self) -> ColumnBatch:
-        if not self.supports_columns:
-            return super().drain_columns()
-        columns, self._pending_columns = self._pending_columns, ColumnBatch()
-        return columns
-
-    @property
-    def backlog(self) -> int:
-        return len(self._pending) + len(self._pending_columns)
-
-    def _on_record(self, record: ConsumerRecord) -> None:
-        value = record.value
-        if self.value_from_record is not None:
-            value = self.value_from_record(record)
-        self.push(
-            StreamRecord(
-                value=value,
-                key=record.key,
-                event_time=record.produced_at,
-                ingest_time=self.host.sim.now,
-                size=record.size,
-            )
-        )
+        self.records_ingested += self._pending.extend_from_wire(batch, received_at, skip)
 
     def start(self) -> None:
         self.consumer.start()
@@ -183,26 +132,18 @@ class MergingSource(Source):
 
     The partition-aware ingest plane runs one :class:`KafkaSource` per
     assigned partition; this façade presents them to the driver as a single
-    source.  ``drain()`` concatenates the children's pending records *in
-    child (partition) order*, so the merged micro-batch order is a pure
-    function of the simulated fetch schedule — per-partition offset order is
-    preserved within each child, and therefore per-key order survives
-    sharding (a key always lives in exactly one partition).
+    source.  ``drain()`` concatenates the children's pending rows *in child
+    (partition) order*, so the merged micro-batch order is a pure function of
+    the simulated fetch schedule — per-partition offset order is preserved
+    within each child, and therefore per-key order survives sharding (a key
+    always lives in exactly one partition).
     """
 
     def __init__(self, children: List[Source], name: str = "merging-source") -> None:
         super().__init__(name=name)
         self.children = list(children)
-        self.supports_columns = all(child.supports_columns for child in children)
 
-    def drain(self) -> List[StreamRecord]:
-        merged: List[StreamRecord] = []
-        for child in self.children:
-            merged.extend(child.drain())
-        self.records_ingested += len(merged)
-        return merged
-
-    def drain_columns(self) -> ColumnBatch:
+    def drain(self) -> ColumnBatch:
         """Concatenate the children's pending columns in child (partition) order.
 
         Children relinquish their drained batches, so the merge adopts the
@@ -211,7 +152,7 @@ class MergingSource(Source):
         """
         merged = ColumnBatch()
         for child in self.children:
-            merged.extend(child.drain_columns())
+            merged.extend(child.drain())
         self.records_ingested += len(merged)
         return merged
 

@@ -53,8 +53,6 @@ class Fig5Config:
     transactional_id: str = ""
     #: ``read_committed`` delivers only committed transactions downstream.
     isolation_level: str = "read_uncommitted"
-    #: Columnar SPE execution (``--set vectorized=false`` pins the record path).
-    vectorized: bool = True
     seed: int = 1
 
 
@@ -116,7 +114,6 @@ def run_single(component: str, delay_ms: float, config: Fig5Config) -> List[floa
         idempotence=config.idempotence,
         transactional_id=config.transactional_id or None,
         isolation_level=config.isolation_level,
-        vectorized=config.vectorized,
     )
     # Pre-generated: every sweep point replays the identical seeded corpus,
     # so synthesis runs once for the whole figure.

@@ -81,9 +81,6 @@ class Fig6Config:
     transactional_id: str = ""
     #: ``read_committed`` delivers only committed transactions downstream.
     isolation_level: str = "read_uncommitted"
-    #: Catalog-wide engine-path knob.  Figure 6 is broker-only (no SPE), so
-    #: this is accepted for ``--set vectorized=false`` uniformity and ignored.
-    vectorized: bool = True
     #: Segmented log storage knobs, sweepable catalog-wide (``--set
     #: segment_records=256`` etc.).  All unset = today's flat in-memory log.
     segment_records: Optional[int] = None

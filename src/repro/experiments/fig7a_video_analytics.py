@@ -50,9 +50,6 @@ class Fig7aConfig:
     transactional_id: str = ""
     #: ``read_committed`` delivers only committed transactions downstream.
     isolation_level: str = "read_uncommitted"
-    #: Catalog-wide engine-path knob.  Figure 7a uses raw consumers (no SPE),
-    #: so this is accepted for ``--set vectorized=false`` uniformity and ignored.
-    vectorized: bool = True
     seed: int = 5
 
 

@@ -54,9 +54,6 @@ class Fig7bConfig:
     transactional_id: str = ""
     #: ``read_committed`` delivers only committed transactions downstream.
     isolation_level: str = "read_uncommitted"
-    #: Columnar SPE operator plane (bitwise-identical results; False forces
-    #: the per-record reference path — see docs/vectorized_engine.md).
-    vectorized: bool = True
     seed: int = 11
 
 
@@ -100,9 +97,6 @@ def run_single(n_users: int, config: Fig7bConfig) -> Dict[str, float]:
                 job_overhead=config.job_overhead,
                 per_record_cost=config.per_record_cost,
             ),
-            # True defers to the session engine path (columnar unless the
-            # test matrix forces records); False pins the record path.
-            vectorized=None if config.vectorized else False,
         ),
         cluster=cluster,
         name="spark-traffic-monitor",

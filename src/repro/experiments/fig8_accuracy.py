@@ -75,8 +75,6 @@ class Fig8Config:
     transactional_id: str = ""
     #: ``read_committed`` delivers only committed transactions downstream.
     isolation_level: str = "read_uncommitted"
-    #: Columnar SPE execution (``--set vectorized=false`` pins the record path).
-    vectorized: bool = True
     seed: int = 2
 
 
@@ -133,7 +131,6 @@ def run_single(
         idempotence=config.idempotence,
         transactional_id=config.transactional_id or None,
         isolation_level=config.isolation_level,
-        vectorized=config.vectorized,
     )
     # Pre-generated: the (component, delay, profile) sweep replays one corpus.
     documents = pregenerated(generate_documents, config.n_documents, seed=config.seed)

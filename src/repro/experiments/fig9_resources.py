@@ -53,9 +53,6 @@ class Fig9Config:
     transactional_id: str = ""
     #: ``read_committed`` delivers only committed transactions downstream.
     isolation_level: str = "read_uncommitted"
-    #: Catalog-wide engine-path knob.  Figure 9 is broker-only (no SPE), so
-    #: this is accepted for ``--set vectorized=false`` uniformity and ignored.
-    vectorized: bool = True
     seed: int = 4
 
 

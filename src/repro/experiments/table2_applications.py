@@ -55,8 +55,6 @@ class Table2Config:
     transactional_id: str = ""
     #: ``read_committed`` delivers only committed transactions downstream.
     isolation_level: str = "read_uncommitted"
-    #: Columnar SPE execution for every app (record path when ``false``).
-    vectorized: bool = True
     seed: int = 1
 
 
@@ -102,7 +100,6 @@ def _run_application(name: str, config: Table2Config) -> Dict[str, object]:
             idempotence=config.idempotence,
             transactional_id=config.transactional_id or None,
             isolation_level=config.isolation_level,
-            vectorized=config.vectorized,
         )
         return {"consumed": result.messages_consumed, "verified": result.messages_consumed > 0}
     if name == "ride_selection":
@@ -112,7 +109,6 @@ def _run_application(name: str, config: Table2Config) -> Dict[str, object]:
             idempotence=config.idempotence,
             transactional_id=config.transactional_id or None,
             isolation_level=config.isolation_level,
-            vectorized=config.vectorized,
         )
         return {
             "consumed": result.messages_consumed,
@@ -125,7 +121,6 @@ def _run_application(name: str, config: Table2Config) -> Dict[str, object]:
             idempotence=config.idempotence,
             transactional_id=config.transactional_id or None,
             isolation_level=config.isolation_level,
-            vectorized=config.vectorized,
         )
         return {
             "consumed": result.extras.get("scored_tweets", 0),
@@ -138,7 +133,6 @@ def _run_application(name: str, config: Table2Config) -> Dict[str, object]:
             idempotence=config.idempotence,
             transactional_id=config.transactional_id or None,
             isolation_level=config.isolation_level,
-            vectorized=config.vectorized,
         )
         return {
             "consumed": result.spe_metrics.get("h3", {}).get("input_records", 0),
@@ -151,7 +145,6 @@ def _run_application(name: str, config: Table2Config) -> Dict[str, object]:
             idempotence=config.idempotence,
             transactional_id=config.transactional_id or None,
             isolation_level=config.isolation_level,
-            vectorized=config.vectorized,
         )
         return {
             "consumed": result.messages_consumed,

@@ -50,8 +50,6 @@ class QuickstartConfig:
     #: ``--set isolation_level=read_committed`` makes the sink deliver only
     #: committed transactions (meaningful with ``transactional_id``).
     isolation_level: str = "read_uncommitted"
-    #: ``--set vectorized=false`` pins both SPE jobs to the per-record path.
-    vectorized: bool = True
     seed: int = 42
 
 
@@ -66,7 +64,6 @@ def run_quickstart(config: QuickstartConfig) -> Dict[str, Any]:
         idempotence=config.idempotence,
         transactional_id=config.transactional_id or None,
         isolation_level=config.isolation_level,
-        vectorized=config.vectorized,
     )
     documents = pregenerated(generate_documents, config.n_documents, seed=config.seed)
     emulation = Emulation(task, seed=config.seed, datasets={"documents": documents})
@@ -189,9 +186,6 @@ class GraphmlTaskConfig:
     #: Applied to every consumer of the listing (``consCfg`` may also declare
     #: ``isolationLevel`` inline).
     isolation_level: str = "read_uncommitted"
-    #: ``False`` pins every SPE job of the listing to the per-record path
-    #: (``streamProcCfg`` may also declare ``vectorized`` inline).
-    vectorized: bool = True
     seed: int = 7
 
 
@@ -215,11 +209,6 @@ def run_graphml_task(config: GraphmlTaskConfig) -> Dict[str, Any]:
             cons_cfg = node.attributes.get("consCfg")
             if isinstance(cons_cfg, dict):
                 cons_cfg["isolationLevel"] = config.isolation_level
-    if not config.vectorized:
-        for node in task.nodes.values():
-            spe_cfg = node.attributes.get("streamProcCfg")
-            if isinstance(spe_cfg, dict):
-                spe_cfg["vectorized"] = False
     problems = task.validate()
     documents = pregenerated(generate_documents, config.n_documents, seed=config.seed)
     emulation = Emulation(task, seed=config.seed, datasets={"documents": documents})
@@ -363,8 +352,6 @@ class FraudPipelineConfig:
     #: ``read_committed`` makes the alert sink deliver only committed
     #: transactions.
     isolation_level: str = "read_uncommitted"
-    #: ``--set vectorized=false`` pins the SVM scoring job to the record path.
-    vectorized: bool = True
     seed: int = 13
 
 
@@ -381,7 +368,6 @@ def run_fraud_pipeline(config: FraudPipelineConfig) -> Dict[str, Any]:
         idempotence=config.idempotence,
         transactional_id=config.transactional_id or None,
         isolation_level=config.isolation_level,
-        vectorized=config.vectorized,
     )
     alerts = result.extras["alerts"]
     true_positives = result.extras["true_positive_alerts"]

@@ -21,8 +21,8 @@ kernel must preserve:
   oldest chunk first for the window.
 
 The harness below builds the same chain through the public ``DStream`` API
-and requires every execution plane of the engine to emit exactly the
-model's rows, size state included, batch after batch.
+and requires the engine to emit exactly the model's rows, size state
+included, batch after batch.
 """
 
 from __future__ import annotations
@@ -212,17 +212,10 @@ def build(spec: Sequence[Stage], seen: List[Tuple]):
     return stream, right
 
 
-def planes(spec: Sequence[Stage]) -> Tuple[str, ...]:
-    """The execution planes a chain must agree with the model on.
-
-    ``records`` is ``DStream.execute`` over a ``StreamRecord`` list, ``columns``
-    is ``DStream.execute_columns`` over a ``ColumnBatch``.  A chain with a join
-    has no columnar execution on this commit (the context routes it to the
-    record path), so it is judged on ``records`` alone.
-    """
-    if any(stage[0] == "join" for stage in spec):
-        return ("records",)
-    return ("records", "columns")
+#: How a chain is driven: ``columns`` is ``DStream.execute_columns`` over a
+#: ``ColumnBatch`` (what the context calls), ``records`` is ``DStream.execute``,
+#: its adapter for callers holding ``StreamRecord`` row views.
+PLANES = ("columns", "records")
 
 
 def assert_matches_model(
@@ -231,7 +224,7 @@ def assert_matches_model(
     right_batches: Optional[Sequence[Sequence[Row]]] = None,
     nows: Optional[Sequence[float]] = None,
 ) -> List[List[Row]]:
-    """Run the batch stream through the model and through every plane."""
+    """Run the batch stream through the model and through the engine."""
     nows = nows or [1.0 + index for index in range(len(batches))]
     right_batches = right_batches or [[] for _ in batches]
     model = ModelChain(spec)
@@ -239,7 +232,7 @@ def assert_matches_model(
         model.run(list(rows), now, right_rows)
         for rows, right_rows, now in zip(batches, right_batches, nows)
     ]
-    for plane in planes(spec):
+    for plane in PLANES:
         seen: List[Tuple] = []
         stream, right = build(spec, seen)
         for index, (rows, right_rows, now) in enumerate(zip(batches, right_batches, nows)):

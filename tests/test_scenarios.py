@@ -463,56 +463,11 @@ def _echo(value: int) -> int:
     return value
 
 
-class TestVectorizedKnob:
-    """The columnar engine path is a catalog-wide scenario knob.
-
-    ``vectorized`` defaults to on everywhere; ``--set vectorized=false`` pins
-    every SPE job of a scenario to the per-record reference path.  Broker-only
-    studies (fig6, fig7a, fig9) accept the knob for catalog uniformity and
-    ignore it.  Results must be identical either way — the columnar plane is
-    an execution strategy, not a semantics change.
-    """
-
-    def test_every_scenario_config_accepts_vectorized(self):
-        for name in names():
-            scenario = get(name)
-            config = scenario.build_config(
+def test_set_vectorized_is_rejected_as_an_unknown_field():
+    """The SPE has one execution plane: no scenario config carries the old
+    ``vectorized`` knob, so ``--set vectorized=false`` is an unknown field."""
+    for name in names():
+        with pytest.raises(ValueError, match="no field 'vectorized'"):
+            get(name).build_config(
                 ScenarioParams(scale="quick", overrides={"vectorized": False})
             )
-            assert config.vectorized is False, name
-            default = scenario.build_config(ScenarioParams(scale="quick"))
-            assert default.vectorized is True, name
-
-    def test_set_vectorized_false_via_cli(self):
-        buffer = io.StringIO()
-        with redirect_stdout(buffer):
-            code = cli_main(
-                ["run", "quickstart", "--scale", "quick",
-                 "--set", "vectorized=false", "--check"]
-            )
-        assert code == 0
-        assert "scenario quickstart" in buffer.getvalue()
-
-    def test_fig7b_columnar_equals_record_at_quick_scale(self):
-        overrides = {"slots": 4, "user_counts": 20}
-        columnar = run(
-            "fig7b", params=ScenarioParams(scale="quick", overrides=dict(overrides))
-        )
-        record = run(
-            "fig7b",
-            params=ScenarioParams(
-                scale="quick", overrides={**overrides, "vectorized": False}
-            ),
-        )
-        # Bitwise: dataclass float equality on the full result payload.
-        assert columnar.result == record.result
-        assert columnar.metrics == record.metrics
-
-    def test_fraud_pipeline_columnar_equals_record_at_quick_scale(self):
-        columnar = run("fraud-pipeline", params=ScenarioParams(scale="quick"))
-        record = run(
-            "fraud-pipeline",
-            params=ScenarioParams(scale="quick", overrides={"vectorized": False}),
-        )
-        assert columnar.result == record.result
-        assert columnar.metrics == record.metrics

@@ -686,15 +686,76 @@ class TestScenarioPlumbing:
 
         sim.process(workload())
         sim.run(until=30.0)
-        records = source.drain()
+        batch = source.drain()
         # read_uncommitted (the SPE default): committed + aborted data records
         # flow, but never the two control markers.
         assert source.records_ingested == 6
-        assert len(records) == 6
-        assert all(isinstance(record.value, dict) for record in records)
+        assert len(batch) == 6
+        assert all(isinstance(value, dict) for value in batch.values)
         # One marker per touched partition: the commit spanned both
         # partitions of topicA, the abort touched one.
         assert cluster.total_control_batches() == 3
+
+    def test_explicit_consumer_config_keeps_spe_ingest_batch_native(self, monkeypatch):
+        """A ``KafkaSource`` handed an explicit ``ConsumerConfig`` — whose
+        ``keep_payloads`` defaults to True — still ingests whole wire batches:
+        no ``ConsumerRecord`` is built per message, for a plain and for a
+        sharded stream, and ``read_committed`` filtering still applies."""
+        import repro.broker.consumer as consumer_module
+        from repro.engine import StreamingConfig, StreamingContext
+
+        built = []
+        real = consumer_module.ConsumerRecord
+        monkeypatch.setattr(
+            consumer_module,
+            "ConsumerRecord",
+            lambda *args, **kwargs: built.append(kwargs) or real(*args, **kwargs),
+        )
+        sim, network, sites, cluster = build_cluster()
+        producer = cluster.create_producer(
+            sites[0], config=ProducerConfig(transactional_id="tx-spe")
+        )
+        context = StreamingContext(
+            network.host(sites[2]), config=StreamingConfig(batch_interval=0.5), cluster=cluster
+        )
+        read_committed = ConsumerConfig(isolation_level="read_committed")
+        assert read_committed.keep_payloads
+        plain = context.kafka_stream(["topicA"], consumer_config=read_committed).to_memory()
+        sharded = context.sharded_kafka_stream(
+            "topicA", [0, 1], consumer_config=read_committed
+        ).to_memory()
+
+        def workload():
+            yield sim.timeout(8.0)
+            producer.start()
+            context.start()
+            producer.begin_transaction()
+            for i in range(5):
+                producer.send(ProducerRecord(topic="topicA", key=i, value={"v": i}, size=90))
+            yield from producer.commit_transaction()
+            producer.begin_transaction()
+            producer.send(ProducerRecord(topic="topicA", key=9, value={"v": 9}, size=90))
+            yield from producer.abort_transaction()
+
+        sim.process(workload())
+        sim.run(until=30.0)
+        assert built == []
+        for sink in (plain, sharded):
+            assert sorted(record.key for record in sink.results) == [0, 1, 2, 3, 4]
+            assert all(record.size == 90 for record in sink.results)
+
+    def test_fig7b_read_committed_matches_the_locked_figure_output(self):
+        """``isolation_level=read_committed`` makes fig7b build an explicit
+        ``ConsumerConfig``; with no transactions in flight the figure is the
+        one ``tests/test_determinism_trace.py`` locks for the default."""
+        from repro.experiments.fig7b_traffic_monitoring import Fig7bConfig, run_fig7b
+
+        result = run_fig7b(
+            Fig7bConfig(user_counts=[20, 60], slots=10, isolation_level="read_committed")
+        )
+        assert result.input_records == {20: 200, 60: 600}
+        assert repr(result.mean_runtime_s[20]) == "0.1625230502499999"
+        assert repr(result.mean_runtime_s[60]) == "0.23757060875000002"
 
     def test_transactional_word_count_pipeline_end_to_end(self):
         """A full Figure 2 pipeline with a transactional document source and a

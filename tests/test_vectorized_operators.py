@@ -1,21 +1,16 @@
-"""Columnar kernel correctness: columnar ≡ record path, operator by operator.
+"""Columnar kernel edge shapes, against the engine's one path.
 
-The record-path ``apply`` is the semantic reference for every operator; a
-columnar kernel must emit exactly the rows ``apply`` would emit — same
-values, keys, provenance and size-carry behaviour (see
-``docs/vectorized_engine.md``).  These tests drive both paths over the same
-inputs (fresh operator instances each, since windows and state are
-per-instance) and compare materialized outputs field by field, plus:
+``tests/test_engine_model.py`` judges every kernel against a row-list
+reference over random chains; this file pins the shapes that are easy to get
+wrong by hand, with literal expectations:
 
-* edge shapes: empty batches, all-filtered batches, flat-map fan-out
-  (including empty expansions), keyed windows spanning batch boundaries;
-* a hypothesis property over random pipeline compositions;
-* kernel resolution: custom ``Operator`` subclasses that override ``apply``
-  without a matching kernel must fall back to the record path instead of
-  running stale inherited columnar semantics;
-* the satellite fix for flat-map size double-estimation: identity
-  expansions share the parent's observed size state, pinned by counting
-  ``estimate_size`` calls.
+* empty batches, all-filtered batches, flat-map fan-out (including empty
+  expansions), ``None`` keys, keyed windows spanning batch boundaries;
+* kernels never mutate their input: a filter that keeps everything returns
+  its input unchanged, and a window's retained chunks survive whatever a
+  downstream kernel does to an emitted batch;
+* lazy sizes: identity expansions share the parent's observed size state,
+  pinned by counting ``estimate_size`` calls.
 """
 
 from __future__ import annotations
@@ -23,309 +18,139 @@ from __future__ import annotations
 from typing import List
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.engine.columns import ColumnBatch
 from repro.engine.operators import (
     FilterOperator,
     FlatMapOperator,
-    ForEachOperator,
     GroupByKeyOperator,
-    JoinOperator,
     MapOperator,
     MapPairsOperator,
-    Operator,
     ReduceByKeyOperator,
-    RepartitionByKeyOperator,
     UpdateStateByKeyOperator,
     WindowOperator,
-    columnar_kernel,
 )
 from repro.engine.records import StreamRecord
 
 
-def make_records(values, keys=None, t0: float = 1.0) -> List[StreamRecord]:
-    keys = keys or [None] * len(values)
-    return [
-        StreamRecord(value, key=key, event_time=t0 + 0.1 * i, ingest_time=t0 + 0.2 * i)
-        for i, (value, key) in enumerate(zip(values, keys))
-    ]
+def make_columns(values, keys=None, t0: float = 1.0) -> ColumnBatch:
+    """Row ``i`` has event time ``t0 + i`` and ingest time ``t0 + i + 0.5``."""
+    count = len(values)
+    return ColumnBatch(
+        values=list(values),
+        keys=list(keys) if keys else [None] * count,
+        event_times=[t0 + i for i in range(count)],
+        ingest_times=[t0 + i + 0.5 for i in range(count)],
+        sizes=[None] * count,
+    )
 
 
-def assert_same_records(actual: List[StreamRecord], expected: List[StreamRecord]):
-    assert len(actual) == len(expected)
-    for got, want in zip(actual, expected):
-        assert got.value == want.value
-        assert got.key == want.key
-        assert got.event_time == want.event_time
-        assert got.ingest_time == want.ingest_time
-        # Observed size must agree (estimate_size is pure, so any deferred
-        # entry resolves to the same number on both paths).
-        assert got.size == want.size
+def rows(cols: ColumnBatch) -> List[tuple]:
+    """(value, key, event_time) per row — ingest time always travels with it."""
+    assert [t + 0.5 for t in cols.event_times] == cols.ingest_times
+    assert len(cols.sizes) == len(cols.values)
+    return list(zip(cols.values, cols.keys, cols.event_times))
 
 
-def run_both(make_op, batches: List[List[StreamRecord]], nows=None):
-    """Run the record path and the columnar path over the same batch stream."""
-    nows = nows or [1.0 + index for index in range(len(batches))]
-    record_op = make_op()
-    columnar_op = make_op()
-    kernel = columnar_kernel(columnar_op)
-    assert kernel is not None, f"{columnar_op.name} has no kernel"
-    record_outs, columnar_outs = [], []
-    for batch, now in zip(batches, nows):
-        record_outs.append(record_op.apply(list(batch), now))
-        cols = ColumnBatch.from_records(batch)
-        columnar_outs.append(kernel(cols, now).to_records())
-    for record_out, columnar_out in zip(record_outs, columnar_outs):
-        assert_same_records(columnar_out, record_out)
-    return record_outs, columnar_outs
-
-
-class TestKernelEquivalence:
-    def test_map(self):
-        run_both(lambda: MapOperator(lambda v: v * 2), [make_records([1, 2, 3])])
+class TestKernelEdgeShapes:
+    def test_map_keeps_keys_and_provenance(self):
+        out = MapOperator(lambda v: v * 2).apply(make_columns([1, 2, 3], keys="abc"), 1.0)
+        assert rows(out) == [(2, "a", 1.0), (4, "b", 2.0), (6, "c", 3.0)]
 
     def test_map_empty_batch(self):
-        run_both(lambda: MapOperator(lambda v: v * 2), [[]])
+        out = MapOperator(lambda v: v * 2).apply(ColumnBatch(), 1.0)
+        assert len(out) == 0 and rows(out) == []
 
     def test_filter_partial_and_all_filtered(self):
-        batches = [make_records(list(range(6))), make_records([1, 3, 5])]
-        run_both(lambda: FilterOperator(lambda v: v % 2 == 0), batches)
+        op = FilterOperator(lambda v: v % 2 == 0)
+        assert rows(op.apply(make_columns(range(6)), 1.0)) == [
+            (0, None, 1.0), (2, None, 3.0), (4, None, 5.0),
+        ]
+        assert rows(op.apply(make_columns([1, 3, 5]), 2.0)) == []
 
     def test_filter_keep_all_returns_input_unchanged(self):
-        op = FilterOperator(lambda v: True)
-        cols = ColumnBatch.from_records(make_records([1, 2]))
-        assert op.apply_columns(cols, 1.0) is cols
+        cols = make_columns([1, 2])
+        assert FilterOperator(lambda v: True).apply(cols, 1.0) is cols
 
     def test_flat_map_fan_out_and_empty_expansion(self):
         def expand(value):
             return [] if value % 3 == 0 else [value] * value
 
-        run_both(lambda: FlatMapOperator(expand), [make_records([0, 1, 2, 3, 4])])
-
-    def test_map_pairs_including_none_key(self):
-        def to_pair(value):
-            # None key: with_value keeps the record's previous key.
-            return (None if value == 2 else f"k{value % 2}", value * 10)
-
-        run_both(
-            lambda: MapPairsOperator(to_pair),
-            [make_records([1, 2, 3, 4], keys=["a", "b", "c", "d"])],
+        out = FlatMapOperator(expand).apply(make_columns([0, 1, 2, 3, 4], keys="abcde"), 1.0)
+        assert rows(out) == (
+            [(1, "b", 2.0)] + [(2, "c", 3.0)] * 2 + [(4, "e", 5.0)] * 4
         )
 
-    def test_reduce_by_key(self):
-        batches = [make_records([1, 2, 3, 4, 5], keys=["x", "y", "x", "y", "x"])]
-        run_both(lambda: ReduceByKeyOperator(lambda a, b: a + b), batches)
+    def test_map_pairs_none_key_keeps_the_old_key(self):
+        def to_pair(value):
+            return (None if value == 2 else f"k{value % 2}", value * 10)
 
-    def test_group_by_key(self):
-        batches = [make_records([1, 2, 3, 4], keys=["x", "y", "x", None])]
-        run_both(lambda: GroupByKeyOperator(), batches)
+        out = MapPairsOperator(to_pair).apply(make_columns([1, 2, 3, 4], keys="abcd"), 1.0)
+        assert rows(out) == [
+            (10, "k1", 1.0), (20, "b", 2.0), (30, "k1", 3.0), (40, "k0", 4.0),
+        ]
+
+    def test_reduce_by_key_takes_provenance_from_each_keys_first_row(self):
+        cols = make_columns([1, 2, 3, 4, 5], keys=["x", "y", "x", "y", "x"])
+        out = ReduceByKeyOperator(lambda a, b: a + b).apply(cols, 1.0)
+        assert rows(out) == [(9, "x", 1.0), (6, "y", 2.0)]
+
+    def test_group_by_key_including_none_key(self):
+        cols = make_columns([1, 2, 3, 4], keys=["x", "y", "x", None])
+        out = GroupByKeyOperator().apply(cols, 1.0)
+        assert rows(out) == [([1, 3], "x", 1.0), ([2], "y", 2.0), ([4], None, 4.0)]
 
     def test_update_state_by_key_across_batches(self):
-        def update(new_values, previous):
-            return (previous or 0) + sum(new_values)
-
-        batches = [
-            make_records([1, 2, 3], keys=["a", "b", "a"]),
-            make_records([10, 20], keys=["b", "a"]),
-            [],
-        ]
-        run_both(lambda: UpdateStateByKeyOperator(update), batches)
+        op = UpdateStateByKeyOperator(lambda new, previous: (previous or 0) + sum(new))
+        first = op.apply(make_columns([1, 2, 3], keys=["a", "b", "a"]), 1.0)
+        second = op.apply(make_columns([10, 20], keys=["b", "a"], t0=5.0), 2.0)
+        third = op.apply(ColumnBatch(), 3.0)
+        assert rows(first) == [(4, "a", 1.0), (2, "b", 2.0)]
+        assert rows(second) == [(12, "b", 5.0), (24, "a", 6.0)]
+        assert rows(third) == [] and op.state == {"a": 24, "b": 12}
 
     def test_window_spanning_batch_boundaries(self):
+        """Window of 2.5 s over batches at now=1,2,3,4: early chunks evict."""
+        window = WindowOperator(2.5)
         batches = [
-            make_records([1, 2], keys=["a", "b"]),
-            make_records([3], keys=["a"]),
-            [],
-            make_records([4, 5], keys=["b", "a"]),
+            make_columns([1, 2], keys=["a", "b"]),
+            make_columns([3], keys=["a"], t0=10.0),
+            ColumnBatch(),
+            make_columns([4, 5], keys=["b", "a"], t0=20.0),
         ]
-        # Window of 2.5s over batches at now=1,2,3,4: early chunks evict.
-        run_both(lambda: WindowOperator(2.5), batches, nows=[1.0, 2.0, 3.0, 4.0])
+        emitted = [window.apply(cols, now).values for cols, now in zip(batches, [1, 2, 3, 4])]
+        assert emitted == [[1, 2], [1, 2, 3], [1, 2, 3], [3, 4, 5]]
 
     def test_window_with_slide_emits_empty_between_slides(self):
-        batches = [make_records([i]) for i in range(5)]
-        run_both(lambda: WindowOperator(10.0, slide=2.0), batches, nows=[1, 2, 3, 4, 5])
+        window = WindowOperator(10.0, slide=2.0)
+        emitted = [window.apply(make_columns([i]), float(i + 1)).values for i in range(5)]
+        assert emitted == [[0], [], [0, 1, 2], [], [0, 1, 2, 3, 4]]
 
     def test_keyed_window_then_reduce_spans_boundaries(self):
-        """Window + reduce composed over batches: the windowed rows re-reduce
-        correctly even when the emitted window mixes chunks from several
-        micro-batches."""
-        window_record = WindowOperator(5.0)
-        reduce_record = ReduceByKeyOperator(lambda a, b: a + b)
-        window_cols = WindowOperator(5.0)
-        reduce_cols = ReduceByKeyOperator(lambda a, b: a + b)
-        batches = [
-            make_records([1, 2], keys=["a", "b"]),
-            make_records([4, 8], keys=["a", "a"]),
-        ]
-        for now, batch in zip([1.0, 2.0], batches):
-            expected = reduce_record.apply(window_record.apply(list(batch), now), now)
-            cols = ColumnBatch.from_records(batch)
-            got = reduce_cols.apply_columns(
-                window_cols.apply_columns(cols, now), now
-            ).to_records()
-            assert_same_records(got, expected)
+        """The windowed rows re-reduce correctly even when the emitted window
+        mixes chunks from several micro-batches."""
+        window = WindowOperator(5.0)
+        reduce_op = ReduceByKeyOperator(lambda a, b: a + b)
+        first = reduce_op.apply(window.apply(make_columns([1, 2], keys=["a", "b"]), 1.0), 1.0)
+        second = reduce_op.apply(
+            window.apply(make_columns([4, 8], keys=["a", "a"], t0=7.0), 2.0), 2.0
+        )
+        assert rows(first) == [(1, "a", 1.0), (2, "b", 2.0)]
+        assert rows(second) == [(13, "a", 1.0), (2, "b", 2.0)]
 
     def test_window_buffer_safe_from_downstream_mutation(self):
         """Window emissions are non-destructive concatenations: a downstream
         kernel filtering the emitted batch must not corrupt the buffered
         window chunks."""
         window = WindowOperator(10.0)
-        drop_all = FilterOperator(lambda v: False)
-        first = window.apply_columns(
-            ColumnBatch.from_records(make_records([1, 2])), 1.0
-        )
-        drop_all.apply_columns(first, 1.0)
-        second = window.apply_columns(
-            ColumnBatch.from_records(make_records([3])), 2.0
-        )
+        first = window.apply(make_columns([1, 2]), 1.0)
+        FilterOperator(lambda v: False).apply(first, 1.0)
+        second = window.apply(make_columns([3]), 2.0)
         assert second.values == [1, 2, 3]
+        assert first.values == [1, 2]
 
 
-class TestKernelResolution:
-    def test_base_operator_has_no_kernel(self):
-        assert columnar_kernel(Operator()) is None
-
-    def test_builtin_operators_resolve_kernels(self):
-        for op in [
-            MapOperator(lambda v: v),
-            FlatMapOperator(lambda v: [v]),
-            FilterOperator(lambda v: True),
-            MapPairsOperator(lambda v: (v, v)),
-            ReduceByKeyOperator(lambda a, b: a),
-            GroupByKeyOperator(),
-            WindowOperator(1.0),
-            UpdateStateByKeyOperator(lambda vs, s: vs),
-        ]:
-            assert columnar_kernel(op) is not None, op.name
-
-    def test_record_only_operators_fall_back(self):
-        for op in [
-            RepartitionByKeyOperator(),
-            JoinOperator(),
-            ForEachOperator(lambda r: None),
-        ]:
-            assert columnar_kernel(op) is None, op.name
-
-    def test_subclass_overriding_apply_falls_back(self):
-        """A user subclass that changes record-path semantics must not run
-        the stale inherited kernel."""
-
-        class Doubler(MapOperator):
-            def apply(self, batch, now):
-                return [r.with_value(self.fn(r.value) * 2) for r in batch]
-
-        assert columnar_kernel(Doubler(lambda v: v)) is None
-
-    def test_subclass_overriding_both_keeps_its_kernel(self):
-        class Tagged(MapOperator):
-            def apply(self, batch, now):
-                return super().apply(batch, now)
-
-            def apply_columns(self, cols, now):
-                return super().apply_columns(cols, now)
-
-        op = Tagged(lambda v: v + 1)
-        kernel = columnar_kernel(op)
-        assert kernel is not None
-        out = kernel(ColumnBatch.from_records(make_records([1])), 1.0)
-        assert out.values == [2]
-
-    def test_plain_inheriting_subclass_keeps_kernel(self):
-        class Renamed(MapOperator):
-            name = "renamed"
-
-        assert columnar_kernel(Renamed(lambda v: v)) is not None
-
-    def test_chain_falls_back_at_custom_operator(self):
-        """DStream.execute_columns materializes at the first kernel-less
-        operator and matches full record-path execution."""
-        from repro.engine.dstream import DStream
-        from repro.engine.sources import MemorySource
-
-        class AddTen(Operator):
-            name = "add_ten"
-
-            def apply(self, batch, now):
-                return [r.with_value(r.value + 10) for r in batch]
-
-        stream = (
-            DStream(None, MemorySource())
-            .map(lambda v: v * 2)
-            ._derive(AddTen())
-            .filter(lambda v: v > 10)
-        )
-        assert len(stream._columnar_plan()) == 1  # map only
-        records = make_records([1, 5, 9])
-        expected = stream.execute(list(records), now=1.0)
-        got = stream.execute_columns(ColumnBatch.from_records(records), now=1.0)
-        assert not isinstance(got, ColumnBatch)  # fell back to records
-        assert_same_records(got, expected)
-
-
-# -- hypothesis: random pipeline compositions --------------------------------------
-
-_STAGES = {
-    "map": lambda: MapOperator(lambda v: v + 1),
-    "flat_map": lambda: FlatMapOperator(lambda v: [v] * (abs(v) % 3)),
-    "flat_map_identity": lambda: FlatMapOperator(lambda v: [v, v]),
-    "filter": lambda: FilterOperator(lambda v: v % 2 == 0),
-    "map_pairs": lambda: MapPairsOperator(lambda v: (v % 3, v)),
-    "reduce_by_key": lambda: ReduceByKeyOperator(lambda a, b: a + b),
-    "group_by_key_map": lambda: GroupByKeyOperator(),
-    "window": lambda: WindowOperator(2.5),
-    "update_state": lambda: UpdateStateByKeyOperator(
-        lambda vs, s: (s or 0) + len(vs)
-    ),
-}
-
-
-@given(
-    stage_names=st.lists(st.sampled_from(sorted(_STAGES)), min_size=1, max_size=4),
-    batches=st.lists(
-        st.lists(st.integers(min_value=-20, max_value=20), max_size=8),
-        min_size=1,
-        max_size=4,
-    ),
-)
-@settings(max_examples=60, deadline=None)
-def test_random_pipelines_columnar_equals_record(stage_names, batches):
-    """Any composition of kernel-capable operators is path-equivalent.
-
-    group_by_key / update_state can emit list-valued records that a later
-    arithmetic map can't consume, so such stages are mapped back to ints
-    first; this keeps compositions arbitrary without type errors.
-    """
-
-    def build_ops():
-        ops = []
-        for name in stage_names:
-            ops.append(_STAGES[name]())
-            if name in ("group_by_key_map",):
-                ops.append(MapOperator(lambda vs: sum(vs)))
-            elif name == "update_state":
-                ops.append(MapOperator(lambda v: int(v)))
-        return ops
-
-    record_ops = build_ops()
-    columnar_ops = build_ops()
-    kernels = [columnar_kernel(op) for op in columnar_ops]
-    assert all(kernels)
-    for index, values in enumerate(batches):
-        now = 1.0 + index
-        keys = [f"k{v % 2}" for v in values]
-        batch = make_records(values, keys=keys, t0=now)
-        expected = list(batch)
-        for op in record_ops:
-            expected = op.apply(expected, now)
-        cols = ColumnBatch.from_records(batch)
-        for kernel in kernels:
-            cols = kernel(cols, now)
-        assert_same_records(cols.to_records(), expected)
-
-
-# -- satellite: flat_map size double-estimation fix --------------------------------
+# -- lazy sizes: estimate_size runs at most once per observed entry ------------------
 
 
 @pytest.fixture
@@ -348,42 +173,35 @@ def count_estimates(monkeypatch):
 
 
 class TestFlatMapSizeSharing:
-    def test_identity_expansion_shares_observed_size_record_path(self, count_estimates):
-        """An ingested record (observed wire size) flat-mapped into identity
+    def test_identity_expansion_shares_observed_size(self, count_estimates):
+        """An ingested row (observed wire size) flat-mapped into identity
         re-emissions: observing every output's size runs estimate_size 0
-        times — the clones share the parent's observed state."""
-        record = StreamRecord("payload", size=64)
-        op = FlatMapOperator(lambda v: [v, v, v])
-        out = op.apply([record], now=1.0)
-        assert [r.size for r in out] == [64, 64, 64]
+        times — the expansions share the parent's observed state."""
+        cols = ColumnBatch(["payload"], [None], [1.0], [1.0], [64])
+        out = FlatMapOperator(lambda v: [v, v, v]).apply(cols, now=1.0)
+        assert out.sizes == [64, 64, 64]
+        assert out.total_bytes() == 192
+        assert [record.size for record in out.to_records()] == [64, 64, 64]
         assert count_estimates["n"] == 0
 
-    def test_unobserved_identity_expansion_estimates_once_per_parent(
-        self, count_estimates
-    ):
-        """A record with no size yet: observing the parent first, then the
-        expansions, estimates exactly once total (previously: once per
-        expansion — the double-estimation bug)."""
-        record = StreamRecord("payload")
-        assert record.size > 0
-        assert count_estimates["n"] == 1
-        out = FlatMapOperator(lambda v: [v, v]).apply([record], now=1.0)
-        assert [r.size for r in out] == [record.size, record.size]
+    def test_unobserved_identity_expansion_estimates_once_per_parent(self, count_estimates):
+        """A row with no size yet: observing the parent first, then the
+        expansions, estimates exactly once in total (not once per expansion)."""
+        cols = ColumnBatch.from_records([StreamRecord("payload")])
+        parent_size = cols.total_bytes()
+        assert parent_size > 0 and count_estimates["n"] == 1
+        out = FlatMapOperator(lambda v: [v, v]).apply(cols, now=1.0)
+        assert out.sizes == [parent_size, parent_size]
+        assert out.total_bytes() == 2 * parent_size
         assert count_estimates["n"] == 1
 
     def test_rewriting_expansion_estimates_once_per_output(self, count_estimates):
-        record = StreamRecord("ab", size=32)
-        out = FlatMapOperator(lambda v: [v + "x", v + "y"]).apply([record], now=1.0)
-        sizes = [r.size for r in out]
+        cols = ColumnBatch(["ab"], [None], [1.0], [1.0], [32])
+        out = FlatMapOperator(lambda v: [v + "x", v + "y"]).apply(cols, now=1.0)
+        assert out.sizes == [None, None]
+        sizes = [out.size_at(index) for index in range(len(out))]
         assert count_estimates["n"] == 2
-        assert all(s > 0 for s in sizes)
+        assert all(size > 0 for size in sizes)
         # Re-reading is cached: no further estimates.
-        _ = [r.size for r in out]
+        assert [out.size_at(index) for index in range(len(out))] == sizes
         assert count_estimates["n"] == 2
-
-    def test_columnar_kernel_matches_sharing_semantics(self, count_estimates):
-        cols = ColumnBatch(["payload"], [None], [1.0], [1.0], [64])
-        out = FlatMapOperator(lambda v: [v, v, v]).apply_columns(cols, now=1.0)
-        assert out.sizes == [64, 64, 64]
-        assert out.total_bytes() == 192
-        assert count_estimates["n"] == 0
