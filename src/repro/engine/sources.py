@@ -102,7 +102,6 @@ class KafkaSource(Source):
         self.consumer.subscribe(topics)
         if partitions is not None:
             self.consumer.assign(topics[0], list(partitions))
-        self.host = host
 
     def _on_wire_batch(
         self,
