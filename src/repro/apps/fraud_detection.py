@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.core.configs import TopicSpec
+from repro.core.configs import PlatformOverrides, TopicSpec
 from repro.core.emulation import Emulation, EmulationResult
 from repro.core.registry import register_app
 from repro.core.task import TaskDescription
@@ -71,14 +71,10 @@ def create_task(
     transactions_per_second: float = 40.0,
     link_latency_ms: float = 5.0,
     batch_interval: float = 0.5,
-    partitions: int = 1,
-    idempotence: bool = False,
-    transactional_id: Optional[str] = None,
-    isolation_level: str = "read_uncommitted",
 ) -> TaskDescription:
     """Build the fraud-detection task description (5 components).
 
-    Transactions are keyed by ``account_id``, so with ``partitions > 1`` one
+    Transactions are keyed by ``account_id``, so on sharded topics one
     account's history stays ordered on a single partition.
     """
     task = TaskDescription(name="fraud-detection")
@@ -86,8 +82,6 @@ def create_task(
         "h1",
         prodType="SFST",
         prodCfg={
-            "idempotence": idempotence,
-            "transactionalId": transactional_id,
             "topicName": TRANSACTIONS_TOPIC,
             "filePath": "transactions",
             "totalMessages": n_transactions,
@@ -109,7 +103,7 @@ def create_task(
     task.add_node(
         "h4",
         consType="STANDARD",
-        consCfg={"topics": [ALERTS_TOPIC], "isolationLevel": isolation_level},
+        consCfg={"topics": [ALERTS_TOPIC]},
     )
     task.add_node("h5", storeType="MYSQL", storeCfg={"tables": ["alerts"]})
     task.add_switch("s1")
@@ -117,8 +111,8 @@ def create_task(
         task.add_link(host, "s1", lat=link_latency_ms, bw=100.0)
     task.set_topics(
         [
-            TopicSpec(name=TRANSACTIONS_TOPIC, partitions=partitions, primary_broker="h2"),
-            TopicSpec(name=ALERTS_TOPIC, partitions=partitions, primary_broker="h2"),
+            TopicSpec(name=TRANSACTIONS_TOPIC, primary_broker="h2"),
+            TopicSpec(name=ALERTS_TOPIC, primary_broker="h2"),
         ]
     )
     return task
@@ -129,12 +123,15 @@ def run(
     duration: float = 60.0,
     seed: int = 0,
     fraud_rate: float = 0.05,
+    platform: Optional[PlatformOverrides] = None,
     **task_kwargs,
 ) -> EmulationResult:
     """Build and run the fraud-detection pipeline end to end."""
     task = create_task(n_transactions=n_transactions, **task_kwargs)
     transactions = generate_transactions(n_transactions, fraud_rate=fraud_rate, seed=seed)
-    emulation = Emulation(task, seed=seed, datasets={"transactions": transactions})
+    emulation = Emulation(
+        task, seed=seed, datasets={"transactions": transactions}, platform=platform
+    )
     result = emulation.run(duration=duration)
     sink = emulation.consumers.get("h4")
     if sink is not None:

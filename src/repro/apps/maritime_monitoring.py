@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.core.configs import TopicSpec
+from repro.core.configs import PlatformOverrides, TopicSpec
 from repro.core.emulation import Emulation, EmulationResult
 from repro.core.registry import register_app
 from repro.core.task import TaskDescription
@@ -59,10 +59,6 @@ def create_task(
     batch_interval: float = 0.5,
     window_seconds: float = 20.0,
     watched_ports: Optional[List[str]] = None,
-    partitions: int = 1,
-    idempotence: bool = False,
-    transactional_id: Optional[str] = None,
-    isolation_level: str = "read_uncommitted",
 ) -> TaskDescription:
     """Build the maritime-monitoring task description (4 components)."""
     watched = watched_ports or ["halifax", "boston"]
@@ -71,8 +67,6 @@ def create_task(
         "h1",
         prodType="SFST",
         prodCfg={
-            "idempotence": idempotence,
-            "transactionalId": transactional_id,
             "topicName": AIS_TOPIC,
             "filePath": "ais",
             "totalMessages": n_messages,
@@ -96,7 +90,7 @@ def create_task(
     task.add_switch("s1")
     for host in ("h1", "h2", "h3", "h4"):
         task.add_link(host, "s1", lat=link_latency_ms, bw=100.0)
-    task.set_topics([TopicSpec(name=AIS_TOPIC, partitions=partitions, primary_broker="h2")])
+    task.set_topics([TopicSpec(name=AIS_TOPIC, primary_broker="h2")])
     return task
 
 
@@ -104,12 +98,13 @@ def run(
     n_messages: int = 400,
     duration: float = 60.0,
     seed: int = 0,
+    platform: Optional[PlatformOverrides] = None,
     **task_kwargs,
 ) -> EmulationResult:
     """Build and run the maritime-monitoring pipeline end to end."""
     task = create_task(n_messages=n_messages, **task_kwargs)
     reports = generate_ais_messages(n_messages, seed=seed)
-    emulation = Emulation(task, seed=seed, datasets={"ais": reports})
+    emulation = Emulation(task, seed=seed, datasets={"ais": reports}, platform=platform)
     result = emulation.run(duration=duration)
     store = emulation.stores.get("h4")
     if store is not None:

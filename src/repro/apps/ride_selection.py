@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.configs import TopicSpec
+from repro.core.configs import PlatformOverrides, TopicSpec
 from repro.core.emulation import Emulation, EmulationResult
 from repro.core.registry import register_app
 from repro.core.task import TaskDescription
@@ -73,10 +73,6 @@ def create_task(
     link_latency_ms: float = 5.0,
     batch_interval: float = 0.5,
     window_seconds: float = 30.0,
-    partitions: int = 1,
-    idempotence: bool = False,
-    transactional_id: Optional[str] = None,
-    isolation_level: str = "read_uncommitted",
 ) -> TaskDescription:
     """Build the ride-selection task description (5 components)."""
     task = TaskDescription(name="ride-selection")
@@ -84,8 +80,6 @@ def create_task(
         "h1",
         prodType="SFST",
         prodCfg={
-            "idempotence": idempotence,
-            "transactionalId": transactional_id,
             "topicName": RIDES_TOPIC,
             "filePath": "ride-info",
             "totalMessages": n_rides,
@@ -96,8 +90,6 @@ def create_task(
         "h2",
         prodType="SFST",
         prodCfg={
-            "idempotence": idempotence,
-            "transactionalId": transactional_id,
             "topicName": TIPS_TOPIC,
             "filePath": "ride-tips",
             "totalMessages": n_rides,
@@ -118,19 +110,15 @@ def create_task(
             "windowSeconds": window_seconds,
         },
     )
-    task.add_node(
-        "h5",
-        consType="STANDARD",
-        consCfg={"topics": [RANKING_TOPIC], "isolationLevel": isolation_level},
-    )
+    task.add_node("h5", consType="STANDARD", consCfg={"topics": [RANKING_TOPIC]})
     task.add_switch("s1")
     for host in ("h1", "h2", "h3", "h4", "h5"):
         task.add_link(host, "s1", lat=link_latency_ms, bw=100.0)
     task.set_topics(
         [
-            TopicSpec(name=RIDES_TOPIC, partitions=partitions, primary_broker="h3"),
-            TopicSpec(name=TIPS_TOPIC, partitions=partitions, primary_broker="h3"),
-            TopicSpec(name=RANKING_TOPIC, partitions=partitions, primary_broker="h3"),
+            TopicSpec(name=RIDES_TOPIC, primary_broker="h3"),
+            TopicSpec(name=TIPS_TOPIC, primary_broker="h3"),
+            TopicSpec(name=RANKING_TOPIC, primary_broker="h3"),
         ]
     )
     return task
@@ -140,6 +128,7 @@ def run(
     n_rides: int = 200,
     duration: float = 60.0,
     seed: int = 0,
+    platform: Optional[PlatformOverrides] = None,
     **task_kwargs,
 ) -> EmulationResult:
     """Build and run the ride-selection pipeline end to end."""
@@ -147,7 +136,7 @@ def run(
     rides = generate_rides(n_rides, seed=seed)
     info, tips = split_rides(rides)
     emulation = Emulation(
-        task, seed=seed, datasets={"ride-info": info, "ride-tips": tips}
+        task, seed=seed, datasets={"ride-info": info, "ride-tips": tips}, platform=platform
     )
     result = emulation.run(duration=duration)
     sink = emulation.consumers.get("h5")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.core.configs import TopicSpec
+from repro.core.configs import PlatformOverrides, TopicSpec
 from repro.core.emulation import Emulation, EmulationResult
 from repro.core.registry import register_app
 from repro.core.task import TaskDescription
@@ -55,10 +55,6 @@ def create_task(
     tweets_per_second: float = 50.0,
     link_latency_ms: float = 5.0,
     batch_interval: float = 0.5,
-    partitions: int = 1,
-    idempotence: bool = False,
-    transactional_id: Optional[str] = None,
-    isolation_level: str = "read_uncommitted",
 ) -> TaskDescription:
     """Build the sentiment-analysis task description (3 components)."""
     task = TaskDescription(name="sentiment-analysis")
@@ -66,8 +62,6 @@ def create_task(
         "h1",
         prodType="SFST",
         prodCfg={
-            "idempotence": idempotence,
-            "transactionalId": transactional_id,
             "topicName": TWEETS_TOPIC,
             "filePath": "tweets",
             "totalMessages": n_tweets,
@@ -87,7 +81,7 @@ def create_task(
     task.add_switch("s1")
     for host in ("h1", "h2", "h3"):
         task.add_link(host, "s1", lat=link_latency_ms, bw=100.0)
-    task.set_topics([TopicSpec(name=TWEETS_TOPIC, partitions=partitions, primary_broker="h2")])
+    task.set_topics([TopicSpec(name=TWEETS_TOPIC, primary_broker="h2")])
     return task
 
 
@@ -95,12 +89,13 @@ def run(
     n_tweets: int = 300,
     duration: float = 45.0,
     seed: int = 0,
+    platform: Optional[PlatformOverrides] = None,
     **task_kwargs,
 ) -> EmulationResult:
     """Build and run the sentiment-analysis pipeline end to end."""
     task = create_task(n_tweets=n_tweets, **task_kwargs)
     tweets = generate_tweets(n_tweets, seed=seed)
-    emulation = Emulation(task, seed=seed, datasets={"tweets": tweets})
+    emulation = Emulation(task, seed=seed, datasets={"tweets": tweets}, platform=platform)
     result = emulation.run(duration=duration)
     sink = sink_for("spe-h3")
     if sink is not None:

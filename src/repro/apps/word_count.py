@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.core.configs import TopicSpec
+from repro.core.configs import PlatformOverrides, TopicSpec
 from repro.core.emulation import Emulation, EmulationResult
 from repro.core.registry import register_app
 from repro.core.task import TaskDescription
@@ -95,18 +95,14 @@ def create_task(
     per_component_latency: Optional[Dict[str, float]] = None,
     files_per_second: float = 10.0,
     batch_interval: float = 0.5,
-    partitions: int = 1,
-    idempotence: bool = False,
-    transactional_id: Optional[str] = None,
-    isolation_level: str = "read_uncommitted",
 ) -> TaskDescription:
     """Build the Figure 2 word-count task description.
 
     ``per_component_latency`` overrides the access-link delay of individual
     components (keys: source, broker, spe_job1, spe_job2, sink) — the knob the
-    Figure 5 / Figure 8 experiments sweep.  ``partitions`` shards every topic;
-    documents are keyed by file name, so a document's records stay ordered on
-    one partition.
+    Figure 5 / Figure 8 experiments sweep.  Documents are keyed by file name,
+    so on sharded topics (``PlatformOverrides.partitions``) a document's
+    records stay ordered on one partition.
     """
     overrides = per_component_latency or {}
     task = TaskDescription(name="word-count")
@@ -114,8 +110,6 @@ def create_task(
         HOSTS["source"],
         prodType="DIRECTORY",
         prodCfg={
-            "idempotence": idempotence,
-            "transactionalId": transactional_id,
             "topicName": RAW_TOPIC,
             "filePath": "documents",
             "totalMessages": n_documents,
@@ -146,10 +140,7 @@ def create_task(
     task.add_node(
         HOSTS["sink"],
         consType="STANDARD",
-        consCfg={
-            "topics": [WORDS_TOPIC, AVERAGE_TOPIC],
-            "isolationLevel": isolation_level,
-        },
+        consCfg={"topics": [WORDS_TOPIC, AVERAGE_TOPIC]},
     )
     task.add_switch("s1")
     for role, host in HOSTS.items():
@@ -161,9 +152,9 @@ def create_task(
         )
     task.set_topics(
         [
-            TopicSpec(name=RAW_TOPIC, partitions=partitions, primary_broker=HOSTS["broker"]),
-            TopicSpec(name=WORDS_TOPIC, partitions=partitions, primary_broker=HOSTS["broker"]),
-            TopicSpec(name=AVERAGE_TOPIC, partitions=partitions, primary_broker=HOSTS["broker"]),
+            TopicSpec(name=RAW_TOPIC, primary_broker=HOSTS["broker"]),
+            TopicSpec(name=WORDS_TOPIC, primary_broker=HOSTS["broker"]),
+            TopicSpec(name=AVERAGE_TOPIC, primary_broker=HOSTS["broker"]),
         ]
     )
     return task
@@ -174,6 +165,7 @@ def run(
     duration: float = 60.0,
     seed: int = 0,
     per_component_latency: Optional[Dict[str, float]] = None,
+    platform: Optional[PlatformOverrides] = None,
     **task_kwargs,
 ) -> EmulationResult:
     """Build and run the word-count pipeline end to end."""
@@ -183,5 +175,5 @@ def run(
         **task_kwargs,
     )
     documents = generate_documents(n_documents, seed=seed)
-    emulation = Emulation(task, seed=seed, datasets={"documents": documents})
+    emulation = Emulation(task, seed=seed, datasets={"documents": documents}, platform=platform)
     return emulation.run(duration=duration)

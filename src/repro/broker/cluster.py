@@ -174,12 +174,6 @@ class BrokerCluster:
         for config in self.topics.values():
             self.coordinator.create_topic(config)
 
-    def start_clients(self) -> None:
-        for producer in self.producers:
-            producer.start()
-        for consumer in self.consumers:
-            consumer.start()
-
     # -- introspection --------------------------------------------------------------------
     def broker_on(self, host_name: str) -> Optional[Broker]:
         for broker in self.brokers.values():

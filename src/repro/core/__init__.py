@@ -40,7 +40,7 @@ from repro.core.configs import (
 from repro.core.emulation import Emulation, EmulationResult
 from repro.core.graphml import parse_graphml, parse_graphml_string
 from repro.core.task import LinkDescription, NodeDescription, TaskDescription
-from repro.core.monitoring import EventLog, LatencyTracker
+from repro.core.monitoring import EventLog
 from repro.core.resources import HostResourceModel, ResourceReport
 from repro.core.visualization import (
     DeliveryMatrix,
@@ -74,7 +74,6 @@ __all__ = [
     "StoreNodeConfig",
     "load_yaml_file",
     "EventLog",
-    "LatencyTracker",
     "HostResourceModel",
     "ResourceReport",
     "DeliveryMatrix",

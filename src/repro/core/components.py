@@ -20,6 +20,7 @@ from repro.core.configs import (
     BrokerNodeConfig,
     ConsumerStubConfig,
     FaultSpec,
+    PlatformOverrides,
     ProducerStubConfig,
     SPEAppConfig,
     StoreNodeConfig,
@@ -62,14 +63,8 @@ class Deployment:
     spes: Dict[str, StreamingContext] = field(default_factory=dict)
     stores: Dict[str, StoreServer] = field(default_factory=dict)
 
-    def all_consumer_clients(self) -> List[Any]:
-        return [stub.consumer for stub in self.consumers.values()]
 
-    def all_producer_clients(self) -> List[Any]:
-        return [stub.producer for stub in self.producers.values()]
-
-
-def build_network(task: TaskDescription, sim: Simulator) -> Network:
+def build_network(task: TaskDescription, sim: Simulator, monitor_interval: float) -> Network:
     """Create hosts, switches and links from the task description."""
     builder = TopologyBuilder()
     for node in task.nodes.values():
@@ -90,7 +85,7 @@ def build_network(task: TaskDescription, sim: Simulator) -> Network:
             port_a=link.source_port,
             port_b=link.destination_port,
         )
-    network = builder.build(sim)
+    network = builder.build(sim, monitor_interval=monitor_interval)
     network.start(monitor=False)
     return network
 
@@ -98,7 +93,8 @@ def build_network(task: TaskDescription, sim: Simulator) -> Network:
 def build_cluster(
     task: TaskDescription,
     network: Network,
-    cluster_config: Optional[ClusterConfig] = None,
+    cluster_config: Optional[ClusterConfig],
+    platform: PlatformOverrides,
 ) -> Optional[BrokerCluster]:
     """Stand up the event streaming platform declared by the task description."""
     broker_nodes = task.nodes_with(NodeAttribute.BROKER_CFG.value)
@@ -115,19 +111,18 @@ def build_cluster(
         broker_nodes[0].node_id,
     )
     cluster = BrokerCluster(network, coordinator_host=coordinator_host, config=cluster_config)
-    for node in broker_nodes:
-        name = configs[node.node_id].name or f"broker-{node.node_id}"
-        cluster.add_broker(node.node_id, name=name)
-    for topic in task.topics:
-        preferred = topic.primary_broker
-        if preferred and preferred in task.nodes:
-            preferred = f"broker-{preferred}"
+    broker_names = {
+        node_id: cluster.add_broker(node_id, name=config.name).name
+        for node_id, config in configs.items()
+    }
+    for topic in map(platform.onto, task.topics):
         cluster.add_topic(
             TopicConfig(
                 name=topic.name,
                 partitions=topic.partitions,
                 replication_factor=topic.replicas,
-                preferred_leader=preferred,
+                # ``primaryBroker`` names a node; a broker name passes through.
+                preferred_leader=broker_names.get(topic.primary_broker, topic.primary_broker),
                 segment_records=topic.segment_records,
                 retention_bytes=topic.retention_bytes,
                 retention_ms=topic.retention_ms,
@@ -190,20 +185,23 @@ def deploy_components(
     task: TaskDescription,
     deployment: Deployment,
     emulation: "Emulation",
-    datasets: Optional[Dict[str, Sequence[Any]]] = None,
+    datasets: Dict[str, Sequence[Any]],
+    platform: PlatformOverrides,
 ) -> None:
     """Instantiate producer/consumer stubs, SPE contexts and store servers."""
-    datasets = datasets or {}
     for node in task.hosts():
         _deploy_store(node, deployment)
     for node in task.hosts():
-        _deploy_producer(node, deployment, datasets)
-        _deploy_consumer(node, deployment)
+        _deploy_producer(node, deployment, datasets, platform)
+        _deploy_consumer(node, deployment, platform)
         _deploy_spe(node, deployment, emulation)
 
 
 def _deploy_producer(
-    node: NodeDescription, deployment: Deployment, datasets: Dict[str, Sequence[Any]]
+    node: NodeDescription,
+    deployment: Deployment,
+    datasets: Dict[str, Sequence[Any]],
+    platform: PlatformOverrides,
 ) -> None:
     prod_type = node.attribute(NodeAttribute.PROD_TYPE.value)
     if prod_type is None:
@@ -212,11 +210,11 @@ def _deploy_producer(
         raise ValueError(
             f"node {node.node_id} declares a producer but no broker exists in the task"
         )
-    config = ProducerStubConfig.from_dict(
-        node.attribute(NodeAttribute.PROD_CFG.value) or {}
+    config = platform.onto(
+        ProducerStubConfig.from_dict(node.attribute(NodeAttribute.PROD_CFG.value) or {})
     )
     producer_type = ProducerType(prod_type)
-    name = f"producer-{node.node_id}"
+    name = config.name or f"producer-{node.node_id}"
     if producer_type is ProducerType.SFST:
         items = list(datasets.get(config.file_path or "", [])) or _default_items(config)
         stub = SFSTProducerStub(deployment.cluster, node.node_id, items, config, name=name)
@@ -241,7 +239,9 @@ def _default_items(config: ProducerStubConfig) -> List[str]:
     return [f"synthetic record {index} for {config.topic}" for index in range(total)]
 
 
-def _deploy_consumer(node: NodeDescription, deployment: Deployment) -> None:
+def _deploy_consumer(
+    node: NodeDescription, deployment: Deployment, platform: PlatformOverrides
+) -> None:
     cons_type = node.attribute(NodeAttribute.CONS_TYPE.value)
     if cons_type is None:
         return
@@ -249,11 +249,11 @@ def _deploy_consumer(node: NodeDescription, deployment: Deployment) -> None:
         raise ValueError(
             f"node {node.node_id} declares a consumer but no broker exists in the task"
         )
-    config = ConsumerStubConfig.from_dict(
-        node.attribute(NodeAttribute.CONS_CFG.value) or {}
+    config = platform.onto(
+        ConsumerStubConfig.from_dict(node.attribute(NodeAttribute.CONS_CFG.value) or {})
     )
     consumer_type = ConsumerType(cons_type)
-    name = f"consumer-{node.node_id}"
+    name = config.name or f"consumer-{node.node_id}"
     if consumer_type is ConsumerType.STANDARD:
         stub = StandardConsumerStub(deployment.cluster, node.node_id, config, name=name)
     elif consumer_type is ConsumerType.FILE:

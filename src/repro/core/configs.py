@@ -9,7 +9,7 @@ freely between YAML text, dictionaries and the dataclasses.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Dict, List, Optional
 
 import yaml
@@ -70,6 +70,47 @@ def _duration_to_seconds(value: Any, default: float) -> float:
     if text.endswith("s"):
         return float(text[:-1])
     return float(text)
+
+
+@dataclass
+class PlatformOverrides:
+    """The catalog-wide platform knobs, declared once.
+
+    Every scenario config carries one of these as its ``platform`` field
+    (``--set partitions=4`` resolves through it) and
+    :meth:`Emulation.build <repro.core.emulation.Emulation.build>` lays it
+    :meth:`onto` every topic, ``prodCfg`` and ``consCfg`` of the task
+    description it deploys.  A knob is named after the field it overrides on
+    the configs below and on the broker primitives they feed, so adding one
+    is adding one field here.  A knob left at its default leaves the
+    description's own value alone.
+    """
+
+    #: Partitions per topic (replica sets rotate across the brokers).
+    partitions: int = 1
+    #: Exactly-once produce path: producers carry sequence numbers and
+    #: brokers drop duplicate retries (``docs/exactly_once.md``).
+    idempotence: bool = False
+    #: Transactional produce path (atomic batches; implies idempotence).
+    transactional_id: str = ""
+    #: ``read_committed`` delivers only committed transactions downstream.
+    isolation_level: str = "read_uncommitted"
+    #: Segmented log storage (``docs/log_storage.md``); all unset = logs that
+    #: never roll and keep every record.
+    segment_records: Optional[int] = None
+    retention_bytes: Optional[int] = None
+    retention_ms: Optional[float] = None
+    cleanup_policy: str = "delete"
+
+    def onto(self, config: Any) -> Any:
+        """``config`` (any dataclass) with every set knob it has a field for."""
+        names = {spec.name for spec in fields(config)}
+        changes = {
+            knob.name: getattr(self, knob.name)
+            for knob in fields(self)
+            if knob.name in names and getattr(self, knob.name) != knob.default
+        }
+        return replace(config, **changes) if changes else config
 
 
 @dataclass
@@ -135,6 +176,9 @@ class FaultSpec:
 class ProducerStubConfig:
     """Configuration of a data source stub (Figure 3a)."""
 
+    #: Stub name (``name`` in YAML; default ``producer-<node>``).  It seeds
+    #: the stub's RNG stream and suffixes its transactional id.
+    name: Optional[str] = None
     topic: str = "raw-data"
     topics: List[str] = field(default_factory=list)
     file_path: Optional[str] = None
@@ -143,6 +187,9 @@ class ProducerStubConfig:
     rate_kbps: Optional[float] = None
     messages_per_second: Optional[float] = None
     request_timeout: float = 2.0
+    #: How long a record may wait for its acknowledgement before it fails
+    #: (``deliveryTimeout`` in YAML; Kafka's ``delivery.timeout.ms``).
+    delivery_timeout: float = 120.0
     buffer_memory: int = 32 * 1024 * 1024
     acks: Any = 1
     #: Exactly-once produce path (``idempotence`` in YAML): the stub's
@@ -170,6 +217,7 @@ class ProducerStubConfig:
         if isinstance(topics, str):
             topics = [topics]
         return cls(
+            name=data.get("name"),
             topic=data.get("topicName") or data.get("topic") or "raw-data",
             topics=list(topics),
             file_path=data.get("filePath") or data.get("file"),
@@ -186,6 +234,7 @@ class ProducerStubConfig:
                 else float(data["messagesPerSecond"])
             ),
             request_timeout=_duration_to_seconds(data.get("requestTimeout"), 2.0),
+            delivery_timeout=_duration_to_seconds(data.get("deliveryTimeout"), 120.0),
             buffer_memory=_size_to_bytes(data.get("bufferMemory"), 32 * 1024 * 1024),
             acks=data.get("acks", 1),
             idempotence=bool(data.get("idempotence", data.get("idempotent", False))),
@@ -208,6 +257,8 @@ class ProducerStubConfig:
 class ConsumerStubConfig:
     """Configuration of a data sink stub."""
 
+    #: Stub name (``name`` in YAML; default ``consumer-<node>``).
+    name: Optional[str] = None
     topics: List[str] = field(default_factory=lambda: ["raw-data"])
     output_path: Optional[str] = None
     store_host: Optional[str] = None
@@ -227,6 +278,7 @@ class ConsumerStubConfig:
         if isinstance(topics, str):
             topics = [topics]
         return cls(
+            name=data.get("name"),
             topics=list(topics),
             output_path=data.get("outputPath"),
             store_host=data.get("storeHost"),

@@ -10,6 +10,7 @@ result object from which the visualization module derives the figures.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Union
 
@@ -22,8 +23,9 @@ from repro.core.components import (
     build_network,
     deploy_components,
 )
+from repro.core.configs import PlatformOverrides
 from repro.core.graphml import parse_graphml, parse_graphml_string
-from repro.core.monitoring import EventLog, LatencyTracker
+from repro.core.monitoring import EventLog
 from repro.core.resources import HostResourceModel, ResourceReport, ServerSpec
 from repro.core.task import TaskDescription
 from repro.core.visualization import summarize_distribution
@@ -65,11 +67,12 @@ class Emulation:
         self,
         task: Union[TaskDescription, str],
         seed: int = 0,
-        mode: Union[str, CoordinationMode] = CoordinationMode.ZOOKEEPER,
+        mode: Union[str, CoordinationMode, None] = None,
         cluster_config: Optional[ClusterConfig] = None,
         datasets: Optional[Dict[str, Sequence[Any]]] = None,
         server_spec: Optional[ServerSpec] = None,
         monitor_interval: float = 0.5,
+        platform: Optional[PlatformOverrides] = None,
     ) -> None:
         if isinstance(task, str):
             if task.lstrip().startswith("<"):
@@ -79,15 +82,20 @@ class Emulation:
         task.require_valid()
         self.task = task
         self.seed = seed
-        self.mode = CoordinationMode(mode)
         self.datasets = dict(datasets or {})
         self.monitor_interval = monitor_interval
-        self.cluster_config = cluster_config or ClusterConfig(mode=self.mode)
-        self.cluster_config.mode = self.mode
+        # ``mode=None`` means "what ``cluster_config`` says"; the caller's
+        # object is never modified.
+        self.cluster_config = cluster_config or ClusterConfig()
+        if mode is not None:
+            self.cluster_config = dataclasses.replace(
+                self.cluster_config, mode=CoordinationMode(mode)
+            )
+        self.mode = self.cluster_config.mode
+        self.platform = platform or PlatformOverrides()
         self.server_spec = server_spec or ServerSpec()
         self.sim = Simulator(seed=seed)
         self.event_log = EventLog()
-        self.latency = LatencyTracker("end-to-end")
         self.deployment: Optional[Deployment] = None
         self.resource_model: Optional[HostResourceModel] = None
         self._built = False
@@ -138,13 +146,12 @@ class Emulation:
         """Construct the network, platform and components (no traffic yet)."""
         if self._built:
             return self
-        network = build_network(self.task, self.sim)
-        network.bandwidth_monitor.interval = self.monitor_interval
-        cluster = build_cluster(self.task, network, cluster_config=self.cluster_config)
+        network = build_network(self.task, self.sim, self.monitor_interval)
+        cluster = build_cluster(self.task, network, self.cluster_config, self.platform)
         deployment = Deployment(network=network, cluster=cluster)
         deployment.fault_injector = build_fault_injector(self.task, network)
         self.deployment = deployment
-        deploy_components(self.task, deployment, self, datasets=self.datasets)
+        deploy_components(self.task, deployment, self, self.datasets, self.platform)
         self.resource_model = HostResourceModel(
             network, interval=self.monitor_interval, server=self.server_spec
         )
@@ -174,9 +181,7 @@ class Emulation:
         self._ran = True
 
         deployment = self.deployment
-        network = deployment.network
-        network.bandwidth_monitor.start()
-        self.resource_model.start(warmup=warmup)
+        self.sim.process(self._monitor(warmup), name="emulation:monitor")
 
         if deployment.cluster is not None:
             deployment.cluster.start(settle_time=settle_time)
@@ -195,12 +200,20 @@ class Emulation:
 
         total = warmup + duration
         self.sim.run(until=total)
-        network.bandwidth_monitor.stop()
-        self.resource_model.stop()
         self.event_log.record(self.sim.now, "emulation", "finished")
         if deployment.cluster is not None:
             self.event_log.merge(deployment.cluster.coordinator.event_log, "coordinator")
         return self._collect_result(duration=duration, warmup=warmup)
+
+    def _monitor(self, warmup: float):
+        """The one sampling tick: every ``monitor_interval`` the port counters
+        feed the bandwidth series and the resource model takes a sample
+        (discarded during the warm-up, as in the paper's methodology)."""
+        bandwidth = self.deployment.network.bandwidth_monitor
+        while True:
+            yield self.sim.timeout(self.monitor_interval)
+            bandwidth.sample(self.sim.now)
+            self.resource_model.tick(warmup)
 
     # -- result collection --------------------------------------------------------------------
     def _collect_result(self, duration: float, warmup: float) -> EmulationResult:
@@ -210,8 +223,6 @@ class Emulation:
         latencies: List[float] = []
         for stub in deployment.consumers.values():
             latencies.extend(stub.latencies)
-        for value in latencies:
-            self.latency.observe(self.sim.now, value)
         lost = 0
         if deployment.cluster is not None:
             lost = deployment.cluster.total_lost_records()

@@ -1,4 +1,4 @@
-"""Monitoring: timestamped event logs and latency tracking.
+"""Monitoring: the timestamped event log.
 
 stream2gym logs relevant application events (processing checkpoints, failure
 injections, leader elections) through the Python logging facility and
@@ -10,7 +10,7 @@ assert on it directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 
 @dataclass
@@ -54,52 +54,3 @@ class EventLog:
 
     def __len__(self) -> int:
         return len(self.events)
-
-
-@dataclass
-class LatencySample:
-    """One end-to-end latency observation."""
-
-    time: float
-    latency: float
-    topic: Optional[str] = None
-    key: Any = None
-
-
-class LatencyTracker:
-    """Collects end-to-end latency observations and summarizes them."""
-
-    def __init__(self, name: str = "latency") -> None:
-        self.name = name
-        self.samples: List[LatencySample] = []
-
-    def observe(self, time: float, latency: float, topic: Optional[str] = None, key: Any = None) -> None:
-        if latency < 0:
-            raise ValueError("latency must be non-negative")
-        self.samples.append(LatencySample(time=time, latency=latency, topic=topic, key=key))
-
-    def values(self, topic: Optional[str] = None) -> List[float]:
-        return [
-            sample.latency
-            for sample in self.samples
-            if topic is None or sample.topic == topic
-        ]
-
-    def mean(self, topic: Optional[str] = None) -> float:
-        values = self.values(topic)
-        return sum(values) / len(values) if values else 0.0
-
-    def percentile(self, fraction: float, topic: Optional[str] = None) -> float:
-        values = sorted(self.values(topic))
-        if not values:
-            return 0.0
-        if not 0 <= fraction <= 1:
-            raise ValueError("fraction must lie in [0, 1]")
-        index = min(len(values) - 1, int(round(fraction * (len(values) - 1))))
-        return values[index]
-
-    def maximum(self, topic: Optional[str] = None) -> float:
-        return max(self.values(topic), default=0.0)
-
-    def __len__(self) -> int:
-        return len(self.samples)

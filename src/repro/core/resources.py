@@ -137,8 +137,7 @@ class HostResourceModel:
         self.server = server or ServerSpec()
         self.report = ResourceReport()
         self._last_bytes = 0
-        self._started_at: Optional[float] = None
-        self._running = False
+        self._started_at = self.sim.now
 
     # -- component inventory ----------------------------------------------------------
     def component_counts(self) -> Dict[str, int]:
@@ -168,24 +167,13 @@ class HostResourceModel:
         return "other"
 
     # -- sampling ------------------------------------------------------------------------
-    def start(self, warmup: float = 0.0) -> None:
-        if self._running:
-            return
-        self._running = True
-        self._started_at = self.sim.now
-        self.sim.process(self._run(warmup), name="resource-model")
-
-    def stop(self) -> None:
-        self._running = False
-
-    def _run(self, warmup: float):
-        if warmup > 0:
-            yield self.sim.timeout(warmup)
-            # Warm-up samples are discarded, as in the paper's methodology.
-            self._last_bytes = self._network_bytes()
-        while self._running:
-            yield self.sim.timeout(self.interval)
-            self.report.samples.append(self.sample())
+    def tick(self, warmup: float) -> None:
+        """One ``interval`` has passed (the emulation's monitoring tick calls
+        this): take a sample, discarding it during the warm-up as in the
+        paper's methodology."""
+        sample = self.sample()
+        if sample.time > warmup:
+            self.report.samples.append(sample)
 
     def _network_bytes(self) -> int:
         total = 0
@@ -205,7 +193,7 @@ class HostResourceModel:
         delta_mb = max(0, current_bytes - self._last_bytes) / 1024**2
         self._last_bytes = current_bytes
         cpu += CPU_PER_MBYTE * delta_mb / self.interval
-        if self._started_at is not None and now - self._started_at < STARTUP_WINDOW:
+        if now - self._started_at < STARTUP_WINDOW:
             remaining = 1.0 - (now - self._started_at) / STARTUP_WINDOW
             cpu += STARTUP_SURGE_CPU * remaining
         cpu = min(100.0, cpu)

@@ -220,6 +220,17 @@ class TaskDescription:
                     f"topic {topic.name!r} requests {topic.replicas} replicas but only "
                     f"{len(broker_nodes)} broker nodes exist"
                 )
+        linked = {frozenset((link.source, link.target)) for link in self.links}
+        for fault in self.faults:
+            for target in fault.targets:
+                if target not in known:
+                    problems.append(f"{fault.kind} fault targets unknown node {target!r}")
+            if (
+                fault.kind in ("link_down", "transient_loss")
+                and known.issuperset(fault.targets)
+                and frozenset(fault.targets) not in linked
+            ):
+                problems.append(f"{fault.kind} fault: no link between {fault.targets}")
         return problems
 
     def require_valid(self) -> None:

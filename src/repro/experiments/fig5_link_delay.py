@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 from repro.apps.word_count import AVERAGE_TOPIC, WORDS_TOPIC, create_task
+from repro.core.configs import PlatformOverrides
 from repro.core.emulation import Emulation
 from repro.scenarios import PointSpec, Scenario, ScenarioRunner, register
 from repro.workloads import pregenerated
@@ -45,15 +46,8 @@ class Fig5Config:
     files_per_second: float = 5.0
     baseline_delay_ms: float = 5.0
     duration: float = 60.0
-    #: Partitions per word-count topic (documents are keyed by file name).
-    partitions: int = 1
-    #: Exactly-once produce path for the document source (broker-side dedup).
-    idempotence: bool = False
-    #: Transactional produce path (atomic batches; implies idempotence).
-    transactional_id: str = ""
-    #: ``read_committed`` delivers only committed transactions downstream.
-    isolation_level: str = "read_uncommitted"
     seed: int = 1
+    platform: PlatformOverrides = field(default_factory=PlatformOverrides)
 
 
 @dataclass
@@ -110,15 +104,13 @@ def run_single(component: str, delay_ms: float, config: Fig5Config) -> List[floa
         link_latency_ms=config.baseline_delay_ms,
         per_component_latency={role: delay_ms},
         files_per_second=config.files_per_second,
-        partitions=config.partitions,
-        idempotence=config.idempotence,
-        transactional_id=config.transactional_id or None,
-        isolation_level=config.isolation_level,
     )
     # Pre-generated: every sweep point replays the identical seeded corpus,
     # so synthesis runs once for the whole figure.
     documents = pregenerated(generate_documents, config.n_documents, seed=config.seed)
-    emulation = Emulation(task, seed=config.seed, datasets={"documents": documents})
+    emulation = Emulation(
+        task, seed=config.seed, datasets={"documents": documents}, platform=config.platform
+    )
     emulation.run(duration=config.duration)
     return _end_to_end_latencies(emulation)
 

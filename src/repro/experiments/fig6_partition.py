@@ -21,15 +21,15 @@ Reproduced artefacts:
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from repro.broker.cluster import BrokerCluster, ClusterConfig
-from repro.broker.consumer import ConsumerConfig
+from repro.broker.cluster import ClusterConfig
 from repro.broker.coordinator import CoordinationMode
-from repro.broker.producer import ProducerConfig
-from repro.broker.topic import TopicConfig
-from repro.core.configs import ProducerStubConfig
+from repro.core.configs import FaultSpec, PlatformOverrides, TopicSpec
+from repro.core.emulation import Emulation
+from repro.core.task import TaskDescription
 from repro.core.visualization import (
     DeliveryMatrix,
     LatencyPoint,
@@ -38,12 +38,7 @@ from repro.core.visualization import (
     latency_spikes,
     throughput_timeseries,
 )
-from repro.network.faults import FaultInjector, NodeDisconnection
-from repro.network.link import LinkConfig
-from repro.network.topology import star_topology
 from repro.scenarios import PointSpec, Scenario, ScenarioRunner, register
-from repro.simulation import Simulator
-from repro.stubs.producers import RandomRateProducerStub
 
 TOPIC_A = "topicA"
 TOPIC_B = "topicB"
@@ -51,7 +46,14 @@ TOPIC_B = "topicB"
 
 @dataclass
 class Fig6Config:
-    """Scenario parameters (quick defaults; the paper runs 10 sites / 600 s)."""
+    """Scenario parameters (quick defaults; the paper runs 10 sites / 600 s).
+
+    The catalog-wide knobs live on ``platform`` (``--set partitions=3``,
+    ``--set segment_records=256``, ...).  With several partitions the pinned
+    preferred leader keeps partition 0 of topic A on the disconnected site
+    and the fault triggers one election per partition that site led;
+    idempotence dedups retries, not the ZooKeeper-mode truncation loss.
+    """
 
     n_sites: int = 6
     replication_factor: int = 3
@@ -67,26 +69,7 @@ class Fig6Config:
     seed: int = 3
     #: Site index (1-based) whose broker leads topic A and gets disconnected.
     leader_site_index: int = 3
-    #: Partitions per topic.  The paper runs 1; with more, replica sets rotate
-    #: across the sites, the pinned preferred leader keeps partition 0 of
-    #: topic A on the disconnected site, and the fault triggers one election
-    #: per partition that site led.
-    partitions: int = 1
-    #: Exactly-once produce path: site producers carry sequence numbers and
-    #: brokers drop duplicate retries.  Note this dedups *retries*; the
-    #: ZooKeeper-mode silent loss (truncation) is a different hole and stays
-    #: visible with idempotence on.
-    idempotence: bool = False
-    #: Transactional produce path (atomic batches; implies idempotence).
-    transactional_id: str = ""
-    #: ``read_committed`` delivers only committed transactions downstream.
-    isolation_level: str = "read_uncommitted"
-    #: Segmented log storage knobs, sweepable catalog-wide (``--set
-    #: segment_records=256`` etc.).  All unset = today's flat in-memory log.
-    segment_records: Optional[int] = None
-    retention_bytes: Optional[int] = None
-    retention_ms: Optional[float] = None
-    cleanup_policy: str = "delete"
+    platform: PlatformOverrides = field(default_factory=PlatformOverrides)
 
 
 @dataclass
@@ -125,108 +108,98 @@ class Fig6Result:
         ]
 
 
+def sites_task(
+    n_sites: int,
+    replication_factor: int,
+    producer: Dict[str, object],
+    keep_payloads: bool,
+    leader_site_index: Optional[int] = None,
+    disconnect: Optional[Tuple[float, float]] = None,
+) -> TaskDescription:
+    """The Figure 6a deployment as a task description.
+
+    ``n_sites`` sites around one core switch, each hosting a broker, a
+    ``RANDOM_RATE`` producer over both topics (``producer`` holds its other
+    ``prodCfg`` entries) and a ``STANDARD`` consumer of both.  With
+    ``leader_site_index`` (1-based) that site leads topic A and the next one
+    topic B, the first other site coordinates, and ``disconnect=(start,
+    duration)`` cuts the leader site off; without it (Figure 9) the first site
+    coordinates and leaders fall where the cluster assigns them.
+    """
+    sites = [f"site{index}" for index in range(1, n_sites + 1)]
+    leaders = (None, None)
+    if leader_site_index is not None:
+        leaders = (sites[leader_site_index - 1], sites[leader_site_index % n_sites])
+    coordinator = next(site for site in sites if site != leaders[0])
+    topics = [TOPIC_A, TOPIC_B]
+    task = TaskDescription(name="fig6a-sites")
+    task.add_switch("s0")
+    for site in sites:
+        task.add_node(
+            site,
+            brokerCfg={"coordinator": site == coordinator},
+            prodType="RANDOM_RATE",
+            prodCfg={"name": f"prod-{site}", "topics": topics, **producer},
+            consType="STANDARD",
+            consCfg={
+                "name": f"cons-{site}",
+                "topics": topics,
+                "pollInterval": 0.1,
+                "keepPayloads": keep_payloads,
+            },
+        )
+        task.add_link(site, "s0", lat=2.0, bw=100.0)
+    task.set_topics(
+        [
+            TopicSpec(name=topic, replicas=replication_factor, primary_broker=leader)
+            for topic, leader in zip(topics, leaders)
+        ]
+    )
+    if disconnect is not None:
+        start, duration = disconnect
+        task.set_faults(
+            [FaultSpec("node_disconnect", [leaders[0]], start=start, duration=duration)]
+        )
+    return task
+
+
 def run_fig6(config: Optional[Fig6Config] = None) -> Fig6Result:
     """Run the Figure 6 scenario and collect all three sub-figures' data."""
     config = config or Fig6Config()
-    sim = Simulator(seed=config.seed)
-    network, sites = star_topology(
-        sim,
+    task = sites_task(
         config.n_sites,
-        link_config=LinkConfig(latency_ms=2.0, bandwidth_mbps=100.0),
+        config.replication_factor,
+        producer={
+            "messageSize": config.message_size,
+            "rateKbps": config.rate_kbps,
+            "acks": config.acks,
+            "deliveryTimeout": config.duration,
+            "requestTimeout": 1.0,
+        },
+        keep_payloads=True,
+        leader_site_index=config.leader_site_index,
+        disconnect=(config.disconnect_start, config.disconnect_duration),
     )
-    leader_site = sites[config.leader_site_index - 1]
-    coordinator_site = sites[0]
-    if coordinator_site == leader_site:
-        coordinator_site = sites[1]
-
-    cluster = BrokerCluster(
-        network,
-        coordinator_host=coordinator_site,
-        config=ClusterConfig(
+    emulation = Emulation(
+        task,
+        seed=config.seed,
+        cluster_config=ClusterConfig(
             mode=config.mode,
             session_timeout=config.session_timeout,
             preferred_election_interval=config.preferred_election_interval,
-            segment_records=config.segment_records,
-            retention_bytes=config.retention_bytes,
-            retention_ms=config.retention_ms,
-            cleanup_policy=config.cleanup_policy,
         ),
+        platform=config.platform,
     )
-    for site in sites:
-        cluster.add_broker(site)
-    other_leader = sites[(config.leader_site_index) % config.n_sites]
-    cluster.add_topic(
-        TopicConfig(
-            name=TOPIC_A,
-            partitions=config.partitions,
-            replication_factor=config.replication_factor,
-            preferred_leader=f"broker-{leader_site}",
-        )
-    )
-    cluster.add_topic(
-        TopicConfig(
-            name=TOPIC_B,
-            partitions=config.partitions,
-            replication_factor=config.replication_factor,
-            preferred_leader=f"broker-{other_leader}",
-        )
-    )
+    outcome = emulation.run(duration=config.duration, settle_time=3.0, client_start=10.0)
+    network, cluster = emulation.network, emulation.cluster
+    producers = {site: stub.producer for site, stub in emulation.producers.items()}
+    consumers = {site: stub.consumer for site, stub in emulation.consumers.items()}
 
-    producer_config = ProducerStubConfig(
-        topics=[TOPIC_A, TOPIC_B],
-        message_size=config.message_size,
-        rate_kbps=config.rate_kbps,
-        idempotence=config.idempotence,
-        transactional_id=config.transactional_id or None,
-    )
-    producers = {}
-    consumers = {}
-    for site in sites:
-        stub = RandomRateProducerStub(cluster, site, config=producer_config, name=f"prod-{site}")
-        stub.producer.config.acks = config.acks
-        stub.producer.config.delivery_timeout = config.duration
-        stub.producer.config.request_timeout = 1.0
-        producers[site] = stub
-        consumers[site] = cluster.create_consumer(
-            site,
-            config=ConsumerConfig(
-                poll_interval=0.1,
-                keep_payloads=True,
-                isolation_level=config.isolation_level,
-            ),
-            name=f"cons-{site}",
-        )
-        consumers[site].subscribe([TOPIC_A, TOPIC_B])
+    leader_site, other_leader = (topic.primary_broker for topic in task.topics)
+    coordinator_site = cluster.coordinator.host.name
+    observer = next(consumers[site] for site in consumers if site != leader_site)
 
-    injector = FaultInjector(network)
-    injector.schedule_node_disconnection(
-        NodeDisconnection(
-            node=leader_site,
-            start=config.disconnect_start,
-            duration=config.disconnect_duration,
-        )
-    )
-
-    cluster.start(settle_time=3.0)
-    network.bandwidth_monitor.start()
-
-    def start_clients() -> None:
-        for stub in producers.values():
-            stub.start()
-        for consumer in consumers.values():
-            consumer.start()
-
-    sim.schedule_callback(10.0, start_clients, name="fig6:start-clients")
-    sim.run(until=config.duration)
-    network.bandwidth_monitor.stop()
-
-    co_located_producer = producers[leader_site].producer
-    observer_site = next(site for site in sites if site != leader_site)
-    observer = consumers[observer_site]
-
-    matrix = delivery_matrix(
-        co_located_producer, [consumers[site] for site in sites], topic=None
-    )
+    matrix = delivery_matrix(producers[leader_site], list(consumers.values()), topic=None)
     points = latency_by_arrival(observer, topics=[TOPIC_A, TOPIC_B])
     throughput = {}
     for site in (leader_site, other_leader, coordinator_site):
@@ -245,16 +218,13 @@ def run_fig6(config: Optional[Fig6Config] = None) -> Fig6Result:
             delivered_keys.setdefault(record.topic, set()).add(record.key)
     acked_but_lost = 0
     lost_breakdown: Dict[str, int] = {TOPIC_A: 0, TOPIC_B: 0}
-    for stub in producers.values():
-        for report in stub.producer.reports:
+    for producer in producers.values():
+        for report in producer.reports:
             if not report.acknowledged or report.acknowledged_at > cutoff:
                 continue
             if report.key not in delivered_keys.get(report.topic, set()):
                 acked_but_lost += 1
                 lost_breakdown[report.topic] = lost_breakdown.get(report.topic, 0) + 1
-
-    produced = sum(stub.messages_produced for stub in producers.values())
-    consumed = sum(consumer.records_consumed for consumer in consumers.values())
 
     return Fig6Result(
         mode=CoordinationMode(config.mode).value,
@@ -264,8 +234,8 @@ def run_fig6(config: Optional[Fig6Config] = None) -> Fig6Result:
         events=list(cluster.coordinator.event_log),
         acked_but_lost=acked_but_lost,
         lost_topic_breakdown=lost_breakdown,
-        messages_produced=produced,
-        messages_consumed=consumed,
+        messages_produced=outcome.messages_produced,
+        messages_consumed=outcome.messages_consumed,
         disconnect_window=(
             config.disconnect_start,
             config.disconnect_start + config.disconnect_duration,
@@ -297,7 +267,7 @@ def scenario_points(config: Fig6Config) -> List[PointSpec]:
     """Both coordination modes of the paper's comparison, as independent runs."""
     points = []
     for index, (mode, acks) in enumerate(_mode_arms(config)):
-        arm_config = Fig6Config(**{**config.__dict__, "mode": mode, "acks": acks})
+        arm_config = dataclasses.replace(config, mode=mode, acks=acks)
         points.append(
             PointSpec(
                 fn=run_fig6, kwargs={"config": arm_config}, label=mode.value, index=index

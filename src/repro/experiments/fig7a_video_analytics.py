@@ -23,6 +23,7 @@ from repro.broker.consumer import ConsumerConfig
 from repro.broker.producer import Producer, ProducerConfig
 from repro.broker.message import ProducerRecord
 from repro.broker.topic import TopicConfig
+from repro.core.configs import PlatformOverrides
 from repro.network.link import LinkConfig
 from repro.network.topology import one_big_switch
 from repro.scenarios import PointSpec, Scenario, ScenarioRunner, register
@@ -42,15 +43,10 @@ class Fig7aConfig:
     consumer_cpu_per_frame: float = 100e-6
     #: CPU cost per frame on the broker side (fetch serving).
     broker_cpu_per_record: float = 12e-6
-    #: Partitions of the frames topic (frames are keyed by frame id).
-    partitions: int = 1
-    #: Exactly-once produce path for the frame producer.
-    idempotence: bool = False
-    #: Transactional produce path (atomic batches; implies idempotence).
-    transactional_id: str = ""
-    #: ``read_committed`` delivers only committed transactions downstream.
-    isolation_level: str = "read_uncommitted"
     seed: int = 5
+    #: Catalog-wide knobs (frames are keyed by frame id, so a sharded topic
+    #: keeps per-frame order).
+    platform: PlatformOverrides = field(default_factory=PlatformOverrides)
 
 
 @dataclass
@@ -75,6 +71,7 @@ class Fig7aResult:
 
 def run_single(n_consumers: int, config: Fig7aConfig) -> Dict[str, object]:
     """Run one point: a single host with broker + producer + ``n_consumers``."""
+    platform = config.platform
     sim = Simulator(seed=config.seed)
     network = one_big_switch(
         sim, ["node"], default_config=LinkConfig(latency_ms=0.2, bandwidth_mbps=1000.0)
@@ -85,21 +82,14 @@ def run_single(n_consumers: int, config: Fig7aConfig) -> Dict[str, object]:
     cluster = BrokerCluster(network, coordinator_host="node", config=ClusterConfig())
     broker = cluster.add_broker("node")
     broker.config.cpu_per_record = config.broker_cpu_per_record
-    cluster.add_topic(
-        TopicConfig(name="frames", partitions=config.partitions, replication_factor=1)
-    )
+    cluster.add_topic(platform.onto(TopicConfig(name="frames", replication_factor=1)))
     cluster.start(settle_time=1.0)
 
     frames = generate_frames(config.n_frames, seed=config.seed)
     producer = Producer(
         host,
         bootstrap=["node"],
-        config=ProducerConfig(
-            buffer_memory=64 * 1024 * 1024,
-            linger=0.005,
-            idempotence=config.idempotence,
-            transactional_id=config.transactional_id or None,
-        ),
+        config=platform.onto(ProducerConfig(buffer_memory=64 * 1024 * 1024, linger=0.005)),
         name="frame-producer",
     )
 
@@ -107,12 +97,13 @@ def run_single(n_consumers: int, config: Fig7aConfig) -> Dict[str, object]:
     for index in range(n_consumers):
         consumer = cluster.create_consumer(
             "node",
-            config=ConsumerConfig(
-                poll_interval=0.01,
-                max_records_per_fetch=500,
-                keep_payloads=False,
-                cpu_per_record=config.consumer_cpu_per_frame,
-                isolation_level=config.isolation_level,
+            config=platform.onto(
+                ConsumerConfig(
+                    poll_interval=0.01,
+                    max_records_per_fetch=500,
+                    keep_payloads=False,
+                    cpu_per_record=config.consumer_cpu_per_frame,
+                )
             ),
             name=f"frame-consumer-{index}",
         )
@@ -126,7 +117,7 @@ def run_single(n_consumers: int, config: Fig7aConfig) -> Dict[str, object]:
         # Transactional preload commits in chunks so no single transaction
         # outlives the coordinator's transaction timeout.
         txn_chunk = 2000
-        if config.transactional_id:
+        if platform.transactional_id:
             producer.begin_transaction()
         for index, frame in enumerate(frames):
             # The future goes unread: the experiment only watches records_acked.
@@ -135,14 +126,14 @@ def run_single(n_consumers: int, config: Fig7aConfig) -> Dict[str, object]:
                     topic="frames", key=frame["frame_id"], value=frame, size=frame["size"]
                 )
             )
-            if config.transactional_id and (index + 1) % txn_chunk == 0:
+            if platform.transactional_id and (index + 1) % txn_chunk == 0:
                 yield from producer.commit_transaction()
                 producer.begin_transaction()
         # Wait until the broker has everything before consumers subscribe —
         # exactly the methodology of the original experiment (no data stalls).
         while producer.records_acked < len(frames):
             yield sim.timeout(0.2)
-        if config.transactional_id:
+        if platform.transactional_id:
             yield from producer.commit_transaction()
         consume_start["time"] = sim.now
         for consumer in consumers:

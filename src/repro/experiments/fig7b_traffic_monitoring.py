@@ -22,6 +22,7 @@ from repro.broker.consumer import ConsumerConfig
 from repro.broker.message import ProducerRecord
 from repro.broker.producer import Producer, ProducerConfig
 from repro.broker.topic import TopicConfig
+from repro.core.configs import PlatformOverrides
 from repro.engine import ExecutorConfig, StreamingConfig, StreamingContext
 from repro.network.link import LinkConfig
 from repro.network.topology import one_big_switch
@@ -44,17 +45,11 @@ class Fig7bConfig:
     job_overhead: float = 0.5
     per_record_cost: float = 6e-3
     parallelism: int = 4
-    #: Partitions of the mirrored-packets topic.  >1 shards the topic by flow
-    #: key and runs one SPE source instance per partition (the partition-aware
-    #: ingest plane); 1 keeps the paper's single-partition deployment.
-    partitions: int = 1
-    #: Exactly-once produce path for the mirror producer.
-    idempotence: bool = False
-    #: Transactional produce path (atomic batches; implies idempotence).
-    transactional_id: str = ""
-    #: ``read_committed`` delivers only committed transactions downstream.
-    isolation_level: str = "read_uncommitted"
     seed: int = 11
+    #: Catalog-wide knobs.  ``partitions`` > 1 shards the mirrored-packets
+    #: topic by flow key and runs one SPE source instance per partition (the
+    #: partition-aware ingest plane); 1 keeps the paper's deployment.
+    platform: PlatformOverrides = field(default_factory=PlatformOverrides)
 
 
 @dataclass
@@ -71,6 +66,7 @@ class Fig7bResult:
 
 def run_single(n_users: int, config: Fig7bConfig) -> Dict[str, float]:
     """One point: broker + one-node Spark cluster + per-switch mirror producer."""
+    platform = config.platform
     sim = Simulator(seed=config.seed)
     network = one_big_switch(
         sim,
@@ -80,11 +76,7 @@ def run_single(n_users: int, config: Fig7bConfig) -> Dict[str, float]:
     cluster = BrokerCluster(network, coordinator_host="broker", config=ClusterConfig())
     cluster.add_broker("broker")
     cluster.add_topic(
-        TopicConfig(
-            name="mirrored-packets",
-            partitions=config.partitions,
-            replication_factor=1,
-        )
+        platform.onto(TopicConfig(name="mirrored-packets", replication_factor=1))
     )
     cluster.start(settle_time=1.0)
 
@@ -124,20 +116,13 @@ def run_single(n_users: int, config: Fig7bConfig) -> Dict[str, float]:
             for service_id, entry in by_service.items()
         }
 
-    # Only a non-default isolation level overrides the sources' own consumer
-    # defaults, so the default path stays untouched.
-    consumer_config = (
-        ConsumerConfig(isolation_level=config.isolation_level)
-        if config.isolation_level != "read_uncommitted"
-        else None
-    )
-    if config.partitions > 1:
+    consumer_config = platform.onto(ConsumerConfig())
+    if platform.partitions > 1:
         # Partition-aware ingest: one source instance per partition, merged
         # deterministically in partition order at each micro-batch boundary.
+        shards = list(range(platform.partitions))
         stream = ctx.sharded_kafka_stream(
-            "mirrored-packets",
-            partitions=list(range(config.partitions)),
-            consumer_config=consumer_config,
+            "mirrored-packets", partitions=shards, consumer_config=consumer_config
         )
     else:
         stream = ctx.kafka_stream(["mirrored-packets"], consumer_config=consumer_config)
@@ -146,11 +131,7 @@ def run_single(n_users: int, config: Fig7bConfig) -> Dict[str, float]:
     producer = Producer(
         network.host("mirror"),
         bootstrap=["broker"],
-        config=ProducerConfig(
-            buffer_memory=64 * 1024 * 1024,
-            idempotence=config.idempotence,
-            transactional_id=config.transactional_id or None,
-        ),
+        config=platform.onto(ProducerConfig(buffer_memory=64 * 1024 * 1024)),
         name="mirror-producer",
     )
     traffic = pregenerated(
@@ -172,7 +153,7 @@ def run_single(n_users: int, config: Fig7bConfig) -> Dict[str, float]:
             # per-packet work happens inside the simulation loop.  With a
             # transactional id, each one-second export slot is one atomic
             # transaction.
-            if config.transactional_id:
+            if platform.transactional_id:
                 producer.begin_transaction()
             for key, value, size in slot.iter_keyed_reports():
                 # The mirror never reads delivery outcomes (an unread send
@@ -187,7 +168,7 @@ def run_single(n_users: int, config: Fig7bConfig) -> Dict[str, float]:
                         size=size,
                     )
                 )
-            if config.transactional_id:
+            if platform.transactional_id:
                 yield from producer.commit_transaction()
             yield sim.timeout(1.0)
 

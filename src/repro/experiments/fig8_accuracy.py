@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.apps.word_count import create_task
+from repro.core.configs import PlatformOverrides
 from repro.core.emulation import Emulation
 from repro.experiments.fig5_link_delay import _end_to_end_latencies
 from repro.scenarios import PointSpec, Scenario, ScenarioRunner, register
@@ -67,15 +68,8 @@ class Fig8Config:
     n_documents: int = 30
     files_per_second: float = 5.0
     duration: float = 60.0
-    #: Partitions per word-count topic.
-    partitions: int = 1
-    #: Exactly-once produce path for the document source.
-    idempotence: bool = False
-    #: Transactional produce path (atomic batches; implies idempotence).
-    transactional_id: str = ""
-    #: ``read_committed`` delivers only committed transactions downstream.
-    isolation_level: str = "read_uncommitted"
     seed: int = 2
+    platform: PlatformOverrides = field(default_factory=PlatformOverrides)
 
 
 @dataclass
@@ -127,14 +121,12 @@ def run_single(
         link_latency_ms=5.0,
         per_component_latency={role: delay_ms},
         files_per_second=config.files_per_second,
-        partitions=config.partitions,
-        idempotence=config.idempotence,
-        transactional_id=config.transactional_id or None,
-        isolation_level=config.isolation_level,
     )
     # Pre-generated: the (component, delay, profile) sweep replays one corpus.
     documents = pregenerated(generate_documents, config.n_documents, seed=config.seed)
-    emulation = Emulation(task, seed=config.seed, datasets={"documents": documents})
+    emulation = Emulation(
+        task, seed=config.seed, datasets={"documents": documents}, platform=config.platform
+    )
     emulation.build()
     for switch in emulation.network.switches.values():
         switch.switching_delay = profile.switching_delay

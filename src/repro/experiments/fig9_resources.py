@@ -20,16 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.broker.cluster import BrokerCluster, ClusterConfig
-from repro.broker.consumer import ConsumerConfig
-from repro.broker.topic import TopicConfig
-from repro.core.configs import ProducerStubConfig
-from repro.core.resources import HostResourceModel, ResourceReport, ServerSpec
-from repro.network.link import LinkConfig
-from repro.network.topology import star_topology
+from repro.core.configs import PlatformOverrides
+from repro.core.emulation import Emulation
+from repro.core.resources import ResourceReport
+from repro.experiments.fig6_partition import sites_task
 from repro.scenarios import PointSpec, Scenario, ScenarioRunner, register
-from repro.simulation import Simulator
-from repro.stubs.producers import RandomRateProducerStub
 
 
 @dataclass
@@ -45,15 +40,8 @@ class Fig9Config:
     duration: float = 90.0
     warmup: float = 60.0
     replication_factor: int = 2
-    #: Partitions per topic (replica sets rotate across the sites).
-    partitions: int = 1
-    #: Exactly-once produce path for the site producers.
-    idempotence: bool = False
-    #: Transactional produce path (atomic batches; implies idempotence).
-    transactional_id: str = ""
-    #: ``read_committed`` delivers only committed transactions downstream.
-    isolation_level: str = "read_uncommitted"
     seed: int = 4
+    platform: PlatformOverrides = field(default_factory=PlatformOverrides)
 
 
 @dataclass
@@ -97,59 +85,21 @@ class Fig9Result:
 
 def run_single(n_sites: int, buffer_size: int, config: Fig9Config) -> ResourceReport:
     """Run the Figure 6a scenario at one (site count, buffer size) point."""
-    sim = Simulator(seed=config.seed)
-    network, sites = star_topology(
-        sim, n_sites, link_config=LinkConfig(latency_ms=2.0, bandwidth_mbps=100.0)
+    task = sites_task(
+        n_sites,
+        min(config.replication_factor, n_sites),
+        producer={
+            "messageSize": config.message_size,
+            "rateKbps": config.rate_kbps,
+            "bufferMemory": buffer_size,
+        },
+        keep_payloads=False,
     )
-    cluster = BrokerCluster(network, coordinator_host=sites[0], config=ClusterConfig())
-    for site in sites:
-        cluster.add_broker(site)
-    replication = min(config.replication_factor, n_sites)
-    cluster.add_topic(
-        TopicConfig(name="topicA", partitions=config.partitions, replication_factor=replication)
+    emulation = Emulation(task, seed=config.seed, platform=config.platform)
+    result = emulation.run(
+        duration=config.duration, warmup=config.warmup, settle_time=3.0, client_start=8.0
     )
-    cluster.add_topic(
-        TopicConfig(name="topicB", partitions=config.partitions, replication_factor=replication)
-    )
-
-    producer_config = ProducerStubConfig(
-        topics=["topicA", "topicB"],
-        message_size=config.message_size,
-        rate_kbps=config.rate_kbps,
-        buffer_memory=buffer_size,
-        idempotence=config.idempotence,
-        transactional_id=config.transactional_id or None,
-    )
-    producer_stubs = []
-    for site in sites:
-        producer_stubs.append(
-            RandomRateProducerStub(cluster, site, config=producer_config, name=f"prod-{site}")
-        )
-        consumer = cluster.create_consumer(
-            site,
-            config=ConsumerConfig(
-                poll_interval=0.1,
-                keep_payloads=False,
-                isolation_level=config.isolation_level,
-            ),
-            name=f"cons-{site}",
-        )
-        consumer.subscribe(["topicA", "topicB"])
-
-    model = HostResourceModel(network, interval=0.5, server=ServerSpec())
-    cluster.start(settle_time=3.0)
-    model.start(warmup=config.warmup)
-
-    def start_clients() -> None:
-        for stub in producer_stubs:
-            stub.start()
-        for consumer in cluster.consumers:
-            consumer.start()
-
-    sim.schedule_callback(8.0, start_clients, name="fig9:start-clients")
-    sim.run(until=config.warmup + config.duration)
-    model.stop()
-    return model.report
+    return result.resource_report
 
 
 def _sweep_grid(config: Fig9Config) -> List[tuple]:

@@ -20,6 +20,7 @@ from repro.apps import (
     sentiment_analysis,
     word_count,
 )
+from repro.core.configs import PlatformOverrides
 from repro.scenarios import PointSpec, Scenario, ScenarioRunner, register
 
 #: Paper-reported rows (application -> (components, feature)).
@@ -31,12 +32,34 @@ PAPER_TABLE = {
     "fraud_detection": (5, "Machine learning prediction"),
 }
 
-_MODULES = {
-    "word_count": word_count,
-    "ride_selection": ride_selection,
-    "sentiment_analysis": sentiment_analysis,
-    "maritime_monitoring": maritime_monitoring,
-    "fraud_detection": fraud_detection,
+def _sink_count(result):
+    return result.messages_consumed
+
+
+def _extra(key: str):
+    return lambda result: result.extras.get(key, 0)
+
+
+#: application -> (module, its ``run`` rate keywords, records that reached the
+#: end of the pipeline, the output whose presence verifies the application).
+_APPLICATIONS = {
+    "word_count": (word_count, {"files_per_second": 10.0}, _sink_count, _sink_count),
+    "ride_selection": (
+        ride_selection, {"rides_per_second": 15.0}, _sink_count, _extra("area_ranking"),
+    ),
+    "sentiment_analysis": (
+        sentiment_analysis, {"tweets_per_second": 15.0},
+        _extra("scored_tweets"), _extra("scored_tweets"),
+    ),
+    "maritime_monitoring": (
+        maritime_monitoring, {"messages_per_second": 15.0},
+        lambda result: result.spe_metrics.get("h3", {}).get("input_records", 0),
+        _extra("ships_per_port"),
+    ),
+    "fraud_detection": (
+        fraud_detection, {"transactions_per_second": 15.0, "fraud_rate": 0.2},
+        _sink_count, _extra("alerts"),
+    ),
 }
 
 
@@ -47,15 +70,8 @@ class Table2Config:
     run_pipelines: bool = True
     n_items: int = 60
     duration: float = 40.0
-    #: Partitions per application topic (every app's task plumbs it through).
-    partitions: int = 1
-    #: Exactly-once produce path for every app's ingestion producer.
-    idempotence: bool = False
-    #: Transactional produce path (atomic batches; implies idempotence).
-    transactional_id: str = ""
-    #: ``read_committed`` delivers only committed transactions downstream.
-    isolation_level: str = "read_uncommitted"
     seed: int = 1
+    platform: PlatformOverrides = field(default_factory=PlatformOverrides)
 
 
 @dataclass
@@ -92,71 +108,10 @@ def _loc_of(module) -> int:
     )
 
 
-def _run_application(name: str, config: Table2Config) -> Dict[str, object]:
-    if name == "word_count":
-        result = word_count.run(
-            n_documents=config.n_items, duration=config.duration, seed=config.seed,
-            files_per_second=10.0, partitions=config.partitions,
-            idempotence=config.idempotence,
-            transactional_id=config.transactional_id or None,
-            isolation_level=config.isolation_level,
-        )
-        return {"consumed": result.messages_consumed, "verified": result.messages_consumed > 0}
-    if name == "ride_selection":
-        result = ride_selection.run(
-            n_rides=config.n_items, duration=config.duration, seed=config.seed,
-            rides_per_second=15.0, partitions=config.partitions,
-            idempotence=config.idempotence,
-            transactional_id=config.transactional_id or None,
-            isolation_level=config.isolation_level,
-        )
-        return {
-            "consumed": result.messages_consumed,
-            "verified": bool(result.extras.get("area_ranking")),
-        }
-    if name == "sentiment_analysis":
-        result = sentiment_analysis.run(
-            n_tweets=config.n_items, duration=config.duration, seed=config.seed,
-            tweets_per_second=15.0, partitions=config.partitions,
-            idempotence=config.idempotence,
-            transactional_id=config.transactional_id or None,
-            isolation_level=config.isolation_level,
-        )
-        return {
-            "consumed": result.extras.get("scored_tweets", 0),
-            "verified": result.extras.get("scored_tweets", 0) > 0,
-        }
-    if name == "maritime_monitoring":
-        result = maritime_monitoring.run(
-            n_messages=config.n_items, duration=config.duration, seed=config.seed,
-            messages_per_second=15.0, partitions=config.partitions,
-            idempotence=config.idempotence,
-            transactional_id=config.transactional_id or None,
-            isolation_level=config.isolation_level,
-        )
-        return {
-            "consumed": result.spe_metrics.get("h3", {}).get("input_records", 0),
-            "verified": bool(result.extras.get("ships_per_port")),
-        }
-    if name == "fraud_detection":
-        result = fraud_detection.run(
-            n_transactions=config.n_items, duration=config.duration, seed=config.seed,
-            fraud_rate=0.2, transactions_per_second=15.0, partitions=config.partitions,
-            idempotence=config.idempotence,
-            transactional_id=config.transactional_id or None,
-            isolation_level=config.isolation_level,
-        )
-        return {
-            "consumed": result.messages_consumed,
-            "verified": result.extras.get("alerts", 0) > 0,
-        }
-    raise KeyError(name)
-
-
 def run_application_row(name: str, config: Table2Config) -> Table2Row:
     """Build (and optionally run) one application; the scenario's point unit."""
     components, feature = PAPER_TABLE[name]
-    module = _MODULES[name]
+    module, rate, consumed, verified = _APPLICATIONS[name]
     task = module.create_task()
     row = Table2Row(
         application=name,
@@ -169,9 +124,16 @@ def run_application_row(name: str, config: Table2Config) -> Table2Row:
             f"{name}: expected {components} components, built {row.components}"
         )
     if config.run_pipelines:
-        outcome = _run_application(name, config)
-        row.messages_consumed = int(outcome["consumed"])
-        row.verified = bool(outcome["verified"])
+        # Every app's ``run`` takes its item count first.
+        result = module.run(
+            config.n_items,
+            duration=config.duration,
+            seed=config.seed,
+            platform=config.platform,
+            **rate,
+        )
+        row.messages_consumed = int(consumed(result))
+        row.verified = bool(verified(result))
     return row
 
 

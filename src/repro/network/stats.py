@@ -126,9 +126,11 @@ class BandwidthMonitor:
         sim = self.network.sim
         while self._running:
             yield sim.timeout(self.interval)
-            self._sample(sim.now)
+            self.sample(sim.now)
 
-    def _sample(self, now: float) -> None:
+    def sample(self, now: float) -> None:
+        """Take one sample per host; call once per ``interval`` (``start()``
+        does, and so does a caller that owns the sampling tick)."""
         for host in self.network.hosts.values():
             stats = host.port.stats
             previous_tx, previous_rx = self._last_counters.get(host.name, (0, 0))

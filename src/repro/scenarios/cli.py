@@ -215,7 +215,7 @@ def _parse_override(item: str) -> Tuple[str, Any]:
         # `--set components=producer,broker` means a list of values, exactly
         # like --sweep's value syntax.
         return name.strip(), [_parse_value(part) for part in raw.split(",") if part.strip()]
-    return name.strip(), raw
+    return name.strip(), _parse_value(raw)
 
 
 def _parse_sweep(item: str) -> Tuple[Optional[str], List[Any]]:

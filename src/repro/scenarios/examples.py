@@ -14,9 +14,12 @@ subprocess round-trip guarantees of the scenario API for free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import dataclasses
+from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Dict, List
 
+from repro.core.configs import PlatformOverrides
 from repro.core.emulation import Emulation
 from repro.core.graphml import parse_graphml_string
 from repro.experiments import fig5_link_delay, fig6_partition
@@ -39,18 +42,12 @@ class QuickstartConfig:
     files_per_second: float = 10.0
     link_latency_ms: float = 5.0
     duration: float = 60.0
-    #: Partitions per topic (``--set partitions=4`` shards the whole pipeline).
-    partitions: int = 1
-    #: Exactly-once produce path (``--set idempotence=true``): the document
-    #: source carries sequence numbers and brokers drop duplicate retries.
-    idempotence: bool = False
-    #: Transactional produce path (``--set transactional_id=tx1``): the
-    #: document source commits atomic batches; implies idempotence.
-    transactional_id: str = ""
-    #: ``--set isolation_level=read_committed`` makes the sink deliver only
-    #: committed transactions (meaningful with ``transactional_id``).
-    isolation_level: str = "read_uncommitted"
     seed: int = 42
+    #: ``--set partitions=4`` shards the whole pipeline, ``--set
+    #: idempotence=true`` / ``--set transactional_id=tx1`` pick the document
+    #: source's produce path, ``--set isolation_level=read_committed`` makes
+    #: the sink deliver only committed transactions.
+    platform: PlatformOverrides = field(default_factory=PlatformOverrides)
 
 
 def run_quickstart(config: QuickstartConfig) -> Dict[str, Any]:
@@ -60,13 +57,11 @@ def run_quickstart(config: QuickstartConfig) -> Dict[str, Any]:
         n_documents=config.n_documents,
         files_per_second=config.files_per_second,
         link_latency_ms=config.link_latency_ms,
-        partitions=config.partitions,
-        idempotence=config.idempotence,
-        transactional_id=config.transactional_id or None,
-        isolation_level=config.isolation_level,
     )
     documents = pregenerated(generate_documents, config.n_documents, seed=config.seed)
-    emulation = Emulation(task, seed=config.seed, datasets={"documents": documents})
+    emulation = Emulation(
+        task, seed=config.seed, datasets={"documents": documents}, platform=config.platform
+    )
     result = emulation.run(duration=config.duration)
     sink = emulation.consumers["h5"]
     samples = []
@@ -173,45 +168,19 @@ class GraphmlTaskConfig:
 
     n_documents: int = 30
     duration: float = 45.0
-    #: ``> 1`` shards every topic of the GraphML listing to this count; ``1``
-    #: (the default) keeps whatever counts the listing's ``topicCfg``
-    #: declares (which also accepts a ``partitions`` entry inline).
-    partitions: int = 1
-    #: ``True`` switches every producer of the listing to the exactly-once
-    #: produce path (a ``prodCfg`` may also declare ``idempotence`` inline).
-    idempotence: bool = False
-    #: Non-empty switches every producer of the listing to the transactional
-    #: produce path (a ``prodCfg`` may also declare ``transactionalId``).
-    transactional_id: str = ""
-    #: Applied to every consumer of the listing (``consCfg`` may also declare
-    #: ``isolationLevel`` inline).
-    isolation_level: str = "read_uncommitted"
     seed: int = 7
+    #: A set knob overrides every topic / ``prodCfg`` / ``consCfg`` of the
+    #: listing; left alone, whatever the listing declares inline stands.
+    platform: PlatformOverrides = field(default_factory=PlatformOverrides)
 
 
 def run_graphml_task(config: GraphmlTaskConfig) -> Dict[str, Any]:
     task = parse_graphml_string(GRAPHML_TASK, name="figure4-example")
-    if config.partitions > 1:
-        for topic in task.topics:
-            topic.partitions = config.partitions
-    if config.idempotence:
-        for node in task.nodes.values():
-            prod_cfg = node.attributes.get("prodCfg")
-            if isinstance(prod_cfg, dict):
-                prod_cfg["idempotence"] = True
-    if config.transactional_id:
-        for node in task.nodes.values():
-            prod_cfg = node.attributes.get("prodCfg")
-            if isinstance(prod_cfg, dict):
-                prod_cfg["transactionalId"] = config.transactional_id
-    if config.isolation_level != "read_uncommitted":
-        for node in task.nodes.values():
-            cons_cfg = node.attributes.get("consCfg")
-            if isinstance(cons_cfg, dict):
-                cons_cfg["isolationLevel"] = config.isolation_level
     problems = task.validate()
     documents = pregenerated(generate_documents, config.n_documents, seed=config.seed)
-    emulation = Emulation(task, seed=config.seed, datasets={"documents": documents})
+    emulation = Emulation(
+        task, seed=config.seed, datasets={"documents": documents}, platform=config.platform
+    )
     result = emulation.run(duration=config.duration)
     sink = emulation.consumers["h5"]
     samples = []
@@ -264,69 +233,36 @@ register(
 )
 
 
-# -- failure-injection: the Figure 6 study at example scale -----------------------
-
-
-def _failure_injection_config() -> Fig6Config:
-    return Fig6Config(
-        n_sites=5,
-        duration=240.0,
-        disconnect_start=80.0,
-        disconnect_duration=50.0,
-        seed=3,
-    )
-
+# -- failure-injection / geo-latency: fig6 / fig5 at example scale -----------------
+# The same studies under another name and default size; the tiers are the
+# figures' own (geo-latency's paper tier also restores the full delay grid
+# that its default config trims to three points).
 
 register(
-    Scenario(
+    dataclasses.replace(
+        fig6_partition.SCENARIO,
         name="failure-injection",
         title="Failure injection — broker partition, ZooKeeper vs KRaft loss",
-        config_factory=_failure_injection_config,
-        points=fig6_partition.scenario_points,
-        combine=fig6_partition.scenario_combine,
-        metrics=fig6_partition.scenario_metrics,
-        # Same study as fig6, so the scale tiers are shared with it — only
-        # the "default" (example-scale) config differs.
-        tiers=fig6_partition.SCENARIO.tiers,
-        sweep_axis="n_sites",
-        check=fig6_partition._scenario_check,
-        description="The Figure 6 partition study at example scale, both modes.",
+        config_factory=partial(
+            Fig6Config, n_sites=5, duration=240.0, disconnect_start=80.0, disconnect_duration=50.0
+        ),
     )
 )
-
-
-# -- geo-latency: the Figure 5 study at example scale -----------------------------
-
-
-def _geo_latency_config() -> Fig5Config:
-    return Fig5Config(
-        link_delays_ms=[25, 75, 150],
-        components=["producer", "broker", "spe", "consumer"],
-        n_documents=25,
-        duration=50.0,
-    )
-
-
 register(
-    Scenario(
+    dataclasses.replace(
+        fig5_link_delay.SCENARIO,
         name="geo-latency",
         title="Geo-distributed latency — which component's WAN delay hurts most",
-        config_factory=_geo_latency_config,
-        points=fig5_link_delay.scenario_points,
-        combine=fig5_link_delay.scenario_combine,
-        metrics=fig5_link_delay.scenario_metrics,
-        # Shares fig5's tiers; paper scale additionally restores the full
-        # delay grid that this example's default config trims to 3 points.
+        config_factory=partial(
+            Fig5Config, link_delays_ms=[25, 75, 150], n_documents=25, duration=50.0
+        ),
         tiers={
-            "quick": fig5_link_delay.SCENARIO.tiers["quick"],
+            **fig5_link_delay.SCENARIO.tiers,
             "paper": {
                 **fig5_link_delay.SCENARIO.tiers["paper"],
                 "link_delays_ms": [25, 50, 75, 100, 125, 150],
             },
         },
-        sweep_axis="link_delays_ms",
-        check=fig5_link_delay._scenario_check,
-        description="The Figure 5 link-delay sweep at example scale.",
     )
 )
 
@@ -342,17 +278,10 @@ class FraudPipelineConfig:
     duration: float = 60.0
     fraud_rate: float = 0.1
     transactions_per_second: float = 30.0
-    #: Partitions per topic (transactions are keyed by account id).
-    partitions: int = 1
-    #: Exactly-once produce path for the transaction source.
-    idempotence: bool = False
-    #: Transactional produce path for the transaction source (atomic batches
-    #: of card transactions; implies idempotence).
-    transactional_id: str = ""
-    #: ``read_committed`` makes the alert sink deliver only committed
-    #: transactions.
-    isolation_level: str = "read_uncommitted"
     seed: int = 13
+    #: Catalog-wide knobs (transactions are keyed by account id, so sharded
+    #: topics keep one account's history ordered).
+    platform: PlatformOverrides = field(default_factory=PlatformOverrides)
 
 
 def run_fraud_pipeline(config: FraudPipelineConfig) -> Dict[str, Any]:
@@ -364,10 +293,7 @@ def run_fraud_pipeline(config: FraudPipelineConfig) -> Dict[str, Any]:
         seed=config.seed,
         fraud_rate=config.fraud_rate,
         transactions_per_second=config.transactions_per_second,
-        partitions=config.partitions,
-        idempotence=config.idempotence,
-        transactional_id=config.transactional_id or None,
-        isolation_level=config.isolation_level,
+        platform=config.platform,
     )
     alerts = result.extras["alerts"]
     true_positives = result.extras["true_positive_alerts"]

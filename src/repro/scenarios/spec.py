@@ -198,14 +198,27 @@ class Scenario:
         return config_fingerprint(self.name, config)
 
 
+def _field_names(config: Any) -> set:
+    if not dataclasses.is_dataclass(config):
+        return set()
+    return {f.name for f in dataclasses.fields(config)}
+
+
 def _set_config_field(config: Any, name: str, value: Any) -> None:
     if dataclasses.is_dataclass(config):
-        known = {f.name for f in dataclasses.fields(config)}
-        if name not in known:
+        # Catalog-wide platform knobs are declared once, on the config's
+        # ``platform`` field (``repro.core.configs.PlatformOverrides``);
+        # their names resolve through it, so ``--set partitions=4`` keeps
+        # its spelling.
+        platform = getattr(config, "platform", None)
+        own, shared = _field_names(config), _field_names(platform)
+        if name not in own | shared:
             raise ValueError(
                 f"{type(config).__name__} has no field {name!r}; "
-                f"known fields: {', '.join(sorted(known))}"
+                f"known fields: {', '.join(sorted(own | shared))}"
             )
+        if name not in own:
+            config = platform
     elif not hasattr(config, name):
         raise ValueError(f"{type(config).__name__} has no field {name!r}")
     # A scalar assigned to a list-valued field means "that one value":

@@ -76,13 +76,11 @@ class ConsumerStub:
 class StandardConsumerStub(ConsumerStub):
     """The default data sink: record everything, compute delivery metrics."""
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.records: List[ConsumerRecord] = []
-
-    def handle(self, record: ConsumerRecord) -> None:
-        if self.config.keep_payloads:
-            self.records.append(record)
+    @property
+    def records(self) -> List[ConsumerRecord]:
+        """Every delivered record (empty unless ``keepPayloads``): the
+        consumer client's own ``received`` list, not a second copy."""
+        return self.consumer.received
 
     def received_keys(self, topic: Optional[str] = None) -> List[Any]:
         return [

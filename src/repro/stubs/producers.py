@@ -46,6 +46,7 @@ class ProducerStub:
             config=ProducerConfig(
                 buffer_memory=self.config.buffer_memory,
                 request_timeout=self.config.request_timeout,
+                delivery_timeout=self.config.delivery_timeout,
                 acks=self.config.acks,
                 idempotence=self.config.idempotence,
                 transactional_id=transactional_id,

@@ -546,6 +546,7 @@ def test_fig6_multi_partition_arm_elects_per_partition():
     leads partition 0, and its failure triggers exactly that partition's
     election — the fault's loss surface stays confined under sharding."""
     from repro.broker.coordinator import CoordinationMode
+    from repro.core.configs import PlatformOverrides
     from repro.experiments.fig6_partition import Fig6Config, run_fig6
 
     config = Fig6Config(
@@ -554,7 +555,7 @@ def test_fig6_multi_partition_arm_elects_per_partition():
         disconnect_start=40.0,
         disconnect_duration=30.0,
         mode=CoordinationMode.ZOOKEEPER,
-        partitions=3,
+        platform=PlatformOverrides(partitions=3),
         seed=3,
     )
     result = run_fig6(config)

@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.broker.cluster import ClusterConfig
+from repro.broker.coordinator import CoordinationMode
 from repro.core import Emulation
-from repro.core.configs import FaultSpec, TopicSpec
-from repro.core.monitoring import EventLog, LatencyTracker
+from repro.core.configs import FaultSpec, PlatformOverrides, TopicSpec
+from repro.core.monitoring import EventLog
 from repro.core.resources import HostResourceModel, ServerSpec
 from repro.core.task import TaskDescription
 from repro.core.visualization import (
@@ -130,6 +132,133 @@ class TestEmulationLifecycle:
         assert result.messages_consumed > 0
 
 
+class TestClusterConfigAndNames:
+    def test_mode_none_means_what_cluster_config_says(self):
+        """``Emulation(task, cluster_config=ClusterConfig(mode=KRAFT))`` used to
+        run ZooKeeper: the ``mode`` parameter's default overwrote the config."""
+        config = ClusterConfig(mode=CoordinationMode.KRAFT)
+        emulation = Emulation(simple_task(), cluster_config=config).build()
+        assert emulation.mode is CoordinationMode.KRAFT
+        assert emulation.cluster.coordinator.mode is CoordinationMode.KRAFT
+        assert all(
+            broker.mode is CoordinationMode.KRAFT
+            for broker in emulation.cluster.brokers.values()
+        )
+
+    def test_explicit_mode_wins_and_never_mutates_the_callers_config(self):
+        config = ClusterConfig(mode=CoordinationMode.ZOOKEEPER, session_timeout=4.0)
+        emulation = Emulation(simple_task(), mode="kraft", cluster_config=config).build()
+        assert emulation.cluster.coordinator.mode is CoordinationMode.KRAFT
+        assert emulation.cluster_config.session_timeout == 4.0
+        assert config.mode is CoordinationMode.ZOOKEEPER
+
+    def test_primary_broker_maps_through_the_brokers_given_name(self):
+        """``brokerCfg: {name: b2}`` plus ``primaryBroker: h2`` used to crash
+        mid-run with "preferred leader 'broker-h2' is not a live broker"."""
+        task = simple_task(n_messages=5, rate=5.0)
+        task.nodes["h2"].attributes["brokerCfg"] = {"coordinator": True, "name": "b2"}
+        emulation = Emulation(task, seed=1)
+        result = emulation.run(duration=25.0)
+        assert emulation.cluster.topics["events"].preferred_leader == "b2"
+        assert emulation.cluster.leader_broker("events").name == "b2"
+        assert result.messages_consumed == 5
+
+    def test_stub_names_come_from_the_description(self):
+        task = simple_task()
+        task.nodes["h1"].attributes["prodCfg"]["name"] = "source"
+        task.nodes["h3"].attributes["consCfg"]["name"] = "sink"
+        emulation = Emulation(task).build()
+        assert emulation.producers["h1"].name == "source"
+        assert emulation.producers["h1"].producer.name == "source-producer"
+        assert emulation.consumers["h3"].name == "sink"
+        # Unnamed stubs keep the node-derived default.
+        assert Emulation(simple_task()).build().producers["h1"].name == "producer-h1"
+
+    def test_delivery_timeout_reaches_the_producer_client(self):
+        task = simple_task()
+        task.nodes["h1"].attributes["prodCfg"]["deliveryTimeout"] = "45s"
+        producer = Emulation(task).build().producers["h1"].producer
+        assert producer.config.delivery_timeout == 45.0
+        default = Emulation(simple_task()).build().producers["h1"].producer
+        assert default.config.delivery_timeout == 120.0
+
+
+class TestFaultTargetValidation:
+    """A typo in ``faultCfg`` must be loud, not a run that injects nothing."""
+
+    def test_unknown_fault_targets_are_reported(self):
+        task = simple_task()
+        task.set_faults(
+            [
+                FaultSpec(kind="node_disconnect", targets=["ghost"], start=5.0),
+                FaultSpec(kind="transient_loss", targets=["h1", "nope"], start=5.0,
+                          loss_percent=50.0),
+            ]
+        )
+        problems = task.validate()
+        assert "node_disconnect fault targets unknown node 'ghost'" in problems
+        assert "transient_loss fault targets unknown node 'nope'" in problems
+        with pytest.raises(ValueError, match="ghost"):
+            Emulation(task)
+
+    @pytest.mark.parametrize("kind", ["transient_loss", "link_down"])
+    def test_link_faults_need_an_existing_link(self, kind):
+        task = simple_task()
+        # h1 and h3 both exist, but each hangs off s1: no h1-h3 link.
+        task.set_faults([FaultSpec(kind=kind, targets=["h1", "h3"], start=5.0)])
+        assert task.validate() == [f"{kind} fault: no link between ['h1', 'h3']"]
+        task.set_faults([FaultSpec(kind=kind, targets=["s1", "h1"], start=5.0)])
+        assert task.validate() == []
+
+
+class TestPlatformOverrides:
+    def test_set_knobs_reach_every_topic_producer_and_consumer(self):
+        platform = PlatformOverrides(
+            partitions=3,
+            idempotence=True,
+            isolation_level="read_committed",
+            segment_records=64,
+            cleanup_policy="compact",
+        )
+        emulation = Emulation(simple_task(), platform=platform).build()
+        topic = emulation.cluster.topics["events"]
+        assert (topic.partitions, topic.segment_records, topic.cleanup_policy) == (
+            3, 64, "compact",
+        )
+        assert emulation.producers["h1"].producer.config.idempotence is True
+        assert emulation.consumers["h3"].consumer.config.isolation_level == "read_committed"
+
+    def test_unset_knobs_leave_the_descriptions_own_values(self):
+        task = simple_task()
+        task.set_topics([TopicSpec(name="events", partitions=2, primary_broker="h2")])
+        task.nodes["h1"].attributes["prodCfg"]["idempotence"] = True
+        emulation = Emulation(task, platform=PlatformOverrides()).build()
+        assert emulation.cluster.topics["events"].partitions == 2
+        assert emulation.producers["h1"].producer.config.idempotence is True
+        assert task.topics[0].partitions == 2  # the description is never modified
+
+
+class TestOneMonitoringTick:
+    def test_one_periodic_process_feeds_both_readers(self):
+        emulation = Emulation(simple_task(n_messages=10), seed=1).build()
+        started = []
+        process = emulation.sim.process
+
+        def recording_process(generator, name=None):
+            started.append(name)
+            return process(generator, name=name)
+
+        emulation.sim.process = recording_process
+        result = emulation.run(duration=30.0, warmup=5.0)
+        assert "emulation:monitor" in started
+        assert "bandwidth-monitor" not in started and "resource-model" not in started
+        # Same sampling instants for both readers; warm-up samples discarded.
+        bandwidth = emulation.network.bandwidth_monitor.series_for("h2")
+        assert bandwidth.times() == [0.5 * k for k in range(1, 70)]
+        resource_times = [sample.time for sample in result.resource_report.samples]
+        assert resource_times == [5.0 + 0.5 * k for k in range(1, 60)]
+
+
 class TestMonitoringPrimitives:
     def test_event_log_queries(self):
         log = EventLog()
@@ -140,18 +269,6 @@ class TestMonitoringPrimitives:
         assert log.by_event("finished")[0].time == 2.0
         assert len(log.between(0.5, 1.5)) == 1
         assert [e.time for e in log.sorted()] == [1.0, 2.0]
-
-    def test_latency_tracker_statistics(self):
-        tracker = LatencyTracker()
-        for value in [0.1, 0.2, 0.3, 0.4, 1.0]:
-            tracker.observe(time=1.0, latency=value, topic="a")
-        assert tracker.mean("a") == pytest.approx(0.4)
-        assert tracker.maximum() == 1.0
-        assert tracker.percentile(0.5) == pytest.approx(0.3)
-        with pytest.raises(ValueError):
-            tracker.observe(1.0, -1.0)
-        with pytest.raises(ValueError):
-            tracker.percentile(2.0)
 
     def test_visualization_helpers(self):
         points = cdf([3.0, 1.0, 2.0])

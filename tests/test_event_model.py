@@ -19,7 +19,7 @@ from repro.broker import (
 from repro.broker import broker as broker_module
 from repro.broker.broker import Broker
 from repro.broker.producer import Producer
-from repro.experiments import fig6_partition
+from repro.core import emulation
 from repro.experiments.fig6_partition import Fig6Config, run_fig6
 from repro.network.link import LinkConfig
 from repro.network.topology import star_topology
@@ -293,7 +293,7 @@ def fig6_smoke():
         producers.append(self)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(fig6_partition, "Simulator", RecordingSimulator)
+        patch.setattr(emulation, "Simulator", RecordingSimulator)
         patch.setattr(Producer, "__init__", recording_init)
         result = run_fig6(
             Fig6Config(

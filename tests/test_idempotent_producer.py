@@ -522,17 +522,3 @@ class TestIdempotentProduce:
         parsed = ProducerStubConfig.from_dict({"topicName": "t", "idempotence": True})
         assert parsed.idempotence is True
         assert ProducerStubConfig.from_dict({"topicName": "t"}).idempotence is False
-
-    def test_every_scenario_config_has_the_idempotence_knob(self):
-        """`--set idempotence=true` must work catalog-wide."""
-        import dataclasses
-
-        from repro.scenarios import registry
-
-        for name in registry.names():
-            scenario = registry.get(name)
-            config = scenario.build_config()
-            assert hasattr(config, "idempotence"), (
-                f"scenario {name!r} config lacks the idempotence field"
-            )
-            assert dataclasses.is_dataclass(config)

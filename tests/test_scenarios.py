@@ -471,3 +471,82 @@ def test_set_vectorized_is_rejected_as_an_unknown_field():
             get(name).build_config(
                 ScenarioParams(scale="quick", overrides={"vectorized": False})
             )
+
+
+class TestOneKnobDeclaration:
+    """The eight platform knobs are declared once, as
+    ``repro.core.configs.PlatformOverrides``; every scenario config carries
+    it as its one ``platform`` field and ``--set`` / ``--sweep`` resolve the
+    knob names through it."""
+
+    KNOBS = {
+        "partitions", "idempotence", "transactional_id", "isolation_level",
+        "segment_records", "retention_bytes", "retention_ms", "cleanup_policy",
+    }
+
+    def test_the_declaration_has_exactly_the_eight_knobs(self):
+        from repro.core.configs import PlatformOverrides
+
+        assert {f.name for f in dataclasses.fields(PlatformOverrides)} == self.KNOBS
+
+    def test_every_config_has_one_platform_field_and_no_knob(self):
+        from repro.core.configs import PlatformOverrides
+
+        for name in names():
+            config = get(name).build_config()
+            fields = [f.name for f in dataclasses.fields(config)]
+            assert fields.count("platform") == 1, name
+            assert isinstance(config.platform, PlatformOverrides), name
+            assert not self.KNOBS & set(fields), (name, self.KNOBS & set(fields))
+
+    def test_every_knob_is_settable_by_its_bare_name(self):
+        values = {
+            "partitions": 4, "idempotence": True, "transactional_id": "tx1",
+            "isolation_level": "read_committed", "segment_records": 64,
+            "retention_bytes": 4096, "retention_ms": 5000.0, "cleanup_policy": "compact",
+        }
+        assert set(values) == self.KNOBS
+        for name in names():
+            config = get(name).build_config(ScenarioParams(overrides=values))
+            assert dataclasses.asdict(config.platform) == values, name
+            # Each build gets its own declaration object.
+            assert get(name).build_config().platform.partitions == 1
+
+    def test_sweeping_a_knob_resolves_through_platform(self):
+        combos = Sweep("fig7b").over("partitions", [1, 2]).configs()
+        assert [config.platform.partitions for _combo, config in combos] == [1, 2]
+
+    def test_unknown_names_raise_with_the_known_field_list(self):
+        for name in names():
+            with pytest.raises(ValueError, match="no field 'vectorised'") as raised:
+                get(name).build_config(ScenarioParams(overrides={"vectorised": 1}))
+            message = str(raised.value)
+            assert "known fields:" in message
+            # Own fields and platform knobs are both listed.
+            assert "platform" in message and "segment_records" in message
+
+    def test_cli_set_of_a_storage_knob_on_quickstart(self):
+        """``--set segment_records=64`` was rejected by every scenario but
+        fig6, whose config alone declared the storage knobs."""
+        buffer = io.StringIO()
+        with redirect_stdout(buffer):
+            code = cli_main(["run", "quickstart", "--set", "segment_records=64", "--check"])
+        assert code == 0
+        assert "scenario quickstart" in buffer.getvalue()
+
+    def test_cli_set_parses_lowercase_booleans(self):
+        from repro.scenarios.cli import _parse_override
+
+        assert _parse_override("idempotence=true") == ("idempotence", True)
+        assert _parse_override("idempotence=false") == ("idempotence", False)
+
+    def test_app_task_builders_no_longer_take_the_knobs(self):
+        import inspect
+
+        from repro.experiments.table2_applications import _APPLICATIONS
+
+        for name, (module, *_rest) in _APPLICATIONS.items():
+            for function in (module.create_task, module.run):
+                parameters = set(inspect.signature(function).parameters)
+                assert not self.KNOBS & parameters, (name, function.__name__)
+            assert "platform" in inspect.signature(module.run).parameters, name

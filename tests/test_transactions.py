@@ -633,24 +633,6 @@ class TestScenarioPlumbing:
         assert sink.isolation_level == "read_committed"
         assert ConsumerStubConfig.from_dict({}).isolation_level == "read_uncommitted"
 
-    def test_every_scenario_config_has_the_transaction_knobs(self):
-        """`--set transactional_id=tx1 --set isolation_level=read_committed`
-        must work catalog-wide, mirroring the idempotence knob."""
-        import dataclasses
-
-        from repro.scenarios import registry
-
-        for name in registry.names():
-            scenario = registry.get(name)
-            config = scenario.build_config()
-            assert dataclasses.is_dataclass(config)
-            assert hasattr(config, "transactional_id"), (
-                f"scenario {name!r} config lacks the transactional_id field"
-            )
-            assert hasattr(config, "isolation_level"), (
-                f"scenario {name!r} config lacks the isolation_level field"
-            )
-
     def test_control_records_never_reach_the_spe(self):
         """The SPE's batch-native ingest (``on_batch`` fast path) must filter
         commit/abort markers: a marker's payload leaking into an operator
@@ -748,11 +730,11 @@ class TestScenarioPlumbing:
         """``isolation_level=read_committed`` makes fig7b build an explicit
         ``ConsumerConfig``; with no transactions in flight the figure is the
         one ``tests/test_determinism_trace.py`` locks for the default."""
+        from repro.core.configs import PlatformOverrides
         from repro.experiments.fig7b_traffic_monitoring import Fig7bConfig, run_fig7b
 
-        result = run_fig7b(
-            Fig7bConfig(user_counts=[20, 60], slots=10, isolation_level="read_committed")
-        )
+        platform = PlatformOverrides(isolation_level="read_committed")
+        result = run_fig7b(Fig7bConfig(user_counts=[20, 60], slots=10, platform=platform))
         assert result.input_records == {20: 200, 60: 600}
         assert repr(result.mean_runtime_s[20]) == "0.1625230502499999"
         assert repr(result.mean_runtime_s[60]) == "0.23757060875000002"
@@ -761,17 +743,20 @@ class TestScenarioPlumbing:
         """A full Figure 2 pipeline with a transactional document source and a
         read_committed sink still delivers end to end."""
         from repro.apps.word_count import create_task
+        from repro.core.configs import PlatformOverrides
         from repro.core.emulation import Emulation
         from repro.workloads.text import generate_documents
 
-        task = create_task(
-            n_documents=12,
-            files_per_second=10.0,
-            transactional_id="tx1",
-            isolation_level="read_committed",
-        )
+        task = create_task(n_documents=12, files_per_second=10.0)
         documents = generate_documents(12, seed=3)
-        emulation = Emulation(task, seed=3, datasets={"documents": documents})
+        emulation = Emulation(
+            task,
+            seed=3,
+            datasets={"documents": documents},
+            platform=PlatformOverrides(
+                transactional_id="tx1", isolation_level="read_committed"
+            ),
+        )
         result = emulation.run(duration=45.0)
         source = emulation.producers["h1"]
         assert source.transactions_committed >= 1
