@@ -136,10 +136,9 @@ class Host(NetworkNode):
             src_port=src_port,
             dst_port=dst_port,
             created_at=self.sim.now,
-            headers=dict(headers or {}),
+            headers={} if headers is None else headers,
         )
         self.packets_sent += 1
-        packet.hop(self.name)
         if dst == self.name:
             # Loopback: co-located components still pay a small kernel hop.
             self.sim.call_later(LOOPBACK_DELAY, self._deliver_local, packet)
@@ -154,7 +153,6 @@ class Host(NetworkNode):
 
     # -- receiving -----------------------------------------------------------------
     def receive(self, packet: Packet, port: Port) -> None:
-        packet.hop(self.name)
         if packet.dst != self.name:
             # Hosts do not forward traffic.
             self.undeliverable += 1

@@ -3,16 +3,18 @@
 A link connects two ports and carries traffic independently in each
 direction.  The model is store-and-forward: a packet first occupies the
 transmitter for its serialization time (``wire_size / bandwidth``), then
-propagates for the configured latency, then (unless lost or the link went
-down in flight) is delivered to the far port.  Queueing happens naturally
-because each direction serializes one packet at a time, which is how
-congestion, head-of-line blocking and the bandwidth spikes of Figure 6d
-emerge.
+propagates for the configured latency, then (unless lost or the link was down
+when it launched or when it arrives) is delivered to the far port.  Queueing
+happens naturally because each direction serializes one packet at a time,
+which is how congestion, head-of-line blocking and the bandwidth spikes of
+Figure 6d emerge.  All of it is arithmetic at hand-over — the one heap entry
+per packet is its arrival (``docs/event_model.md``, "Links and switches");
+``tests/test_link_model.py`` is the reference it is held to.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
@@ -23,21 +25,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simulation import Simulator
 
 
+@dataclass(slots=True)
 class _Direction:
-    """Per-direction transmit state: FIFO queue plus a busy flag.
+    """Per-direction transmit state.  A packet handed over at ``t`` starts
+    serializing at ``max(t, busy_until)``: the FIFO queue, with no queue."""
 
-    The link data path is callback-driven (no Store, no pump process): the
-    whole per-packet cost is one serialization timer and one propagation
-    entry on the simulator's fast path.
-    """
-
-    __slots__ = ("src", "dst", "queue", "busy")
-
-    def __init__(self, src: Port, dst: Port) -> None:
-        self.src = src
-        self.dst = dst
-        self.queue: deque = deque()
-        self.busy = False
+    src: Port
+    dst: Port
+    busy_until: float = 0.0
 
 
 @dataclass
@@ -113,6 +108,9 @@ class Link:
             f"{port_a.node.name}:{port_a.number}<->{port_b.node.name}:{port_b.number}"
         )
         self.up = True
+        # When the link went down, came back up, went down, ... so that an
+        # arrival can ask about past instants: down after an odd number.
+        self._toggles: list = []
         self._rng = sim.rng(f"link-loss:{self.name}")
         self._directions = {
             id(port_a): _Direction(port_a, port_b),
@@ -139,69 +137,48 @@ class Link:
     # -- state ----------------------------------------------------------------
     def set_down(self) -> None:
         """Administratively disable the link (both directions)."""
-        self.up = False
+        if self.up:
+            self.up = False
+            self._toggles.append(self.sim.now)
 
     def set_up(self) -> None:
-        self.up = True
+        if not self.up:
+            self.up = True
+            self._toggles.append(self.sim.now)
 
     # -- data path --------------------------------------------------------------
     def transmit(self, packet: Packet, from_port: Port) -> None:
-        """Enqueue ``packet`` for transmission away from ``from_port``."""
-        direction = self._directions[id(from_port)]
-        direction.queue.append(packet)
-        if not direction.busy:
-            direction.busy = True
-            self._drain(direction)
+        """Hand ``packet`` to the transmitter facing away from ``from_port``.
 
-    def _drain(self, direction: "_Direction") -> None:
-        """Serialize queued packets one at a time (callback-driven pump).
-
-        Runs until a serialization timer is scheduled (shaped links) or the
-        queue empties.  While a timer is outstanding ``direction.busy`` stays
-        True and the timer's completion callback re-enters the drain, which
-        is what serializes one packet at a time and produces the queueing /
-        head-of-line blocking behaviour of the store-and-forward model.
+        The arrival is due once the transmitter is free, the packet serialized
+        and propagated, and the receiving node ready to act on it (a switch's
+        forwarding delay, read per packet) — summed in that order, which is
+        the float that one heap entry per step would have produced.
         """
-        queue = direction.queue
+        direction = self._directions[id(from_port)]
         config = self.config
-        while queue:
-            packet = queue.popleft()
-            if not self.up:
-                self.packets_dropped_down += 1
-                direction.src.stats.record_tx_drop()
-                continue
-            serialization = packet.wire_size * 8 / config.bits_per_second
-            if serialization > 0:
-                self.sim.call_later(serialization, self._serialized, direction, packet)
-                return
-            self._launch(direction, packet)
-        direction.busy = False
+        start = max(self.sim.now, direction.busy_until)
+        launch = start + packet.wire_size * 8 / config.bits_per_second
+        direction.busy_until = launch
+        reach = launch + config.latency_s
+        due = reach + direction.dst.node.switching_delay
+        self.sim.call_at(due, self._arrive, packet, direction, launch, reach)
 
-    def _serialized(self, direction: "_Direction", packet: Packet) -> None:
-        """Timer callback: the packet has fully left the transmitter."""
-        self._launch(direction, packet)
-        self._drain(direction)
-
-    def _launch(self, direction: "_Direction", packet: Packet) -> None:
-        """Post-serialization fate: drop (down/loss) or propagate."""
-        if not self.up:
+    def _arrive(self, packet: Packet, direction: _Direction, launch: float, reach: float) -> None:
+        """Decide the packet's fate: down at its launch, lost (one draw per
+        launched packet, in arrival order), or down when it reached the port."""
+        toggles = self._toggles
+        if toggles and bisect_right(toggles, launch) & 1:
             self.packets_dropped_down += 1
-            direction.src.stats.record_tx_drop()
-            return
-        if self._rng.bernoulli(self.config.loss_probability):
+        elif self._rng.bernoulli(self.config.loss_probability):
             self.packets_dropped_loss += 1
-            direction.src.stats.record_tx_drop()
-            return
-        # Propagation happens in parallel with the next serialization;
-        # one fast-path heap entry per delivery, no per-packet Process.
-        self.sim.call_later(self.config.latency_s, self._arrive, packet, direction.dst)
-
-    def _arrive(self, packet: Packet, dst: Port) -> None:
-        if not self.up:
+        elif toggles and bisect_right(toggles, reach) & 1:
             self.packets_dropped_down += 1
+        else:
+            self.packets_delivered += 1
+            direction.dst.deliver(packet)
             return
-        self.packets_delivered += 1
-        dst.deliver(packet)
+        direction.src.stats.record_tx_drop()
 
     def __repr__(self) -> str:
         state = "up" if self.up else "down"

@@ -65,6 +65,11 @@ class Port:
 class NetworkNode:
     """Common behaviour of hosts and switches."""
 
+    #: Seconds a node takes to act on a packet that reached one of its ports.
+    #: The delivering link adds it to the arrival it schedules; a host hands
+    #: the packet to its service at once, a switch sets its forwarding delay.
+    switching_delay = 0.0
+
     def __init__(self, sim: "Simulator", name: str) -> None:
         self.sim = sim
         self.name = name

@@ -19,7 +19,7 @@ HEADER_OVERHEAD_BYTES = 66
 _packet_ids = count(1)
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     """One message travelling through the emulated network.
 
@@ -36,8 +36,6 @@ class Packet:
         Payload size in bytes (excluding protocol overhead).
     created_at:
         Simulated time at which the packet entered the network.
-    trace:
-        Names of the nodes the packet has traversed (for tests/debugging).
     """
 
     src: str
@@ -49,7 +47,6 @@ class Packet:
     created_at: float = 0.0
     packet_id: int = field(default_factory=lambda: next(_packet_ids))
     headers: Dict[str, Any] = field(default_factory=dict)
-    trace: list = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if self.size < 0:
@@ -59,18 +56,6 @@ class Packet:
     def wire_size(self) -> int:
         """Bytes actually occupying the wire (payload + protocol overhead)."""
         return self.size + HEADER_OVERHEAD_BYTES
-
-    def hop(self, node_name: str) -> None:
-        """Record traversal of a node."""
-        self.trace.append(node_name)
-
-    def copy_for_forwarding(self) -> "Packet":
-        """Packets are forwarded by reference in this emulator; provided for clarity."""
-        return self
-
-    def age(self, now: float) -> float:
-        """Time the packet has spent in the network."""
-        return now - self.created_at
 
     def __repr__(self) -> str:
         return (

@@ -58,22 +58,16 @@ class Switch(NetworkNode):
 
     # -- data plane ------------------------------------------------------------------
     def receive(self, packet: Packet, port: Port) -> None:
-        packet.hop(self.name)
-        out_port_number = self.forwarding_table.get(packet.dst)
-        if out_port_number is None:
+        """Forward at once: the link delivered ``switching_delay`` after the
+        packet reached ``port`` (see ``Link.transmit``)."""
+        out_port = self.ports.get(self.forwarding_table.get(packet.dst))
+        if out_port is None or out_port is port:
+            # No route, a route to a port that is gone, or a hairpin.
             self.table_misses += 1
             port.stats.record_rx_drop()
             return
-        out_port = self.ports.get(out_port_number)
-        if out_port is None or out_port is port:
-            self.table_misses += 1
-            return
         self.packets_forwarded += 1
-        if self.switching_delay > 0:
-            # Fast path: one heap entry per forwarded packet.
-            self.sim.call_later(self.switching_delay, out_port.transmit, packet)
-        else:
-            out_port.transmit(packet)
+        out_port.transmit(packet)
 
     def __repr__(self) -> str:
         return f"<Switch {self.name} routes={len(self.forwarding_table)}>"

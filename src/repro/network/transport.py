@@ -19,6 +19,7 @@ events) before returning their response.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from itertools import count
 from typing import Any, Callable, Dict, Optional
 
@@ -84,6 +85,10 @@ class Transport:
         self.default_timeout = default_timeout
         self.max_retries = max_retries
         self._pending: Dict[int, Any] = {}
+        # Expiry is lazy: every attempt leaves (deadline, request_id) here and
+        # one kernel timer, armed for ``_armed``, sweeps what is due.
+        self._deadlines: list = []
+        self._armed = float("inf")
         self._handlers: Dict[int, Callable] = {}
         self.requests_sent = 0
         self.requests_retried = 0
@@ -124,7 +129,9 @@ class Transport:
             size=packet.size,
             created_at=packet.created_at,
         )
-        self.sim.process(
+        # Reached from a heap callback only (link arrival or loopback
+        # delivery), so the serve process takes its first step right here.
+        self.sim.start(
             self._serve(handler, request, packet.src, request_id, packet.src_port),
             name=f"{self.host.name}:serve:{port}",
         )
@@ -177,10 +184,30 @@ class Transport:
         else:
             waiter.succeed(packet.payload)
 
-    def _expire(self, request_id: int) -> None:
-        waiter = self._pending.pop(request_id, None)
-        if waiter is not None and not waiter.triggered:
-            waiter.succeed(_EXPIRED)
+    def _expire_at(self, deadline: float, request_id: int) -> None:
+        """Fire ``request_id``'s waiter at ``deadline`` unless it is answered first."""
+        heappush(self._deadlines, (deadline, request_id))
+        if deadline < self._armed:
+            self._armed = deadline
+            self.sim.call_at(deadline, self._sweep)
+
+    def _sweep(self) -> None:
+        """The armed timer: expire what is due, forget what was answered, and
+        re-arm for the earliest attempt still pending — so each one expires
+        exactly at its deadline, and answered ones cost no heap entry."""
+        now = self.sim.now
+        if now < self._armed:
+            return  # a timer that a shorter timeout overtook; that one swept
+        deadlines, pending = self._deadlines, self._pending
+        while deadlines and (deadlines[0][0] <= now or deadlines[0][1] not in pending):
+            waiter = pending.pop(heappop(deadlines)[1], None)
+            if waiter is not None and not waiter.triggered:
+                waiter.succeed(_EXPIRED)
+        if deadlines:
+            self._armed = deadlines[0][0]
+            self.sim.call_at(self._armed, self._sweep)
+        else:
+            self._armed = float("inf")
 
     def request(
         self,
@@ -221,13 +248,13 @@ class Transport:
                     src_port=self.reply_port,
                     headers={"request_id": request_id},
                 )
-                # One expiry per attempt: it fires the waiter this process is
-                # parked on, unless the reply got there first.
-                self.sim.call_later(attempt_timeout, self._expire, request_id)
+                # The deadline fires the waiter this process is parked on,
+                # unless the reply got there first.
+                self._expire_at(self.sim.now + attempt_timeout, request_id)
                 outcome = yield waiter
                 if outcome is not _EXPIRED:
                     return outcome
-                # _expire deregistered the (now stale) request id, so a late
+                # The sweep deregistered the (now stale) request id, so a late
                 # reply cannot resolve it; retry under a fresh id.
                 last_error = RequestTimeout(
                     f"{self.host.name} -> {dst}:{port} timed out after {attempt_timeout}s "

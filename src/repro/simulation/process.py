@@ -16,7 +16,8 @@ class Interrupt(Exception):
 
 
 class _Bootstrap:
-    """Shared successful pseudo-event used to kick-start every process.
+    """Shared successful pseudo-event used to kick-start every process (by
+    ``Simulator.process`` / ``Simulator.start``, the only makers of one).
 
     ``Process._resume`` only reads ``_ok`` / ``_value`` from the event it is
     resumed with, so all processes can share this one immutable instance
@@ -28,7 +29,7 @@ class _Bootstrap:
     _value = None
 
 
-_BOOTSTRAP = _Bootstrap()
+BOOTSTRAP = _Bootstrap()
 
 
 class Process(Event):
@@ -56,9 +57,6 @@ class Process(Event):
         self.name = name or getattr(generator, "__name__", "process")
         self._target: Optional[Event] = None
         self._interrupts: list = []
-        # Kick-start the process at the current simulation time (fast path:
-        # no init Event; the dispatch loop calls _resume directly).
-        sim.call_later(0.0, self._resume, _BOOTSTRAP)
 
     @property
     def is_alive(self) -> bool:

@@ -196,6 +196,31 @@ class TestDelivery:
         sim.run()
         assert len(received) == 1
 
+    def test_drop_on_arrival_counts_on_the_link_and_the_sending_port(self):
+        """A packet caught in flight by ``set_down`` is one link drop and one
+        drop on the port that sent it, like every other drop."""
+        sim, net = make_two_host_net(latency_ms=10.0)
+        link = net.link_between("h1", "s1")
+        net.host("h1").send("h2", "x", size=10, dst_port=5000)
+        sim.call_later(0.005, link.set_down)  # launched, still propagating
+        sim.run()
+        assert (link.packets_dropped_down, link.packets_delivered) == (1, 0)
+        assert net.host("h1").port.stats.tx_dropped == 1
+
+    @pytest.mark.parametrize("case", ["hairpin", "port gone"])
+    def test_switch_drop_without_an_output_port_counts_on_the_ingress_port(self, case):
+        sim, net = make_two_host_net()
+        switch = net.switches["s1"]
+        ingress = net.link_between("h1", "s1").other_port(net.host("h1").port)
+        if case == "hairpin":
+            switch.forwarding_table["h2"] = ingress.number
+        else:
+            del switch.ports[switch.forwarding_table["h2"]]
+        net.host("h1").send("h2", "x", size=10, dst_port=5000)
+        sim.run()
+        # Like the no-route miss: one table miss, one rx drop.
+        assert (switch.table_misses, ingress.stats.rx_dropped, switch.packets_forwarded) == (1, 1, 0)
+
 
 class TestNetworkContainer:
     def test_duplicate_names_rejected(self):
