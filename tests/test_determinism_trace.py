@@ -111,9 +111,11 @@ def test_different_seeds_diverge():
 #: timing: 9703 events, and the one lossy-link retry that used to deliver a
 #: duplicate no longer coincides with a lost ack (201 -> 200 records,
 #: 4824 -> 4800 bytes; links 1230/606/626 -> 1168/592/576 delivered, 7 -> 6
-#: lost on site3's link).
+#: lost on site3's link).  Lowered, ``processed_events`` only, when a link hop
+#: became one entry, RPC expiry lazy and the serve start part of the arrival
+#: (9703 -> 5087; every other field, the loss draws included, as it was).
 GOLDEN_TRACE_SEED42 = {
-    "processed_events": 9703,
+    "processed_events": 5087,
     "final_clock": 40.0,
     "records_sent": 200,
     "records_acked": 200,

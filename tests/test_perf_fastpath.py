@@ -39,6 +39,20 @@ class TestCallLater:
         with pytest.raises(ValueError):
             sim.call_later(-0.1, lambda: None)
 
+    def test_call_at_takes_the_timestamp_as_given(self):
+        sim = Simulator()
+        fired = []
+        a, b, c = 0.1, 0.2, 0.3
+        sim.call_later(a, lambda: sim.call_at((sim.now + b) + c, lambda: fired.append(sim.now)))
+        sim.run()
+        # The caller's own chain of additions, not now + (b + c).
+        assert fired == [(a + b) + c] and (a + b) + c != a + (b + c)
+
+    def test_call_at_in_the_past_rejected(self):
+        sim = Simulator(initial_time=5.0)
+        with pytest.raises(ValueError):
+            sim.call_at(4.9, lambda: None)
+
     def test_preserves_scheduling_order_at_same_time(self):
         sim = Simulator()
         order = []
@@ -362,6 +376,81 @@ class TestTransportRequestPaths:
 
         sim.process(caller())
         sim.run()
-        # caller start + 2 x (transmit, 2 x (serialized, arrive)) + serve
-        # start + waiter wake-up + the attempt's expiry.
-        assert sim.processed_events == 14
+        # caller start + 4 arrivals (request and reply, two links each; the
+        # switch forwards and the serve process starts inside an arrival) +
+        # waiter wake-up + one sweep of the deadline heap.
+        assert sim.processed_events == 7
+
+    def test_shorter_timeout_behind_a_longer_one_expires_on_time(self):
+        sim, net, client, server = self._two_hosts()
+        outcomes = {}  # nothing is registered on h2: both requests time out
+
+        def caller(name, delay, timeout):
+            yield sim.timeout(delay)
+            try:
+                yield from client.request("h2", 80, name, timeout=timeout, retries=0)
+            except RequestTimeout:
+                outcomes[name] = sim.now
+
+        sim.process(caller("long", 0.0, 5.0))
+        sim.process(caller("short", 1.0, 0.5))  # armed: the sweep at 5.0
+        sim.run()
+        assert outcomes == {"short": 1.0 + 0.5, "long": 0.0 + 5.0}
+        assert client._pending == {} and client._deadlines == []
+
+    def test_answered_requests_cost_one_sweep_per_timeout_not_one_each(self):
+        sim, net, client, server = self._two_hosts()
+        server.register(80, lambda request: "pong")
+        sweeps = []
+        client._sweep = lambda sweep=client._sweep: (sweeps.append(sim.now), sweep())
+        timeout = 0.5
+
+        def caller():
+            for _ in range(1000):
+                yield from client.request("h2", 80, "ping", size=64, timeout=timeout)
+
+        sim.process(caller())
+        sim.run()
+        duration = sweeps[-1]
+        assert 1000 * 0.020 < duration < 1000 * 0.021 + timeout  # ~20 ms a round trip
+        assert len(sweeps) <= duration / timeout + 2
+        assert client.requests_sent == 1000 and client.requests_retried == 0
+        assert client._pending == {} and client._deadlines == []
+
+    def test_start_runs_the_first_step_in_the_calling_callback(self):
+        sim = Simulator()
+        steps = []
+
+        def worker():
+            steps.append(("first", sim.now, sim.active_process is not None))
+            yield sim.timeout(1.0)
+            steps.append(("second", sim.now))
+            return "done"
+
+        started = []
+        sim.call_later(2.0, lambda: (started.append(sim.start(worker())), steps.append("back")))
+        assert sim.run(until=4.0) is None
+        assert steps == [("first", 2.0, True), "back", ("second", 3.0)]
+        assert started[0].value == "done"
+        # The 2.0 callback, the 1.0 timeout, run()'s deadline: no start entry.
+        assert sim.processed_events == 3
+
+    def test_start_from_inside_a_process_raises(self):
+        sim = Simulator()
+        errors = []
+
+        def inner():
+            yield sim.timeout(1.0)
+
+        def outer():
+            child = inner()
+            try:
+                sim.start(child)
+            except RuntimeError as exc:
+                errors.append(str(exc))
+                child.close()
+            yield sim.timeout(0.1)
+
+        sim.process(outer(), name="outer")
+        sim.run()
+        assert len(errors) == 1 and "outer" in errors[0]
