@@ -8,7 +8,11 @@ trajectory to beat:
 * ``call_later`` dispatch rate — the zero-allocation fast path used by the
   network data plane (one heap entry per packet delivery);
 * process/timeout rate — the generator-based slow path;
-* packet round-trip rate through the full host->switch->host data plane;
+* packet round-trip rate through the full host->switch->host data plane and
+  the ``Transport`` RPC rate on top of it, each with its exact heap entries
+  per operation (``packet_events_per_round_trip``, ``rpc_events_per_request``
+  — gated counters: an events/sec rate would read "slower" whenever a change
+  removes events);
 * end-to-end produce->consume record throughput through the batch-native
   broker wire path (client send -> broker append -> fetch -> header decode),
   plus the sharded variant (4 partitions / 4-member consumer group) and the
@@ -50,7 +54,7 @@ from repro.broker.topic import TopicConfig
 from repro.engine import StreamingConfig, StreamingContext
 from repro.experiments.fig6_partition import Fig6Config, run_fig6
 from repro.experiments.fig7b_traffic_monitoring import Fig7bConfig, run_fig7b
-from repro.network import LinkConfig, Network
+from repro.network import LinkConfig, Network, Transport
 from repro.network.topology import one_big_switch
 from repro.simulation import Simulator
 
@@ -151,12 +155,46 @@ def test_bench_packet_round_trips():
     sim.run()
     elapsed = time.perf_counter() - started
     rate = _record("packet_round_trips_per_sec", n / elapsed)
-    _record("packet_events_per_sec", sim.processed_events / elapsed)
+    # Exact: one heap entry per link hop, four hops there and back (10 when a
+    # hop was serialization + arrival and the switch delay its own entry).
+    events = _record("packet_events_per_round_trip", sim.processed_events / n)
     report(
         "packet round-trips",
-        {"round_trips": n, "seconds": elapsed, "round_trips/sec": rate},
+        {"round_trips": n, "seconds": elapsed, "round_trips/sec": rate,
+         "events/round_trip": events},
     )
     assert done[0] == n
+    assert rate > 1_000
+
+
+def test_bench_transport_requests():
+    """``Transport.request`` RPC loop between two hosts, one caller."""
+    n = 10_000
+    sim = Simulator(seed=1)
+    net = one_big_switch(
+        sim, ["h1", "h2"], default_config=LinkConfig(latency_ms=1.0, bandwidth_mbps=1000.0)
+    )
+    server = Transport(net.host("h2"))
+    server.register(9000, lambda request: {"echo": request.payload["index"]})
+    client = Transport(net.host("h1"))
+
+    def caller():
+        for index in range(n):
+            yield from client.request("h2", 9000, {"type": "echo", "index": index}, size=64)
+
+    sim.process(caller())
+    started = time.perf_counter()
+    sim.run()
+    elapsed = time.perf_counter() - started
+    rate = _record("transport_requests_per_sec", n / elapsed)
+    # Exact: four link hops and the caller's wake-up per request, plus one
+    # sweep of the deadline heap per timeout's worth of requests.
+    events = _record("rpc_events_per_request", sim.processed_events / n)
+    report(
+        "transport requests",
+        {"requests": n, "seconds": elapsed, "requests/sec": rate, "events/request": events},
+    )
+    assert (client.requests_sent, client.requests_retried) == (n, 0)
     assert rate > 1_000
 
 
@@ -988,6 +1026,8 @@ GATED_METRICS = (
 GATED_COUNTERS = (
     "producer_retained_objects_per_queued_record",
     "producer_gen0_collections_per_100k_records",
+    "packet_events_per_round_trip",
+    "rpc_events_per_request",
 )
 
 #: Simulator-core-only micro-rates used as a *session health* sentinel: no

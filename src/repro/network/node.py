@@ -65,9 +65,8 @@ class Port:
 class NetworkNode:
     """Common behaviour of hosts and switches."""
 
-    #: Seconds a node takes to act on a packet that reached one of its ports.
-    #: The delivering link adds it to the arrival it schedules; a host hands
-    #: the packet to its service at once, a switch sets its forwarding delay.
+    #: Seconds until the node acts on a packet that reached a port; the link
+    #: schedules the arrival that much later.  Hosts: none.  Switches set it.
     switching_delay = 0.0
 
     def __init__(self, sim: "Simulator", name: str) -> None:

@@ -58,11 +58,9 @@ class Switch(NetworkNode):
 
     # -- data plane ------------------------------------------------------------------
     def receive(self, packet: Packet, port: Port) -> None:
-        """Forward at once: the link delivered ``switching_delay`` after the
-        packet reached ``port`` (see ``Link.transmit``)."""
+        """Forward at once: ``Link.transmit`` already waited ``switching_delay``."""
         out_port = self.ports.get(self.forwarding_table.get(packet.dst))
-        if out_port is None or out_port is port:
-            # No route, a route to a port that is gone, or a hairpin.
+        if out_port is None or out_port is port:  # no route, port gone, hairpin
             self.table_misses += 1
             port.stats.record_rx_drop()
             return

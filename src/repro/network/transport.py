@@ -85,8 +85,7 @@ class Transport:
         self.default_timeout = default_timeout
         self.max_retries = max_retries
         self._pending: Dict[int, Any] = {}
-        # Expiry is lazy: every attempt leaves (deadline, request_id) here and
-        # one kernel timer, armed for ``_armed``, sweeps what is due.
+        # Lazy expiry: (deadline, request_id) per attempt, one timer at _armed.
         self._deadlines: list = []
         self._armed = float("inf")
         self._handlers: Dict[int, Callable] = {}
@@ -129,8 +128,7 @@ class Transport:
             size=packet.size,
             created_at=packet.created_at,
         )
-        # Reached from a heap callback only (link arrival or loopback
-        # delivery), so the serve process takes its first step right here.
+        # Only ever reached from a heap callback (arrival, loopback delivery).
         self.sim.start(
             self._serve(handler, request, packet.src, request_id, packet.src_port),
             name=f"{self.host.name}:serve:{port}",
@@ -184,17 +182,10 @@ class Transport:
         else:
             waiter.succeed(packet.payload)
 
-    def _expire_at(self, deadline: float, request_id: int) -> None:
-        """Fire ``request_id``'s waiter at ``deadline`` unless it is answered first."""
-        heappush(self._deadlines, (deadline, request_id))
-        if deadline < self._armed:
-            self._armed = deadline
-            self.sim.call_at(deadline, self._sweep)
-
     def _sweep(self) -> None:
-        """The armed timer: expire what is due, forget what was answered, and
-        re-arm for the earliest attempt still pending — so each one expires
-        exactly at its deadline, and answered ones cost no heap entry."""
+        """The one armed timer: expire what is due, forget what was answered,
+        re-arm for the earliest attempt still pending — so each expires exactly
+        at its deadline and an answered one never costs a heap entry."""
         now = self.sim.now
         if now < self._armed:
             return  # a timer that a shorter timeout overtook; that one swept
@@ -203,11 +194,9 @@ class Transport:
             waiter = pending.pop(heappop(deadlines)[1], None)
             if waiter is not None and not waiter.triggered:
                 waiter.succeed(_EXPIRED)
+        self._armed = deadlines[0][0] if deadlines else float("inf")
         if deadlines:
-            self._armed = deadlines[0][0]
             self.sim.call_at(self._armed, self._sweep)
-        else:
-            self._armed = float("inf")
 
     def request(
         self,
@@ -250,7 +239,11 @@ class Transport:
                 )
                 # The deadline fires the waiter this process is parked on,
                 # unless the reply got there first.
-                self._expire_at(self.sim.now + attempt_timeout, request_id)
+                deadline = self.sim.now + attempt_timeout
+                heappush(self._deadlines, (deadline, request_id))
+                if deadline < self._armed:
+                    self._armed = deadline
+                    self.sim.call_at(deadline, self._sweep)
                 outcome = yield waiter
                 if outcome is not _EXPIRED:
                     return outcome

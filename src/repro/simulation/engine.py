@@ -4,12 +4,11 @@ Two scheduling tiers share one heap:
 
 * the full :class:`~repro.simulation.events.Event` / ``Process`` machinery,
   used wherever a caller needs to *wait* on an occurrence; and
-* a zero-allocation fast path — :meth:`Simulator.call_later` — that pushes a
-  bare ``(fn, args)`` entry and invokes it directly from the dispatch loop.
-  One heap entry per callback, no ``Event``, no generator frame.  The network
-  data plane (one entry per link hop, loopback delivery) runs entirely on
-  this path through its absolute-time form :meth:`Simulator.call_at`; see
-  :class:`_Callback`.
+* a zero-allocation fast path — :meth:`Simulator.call_at` / ``call_later`` —
+  that pushes a bare ``(fn, args)`` entry and invokes it directly from the
+  dispatch loop.  One heap entry per callback, no ``Event``, no generator
+  frame.  The network data plane (one entry per link hop, loopback delivery)
+  runs entirely on this path; see :class:`_Callback`.
 
 Both tiers are ordered by ``(time, priority, sequence)`` from a single
 monotonic counter, so mixing them cannot reorder same-time events and
@@ -121,11 +120,8 @@ class Simulator:
     def process(
         self, generator: Generator[Event, Any, Any], name: Optional[str] = None
     ) -> Process:
-        """Register ``generator`` as a new simulation process.
-
-        Its first step runs at the current simulation time through the fast
-        path: no init ``Event``, the dispatch loop calls ``_resume`` directly.
-        """
+        """Register ``generator`` as a new simulation process; its first step
+        runs at the current time (fast path: the loop calls ``_resume``)."""
         process = Process(self, generator, name=name)
         self.call_later(0.0, process._resume, BOOTSTRAP)
         return process
@@ -133,19 +129,12 @@ class Simulator:
     def start(
         self, generator: Generator[Event, Any, Any], name: Optional[str] = None
     ) -> Process:
-        """Like :meth:`process`, but run the generator's first step *now*.
-
-        For a heap callback whose whole job is to start a process (a request
-        arriving at a server): the first step runs in that callback instead of
-        through a zero-delay entry of its own.  Only the dispatch loop may be
-        the caller — inside a running process the nested resume would clobber
-        :attr:`active_process` — so that is an error.
-        """
+        """Like :meth:`process`, but the first step runs *now*, in the heap
+        callback that calls this (a request arriving at a server) instead of
+        through a zero-delay entry of its own.  Inside a running process the
+        nested resume would clobber :attr:`active_process`: an error."""
         if self._active_process is not None:
-            raise RuntimeError(
-                f"Simulator.start() called from inside {self._active_process!r}; "
-                "use process()"
-            )
+            raise RuntimeError(f"start() inside {self._active_process!r}: use process()")
         process = Process(self, generator, name=name)
         process._resume(BOOTSTRAP)
         return process
@@ -170,20 +159,16 @@ class Simulator:
         ``fn`` directly.  Use it for fire-and-forget work (packet delivery,
         deferred starts) where nothing needs to wait on the result; use
         :meth:`process` / :meth:`timeout` when the caller must synchronize.
-
-        An absolute time lets a caller that folds several delays into one
-        entry build it by the same chain of additions the separate entries
-        would have made (``(a + b) + c``, not ``a + (b + c)``), so the
-        timestamp is the same float.
+        A caller folding several delays into one entry sums them onto ``now``
+        in the order separate entries would have: the same float.
         """
         if when < self._now:
             raise ValueError(f"when={when} lies in the past (now={self._now})")
         heapq.heappush(self._queue, (when, NORMAL, next(self._eid), _Callback(fn, args)))
 
     def call_later(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
-        """Run ``fn(*args)`` once, ``delay`` seconds from now: ``call_at(now +
-        delay, ...)``, pushed here rather than delegated — the extra call is
-        a third of an entry's whole cost (1.75M -> 1.2M entries/s)."""
+        """``call_at(now + delay, fn, *args)``, pushed here: delegating costs a
+        third of an entry's whole price (1.75M -> 1.2M entries/s)."""
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
         heapq.heappush(
