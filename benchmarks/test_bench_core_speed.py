@@ -155,8 +155,7 @@ def test_bench_packet_round_trips():
     sim.run()
     elapsed = time.perf_counter() - started
     rate = _record("packet_round_trips_per_sec", n / elapsed)
-    # Exact: one heap entry per link hop, four hops there and back (10 when a
-    # hop was serialization + arrival and the switch delay its own entry).
+    # Exact: one heap entry per link hop, four hops there and back.
     events = _record("packet_events_per_round_trip", sim.processed_events / n)
     report(
         "packet round-trips",
