@@ -111,6 +111,7 @@ class DeliveryReport:
     __slots__ = (
         "sequence",
         "topic",
+        "partition",
         "key",
         "enqueued_at",
         "acknowledged_at",
@@ -122,6 +123,9 @@ class DeliveryReport:
     def __init__(self, sequence: int, topic: str, key: Any, enqueued_at: float) -> None:
         self.sequence = sequence
         self.topic = topic
+        #: The partition the record was batched for; with ``offset`` the
+        #: record's position in the log.  ``None`` while it waits in line.
+        self.partition: Optional[int] = None
         self.key = key
         self.enqueued_at = enqueued_at
         self.acknowledged_at: Optional[float] = None

@@ -758,6 +758,7 @@ class Producer:
         report = DeliveryReport(
             sequence, placed.topic, placed.keys[row], placed.produced_ats[row]
         )
+        report.partition = placed.partition
         if placed.reason is not None:
             report.failed_at = placed.settled_at
         elif placed.settled_at is not None:

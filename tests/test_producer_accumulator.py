@@ -328,6 +328,8 @@ def test_duplicate_ack_without_offsets_reports_duplicate_and_no_offset():
         (True, True, None)
     ] * 3
     assert futures[1].value.offset is None and futures[1].value.partition == 0
+    # The partition is the batch's own, known even when the offset is not.
+    assert {r.partition for r in producer.reports} == {0}
     producer.send(ProducerRecord(topic="t", key=3, value=3, size=10))
     producer._settle(producer._drain_batch("t-0"), base_offset=7, duplicate=True)
     assert (producer.reports[3].duplicate, producer.reports[3].offset) == (True, 7)
@@ -343,6 +345,12 @@ def test_reports_is_a_read_only_sequence():
     assert len(reports) == 6 and reports[-1].topic == "elsewhere"
     assert [r.sequence for r in reports] == list(range(6))
     assert [r.key for r in reports[1:3]] == ["k1", "k2"]
+    # A placed record reports the partition of its batch (with the offset, its
+    # position in the log); one still waiting in line has none yet.
+    assert [r.partition for r in reports[:5]] == [
+        ProducerRecord(topic="t", key=f"k{i}", value=i).partition_for(2) for i in range(5)
+    ]
+    assert reports[5].partition is None
     with pytest.raises(IndexError):
         reports[6]
     with pytest.raises(TypeError):
