@@ -1,0 +1,423 @@
+"""The history rules, judged three ways.
+
+1. By hand: per rule one history that satisfies it and one that violates it,
+   six events at most, so what a rule means can be read off its test.
+2. Against the checkers they replace: on every arm of the chaos matrix
+   (``tests/test_chaos_exactly_once.py``) ``check_history`` and the log-scan /
+   consumer-scan checkers of the two old drivers agree — no violation on the
+   matrix arms, and both fire on the idempotence-off and ``read_uncommitted``
+   control arms.
+3. As a fence: the fingerprint of every arm's run (acks, dedup counters, every
+   consumer's deliveries with their positions, transaction outcomes) was
+   captured from those two drivers before they were merged into one.  A seeded
+   run must not move.
+
+This file ran green before the drivers were merged and runs unchanged after:
+where ``repro.testing.chaos.run_chaos`` does not exist yet, the same arms are
+run through ``run_chaos_produce`` / ``run_chaos_txn_produce`` and their
+histories put together from outside.
+"""
+
+import hashlib
+from collections import namedtuple
+
+import pytest
+
+from repro.broker.consumer import ConsumerConfig
+from repro.broker.message import ProducerRecord
+from repro.broker.producer import ProducerConfig
+from repro.testing import chaos
+from repro.testing.history import (
+    History,
+    Reader,
+    acked_delivered,
+    acked_durable,
+    check_history,
+    delivered_durable,
+    delivered_sent,
+    key_order,
+    no_duplicates,
+    offset_order,
+    txn_atomic,
+)
+
+# ---------------------------------------------------------------------------
+# 1. Hand-written histories
+# ---------------------------------------------------------------------------
+Client = namedtuple("Client", "name config reports")
+Sent = namedtuple("Sent", "key value topic", defaults=("t",))
+Ack = namedtuple("Ack", "sequence offset acknowledged_at partition topic", defaults=(1.0, 0, "t"))
+Got = namedtuple("Got", "offset key value partition topic", defaults=(0, "t"))
+
+EXACTLY_ONCE = ProducerConfig(acks="all", idempotence=True)
+TRANSACTIONAL = ProducerConfig(acks="all", transactional_id="tx")
+READ_COMMITTED = ConsumerConfig(isolation_level="read_committed")
+
+
+def history(sent, acks, got, log=None, config=EXACTLY_ONCE, reader=ConsumerConfig(), **rest):
+    """One producer ``p``, one reader ``c``, one partition ``t-0`` whose final
+    leader log is ``log`` (default: exactly what the reader was handed)."""
+    return History(
+        [Client("p", config, acks)],
+        [Reader("c", got, reader)],
+        sent={"p": sent},
+        leader_logs={("t", 0): {record.offset: record for record in (got if log is None else log)}},
+        **rest,
+    )
+
+
+def rules(violations):
+    return sorted({violation.rule for violation in violations})
+
+
+TWO_SENT = [Sent("a", 0), Sent("a", 1)]
+TWO_ACKED = [Ack(0, 0), Ack(1, 1)]
+TWO_GOT = [Got(0, "a", 0), Got(1, "a", 1)]
+
+
+def test_a_clean_history_satisfies_every_rule():
+    assert check_history(history(TWO_SENT, TWO_ACKED, TWO_GOT)) == []
+
+
+def test_acked_durable():
+    assert acked_durable(history(TWO_SENT, TWO_ACKED, TWO_GOT)) == []
+    # The elected leader never had offset 1 ...
+    lost = history(TWO_SENT, TWO_ACKED, TWO_GOT, log=TWO_GOT[:1])
+    assert [str(v) for v in acked_durable(lost)] == [
+        "acked_durable: acked ('a', 1) is not at t-0@1 of the leader log"
+    ]
+    # ... or holds somebody else's record there.
+    other = [Got(0, "a", 0), Got(1, "b", 0)]
+    assert rules(acked_durable(history(TWO_SENT, TWO_ACKED, [], log=other)))
+    # A duplicate ack that could not echo its offset: anywhere in the log will do.
+    assert acked_durable(history(TWO_SENT, [Ack(0, None), Ack(1, None)], TWO_GOT)) == []
+    assert rules(acked_durable(history(TWO_SENT, [Ack(1, None)], [], log=TWO_GOT[:1])))
+
+
+def test_a_partition_without_a_leader_log_is_a_violation_not_a_pass():
+    leaderless = history(TWO_SENT, TWO_ACKED, TWO_GOT)
+    leaderless.leader_logs.clear()
+    assert [v.detail for v in acked_durable(leaderless)] == [
+        "t-0 has no leader log at the end of the run"
+    ]
+    assert rules(check_history(leaderless)) == ["acked_durable", "delivered_durable"]
+
+
+def test_acked_delivered():
+    assert acked_delivered(history(TWO_SENT, TWO_ACKED, TWO_GOT)) == []
+    behind = history(TWO_SENT, TWO_ACKED, TWO_GOT[:1], log=TWO_GOT)
+    assert [(v.detail, v.topic) for v in acked_delivered(behind)] == [
+        ("acked ('a', 1) reached no reader", "t")
+    ]
+    # An acknowledgement after the cutoff is not judged, and neither is a send
+    # that was never acknowledged.
+    behind.ack_cutoff = 0.5
+    assert acked_delivered(behind) == []
+    assert acked_delivered(history(TWO_SENT, [Ack(0, 0), Ack(1, None, None)], TWO_GOT[:1])) == []
+
+
+def test_delivered_sent():
+    assert delivered_sent(history(TWO_SENT, TWO_ACKED, TWO_GOT)) == []
+    phantom = history(TWO_SENT, TWO_ACKED, TWO_GOT + [Got(2, "z", 9)])
+    assert [v.detail for v in delivered_sent(phantom)] == [
+        "c was handed ('z', 9), which nobody sent"
+    ]
+
+
+def test_delivered_durable():
+    assert delivered_durable(history(TWO_SENT, TWO_ACKED, TWO_GOT)) == []
+    # The reader was handed offset 1, which the final leader does not have.
+    assert rules(delivered_durable(history(TWO_SENT, TWO_ACKED, TWO_GOT, log=TWO_GOT[:1])))
+    # A reader that keeps no positions (an SPE sink) cannot be asked.
+    sink = history(TWO_SENT, TWO_ACKED, TWO_GOT, log=[])
+    sink.readers[0].position = None
+    assert delivered_durable(sink) == [] and offset_order(sink) == []
+
+
+def test_offset_order():
+    assert offset_order(history(TWO_SENT, TWO_ACKED, TWO_GOT)) == []
+    rewound = history(TWO_SENT, TWO_ACKED, TWO_GOT[::-1])
+    assert [v.detail for v in offset_order(rewound)] == ["c: t-0 went 1 -> 0"]
+    # A group member re-reads from the committed offset after a rebalance.
+    member = history(TWO_SENT, TWO_ACKED, TWO_GOT[::-1], reader=ConsumerConfig(group="g"))
+    assert offset_order(member) == []
+
+
+def test_no_duplicates():
+    # A retry after a lost ack appended ('a', 0) again, at offset 1.
+    twice, acked = [Got(0, "a", 0), Got(1, "a", 0), Got(2, "a", 1)], [Ack(0, 0), Ack(1, 2)]
+    assert no_duplicates(history(TWO_SENT, TWO_ACKED, TWO_GOT)) == []
+    assert [v.detail for v in no_duplicates(history(TWO_SENT, acked, twice))] == [
+        "c was handed ('a', 0) twice"
+    ]
+    # Without idempotence the run does not promise it, so check_history does
+    # not ask; the control arms call the rule by name.
+    at_least_once = history(TWO_SENT, acked, twice, config=ProducerConfig(acks="all"))
+    assert check_history(at_least_once) == [] and no_duplicates(at_least_once)
+    # An aborted attempt and its committed retry are both in the log: only a
+    # committed view of a transactional producer's records is duplicate-free.
+    assert no_duplicates(history(TWO_SENT, acked, twice, config=TRANSACTIONAL)) == []
+    assert no_duplicates(
+        history(TWO_SENT, acked, twice, config=TRANSACTIONAL, reader=READ_COMMITTED)
+    )
+
+
+def test_key_order():
+    swapped = [Got(0, "a", 1), Got(1, "a", 0)]
+    assert key_order(history(TWO_SENT, TWO_ACKED, TWO_GOT)) == []
+    assert [v.detail for v in key_order(history(TWO_SENT, TWO_ACKED, swapped))] == [
+        "c: key 'a' went back to ('a', 0)"
+    ]
+    # Order is per key: another key's records may land in between, or first.
+    other = [Sent("a", 0), Sent("b", 0), Sent("a", 1)]
+    assert key_order(history(other, [], [Got(0, "b", 0), Got(1, "a", 0), Got(2, "a", 1)])) == []
+
+
+def test_txn_atomic():
+    sent = [Sent("a", 0), Sent("b", 0), Sent("c", 0)]
+    txns = [("commit", sent[:2]), ("abort", sent[2:])]
+    whole = [Got(0, "a", 0), Got(1, "b", 0)]
+
+    def run(got, **rest):
+        return history(
+            sent, [], got, config=TRANSACTIONAL, reader=READ_COMMITTED, txns=txns, **rest
+        )
+
+    assert check_history(run(whole)) == []
+    assert [v.detail for v in txn_atomic(run(whole[:1]))] == [
+        "torn transaction 0: committed [('b', 0)] reached no reader"
+    ]
+    assert [v.detail for v in txn_atomic(run(whole + [Got(2, "c", 0)]))] == [
+        "c was handed ('c', 0), which no committed transaction wrote"
+    ]
+    # A commit that raised may or may not have happened: nothing is required.
+    unsure = [("uncertain", sent[:2]), ("abort", sent[2:])]
+    for got in ([], whole[:1], whole):
+        assert txn_atomic(history(sent, [], got, config=TRANSACTIONAL, txns=unsure)) == []
+    # read_uncommitted does not promise atomicity, so check_history does not ask.
+    torn = history(sent, [], whole + [Got(2, "c", 0)], config=TRANSACTIONAL, txns=txns)
+    assert check_history(torn) == [] and txn_atomic(torn)
+
+
+def test_rules_apply_by_the_runs_own_configuration():
+    """acks=1 promises no durability: the lost record is not a finding of
+    check_history, and still one of the rule called by name."""
+    lossy = history(TWO_SENT, TWO_ACKED, TWO_GOT[:1], config=ProducerConfig(acks=1))
+    assert check_history(lossy) == []
+    assert rules(acked_durable(lossy) + acked_delivered(lossy)) == [
+        "acked_delivered", "acked_durable"
+    ]
+
+
+def test_a_producer_without_a_send_list_is_judged_by_its_reports():
+    """Fig. 6's shape: stub producers keep no send list, keys are unique."""
+    Report = namedtuple("Report", "sequence key acknowledged_at topic")
+    reports = [Report(0, "site:0", 1.0, "t"), Report(1, "site:1", 2.0, "t")]
+    run = History(
+        [Client("p", ProducerConfig(acks=1), reports)],
+        [Reader("c", [Got(0, "site:0", {"seq": 0})])],
+        ident=lambda record: record.key,
+    )
+    assert [(v.rule, v.topic) for v in acked_delivered(run)] == [("acked_delivered", "t")]
+    assert delivered_sent(run) == []
+
+
+# ---------------------------------------------------------------------------
+# 2 + 3. The chaos matrix: agreement with the old checkers, and the fence
+# ---------------------------------------------------------------------------
+N_RECORDS, N_KEYS, TXN_SIZE = 200, 8, 10
+
+
+def _record(topic, index):
+    return ProducerRecord(topic=topic, key=f"k{index % N_KEYS}", value=index // N_KEYS, size=120)
+
+
+def _run_through_the_old_drivers(seed, profile, partitions, group_size, idempotence, isolation):
+    """The parent commit's drivers, their history put together from outside.
+    Returns ``(history, what the old checkers found)``."""
+    if profile in chaos.CHAOS_PROFILES:
+        result = chaos.run_chaos_produce(
+            seed, profile, partitions=partitions, group_size=group_size, idempotence=idempotence
+        )
+        producers = [result.producer]
+        sent = {result.producer.name: [_record("chaos", i) for i in range(N_RECORDS)]}
+        txns = []
+        old = result.invariant_violations() if idempotence else result.log_duplicates()
+    else:
+        result = chaos.run_chaos_txn_produce(
+            seed, profile, partitions=partitions, group_size=group_size, isolation=isolation
+        )
+        producers = result.producers
+        # The zombie sent a prefix of the workload, its successor the rest.
+        sent = {
+            producer.name: [
+                _record("chaos-txn", i)
+                for i in (
+                    range(len(producer.reports))
+                    if producer is producers[0]
+                    else range(N_RECORDS - len(producer.reports), N_RECORDS)
+                )
+            ]
+            for producer in producers
+        }
+        outcomes = {}
+        for outcome, numbers in (
+            ("commit", result.committed_txns),
+            ("abort", result.aborted_txns),
+            ("uncertain", result.uncertain_txns),
+        ):
+            outcomes.update((txn, outcome) for txn in numbers)
+        txns = [
+            (
+                outcomes[txn],
+                [_record("chaos-txn", i) for i in range(txn * TXN_SIZE, (txn + 1) * TXN_SIZE)],
+            )
+            for txn in sorted(outcomes)
+        ]
+        old = result.invariant_violations()
+    run = History(
+        producers,
+        [Reader.of(consumer) for consumer in result.consumers],
+        sent=sent,
+        txns=txns,
+        cluster=result.cluster,
+    )
+    run.audit(result.cluster)
+    return run, old
+
+
+def run_arm(seed, profile, partitions=1, group_size=1, idempotence=True,
+            isolation="read_uncommitted"):
+    if hasattr(chaos, "run_chaos"):
+        run = chaos.run_chaos(
+            seed, profile, partitions=partitions, group_size=group_size,
+            idempotence=idempotence, isolation=isolation,
+        )
+        return run, None
+    return _run_through_the_old_drivers(
+        seed, profile, partitions, group_size, idempotence, isolation
+    )
+
+
+def fingerprint(run):
+    """What a seeded run must reproduce: the producers' counters, the brokers'
+    dedup drops, every consumer's deliveries with their positions, how each
+    transaction ended, and (the part that moves with any change of timing)
+    when and where every send was acknowledged."""
+    deliveries, reports = hashlib.sha256(), hashlib.sha256()
+    for reader in run.readers:
+        if not reader.audit:
+            deliveries.update(
+                repr([(r.key, r.value, r.partition, r.offset) for r in reader.records]).encode()
+            )
+    for producer in run.producers:
+        reports.update(
+            repr(
+                [(r.partition, r.offset, r.acknowledged_at, r.duplicate) for r in producer.reports]
+            ).encode()
+        )
+    return (
+        sum(producer.records_acked for producer in run.producers),
+        run.cluster.total_duplicates_dropped(),
+        sum(producer.duplicate_acks for producer in run.producers),
+        deliveries.hexdigest()[:16],
+        reports.hexdigest()[:16],
+        "".join(outcome[0] for outcome, _records in run.txns),
+    )
+
+
+#: seed, profile, partitions x group -> fingerprint, captured at the parent
+#: commit (b8c5e7d + DeliveryReport.partition) through its two drivers.
+PARENT_FINGERPRINTS = {
+    (11, 'broker-kill', 1, 1): (200, 354, 2, '6a20f1d64ff86e81', 'e3936f9301b69a85', ''),
+    (11, 'broker-kill', 4, 4): (200, 200, 9, 'a074a250f9dc4552', '06af9b6362d84b91', ''),
+    (11, 'link-loss', 1, 1): (200, 90, 5, '6a20f1d64ff86e81', 'aed88dd1d7f19adb', ''),
+    (11, 'link-loss', 4, 4): (200, 135, 18, 'a074a250f9dc4552', 'd53e6b4abd438c6e', ''),
+    (11, 'mixed', 1, 1): (200, 10, 1, '6a20f1d64ff86e81', '8befed9cd9017622', ''),
+    (11, 'mixed', 4, 4): (200, 55, 9, 'a074a250f9dc4552', 'a35591582af2fc9e', ''),
+    (11, 'producer-kill', 1, 1): (201, 0, 0, 'bd9280d1f8ed5f19', '207b0bfa6ce460d6', 'cccacccccccccccccccc'),
+    (11, 'producer-kill', 4, 4): (204, 0, 0, '3e2e658e8d60515c', '75a143168b372834', 'cccacccccccccccccccc'),
+    (11, 'coordinator-kill', 1, 1): (200, 5, 1, '6dfaa085d3361504', 'b43fe31fac4cc6c4', 'ccccaccccccccccccccc'),
+    (11, 'coordinator-kill', 4, 4): (200, 16, 4, '3f27aa3fe22d4c65', '556806794abf6485', 'ccccaccccccccccccccc'),
+    (11, 'leader-failover', 1, 1): (200, 1, 1, '6dfaa085d3361504', 'a7cb20c1a61e6c93', 'ccccaccccccccccccccc'),
+    (11, 'leader-failover', 4, 4): (200, 20, 6, 'd34ace9903cd22e5', '2cedcb8d6f5c154b', 'ccccaccccccccccccccc'),
+    (23, 'broker-kill', 1, 1): (200, 97, 4, '6a20f1d64ff86e81', '4d97720c754b5bce', ''),
+    (23, 'broker-kill', 4, 4): (200, 136, 15, 'a074a250f9dc4552', '407d5b2132c5f4fa', ''),
+    (23, 'link-loss', 1, 1): (200, 3, 1, '6a20f1d64ff86e81', 'c134b6b786b3f987', ''),
+    (23, 'link-loss', 4, 4): (200, 25, 8, 'a074a250f9dc4552', '66e33866b36533ff', ''),
+    (23, 'mixed', 1, 1): (200, 10, 2, '6a20f1d64ff86e81', '7df205a6afde21fe', ''),
+    (23, 'mixed', 4, 4): (200, 67, 13, 'a074a250f9dc4552', '1e0bb77cb0eb7d07', ''),
+    (23, 'producer-kill', 1, 1): (201, 0, 0, 'bd9280d1f8ed5f19', '207b0bfa6ce460d6', 'cccacccccccccccccccc'),
+    (23, 'producer-kill', 4, 4): (204, 0, 0, '3e2e658e8d60515c', '75a143168b372834', 'cccacccccccccccccccc'),
+    (23, 'coordinator-kill', 1, 1): (200, 6, 1, '23a5667a9181a166', 'ae8d263bc2107172', 'cccacccccccccccccccc'),
+    (23, 'coordinator-kill', 4, 4): (200, 18, 4, 'f0caffa90f62b55a', '32a28c6620597be3', 'cccacccccccccccccccc'),
+    (23, 'leader-failover', 1, 1): (200, 7, 2, '313aa8c1abc8f84c', 'f4b7a0908d02f6ac', 'ccaccccccccccccccccc'),
+    (23, 'leader-failover', 4, 4): (200, 17, 4, '31cfa3d1fe16a42a', 'f8272e7769fd1975', 'ccaccccccccccccccccc'),
+    (37, 'broker-kill', 1, 1): (200, 264, 4, '6a20f1d64ff86e81', 'ce477e66117b03c6', ''),
+    (37, 'broker-kill', 4, 4): (200, 226, 15, 'a074a250f9dc4552', '07cace767ffa1863', ''),
+    (37, 'link-loss', 1, 1): (200, 48, 4, '6a20f1d64ff86e81', '3091495601a4fa47', ''),
+    (37, 'link-loss', 4, 4): (200, 32, 12, 'a074a250f9dc4552', '082aa0341cef0fad', ''),
+    (37, 'mixed', 1, 1): (200, 389, 4, '6a20f1d64ff86e81', '5426e88904be9acf', ''),
+    (37, 'mixed', 4, 4): (200, 174, 13, 'a074a250f9dc4552', 'f31870be315a59f9', ''),
+    (37, 'producer-kill', 1, 1): (201, 0, 0, 'cf4e5f6791e83997', '494d19e19e4e1ec1', 'ccccaccccccccccccccc'),
+    (37, 'producer-kill', 4, 4): (204, 0, 0, '5fededb63a5ed0b7', 'd57605da4b79148b', 'ccccaccccccccccccccc'),
+    (37, 'coordinator-kill', 1, 1): (200, 5, 1, '313aa8c1abc8f84c', '1863d31eb2768e16', 'ccaccccccccccccccccc'),
+    (37, 'coordinator-kill', 4, 4): (200, 10, 2, '31cfa3d1fe16a42a', 'ecfe74f363a35827', 'ccaccccccccccccccccc'),
+    (37, 'leader-failover', 1, 1): (200, 1, 1, '6dfaa085d3361504', 'd403303e5c65a144', 'ccccaccccccccccccccc'),
+    (37, 'leader-failover', 4, 4): (200, 24, 5, 'd34ace9903cd22e5', 'd2d5cc3b9420c2c4', 'ccccaccccccccccccccc'),
+    (23, 'mixed', 4, 2): (200, 67, 13, '3d64c4f891fd535d', '1e0bb77cb0eb7d07', ''),
+    (23, 'broker-kill', 'off'): (200, 0, 0, 'b2d12c69d985220f', '9981340aecfd2976', ''),
+    (23, 'link-loss', 'off'): (200, 0, 0, '1e1b12b886a74a20', 'c920713df6353ae5', ''),
+    (23, 'mixed', 'off'): (200, 0, 0, '2fd58793753d3278', 'd568f7ccc05cedc2', ''),
+    (11, 'producer-kill', 'read_uncommitted'): (201, 0, 0, 'a1b73f0898739adc', '207b0bfa6ce460d6', 'cccacccccccccccccccc'),
+    (11, 'coordinator-kill', 'read_uncommitted'): (200, 5, 1, '63b08542b4b993e3', 'b43fe31fac4cc6c4', 'ccccaccccccccccccccc'),
+    (11, 'leader-failover', 'read_uncommitted'): (200, 1, 1, '63b08542b4b993e3', 'a7cb20c1a61e6c93', 'ccccaccccccccccccccc'),
+    (23, 'producer-kill', 'read_uncommitted'): (201, 0, 0, 'a1b73f0898739adc', '207b0bfa6ce460d6', 'cccacccccccccccccccc'),
+    (23, 'coordinator-kill', 'read_uncommitted'): (200, 6, 1, '63b08542b4b993e3', 'ae8d263bc2107172', 'cccacccccccccccccccc'),
+    (23, 'leader-failover', 'read_uncommitted'): (200, 7, 2, '63b08542b4b993e3', 'f4b7a0908d02f6ac', 'ccaccccccccccccccccc'),
+    (37, 'producer-kill', 'read_uncommitted'): (201, 0, 0, 'ee50f7683ca01bf7', '494d19e19e4e1ec1', 'ccccaccccccccccccccc'),
+    (37, 'coordinator-kill', 'read_uncommitted'): (200, 5, 1, '63b08542b4b993e3', '1863d31eb2768e16', 'ccaccccccccccccccccc'),
+    (37, 'leader-failover', 'read_uncommitted'): (200, 1, 1, '63b08542b4b993e3', 'd403303e5c65a144', 'ccccaccccccccccccccc'),
+}
+
+SEEDS = (11, 23, 37)
+MATRIX = [
+    (seed, profile, partitions, partitions)
+    for seed in SEEDS
+    for profile in chaos.CHAOS_PROFILES + chaos.TXN_CHAOS_PROFILES
+    for partitions in (1, 4)
+] + [(23, "mixed", 4, 2)]
+
+
+@pytest.mark.chaos
+@pytest.mark.parametrize("seed,profile,partitions,group_size", MATRIX)
+def test_matrix_arm_holds_every_rule_and_reproduces_the_parent(
+    seed, profile, partitions, group_size
+):
+    transactional = profile in chaos.TXN_CHAOS_PROFILES
+    run, old = run_arm(
+        seed, profile, partitions, group_size,
+        isolation="read_committed" if transactional else "read_uncommitted",
+    )
+    assert check_history(run) == []
+    assert old in (None, [])
+    assert fingerprint(run) == PARENT_FINGERPRINTS[seed, profile, partitions, group_size]
+
+
+@pytest.mark.chaos
+@pytest.mark.parametrize("profile", chaos.CHAOS_PROFILES)
+def test_idempotence_off_control_arm_fires_no_duplicates(profile):
+    run, old = run_arm(23, profile, idempotence=False)
+    assert no_duplicates(run)
+    assert old is None or old
+    assert fingerprint(run) == PARENT_FINGERPRINTS[23, profile, "off"]
+
+
+@pytest.mark.chaos
+@pytest.mark.parametrize("profile", chaos.TXN_CHAOS_PROFILES)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_read_uncommitted_control_arm_fires_txn_atomic(profile, seed):
+    run, old = run_arm(seed, profile)
+    assert any("no committed transaction wrote" in v.detail for v in txn_atomic(run))
+    assert old is None or old
+    assert fingerprint(run) == PARENT_FINGERPRINTS[seed, profile, "read_uncommitted"]
