@@ -1,17 +1,28 @@
-"""Reusable test infrastructure: seeded chaos schedules and invariant checks.
+"""Reusable test infrastructure: the seeded chaos driver and the history rules.
 
 Lives in the package (not under ``tests/``) so benchmarks, examples and
-future scenarios can drive the same fault machinery the test suite uses.
+scenarios can drive the same fault machinery, and call the same rules, the
+test suite uses.
 """
 
 from repro.testing.chaos import (  # noqa: F401
     CHAOS_PROFILES,
-    ChaosResult,
+    TXN_CHAOS_PROFILES,
     FaultAction,
     FaultSchedule,
-    check_acked_implies_durable,
-    check_all_acked_consumed,
-    check_no_duplicates,
-    check_per_key_order,
-    run_chaos_produce,
+    run_chaos,
+)
+from repro.testing.history import (  # noqa: F401
+    History,
+    Reader,
+    Violation,
+    acked_delivered,
+    acked_durable,
+    check_history,
+    delivered_durable,
+    delivered_sent,
+    key_order,
+    no_duplicates,
+    offset_order,
+    txn_atomic,
 )

@@ -24,7 +24,7 @@ from repro.broker.producer import Producer, SendFuture
 from repro.network.link import LinkConfig
 from repro.network.topology import one_big_switch, star_topology
 from repro.simulation import Simulator
-from repro.testing.chaos import run_chaos_produce
+from repro.testing.chaos import run_chaos
 
 
 def offline_producer(config=None, partitions=1):
@@ -374,10 +374,10 @@ STARVED_PRODUCER_DIGEST = (
 def test_reports_equal_the_per_record_implementation_under_chaos(reports_digest):
     """Seed 23 / link-loss: retries, one duplicate ack covering three
     records, every report field as the per-record bookkeeping had it."""
-    result = run_chaos_produce(23, "link-loss", partitions=1, group_size=1, idempotence=True)
-    assert result.duplicate_acks == 1
-    assert sum(report.duplicate for report in result.producer.reports) == 3
-    assert reports_digest([result.producer]) == CHAOS_LINK_LOSS_DIGEST
+    (producer,) = run_chaos(23, "link-loss").producers
+    assert producer.duplicate_acks == 1
+    assert sum(report.duplicate for report in producer.reports) == 3
+    assert reports_digest([producer]) == CHAOS_LINK_LOSS_DIGEST
 
 
 def run_starved_producer():
