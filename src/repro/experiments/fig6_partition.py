@@ -39,6 +39,7 @@ from repro.core.visualization import (
     throughput_timeseries,
 )
 from repro.scenarios import PointSpec, Scenario, ScenarioRunner, register
+from repro.testing.history import History, Reader, acked_delivered
 
 TOPIC_A = "topicA"
 TOPIC_B = "topicB"
@@ -206,25 +207,25 @@ def run_fig6(config: Optional[Fig6Config] = None) -> Fig6Result:
         series = network.bandwidth_monitor.series_for(site)
         throughput[site] = throughput_timeseries(series) if series else []
 
-    # "Acked but lost": records the producers believe were delivered (they got
-    # an acknowledgement) that no consumer ever received.  Records acked close
-    # to the end of the run are excluded — consumers may simply not have
-    # fetched them yet, which is a measurement artefact, not data loss.
+    # "Acked but lost" is the history rule ``acked_delivered``: records the
+    # producers believe were delivered (they got an acknowledgement) that no
+    # consumer ever received.  Records acked close to the end of the run are
+    # not judged — consumers may simply not have fetched them yet, which is a
+    # measurement artefact, not data loss.  The history is a view: the rule
+    # walks the reports and the consumers' lists in place, and a stub's keys
+    # (``host:sequence``) are unique across topics, so the key is the identity.
     tail_margin = 20.0
-    cutoff = config.duration - tail_margin
-    delivered_keys: Dict[str, set] = {TOPIC_A: set(), TOPIC_B: set()}
-    for consumer in consumers.values():
-        for record in consumer.received:
-            delivered_keys.setdefault(record.topic, set()).add(record.key)
-    acked_but_lost = 0
+    lost = acked_delivered(
+        History(
+            list(producers.values()),
+            [Reader.of(consumer) for consumer in consumers.values()],
+            ident=lambda record: record.key,
+            ack_cutoff=config.duration - tail_margin,
+        )
+    )
     lost_breakdown: Dict[str, int] = {TOPIC_A: 0, TOPIC_B: 0}
-    for producer in producers.values():
-        for report in producer.reports:
-            if not report.acknowledged or report.acknowledged_at > cutoff:
-                continue
-            if report.key not in delivered_keys.get(report.topic, set()):
-                acked_but_lost += 1
-                lost_breakdown[report.topic] = lost_breakdown.get(report.topic, 0) + 1
+    for violation in lost:
+        lost_breakdown[violation.topic] = lost_breakdown.get(violation.topic, 0) + 1
 
     return Fig6Result(
         mode=CoordinationMode(config.mode).value,
@@ -232,7 +233,7 @@ def run_fig6(config: Optional[Fig6Config] = None) -> Fig6Result:
         latency_points=points,
         throughput=throughput,
         events=list(cluster.coordinator.event_log),
-        acked_but_lost=acked_but_lost,
+        acked_but_lost=len(lost),
         lost_topic_breakdown=lost_breakdown,
         messages_produced=outcome.messages_produced,
         messages_consumed=outcome.messages_consumed,
