@@ -1,14 +1,13 @@
 """Shared resources for inter-process coordination.
 
-Three families of primitives are provided:
-
-* :class:`Store` / :class:`PriorityStore` — message queues.  Most of the
-  emulator's communication (NIC transmit queues, broker request queues,
-  consumer fetch responses) is built on stores.
-* :class:`Resource` — a counted resource with FIFO waiters, used to model
-  CPU cores and concurrent-connection limits.
-* :class:`Container` — a continuous quantity (e.g. producer buffer memory in
-  bytes) that processes can put into and get out of.
+* :class:`Resource` — a counted resource with FIFO waiters; models a host's
+  CPU cores (``Host.cpu``), the one primitive here the emulator itself uses.
+* :class:`Store` / :class:`PriorityStore` (message queues) and
+  :class:`Container` (a continuous quantity) — general-purpose primitives with
+  **no caller** in ``src/``, ``perf/``, ``benchmarks/`` or ``examples/``: links,
+  brokers and clients moved to direct calls and heap callbacks
+  (``docs/event_model.md``).  Only ``tests/`` exercises them; they are
+  slated for deletion together with those tests (ROADMAP).
 """
 
 from __future__ import annotations
