@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from heapq import heappop, heappush
+from itertools import count
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.broker.coordinator import COORDINATOR_PORT, CoordinationMode
 from repro.broker.errors import (
@@ -24,6 +26,19 @@ BROKER_PORT = 9092
 #: How long an ``acks="all"`` produce may sit in purgatory waiting for the
 #: high watermark before it is answered ``not_enough_replicas``.
 PRODUCE_PURGATORY_TIMEOUT = 30.0
+
+#: How long a fetch that finds nothing to return — a consumer's below the high
+#: watermark, a follower's at the log end — may sit in purgatory before it is
+#: answered empty (Kafka's ``fetch.max.wait.ms`` / ``replica.fetch.wait.max.ms``).
+#: Below every client's request timeout, or an idle partition reads as a dead
+#: leader.
+FETCH_MAX_WAIT = 0.5
+
+#: The log attribute a consumer fetch of each isolation level reads up to.
+FETCH_BOUND = {
+    "read_uncommitted": "high_watermark",
+    "read_committed": "last_stable_offset",
+}
 
 
 def find_coordinator_host(transport: Transport, bootstrap: List[str], timeout: float = 1.0):
@@ -62,6 +77,9 @@ class BrokerConfig:
     """
 
     heartbeat_interval: float = 1.5
+    #: A follower's pause after a replica fetch that failed (error reply or
+    #: timeout).  Not a replication period: a served fetch is followed by the
+    #: next one at once, and an idle one is parked at the leader.
     replica_fetch_interval: float = 0.1
     replica_fetch_max_records: int = 500
     replica_lag_max: float = 10.0
@@ -114,9 +132,16 @@ class Broker:
         self.replica_states: Dict[str, ReplicaState] = {}
         self._local_epochs: Dict[str, int] = {}
         self._truncation_pending: Dict[str, bool] = {}
-        #: Produce purgatory: per partition, the parked ``acks="all"`` waits
-        #: as ``(target offset, waiter)`` pairs (see _await_high_watermark).
-        self._purgatory: Dict[str, List[Tuple[int, Event]]] = {}
+        #: The purgatory: per partition, the parked produces and fetches as
+        #: ``(bound, target, waiter)`` — released once ``getattr(log, bound)``
+        #: reaches ``target`` (see _park).  Their deadlines share one heap,
+        #: swept by one armed timer.
+        self._purgatory: Dict[str, List[Tuple[str, int, Event]]] = {}
+        self._deadlines: list = []
+        self._armed = float("inf")
+        self._wait_ids = count()
+        #: Partitions this broker is running a replica fetcher for.
+        self._fetchers: Set[str] = set()
         self.last_session_refresh: float = host.sim.now
         self._metadata_size_cache: tuple = (None, 0)
         self.running = False
@@ -152,7 +177,7 @@ class Broker:
             return
         self.running = True
         self.sim.process(self._control_loop(), name=f"{self.name}:control")
-        self.sim.process(self._replica_fetch_loop(), name=f"{self.name}:replica-fetcher")
+        self._follow_leaders()
 
     def stop(self) -> None:
         self.running = False
@@ -222,9 +247,10 @@ class Broker:
             if new_epoch > previous_epoch:
                 self._local_epochs[key] = new_epoch
                 # Whatever was promised under the old epoch is void: a deposed
-                # leader must answer its parked produces *now*, before it
-                # adopts the new leader's high watermark and truncates.
-                self._fail_produce_waits(key)
+                # leader must answer its parked produces and fetches *now*,
+                # before it adopts the new leader's high watermark and
+                # truncates.
+                self._fail_waits(key)
                 if info["leader"] == self.name:
                     # Taking (or keeping) leadership under a new epoch.
                     self.replica_states.setdefault(key, ReplicaState(since=self.sim.now))
@@ -232,6 +258,7 @@ class Broker:
                     # Now following a (possibly new) leader: reconcile our log
                     # with the leader's before fetching again.
                     self._truncation_pending[key] = True
+        self._follow_leaders()
 
     @property
     def session_fresh(self) -> bool:
@@ -442,59 +469,95 @@ class Broker:
     def _await_high_watermark(self, key: str, target: int):
         """acks=all durability bar: park until the HW covers ``target``.
 
-        The produce purgatory: no polling — the wait is completed by
-        :meth:`_maybe_advance_high_watermark` (the only place a leader's HW
-        moves), by its one deadline expiry, or by :meth:`_fail_produce_waits`
-        when this broker stops leading the partition under the epoch the
-        record was appended in.  Returns ``None`` once replicated, otherwise
-        the error reply (``not_enough_replicas`` after
-        ``PRODUCE_PURGATORY_TIMEOUT``, ``not_leader`` on leadership loss) —
-        the producer retries either.
+        Returns ``None`` once replicated, otherwise the error reply
+        (``not_enough_replicas`` after ``PRODUCE_PURGATORY_TIMEOUT``,
+        ``not_leader`` on leadership loss) — the producer retries either.
         """
         if self.logs[key].high_watermark >= target:
             return None
-        waiter = self.sim.event()
-        self._purgatory.setdefault(key, []).append((target, waiter))
-        self.sim.call_later(
-            PRODUCE_PURGATORY_TIMEOUT, self._expire_produce_wait, key, target, waiter
+        return (
+            yield from self._park(
+                key,
+                "high_watermark",
+                target,
+                PRODUCE_PURGATORY_TIMEOUT,
+                expired={"error": "not_enough_replicas"},
+            )
         )
-        return (yield waiter)
 
-    def _expire_produce_wait(self, key: str, target: int, waiter: Event) -> None:
-        if not waiter.triggered:
-            self._purgatory[key].remove((target, waiter))
-            waiter.succeed({"error": "not_enough_replicas"})
+    def _park(self, key: str, bound: str, target: int, timeout: float, expired: Any = None):
+        """Park until ``getattr(self.logs[key], bound) >= target``.
 
-    def _complete_produce_waits(self, key: str, high_watermark: int) -> None:
-        """Release every parked produce the high watermark now covers."""
+        The purgatory, for produces and fetches alike: no polling — a wait is
+        released by :meth:`_complete_waits` (run wherever a leader's log end,
+        high watermark or last stable offset moves), by its deadline, or by
+        :meth:`_fail_waits` when the partition's leader epoch changes.
+        Returns ``None`` once the bound is there, ``expired`` after
+        ``timeout`` and the ``not_leader`` reply on an epoch change.
+        """
+        wait = (bound, target, self.sim.event())
+        self._purgatory.setdefault(key, []).append(wait)
+        deadline = self.sim.now + timeout
+        heappush(self._deadlines, (deadline, next(self._wait_ids), key, wait, expired))
+        if deadline < self._armed:
+            self._armed = deadline
+            self.sim.call_at(deadline, self._sweep)
+        return (yield wait[2])
+
+    def _sweep(self) -> None:
+        """The one armed timer (``Transport._sweep``'s sibling): expire the
+        waits that are due, forget the released ones, re-arm for the earliest
+        still parked — a wait that is released early costs no heap entry."""
+        now = self.sim.now
+        if now < self._armed:
+            return  # a timer that a shorter wait overtook; that one swept
+        deadlines = self._deadlines
+        while deadlines and (deadlines[0][0] <= now or deadlines[0][3][2].triggered):
+            _deadline, _id, key, wait, expired = heappop(deadlines)
+            if not wait[2].triggered:
+                self._purgatory[key].remove(wait)
+                wait[2].succeed_now(expired)  # this is a heap callback
+        self._armed = deadlines[0][0] if deadlines else float("inf")
+        if deadlines:
+            self.sim.call_at(self._armed, self._sweep)
+
+    def _complete_waits(self, key: str) -> None:
+        """Release every parked wait of ``key`` whose bound reached its target."""
         waits = self._purgatory.get(key)
         if not waits:
             return
+        log = self.logs[key]
         parked = []
         for wait in waits:
-            if wait[0] <= high_watermark:
-                wait[1].succeed(None)
+            bound, target, waiter = wait
+            if getattr(log, bound) >= target:
+                waiter.succeed(None)
             else:
                 parked.append(wait)
-        self._purgatory[key] = parked
+        waits[:] = parked
 
-    def _fail_produce_waits(self, key: str) -> None:
-        """Answer every parked produce of ``key`` with ``not_leader``.
+    def _fail_waits(self, key: str) -> None:
+        """Answer every parked produce and fetch of ``key`` with ``not_leader``.
 
-        Their records were appended under an epoch this broker no longer
-        leads in; the new leader's log decides whether they survive, so they
-        must never be acknowledged from here — in particular not on a high
-        watermark later *adopted* as a follower, which says nothing about
-        records reconciliation is about to truncate.
+        The produces' records were appended under an epoch this broker no
+        longer leads in; the new leader's log decides whether they survive,
+        so they must never be acknowledged from here — in particular not on a
+        high watermark later *adopted* as a follower, which says nothing
+        about records reconciliation is about to truncate.  For the same
+        reason no fetch may be answered from that adopted state.
         """
         waits = self._purgatory.pop(key, None)
         if waits:
             reply = {"error": "not_leader", "leader_host": self._leader_hint(key)}
-            for _target, waiter in waits:
+            for _bound, _target, waiter in waits:
                 waiter.succeed(reply)
 
     def _maybe_advance_high_watermark(self, key: str) -> None:
-        """Leader-side: HW = min(LEO, slowest in-sync follower's fetched offset)."""
+        """Leader-side: HW = min(LEO, slowest in-sync follower's fetched offset).
+
+        Called after every append and every replica fetch, so it is also where
+        the purgatory learns that a log end, the high watermark or the last
+        stable offset moved."""
         info = self._partition_info(key)
         if info is None or not self._is_leader(key):
             return
@@ -510,7 +573,7 @@ class Broker:
             len(info["isr"]) <= 1 and len(info["replicas"]) == 1
         ):
             log.advance_high_watermark(log.log_end_offset)
-        self._complete_produce_waits(key, log.high_watermark)
+        self._complete_waits(key)
 
     # -- consumer fetch path -----------------------------------------------------------------------------
     def _handle_fetch(self, payload: dict):
@@ -540,14 +603,21 @@ class Broker:
             # read_committed never reads past the Last Stable Offset (the
             # first offset of the earliest still-open transaction); with no
             # transactions the LSO equals the HW and both paths are identical.
-            up_to = (
-                log.last_stable_offset
-                if isolation == "read_committed"
-                else log.high_watermark
-            )
+            bound = FETCH_BOUND[isolation]
             # One wire object per fetch: the batch header carries the size, so
             # the reply size is header arithmetic, not a per-record sum.
-            batch = log.read_batch(offset, max_records=max_records, up_to=up_to)
+            batch = log.read_batch(offset, max_records=max_records, up_to=getattr(log, bound))
+            if not len(batch):
+                # Nothing visible yet: wait here for the bound to move (the
+                # reply then leaves at that instant) or for FETCH_MAX_WAIT.
+                failure = yield from self._park(
+                    key, bound, max(offset, getattr(log, bound)) + 1, FETCH_MAX_WAIT
+                )
+                if failure is not None:
+                    return failure
+                batch = log.read_batch(
+                    offset, max_records=max_records, up_to=getattr(log, bound)
+                )
             cost = self.config.cpu_per_request + self.config.cpu_per_record * len(batch)
             yield from self.host.compute(cost)
             reply = {
@@ -666,21 +736,28 @@ class Broker:
             replica_state.follower_offsets[follower] = offset
             if offset >= log.log_end_offset:
                 replica_state.follower_caught_up_at[follower] = self.sim.now
-            batch = log.read_batch(
-                offset,
-                max_records=self.config.replica_fetch_max_records,
-                with_epochs=True,
-            )
+            # The fetch is the follower's acknowledgement of everything below
+            # ``offset``: the high watermark moves on its arrival.
+            self._maybe_advance_high_watermark(key)
+            max_records = self.config.replica_fetch_max_records
+            batch = log.read_batch(offset, max_records=max_records, with_epochs=True)
+            if not len(batch):
+                # Caught up: wait here for the next append (or FETCH_MAX_WAIT).
+                failure = yield from self._park(
+                    key, "log_end_offset", max(offset, log.log_end_offset) + 1, FETCH_MAX_WAIT
+                )
+                if failure is not None:
+                    return failure
+                batch = log.read_batch(offset, max_records=max_records, with_epochs=True)
             cost = self.config.cpu_per_request + self.config.cpu_per_record * len(batch)
             yield from self.host.compute(cost)
-            self._maybe_advance_high_watermark(key)
             yield from self._maybe_update_isr(key)
             return Response(
                 payload={
                     "error": None,
                     "batch": batch,
                     "high_watermark": log.high_watermark,
-                    "leader_epoch": self._local_epochs.get(key, info["leader_epoch"]),
+                    "leader_epoch": self._local_epochs[key],
                 },
                 size=batch.total_size + 64,
             )
@@ -740,24 +817,47 @@ class Broker:
             # metadata reply size so it is re-estimated from fresh content.
             self._metadata_size_cache = (None, 0)
 
-    # -- follower replication loop -----------------------------------------------------------------------------
-    def _replica_fetch_loop(self):
+    # -- follower replication ----------------------------------------------------------------------------------
+    def _followed_leader(self, key: str) -> Optional[str]:
+        """Host of the leader this broker replicates ``key`` from, if any."""
+        info = self._partition_info(key)
+        if not info or self.name not in info["replicas"] or info["leader"] == self.name:
+            return None
+        return self._broker_host(info["leader"]) if info["leader"] else None
+
+    def _follow_leaders(self) -> None:
+        """Run one fetcher per partition that has a leader to follow; a broker
+        that follows nothing has nothing running."""
+        if not self.running:
+            return
+        for key in self.metadata.get("partitions", {}):
+            if key not in self._fetchers and self._followed_leader(key) is not None:
+                self._fetchers.add(key)
+                self.sim.process(
+                    self._replica_fetcher(key), name=f"{self.name}:replica-fetcher:{key}"
+                )
+
+    def _replica_fetcher(self, key: str):
+        """Replicate ``key`` from its leader for as long as there is one.
+
+        The next fetch leaves the moment a reply lands — it is the
+        acknowledgement that moves the leader's high watermark — and parks at
+        the leader while there is nothing new; only an error or a timeout is
+        followed by a ``replica_fetch_interval`` pause.
+        """
+        log = self.logs[key]
         while self.running:
-            yield self.sim.timeout(self.config.replica_fetch_interval)
-            for key, info in list(self.metadata.get("partitions", {}).items()):
-                if self.name not in info["replicas"] or info["leader"] == self.name:
-                    continue
-                leader_host = self._broker_host(info["leader"]) if info["leader"] else None
-                if leader_host is None:
-                    continue
-                log = self.logs.get(key)
-                if log is None:
-                    continue
-                if self._truncation_pending.get(key):
-                    done = yield from self._reconcile_with_leader(key, leader_host)
-                    if not done:
-                        continue
-                yield from self._fetch_once_from_leader(key, leader_host, log)
+            leader_host = self._followed_leader(key)
+            if leader_host is None:
+                break
+            answered = True
+            if self._truncation_pending.get(key):
+                answered = yield from self._reconcile_with_leader(key, leader_host)
+            if answered:
+                answered = yield from self._fetch_once_from_leader(key, leader_host, log)
+            if not answered:
+                yield self.sim.timeout(self.config.replica_fetch_interval)
+        self._fetchers.discard(key)
 
     def _reconcile_with_leader(self, key: str, leader_host: str):
         """Truncate our log to match the new leader before resuming fetches."""
@@ -783,6 +883,8 @@ class Broker:
         return True
 
     def _fetch_once_from_leader(self, key: str, leader_host: str, log: PartitionLog):
+        """One replica fetch; False when the leader did not answer it."""
+        epoch = self._local_epochs[key]
         try:
             reply = yield from self.transport.request(
                 leader_host,
@@ -797,9 +899,14 @@ class Broker:
                 timeout=1.0,
             )
         except RequestTimeout:
-            return
+            return False
         if reply.get("error") is not None:
-            return
+            return False
+        if self._local_epochs[key] != epoch:
+            # The epoch changed while the fetch was parked: the reply
+            # describes a leader this broker no longer follows (it may lead
+            # the partition itself by now).
+            return True
         batch: RecordBatch = reply["batch"]
         if len(batch):
             # Whole-batch replica append: the already-present overlap (if the
@@ -809,6 +916,7 @@ class Broker:
             log.append_wire_batch(batch)
             self._log_maintenance(log)
         log.set_high_watermark(reply["high_watermark"])
+        return True
 
     # -- storage maintenance -------------------------------------------------------------
     def _log_maintenance(self, log: PartitionLog) -> None:

@@ -40,6 +40,9 @@ from repro.network.transport import RequestTimeout, Transport
 class ConsumerConfig:
     """Consumer tunables (YAML ``consCfg`` keys map onto these)."""
 
+    #: Pause between a served fetch of a partition and its next one — the
+    #: batching knob, not a floor on latency: a fetch that finds nothing is
+    #: parked at the leader and answered when a record becomes visible.
     poll_interval: float = 0.05
     max_records_per_fetch: int = 500
     fetch_timeout: float = 1.0
@@ -151,14 +154,16 @@ class Consumer:
             host, default_timeout=self.config.fetch_timeout, max_retries=0
         )
         self.metadata: dict = {"version": -1, "partitions": {}, "brokers": {}}
-        self._poll_targets_cache: tuple = (None, None)
         self.subscriptions: List[str] = []
         self.offsets: Dict[str, int] = {}
         #: Partition keys this consumer may fetch.  ``None`` means "every
         #: partition of the subscribed topics" (standalone consumers); a
         #: frozenset restricts polling to a manual or group assignment.
         self._assigned: Optional[frozenset] = None
-        self._assignment_epoch = 0
+        #: Partitions with a running fetcher process, and the poll clock the
+        #: fetchers share (one pending ``Timeout`` at most).
+        self._fetchers: set = set()
+        self._poll_tick = None
         #: Group-membership state (meaningful only when ``config.group`` set).
         self.generation = -1
         self.rebalances = 0
@@ -183,7 +188,7 @@ class Consumer:
         for topic in topics:
             if topic not in self.subscriptions:
                 self.subscriptions.append(topic)
-        self._poll_targets_cache = (None, None)
+        self._start_fetchers()
 
     def assign(self, topic: str, partitions: List[int]) -> None:
         """Manually assign specific partitions (mutually exclusive with a group).
@@ -202,7 +207,7 @@ class Consumer:
         assigned = set(self._assigned or ())
         assigned.update(f"{topic}-{partition}" for partition in partitions)
         self._assigned = frozenset(assigned)
-        self._assignment_epoch += 1
+        self._start_fetchers()
 
     def start(self) -> None:
         if self.running:
@@ -215,7 +220,6 @@ class Consumer:
             # assignment, or members would double-consume each other's
             # partitions while joining.
             self._assigned = frozenset()
-            self._assignment_epoch += 1
             self.sim.process(self._group_loop(), name=f"{self.name}:group")
         self.sim.process(self._poll_loop(), name=f"{self.name}:poll")
 
@@ -244,44 +248,60 @@ class Consumer:
 
     # -- poll loop ------------------------------------------------------------------
     def _poll_loop(self):
-        yield from self._refresh_metadata()
-        last_refresh = self.sim.now
+        """Keep the metadata fresh; every refresh starts the fetchers of the
+        partitions it made fetchable."""
         while self.running:
-            yield self.sim.timeout(self.config.poll_interval)
-            if self.sim.now - last_refresh > self.config.metadata_refresh_interval:
-                yield from self._refresh_metadata()
-                last_refresh = self.sim.now
-            for key, info in self._poll_targets():
-                if self._dead_partitions and key in self._dead_partitions:
-                    continue
-                progressed = yield from self._fetch_partition(key, info)
-                if progressed is False:
-                    # Leader unknown or unreachable: back off a little and
-                    # refresh metadata so we discover newly elected leaders.
-                    yield self.sim.timeout(self.config.retry_backoff)
-                    yield from self._refresh_metadata()
-                    last_refresh = self.sim.now
+            yield from self._refresh_metadata()
+            yield self.sim.timeout(self.config.metadata_refresh_interval)
 
-    def _poll_targets(self) -> list:
-        """Fetchable (key, info) pairs, cached per (metadata version, assignment).
+    def _start_fetchers(self) -> None:
+        """Run one fetcher per fetchable partition; called wherever the
+        metadata, the subscriptions or the assignment change."""
+        for key in self.metadata.get("partitions", {}):
+            if key not in self._fetchers and self._fetchable(key) is not None:
+                self._fetchers.add(key)
+                self.sim.process(self._partition_fetcher(key), name=f"{self.name}:fetch:{key}")
 
-        The poll loop runs tens of thousands of times per simulated run;
-        rebuilding the partition list on every tick showed up in profiles.
-        Standalone consumers see every partition of their subscriptions;
-        assigned consumers (manual or group) only their assigned keys.
+    def _partition_fetcher(self, key: str):
+        """Fetch ``key`` for as long as this consumer may.
+
+        Partitions are fetched concurrently, one request outstanding each.  A
+        fetch that returned records is followed by a pause until the next tick
+        of the consumer's poll clock — a busy partition is read in
+        ``poll_interval`` batches — while an empty reply, which the leader
+        held for its ``FETCH_MAX_WAIT``, is followed by the next fetch at
+        once: an idle partition costs one round trip per wait and delivers
+        its next record the instant it becomes visible.
         """
-        version = (self.metadata.get("version", -1), self._assignment_epoch)
-        cached_version, targets = self._poll_targets_cache
-        if cached_version != version:
-            assigned = self._assigned
-            targets = [
-                (key, info)
-                for key, info in self.metadata.get("partitions", {}).items()
-                if info["topic"] in self.subscriptions
-                and (assigned is None or key in assigned)
-            ]
-            self._poll_targets_cache = (version, targets)
-        return targets
+        while True:
+            info = self._fetchable(key)
+            if info is None:
+                break
+            fetched = yield from self._fetch_partition(key, info)
+            if fetched is None:
+                # Leader unknown or unreachable: back off a little and
+                # refresh metadata so we discover newly elected leaders.
+                yield self.sim.timeout(self.config.retry_backoff)
+                yield from self._refresh_metadata()
+            elif fetched:
+                tick = self._poll_tick
+                if tick is None or tick.processed:
+                    tick = self._poll_tick = self.sim.timeout(self.config.poll_interval)
+                yield tick
+        self._fetchers.discard(key)
+
+    def _fetchable(self, key: str) -> Optional[dict]:
+        """``key``'s metadata entry while this consumer may fetch it: running,
+        subscribed to its topic and — a manual or group assignment — assigned
+        it.  Standalone consumers see every partition of their subscriptions."""
+        if (
+            not self.running
+            or key in self._dead_partitions
+            or not (self._assigned is None or key in self._assigned)
+        ):
+            return None
+        info = self.metadata.get("partitions", {}).get(key)
+        return info if info and info["topic"] in self.subscriptions else None
 
     # -- group membership -----------------------------------------------------------
     def _group_loop(self):
@@ -370,7 +390,6 @@ class Consumer:
         """Drop group membership and the assignment until a rejoin succeeds."""
         self._group_joined = False
         self._assigned = frozenset()
-        self._assignment_epoch += 1
 
     def _sync_group(self):
         try:
@@ -411,7 +430,7 @@ class Consumer:
             self.rebalances += 1
         self.generation = reply["generation"]
         self._assigned = new_assigned
-        self._assignment_epoch += 1
+        self._start_fetchers()
 
     def _leave_group(self):
         offsets = {key: self.offsets.get(key, 0) for key in self._assigned or ()}
@@ -434,10 +453,12 @@ class Consumer:
             return
 
     def _fetch_partition(self, key: str, info: dict):
+        """One fetch of ``key``: the number of records in the reply, or
+        ``None`` when the leader is unknown, unreachable or answered an error."""
         leader = info.get("leader")
         broker_entry = self.metadata.get("brokers", {}).get(leader) if leader else None
         if broker_entry is None:
-            return False
+            return None
         leader_host = broker_entry["host"]
         offset = self.offsets.get(key, 0)
         fetch_request = {
@@ -461,7 +482,19 @@ class Consumer:
             )
         except RequestTimeout:
             self.fetch_errors += 1
-            return False
+            return None
+        batch: Optional[RecordBatch] = reply.get("batch")  # error replies carry none
+        count = len(batch) if batch is not None else 0
+        cost = self.config.cpu_per_record * count
+        if cost > 0:
+            yield from self.host.compute(cost)
+        if self._fetchable(key) is None or self.offsets.get(key, 0) != offset:
+            # Revoked, fenced, stopped or repositioned while the fetch was in
+            # flight — parked at the leader, it can be for FETCH_MAX_WAIT:
+            # drop the reply without advancing offsets.  Whoever owns the
+            # partition now reads these records, and a group member's
+            # leave-time committed offsets must match what it delivered.
+            return 0
         if reply.get("error") == "offset_out_of_range":
             # Retention deleted the range we asked for.  Apply the configured
             # reset policy against the bounds the broker returned (exactly
@@ -470,29 +503,19 @@ class Consumer:
             if policy == "error":
                 self.fetch_errors += 1
                 self._dead_partitions.add(key)
-                return True
+                return 0
             self.offsets[key] = (
                 reply["log_end_offset"]
                 if policy == "latest"
                 else reply["log_start_offset"]
             )
             self.offset_resets += 1
-            return True
+            return 0
         if reply.get("error") is not None:
             self.fetch_errors += 1
-            return False
-        batch: RecordBatch = reply["batch"]
-        count = len(batch)
+            return None
         if not count:
-            return True
-        cost = self.config.cpu_per_record * count
-        if cost > 0:
-            yield from self.host.compute(cost)
-        if not self.running:
-            # Stopped while the fetch was in flight: drop the batch without
-            # advancing offsets — a group member's leave-time committed
-            # offsets must match what it actually delivered.
-            return True
+            return 0
         # Offsets the broker marked invisible: control records (always) and,
         # under read_committed, records of aborted transactions.  They ship
         # inside the contiguous batch but never reach the application, and
@@ -519,7 +542,7 @@ class Consumer:
                     )
                 else:
                     self.on_batch(info["topic"], info["partition"], batch, self.sim.now)
-            return True
+            return count
         now = self.sim.now
         topic = info["topic"]
         partition = info["partition"]
@@ -550,7 +573,7 @@ class Consumer:
             if self.on_record is not None:
                 self.on_record(consumer_record)
             self.offsets[key] = offset + 1
-        return True
+        return count
 
     # -- metadata -----------------------------------------------------------------------
     def _refresh_metadata(self):
@@ -568,6 +591,7 @@ class Consumer:
             metadata = reply.get("metadata")
             if metadata and metadata.get("version", -1) >= self.metadata.get("version", -1):
                 self.metadata = metadata
+                self._start_fetchers()
             return
         return
 

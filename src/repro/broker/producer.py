@@ -447,7 +447,9 @@ class Producer:
         if batch is None:
             return
         self._in_flight.add(key)
-        self.sim.process(
+        # Only ever reached from the flush timer's heap callback: the send's
+        # first step — up to the request leaving — runs inside it.
+        self.sim.start(
             self._send_batch_guarded(key, batch), name=f"{self.name}:send:{key}"
         )
 

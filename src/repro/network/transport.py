@@ -180,7 +180,9 @@ class Transport:
         if error is not None:
             waiter.fail(RemoteError(error))
         else:
-            waiter.succeed(packet.payload)
+            # Only ever reached from a heap callback (arrival, loopback
+            # delivery): the caller resumes inside it, no entry of its own.
+            waiter.succeed_now(packet.payload)
 
     def _sweep(self) -> None:
         """The one armed timer: expire what is due, forget what was answered,

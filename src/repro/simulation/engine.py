@@ -26,7 +26,7 @@ import heapq
 from itertools import count
 from typing import Any, Callable, Generator, Iterable, Optional, Union
 
-from repro.simulation.events import AllOf, AnyOf, Event, Timeout
+from repro.simulation.events import AllOf, AnyOf, Event, Timeout, until_interest
 from repro.simulation.process import BOOTSTRAP, Process
 from repro.simulation.rng import SeededRandom, deterministic_hash
 
@@ -37,10 +37,6 @@ NORMAL = 1
 
 class EmptySchedule(Exception):
     """Raised internally when there are no more events to process."""
-
-
-def _until_interest(event: Event) -> None:
-    """``run(until=event)``'s registered interest in ``event`` (a no-op waiter)."""
 
 
 class _Callback:
@@ -217,7 +213,7 @@ class Simulator:
                 # run() itself waits on the event: without a registered
                 # waiter an unobserved event is settled inline and would
                 # never reach the dispatch loop.
-                until_event.callbacks.append(_until_interest)
+                until_event.callbacks.append(until_interest)
             else:
                 deadline = float(until)
                 if deadline < self._now:

@@ -13,6 +13,10 @@ from typing import Any, Callable, Iterable, List, Optional
 PENDING = object()
 
 
+def until_interest(event: "Event") -> None:
+    """``run(until=event)``'s registered interest in ``event`` (a no-op waiter)."""
+
+
 class Event:
     """A one-shot occurrence that processes can wait on.
 
@@ -77,6 +81,25 @@ class Event:
         self._ok = True
         self._value = value
         self._settle()
+        return self
+
+    def succeed_now(self, value: Any = None) -> "Event":
+        """:meth:`succeed`, with the waiters run in this call instead of from
+        a heap entry of their own — ``Simulator.start``'s sibling, for a heap
+        callback (a packet arrival) that completes what a process waits on.
+        While a process is active the nested resume would clobber
+        ``active_process``, and ``run(until=event)`` finds its event only in
+        the dispatch loop: both fall back to :meth:`succeed`."""
+        callbacks = self.callbacks
+        if not callbacks or self.sim._active_process is not None or until_interest in callbacks:
+            return self.succeed(value)
+        if self._value is not PENDING:
+            raise RuntimeError(f"{self!r} has already been triggered")
+        self._ok = True
+        self._value = value
+        self.callbacks = None
+        for callback in callbacks:
+            callback(self)
         return self
 
     def fail(self, exception: BaseException) -> "Event":

@@ -164,15 +164,18 @@ def test_acks_all_wait_is_completed_by_the_high_watermark_not_a_poll():
     sim, _network, sites, cluster = build_cluster(replication=2)
     leader = cluster.brokers["broker-site1"]
     released_at = []
-    complete = leader._complete_produce_waits
+    complete = leader._complete_waits
 
-    def recording_complete(key, high_watermark):
-        parked = len(leader._purgatory.get(key) or ())
-        complete(key, high_watermark)
-        if len(leader._purgatory.get(key) or ()) < parked:
+    def produces(key):
+        return [wait for wait in leader._purgatory.get(key) or () if wait[0] == "high_watermark"]
+
+    def recording_complete(key):
+        parked = len(produces(key))
+        complete(key)
+        if len(produces(key)) < parked:
             released_at.append(sim.now)
 
-    leader._complete_produce_waits = recording_complete
+    leader._complete_waits = recording_complete
     producer = _produce(
         sim, cluster, sites[2], ProducerConfig(acks="all", linger=0.0), [(0.0, "a")]
     )
@@ -180,7 +183,7 @@ def test_acks_all_wait_is_completed_by_the_high_watermark_not_a_poll():
     report = producer.reports[0]
     assert report.acknowledged
     assert leader.logs["events-0"].high_watermark == 1
-    assert leader._purgatory["events-0"] == []  # nothing left parked
+    assert produces("events-0") == []  # no produce left parked
     # Answered the instant the follower's fetch moved the high watermark (the
     # reply then takes two 2 ms hops), not at the next tick of a 10 ms poll.
     assert len(released_at) == 1
@@ -244,12 +247,13 @@ def test_deposed_leader_never_acknowledges_from_purgatory(seed):
 
 def test_control_arm_acknowledging_on_an_adopted_high_watermark_loses_records(monkeypatch):
     """Without the leadership-loss rule the same run loses an acked record."""
-    monkeypatch.setattr(Broker, "_fail_produce_waits", lambda self, key: None)
+    monkeypatch.setattr(Broker, "_fail_waits", lambda self, key: None)
     fetch_once = Broker._fetch_once_from_leader
 
     def fetch_then_complete(self, key, leader_host, log):
-        yield from fetch_once(self, key, leader_host, log)
-        self._complete_produce_waits(key, log.high_watermark)
+        answered = yield from fetch_once(self, key, leader_host, log)
+        self._complete_waits(key)
+        return answered
 
     monkeypatch.setattr(Broker, "_fetch_once_from_leader", fetch_then_complete)
     assert _fig6_short_disconnection(4).acked_but_lost == 1
