@@ -64,6 +64,24 @@ class Packet:
         )
 
 
+def _flat_dict_size(payload: dict) -> Optional[int]:
+    """What the walk in :func:`estimate_size` sums over a dict whose keys and
+    values are all ``str`` / ``int`` / ``float`` (SPE results, control
+    messages: the common payload), in one loop; ``None`` for any other dict."""
+    total = 0
+    for item in payload.items():
+        for leaf in item:
+            kind = type(leaf)
+            if kind is str:
+                size = len(leaf) if leaf.isascii() else len(leaf.encode("utf-8"))
+                total += size if size > 4 else 4
+            elif kind is int or kind is float:
+                total += 8
+            else:
+                return None
+    return total
+
+
 def estimate_size(payload: Any, floor: int = 16) -> int:
     """Best-effort serialized size estimate for arbitrary payloads.
 
@@ -74,6 +92,10 @@ def estimate_size(payload: Any, floor: int = 16) -> int:
     plain Python objects.  Checks are ordered by observed frequency, and
     ASCII strings avoid the UTF-8 encode round-trip.
     """
+    if type(payload) is dict:
+        size = _flat_dict_size(payload)
+        if size is not None:
+            return size if size > floor else floor
     if payload is None:
         return floor
     if isinstance(payload, str):

@@ -11,6 +11,7 @@ from repro.core.configs import _duration_to_seconds, _size_to_bytes
 from repro.core.visualization import cdf, percentile, summarize_distribution
 from repro.network.addressing import AddressAllocator
 from repro.network.link import LinkConfig
+from repro.network.packet import estimate_size
 from repro.simulation import Simulator
 from repro.simulation.resources import Container, Store
 from repro.simulation.rng import SeededRandom
@@ -129,6 +130,53 @@ def test_serialization_delay_is_proportional_to_size(size, bandwidth):
     delay = config.serialization_delay(size)
     assert delay >= 0
     assert delay == (size * 8) / (bandwidth * 1e6)
+
+
+def _estimate_size_reference(payload, floor=16):
+    """``estimate_size`` as the plain recursive walk it was before flat dicts
+    got their one-loop fast path."""
+    if payload is None:
+        return floor
+    if isinstance(payload, str):
+        return max(floor, len(payload.encode("utf-8")))
+    if isinstance(payload, (int, float, bool)):
+        return max(floor, 8)
+    if isinstance(payload, dict):
+        return max(
+            floor,
+            sum(
+                _estimate_size_reference(k, 4) + _estimate_size_reference(v, 4)
+                for k, v in payload.items()
+            ),
+        )
+    if isinstance(payload, (list, tuple, set)):
+        return max(floor, sum(_estimate_size_reference(item, 4) for item in payload))
+    if isinstance(payload, (bytes, bytearray)):
+        return max(floor, len(payload))
+    return max(floor, len(repr(payload)))
+
+
+_leaves = (
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=12) | st.text(alphabet="abcxyz", max_size=12) | st.binary(max_size=12)
+)
+_keys = st.text(max_size=8) | st.integers() | st.floats(allow_nan=False) | st.booleans() | st.none()
+_payloads = st.recursive(
+    _leaves,
+    lambda children: (
+        st.lists(children, max_size=5)
+        | st.lists(children, max_size=3).map(tuple)
+        | st.sets(st.text(max_size=6) | st.integers(), max_size=4)
+        | st.dictionaries(_keys, children, max_size=6)
+    ),
+    max_leaves=25,
+)
+
+
+@given(payload=_payloads | st.dictionaries(_keys, _leaves, max_size=8), floor=st.integers(0, 64))
+@settings(max_examples=300, deadline=None)
+def test_estimate_size_fast_path_equals_the_recursive_walk(payload, floor):
+    assert estimate_size(payload, floor) == _estimate_size_reference(payload, floor)
 
 
 # ---------------------------------------------------------------------------
