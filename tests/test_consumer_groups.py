@@ -229,6 +229,57 @@ def test_rebalance_on_member_stop_no_loss_no_redelivery():
     assert sorted(value for _, _, value in consumed) == list(range(200))
 
 
+def test_fetch_reply_landing_after_revocation_is_dropped():
+    """A member fenced while its fetch is in flight must not deliver the
+    reply: the partition is no longer its to read (the coordinator has handed
+    it on), and offsets it advances now would be committed over the new
+    owner's.  A fetch parked at the leader can be in flight for
+    ``FETCH_MAX_WAIT``; here three 10 ms hops suffice."""
+    sim = Simulator(seed=5)
+    network = one_big_switch(
+        sim, ["broker", "c0", "source"],
+        default_config=LinkConfig(latency_ms=10.0, bandwidth_mbps=1000.0),
+    )
+    cluster = BrokerCluster(network, coordinator_host="broker", config=ClusterConfig())
+    cluster.add_broker("broker")
+    cluster.add_topic(TopicConfig(name="events", partitions=1))
+    cluster.start(settle_time=1.0)
+    producer = cluster.create_producer("source", config=ProducerConfig(linger=0.01))
+    member = cluster.create_consumer(
+        "c0", config=ConsumerConfig(group="g", poll_interval=0.05), name="member-0"
+    )
+    member.subscribe(["events"])
+    request = member.transport.request
+    fenced_at = []
+
+    def fence_during_the_first_fetch(dst, port, payload, **options):
+        if payload["type"] == "fetch" and not fenced_at:
+            fenced_at.append(sim.now + 0.03)  # the reply is on its way back
+            sim.call_at(fenced_at[0], member._fenced)
+        return request(dst, port, payload, **options)
+
+    member.transport.request = fence_during_the_first_fetch
+
+    def drive():
+        yield sim.timeout(3.0)
+        producer.start()
+        for i in range(5):
+            producer.send(ProducerRecord(topic="events", key="k", value=i))
+        yield sim.timeout(2.0)
+        member.start()
+
+    sim.process(drive())
+    sim.run(until=5.0)
+    while not fenced_at:
+        sim.step()
+    sim.run(until=fenced_at[0] + 0.02)  # the reply (five records) has landed
+    assert member.assignment() == [] and member.received == []
+    assert member.position("events") == 0
+    sim.run(until=15.0)
+    # Rejoined, it reads the partition from the committed offset: once.
+    assert [record.value for record in member.received] == list(range(5))
+
+
 # -- rebalance and continuity across a broker failure ---------------------------------
 
 
