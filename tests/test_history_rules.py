@@ -2,20 +2,12 @@
 
 1. By hand: per rule one history that satisfies it and one that violates it,
    six events at most, so what a rule means can be read off its test.
-2. Against the checkers they replace: on every arm of the chaos matrix
-   (``tests/test_chaos_exactly_once.py``) ``check_history`` and the log-scan /
-   consumer-scan checkers of the two old drivers agree — no violation on the
-   matrix arms, and both fire on the idempotence-off and ``read_uncommitted``
-   control arms.
+2. On every arm of the chaos matrix (``tests/test_chaos_exactly_once.py``):
+   no violation on the matrix arms, and the rule a control arm switches off
+   fires on the idempotence-off and ``read_uncommitted`` control arms.
 3. As a fence: the fingerprint of every arm's run (acks, dedup counters, every
-   consumer's deliveries with their positions, transaction outcomes) was
-   captured from those two drivers before they were merged into one.  A seeded
-   run must not move.
-
-This file ran green before the drivers were merged and runs unchanged after:
-where ``repro.testing.chaos.run_chaos`` does not exist yet, the same arms are
-run through ``run_chaos_produce`` / ``run_chaos_txn_produce`` and their
-histories put together from outside.
+   consumer's deliveries with their positions, transaction outcomes).  A
+   seeded run must not move.
 """
 
 import hashlib
@@ -24,7 +16,6 @@ from collections import namedtuple
 import pytest
 
 from repro.broker.consumer import ConsumerConfig
-from repro.broker.message import ProducerRecord
 from repro.broker.producer import ProducerConfig
 from repro.testing import chaos
 from repro.testing.history import (
@@ -223,82 +214,8 @@ def test_a_producer_without_a_send_list_is_judged_by_its_reports():
 
 
 # ---------------------------------------------------------------------------
-# 2 + 3. The chaos matrix: agreement with the old checkers, and the fence
+# 2 + 3. The chaos matrix, and the fence
 # ---------------------------------------------------------------------------
-N_RECORDS, N_KEYS, TXN_SIZE = 200, 8, 10
-
-
-def _record(topic, index):
-    return ProducerRecord(topic=topic, key=f"k{index % N_KEYS}", value=index // N_KEYS, size=120)
-
-
-def _run_through_the_old_drivers(seed, profile, partitions, group_size, idempotence, isolation):
-    """The parent commit's drivers, their history put together from outside.
-    Returns ``(history, what the old checkers found)``."""
-    if profile in chaos.CHAOS_PROFILES:
-        result = chaos.run_chaos_produce(
-            seed, profile, partitions=partitions, group_size=group_size, idempotence=idempotence
-        )
-        producers = [result.producer]
-        sent = {result.producer.name: [_record("chaos", i) for i in range(N_RECORDS)]}
-        txns = []
-        old = result.invariant_violations() if idempotence else result.log_duplicates()
-    else:
-        result = chaos.run_chaos_txn_produce(
-            seed, profile, partitions=partitions, group_size=group_size, isolation=isolation
-        )
-        producers = result.producers
-        # The zombie sent a prefix of the workload, its successor the rest.
-        sent = {
-            producer.name: [
-                _record("chaos-txn", i)
-                for i in (
-                    range(len(producer.reports))
-                    if producer is producers[0]
-                    else range(N_RECORDS - len(producer.reports), N_RECORDS)
-                )
-            ]
-            for producer in producers
-        }
-        outcomes = {}
-        for outcome, numbers in (
-            ("commit", result.committed_txns),
-            ("abort", result.aborted_txns),
-            ("uncertain", result.uncertain_txns),
-        ):
-            outcomes.update((txn, outcome) for txn in numbers)
-        txns = [
-            (
-                outcomes[txn],
-                [_record("chaos-txn", i) for i in range(txn * TXN_SIZE, (txn + 1) * TXN_SIZE)],
-            )
-            for txn in sorted(outcomes)
-        ]
-        old = result.invariant_violations()
-    run = History(
-        producers,
-        [Reader.of(consumer) for consumer in result.consumers],
-        sent=sent,
-        txns=txns,
-        cluster=result.cluster,
-    )
-    run.audit(result.cluster)
-    return run, old
-
-
-def run_arm(seed, profile, partitions=1, group_size=1, idempotence=True,
-            isolation="read_uncommitted"):
-    if hasattr(chaos, "run_chaos"):
-        run = chaos.run_chaos(
-            seed, profile, partitions=partitions, group_size=group_size,
-            idempotence=idempotence, isolation=isolation,
-        )
-        return run, None
-    return _run_through_the_old_drivers(
-        seed, profile, partitions, group_size, idempotence, isolation
-    )
-
-
 def fingerprint(run):
     """What a seeded run must reproduce: the producers' counters, the brokers'
     dedup drops, every consumer's deliveries with their positions, how each
@@ -395,21 +312,19 @@ def test_matrix_arm_holds_every_rule_and_reproduces_the_parent(
     seed, profile, partitions, group_size
 ):
     transactional = profile in chaos.TXN_CHAOS_PROFILES
-    run, old = run_arm(
+    run = chaos.run_chaos(
         seed, profile, partitions, group_size,
         isolation="read_committed" if transactional else "read_uncommitted",
     )
     assert check_history(run) == []
-    assert old in (None, [])
     assert fingerprint(run) == PARENT_FINGERPRINTS[seed, profile, partitions, group_size]
 
 
 @pytest.mark.chaos
 @pytest.mark.parametrize("profile", chaos.CHAOS_PROFILES)
 def test_idempotence_off_control_arm_fires_no_duplicates(profile):
-    run, old = run_arm(23, profile, idempotence=False)
+    run = chaos.run_chaos(23, profile, idempotence=False)
     assert no_duplicates(run)
-    assert old is None or old
     assert fingerprint(run) == PARENT_FINGERPRINTS[23, profile, "off"]
 
 
@@ -417,7 +332,6 @@ def test_idempotence_off_control_arm_fires_no_duplicates(profile):
 @pytest.mark.parametrize("profile", chaos.TXN_CHAOS_PROFILES)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_read_uncommitted_control_arm_fires_txn_atomic(profile, seed):
-    run, old = run_arm(seed, profile)
+    run = chaos.run_chaos(seed, profile)
     assert any("no committed transaction wrote" in v.detail for v in txn_atomic(run))
-    assert old is None or old
     assert fingerprint(run) == PARENT_FINGERPRINTS[seed, profile, "read_uncommitted"]
