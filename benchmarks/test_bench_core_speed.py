@@ -13,6 +13,8 @@ trajectory to beat:
   per operation (``packet_events_per_round_trip``, ``rpc_events_per_request``
   — gated counters: an events/sec rate would read "slower" whenever a change
   removes events);
+* heap entries per simulated second of an idle replicated partition
+  (``idle_partition_events_per_sim_second``, gated: nothing may tick);
 * end-to-end produce->consume record throughput through the batch-native
   broker wire path (client send -> broker append -> fetch -> header decode),
   plus the sharded variant (4 partitions / 4-member consumer group) and the
@@ -186,8 +188,9 @@ def test_bench_transport_requests():
     sim.run()
     elapsed = time.perf_counter() - started
     rate = _record("transport_requests_per_sec", n / elapsed)
-    # Exact: four link hops and the caller's wake-up per request, plus one
-    # sweep of the deadline heap per timeout's worth of requests.
+    # Exact: four link hops per request — the caller resumes inside the
+    # reply's arrival — plus one sweep of the deadline heap per timeout's
+    # worth of requests.
     events = _record("rpc_events_per_request", sim.processed_events / n)
     report(
         "transport requests",
@@ -195,6 +198,34 @@ def test_bench_transport_requests():
     )
     assert (client.requests_sent, client.requests_retried) == (n, 0)
     assert rate > 1_000
+
+
+def test_bench_idle_partition_events():
+    """What an idle replicated partition costs per simulated second: three
+    brokers, one RF-3 partition, one consumer, nothing produced.  Consumer and
+    follower fetches park at the leader for ``FETCH_MAX_WAIT``; a reintroduced
+    poll or replica-fetch tick shows here as a multiple."""
+    sim = Simulator(seed=1)
+    hosts = ["b1", "b2", "b3"]
+    net = one_big_switch(
+        sim, hosts, default_config=LinkConfig(latency_ms=2.0, bandwidth_mbps=100.0)
+    )
+    cluster = BrokerCluster(net, coordinator_host="b1", config=ClusterConfig())
+    for host in hosts:
+        cluster.add_broker(host)
+    cluster.add_topic(TopicConfig(name="idle", replication_factor=3))
+    cluster.start(settle_time=2.0)
+    consumer = cluster.create_consumer("b3", config=ConsumerConfig(poll_interval=0.1))
+    consumer.subscribe(["idle"])
+    consumer.start()
+    sim.run(until=10.0)
+    before, seconds = sim.processed_events, 20.0
+    sim.run(until=10.0 + seconds)
+    events = _record(
+        "idle_partition_events_per_sim_second", (sim.processed_events - before) / seconds
+    )
+    report("idle replicated partition", {"sim_seconds": seconds, "events/sim_second": events})
+    assert consumer.fetch_errors == 0 and consumer.records_consumed == 0
 
 
 def _produce_consume_once(
@@ -1027,6 +1058,7 @@ GATED_COUNTERS = (
     "producer_gen0_collections_per_100k_records",
     "packet_events_per_round_trip",
     "rpc_events_per_request",
+    "idle_partition_events_per_sim_second",
 )
 
 #: Simulator-core-only micro-rates used as a *session health* sentinel: no
