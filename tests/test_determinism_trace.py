@@ -9,7 +9,7 @@ fast path: optimizations may change wall-clock speed, never simulated results.
 Two golden tests additionally pin the trace and a figure output.  The figure
 output still holds its capture on the *per-record-dict* wire format (pre
 RecordBatch, PR 1); the trace was re-captured when the sender became
-event-driven (see ``GOLDEN_TRACE_SEED42``).  If an intentional behavior change
+event-driven and when fetches began to park (see ``GOLDEN_TRACE_SEED42``).  If an intentional behavior change
 ever breaks them, re-capture the constants and say so in the PR.
 """
 
@@ -114,8 +114,13 @@ def test_different_seeds_diverge():
 #: lost on site3's link).  Lowered, ``processed_events`` only, when a link hop
 #: became one entry, RPC expiry lazy and the serve start part of the arrival
 #: (9703 -> 5087; every other field, the loss draws included, as it was).
+#: Re-captured when fetches began to park at the leader: the follower's and
+#: the consumer's ten ticks a second, each a round trip over lossy links, are
+#: one round trip per append or per ``FETCH_MAX_WAIT`` (5087 -> 2376 events;
+#: links 1168/592/576 -> 609/268/344 delivered, 22 -> 13 lost); the records,
+#: bytes and metadata version are what they were.
 GOLDEN_TRACE_SEED42 = {
-    "processed_events": 5087,
+    "processed_events": 2376,
     "final_clock": 40.0,
     "records_sent": 200,
     "records_acked": 200,
@@ -124,9 +129,9 @@ GOLDEN_TRACE_SEED42 = {
     "bytes_consumed": 4800,
     "metadata_version": 3,
     "links": {
-        "site1:1<->s0:1": (1168, 11, 0),
-        "site2:1<->s0:2": (592, 5, 0),
-        "site3:1<->s0:3": (576, 6, 0),
+        "site1:1<->s0:1": (609, 8, 0),
+        "site2:1<->s0:2": (268, 2, 0),
+        "site3:1<->s0:3": (344, 3, 0),
     },
 }
 

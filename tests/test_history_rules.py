@@ -243,58 +243,65 @@ def fingerprint(run):
     )
 
 
-#: seed, profile, partitions x group -> fingerprint, captured at the parent
-#: commit (b8c5e7d + DeliveryReport.partition) through its two drivers.
+#: seed, profile, partitions x group -> fingerprint.  First captured through
+#: the two drivers ``run_chaos`` replaced; re-captured when fetches began to
+#: park at the leader (PR 24), with ``check_history(run) == []`` on every
+#: matrix arm on both sides: a follower now trails by milliseconds instead of
+#: up to 100 ms, so every acknowledgement time moves, fewer retries find their
+#: first attempt already appended (e.g. 354 -> 8 duplicates dropped on
+#: 11/broker-kill/1x1), and a killed producer gets five records of its doomed
+#: transaction acknowledged instead of one to four (``records_acked`` 201 / 204
+#: -> 205 on the producer-kill arms).  Transaction outcomes did not move.
 PARENT_FINGERPRINTS = {
-    (11, 'broker-kill', 1, 1): (200, 354, 2, '6a20f1d64ff86e81', 'e3936f9301b69a85', ''),
-    (11, 'broker-kill', 4, 4): (200, 200, 9, 'a074a250f9dc4552', '06af9b6362d84b91', ''),
-    (11, 'link-loss', 1, 1): (200, 90, 5, '6a20f1d64ff86e81', 'aed88dd1d7f19adb', ''),
-    (11, 'link-loss', 4, 4): (200, 135, 18, 'a074a250f9dc4552', 'd53e6b4abd438c6e', ''),
-    (11, 'mixed', 1, 1): (200, 10, 1, '6a20f1d64ff86e81', '8befed9cd9017622', ''),
-    (11, 'mixed', 4, 4): (200, 55, 9, 'a074a250f9dc4552', 'a35591582af2fc9e', ''),
-    (11, 'producer-kill', 1, 1): (201, 0, 0, 'bd9280d1f8ed5f19', '207b0bfa6ce460d6', 'cccacccccccccccccccc'),
-    (11, 'producer-kill', 4, 4): (204, 0, 0, '3e2e658e8d60515c', '75a143168b372834', 'cccacccccccccccccccc'),
-    (11, 'coordinator-kill', 1, 1): (200, 5, 1, '6dfaa085d3361504', 'b43fe31fac4cc6c4', 'ccccaccccccccccccccc'),
-    (11, 'coordinator-kill', 4, 4): (200, 16, 4, '3f27aa3fe22d4c65', '556806794abf6485', 'ccccaccccccccccccccc'),
-    (11, 'leader-failover', 1, 1): (200, 1, 1, '6dfaa085d3361504', 'a7cb20c1a61e6c93', 'ccccaccccccccccccccc'),
-    (11, 'leader-failover', 4, 4): (200, 20, 6, 'd34ace9903cd22e5', '2cedcb8d6f5c154b', 'ccccaccccccccccccccc'),
-    (23, 'broker-kill', 1, 1): (200, 97, 4, '6a20f1d64ff86e81', '4d97720c754b5bce', ''),
-    (23, 'broker-kill', 4, 4): (200, 136, 15, 'a074a250f9dc4552', '407d5b2132c5f4fa', ''),
-    (23, 'link-loss', 1, 1): (200, 3, 1, '6a20f1d64ff86e81', 'c134b6b786b3f987', ''),
-    (23, 'link-loss', 4, 4): (200, 25, 8, 'a074a250f9dc4552', '66e33866b36533ff', ''),
-    (23, 'mixed', 1, 1): (200, 10, 2, '6a20f1d64ff86e81', '7df205a6afde21fe', ''),
-    (23, 'mixed', 4, 4): (200, 67, 13, 'a074a250f9dc4552', '1e0bb77cb0eb7d07', ''),
-    (23, 'producer-kill', 1, 1): (201, 0, 0, 'bd9280d1f8ed5f19', '207b0bfa6ce460d6', 'cccacccccccccccccccc'),
-    (23, 'producer-kill', 4, 4): (204, 0, 0, '3e2e658e8d60515c', '75a143168b372834', 'cccacccccccccccccccc'),
-    (23, 'coordinator-kill', 1, 1): (200, 6, 1, '23a5667a9181a166', 'ae8d263bc2107172', 'cccacccccccccccccccc'),
-    (23, 'coordinator-kill', 4, 4): (200, 18, 4, 'f0caffa90f62b55a', '32a28c6620597be3', 'cccacccccccccccccccc'),
-    (23, 'leader-failover', 1, 1): (200, 7, 2, '313aa8c1abc8f84c', 'f4b7a0908d02f6ac', 'ccaccccccccccccccccc'),
-    (23, 'leader-failover', 4, 4): (200, 17, 4, '31cfa3d1fe16a42a', 'f8272e7769fd1975', 'ccaccccccccccccccccc'),
-    (37, 'broker-kill', 1, 1): (200, 264, 4, '6a20f1d64ff86e81', 'ce477e66117b03c6', ''),
-    (37, 'broker-kill', 4, 4): (200, 226, 15, 'a074a250f9dc4552', '07cace767ffa1863', ''),
-    (37, 'link-loss', 1, 1): (200, 48, 4, '6a20f1d64ff86e81', '3091495601a4fa47', ''),
-    (37, 'link-loss', 4, 4): (200, 32, 12, 'a074a250f9dc4552', '082aa0341cef0fad', ''),
-    (37, 'mixed', 1, 1): (200, 389, 4, '6a20f1d64ff86e81', '5426e88904be9acf', ''),
-    (37, 'mixed', 4, 4): (200, 174, 13, 'a074a250f9dc4552', 'f31870be315a59f9', ''),
-    (37, 'producer-kill', 1, 1): (201, 0, 0, 'cf4e5f6791e83997', '494d19e19e4e1ec1', 'ccccaccccccccccccccc'),
-    (37, 'producer-kill', 4, 4): (204, 0, 0, '5fededb63a5ed0b7', 'd57605da4b79148b', 'ccccaccccccccccccccc'),
-    (37, 'coordinator-kill', 1, 1): (200, 5, 1, '313aa8c1abc8f84c', '1863d31eb2768e16', 'ccaccccccccccccccccc'),
-    (37, 'coordinator-kill', 4, 4): (200, 10, 2, '31cfa3d1fe16a42a', 'ecfe74f363a35827', 'ccaccccccccccccccccc'),
-    (37, 'leader-failover', 1, 1): (200, 1, 1, '6dfaa085d3361504', 'd403303e5c65a144', 'ccccaccccccccccccccc'),
-    (37, 'leader-failover', 4, 4): (200, 24, 5, 'd34ace9903cd22e5', 'd2d5cc3b9420c2c4', 'ccccaccccccccccccccc'),
-    (23, 'mixed', 4, 2): (200, 67, 13, '3d64c4f891fd535d', '1e0bb77cb0eb7d07', ''),
-    (23, 'broker-kill', 'off'): (200, 0, 0, 'b2d12c69d985220f', '9981340aecfd2976', ''),
-    (23, 'link-loss', 'off'): (200, 0, 0, '1e1b12b886a74a20', 'c920713df6353ae5', ''),
-    (23, 'mixed', 'off'): (200, 0, 0, '2fd58793753d3278', 'd568f7ccc05cedc2', ''),
-    (11, 'producer-kill', 'read_uncommitted'): (201, 0, 0, 'a1b73f0898739adc', '207b0bfa6ce460d6', 'cccacccccccccccccccc'),
-    (11, 'coordinator-kill', 'read_uncommitted'): (200, 5, 1, '63b08542b4b993e3', 'b43fe31fac4cc6c4', 'ccccaccccccccccccccc'),
-    (11, 'leader-failover', 'read_uncommitted'): (200, 1, 1, '63b08542b4b993e3', 'a7cb20c1a61e6c93', 'ccccaccccccccccccccc'),
-    (23, 'producer-kill', 'read_uncommitted'): (201, 0, 0, 'a1b73f0898739adc', '207b0bfa6ce460d6', 'cccacccccccccccccccc'),
-    (23, 'coordinator-kill', 'read_uncommitted'): (200, 6, 1, '63b08542b4b993e3', 'ae8d263bc2107172', 'cccacccccccccccccccc'),
-    (23, 'leader-failover', 'read_uncommitted'): (200, 7, 2, '63b08542b4b993e3', 'f4b7a0908d02f6ac', 'ccaccccccccccccccccc'),
-    (37, 'producer-kill', 'read_uncommitted'): (201, 0, 0, 'ee50f7683ca01bf7', '494d19e19e4e1ec1', 'ccccaccccccccccccccc'),
-    (37, 'coordinator-kill', 'read_uncommitted'): (200, 5, 1, '63b08542b4b993e3', '1863d31eb2768e16', 'ccaccccccccccccccccc'),
-    (37, 'leader-failover', 'read_uncommitted'): (200, 1, 1, '63b08542b4b993e3', 'd403303e5c65a144', 'ccccaccccccccccccccc'),
+    (11, 'broker-kill', 1, 1): (200, 8, 1, '6a20f1d64ff86e81', 'f79e61aff7ab7e84', ''),
+    (11, 'broker-kill', 4, 4): (200, 37, 6, 'a074a250f9dc4552', '3f0ff6126a1f3a91', ''),
+    (11, 'link-loss', 1, 1): (200, 3, 3, '6a20f1d64ff86e81', '003e8a761a6cbcfe', ''),
+    (11, 'link-loss', 4, 4): (200, 30, 10, 'a074a250f9dc4552', 'f0de8caa6eba0fd3', ''),
+    (11, 'mixed', 1, 1): (200, 7, 2, '6a20f1d64ff86e81', '6c2d0e4c47dd3897', ''),
+    (11, 'mixed', 4, 4): (200, 30, 6, 'a074a250f9dc4552', '33951673cb5a95dd', ''),
+    (11, 'producer-kill', 1, 1): (205, 0, 0, '09a09056fef1fafb', 'bf07b188c7011942', 'cccacccccccccccccccc'),
+    (11, 'producer-kill', 4, 4): (205, 0, 0, '7befd71e7ba9b6bb', '29df6dd65054868b', 'cccacccccccccccccccc'),
+    (11, 'coordinator-kill', 1, 1): (200, 6, 0, '6dfaa085d3361504', '0515d886340425e6', 'ccccaccccccccccccccc'),
+    (11, 'coordinator-kill', 4, 4): (200, 11, 1, '0f2c67ed178831f9', '507d6aba7f31309d', 'ccccaccccccccccccccc'),
+    (11, 'leader-failover', 1, 1): (200, 2, 1, '6dfaa085d3361504', 'c79e45ae6d0c2cc0', 'ccccaccccccccccccccc'),
+    (11, 'leader-failover', 4, 4): (200, 15, 2, 'd34ace9903cd22e5', '02628a3e72a01596', 'ccccaccccccccccccccc'),
+    (23, 'broker-kill', 1, 1): (200, 15, 3, '6a20f1d64ff86e81', '9ea77441205d0f5d', ''),
+    (23, 'broker-kill', 4, 4): (200, 87, 13, 'a074a250f9dc4552', 'd6c1334dfd9896ce', ''),
+    (23, 'link-loss', 1, 1): (200, 1, 1, '6a20f1d64ff86e81', '50602986c02429e5', ''),
+    (23, 'link-loss', 4, 4): (200, 17, 5, 'a074a250f9dc4552', 'f898fcbb84c3c7eb', ''),
+    (23, 'mixed', 1, 1): (200, 6, 2, '6a20f1d64ff86e81', '555ab0564818edde', ''),
+    (23, 'mixed', 4, 4): (200, 29, 7, 'a074a250f9dc4552', '05f2af2372b888ca', ''),
+    (23, 'producer-kill', 1, 1): (205, 0, 0, '09a09056fef1fafb', 'bf07b188c7011942', 'cccacccccccccccccccc'),
+    (23, 'producer-kill', 4, 4): (205, 0, 0, '7befd71e7ba9b6bb', '29df6dd65054868b', 'cccacccccccccccccccc'),
+    (23, 'coordinator-kill', 1, 1): (200, 4, 0, '23a5667a9181a166', 'a4d8a2c91a61574f', 'cccacccccccccccccccc'),
+    (23, 'coordinator-kill', 4, 4): (200, 11, 1, '043341317a8feeb5', '2b4125b4587420e3', 'cccacccccccccccccccc'),
+    (23, 'leader-failover', 1, 1): (200, 2, 1, '313aa8c1abc8f84c', '5876e48e26a7a5d4', 'ccaccccccccccccccccc'),
+    (23, 'leader-failover', 4, 4): (200, 16, 4, '31cfa3d1fe16a42a', '95de21ab1de0edc0', 'ccaccccccccccccccccc'),
+    (37, 'broker-kill', 1, 1): (200, 17, 3, '6a20f1d64ff86e81', '01f8c32d44abc592', ''),
+    (37, 'broker-kill', 4, 4): (200, 74, 12, 'a074a250f9dc4552', '444892b0a88d4c7f', ''),
+    (37, 'link-loss', 1, 1): (200, 3, 3, '6a20f1d64ff86e81', 'fb79331e4596edbd', ''),
+    (37, 'link-loss', 4, 4): (200, 14, 6, 'a074a250f9dc4552', '9f20be058f820c6c', ''),
+    (37, 'mixed', 1, 1): (200, 393, 2, '6a20f1d64ff86e81', '65677938be57ec3b', ''),
+    (37, 'mixed', 4, 4): (200, 33, 6, 'a074a250f9dc4552', '1c96473908897c66', ''),
+    (37, 'producer-kill', 1, 1): (205, 0, 0, '3849915b107ab8d4', 'e700716796b892a3', 'ccccaccccccccccccccc'),
+    (37, 'producer-kill', 4, 4): (205, 0, 0, '4c04faf8c91381de', '738fda9159e25d24', 'ccccaccccccccccccccc'),
+    (37, 'coordinator-kill', 1, 1): (200, 8, 0, '313aa8c1abc8f84c', '5159dd43ebbc7e30', 'ccaccccccccccccccccc'),
+    (37, 'coordinator-kill', 4, 4): (200, 15, 2, '5d99658f78898258', '089b880a30cb40a5', 'ccaccccccccccccccccc'),
+    (37, 'leader-failover', 1, 1): (200, 2, 1, '6dfaa085d3361504', 'fbccb6217a9c8552', 'ccccaccccccccccccccc'),
+    (37, 'leader-failover', 4, 4): (200, 22, 3, 'd34ace9903cd22e5', 'ade132529cff7a06', 'ccccaccccccccccccccc'),
+    (23, 'mixed', 4, 2): (200, 29, 7, 'e1e0c4327fb3b2d3', '05f2af2372b888ca', ''),
+    (23, 'broker-kill', 'off'): (200, 0, 0, 'cdcea6cd5d54b299', '7796197a38e3c58b', ''),
+    (23, 'link-loss', 'off'): (200, 0, 0, '1282b927196c43bc', 'aba7deb8ed3d97e9', ''),
+    (23, 'mixed', 'off'): (200, 0, 0, '3aac033387d40c95', '4adb13dcf9447ae1', ''),
+    (11, 'producer-kill', 'read_uncommitted'): (205, 0, 0, '37975cee51895a64', 'bf07b188c7011942', 'cccacccccccccccccccc'),
+    (11, 'coordinator-kill', 'read_uncommitted'): (200, 6, 0, '63b08542b4b993e3', '0515d886340425e6', 'ccccaccccccccccccccc'),
+    (11, 'leader-failover', 'read_uncommitted'): (200, 2, 1, '63b08542b4b993e3', 'c79e45ae6d0c2cc0', 'ccccaccccccccccccccc'),
+    (23, 'producer-kill', 'read_uncommitted'): (205, 0, 0, '37975cee51895a64', 'bf07b188c7011942', 'cccacccccccccccccccc'),
+    (23, 'coordinator-kill', 'read_uncommitted'): (200, 4, 0, '63b08542b4b993e3', 'a4d8a2c91a61574f', 'cccacccccccccccccccc'),
+    (23, 'leader-failover', 'read_uncommitted'): (200, 2, 1, '63b08542b4b993e3', '5876e48e26a7a5d4', 'ccaccccccccccccccccc'),
+    (37, 'producer-kill', 'read_uncommitted'): (205, 0, 0, 'a238205377418fc9', 'e700716796b892a3', 'ccccaccccccccccccccc'),
+    (37, 'coordinator-kill', 'read_uncommitted'): (200, 8, 0, '63b08542b4b993e3', 'd0bb48ecc6564843', 'ccaccccccccccccccccc'),
+    (37, 'leader-failover', 'read_uncommitted'): (200, 2, 1, '63b08542b4b993e3', 'fbccb6217a9c8552', 'ccccaccccccccccccccc'),
 }
 
 SEEDS = (11, 23, 37)

@@ -377,9 +377,9 @@ class TestTransportRequestPaths:
         sim.process(caller())
         sim.run()
         # caller start + 4 arrivals (request and reply, two links each; the
-        # switch forwards and the serve process starts inside an arrival) +
-        # waiter wake-up + one sweep of the deadline heap.
-        assert sim.processed_events == 7
+        # switch forwards, the serve process starts and the caller resumes
+        # inside an arrival) + one sweep of the deadline heap.
+        assert sim.processed_events == 6
 
     def test_shorter_timeout_behind_a_longer_one_expires_on_time(self):
         sim, net, client, server = self._two_hosts()

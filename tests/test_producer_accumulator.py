@@ -361,9 +361,12 @@ def test_reports_is_a_read_only_sequence():
 # -- derived reports equal the stored ones -------------------------------------------
 
 # Captured at the parent commit (per-record DeliveryReport objects filled in
-# at ack time), before the accumulator became batch-native.
+# at ack time), before the accumulator became batch-native.  The chaos one
+# was re-captured when fetches began to park at the leader: every
+# ``acknowledged_at`` of an acks=all run moves with the replication delay, and
+# the one lost ack now hits a one-record batch instead of a three-record one.
 CHAOS_LINK_LOSS_DIGEST = (
-    200, "47807d119ad62dfeff834989b59964fd0e90dac1955d554c51235ac59bb394ce"
+    200, "f93d05067d467e466e930645386046cc11f254855d02531d5833a9e16ad119ea"
 )
 STARVED_PRODUCER_DIGEST = (
     1000, "f8f5566752a31a7fa100c516f2514bb8191e60cd048eb5700a953da3b12e2675"
@@ -372,11 +375,11 @@ STARVED_PRODUCER_DIGEST = (
 
 @pytest.mark.chaos
 def test_reports_equal_the_per_record_implementation_under_chaos(reports_digest):
-    """Seed 23 / link-loss: retries, one duplicate ack covering three
-    records, every report field as the per-record bookkeeping had it."""
+    """Seed 23 / link-loss: retries, one duplicate ack covering one record,
+    every report field as the per-record bookkeeping had it."""
     (producer,) = run_chaos(23, "link-loss").producers
     assert producer.duplicate_acks == 1
-    assert sum(report.duplicate for report in producer.reports) == 3
+    assert sum(report.duplicate for report in producer.reports) == 1
     assert reports_digest([producer]) == CHAOS_LINK_LOSS_DIGEST
 
 
