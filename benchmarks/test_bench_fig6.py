@@ -17,7 +17,6 @@ def _config(mode, acks):
         disconnect_duration=50.0,
         mode=mode,
         acks=acks,
-        seed=3,
     )
 
 

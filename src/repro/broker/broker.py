@@ -475,14 +475,9 @@ class Broker:
         """
         if self.logs[key].high_watermark >= target:
             return None
+        expired = {"error": "not_enough_replicas"}
         return (
-            yield from self._park(
-                key,
-                "high_watermark",
-                target,
-                PRODUCE_PURGATORY_TIMEOUT,
-                expired={"error": "not_enough_replicas"},
-            )
+            yield from self._park(key, "high_watermark", target, PRODUCE_PURGATORY_TIMEOUT, expired)
         )
 
     def _park(self, key: str, bound: str, target: int, timeout: float, expired: Any = None):
@@ -734,21 +729,24 @@ class Broker:
             log = self.logs[key]
             replica_state = self.replica_states.setdefault(key, ReplicaState())
             replica_state.follower_offsets[follower] = offset
-            if offset >= log.log_end_offset:
+            caught_up = offset >= log.log_end_offset
+            if caught_up:
                 replica_state.follower_caught_up_at[follower] = self.sim.now
             # The fetch is the follower's acknowledgement of everything below
             # ``offset``: the high watermark moves on its arrival.
             self._maybe_advance_high_watermark(key)
-            max_records = self.config.replica_fetch_max_records
-            batch = log.read_batch(offset, max_records=max_records, with_epochs=True)
-            if not len(batch):
-                # Caught up: wait here for the next append (or FETCH_MAX_WAIT).
+            if caught_up:
+                # Wait here for the next append (or FETCH_MAX_WAIT).
                 failure = yield from self._park(
-                    key, "log_end_offset", max(offset, log.log_end_offset) + 1, FETCH_MAX_WAIT
+                    key, "log_end_offset", offset + 1, FETCH_MAX_WAIT
                 )
                 if failure is not None:
                     return failure
-                batch = log.read_batch(offset, max_records=max_records, with_epochs=True)
+            batch = log.read_batch(
+                offset,
+                max_records=self.config.replica_fetch_max_records,
+                with_epochs=True,
+            )
             cost = self.config.cpu_per_request + self.config.cpu_per_record * len(batch)
             yield from self.host.compute(cost)
             yield from self._maybe_update_isr(key)

@@ -1,9 +1,10 @@
 """Consumer client.
 
-Consumers subscribe to topics, poll the partition leader for committed
-records, track their own offsets and record per-message delivery latency
-(time between the producer's send call and local receipt) — the measurement
-behind Figures 5, 6b and 6c.
+Consumers subscribe to topics, fetch committed records from the partition
+leaders — one fetcher per partition, a fetch that finds nothing parked at the
+leader until a record becomes visible — track their own offsets and record
+per-message delivery latency (time between the producer's send call and local
+receipt) — the measurement behind Figures 5, 6b and 6c.
 
 Fetch replies arrive as one :class:`~repro.broker.batch.RecordBatch` per
 partition: the consumer decodes the batch *header* (base offset, count,
@@ -221,7 +222,7 @@ class Consumer:
             # partitions while joining.
             self._assigned = frozenset()
             self.sim.process(self._group_loop(), name=f"{self.name}:group")
-        self.sim.process(self._poll_loop(), name=f"{self.name}:poll")
+        self.sim.process(self._metadata_loop(), name=f"{self.name}:metadata")
 
     def stop(self) -> None:
         was_running = self.running
@@ -246,10 +247,11 @@ class Consumer:
             return None
         return sorted(self._assigned)
 
-    # -- poll loop ------------------------------------------------------------------
-    def _poll_loop(self):
+    # -- fetching -------------------------------------------------------------------
+    def _metadata_loop(self):
         """Keep the metadata fresh; every refresh starts the fetchers of the
-        partitions it made fetchable."""
+        partitions it made fetchable (how a consumer with nothing to fetch
+        yet learns that its topic exists)."""
         while self.running:
             yield from self._refresh_metadata()
             yield self.sim.timeout(self.config.metadata_refresh_interval)

@@ -32,8 +32,8 @@ ONE_WAY = 0.004
 NEAR = dict(abs=0.0005)
 
 
-def build_cluster(replication=3, isolation_topic="events"):
-    """Three sites, one partition led by ``broker-site1``, metadata settled."""
+def build_cluster():
+    """Three sites, one RF-3 partition led by ``broker-site1``, metadata settled."""
     sim = Simulator(seed=1)
     network, sites = star_topology(
         sim, 3, link_config=LinkConfig(latency_ms=2.0, bandwidth_mbps=100.0)
@@ -42,9 +42,7 @@ def build_cluster(replication=3, isolation_topic="events"):
     for site in sites:
         cluster.add_broker(site)
     cluster.add_topic(
-        TopicConfig(
-            name=isolation_topic, replication_factor=replication, preferred_leader="broker-site1"
-        )
+        TopicConfig(name="events", replication_factor=3, preferred_leader="broker-site1")
     )
     cluster.start(settle_time=2.0)
     sim.run(until=4.5)
@@ -101,9 +99,8 @@ def start_consumer(cluster, site, **config):
     return consumer
 
 
-def send_at(sim, producer, when, *keys):
-    for key in keys:
-        sim.call_at(when, producer.send, ProducerRecord(topic="events", key=key, value=key, size=100))
+def send_at(sim, producer, when, key):
+    sim.call_at(when, producer.send, ProducerRecord(topic="events", key=key, value=key, size=100))
 
 
 # -- consumer fetches ---------------------------------------------------------------

@@ -454,3 +454,44 @@ class TestTransportRequestPaths:
         sim.process(outer(), name="outer")
         sim.run()
         assert len(errors) == 1 and "outer" in errors[0]
+
+    def test_succeed_now_resumes_the_waiter_in_the_calling_callback(self):
+        sim = Simulator()
+        steps = []
+        wake = sim.event()
+
+        def waiter():
+            value = yield wake
+            steps.append(("woken", sim.now, value))
+
+        sim.process(waiter())
+        sim.call_later(2.0, lambda: (wake.succeed_now("go"), steps.append("back")))
+        sim.run()
+        assert steps == [("woken", 2.0, "go"), "back"] and wake.processed
+        # The waiter's start and the 2.0 callback: no wake-up entry.
+        assert sim.processed_events == 2
+
+    def test_succeed_now_inside_a_process_goes_through_the_heap(self):
+        sim = Simulator()
+        steps = []
+        wake = sim.event()
+
+        def waiter():
+            steps.append(("woken", (yield wake)))
+
+        def waker():
+            yield sim.timeout(1.0)
+            wake.succeed_now("go")
+            steps.append("waker went on")
+
+        sim.process(waiter())
+        sim.process(waker())
+        sim.run()
+        assert steps == ["waker went on", ("woken", "go")]
+
+    def test_succeed_now_on_the_event_run_waits_for_still_ends_the_run(self):
+        sim = Simulator()
+        marker = sim.event()
+        sim.call_later(2.0, marker.succeed_now, "fired")
+        sim.call_later(5.0, lambda: None)
+        assert sim.run(until=marker) == "fired" and sim.now == 2.0
