@@ -17,12 +17,8 @@ Public API
     A running generator registered with the simulator.
 ``Event`` / ``Timeout`` / ``AnyOf`` / ``AllOf``
     Awaitable primitives.
-``Store`` / ``PriorityStore``
-    Unbounded / bounded FIFO queues for inter-process communication.
 ``Resource``
-    A counted resource with FIFO request queues.
-``Container``
-    A continuous-quantity resource (e.g. buffer memory in bytes).
+    A counted resource with FIFO request queues (a host's CPU cores).
 ``Interrupt``
     Exception injected into a process when it is interrupted.
 """
@@ -30,7 +26,7 @@ Public API
 from repro.simulation.engine import Simulator
 from repro.simulation.events import AllOf, AnyOf, Event, Timeout
 from repro.simulation.process import Interrupt, Process
-from repro.simulation.resources import Container, PriorityStore, Resource, Store
+from repro.simulation.resources import Resource
 
 __all__ = [
     "Simulator",
@@ -40,8 +36,5 @@ __all__ = [
     "AnyOf",
     "AllOf",
     "Interrupt",
-    "Store",
-    "PriorityStore",
     "Resource",
-    "Container",
 ]

@@ -13,7 +13,6 @@ from repro.network.addressing import AddressAllocator
 from repro.network.link import LinkConfig
 from repro.network.packet import estimate_size
 from repro.simulation import Simulator
-from repro.simulation.resources import Container, Store
 from repro.simulation.rng import SeededRandom
 from repro.store import KeyValueStore, TableStore
 
@@ -36,51 +35,6 @@ def test_simulator_clock_is_monotonic_and_reaches_max_delay(delays):
     sim.run()
     assert observed == sorted(observed)
     assert sim.now >= max(delays) - 1e-9
-
-
-@given(items=st.lists(st.integers(), min_size=0, max_size=50))
-@settings(max_examples=50, deadline=None)
-def test_store_preserves_fifo_order(items):
-    sim = Simulator()
-    queue = Store(sim)
-    received = []
-
-    def producer():
-        for item in items:
-            yield queue.put(item)
-
-    def consumer():
-        for _ in items:
-            value = yield queue.get()
-            received.append(value)
-
-    sim.process(producer())
-    sim.process(consumer())
-    sim.run()
-    assert received == list(items)
-
-
-@given(
-    capacity=st.floats(min_value=1.0, max_value=1000.0),
-    amounts=st.lists(st.floats(min_value=0.1, max_value=50.0), min_size=1, max_size=20),
-)
-@settings(max_examples=50, deadline=None)
-def test_container_level_never_exceeds_capacity_or_goes_negative(capacity, amounts):
-    sim = Simulator()
-    container = Container(sim, capacity=capacity)
-    levels = []
-
-    def churn():
-        for amount in amounts:
-            adjusted = min(amount, capacity)
-            yield container.put(adjusted)
-            levels.append(container.level)
-            yield container.get(adjusted)
-            levels.append(container.level)
-
-    sim.process(churn())
-    sim.run()
-    assert all(-1e-9 <= level <= capacity + 1e-9 for level in levels)
 
 
 @given(seed=st.integers(min_value=0, max_value=2**31 - 1), name=st.text(min_size=1, max_size=20))

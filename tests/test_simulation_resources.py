@@ -1,111 +1,8 @@
-"""Unit tests for Store, PriorityStore, Resource and Container."""
+"""Unit tests for Resource, the counted resource behind ``Host.cpu``."""
 
 import pytest
 
-from repro.simulation import Container, PriorityStore, Resource, Simulator, Store
-
-
-def test_store_put_then_get():
-    sim = Simulator()
-    store = Store(sim)
-    received = []
-
-    def producer():
-        yield store.put("hello")
-        yield store.put("world")
-
-    def consumer():
-        first = yield store.get()
-        second = yield store.get()
-        received.extend([first, second])
-
-    sim.process(producer())
-    sim.process(consumer())
-    sim.run()
-    assert received == ["hello", "world"]
-
-
-def test_store_get_blocks_until_item_available():
-    sim = Simulator()
-    store = Store(sim)
-    times = []
-
-    def consumer():
-        item = yield store.get()
-        times.append((item, sim.now))
-
-    def producer():
-        yield sim.timeout(4.0)
-        yield store.put("late")
-
-    sim.process(consumer())
-    sim.process(producer())
-    sim.run()
-    assert times == [("late", 4.0)]
-
-
-def test_bounded_store_blocks_put_until_space():
-    sim = Simulator()
-    store = Store(sim, capacity=1)
-    log = []
-
-    def producer():
-        yield store.put(1)
-        log.append(("put1", sim.now))
-        yield store.put(2)
-        log.append(("put2", sim.now))
-
-    def consumer():
-        yield sim.timeout(5.0)
-        item = yield store.get()
-        log.append(("got", item, sim.now))
-
-    sim.process(producer())
-    sim.process(consumer())
-    sim.run()
-    assert ("put1", 0.0) in log
-    put2 = [entry for entry in log if entry[0] == "put2"][0]
-    assert put2[1] == 5.0
-
-
-def test_store_capacity_must_be_positive():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        Store(sim, capacity=0)
-
-
-def test_store_try_get_and_peek():
-    sim = Simulator()
-    store = Store(sim)
-    assert store.try_get() is None
-    assert store.peek() is None
-    store.put("x")
-    sim.run()
-    assert store.peek() == "x"
-    assert store.try_get() == "x"
-    assert len(store) == 0
-
-
-def test_priority_store_yields_smallest_first():
-    sim = Simulator()
-    store = PriorityStore(sim)
-    order = []
-
-    def producer():
-        yield store.put((3, "low"))
-        yield store.put((1, "high"))
-        yield store.put((2, "mid"))
-
-    def consumer():
-        yield sim.timeout(1.0)
-        for _ in range(3):
-            item = yield store.get()
-            order.append(item[1])
-
-    sim.process(producer())
-    sim.process(consumer())
-    sim.run()
-    assert order == ["high", "mid", "low"]
+from repro.simulation import Resource, Simulator
 
 
 def test_resource_limits_concurrency():
@@ -169,82 +66,3 @@ def test_resource_capacity_must_be_positive():
     sim = Simulator()
     with pytest.raises(ValueError):
         Resource(sim, capacity=0)
-
-
-def test_container_put_and_get():
-    sim = Simulator()
-    tank = Container(sim, capacity=100.0, initial=50.0)
-    levels = []
-
-    def user():
-        yield tank.get(30.0)
-        levels.append(tank.level)
-        yield tank.put(10.0)
-        levels.append(tank.level)
-
-    sim.process(user())
-    sim.run()
-    assert levels == [20.0, 30.0]
-
-
-def test_container_get_blocks_until_enough():
-    sim = Simulator()
-    buffer = Container(sim, capacity=64.0, initial=0.0)
-    acquired = []
-
-    def consumer():
-        yield buffer.get(32.0)
-        acquired.append(sim.now)
-
-    def filler():
-        yield sim.timeout(1.0)
-        yield buffer.put(16.0)
-        yield sim.timeout(1.0)
-        yield buffer.put(16.0)
-
-    sim.process(consumer())
-    sim.process(filler())
-    sim.run()
-    assert acquired == [2.0]
-
-
-def test_container_put_blocks_when_full():
-    sim = Simulator()
-    buffer = Container(sim, capacity=10.0, initial=10.0)
-    done = []
-
-    def putter():
-        yield buffer.put(5.0)
-        done.append(sim.now)
-
-    def drainer():
-        yield sim.timeout(3.0)
-        yield buffer.get(5.0)
-
-    sim.process(putter())
-    sim.process(drainer())
-    sim.run()
-    assert done == [3.0]
-
-
-def test_container_try_get():
-    sim = Simulator()
-    buffer = Container(sim, capacity=10.0, initial=4.0)
-    assert buffer.try_get(3.0) is True
-    assert buffer.level == pytest.approx(1.0)
-    assert buffer.try_get(3.0) is False
-
-
-def test_container_validation():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        Container(sim, capacity=0)
-    with pytest.raises(ValueError):
-        Container(sim, capacity=10, initial=20)
-    tank = Container(sim, capacity=10)
-    with pytest.raises(ValueError):
-        tank.get(0)
-    with pytest.raises(ValueError):
-        tank.put(-1)
-    with pytest.raises(ValueError):
-        tank.get(100)
