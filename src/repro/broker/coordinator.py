@@ -32,12 +32,20 @@ stale generation on their next heartbeat and re-sync their assignment.
 Committed offsets live with the group, piggybacked on heartbeats and leaves,
 so a partition handed to another member resumes where its previous owner
 committed.
+
+The metadata log
+----------------
+Every state change is one record appended to ``event_log`` by ``_record``
+and folded by ``_apply`` (KRaft's premise: the controller's state is a fold
+over its log).  Handlers validate and decide; only ``_apply`` assigns.
+``replay`` rebuilds everything from the log alone, which is what a restarted
+controller does.  Heartbeat stamps are liveness, not metadata, and stay out.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional
 
 from repro.network.host import Host
@@ -47,6 +55,12 @@ from repro.broker.errors import InvalidTxnStateError
 from repro.broker.topic import PartitionState, TopicConfig
 
 COORDINATOR_PORT = 2181
+#: The requests the coordinator serves.
+REQUEST_TYPES = (
+    "register", "heartbeat", "metadata", "create_topic", "isr_update",
+    "init_producer_id", "add_partitions_to_txn", "end_txn",
+    "join_group", "sync_group", "group_heartbeat", "leave_group",
+)
 
 #: Legal transitions of the transaction state machine (KIP-98).  ``Complete``
 #: states may re-enter ``Ongoing`` (the next transaction of the same
@@ -59,6 +73,10 @@ _TXN_TRANSITIONS = {
     "CompleteCommit": ("Ongoing",),
     "CompleteAbort": ("Ongoing",),
 }
+#: end_txn outcome -> the state a transaction passes through / ends in.
+_PREPARE = {"commit": "PrepareCommit", "abort": "PrepareAbort"}
+_COMPLETE = {"commit": "CompleteCommit", "abort": "CompleteAbort"}
+_OUTCOME_OF_PREPARE = {state: outcome for outcome, state in _PREPARE.items()}
 
 
 @dataclass
@@ -186,18 +204,6 @@ class BrokerRegistration:
     alive: bool = True
 
 
-@dataclass
-class ElectionRecord:
-    """History entry for tests and the event log."""
-
-    time: float
-    partition: str
-    new_leader: Optional[str]
-    old_leader: Optional[str]
-    epoch: int
-    reason: str
-
-
 class Coordinator:
     """The metadata/coordination service, bound to one host."""
 
@@ -219,24 +225,8 @@ class Coordinator:
         self.failure_check_interval = failure_check_interval
         self.preferred_election_interval = preferred_election_interval
         self.transport = Transport(host)
-        self.brokers: Dict[str, BrokerRegistration] = {}
-        self.partitions: Dict[str, PartitionState] = {}
-        self.topics: Dict[str, TopicConfig] = {}
-        self.groups: Dict[str, GroupState] = {}
-        #: Idempotent-producer registry: producer name -> [producer_id,
-        #: epoch].  Re-initializing an existing name bumps the epoch, which
-        #: fences the previous instance (Kafka's transactional.id semantics
-        #: applied to the idempotence subset).
-        self.producer_ids: Dict[str, List[int]] = {}
-        self._next_producer_id = 0
         #: Default transaction timeout; producers may lower it per init.
         self.transaction_timeout = transaction_timeout
-        #: transactional_id -> :class:`TransactionState` (the coordinator's
-        #: transaction metadata cache).
-        self.transactions: Dict[str, TransactionState] = {}
-        #: Append-only transaction log: one snapshot dict per state change.
-        #: ``restore_transactions`` replays it after a coordinator restart.
-        self.txn_log: List[dict] = []
         self.txn_metrics = {
             "transactions_committed": 0,
             "transactions_aborted": 0,
@@ -246,11 +236,16 @@ class Coordinator:
         #: Sweeper starts lazily with the first transactional id, so
         #: transaction-free runs schedule no extra events (seeded goldens).
         self._txn_sweeper_running = False
-        self.metadata_version = 0
-        self._snapshot_size_cache: tuple = (None, 0)
-        self.elections: List[ElectionRecord] = []
+        #: The metadata log: one ``{"time", "event", ...}`` record per state
+        #: change, in the order the changes happened.  Everything below it
+        #: (brokers, partitions, topics, groups, producer ids, transactions,
+        #: the metadata version) is a fold over it; an empty log folds to an
+        #: empty cluster.
         self.event_log: List[dict] = []
+        self.replay()
         self._started = False
+        #: Request ``type`` -> handler: ``"end_txn"`` -> ``_handle_end_txn``.
+        self._handlers = {name: getattr(self, f"_handle_{name}") for name in REQUEST_TYPES}
         self.transport.register(COORDINATOR_PORT, self._handle)
         host.register_component(self)
 
@@ -269,48 +264,149 @@ class Coordinator:
     def name(self) -> str:
         return f"coordinator@{self.host.name}"
 
+    # -- the metadata log ---------------------------------------------------------------
+    def _record(self, event: str, **fields) -> None:
+        """Change state: fold one record into it and append it to the log."""
+        record = {"time": self.sim.now, "event": event, **fields}
+        self._apply(record)
+        self.event_log.append(record)
+
+    def _apply(self, record: dict) -> None:
+        """Fold one record into the state — the only place the state changes.
+
+        Liveness stamps (``last_heartbeat``) are the exception: they are not
+        metadata, so they are not logged; a folded registration or member is
+        stamped at fold time, as a restarted controller would see it.
+        Records that change published metadata carry the ``version`` they
+        are published under.
+        """
+        if "version" in record:
+            self.metadata_version = record["version"]
+        now = self.sim.now
+        match record["event"]:
+            case "broker-registered":
+                self.brokers[record["broker"]] = BrokerRegistration(
+                    name=record["broker"], host=record["host"], last_heartbeat=now
+                )
+            case "broker-rejoined":
+                self.brokers[record["broker"]].alive = True
+            case "broker-session-expired":
+                self.brokers[record["broker"]].alive = False
+            case "topic-created":
+                self.topics[record["topic"]] = record["config"]
+            case "partition-created":
+                state = PartitionState(
+                    topic=record["topic"],
+                    partition=record["index"],
+                    replicas=list(record["replicas"]),
+                )
+                self.partitions[state.key] = state
+            case "isr-changed":
+                self.partitions[record["partition"]].isr = list(record["isr"])
+            case "leader-elected":
+                state = self.partitions[record["partition"]]
+                state.leader = record["leader"]
+                state.leader_epoch = record["epoch"]
+                state.isr = list(record["isr"])
+            case "producer-id-allocated" | "producer-epoch-bumped":
+                producer_id = record["producer_id"]
+                self.producer_ids[record["name"]] = [producer_id, record["producer_epoch"]]
+                self._next_producer_id = max(self._next_producer_id, producer_id + 1)
+            case "txn-updated" | "txn-end-requested" | "txn-abort-initiated" | "txn-completed":
+                transactional_id = record["transactional_id"]
+                txn = self.transactions.get(transactional_id)
+                if txn is None:
+                    txn = self.transactions[transactional_id] = TransactionState(
+                        transactional_id, record["producer_id"], record["producer_epoch"]
+                    )
+                if record["state"] != txn.state:
+                    txn.transition(record["state"])
+                txn.producer_id = record["producer_id"]
+                txn.producer_epoch = record["producer_epoch"]
+                txn.partitions = list(record["partitions"])
+                txn.started_at = record["started_at"]
+                txn.timeout = record["timeout"]
+            case "group-member-joined":
+                group = self.groups.setdefault(record["group"], GroupState(record["group"]))
+                # A new or emptied group adopts the joiner's assignor (a
+                # mismatch with live members was refused before recording).
+                group.assignor = record["assignor"]
+                group.members[record["member"]] = GroupMember(
+                    name=record["member"], topics=list(record["topics"]), last_heartbeat=now
+                )
+            case "group-member-left" | "group-member-expired":
+                del self.groups[record["group"]].members[record["member"]]
+            case "group-rebalance":
+                group = self.groups[record["group"]]
+                group.generation = record["generation"]
+                group.assignment = {
+                    member: list(keys) for member, keys in record["assignment"].items()
+                }
+            case "offset-commit":
+                self.groups[record["group"]].committed.update(record["offsets"])
+            case event:
+                raise ValueError(f"unknown metadata record {event!r}")
+
+    def replay(self) -> None:
+        """Rebuild every piece of state by folding the log from empty.
+
+        What a restarted controller does: the dicts, the next producer id and
+        the metadata version come back from the records alone.  It then
+        resumes what the log says is in flight — the marker fan-out of every
+        Prepare* transaction (markers are idempotent broker-side) and the
+        transaction sweeper, which aborts Ongoing transactions whose producer
+        is gone.
+        """
+        self.brokers: Dict[str, BrokerRegistration] = {}
+        self.partitions: Dict[str, PartitionState] = {}
+        self.topics: Dict[str, TopicConfig] = {}
+        self.groups: Dict[str, GroupState] = {}
+        #: Idempotent-producer registry: producer name -> [producer_id,
+        #: epoch].  Re-initializing an existing name bumps the epoch, which
+        #: fences the previous instance (Kafka's transactional.id semantics
+        #: applied to the idempotence subset).
+        self.producer_ids: Dict[str, List[int]] = {}
+        self._next_producer_id = 0
+        #: transactional_id -> :class:`TransactionState`.
+        self.transactions: Dict[str, TransactionState] = {}
+        self.metadata_version = 0
+        self._snapshot_size_cache: tuple = (None, 0)
+        for record in self.event_log:
+            self._apply(record)
+        if self.transactions:
+            self._ensure_txn_sweeper()
+        for transactional_id in sorted(self.transactions):
+            state = self.transactions[transactional_id].state
+            if state in _OUTCOME_OF_PREPARE:
+                self._start_markers(transactional_id, _OUTCOME_OF_PREPARE[state])
+
+    @property
+    def elections(self) -> List[dict]:
+        """Every ``leader-elected`` record, oldest first (a read-only view)."""
+        return [record for record in self.event_log if record["event"] == "leader-elected"]
+
     # -- request handling -------------------------------------------------------------
     def _handle(self, request: Request):
         payload = request.payload or {}
-        request_type = payload.get("type")
-        if request_type == "register":
-            return self._handle_register(payload)
-        if request_type == "heartbeat":
-            return self._handle_heartbeat(payload)
-        if request_type == "metadata":
-            # Fresh snapshot per reply (callers mutate their copy), but the
-            # reply-size estimate is cached per metadata version so the
-            # transport does not re-walk the snapshot on every heartbeat.
-            snapshot = self.metadata_snapshot()
-            return Response(payload=snapshot, size=self._snapshot_size(snapshot))
-        if request_type == "create_topic":
-            return self._handle_create_topic(payload)
-        if request_type == "isr_update":
-            return self._handle_isr_update(payload)
-        if request_type == "init_producer_id":
-            return self._handle_init_producer_id(payload)
-        if request_type == "add_partitions_to_txn":
-            return self._handle_add_partitions_to_txn(payload)
-        if request_type == "end_txn":
-            return self._handle_end_txn(payload)
-        if request_type == "join_group":
-            return self._handle_join_group(payload)
-        if request_type == "sync_group":
-            return self._handle_sync_group(payload)
-        if request_type == "group_heartbeat":
-            return self._handle_group_heartbeat(payload)
-        if request_type == "leave_group":
-            return self._handle_leave_group(payload)
-        return {"error": f"unknown request type {request_type!r}"}
+        handler = self._handlers.get(payload.get("type"))
+        if handler is None:
+            return {"error": f"unknown request type {payload.get('type')!r}"}
+        return handler(payload)
+
+    def _handle_metadata(self, payload: dict) -> Response:
+        # Fresh snapshot per reply (callers mutate their copy), but the
+        # reply-size estimate is cached per metadata version so the
+        # transport does not re-walk the snapshot on every heartbeat.
+        snapshot = self.metadata_snapshot()
+        return Response(payload=snapshot, size=self._snapshot_size(snapshot))
 
     def _handle_register(self, payload: dict) -> dict:
-        name = payload["broker"]
-        host = payload["host"]
-        self.brokers[name] = BrokerRegistration(
-            name=name, host=host, last_heartbeat=self.sim.now, alive=True
+        self._record(
+            "broker-registered",
+            broker=payload["broker"],
+            host=payload["host"],
+            version=self.metadata_version + 1,
         )
-        self._log("broker-registered", broker=name, host=host)
-        self._bump()
         return {"version": self.metadata_version}
 
     def _handle_heartbeat(self, payload: dict) -> dict:
@@ -320,9 +416,7 @@ class Coordinator:
             return {"error": "unknown broker", "version": self.metadata_version}
         registration.last_heartbeat = self.sim.now
         if not registration.alive:
-            registration.alive = True
-            self._log("broker-rejoined", broker=name)
-            self._bump()
+            self._record("broker-rejoined", broker=name, version=self.metadata_version + 1)
         return {"version": self.metadata_version, "session_timeout": self.session_timeout}
 
     def _handle_create_topic(self, payload: dict) -> dict:
@@ -339,9 +433,9 @@ class Coordinator:
             return {"error": "stale_epoch", "leader_epoch": state.leader_epoch}
         new_isr = [b for b in payload["isr"] if b in state.replicas]
         if new_isr and set(new_isr) != set(state.isr):
-            state.isr = new_isr
-            self._log("isr-changed", partition=key, isr=list(new_isr))
-            self._bump()
+            self._record(
+                "isr-changed", partition=key, isr=new_isr, version=self.metadata_version + 1
+            )
         return {"version": self.metadata_version}
 
     # -- idempotent producers ----------------------------------------------------------
@@ -363,22 +457,10 @@ class Coordinator:
             return {"error": "missing producer name"}
         entry = self.producer_ids.get(name)
         if entry is None:
-            entry = self.producer_ids[name] = [self._next_producer_id, 0]
-            self._next_producer_id += 1
-            self._log(
-                "producer-id-allocated",
-                name=name,
-                producer_id=entry[0],
-                producer_epoch=0,
-            )
+            event, producer_id, producer_epoch = "producer-id-allocated", self._next_producer_id, 0
         else:
-            entry[1] += 1
-            self._log(
-                "producer-epoch-bumped",
-                name=name,
-                producer_id=entry[0],
-                producer_epoch=entry[1],
-            )
+            event, producer_id, producer_epoch = "producer-epoch-bumped", entry[0], entry[1] + 1
+        self._record(event, name=name, producer_id=producer_id, producer_epoch=producer_epoch)
         if transactional_id:
             self._ensure_txn_sweeper()
             timeout = min(
@@ -387,40 +469,25 @@ class Coordinator:
             )
             txn = self.transactions.get(transactional_id)
             if txn is None:
-                txn = self.transactions[transactional_id] = TransactionState(
-                    transactional_id=transactional_id,
-                    producer_id=entry[0],
-                    producer_epoch=entry[1],
-                    timeout=timeout,
+                txn = TransactionState(transactional_id, producer_id, producer_epoch)
+                self._record_txn("txn-updated", txn, timeout=timeout)
+            elif txn.state == "Ongoing":
+                # The predecessor died (or hung) mid-transaction; its writes
+                # must never become visible to read_committed consumers.
+                self._begin_abort(
+                    txn, reason="fenced", producer_epoch=producer_epoch, timeout=timeout
                 )
-                self._log_txn(txn)
             else:
-                txn.producer_epoch = entry[1]
-                txn.timeout = timeout
-                if txn.state == "Ongoing":
-                    # The predecessor died (or hung) mid-transaction; its
-                    # writes must never become visible to read_committed
-                    # consumers.
-                    self._begin_abort(txn, reason="fenced")
-                else:
-                    self._log_txn(txn)
-        return {"error": None, "producer_id": entry[0], "producer_epoch": entry[1]}
+                self._record_txn(
+                    "txn-updated", txn, producer_epoch=producer_epoch, timeout=timeout
+                )
+        return {"error": None, "producer_id": producer_id, "producer_epoch": producer_epoch}
 
     # -- transactions ------------------------------------------------------------------
-    def _log_txn(self, txn: TransactionState) -> None:
-        """Append one snapshot of the transaction's state to the txn log."""
-        self.txn_log.append(
-            {
-                "time": self.sim.now,
-                "transactional_id": txn.transactional_id,
-                "producer_id": txn.producer_id,
-                "producer_epoch": txn.producer_epoch,
-                "state": txn.state,
-                "partitions": list(txn.partitions),
-                "started_at": txn.started_at,
-                "timeout": txn.timeout,
-            }
-        )
+    def _record_txn(self, event: str, txn: TransactionState, **changes) -> None:
+        """Record a transaction change as the full snapshot the fold needs:
+        ``txn``'s fields with ``changes`` laid over them."""
+        self._record(event, **{**asdict(txn), **changes})
 
     def _check_txn_caller(
         self, txn: Optional[TransactionState], payload: dict
@@ -447,20 +514,22 @@ class Coordinator:
         fenced = self._check_txn_caller(txn, payload)
         if fenced is not None:
             return fenced
-        if txn.state in ("PrepareCommit", "PrepareAbort"):
+        if txn.state in _OUTCOME_OF_PREPARE:
             return {"error": "invalid_txn_state", "message": f"transaction is {txn.state}"}
-        if txn.state != "Ongoing":
-            txn.transition("Ongoing")
-            txn.partitions = []
-            txn.started_at = self.sim.now
-        added = False
+        begins = txn.state != "Ongoing"
+        partitions = [] if begins else list(txn.partitions)
         for key in payload.get("partitions", []):
-            if key not in txn.partitions:
-                txn.partitions.append(key)
-                added = True
-        if added:
-            txn.partitions.sort()
-            self._log_txn(txn)
+            if key not in partitions:
+                partitions.append(key)
+        partitions.sort()
+        if begins or partitions != txn.partitions:
+            self._record_txn(
+                "txn-updated",
+                txn,
+                state="Ongoing",
+                partitions=partitions,
+                started_at=self.sim.now if begins else txn.started_at,
+            )
         return {"error": None, "state": txn.state}
 
     def _handle_end_txn(self, payload: dict):
@@ -479,66 +548,58 @@ class Coordinator:
             if fenced["error"] == "producer_fenced":
                 self.txn_metrics["fenced_end_txn"] += 1
             return fenced
-        if outcome not in ("commit", "abort"):
+        if outcome not in _COMPLETE:
             return {"error": f"unknown end_txn outcome {outcome!r}"}
-        prepare = "PrepareCommit" if outcome == "commit" else "PrepareAbort"
-        complete = "CompleteCommit" if outcome == "commit" else "CompleteAbort"
+        prepare, complete = _PREPARE[outcome], _COMPLETE[outcome]
         if txn.state == "Ongoing":
-            txn.transition(prepare)
-            self._log_txn(txn)
-            self._log(
-                "txn-end-requested",
-                transactional_id=txn.transactional_id,
-                outcome=outcome,
-                partitions=list(txn.partitions),
-            )
-            self.sim.process(
-                self._write_markers(txn, outcome),
-                name=f"coordinator:txn-markers:{txn.transactional_id}",
-            )
+            self._record_txn("txn-end-requested", txn, state=prepare, outcome=outcome)
+            self._start_markers(txn.transactional_id, outcome)
         elif txn.state == complete:
             return {"error": None, "state": txn.state}
         elif txn.state != prepare:
             # Committing an aborted (timed-out/fenced) transaction, aborting
             # a committing one, or ending one that never began.
             return {"error": "invalid_txn_state", "message": f"transaction is {txn.state}"}
+        transactional_id = txn.transactional_id
 
         def end_txn_process():
             deadline = self.sim.now + 30.0
-            while txn.state == prepare and self.sim.now < deadline:
+            while self.transactions[transactional_id].state == prepare and self.sim.now < deadline:
                 yield self.sim.timeout(0.05)
-            if txn.state != complete:
-                return {"error": "invalid_txn_state", "message": f"transaction is {txn.state}"}
-            return {"error": None, "state": txn.state}
+            state = self.transactions[transactional_id].state
+            if state != complete:
+                return {"error": "invalid_txn_state", "message": f"transaction is {state}"}
+            return {"error": None, "state": state}
 
         return end_txn_process()
 
-    def _begin_abort(self, txn: TransactionState, reason: str) -> None:
+    def _begin_abort(self, txn: TransactionState, reason: str, **changes) -> None:
         """Move an Ongoing transaction to PrepareAbort and fan markers out."""
-        txn.transition("PrepareAbort")
-        self._log_txn(txn)
-        self._log(
-            "txn-abort-initiated",
-            transactional_id=txn.transactional_id,
-            reason=reason,
-            partitions=list(txn.partitions),
+        self._record_txn(
+            "txn-abort-initiated", txn, state="PrepareAbort", reason=reason, **changes
         )
+        self._start_markers(txn.transactional_id, "abort")
+
+    def _start_markers(self, transactional_id: str, outcome: str) -> None:
         self.sim.process(
-            self._write_markers(txn, "abort"),
-            name=f"coordinator:txn-markers:{txn.transactional_id}",
+            self._write_markers(transactional_id, outcome),
+            name=f"coordinator:txn-markers:{transactional_id}",
         )
 
-    def _write_markers(self, txn: TransactionState, outcome: str):
+    def _write_markers(self, transactional_id: str, outcome: str):
         """Append the COMMIT/ABORT marker on every registered partition.
 
         Retries each partition until its *current* leader acknowledges (the
         leader may change mid-fan-out; metadata is re-read per attempt), then
         completes the transaction.  Marker writes are idempotent broker-side
-        (``last_markers`` dedup), so retries after a lost ack are safe.
+        (``last_markers`` dedup), so retries after a lost ack are safe — and so
+        is a second fan-out for the same transaction after a replay: whichever
+        finishes first completes it.
         """
         from repro.broker.broker import BROKER_PORT  # circular at module scope
 
-        producer_epoch = txn.producer_epoch
+        txn = self.transactions[transactional_id]
+        producer_id, producer_epoch = txn.producer_id, txn.producer_epoch
         for key in sorted(txn.partitions):
             while True:
                 state = self.partitions.get(key)
@@ -552,7 +613,7 @@ class Coordinator:
                             {
                                 "type": "write_txn_markers",
                                 "partition_key": key,
-                                "producer_id": txn.producer_id,
+                                "producer_id": producer_id,
                                 "producer_epoch": producer_epoch,
                                 "marker": outcome,
                             },
@@ -565,19 +626,14 @@ class Coordinator:
                     if reply is not None and reply.get("error") is None:
                         break
                 yield self.sim.timeout(0.2)
-        complete = "CompleteCommit" if outcome == "commit" else "CompleteAbort"
-        txn.transition(complete)
-        self._log_txn(txn)
+        txn = self.transactions[transactional_id]
+        if txn.state != _PREPARE[outcome]:
+            return
+        self._record_txn("txn-completed", txn, state=_COMPLETE[outcome], outcome=outcome)
         if outcome == "commit":
             self.txn_metrics["transactions_committed"] += 1
         else:
             self.txn_metrics["transactions_aborted"] += 1
-        self._log(
-            "txn-completed",
-            transactional_id=txn.transactional_id,
-            outcome=outcome,
-            partitions=list(txn.partitions),
-        )
 
     def _ensure_txn_sweeper(self) -> None:
         if self._txn_sweeper_running:
@@ -604,42 +660,6 @@ class Coordinator:
                     self.txn_metrics["transactions_timed_out"] += 1
                     self._begin_abort(txn, reason="timeout")
 
-    def restore_transactions(self, entries: List[dict]) -> None:
-        """Rebuild transaction state from a txn log (coordinator restart).
-
-        The last entry per transactional id wins; Prepare* transactions
-        resume their marker fan-out (markers are idempotent broker-side, so
-        re-sending already-acknowledged ones is harmless), and Ongoing ones
-        fall to the timeout sweeper if their producer is gone.
-        """
-        latest: Dict[str, dict] = {}
-        for entry in entries:
-            latest[entry["transactional_id"]] = entry
-        if latest:
-            self._ensure_txn_sweeper()
-        for transactional_id in sorted(latest):
-            entry = latest[transactional_id]
-            txn = TransactionState(
-                transactional_id=transactional_id,
-                producer_id=entry["producer_id"],
-                producer_epoch=entry["producer_epoch"],
-                state=entry["state"],
-                partitions=list(entry["partitions"]),
-                started_at=entry["started_at"],
-                timeout=entry["timeout"],
-            )
-            self.transactions[transactional_id] = txn
-            self.producer_ids[transactional_id] = [txn.producer_id, txn.producer_epoch]
-            self._next_producer_id = max(self._next_producer_id, txn.producer_id + 1)
-            self.txn_log.append(dict(entry))
-            if txn.state in ("PrepareCommit", "PrepareAbort"):
-                outcome = "commit" if txn.state == "PrepareCommit" else "abort"
-                self.sim.process(
-                    self._write_markers(txn, outcome),
-                    name=f"coordinator:txn-markers:{transactional_id}",
-                )
-        self._log("txn-state-restored", transactions=sorted(latest))
-
     def transaction_state(self, transactional_id: str) -> Optional[TransactionState]:
         return self.transactions.get(transactional_id)
 
@@ -647,24 +667,22 @@ class Coordinator:
     def _handle_join_group(self, payload: dict) -> dict:
         group_name = payload["group"]
         member_name = payload["member"]
-        topics = list(payload.get("topics", []))
         assignor = payload.get("assignor", "range")
         if assignor not in GROUP_ASSIGNORS:
             return {"error": f"unknown assignor {assignor!r}"}
         group = self.groups.get(group_name)
-        if group is None:
-            group = self.groups[group_name] = GroupState(name=group_name, assignor=assignor)
-        elif not group.members:
-            # An emptied group adopts the next joiner's assignor.
-            group.assignor = assignor
-        elif assignor != group.assignor:
+        if group is not None and group.members and assignor != group.assignor:
             return {
                 "error": f"assignor mismatch: group {group_name!r} uses {group.assignor!r}"
             }
-        group.members[member_name] = GroupMember(
-            name=member_name, topics=topics, last_heartbeat=self.sim.now
+        self._record(
+            "group-member-joined",
+            group=group_name,
+            member=member_name,
+            topics=list(payload.get("topics", [])),
+            assignor=assignor,
         )
-        self._log("group-member-joined", group=group_name, member=member_name)
+        group = self.groups[group_name]
         self._rebalance_group(group, reason="member-joined")
         return self._group_sync_reply(group, member_name)
 
@@ -694,8 +712,7 @@ class Coordinator:
         if group is None or payload["member"] not in group.members:
             return {"error": "unknown_member"}
         self._commit_offsets(group, payload.get("offsets"))
-        del group.members[payload["member"]]
-        self._log("group-member-left", group=group.name, member=payload["member"])
+        self._record("group-member-left", group=group.name, member=payload["member"])
         self._rebalance_group(group, reason="member-left")
         return {"error": None, "generation": group.generation}
 
@@ -703,9 +720,11 @@ class Coordinator:
         if not offsets:
             return
         committed = group.committed
-        for key, offset in offsets.items():
-            if offset > committed.get(key, 0):
-                committed[key] = offset
+        advanced = {
+            key: offset for key, offset in offsets.items() if offset > committed.get(key, 0)
+        }
+        if advanced:
+            self._record("offset-commit", group=group.name, offsets=advanced)
 
     def _group_sync_reply(self, group: GroupState, member: str) -> dict:
         assigned = group.assignment.get(member, [])
@@ -724,22 +743,19 @@ class Coordinator:
         sorted partition keys, so identical membership and metadata always
         produce the identical assignment, whatever order events arrived in.
         """
-        partitions_by_topic: Dict[str, List[str]] = {}
-        for topic in group.subscribed_topics():
-            keys = sorted(
-                (state.key for state in self.partitions.values() if state.topic == topic),
-                key=lambda key: self.partitions[key].partition,
-            )
-            partitions_by_topic[topic] = keys
+        in_order = sorted(self.partitions.values(), key=lambda state: state.partition)
+        partitions_by_topic = {
+            topic: [state.key for state in in_order if state.topic == topic]
+            for topic in group.subscribed_topics()
+        }
         member_topics = {name: member.topics for name, member in group.members.items()}
-        group.assignment = _ASSIGNOR_FNS[group.assignor](member_topics, partitions_by_topic)
-        group.generation += 1
-        self._log(
+        self._record(
             "group-rebalance",
             group=group.name,
-            generation=group.generation,
+            generation=group.generation + 1,
             reason=reason,
             members=sorted(group.members),
+            assignment=_ASSIGNOR_FNS[group.assignor](member_topics, partitions_by_topic),
         )
 
     def _rebalance_groups_for_topic(self, topic: str, reason: str) -> None:
@@ -755,8 +771,7 @@ class Coordinator:
                 if now - member.last_heartbeat > self.session_timeout
             ]
             for name in expired:
-                del group.members[name]
-                self._log("group-member-expired", group=group.name, member=name)
+                self._record("group-member-expired", group=group.name, member=name)
             if expired:
                 self._rebalance_group(group, reason="member-expired")
 
@@ -774,8 +789,6 @@ class Coordinator:
                 f"not enough live brokers ({len(live)}) for replication factor "
                 f"{config.replication_factor}"
             )
-        self.topics[config.name] = config
-        states = []
         ordered = sorted(live)
         if config.preferred_leader:
             if config.preferred_leader not in ordered:
@@ -784,29 +797,28 @@ class Coordinator:
                 )
             ordered.remove(config.preferred_leader)
             ordered.insert(0, config.preferred_leader)
+        version = self.metadata_version + 1
+        self._record("topic-created", topic=config.name, config=config, version=version)
+        keys = []
         for partition in range(config.partitions):
             # Rotate the assignment per partition so load spreads, keeping the
             # user-pinned preferred leader for partition 0.
             rotation = ordered[partition % len(ordered):] + ordered[:partition % len(ordered)]
             replicas = rotation[: config.replication_factor]
-            state = PartitionState(
-                topic=config.name,
-                partition=partition,
-                replicas=replicas,
-            )
-            self.partitions[state.key] = state
-            states.append(state)
-            self._log(
+            keys.append(f"{config.name}-{partition}")
+            self._record(
                 "partition-created",
-                partition=state.key,
-                replicas=list(replicas),
-                leader=state.leader,
+                partition=keys[-1],
+                replicas=replicas,
+                leader=replicas[0],
+                topic=config.name,
+                index=partition,
+                version=version,
             )
-        self._bump()
         # Groups already subscribed to this topic pick the new partitions up
         # on their next heartbeat (generation bump -> sync).
         self._rebalance_groups_for_topic(config.name, reason="topic-created")
-        return states
+        return [self.partitions[key] for key in keys]
 
     # -- metadata ---------------------------------------------------------------------
     def metadata_snapshot(self) -> dict:
@@ -849,12 +861,6 @@ class Coordinator:
             self._snapshot_size_cache = (self.metadata_version, cached_size)
         return cached_size
 
-    def _bump(self) -> None:
-        self.metadata_version += 1
-
-    def _log(self, event: str, **details) -> None:
-        self.event_log.append({"time": self.sim.now, "event": event, **details})
-
     # -- failure detection and elections ------------------------------------------------
     def _failure_detector(self):
         while True:
@@ -862,24 +868,26 @@ class Coordinator:
             now = self.sim.now
             for registration in self.brokers.values():
                 if registration.alive and now - registration.last_heartbeat > self.session_timeout:
-                    registration.alive = False
-                    self._log("broker-session-expired", broker=registration.name)
+                    self._record("broker-session-expired", broker=registration.name)
                     self._handle_broker_failure(registration.name)
             self._expire_group_members(now)
 
     def _handle_broker_failure(self, broker: str) -> None:
-        changed = False
+        version = self.metadata_version + 1
         topics_with_new_leader = set()
         for state in self.partitions.values():
             if state.leader == broker:
-                self._elect_leader(state, exclude=broker, reason="leader-failure")
-                changed = True
+                self._elect_leader(state, exclude=broker, reason="leader-failure", version=version)
                 topics_with_new_leader.add(state.topic)
             if broker in state.isr and len(state.isr) > 1:
-                state.shrink_isr(broker)
-                changed = True
-        if changed:
-            self._bump()
+                # A partition the dead broker only followed: without this
+                # record a replay would wait for it in the ISR.
+                self._record(
+                    "isr-changed",
+                    partition=state.key,
+                    isr=[replica for replica in state.isr if replica != broker],
+                    version=version,
+                )
         # Leadership moved: bump the generation of exactly the groups
         # subscribed to an affected topic, so their members re-sync promptly
         # and refresh metadata towards the newly elected leaders (the
@@ -889,9 +897,8 @@ class Coordinator:
             self._rebalance_groups_for_topic(topic, reason="broker-failure")
 
     def _elect_leader(
-        self, state: PartitionState, exclude: Optional[str], reason: str
+        self, state: PartitionState, exclude: Optional[str], reason: str, version: int
     ) -> None:
-        old_leader = state.leader
         candidates = [
             replica
             for replica in state.replicas
@@ -900,28 +907,17 @@ class Coordinator:
             and self.brokers.get(replica)
             and self.brokers[replica].alive
         ]
-        new_leader = candidates[0] if candidates else None
-        state.leader = new_leader
-        state.leader_epoch += 1
-        if exclude is not None:
-            state.shrink_isr(exclude)
-        self.elections.append(
-            ElectionRecord(
-                time=self.sim.now,
-                partition=state.key,
-                new_leader=new_leader,
-                old_leader=old_leader,
-                epoch=state.leader_epoch,
-                reason=reason,
-            )
-        )
-        self._log(
+        # ``exclude`` leaves the ISR, unless it is the last member.
+        isr = [replica for replica in state.isr if replica != exclude] or list(state.isr)
+        self._record(
             "leader-elected",
             partition=state.key,
-            leader=new_leader,
-            old_leader=old_leader,
-            epoch=state.leader_epoch,
+            leader=candidates[0] if candidates else None,
+            old_leader=state.leader,
+            epoch=state.leader_epoch + 1,
             reason=reason,
+            isr=isr,
+            version=version,
         )
 
     def _preferred_election_loop(self):
@@ -931,6 +927,7 @@ class Coordinator:
 
     def run_preferred_replica_election(self) -> int:
         """Re-elect preferred leaders where possible; returns how many changed."""
+        version = self.metadata_version + 1
         changed = 0
         for state in self.partitions.values():
             preferred = state.preferred_leader
@@ -941,12 +938,12 @@ class Coordinator:
                 continue
             if preferred not in state.isr:
                 continue
-            self._elect_leader(state, exclude=None, reason="preferred-replica-election")
             # _elect_leader picks the first eligible replica in assignment
             # order, which is the preferred replica by construction.
+            self._elect_leader(
+                state, exclude=None, reason="preferred-replica-election", version=version
+            )
             changed += 1
-        if changed:
-            self._bump()
         return changed
 
     # -- introspection helpers (tests / experiments) -------------------------------------

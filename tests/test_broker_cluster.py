@@ -382,15 +382,15 @@ class TestFailover:
 
     def test_new_leader_elected_after_disconnection(self):
         sim, cluster, *_ = self._run_partition_scenario(CoordinationMode.ZOOKEEPER)
-        elections = [e for e in cluster.coordinator.elections if e.reason == "leader-failure"]
+        elections = [e for e in cluster.coordinator.elections if e["reason"] == "leader-failure"]
         assert elections, "expected a leader election after the disconnection"
-        assert elections[0].new_leader != "broker-site3"
+        assert elections[0]["leader"] != "broker-site3"
 
     def test_preferred_leader_reelected_after_recovery(self):
         sim, cluster, *_ = self._run_partition_scenario(CoordinationMode.ZOOKEEPER)
         # After reconnection and catch-up the preferred replica (site3) should lead again.
         assert cluster.coordinator.leader_of("topicA") == "broker-site3"
-        reasons = [e.reason for e in cluster.coordinator.elections]
+        reasons = [e["reason"] for e in cluster.coordinator.elections]
         assert "preferred-replica-election" in reasons
 
     def test_zookeeper_mode_silently_loses_acked_records(self):

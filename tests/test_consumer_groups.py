@@ -331,7 +331,7 @@ def test_group_rides_through_broker_failure():
     coordinator = cluster.coordinator
     # The failed broker led at least one of the rotated partitions, so the
     # failure triggered per-partition elections...
-    elections = [e for e in coordinator.elections if e.reason == "leader-failure"]
+    elections = [e for e in coordinator.elections if e["reason"] == "leader-failure"]
     assert elections
     # ...and bumped the group generation so members re-synced promptly.
     events = [e for e in coordinator.event_log if e["event"] == "group-rebalance"]

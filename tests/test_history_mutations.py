@@ -71,9 +71,9 @@ def test_a_partition_that_ends_without_a_leader_log_is_a_violation(monkeypatch):
     is a finding of ``acked_durable`` — not a loop over zero logs that passes."""
     elect = Coordinator._elect_leader
 
-    def elect_from_an_isr_of_one(self, state, exclude, reason):
+    def elect_from_an_isr_of_one(self, state, exclude, reason, version):
         state.isr = [state.leader]
-        elect(self, state, exclude, reason)
+        elect(self, state, exclude, reason, version)
 
     monkeypatch.setattr(Coordinator, "_elect_leader", elect_from_an_isr_of_one)
     run = run_chaos(11, "mixed")

@@ -7,7 +7,8 @@
    fires on the idempotence-off and ``read_uncommitted`` control arms.
 3. As a fence: the fingerprint of every arm's run (acks, dedup counters, every
    consumer's deliveries with their positions, transaction outcomes).  A
-   seeded run must not move.
+   seeded run must not move, and its coordinator's state must be what a
+   replay of its metadata log rebuilds (``tests/test_coordinator_log.py``).
 """
 
 import hashlib
@@ -31,6 +32,8 @@ from repro.testing.history import (
     offset_order,
     txn_atomic,
 )
+
+from test_coordinator_log import assert_replay_equals_live
 
 # ---------------------------------------------------------------------------
 # 1. Hand-written histories
@@ -325,6 +328,7 @@ def test_matrix_arm_holds_every_rule_and_reproduces_the_parent(
     )
     assert check_history(run) == []
     assert fingerprint(run) == PARENT_FINGERPRINTS[seed, profile, partitions, group_size]
+    assert_replay_equals_live(run.cluster.coordinator)
 
 
 @pytest.mark.chaos
@@ -333,6 +337,7 @@ def test_idempotence_off_control_arm_fires_no_duplicates(profile):
     run = chaos.run_chaos(23, profile, idempotence=False)
     assert no_duplicates(run)
     assert fingerprint(run) == PARENT_FINGERPRINTS[23, profile, "off"]
+    assert_replay_equals_live(run.cluster.coordinator)
 
 
 @pytest.mark.chaos
@@ -342,3 +347,4 @@ def test_read_uncommitted_control_arm_fires_txn_atomic(profile, seed):
     run = chaos.run_chaos(seed, profile)
     assert any("no committed transaction wrote" in v.detail for v in txn_atomic(run))
     assert fingerprint(run) == PARENT_FINGERPRINTS[seed, profile, "read_uncommitted"]
+    assert_replay_equals_live(run.cluster.coordinator)

@@ -197,38 +197,6 @@ class TestCoordinatorTransactions:
         assert stale["error"] == "producer_fenced"
         assert coordinator.txn_metrics["fenced_end_txn"] == 1
 
-    def test_txn_log_replay_restores_state_and_resumes_markers(self):
-        sim, network, sites, cluster = build_cluster()
-        sim.run(until=8.0)
-        coordinator = cluster.coordinator
-        reply = coordinator._handle_init_producer_id({"transactional_id": "tx1"})
-        caller = {"transactional_id": "tx1", "producer_id": reply["producer_id"],
-                  "producer_epoch": reply["producer_epoch"]}
-        coordinator._handle_add_partitions_to_txn(
-            dict(caller, partitions=["topicA-0"])
-        )
-        coordinator._handle_end_txn(dict(caller, outcome="commit"))
-        # Snapshot the durable txn log at the PrepareCommit point and replay
-        # it into a blank coordinator state (what a restart does).
-        entries = [dict(entry) for entry in coordinator.txn_log]
-        assert entries[-1]["state"] == "PrepareCommit"
-        coordinator.transactions.clear()
-        coordinator.producer_ids.clear()
-        coordinator._next_producer_id = 0
-        coordinator.restore_transactions(entries)
-        restored = coordinator.transaction_state("tx1")
-        assert restored.state == "PrepareCommit"
-        assert restored.partitions == ["topicA-0"]
-        assert coordinator.producer_ids["tx1"] == [
-            reply["producer_id"], reply["producer_epoch"]
-        ]
-        assert coordinator._next_producer_id == reply["producer_id"] + 1
-        # The restored Prepare* transaction resumes its marker fan-out.
-        sim.run(until=sim.now + 5.0)
-        assert restored.state == "CompleteCommit"
-        log = cluster.leader_broker("topicA", 0).log_for("topicA", 0)
-        assert log.last_markers[reply["producer_id"]][1] == "commit"
-
     def test_timeout_sweeper_aborts_stuck_transactions(self):
         sim, network, sites, cluster = build_cluster(transaction_timeout=3.0)
         sim.run(until=8.0)
