@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
-from itertools import count
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.broker.coordinator import COORDINATOR_PORT, CoordinationMode
@@ -19,6 +17,7 @@ from repro.broker.segment import LogStorageConfig, resolve_log_storage
 from repro.network.host import Host
 from repro.network.packet import estimate_size
 from repro.network.transport import Request, RequestTimeout, Response, Transport
+from repro.simulation.deadlines import DeadlineHeap
 from repro.simulation.events import Event
 
 BROKER_PORT = 9092
@@ -137,9 +136,7 @@ class Broker:
         #: reaches ``target`` (see _park).  Their deadlines share one heap,
         #: swept by one armed timer.
         self._purgatory: Dict[str, List[Tuple[str, int, Event]]] = {}
-        self._deadlines: list = []
-        self._armed = float("inf")
-        self._wait_ids = count()
+        self._deadlines = DeadlineHeap(host.sim, lambda parked: parked[1][2].triggered, self._expire)
         #: Partitions this broker is running a replica fetcher for.
         self._fetchers: Set[str] = set()
         self.last_session_refresh: float = host.sim.now
@@ -492,29 +489,13 @@ class Broker:
         """
         wait = (bound, target, self.sim.event())
         self._purgatory.setdefault(key, []).append(wait)
-        deadline = self.sim.now + timeout
-        heappush(self._deadlines, (deadline, next(self._wait_ids), key, wait, expired))
-        if deadline < self._armed:
-            self._armed = deadline
-            self.sim.call_at(deadline, self._sweep)
+        self._deadlines.push(self.sim.now + timeout, (key, wait, expired))
         return (yield wait[2])
 
-    def _sweep(self) -> None:
-        """The one armed timer (``Transport._sweep``'s sibling): expire the
-        waits that are due, forget the released ones, re-arm for the earliest
-        still parked — a wait that is released early costs no heap entry."""
-        now = self.sim.now
-        if now < self._armed:
-            return  # a timer that a shorter wait overtook; that one swept
-        deadlines = self._deadlines
-        while deadlines and (deadlines[0][0] <= now or deadlines[0][3][2].triggered):
-            _deadline, _id, key, wait, expired = heappop(deadlines)
-            if not wait[2].triggered:
-                self._purgatory[key].remove(wait)
-                wait[2].succeed_now(expired)  # this is a heap callback
-        self._armed = deadlines[0][0] if deadlines else float("inf")
-        if deadlines:
-            self.sim.call_at(self._armed, self._sweep)
+    def _expire(self, parked: tuple) -> None:
+        key, wait, expired = parked
+        self._purgatory[key].remove(wait)
+        wait[2].succeed_now(expired)  # the sweep is a heap callback
 
     def _complete_waits(self, key: str) -> None:
         """Release every parked wait of ``key`` whose bound reached its target."""

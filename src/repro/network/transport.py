@@ -19,12 +19,12 @@ events) before returning their response.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from itertools import count
 from typing import Any, Callable, Dict, Optional
 
 from repro.network.host import Host
 from repro.network.packet import Packet, estimate_size
+from repro.simulation.deadlines import DeadlineHeap
 
 
 class RequestTimeout(Exception):
@@ -85,9 +85,10 @@ class Transport:
         self.default_timeout = default_timeout
         self.max_retries = max_retries
         self._pending: Dict[int, Any] = {}
-        # Lazy expiry: (deadline, request_id) per attempt, one timer at _armed.
-        self._deadlines: list = []
-        self._armed = float("inf")
+        # Each attempt's request id, expired at its deadline unless answered.
+        self._deadlines = DeadlineHeap(
+            self.sim, lambda request_id: request_id not in self._pending, self._expire
+        )
         self._handlers: Dict[int, Callable] = {}
         self.requests_sent = 0
         self.requests_retried = 0
@@ -184,21 +185,10 @@ class Transport:
             # delivery): the caller resumes inside it, no entry of its own.
             waiter.succeed_now(packet.payload)
 
-    def _sweep(self) -> None:
-        """The one armed timer: expire what is due, forget what was answered,
-        re-arm for the earliest attempt still pending — so each expires exactly
-        at its deadline and an answered one never costs a heap entry."""
-        now = self.sim.now
-        if now < self._armed:
-            return  # a timer that a shorter timeout overtook; that one swept
-        deadlines, pending = self._deadlines, self._pending
-        while deadlines and (deadlines[0][0] <= now or deadlines[0][1] not in pending):
-            waiter = pending.pop(heappop(deadlines)[1], None)
-            if waiter is not None and not waiter.triggered:
-                waiter.succeed(_EXPIRED)
-        self._armed = deadlines[0][0] if deadlines else float("inf")
-        if deadlines:
-            self.sim.call_at(self._armed, self._sweep)
+    def _expire(self, request_id: int) -> None:
+        waiter = self._pending.pop(request_id)
+        if not waiter.triggered:
+            waiter.succeed(_EXPIRED)
 
     def request(
         self,
@@ -241,11 +231,7 @@ class Transport:
                 )
                 # The deadline fires the waiter this process is parked on,
                 # unless the reply got there first.
-                deadline = self.sim.now + attempt_timeout
-                heappush(self._deadlines, (deadline, request_id))
-                if deadline < self._armed:
-                    self._armed = deadline
-                    self.sim.call_at(deadline, self._sweep)
+                self._deadlines.push(self.sim.now + attempt_timeout, request_id)
                 outcome = yield waiter
                 if outcome is not _EXPIRED:
                     return outcome

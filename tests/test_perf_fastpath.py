@@ -396,13 +396,14 @@ class TestTransportRequestPaths:
         sim.process(caller("short", 1.0, 0.5))  # armed: the sweep at 5.0
         sim.run()
         assert outcomes == {"short": 1.0 + 0.5, "long": 0.0 + 5.0}
-        assert client._pending == {} and client._deadlines == []
+        assert client._pending == {} and len(client._deadlines) == 0
 
     def test_answered_requests_cost_one_sweep_per_timeout_not_one_each(self):
         sim, net, client, server = self._two_hosts()
         server.register(80, lambda request: "pong")
         sweeps = []
-        client._sweep = lambda sweep=client._sweep: (sweeps.append(sim.now), sweep())
+        heap = client._deadlines
+        heap._sweep = lambda sweep=heap._sweep: (sweeps.append(sim.now), sweep())
         timeout = 0.5
 
         def caller():
@@ -415,7 +416,7 @@ class TestTransportRequestPaths:
         assert 1000 * 0.020 < duration < 1000 * 0.021 + timeout  # ~20 ms a round trip
         assert len(sweeps) <= duration / timeout + 2
         assert client.requests_sent == 1000 and client.requests_retried == 0
-        assert client._pending == {} and client._deadlines == []
+        assert client._pending == {} and len(client._deadlines) == 0
 
     def test_start_runs_the_first_step_in_the_calling_callback(self):
         sim = Simulator()
