@@ -53,8 +53,11 @@ from repro.network.packet import estimate_size
 from repro.network.transport import Request, RequestTimeout, Response, Transport
 from repro.broker.errors import InvalidTxnStateError
 from repro.broker.topic import PartitionState, TopicConfig
+from repro.simulation.deadlines import DeadlineHeap
 
 COORDINATOR_PORT = 2181
+#: How long an end_txn reply waits for the marker fan-out to complete.
+END_TXN_TIMEOUT = 30.0
 #: The requests the coordinator serves.
 REQUEST_TYPES = (
     "register", "heartbeat", "metadata", "create_topic", "isr_update",
@@ -227,17 +230,22 @@ class Coordinator:
         self.transport = Transport(host)
         #: Default transaction timeout; producers may lower it per init.
         self.transaction_timeout = transaction_timeout
-        self.txn_metrics = {
-            "transactions_committed": 0,
-            "transactions_aborted": 0,
-            "fenced_end_txn": 0,
-            "transactions_timed_out": 0,
-        }
+        self.txn_metrics = dict.fromkeys(
+            ("transactions_committed", "transactions_aborted", "fenced_end_txn",
+             "transactions_timed_out"),
+            0,
+        )
         #: Sweeper starts lazily with the first transactional id, so
         #: transaction-free runs schedule no extra events (seeded goldens).
         self._txn_sweeper_running = False
+        #: end_txn replies waiting for their transaction's Complete* record,
+        #: per transactional id; each gives up at its deadline.
+        self._end_txn_waiters: Dict[str, List] = {}
+        self._deadlines = DeadlineHeap(
+            self.sim, lambda waiter: waiter.triggered, lambda waiter: waiter.succeed()
+        )
         #: The metadata log: one ``{"time", "event", ...}`` record per state
-        #: change, in the order the changes happened.  Everything below it
+        #: change, in the order the changes happened.  What ``replay`` builds
         #: (brokers, partitions, topics, groups, producer ids, transactions,
         #: the metadata version) is a fold over it; an empty log folds to an
         #: empty cluster.
@@ -314,18 +322,14 @@ class Coordinator:
                 self._next_producer_id = max(self._next_producer_id, producer_id + 1)
             case "txn-updated" | "txn-end-requested" | "txn-abort-initiated" | "txn-completed":
                 transactional_id = record["transactional_id"]
-                txn = self.transactions.get(transactional_id)
-                if txn is None:
-                    txn = self.transactions[transactional_id] = TransactionState(
-                        transactional_id, record["producer_id"], record["producer_epoch"]
-                    )
+                txn = self.transactions.setdefault(
+                    transactional_id, TransactionState(transactional_id, -1, -1)
+                )
                 if record["state"] != txn.state:
                     txn.transition(record["state"])
-                txn.producer_id = record["producer_id"]
-                txn.producer_epoch = record["producer_epoch"]
+                for name in ("producer_id", "producer_epoch", "started_at", "timeout"):
+                    setattr(txn, name, record[name])
                 txn.partitions = list(record["partitions"])
-                txn.started_at = record["started_at"]
-                txn.timeout = record["timeout"]
             case "group-member-joined":
                 group = self.groups.setdefault(record["group"], GroupState(record["group"]))
                 # A new or emptied group adopts the joiner's assignor (a
@@ -550,28 +554,27 @@ class Coordinator:
             return fenced
         if outcome not in _COMPLETE:
             return {"error": f"unknown end_txn outcome {outcome!r}"}
-        prepare, complete = _PREPARE[outcome], _COMPLETE[outcome]
         if txn.state == "Ongoing":
-            self._record_txn("txn-end-requested", txn, state=prepare, outcome=outcome)
+            self._record_txn("txn-end-requested", txn, state=_PREPARE[outcome], outcome=outcome)
             self._start_markers(txn.transactional_id, outcome)
-        elif txn.state == complete:
-            return {"error": None, "state": txn.state}
-        elif txn.state != prepare:
+        elif txn.state not in (_PREPARE[outcome], _COMPLETE[outcome]):
             # Committing an aborted (timed-out/fenced) transaction, aborting
             # a committing one, or ending one that never began.
             return {"error": "invalid_txn_state", "message": f"transaction is {txn.state}"}
-        transactional_id = txn.transactional_id
+        return self._end_txn_reply(txn.transactional_id, _COMPLETE[outcome])
 
-        def end_txn_process():
-            deadline = self.sim.now + 30.0
-            while self.transactions[transactional_id].state == prepare and self.sim.now < deadline:
-                yield self.sim.timeout(0.05)
-            state = self.transactions[transactional_id].state
-            if state != complete:
-                return {"error": "invalid_txn_state", "message": f"transaction is {state}"}
-            return {"error": None, "state": state}
-
-        return end_txn_process()
+    def _end_txn_reply(self, transactional_id: str, complete: str):
+        """end_txn's reply once the transaction is ``complete`` — released by
+        its Complete* record, or ``invalid_txn_state`` after END_TXN_TIMEOUT."""
+        if self.transactions[transactional_id].state != complete:
+            waiter = self.sim.event()
+            self._end_txn_waiters.setdefault(transactional_id, []).append(waiter)
+            self._deadlines.push(self.sim.now + END_TXN_TIMEOUT, waiter)
+            yield waiter
+        state = self.transactions[transactional_id].state
+        if state != complete:
+            return {"error": "invalid_txn_state", "message": f"transaction is {state}"}
+        return {"error": None, "state": state}
 
     def _begin_abort(self, txn: TransactionState, reason: str, **changes) -> None:
         """Move an Ongoing transaction to PrepareAbort and fan markers out."""
@@ -630,10 +633,11 @@ class Coordinator:
         if txn.state != _PREPARE[outcome]:
             return
         self._record_txn("txn-completed", txn, state=_COMPLETE[outcome], outcome=outcome)
-        if outcome == "commit":
-            self.txn_metrics["transactions_committed"] += 1
-        else:
-            self.txn_metrics["transactions_aborted"] += 1
+        for waiter in self._end_txn_waiters.pop(transactional_id, ()):
+            if not waiter.triggered:
+                waiter.succeed()
+        ended = "transactions_committed" if outcome == "commit" else "transactions_aborted"
+        self.txn_metrics[ended] += 1
 
     def _ensure_txn_sweeper(self) -> None:
         if self._txn_sweeper_running:
@@ -717,12 +721,8 @@ class Coordinator:
         return {"error": None, "generation": group.generation}
 
     def _commit_offsets(self, group: GroupState, offsets: Optional[dict]) -> None:
-        if not offsets:
-            return
         committed = group.committed
-        advanced = {
-            key: offset for key, offset in offsets.items() if offset > committed.get(key, 0)
-        }
+        advanced = {k: o for k, o in (offsets or {}).items() if o > committed.get(k, 0)}
         if advanced:
             self._record("offset-commit", group=group.name, offsets=advanced)
 

@@ -21,7 +21,7 @@ from repro.broker import (
     TopicConfig,
 )
 from repro.broker.batch import RecordBatch
-from repro.broker.coordinator import TransactionState
+from repro.broker.coordinator import END_TXN_TIMEOUT, TransactionState
 from repro.broker.errors import (
     DeliveryFailed,
     InvalidTxnStateError,
@@ -211,6 +211,48 @@ class TestCoordinatorTransactions:
         assert txn.state == "CompleteAbort"
         assert coordinator.txn_metrics["transactions_timed_out"] == 1
         assert coordinator.txn_metrics["transactions_aborted"] == 1
+
+    def _commit_in_background(self, sim, coordinator):
+        """Open tx1 on topicA-0 and commit it from a process; the reply and
+        its time land in the returned list."""
+        reply = coordinator._handle_init_producer_id({"transactional_id": "tx1"})
+        caller = {"transactional_id": "tx1", "producer_id": reply["producer_id"],
+                  "producer_epoch": reply["producer_epoch"]}
+        coordinator._handle_add_partitions_to_txn(dict(caller, partitions=["topicA-0"]))
+        replies = []
+
+        def commit():
+            answer = yield from coordinator._handle_end_txn(dict(caller, outcome="commit"))
+            replies.append((sim.now, answer))
+
+        sim.process(commit())
+        return replies
+
+    def test_end_txn_replies_the_moment_the_transaction_completes(self):
+        sim, network, sites, cluster = build_cluster()
+        sim.run(until=8.0)
+        coordinator = cluster.coordinator
+        replies = self._commit_in_background(sim, coordinator)
+        sim.run(until=sim.now + 5.0)
+        (completed,) = [r for r in coordinator.event_log if r["event"] == "txn-completed"]
+        assert replies == [(completed["time"], {"error": None, "state": "CompleteCommit"})]
+
+    def test_end_txn_gives_up_when_the_markers_cannot_land(self):
+        """The only replica of topicA-0 is cut off: nobody can be elected, the
+        fan-out retries for ever and the reply gives up at its deadline."""
+        sim, network, sites, cluster = build_cluster(
+            partitions=1, replication=1, preferred_leader="broker-site3"
+        )
+        sim.run(until=8.0)
+        network.link_between("site3", "s0").set_down()
+        coordinator = cluster.coordinator
+        started = sim.now
+        replies = self._commit_in_background(sim, coordinator)
+        sim.run(until=started + END_TXN_TIMEOUT + 5.0)
+        assert replies == [(
+            started + END_TXN_TIMEOUT,
+            {"error": "invalid_txn_state", "message": "transaction is PrepareCommit"},
+        )]
 
 
 # ---------------------------------------------------------------------------
