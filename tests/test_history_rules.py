@@ -255,6 +255,11 @@ def fingerprint(run):
 #: 11/broker-kill/1x1), and a killed producer gets five records of its doomed
 #: transaction acknowledged instead of one to four (``records_acked`` 201 / 204
 #: -> 205 on the producer-kill arms).  Transaction outcomes did not move.
+#: The 27 transactional arms were re-captured once more when ``end_txn``
+#: began to reply at its transaction's Complete* record instead of on a 50 ms
+#: poll: a commit returns up to 50 ms earlier, so the next transaction's acks
+#: move (what else moved is noted per line).  ``check_history(run) == []``
+#: on every arm and every transaction outcome as before.
 PARENT_FINGERPRINTS = {
     (11, 'broker-kill', 1, 1): (200, 8, 1, '6a20f1d64ff86e81', 'f79e61aff7ab7e84', ''),
     (11, 'broker-kill', 4, 4): (200, 37, 6, 'a074a250f9dc4552', '3f0ff6126a1f3a91', ''),
@@ -262,49 +267,49 @@ PARENT_FINGERPRINTS = {
     (11, 'link-loss', 4, 4): (200, 30, 10, 'a074a250f9dc4552', 'f0de8caa6eba0fd3', ''),
     (11, 'mixed', 1, 1): (200, 7, 2, '6a20f1d64ff86e81', '6c2d0e4c47dd3897', ''),
     (11, 'mixed', 4, 4): (200, 30, 6, 'a074a250f9dc4552', '33951673cb5a95dd', ''),
-    (11, 'producer-kill', 1, 1): (205, 0, 0, '09a09056fef1fafb', 'bf07b188c7011942', 'cccacccccccccccccccc'),
-    (11, 'producer-kill', 4, 4): (205, 0, 0, '7befd71e7ba9b6bb', '29df6dd65054868b', 'cccacccccccccccccccc'),
-    (11, 'coordinator-kill', 1, 1): (200, 6, 0, '6dfaa085d3361504', '0515d886340425e6', 'ccccaccccccccccccccc'),
-    (11, 'coordinator-kill', 4, 4): (200, 11, 1, '0f2c67ed178831f9', '507d6aba7f31309d', 'ccccaccccccccccccccc'),
-    (11, 'leader-failover', 1, 1): (200, 2, 1, '6dfaa085d3361504', 'c79e45ae6d0c2cc0', 'ccccaccccccccccccccc'),
-    (11, 'leader-failover', 4, 4): (200, 15, 2, 'd34ace9903cd22e5', '02628a3e72a01596', 'ccccaccccccccccccccc'),
+    (11, 'producer-kill', 1, 1): (205, 0, 0, '09a09056fef1fafb', 'ecdc9bee9773b16b', 'cccacccccccccccccccc'),  # end_txn replies at completion: ack times
+    (11, 'producer-kill', 4, 4): (205, 0, 0, '7befd71e7ba9b6bb', '24496140162386ff', 'cccacccccccccccccccc'),  # end_txn replies at completion: ack times
+    (11, 'coordinator-kill', 1, 1): (200, 6, 0, '6dfaa085d3361504', 'd45249332213b4ca', 'ccccaccccccccccccccc'),  # end_txn replies at completion: ack times
+    (11, 'coordinator-kill', 4, 4): (200, 11, 1, 'd34ace9903cd22e5', '00ad68f21ed69239', 'ccccaccccccccccccccc'),  # end_txn replies at completion: ack times; delivery positions
+    (11, 'leader-failover', 1, 1): (200, 2, 1, '6dfaa085d3361504', '1f2c1051af608a36', 'ccccaccccccccccccccc'),  # end_txn replies at completion: ack times
+    (11, 'leader-failover', 4, 4): (200, 15, 2, 'd34ace9903cd22e5', 'cb5d295ab331411c', 'ccccaccccccccccccccc'),  # end_txn replies at completion: ack times
     (23, 'broker-kill', 1, 1): (200, 15, 3, '6a20f1d64ff86e81', '9ea77441205d0f5d', ''),
     (23, 'broker-kill', 4, 4): (200, 87, 13, 'a074a250f9dc4552', 'd6c1334dfd9896ce', ''),
     (23, 'link-loss', 1, 1): (200, 1, 1, '6a20f1d64ff86e81', '50602986c02429e5', ''),
     (23, 'link-loss', 4, 4): (200, 17, 5, 'a074a250f9dc4552', 'f898fcbb84c3c7eb', ''),
     (23, 'mixed', 1, 1): (200, 6, 2, '6a20f1d64ff86e81', '555ab0564818edde', ''),
     (23, 'mixed', 4, 4): (200, 29, 7, 'a074a250f9dc4552', '05f2af2372b888ca', ''),
-    (23, 'producer-kill', 1, 1): (205, 0, 0, '09a09056fef1fafb', 'bf07b188c7011942', 'cccacccccccccccccccc'),
-    (23, 'producer-kill', 4, 4): (205, 0, 0, '7befd71e7ba9b6bb', '29df6dd65054868b', 'cccacccccccccccccccc'),
-    (23, 'coordinator-kill', 1, 1): (200, 4, 0, '23a5667a9181a166', 'a4d8a2c91a61574f', 'cccacccccccccccccccc'),
-    (23, 'coordinator-kill', 4, 4): (200, 11, 1, '043341317a8feeb5', '2b4125b4587420e3', 'cccacccccccccccccccc'),
-    (23, 'leader-failover', 1, 1): (200, 2, 1, '313aa8c1abc8f84c', '5876e48e26a7a5d4', 'ccaccccccccccccccccc'),
-    (23, 'leader-failover', 4, 4): (200, 16, 4, '31cfa3d1fe16a42a', '95de21ab1de0edc0', 'ccaccccccccccccccccc'),
+    (23, 'producer-kill', 1, 1): (205, 0, 0, '09a09056fef1fafb', 'ecdc9bee9773b16b', 'cccacccccccccccccccc'),  # end_txn replies at completion: ack times
+    (23, 'producer-kill', 4, 4): (205, 0, 0, '7befd71e7ba9b6bb', '24496140162386ff', 'cccacccccccccccccccc'),  # end_txn replies at completion: ack times
+    (23, 'coordinator-kill', 1, 1): (200, 6, 0, '23a5667a9181a166', 'a79e187d0a467073', 'cccacccccccccccccccc'),  # end_txn replies at completion: ack times; dedup drops 4 -> 6
+    (23, 'coordinator-kill', 4, 4): (200, 13, 1, 'bf3665fc152bb835', 'c5f32d13d58a4d5b', 'cccacccccccccccccccc'),  # end_txn replies at completion: ack times; dedup drops 11 -> 13, delivery positions
+    (23, 'leader-failover', 1, 1): (200, 2, 1, '313aa8c1abc8f84c', 'a3dd701052a6052d', 'ccaccccccccccccccccc'),  # end_txn replies at completion: ack times
+    (23, 'leader-failover', 4, 4): (200, 17, 5, '31cfa3d1fe16a42a', '68bd25743919b701', 'ccaccccccccccccccccc'),  # end_txn replies at completion: ack times; dedup drops 16 -> 17, duplicate acks 4 -> 5
     (37, 'broker-kill', 1, 1): (200, 17, 3, '6a20f1d64ff86e81', '01f8c32d44abc592', ''),
     (37, 'broker-kill', 4, 4): (200, 74, 12, 'a074a250f9dc4552', '444892b0a88d4c7f', ''),
     (37, 'link-loss', 1, 1): (200, 3, 3, '6a20f1d64ff86e81', 'fb79331e4596edbd', ''),
     (37, 'link-loss', 4, 4): (200, 14, 6, 'a074a250f9dc4552', '9f20be058f820c6c', ''),
     (37, 'mixed', 1, 1): (200, 393, 2, '6a20f1d64ff86e81', '65677938be57ec3b', ''),
     (37, 'mixed', 4, 4): (200, 33, 6, 'a074a250f9dc4552', '1c96473908897c66', ''),
-    (37, 'producer-kill', 1, 1): (205, 0, 0, '3849915b107ab8d4', 'e700716796b892a3', 'ccccaccccccccccccccc'),
-    (37, 'producer-kill', 4, 4): (205, 0, 0, '4c04faf8c91381de', '738fda9159e25d24', 'ccccaccccccccccccccc'),
-    (37, 'coordinator-kill', 1, 1): (200, 8, 0, '313aa8c1abc8f84c', '5159dd43ebbc7e30', 'ccaccccccccccccccccc'),
-    (37, 'coordinator-kill', 4, 4): (200, 15, 2, '5d99658f78898258', '089b880a30cb40a5', 'ccaccccccccccccccccc'),
-    (37, 'leader-failover', 1, 1): (200, 2, 1, '6dfaa085d3361504', 'fbccb6217a9c8552', 'ccccaccccccccccccccc'),
-    (37, 'leader-failover', 4, 4): (200, 22, 3, 'd34ace9903cd22e5', 'ade132529cff7a06', 'ccccaccccccccccccccc'),
+    (37, 'producer-kill', 1, 1): (205, 0, 0, '3849915b107ab8d4', '4477a2c82d16e401', 'ccccaccccccccccccccc'),  # end_txn replies at completion: ack times
+    (37, 'producer-kill', 4, 4): (205, 0, 0, '4c04faf8c91381de', 'dc1f83bec649886c', 'ccccaccccccccccccccc'),  # end_txn replies at completion: ack times
+    (37, 'coordinator-kill', 1, 1): (200, 8, 0, '313aa8c1abc8f84c', 'ba0cb19ae3e817f1', 'ccaccccccccccccccccc'),  # end_txn replies at completion: ack times
+    (37, 'coordinator-kill', 4, 4): (200, 18, 2, 'f1021f24b569f12d', 'a70414fbdbea7a6a', 'ccaccccccccccccccccc'),  # end_txn replies at completion: ack times; dedup drops 15 -> 18, delivery positions
+    (37, 'leader-failover', 1, 1): (200, 4, 1, '6dfaa085d3361504', '224c3cfe85ea1c5e', 'ccccaccccccccccccccc'),  # end_txn replies at completion: ack times; dedup drops 2 -> 4
+    (37, 'leader-failover', 4, 4): (200, 22, 3, 'd34ace9903cd22e5', 'dd2815fd80c709fb', 'ccccaccccccccccccccc'),  # end_txn replies at completion: ack times
     (23, 'mixed', 4, 2): (200, 29, 7, 'e1e0c4327fb3b2d3', '05f2af2372b888ca', ''),
     (23, 'broker-kill', 'off'): (200, 0, 0, 'cdcea6cd5d54b299', '7796197a38e3c58b', ''),
     (23, 'link-loss', 'off'): (200, 0, 0, '1282b927196c43bc', 'aba7deb8ed3d97e9', ''),
     (23, 'mixed', 'off'): (200, 0, 0, '3aac033387d40c95', '4adb13dcf9447ae1', ''),
-    (11, 'producer-kill', 'read_uncommitted'): (205, 0, 0, '37975cee51895a64', 'bf07b188c7011942', 'cccacccccccccccccccc'),
-    (11, 'coordinator-kill', 'read_uncommitted'): (200, 6, 0, '63b08542b4b993e3', '0515d886340425e6', 'ccccaccccccccccccccc'),
-    (11, 'leader-failover', 'read_uncommitted'): (200, 2, 1, '63b08542b4b993e3', 'c79e45ae6d0c2cc0', 'ccccaccccccccccccccc'),
-    (23, 'producer-kill', 'read_uncommitted'): (205, 0, 0, '37975cee51895a64', 'bf07b188c7011942', 'cccacccccccccccccccc'),
-    (23, 'coordinator-kill', 'read_uncommitted'): (200, 4, 0, '63b08542b4b993e3', 'a4d8a2c91a61574f', 'cccacccccccccccccccc'),
-    (23, 'leader-failover', 'read_uncommitted'): (200, 2, 1, '63b08542b4b993e3', '5876e48e26a7a5d4', 'ccaccccccccccccccccc'),
-    (37, 'producer-kill', 'read_uncommitted'): (205, 0, 0, 'a238205377418fc9', 'e700716796b892a3', 'ccccaccccccccccccccc'),
-    (37, 'coordinator-kill', 'read_uncommitted'): (200, 8, 0, '63b08542b4b993e3', 'd0bb48ecc6564843', 'ccaccccccccccccccccc'),
-    (37, 'leader-failover', 'read_uncommitted'): (200, 2, 1, '63b08542b4b993e3', 'fbccb6217a9c8552', 'ccccaccccccccccccccc'),
+    (11, 'producer-kill', 'read_uncommitted'): (205, 0, 0, '37975cee51895a64', 'ecdc9bee9773b16b', 'cccacccccccccccccccc'),  # end_txn replies at completion: ack times
+    (11, 'coordinator-kill', 'read_uncommitted'): (200, 6, 0, '63b08542b4b993e3', 'd45249332213b4ca', 'ccccaccccccccccccccc'),  # end_txn replies at completion: ack times
+    (11, 'leader-failover', 'read_uncommitted'): (200, 2, 1, '63b08542b4b993e3', '1f2c1051af608a36', 'ccccaccccccccccccccc'),  # end_txn replies at completion: ack times
+    (23, 'producer-kill', 'read_uncommitted'): (205, 0, 0, '37975cee51895a64', 'ecdc9bee9773b16b', 'cccacccccccccccccccc'),  # end_txn replies at completion: ack times
+    (23, 'coordinator-kill', 'read_uncommitted'): (200, 6, 0, '63b08542b4b993e3', '94952e6addb5c912', 'cccacccccccccccccccc'),  # end_txn replies at completion: ack times; dedup drops 4 -> 6
+    (23, 'leader-failover', 'read_uncommitted'): (200, 2, 1, '63b08542b4b993e3', 'a3dd701052a6052d', 'ccaccccccccccccccccc'),  # end_txn replies at completion: ack times
+    (37, 'producer-kill', 'read_uncommitted'): (205, 0, 0, 'a238205377418fc9', '4477a2c82d16e401', 'ccccaccccccccccccccc'),  # end_txn replies at completion: ack times
+    (37, 'coordinator-kill', 'read_uncommitted'): (200, 8, 0, '63b08542b4b993e3', 'ca8b8b925cb88a19', 'ccaccccccccccccccccc'),  # end_txn replies at completion: ack times
+    (37, 'leader-failover', 'read_uncommitted'): (200, 4, 1, '63b08542b4b993e3', '224c3cfe85ea1c5e', 'ccccaccccccccccccccc'),  # end_txn replies at completion: ack times; dedup drops 2 -> 4
 }
 
 SEEDS = (11, 23, 37)
