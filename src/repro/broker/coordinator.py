@@ -424,8 +424,7 @@ class Coordinator:
         return {"version": self.metadata_version, "session_timeout": self.session_timeout}
 
     def _handle_create_topic(self, payload: dict) -> dict:
-        config = TopicConfig(**payload["config"])
-        self.create_topic(config)
+        self.create_topic(TopicConfig(**payload["config"]))
         return {"version": self.metadata_version}
 
     def _handle_isr_update(self, payload: dict) -> dict:
@@ -722,7 +721,11 @@ class Coordinator:
 
     def _commit_offsets(self, group: GroupState, offsets: Optional[dict]) -> None:
         committed = group.committed
-        advanced = {k: o for k, o in (offsets or {}).items() if o > committed.get(k, 0)}
+        advanced = {
+            key: offset
+            for key, offset in (offsets or {}).items()
+            if offset > committed.get(key, 0)
+        }
         if advanced:
             self._record("offset-commit", group=group.name, offsets=advanced)
 
@@ -826,11 +829,9 @@ class Coordinator:
         # Per-topic storage overrides ride the snapshot only when non-default
         # (no ``"log"`` key at all otherwise), so clusters without storage
         # config ship byte-identical metadata.
-        storage_overrides = {}
-        for name, config in self.topics.items():
-            overrides = config.storage_overrides()
-            if overrides is not None:
-                storage_overrides[name] = overrides
+        storage_overrides = {
+            name: config.storage_overrides() for name, config in self.topics.items()
+        }
         partitions = {}
         for key, state in self.partitions.items():
             entry = {

@@ -161,8 +161,7 @@ def test_an_offset_commit_is_recorded_only_when_an_offset_advances():
     sim, cluster, members = group_churn()
     sim.run(until=30.0)
     commits = [r for r in cluster.coordinator.event_log if r["event"] == "offset-commit"]
-    heartbeats_with_offsets = len(commits)
-    assert heartbeats_with_offsets > 0
+    assert commits
     previous = {}
     for commit in commits:
         for key, offset in commit["offsets"].items():
@@ -182,7 +181,7 @@ def test_replay_equals_live_after_a_transactional_run(profile):
 # -- replay mid-run, then keep running --------------------------------------------------
 
 
-def replicated_cluster(mode=CoordinationMode.KRAFT):
+def replicated_cluster():
     """Three brokers, three partitions, every broker a replica of each; the
     producer runs ``acks="all"`` and broker-site3 is cut off at 10 s, so it
     leads one partition and only follows the other two when it dies."""
@@ -193,7 +192,9 @@ def replicated_cluster(mode=CoordinationMode.KRAFT):
     cluster = BrokerCluster(
         network,
         coordinator_host=sites[0],
-        config=ClusterConfig(mode=mode, session_timeout=3.0, preferred_election_interval=1e9),
+        config=ClusterConfig(
+            mode=CoordinationMode.KRAFT, session_timeout=3.0, preferred_election_interval=1e9
+        ),
     )
     for site in sites[1:4]:
         cluster.add_broker(site)
@@ -299,9 +300,9 @@ def test_replay_at_prepare_commit_resumes_the_markers():
 
 
 def test_an_unrecorded_isr_shrink_fails_the_replay_check(monkeypatch):
-    """A broker-failure handler that shrinks the ISRs of the partitions the
-    dead broker only followed in place, as the coordinator once did: the live
-    state drops the dead follower, a replay puts it back."""
+    """A broker-failure handler that shrinks, in place and without a record,
+    the ISRs of the partitions the dead broker only followed: the live state
+    drops the dead follower, a replay puts it back."""
 
     def handle_broker_failure_in_place(self, broker):
         version = self.metadata_version + 1
