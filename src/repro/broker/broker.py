@@ -136,7 +136,9 @@ class Broker:
         #: reaches ``target`` (see _park).  Their deadlines share one heap,
         #: swept by one armed timer.
         self._purgatory: Dict[str, List[Tuple[str, int, Event]]] = {}
-        self._deadlines = DeadlineHeap(host.sim, lambda parked: parked[1][2].triggered, self._expire)
+        self._deadlines = DeadlineHeap(
+            host.sim, lambda parked: parked[1][2].triggered, self._expire
+        )
         #: Partitions this broker is running a replica fetcher for.
         self._fetchers: Set[str] = set()
         self.last_session_refresh: float = host.sim.now
