@@ -230,11 +230,12 @@ class Coordinator:
         self.transport = Transport(host)
         #: Default transaction timeout; producers may lower it per init.
         self.transaction_timeout = transaction_timeout
-        self.txn_metrics = dict.fromkeys(
-            ("transactions_committed", "transactions_aborted", "fenced_end_txn",
-             "transactions_timed_out"),
-            0,
-        )
+        self.txn_metrics = {
+            "transactions_committed": 0,
+            "transactions_aborted": 0,
+            "fenced_end_txn": 0,
+            "transactions_timed_out": 0,
+        }
         #: Sweeper starts lazily with the first transactional id, so
         #: transaction-free runs schedule no extra events (seeded goldens).
         self._txn_sweeper_running = False
@@ -242,13 +243,10 @@ class Coordinator:
         #: per transactional id; each gives up at its deadline.
         self._end_txn_waiters: Dict[str, List] = {}
         self._deadlines = DeadlineHeap(
-            self.sim, lambda waiter: waiter.triggered, lambda waiter: waiter.succeed()
+            self.sim, lambda entry: entry[1].triggered, self._expire_end_txn_waiter
         )
-        #: The metadata log: one ``{"time", "event", ...}`` record per state
-        #: change, in the order the changes happened.  What ``replay`` builds
-        #: (brokers, partitions, topics, groups, producer ids, transactions,
-        #: the metadata version) is a fold over it; an empty log folds to an
-        #: empty cluster.
+        #: The metadata log, one ``{"time", "event", ...}`` record per state
+        #: change; ``replay`` folds it (an empty log folds to an empty cluster).
         self.event_log: List[dict] = []
         self.replay()
         self._started = False
@@ -282,12 +280,9 @@ class Coordinator:
     def _apply(self, record: dict) -> None:
         """Fold one record into the state — the only place the state changes.
 
-        Liveness stamps (``last_heartbeat``) are the exception: they are not
-        metadata, so they are not logged; a folded registration or member is
-        stamped at fold time, as a restarted controller would see it.
-        Records that change published metadata carry the ``version`` they
-        are published under.
-        """
+        Heartbeat stamps excepted: a folded registration or member is stamped
+        at fold time.  A record that changes published metadata carries its
+        ``version``."""
         if "version" in record:
             self.metadata_version = record["version"]
         now = self.sim.now
@@ -424,7 +419,8 @@ class Coordinator:
         return {"version": self.metadata_version, "session_timeout": self.session_timeout}
 
     def _handle_create_topic(self, payload: dict) -> dict:
-        self.create_topic(TopicConfig(**payload["config"]))
+        config = TopicConfig(**payload["config"])
+        self.create_topic(config)
         return {"version": self.metadata_version}
 
     def _handle_isr_update(self, payload: dict) -> dict:
@@ -568,12 +564,18 @@ class Coordinator:
         if self.transactions[transactional_id].state != complete:
             waiter = self.sim.event()
             self._end_txn_waiters.setdefault(transactional_id, []).append(waiter)
-            self._deadlines.push(self.sim.now + END_TXN_TIMEOUT, waiter)
+            self._deadlines.push(self.sim.now + END_TXN_TIMEOUT, (transactional_id, waiter))
             yield waiter
         state = self.transactions[transactional_id].state
         if state != complete:
             return {"error": "invalid_txn_state", "message": f"transaction is {state}"}
         return {"error": None, "state": state}
+
+    def _expire_end_txn_waiter(self, entry: tuple) -> None:
+        """At its deadline an end_txn waiter leaves its list and gives up."""
+        transactional_id, waiter = entry
+        self._end_txn_waiters[transactional_id].remove(waiter)
+        waiter.succeed()
 
     def _begin_abort(self, txn: TransactionState, reason: str, **changes) -> None:
         """Move an Ongoing transaction to PrepareAbort and fan markers out."""
@@ -633,8 +635,7 @@ class Coordinator:
             return
         self._record_txn("txn-completed", txn, state=_COMPLETE[outcome], outcome=outcome)
         for waiter in self._end_txn_waiters.pop(transactional_id, ()):
-            if not waiter.triggered:
-                waiter.succeed()
+            waiter.succeed()
         ended = "transactions_committed" if outcome == "commit" else "transactions_aborted"
         self.txn_metrics[ended] += 1
 
@@ -655,11 +656,8 @@ class Coordinator:
             now = self.sim.now
             for transactional_id in sorted(self.transactions):
                 txn = self.transactions[transactional_id]
-                if (
-                    txn.state == "Ongoing"
-                    and txn.started_at >= 0
-                    and now - txn.started_at > txn.timeout
-                ):
+                # Ongoing always has a start: add_partitions_to_txn stamps it.
+                if txn.state == "Ongoing" and now - txn.started_at > txn.timeout:
                     self.txn_metrics["transactions_timed_out"] += 1
                     self._begin_abort(txn, reason="timeout")
 
@@ -746,11 +744,13 @@ class Coordinator:
         sorted partition keys, so identical membership and metadata always
         produce the identical assignment, whatever order events arrived in.
         """
-        in_order = sorted(self.partitions.values(), key=lambda state: state.partition)
-        partitions_by_topic = {
-            topic: [state.key for state in in_order if state.topic == topic]
-            for topic in group.subscribed_topics()
-        }
+        partitions_by_topic: Dict[str, List[str]] = {}
+        for topic in group.subscribed_topics():
+            keys = sorted(
+                (state.key for state in self.partitions.values() if state.topic == topic),
+                key=lambda key: self.partitions[key].partition,
+            )
+            partitions_by_topic[topic] = keys
         member_topics = {name: member.topics for name, member in group.members.items()}
         self._record(
             "group-rebalance",
@@ -829,9 +829,11 @@ class Coordinator:
         # Per-topic storage overrides ride the snapshot only when non-default
         # (no ``"log"`` key at all otherwise), so clusters without storage
         # config ship byte-identical metadata.
-        storage_overrides = {
-            name: config.storage_overrides() for name, config in self.topics.items()
-        }
+        storage_overrides = {}
+        for name, config in self.topics.items():
+            overrides = config.storage_overrides()
+            if overrides is not None:
+                storage_overrides[name] = overrides
         partitions = {}
         for key, state in self.partitions.items():
             entry = {

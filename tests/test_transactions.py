@@ -253,6 +253,8 @@ class TestCoordinatorTransactions:
             started + END_TXN_TIMEOUT,
             {"error": "invalid_txn_state", "message": "transaction is PrepareCommit"},
         )]
+        # The expired waiter left its list: retries do not pile dead waiters up.
+        assert coordinator._end_txn_waiters == {"tx1": []}
 
 
 # ---------------------------------------------------------------------------
