@@ -1,8 +1,8 @@
 """The catalog's outputs, pinned: every registered scenario's
-``RunResult.metrics`` at ``--scale quick`` on its default seed, plus three
-runs with platform knobs set and the two example aliases of fig6 / fig5 at
-their own (``--scale default``) size — at quick scale the shared tiers make
-them the figure itself.
+``RunResult.metrics``, ``point_labels`` and ``fingerprint`` at ``--scale
+quick`` on its default seed, plus three runs with platform knobs set and the
+two example aliases of fig6 / fig5 at their own (``--scale default``) size —
+at quick scale the shared tiers make them the figure itself.
 
 This is the fence a refactor of how scenarios are *built* is held against
 (the "oracle before deletion" pattern of ``tests/test_log_model.py`` and
@@ -19,6 +19,7 @@ scenario alone, in its own commit, and say which field moved and why.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 
@@ -71,11 +72,97 @@ PINNED = {
 }
 
 
+#: ``(scenario, overrides) -> (RunResult.point_labels, RunResult.fingerprint)``
+#: of the same runs: how each run splits into points, in canonical order, and
+#: the digest of the configuration it ran.  A refactor of how scenarios are
+#: *declared* keeps both.
+POINTS = {
+    ('fig5', ()): (
+        ('producer@25ms', 'producer@150ms', 'broker@25ms', 'broker@150ms'),
+        '17aed4e4a61b1e7d',
+    ),
+    ('fig6', ()): (
+        ('zookeeper', 'kraft'),
+        'c40a36ca17b0e6c7',
+    ),
+    ('fig7a', ()): (
+        ('consumers=1', 'consumers=4'),
+        '592f68540bf8f811',
+    ),
+    ('fig7b', ()): (
+        ('users=20', 'users=60'),
+        '24d64e49eea8ae93',
+    ),
+    ('fig8', ()): (
+        ('broker@50ms/stream2gym', 'broker@50ms/hardware'),
+        'f41001763915679e',
+    ),
+    ('fig9', ()): (
+        ('2sites/16MB', '4sites/16MB', '2sites/32MB', '4sites/32MB'),
+        '63aa697247a7b760',
+    ),
+    ('table2', ()): (
+        ('word_count', 'ride_selection', 'sentiment_analysis', 'maritime_monitoring', 'fraud_detection'),
+        '9379f62998d3f2c5',
+    ),
+    ('quickstart', ()): (
+        ('quickstart',),
+        'cdc4f43f56e16e9f',
+    ),
+    ('graphml-task', ()): (
+        ('graphml',),
+        'b74a221bf53d74a8',
+    ),
+    ('failure-injection', ()): (
+        ('zookeeper', 'kraft'),
+        '2cea63a6842aa4a0',
+    ),
+    ('geo-latency', ()): (
+        ('producer@25ms', 'producer@150ms', 'broker@25ms', 'broker@150ms'),
+        'b28a06a04fef7c5e',
+    ),
+    ('fraud-pipeline', ()): (
+        ('fraud',),
+        '7bc3f91a8ec39b41',
+    ),
+    ('fig6', (('partitions', 3), ('idempotence', True))): (
+        ('zookeeper', 'kraft'),
+        'aea93108dde87197',
+    ),
+    ('fig9', (('partitions', 3), ('idempotence', True))): (
+        ('2sites/16MB', '4sites/16MB', '2sites/32MB', '4sites/32MB'),
+        '556ffe2a2b9ef6ba',
+    ),
+    ('quickstart', (('transactional_id', 'tx1'), ('isolation_level', 'read_committed'))): (
+        ('quickstart',),
+        '45c54996f2d6b3e6',
+    ),
+    ('failure-injection', (('scale', 'default'),)): (
+        ('zookeeper', 'kraft'),
+        '67c64daa2cb3d0eb',
+    ),
+    ('geo-latency', (('scale', 'default'),)): (
+        ('producer@25ms', 'producer@75ms', 'producer@150ms', 'broker@25ms', 'broker@75ms', 'broker@150ms', 'spe@25ms', 'spe@75ms', 'spe@150ms', 'consumer@25ms', 'consumer@75ms', 'consumer@150ms'),
+        '1a2847d5d25385b3',
+    ),
+}
+
+
 def test_every_registered_scenario_is_pinned():
     assert {name for name, _overrides in PINNED} == set(names())
+    assert set(POINTS) == set(PINNED)
 
 
-@pytest.mark.parametrize(
+@functools.lru_cache(maxsize=None)
+def quick_run(scenario, overrides):
+    """One run per pinned row, shared by the tests below."""
+    fields = dict(overrides)
+    params = ScenarioParams(scale=fields.pop("scale", "quick"), overrides=fields)
+    result = ScenarioRunner(scenario).run(params)
+    return result.metrics, (tuple(result.point_labels), result.fingerprint)
+
+
+ROWS = pytest.mark.parametrize(
     "scenario, overrides",
     list(PINNED),
     ids=[
@@ -83,8 +170,15 @@ def test_every_registered_scenario_is_pinned():
         for name, overrides in PINNED
     ],
 )
+
+
+@ROWS
 def test_quick_tier_metrics_are_byte_identical(scenario, overrides):
-    fields = dict(overrides)
-    params = ScenarioParams(scale=fields.pop("scale", "quick"), overrides=fields)
-    result = ScenarioRunner(scenario).run(params)
-    assert metrics_digest(result.metrics) == PINNED[(scenario, overrides)], result.metrics
+    metrics, _points = quick_run(scenario, overrides)
+    assert metrics_digest(metrics) == PINNED[(scenario, overrides)], metrics
+
+
+@ROWS
+def test_point_labels_and_fingerprint_are_pinned(scenario, overrides):
+    _metrics, points = quick_run(scenario, overrides)
+    assert points == POINTS[(scenario, overrides)]
