@@ -87,7 +87,7 @@ def test_bench_ablation_batch_interval(run_once):
     """Smaller micro-batch intervals reduce SPE-stage latency (at more overhead)."""
     from repro.apps.word_count import create_task
     from repro.core.emulation import Emulation
-    from repro.experiments.fig5_link_delay import _end_to_end_latencies
+    from repro.experiments.fig5_link_delay import end_to_end_latencies
     from repro.workloads.text import generate_documents
 
     def run_one(batch_interval):
@@ -98,7 +98,7 @@ def test_bench_ablation_batch_interval(run_once):
             task, seed=7, datasets={"documents": generate_documents(20, seed=7)}
         )
         emulation.run(duration=40.0)
-        latencies = _end_to_end_latencies(emulation)
+        latencies = end_to_end_latencies(emulation)
         return sum(latencies) / len(latencies) if latencies else float("nan")
 
     def run_all():

@@ -20,5 +20,5 @@ def test_bench_fig5_link_delay(run_once):
             for component in config.components
         ],
     )
-    problems = check_shape(result)
+    problems = check_shape(config, result)
     assert problems == [], problems

@@ -73,5 +73,5 @@ def test_bench_fig6_partition(run_once):
             },
         ],
     )
-    problems = check_shape(results)
+    problems = check_shape(_config(CoordinationMode.ZOOKEEPER, 1), results)
     assert problems == [], problems

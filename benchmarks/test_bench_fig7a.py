@@ -14,5 +14,5 @@ def test_bench_fig7a_video_analytics(run_once):
             for n in sorted(result.throughput)
         ],
     )
-    problems = check_shape(result, cores=config.host_cores)
+    problems = check_shape(config, result)
     assert problems == [], problems

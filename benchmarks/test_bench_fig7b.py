@@ -19,5 +19,5 @@ def test_bench_fig7b_traffic_monitoring(run_once):
             for n in sorted(result.normalized)
         ],
     )
-    problems = check_shape(result)
+    problems = check_shape(config, result)
     assert problems == [], problems

@@ -17,5 +17,5 @@ def test_bench_fig8_accuracy(run_once):
         "Figure 8: agreement",
         [{"max_relative_error": result.max_relative_error()}],
     )
-    problems = check_shape(result)
+    problems = check_shape(config, result)
     assert problems == [], problems

@@ -39,5 +39,5 @@ def test_bench_fig9_resources(run_once):
             {"sites": largest, "samples": len(cdf_points), "fraction_below_60pct_cpu": below_60},
         ],
     )
-    problems = check_shape(result, config)
+    problems = check_shape(config, result)
     assert problems == [], problems

@@ -21,5 +21,5 @@ def test_bench_table2_applications(run_once):
             for row in result.rows
         ],
     )
-    problems = check_shape(result)
+    problems = check_shape(config, result)
     assert problems == [], problems

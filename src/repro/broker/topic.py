@@ -121,14 +121,6 @@ class PartitionState:
             isr=list(self.isr),
         )
 
-    def shrink_isr(self, broker: str) -> None:
-        if broker in self.isr and len(self.isr) > 1:
-            self.isr.remove(broker)
-
-    def expand_isr(self, broker: str) -> None:
-        if broker in self.replicas and broker not in self.isr:
-            self.isr.append(broker)
-
     def __repr__(self) -> str:
         return (
             f"<PartitionState {self.key} leader={self.leader} epoch={self.leader_epoch} "

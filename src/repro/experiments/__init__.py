@@ -1,8 +1,9 @@
 """Experiment harnesses reproducing every table and figure of the paper.
 
 Each module is a *scenario definition* (see :mod:`repro.scenarios`): a
-configuration dataclass, a point decomposition (``scenario_points`` /
-``scenario_combine``) registered under the figure's name, and the reference
+configuration dataclass, a point function and the labelled grid it runs over
+(``scenario_grid``), the reduce of the point outcomes (``scenario_combine``),
+all registered under the figure's name, and the reference
 shape reported in the paper so that the benchmark harness can check
 qualitative agreement (who wins, by roughly what factor, where curves
 saturate) rather than absolute numbers.  The legacy ``run_*`` entry points

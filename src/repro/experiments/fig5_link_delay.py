@@ -21,7 +21,7 @@ from typing import Dict, List
 from repro.apps.word_count import AVERAGE_TOPIC, WORDS_TOPIC, create_task
 from repro.core.configs import PlatformOverrides
 from repro.core.emulation import Emulation
-from repro.scenarios import PointSpec, Scenario, ScenarioRunner, register
+from repro.scenarios import Scenario, ScenarioRunner, register
 from repro.workloads import pregenerated
 from repro.workloads.text import generate_documents
 
@@ -77,7 +77,30 @@ class Fig5Result:
         return rows
 
 
-def _end_to_end_latencies(emulation: Emulation) -> List[float]:
+def word_count_emulation(
+    component: str, delay_ms: float, baseline_delay_ms: float, config
+) -> Emulation:
+    """The built word-count pipeline with ``component``'s access link at ``delay_ms``.
+
+    Every other link is at ``baseline_delay_ms``; ``config`` supplies the
+    corpus size, file rate, seed and platform knobs (fig5's and fig8's
+    configs both carry them).
+    """
+    task = create_task(
+        n_documents=config.n_documents,
+        link_latency_ms=baseline_delay_ms,
+        per_component_latency={_COMPONENT_TO_ROLE[component]: delay_ms},
+        files_per_second=config.files_per_second,
+    )
+    # Pre-generated: every sweep point replays the identical seeded corpus,
+    # so synthesis runs once for the whole figure.
+    documents = pregenerated(generate_documents, config.n_documents, seed=config.seed)
+    return Emulation(
+        task, seed=config.seed, datasets={"documents": documents}, platform=config.platform
+    ).build()
+
+
+def end_to_end_latencies(emulation: Emulation) -> List[float]:
     """Latency from original document production to arrival at the data sink."""
     sink = emulation.consumers.get("h5")
     if sink is None:
@@ -98,52 +121,25 @@ def _end_to_end_latencies(emulation: Emulation) -> List[float]:
 
 def run_single(component: str, delay_ms: float, config: Fig5Config) -> List[float]:
     """Run one point of the sweep and return the per-file latencies."""
-    role = _COMPONENT_TO_ROLE[component]
-    task = create_task(
-        n_documents=config.n_documents,
-        link_latency_ms=config.baseline_delay_ms,
-        per_component_latency={role: delay_ms},
-        files_per_second=config.files_per_second,
-    )
-    # Pre-generated: every sweep point replays the identical seeded corpus,
-    # so synthesis runs once for the whole figure.
-    documents = pregenerated(generate_documents, config.n_documents, seed=config.seed)
-    emulation = Emulation(
-        task, seed=config.seed, datasets={"documents": documents}, platform=config.platform
-    )
+    emulation = word_count_emulation(component, delay_ms, config.baseline_delay_ms, config)
     emulation.run(duration=config.duration)
-    return _end_to_end_latencies(emulation)
+    return end_to_end_latencies(emulation)
 
 
-def _sweep_grid(config: Fig5Config) -> List[tuple]:
-    """Canonical (component, delay) order — the single source shared by
-    point generation and outcome combination, so the two can never skew."""
-    return [
-        (component, delay)
+def scenario_grid(config: Fig5Config) -> Dict[str, dict]:
+    """One point per (component, delay) pair, in sweep order."""
+    return {
+        f"{component}@{delay:g}ms": {"component": component, "delay_ms": delay}
         for component in config.components
         for delay in config.link_delays_ms
-    ]
+    }
 
 
-def scenario_points(config: Fig5Config) -> List[PointSpec]:
-    """One independent point per (component, delay) pair, in sweep order."""
-    return [
-        PointSpec(
-            fn=run_single,
-            kwargs={"component": component, "delay_ms": delay, "config": config},
-            label=f"{component}@{delay:g}ms",
-            index=index,
-        )
-        for index, (component, delay) in enumerate(_sweep_grid(config))
-    ]
-
-
-def scenario_combine(config: Fig5Config, outcomes: List[List[float]]) -> Fig5Result:
-    grid = _sweep_grid(config)
-    assert len(outcomes) == len(grid)
+def scenario_combine(config: Fig5Config, runs: List[tuple]) -> Fig5Result:
     latency: Dict[str, Dict[float, float]] = {}
     samples: Dict[str, Dict[float, int]] = {}
-    for (component, delay), values in zip(grid, outcomes):
+    for point, values in runs:
+        component, delay = point["component"], point["delay_ms"]
         latency.setdefault(component, {})[delay] = (
             sum(values) / len(values) if values else float("nan")
         )
@@ -164,7 +160,7 @@ PAPER_SHAPE = {
 }
 
 
-def check_shape(result: Fig5Result) -> List[str]:
+def check_shape(config: Fig5Config, result: Fig5Result) -> List[str]:
     """Qualitative checks against the paper's shape; returns a list of violations."""
     problems = []
     for component in result.latency_s:
@@ -191,16 +187,13 @@ def scenario_metrics(result: Fig5Result) -> Dict[str, float]:
     return metrics
 
 
-def _scenario_check(config: Fig5Config, result: Fig5Result) -> List[str]:
-    return check_shape(result)
-
-
 SCENARIO = register(
     Scenario(
         name="fig5",
         title="Figure 5 — word-count latency vs per-component link delay",
         config_factory=Fig5Config,
-        points=scenario_points,
+        run=run_single,
+        grid=scenario_grid,
         combine=scenario_combine,
         metrics=scenario_metrics,
         tiers={
@@ -213,7 +206,6 @@ SCENARIO = register(
             "paper": {"n_documents": 100},
         },
         sweep_axis="link_delays_ms",
-        check=_scenario_check,
-        description=__doc__.strip().splitlines()[0],
+        check=check_shape,
     )
 )

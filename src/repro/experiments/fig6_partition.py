@@ -38,7 +38,7 @@ from repro.core.visualization import (
     latency_spikes,
     throughput_timeseries,
 )
-from repro.scenarios import PointSpec, Scenario, ScenarioRunner, register
+from repro.scenarios import Scenario, ScenarioRunner, register
 from repro.testing.history import History, Reader, acked_delivered
 
 TOPIC_A = "topicA"
@@ -250,40 +250,28 @@ def run_fig6(config: Optional[Fig6Config] = None) -> Fig6Result:
     )
 
 
-def _mode_arms(config: Fig6Config) -> List[tuple]:
-    """The two (mode, acks) arms of the comparison, config's own mode first.
+def scenario_grid(config: Fig6Config) -> Dict[str, dict]:
+    """Both coordination modes of the paper's comparison, config's own mode first.
 
     The configured ``mode``/``acks`` are honored verbatim for the primary
     arm (so ``--set mode=... --set acks=...`` is never silently discarded);
     the counterpart arm uses the paper's setting for the *other* mode
-    (ZooKeeper with acks=1, KRaft with acks="all").
+    (ZooKeeper with acks=1, KRaft with acks="all").  Each arm brings its own
+    config.
     """
     primary = CoordinationMode(config.mode)
     if primary is CoordinationMode.ZOOKEEPER:
-        return [(primary, config.acks), (CoordinationMode.KRAFT, "all")]
-    return [(primary, config.acks), (CoordinationMode.ZOOKEEPER, 1)]
-
-
-def scenario_points(config: Fig6Config) -> List[PointSpec]:
-    """Both coordination modes of the paper's comparison, as independent runs."""
-    points = []
-    for index, (mode, acks) in enumerate(_mode_arms(config)):
-        arm_config = dataclasses.replace(config, mode=mode, acks=acks)
-        points.append(
-            PointSpec(
-                fn=run_fig6, kwargs={"config": arm_config}, label=mode.value, index=index
-            )
-        )
-    return points
-
-
-def scenario_combine(
-    config: Fig6Config, outcomes: List[Fig6Result]
-) -> Dict[str, Fig6Result]:
+        other = (CoordinationMode.KRAFT, "all")
+    else:
+        other = (CoordinationMode.ZOOKEEPER, 1)
     return {
-        mode.value: outcome
-        for (mode, _acks), outcome in zip(_mode_arms(config), outcomes)
+        mode.value: {"config": dataclasses.replace(config, mode=mode, acks=acks)}
+        for mode, acks in [(primary, config.acks), other]
     }
+
+
+def scenario_combine(config: Fig6Config, runs: List[tuple]) -> Dict[str, Fig6Result]:
+    return {outcome.mode: outcome for _point, outcome in runs}
 
 
 def run_mode_comparison(
@@ -302,7 +290,7 @@ PAPER_SHAPE = {
 }
 
 
-def check_shape(results: Dict[str, Fig6Result]) -> List[str]:
+def check_shape(config: Fig6Config, results: Dict[str, Fig6Result]) -> List[str]:
     """Check the qualitative Figure 6 findings on a ZK/KRaft result pair."""
     problems = []
     zk = results.get("zookeeper")
@@ -334,16 +322,13 @@ def scenario_metrics(results: Dict[str, Fig6Result]) -> Dict[str, object]:
     return metrics
 
 
-def _scenario_check(config: Fig6Config, results: Dict[str, Fig6Result]) -> List[str]:
-    return check_shape(results)
-
-
 SCENARIO = register(
     Scenario(
         name="fig6",
         title="Figure 6 — replicated deployment under a partition (ZK vs KRaft)",
         config_factory=Fig6Config,
-        points=scenario_points,
+        run=run_fig6,
+        grid=scenario_grid,
         combine=scenario_combine,
         metrics=scenario_metrics,
         tiers={
@@ -361,7 +346,6 @@ SCENARIO = register(
             },
         },
         sweep_axis="n_sites",
-        check=_scenario_check,
-        description=__doc__.strip().splitlines()[0],
+        check=check_shape,
     )
 )

@@ -26,7 +26,7 @@ from repro.broker.topic import TopicConfig
 from repro.core.configs import PlatformOverrides
 from repro.network.link import LinkConfig
 from repro.network.topology import one_big_switch
-from repro.scenarios import PointSpec, Scenario, ScenarioRunner, register
+from repro.scenarios import Scenario, ScenarioRunner, register
 from repro.simulation import Simulator
 from repro.workloads.images import generate_frames
 
@@ -160,25 +160,17 @@ def run_single(n_consumers: int, config: Fig7aConfig) -> Dict[str, object]:
     }
 
 
-def scenario_points(config: Fig7aConfig) -> List[PointSpec]:
+def scenario_grid(config: Fig7aConfig) -> Dict[str, dict]:
     """One independent point per consumer count."""
-    return [
-        PointSpec(
-            fn=run_single,
-            kwargs={"n_consumers": n, "config": config},
-            label=f"consumers={n}",
-            index=index,
-        )
-        for index, n in enumerate(config.consumer_counts)
-    ]
+    return {f"consumers={n}": {"n_consumers": n} for n in config.consumer_counts}
 
 
-def scenario_combine(config: Fig7aConfig, outcomes: List[Dict[str, object]]) -> Fig7aResult:
+def scenario_combine(config: Fig7aConfig, runs: List[tuple]) -> Fig7aResult:
     throughput: Dict[int, float] = {}
     per_consumer: Dict[int, List[float]] = {}
-    for n_consumers, outcome in zip(config.consumer_counts, outcomes):
-        throughput[n_consumers] = outcome["aggregate"]
-        per_consumer[n_consumers] = outcome["per_consumer"]
+    for point, outcome in runs:
+        throughput[point["n_consumers"]] = outcome["aggregate"]
+        per_consumer[point["n_consumers"]] = outcome["per_consumer"]
     return Fig7aResult(throughput=throughput, per_consumer=per_consumer)
 
 
@@ -194,8 +186,9 @@ PAPER_SHAPE = {
 }
 
 
-def check_shape(result: Fig7aResult, cores: int = 8) -> List[str]:
-    """Check the qualitative Figure 7a shape."""
+def check_shape(config: Fig7aConfig, result: Fig7aResult) -> List[str]:
+    """Check the qualitative Figure 7a shape on a host of ``config.host_cores``."""
+    cores = config.host_cores
     problems = []
     counts = sorted(result.throughput)
     below = [n for n in counts if n <= cores]
@@ -222,16 +215,13 @@ def scenario_metrics(result: Fig7aResult) -> Dict[str, float]:
     return metrics
 
 
-def _scenario_check(config: Fig7aConfig, result: Fig7aResult) -> List[str]:
-    return check_shape(result, cores=config.host_cores)
-
-
 SCENARIO = register(
     Scenario(
         name="fig7a",
         title="Figure 7a — Kafka frame-transfer throughput vs consumer count",
         config_factory=Fig7aConfig,
-        points=scenario_points,
+        run=run_single,
+        grid=scenario_grid,
         combine=scenario_combine,
         metrics=scenario_metrics,
         tiers={
@@ -239,7 +229,6 @@ SCENARIO = register(
             "paper": {"n_frames": 20000},
         },
         sweep_axis="consumer_counts",
-        check=_scenario_check,
-        description=__doc__.strip().splitlines()[0],
+        check=check_shape,
     )
 )

@@ -26,7 +26,7 @@ from repro.core.configs import PlatformOverrides
 from repro.engine import ExecutorConfig, StreamingConfig, StreamingContext
 from repro.network.link import LinkConfig
 from repro.network.topology import one_big_switch
-from repro.scenarios import PointSpec, Scenario, ScenarioRunner, register
+from repro.scenarios import Scenario, ScenarioRunner, register
 from repro.simulation import Simulator
 from repro.workloads import pregenerated
 from repro.workloads.nettraffic import generate_traffic_batches, service_name
@@ -183,25 +183,17 @@ def run_single(n_users: int, config: Fig7bConfig) -> Dict[str, float]:
     return {"mean_runtime": mean_runtime, "input_records": total_records}
 
 
-def scenario_points(config: Fig7bConfig) -> List[PointSpec]:
+def scenario_grid(config: Fig7bConfig) -> Dict[str, dict]:
     """One independent point per swept user count."""
-    return [
-        PointSpec(
-            fn=run_single,
-            kwargs={"n_users": n, "config": config},
-            label=f"users={n}",
-            index=index,
-        )
-        for index, n in enumerate(config.user_counts)
-    ]
+    return {f"users={n}": {"n_users": n} for n in config.user_counts}
 
 
-def scenario_combine(config: Fig7bConfig, outcomes: List[Dict[str, float]]) -> Fig7bResult:
+def scenario_combine(config: Fig7bConfig, runs: List[tuple]) -> Fig7bResult:
     mean_runtime: Dict[int, float] = {}
     input_records: Dict[int, int] = {}
-    for n_users, outcome in zip(config.user_counts, outcomes):
-        mean_runtime[n_users] = outcome["mean_runtime"]
-        input_records[n_users] = int(outcome["input_records"])
+    for point, outcome in runs:
+        mean_runtime[point["n_users"]] = outcome["mean_runtime"]
+        input_records[point["n_users"]] = int(outcome["input_records"])
     baseline_users = min(mean_runtime)
     baseline = mean_runtime[baseline_users] or 1.0
     normalized = {n: runtime / baseline for n, runtime in mean_runtime.items()}
@@ -223,7 +215,7 @@ PAPER_SHAPE = {
 }
 
 
-def check_shape(result: Fig7bResult) -> List[str]:
+def check_shape(config: Fig7bConfig, result: Fig7bResult) -> List[str]:
     """Check the qualitative Figure 7b shape."""
     problems = []
     counts = sorted(result.normalized)
@@ -251,16 +243,13 @@ def scenario_metrics(result: Fig7bResult) -> Dict[str, float]:
     return metrics
 
 
-def _scenario_check(config: Fig7bConfig, result: Fig7bResult) -> List[str]:
-    return check_shape(result)
-
-
 SCENARIO = register(
     Scenario(
         name="fig7b",
         title="Figure 7b — normalized Spark runtime vs concurrent traffic users",
         config_factory=Fig7bConfig,
-        points=scenario_points,
+        run=run_single,
+        grid=scenario_grid,
         combine=scenario_combine,
         metrics=scenario_metrics,
         tiers={
@@ -268,7 +257,6 @@ SCENARIO = register(
             "paper": {},  # the module defaults are the paper's 20-100 sweep
         },
         sweep_axis="user_counts",
-        check=_scenario_check,
-        description=__doc__.strip().splitlines()[0],
+        check=check_shape,
     )
 )

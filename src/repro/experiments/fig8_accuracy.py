@@ -23,14 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.apps.word_count import create_task
 from repro.core.configs import PlatformOverrides
-from repro.core.emulation import Emulation
-from repro.experiments.fig5_link_delay import _end_to_end_latencies
-from repro.scenarios import PointSpec, Scenario, ScenarioRunner, register
+from repro.experiments.fig5_link_delay import end_to_end_latencies, word_count_emulation
+from repro.scenarios import Scenario, ScenarioRunner, register
 from repro.simulation.rng import SeededRandom
-from repro.workloads import pregenerated
-from repro.workloads.text import generate_documents
 
 
 @dataclass
@@ -108,33 +104,18 @@ class Fig8Result:
         return rows
 
 
-_COMPONENT_TO_ROLE = {"broker": "broker", "spe": "spe_job1"}
-
-
 def run_single(
     component: str, delay_ms: float, profile: CalibrationProfile, config: Fig8Config
 ) -> float:
     """Mean end-to-end latency of one (component, delay, profile) run."""
-    role = _COMPONENT_TO_ROLE[component]
-    task = create_task(
-        n_documents=config.n_documents,
-        link_latency_ms=5.0,
-        per_component_latency={role: delay_ms},
-        files_per_second=config.files_per_second,
-    )
-    # Pre-generated: the (component, delay, profile) sweep replays one corpus.
-    documents = pregenerated(generate_documents, config.n_documents, seed=config.seed)
-    emulation = Emulation(
-        task, seed=config.seed, datasets={"documents": documents}, platform=config.platform
-    )
-    emulation.build()
+    emulation = word_count_emulation(component, delay_ms, 5.0, config)
     for switch in emulation.network.switches.values():
         switch.switching_delay = profile.switching_delay
     if emulation.cluster is not None:
         for broker in emulation.cluster.brokers.values():
             broker.config.cpu_per_record = profile.broker_cpu_per_record
     emulation.run(duration=config.duration)
-    latencies = _end_to_end_latencies(emulation)
+    latencies = end_to_end_latencies(emulation)
     if not latencies:
         return float("nan")
     mean = sum(latencies) / len(latencies)
@@ -144,44 +125,27 @@ def run_single(
     return max(0.0, mean)
 
 
-def _sweep_grid(config: Fig8Config) -> List[tuple]:
-    """Canonical (component, delay, profile) order — the single source shared
-    by point generation and outcome combination, so the two can never skew."""
-    return [
-        (component, delay, profile)
+def scenario_grid(config: Fig8Config) -> Dict[str, dict]:
+    """One point per (component, delay, calibration profile), in sweep order."""
+    return {
+        f"{component}@{delay:g}ms/{profile.name}": {
+            "component": component,
+            "delay_ms": delay,
+            "profile": profile,
+        }
         for component in config.components
         for delay in config.link_delays_ms
         for profile in (STREAM2GYM_PROFILE, HARDWARE_PROFILE)
-    ]
+    }
 
 
-def scenario_points(config: Fig8Config) -> List[PointSpec]:
-    """One point per (component, delay, calibration profile), in sweep order."""
-    return [
-        PointSpec(
-            fn=run_single,
-            kwargs={
-                "component": component,
-                "delay_ms": delay,
-                "profile": profile,
-                "config": config,
-            },
-            label=f"{component}@{delay:g}ms/{profile.name}",
-            index=index,
-        )
-        for index, (component, delay, profile) in enumerate(_sweep_grid(config))
-    ]
-
-
-def scenario_combine(config: Fig8Config, outcomes: List[float]) -> Fig8Result:
-    grid = _sweep_grid(config)
-    assert len(outcomes) == len(grid)
+def scenario_combine(config: Fig8Config, runs: List[tuple]) -> Fig8Result:
     latency: Dict[str, Dict[str, Dict[float, float]]] = {}
-    for (component, delay, profile), outcome in zip(grid, outcomes):
+    for point, outcome in runs:
         environments = latency.setdefault(
-            component, {"stream2gym": {}, "hardware": {}}
+            point["component"], {"stream2gym": {}, "hardware": {}}
         )
-        environments[profile.name][delay] = outcome
+        environments[point["profile"].name][point["delay_ms"]] = outcome
     return Fig8Result(latency=latency)
 
 
@@ -196,7 +160,7 @@ PAPER_SHAPE = {
 }
 
 
-def check_shape(result: Fig8Result) -> List[str]:
+def check_shape(config: Fig8Config, result: Fig8Result) -> List[str]:
     """Check that both environments agree and latency grows with delay."""
     problems = []
     if result.max_relative_error() > PAPER_SHAPE["max_relative_error"]:
@@ -215,16 +179,13 @@ def scenario_metrics(result: Fig8Result) -> Dict[str, float]:
     return {"max_relative_error": round(result.max_relative_error(), 4)}
 
 
-def _scenario_check(config: Fig8Config, result: Fig8Result) -> List[str]:
-    return check_shape(result)
-
-
 SCENARIO = register(
     Scenario(
         name="fig8",
         title="Figure 8 — emulation vs hardware-testbed latency accuracy",
         config_factory=Fig8Config,
-        points=scenario_points,
+        run=run_single,
+        grid=scenario_grid,
         combine=scenario_combine,
         metrics=scenario_metrics,
         tiers={
@@ -237,7 +198,6 @@ SCENARIO = register(
             "paper": {"n_documents": 100},
         },
         sweep_axis="link_delays_ms",
-        check=_scenario_check,
-        description=__doc__.strip().splitlines()[0],
+        check=check_shape,
     )
 )

@@ -24,7 +24,9 @@ from repro.core.configs import PlatformOverrides
 from repro.core.emulation import Emulation
 from repro.core.resources import ResourceReport
 from repro.experiments.fig6_partition import sites_task
-from repro.scenarios import PointSpec, Scenario, ScenarioRunner, register
+from repro.scenarios import Scenario, ScenarioRunner, register
+
+MB = 1024 * 1024
 
 
 @dataclass
@@ -102,36 +104,19 @@ def run_single(n_sites: int, buffer_size: int, config: Fig9Config) -> ResourceRe
     return result.resource_report
 
 
-def _sweep_grid(config: Fig9Config) -> List[tuple]:
-    """Canonical (buffer size, site count) order — the single source shared
-    by point generation and outcome combination, so the two can never skew."""
-    return [
-        (buffer_size, n_sites)
+def scenario_grid(config: Fig9Config) -> Dict[str, dict]:
+    """One point per (buffer size, site count), in sweep order."""
+    return {
+        f"{n_sites}sites/{buffer_size // MB}MB": {"n_sites": n_sites, "buffer_size": buffer_size}
         for buffer_size in config.buffer_sizes
         for n_sites in config.site_counts
-    ]
+    }
 
 
-def scenario_points(config: Fig9Config) -> List[PointSpec]:
-    """One point per (buffer size, site count), in sweep order."""
-    return [
-        PointSpec(
-            fn=run_single,
-            kwargs={"n_sites": n_sites, "buffer_size": buffer_size, "config": config},
-            label=f"{n_sites}sites/{buffer_size // (1024 * 1024)}MB",
-            index=index,
-        )
-        for index, (buffer_size, n_sites) in enumerate(_sweep_grid(config))
-    ]
-
-
-def scenario_combine(config: Fig9Config, outcomes: List[ResourceReport]) -> Fig9Result:
-    grid = _sweep_grid(config)
-    assert len(outcomes) == len(grid)
-    reports: Dict[tuple, ResourceReport] = {}
-    for (buffer_size, n_sites), report in zip(grid, outcomes):
-        reports[(n_sites, buffer_size)] = report
-    return Fig9Result(reports=reports)
+def scenario_combine(config: Fig9Config, runs: List[tuple]) -> Fig9Result:
+    return Fig9Result(
+        reports={(point["n_sites"], point["buffer_size"]): report for point, report in runs}
+    )
 
 
 def run_fig9(config: Optional[Fig9Config] = None, workers: int = 1) -> Fig9Result:
@@ -147,9 +132,8 @@ PAPER_SHAPE = {
 }
 
 
-def check_shape(result: Fig9Result, config: Optional[Fig9Config] = None) -> List[str]:
+def check_shape(config: Fig9Config, result: Fig9Result) -> List[str]:
     """Check the qualitative Figure 9 findings."""
-    config = config or Fig9Config()
     problems = []
     largest = max(config.site_counts)
     big_buffer = max(config.buffer_sizes)
@@ -184,18 +168,13 @@ def scenario_metrics(result: Fig9Result) -> Dict[str, float]:
     return metrics
 
 
-def _scenario_check(config: Fig9Config, result: Fig9Result) -> List[str]:
-    return check_shape(result, config)
-
-
-MB = 1024 * 1024
-
 SCENARIO = register(
     Scenario(
         name="fig9",
         title="Figure 9 — server CPU / memory scalability vs site count",
         config_factory=Fig9Config,
-        points=scenario_points,
+        run=run_single,
+        grid=scenario_grid,
         combine=scenario_combine,
         metrics=scenario_metrics,
         tiers={
@@ -208,7 +187,6 @@ SCENARIO = register(
             "paper": {},  # the module defaults are the paper's 2-10 site sweep
         },
         sweep_axis="site_counts",
-        check=_scenario_check,
-        description=__doc__.strip().splitlines()[0],
+        check=check_shape,
     )
 )

@@ -21,7 +21,7 @@ from repro.apps import (
     word_count,
 )
 from repro.core.configs import PlatformOverrides
-from repro.scenarios import PointSpec, Scenario, ScenarioRunner, register
+from repro.scenarios import Scenario, ScenarioRunner, register
 
 #: Paper-reported rows (application -> (components, feature)).
 PAPER_TABLE = {
@@ -137,21 +137,13 @@ def run_application_row(name: str, config: Table2Config) -> Table2Row:
     return row
 
 
-def scenario_points(config: Table2Config) -> List[PointSpec]:
+def scenario_grid(config: Table2Config) -> Dict[str, dict]:
     """One independent point per Table II application."""
-    return [
-        PointSpec(
-            fn=run_application_row,
-            kwargs={"name": name, "config": config},
-            label=name,
-            index=index,
-        )
-        for index, name in enumerate(PAPER_TABLE)
-    ]
+    return {name: {"name": name} for name in PAPER_TABLE}
 
 
-def scenario_combine(config: Table2Config, outcomes: List[Table2Row]) -> Table2Result:
-    return Table2Result(rows=list(outcomes))
+def scenario_combine(config: Table2Config, runs: List[tuple]) -> Table2Result:
+    return Table2Result(rows=[row for _point, row in runs])
 
 
 def run_table2(config: Optional[Table2Config] = None, workers: int = 1) -> Table2Result:
@@ -159,7 +151,7 @@ def run_table2(config: Optional[Table2Config] = None, workers: int = 1) -> Table
     return ScenarioRunner(SCENARIO).run_config(config or Table2Config(), workers=workers).result
 
 
-def check_shape(result: Table2Result) -> List[str]:
+def check_shape(config: Table2Config, result: Table2Result) -> List[str]:
     """Every application matches its paper component count and actually works."""
     problems = []
     for name, (components, _feature) in PAPER_TABLE.items():
@@ -181,16 +173,13 @@ def scenario_metrics(result: Table2Result) -> Dict[str, object]:
     return metrics
 
 
-def _scenario_check(config: Table2Config, result: Table2Result) -> List[str]:
-    return check_shape(result)
-
-
 SCENARIO = register(
     Scenario(
         name="table2",
         title="Table II — the five example applications, deployed and verified",
         config_factory=Table2Config,
-        points=scenario_points,
+        run=run_application_row,
+        grid=scenario_grid,
         combine=scenario_combine,
         metrics=scenario_metrics,
         tiers={
@@ -198,7 +187,6 @@ SCENARIO = register(
             "paper": {"n_items": 100, "duration": 60.0},
         },
         sweep_axis=None,
-        check=_scenario_check,
-        description=__doc__.strip().splitlines()[0],
+        check=check_shape,
     )
 )

@@ -1,11 +1,12 @@
 """repro.scenarios — the declarative front door for every experiment.
 
 Every figure/table reproduction and every bundled example is registered here
-as a :class:`Scenario`: a picklable spec describing how to configure a run,
-how it decomposes into independent points, and how point outcomes combine
-into the study's result.  One runner executes any of them (sequentially or
-across a process pool), one sweep API shards parameter studies, and one CLI
-(``python -m repro``) lists and runs the whole catalog.
+as a :class:`Scenario`: a declarative spec describing how to configure a run,
+its point function and the labelled grid of independent points it is called
+on, and how point outcomes combine into the study's result.  One runner
+executes any of them (sequentially or across a process pool), one sweep API
+shards parameter studies, and one CLI (``python -m repro``) lists and runs
+the whole catalog.
 
     from repro.scenarios import run, Sweep
 
@@ -19,7 +20,6 @@ determinism contract.
 from repro.scenarios.registry import all_scenarios, get, names, register, resolve
 from repro.scenarios.runner import ScenarioRunner, execute_points, run, run_point
 from repro.scenarios.spec import (
-    PointSpec,
     RunResult,
     Scenario,
     ScenarioParams,
@@ -29,7 +29,6 @@ from repro.scenarios.spec import (
 from repro.scenarios.sweep import Sweep, SweepResult, sweep
 
 __all__ = [
-    "PointSpec",
     "RunResult",
     "Scenario",
     "ScenarioParams",

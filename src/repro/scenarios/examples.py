@@ -7,9 +7,9 @@ from the one front door::
     python -m repro run quickstart
     python -m repro run failure-injection --scale quick
 
-The point functions return plain picklable dicts (never live emulation
-objects), so the examples inherit process-parallel execution and the
-subprocess round-trip guarantees of the scenario API for free.
+Each example is one point: its ``run`` function takes the config and returns
+a plain picklable dict (never a live emulation object), which is the
+scenario's result.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from repro.core.graphml import parse_graphml_string
 from repro.experiments import fig5_link_delay, fig6_partition
 from repro.experiments.fig5_link_delay import Fig5Config
 from repro.experiments.fig6_partition import Fig6Config
-from repro.scenarios.spec import PointSpec, Scenario
+from repro.scenarios.spec import Scenario
 from repro.scenarios.registry import register
 from repro.workloads import pregenerated
 from repro.workloads.text import generate_documents
@@ -88,14 +88,6 @@ def run_quickstart(config: QuickstartConfig) -> Dict[str, Any]:
     }
 
 
-def _quickstart_points(config: QuickstartConfig) -> List[PointSpec]:
-    return [PointSpec(fn=run_quickstart, kwargs={"config": config}, label="quickstart")]
-
-
-def _single_outcome(config: Any, outcomes: List[Any]) -> Any:
-    return outcomes[0]
-
-
 def _quickstart_metrics(result: Dict[str, Any]) -> Dict[str, Any]:
     summary = result["summary"]
     return {
@@ -111,14 +103,14 @@ register(
         name="quickstart",
         title="Quickstart — prototype the word-count pipeline in a few lines",
         config_factory=QuickstartConfig,
-        points=_quickstart_points,
-        combine=_single_outcome,
+        run=run_quickstart,
+        grid=lambda config: {"quickstart": {}},
+        combine=lambda config, runs: runs[0][1],
         metrics=_quickstart_metrics,
         tiers={
             "quick": {"n_documents": 15, "duration": 30.0},
             "paper": {},
         },
-        description="The Figure 2 reference pipeline, run end to end.",
     )
 )
 
@@ -199,10 +191,6 @@ def run_graphml_task(config: GraphmlTaskConfig) -> Dict[str, Any]:
     }
 
 
-def _graphml_points(config: GraphmlTaskConfig) -> List[PointSpec]:
-    return [PointSpec(fn=run_graphml_task, kwargs={"config": config}, label="graphml")]
-
-
 def _graphml_metrics(result: Dict[str, Any]) -> Dict[str, Any]:
     return {
         "messages_produced": result["messages_produced"],
@@ -220,15 +208,15 @@ register(
         name="graphml-task",
         title="GraphML task — the paper's Figure 4 description, parsed and run",
         config_factory=GraphmlTaskConfig,
-        points=_graphml_points,
-        combine=_single_outcome,
+        run=run_graphml_task,
+        grid=lambda config: {"graphml": {}},
+        combine=lambda config, runs: runs[0][1],
         metrics=_graphml_metrics,
         tiers={
             "quick": {"n_documents": 10, "duration": 25.0},
             "paper": {},
         },
         check=_graphml_check,
-        description="Parse the Figure 4 GraphML listing, validate it and run it.",
     )
 )
 
@@ -310,10 +298,6 @@ def run_fraud_pipeline(config: FraudPipelineConfig) -> Dict[str, Any]:
     }
 
 
-def _fraud_points(config: FraudPipelineConfig) -> List[PointSpec]:
-    return [PointSpec(fn=run_fraud_pipeline, kwargs={"config": config}, label="fraud")]
-
-
 def _fraud_metrics(result: Dict[str, Any]) -> Dict[str, Any]:
     return {
         "transactions_produced": result["transactions_produced"],
@@ -329,13 +313,13 @@ register(
         name="fraud-pipeline",
         title="Fraud detection — SVM-scored transaction stream with alerts",
         config_factory=FraudPipelineConfig,
-        points=_fraud_points,
-        combine=_single_outcome,
+        run=run_fraud_pipeline,
+        grid=lambda config: {"fraud": {}},
+        combine=lambda config, runs: runs[0][1],
         metrics=_fraud_metrics,
         tiers={
             "quick": {"n_transactions": 80, "duration": 30.0},
             "paper": {},
         },
-        description="The Table II fraud-detection pipeline with alert quality.",
     )
 )

@@ -1,31 +1,33 @@
 """Scenario execution: points -> outcomes -> RunResult, optionally parallel.
 
-The only thing that ever crosses a process boundary is a
-:class:`~repro.scenarios.spec.PointSpec` (a module-level function plus
-picklable kwargs) and its outcome, so worker processes need nothing beyond
-``import repro``.  Outcomes are always handed to ``combine`` in the
-scenario's canonical point order, which is why parallel runs are
-bitwise-identical to sequential ones (see the determinism contract in
-:mod:`repro.scenarios.spec`).
+The only things that ever cross a process boundary are a scenario's
+module-level point function, one point's picklable kwargs and its outcome,
+so worker processes need nothing beyond ``import repro``.  Outcomes are
+always handed to ``combine`` in the scenario's canonical point order, which
+is why parallel runs are bitwise-identical to sequential ones (see the
+determinism contract in :mod:`repro.scenarios.spec`).
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from concurrent.futures import ProcessPoolExecutor
-from typing import Any, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from repro.scenarios import registry
-from repro.scenarios.spec import PointSpec, RunResult, Scenario, ScenarioParams
+from repro.scenarios.spec import RunResult, Scenario, ScenarioParams
 
 
-def run_point(point: PointSpec) -> Any:
+def run_point(fn: Callable[..., Any], kwargs: Dict[str, Any]) -> Any:
     """Execute one point (the unit of work a pool worker receives)."""
-    return point.fn(**point.kwargs)
+    return fn(**kwargs)
 
 
-def execute_points(points: Sequence[PointSpec], workers: int = 1) -> List[Any]:
-    """Run the points and return their outcomes in canonical order.
+def execute_points(
+    fn: Callable[..., Any], points: Sequence[Dict[str, Any]], workers: int = 1
+) -> List[Any]:
+    """Call ``fn`` once per kwargs dict; return the outcomes in canonical order.
 
     ``workers <= 1`` runs in-process (no pool, no pickling — the quick test
     tier never needs a subprocess).  Larger values shard the points across a
@@ -34,15 +36,15 @@ def execute_points(points: Sequence[PointSpec], workers: int = 1) -> List[Any]:
     """
     points = list(points)
     if workers <= 1 or len(points) <= 1:
-        return [run_point(point) for point in points]
+        return [run_point(fn, kwargs) for kwargs in points]
     with ProcessPoolExecutor(max_workers=min(workers, len(points))) as pool:
-        return list(pool.map(run_point, points))
+        return list(pool.map(run_point, itertools.repeat(fn), points))
 
 
 def assemble_run_result(
     scenario: Scenario,
     config: Any,
-    points: Sequence[PointSpec],
+    points: Dict[str, Dict[str, Any]],
     outcomes: Sequence[Any],
     *,
     workers: int,
@@ -54,7 +56,7 @@ def assemble_run_result(
     Shared by :class:`ScenarioRunner` and :class:`~repro.scenarios.sweep.Sweep`
     so the result assembly (combine -> metrics -> check) exists exactly once.
     """
-    result = scenario.combine(config, list(outcomes))
+    result = scenario.combine(config, list(zip(points.values(), outcomes)))
     metrics = scenario.metrics(result) if scenario.metrics else {}
     problems = scenario.check(config, result) if scenario.check else None
     return RunResult(
@@ -66,7 +68,7 @@ def assemble_run_result(
         wall_seconds=wall_seconds,
         workers=workers,
         n_points=len(points),
-        point_labels=[point.label for point in points],
+        point_labels=list(points),
         problems=problems,
         result=result,
     )
@@ -99,7 +101,7 @@ class ScenarioRunner:
         scenario = self.scenario
         points = scenario.points(config)
         started = time.perf_counter()
-        outcomes = execute_points(points, workers=workers)
+        outcomes = execute_points(scenario.run, points.values(), workers=workers)
         wall = time.perf_counter() - started
         return assemble_run_result(
             scenario,

@@ -1,16 +1,16 @@
 """Declarative scenario specifications.
 
-A :class:`Scenario` is the picklable, declarative description of one
-reproducible simulation study: how to build its configuration (a plain
-dataclass composing topology, links, broker/topic settings, workload,
-pipeline, fault schedule and seed), how to decompose a configured run into
-independent :class:`PointSpec` sub-runs, how to combine the point outcomes
-back into the study's result object, and how to summarize that result as a
-flat metrics dict.
+A :class:`Scenario` is the declarative description of one reproducible
+simulation study: how to build its configuration (a plain dataclass
+composing topology, links, broker/topic settings, workload, pipeline, fault
+schedule and seed), which independent points a configured run is made of,
+how to combine the point outcomes back into the study's result object, and
+how to summarize that result as a flat metrics dict.
 
-The decomposition into points is what makes process-parallel execution a
-property of the API instead of any one script: every point is a module-level
-function plus picklable keyword arguments, so a ``ProcessPoolExecutor``
+Every scenario has one point shape: a module-level point function ``run``
+and a ``grid(config)`` naming its points in canonical order as ``{label:
+kwargs}``.  A point is ``run(config=config, **kwargs)`` — picklable
+keyword arguments for a module-level function — so a ``ProcessPoolExecutor``
 worker can execute it unchanged, and the combine step is a cheap reduce in
 the parent.
 
@@ -28,7 +28,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 
 #: Scale tier applied when :class:`ScenarioParams` does not name one.
@@ -56,23 +56,6 @@ class ScenarioParams:
     scale: str = DEFAULT_SCALE
     seed: Optional[int] = None
     overrides: Dict[str, Any] = field(default_factory=dict)
-
-
-@dataclass
-class PointSpec:
-    """One independent sub-run of a scenario.
-
-    ``fn`` must be a module-level callable and ``kwargs`` picklable values,
-    so the point can cross a process boundary.  ``index`` is the point's
-    position in the scenario's canonical (sequential) order; ``combine``
-    receives outcomes in exactly that order regardless of how the points
-    were executed.
-    """
-
-    fn: Callable[..., Any]
-    kwargs: Dict[str, Any]
-    label: str = ""
-    index: int = 0
 
 
 @dataclass
@@ -126,12 +109,16 @@ class Scenario:
     config_factory:
         Zero-argument callable returning the scenario's config dataclass at
         its module defaults (the historical per-module constants).
-    points:
-        ``points(config) -> List[PointSpec]`` — the canonical decomposition
-        into independent sub-runs.
+    run:
+        The module-level point function; one point is one call.
+    grid:
+        ``grid(config) -> {label: kwargs}`` — the independent points, in
+        canonical order.  ``run`` also receives ``config=config`` unless the
+        point's kwargs bring their own config.
     combine:
-        ``combine(config, outcomes) -> result`` — reduce the point outcomes
-        (in canonical order) into the scenario's native result object.
+        ``combine(config, runs) -> result`` — reduce the ``(kwargs,
+        outcome)`` pairs, in canonical order, into the scenario's native
+        result object.
     metrics:
         ``metrics(result) -> dict`` — flat JSON-safe summary for
         :class:`RunResult`; optional.
@@ -151,14 +138,21 @@ class Scenario:
     name: str
     title: str
     config_factory: Callable[[], Any]
-    points: Callable[[Any], List[PointSpec]]
-    combine: Callable[[Any, List[Any]], Any]
+    run: Callable[..., Any]
+    grid: Callable[[Any], Dict[str, Dict[str, Any]]]
+    combine: Callable[[Any, List[Tuple[Dict[str, Any], Any]]], Any]
     metrics: Optional[Callable[[Any], Dict[str, Any]]] = None
     tiers: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     sweep_axis: Optional[str] = None
     check: Optional[Callable[[Any, Any], List[str]]] = None
     seed_field: str = "seed"
-    description: str = ""
+
+    def points(self, config: Any) -> Dict[str, Dict[str, Any]]:
+        """``{label: kwargs}`` of the calls to ``run`` that make up ``config``'s run."""
+        return {
+            label: {"config": config, **kwargs}
+            for label, kwargs in self.grid(config).items()
+        }
 
     def scales(self) -> List[str]:
         """Tier names this scenario accepts."""

@@ -172,13 +172,13 @@ class Sweep:
             for rep_configs in per_combo_configs
         ]
         flat = [
-            point
+            kwargs
             for rep_points in per_combo_points
             for points in rep_points
-            for point in points
+            for kwargs in points.values()
         ]
         started = time.perf_counter()
-        outcomes = execute_points(flat, workers=workers)
+        outcomes = execute_points(scenario.run, flat, workers=workers)
         wall = time.perf_counter() - started
         runs: List[Tuple[Tuple[Any, ...], RunResult]] = []
         cursor = 0

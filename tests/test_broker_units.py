@@ -147,22 +147,8 @@ class TestTopicState:
         with pytest.raises(ValueError):
             PartitionState(topic="t", partition=0, replicas=[])
 
-    def test_isr_shrink_and_expand(self):
-        state = PartitionState(topic="t", partition=0, replicas=["b1", "b2", "b3"])
-        state.shrink_isr("b2")
-        assert state.isr == ["b1", "b3"]
-        state.expand_isr("b2")
-        assert set(state.isr) == {"b1", "b2", "b3"}
-        state.expand_isr("b9")
-        assert "b9" not in state.isr
-
-    def test_isr_never_shrinks_to_empty(self):
-        state = PartitionState(topic="t", partition=0, replicas=["b1"])
-        state.shrink_isr("b1")
-        assert state.isr == ["b1"]
-
     def test_copy_is_independent(self):
         state = PartitionState(topic="t", partition=0, replicas=["b1", "b2"])
         clone = state.copy()
-        clone.shrink_isr("b2")
+        clone.isr.remove("b2")
         assert state.isr == ["b1", "b2"]

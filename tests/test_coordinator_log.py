@@ -309,7 +309,8 @@ def test_an_unrecorded_isr_shrink_fails_the_replay_check(monkeypatch):
         for state in self.partitions.values():
             if state.leader == broker:
                 self._elect_leader(state, exclude=broker, reason="leader-failure", version=version)
-            state.shrink_isr(broker)
+            if broker in state.isr and len(state.isr) > 1:
+                state.isr.remove(broker)
 
     monkeypatch.setattr(Coordinator, "_handle_broker_failure", handle_broker_failure_in_place)
     sim, cluster, _producer = replicated_cluster()

@@ -15,7 +15,7 @@ from repro.experiments.fig6_partition import TOPIC_A, Fig6Config, run_fig6
 from repro.experiments.fig7a_video_analytics import Fig7aConfig, run_fig7a
 from repro.experiments.fig7b_traffic_monitoring import Fig7bConfig, run_fig7b
 from repro.experiments.fig8_accuracy import Fig8Config, run_fig8
-from repro.experiments.fig9_resources import Fig9Config, run_fig9
+from repro.experiments.fig9_resources import Fig9Config, check_shape, run_fig9
 from repro.experiments.table2_applications import Table2Config, run_table2
 
 MB = 1024 * 1024
@@ -119,6 +119,9 @@ class TestFig9:
         assert peaks_large[4] > peaks_large[2]
         assert peaks_large[4] > peaks_small[4]
         assert result.reports[(4, 32 * MB)].fraction_below(60.0) > 0.8
+        # Judged on its own grid: the 10-site point of the default config
+        # is not in this result.
+        assert isinstance(check_shape(config, result), list)
 
 
 class TestTable2:

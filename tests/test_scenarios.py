@@ -2,8 +2,8 @@
 
 Covers the contracts the subsystem promises:
 
-* every registered scenario builds a quick-tier config and decomposes into
-  picklable points;
+* every registered scenario builds a quick-tier config and names its points
+  as picklable kwargs for a module-level point function;
 * a scenario round-trips through pickle and executes in a subprocess with
   the identical result;
 * parallel sweep execution is bitwise-identical to sequential for the same
@@ -28,7 +28,6 @@ from contextlib import redirect_stdout
 import pytest
 
 from repro.scenarios import (
-    PointSpec,
     ScenarioParams,
     ScenarioRunner,
     Sweep,
@@ -76,10 +75,10 @@ class TestRegistry:
                 config = scenario.build_config(ScenarioParams(scale=scale))
                 points = scenario.points(config)
                 assert points, f"{name}@{scale} produced no points"
-                for point in points:
-                    assert callable(point.fn)
-                    # Module-level function: picklable for pool workers.
-                    assert pickle.loads(pickle.dumps(point)).fn is point.fn
+                # Module-level function: picklable for pool workers.
+                assert pickle.loads(pickle.dumps(scenario.run)) is scenario.run
+                for kwargs in points.values():
+                    assert pickle.loads(pickle.dumps(kwargs)).keys() == kwargs.keys()
 
     def test_unknown_scale_and_field_raise(self):
         scenario = get("fig7b")
@@ -117,12 +116,12 @@ class TestRegistry:
             )
         )
         points = scenario.points(config)
-        assert [p.label for p in points] == ["kraft", "zookeeper"]
-        assert points[0].kwargs["config"].acks == "all"
-        assert points[1].kwargs["config"].acks == 1  # paper setting, other arm
+        assert list(points) == ["kraft", "zookeeper"]
+        assert points["kraft"]["config"].acks == "all"
+        assert points["zookeeper"]["config"].acks == 1  # paper setting, other arm
         # Default config keeps the historical ZooKeeper-first comparison.
         default_points = scenario.points(scenario.build_config(ScenarioParams()))
-        assert [p.label for p in default_points] == ["zookeeper", "kraft"]
+        assert list(default_points) == ["zookeeper", "kraft"]
 
 
 class TestFingerprintAndSeeds:
@@ -187,10 +186,10 @@ class TestSubprocessExecution:
         """build -> pickle -> run in a worker process == run in-process."""
         scenario = get("fig7b")
         config = scenario.build_config(ScenarioParams(scale="quick"))
-        point = scenario.points(config)[0]
-        local = run_point(pickle.loads(pickle.dumps(point)))
+        point = scenario.points(config)["users=20"]
+        local = run_point(scenario.run, pickle.loads(pickle.dumps(point)))
         with ProcessPoolExecutor(max_workers=1) as pool:
-            remote = pool.submit(run_point, point).result()
+            remote = pool.submit(run_point, scenario.run, point).result()
         assert remote == local
 
     def test_parallel_run_equals_sequential(self):
@@ -444,19 +443,13 @@ class TestSweepRepetitions:
 
 class TestExecutePoints:
     def test_sequential_order_preserved(self):
-        points = [
-            PointSpec(fn=_echo, kwargs={"value": index}, index=index)
-            for index in range(5)
-        ]
-        assert execute_points(points, workers=1) == [0, 1, 2, 3, 4]
+        points = [{"value": index} for index in range(5)]
+        assert execute_points(_echo, points, workers=1) == [0, 1, 2, 3, 4]
 
     @pytest.mark.sweep
     def test_pool_order_preserved(self):
-        points = [
-            PointSpec(fn=_echo, kwargs={"value": index}, index=index)
-            for index in range(5)
-        ]
-        assert execute_points(points, workers=3) == [0, 1, 2, 3, 4]
+        points = [{"value": index} for index in range(5)]
+        assert execute_points(_echo, points, workers=3) == [0, 1, 2, 3, 4]
 
 
 def _echo(value: int) -> int:
