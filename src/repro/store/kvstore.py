@@ -12,12 +12,16 @@ class KeyValueStore:
 
     The store tracks an approximate on-disk/in-memory footprint so the
     resource model can report storage growth, and counts operations so
-    benchmarks can reason about access patterns.
+    benchmarks can reason about access patterns.  Each key remembers the
+    size it was charged at its last put, and an overwrite or delete gives
+    back exactly that: the store keeps the caller's object, which the caller
+    may mutate afterwards.
     """
 
     def __init__(self, name: str = "kvstore") -> None:
         self.name = name
         self._data: Dict[Any, Any] = {}
+        self._charged: Dict[Any, int] = {}
         self.bytes_stored = 0
         self.puts = 0
         self.gets = 0
@@ -25,10 +29,10 @@ class KeyValueStore:
 
     def put(self, key: Any, value: Any) -> None:
         """Insert or overwrite ``key``."""
-        if key in self._data:
-            self.bytes_stored -= estimate_size(self._data[key])
+        size = estimate_size(value)
+        self.bytes_stored += size - self._charged.get(key, 0)
+        self._charged[key] = size
         self._data[key] = value
-        self.bytes_stored += estimate_size(value)
         self.puts += 1
 
     def get(self, key: Any, default: Any = None) -> Any:
@@ -38,7 +42,7 @@ class KeyValueStore:
     def delete(self, key: Any) -> bool:
         self.deletes += 1
         if key in self._data:
-            self.bytes_stored -= estimate_size(self._data[key])
+            self.bytes_stored -= self._charged.pop(key)
             del self._data[key]
             return True
         return False
@@ -64,6 +68,7 @@ class KeyValueStore:
 
     def clear(self) -> None:
         self._data.clear()
+        self._charged.clear()
         self.bytes_stored = 0
 
     def __len__(self) -> int:

@@ -20,23 +20,28 @@ class Row:
 
 
 class Table:
-    """A single named table."""
+    """A single named table.
+
+    Each row remembers the size it was charged at its last upsert, and the
+    next upsert or a delete gives back exactly that: callers hold the
+    :class:`Row` objects and may mutate their columns in between.
+    """
 
     def __init__(self, name: str) -> None:
         self.name = name
         self.rows: Dict[Any, Row] = {}
+        self._charged: Dict[Any, int] = {}
         self.bytes_stored = 0
 
     def upsert(self, key: Any, columns: Dict[str, Any]) -> Row:
-        existing = self.rows.get(key)
-        if existing is not None:
-            self.bytes_stored -= estimate_size(existing.columns)
-            existing.columns.update(columns)
-            self.bytes_stored += estimate_size(existing.columns)
-            return existing
-        row = Row(key=key, columns=dict(columns))
-        self.rows[key] = row
-        self.bytes_stored += estimate_size(row.columns)
+        row = self.rows.get(key)
+        if row is None:
+            row = self.rows[key] = Row(key=key, columns=dict(columns))
+        else:
+            row.columns.update(columns)
+        size = estimate_size(row.columns)
+        self.bytes_stored += size - self._charged.get(key, 0)
+        self._charged[key] = size
         return row
 
     def get(self, key: Any) -> Optional[Row]:
@@ -45,7 +50,7 @@ class Table:
     def delete(self, key: Any) -> bool:
         row = self.rows.pop(key, None)
         if row is not None:
-            self.bytes_stored -= estimate_size(row.columns)
+            self.bytes_stored -= self._charged.pop(key)
             return True
         return False
 

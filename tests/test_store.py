@@ -25,6 +25,16 @@ class TestKeyValueStore:
         assert store.bytes_stored < size_before
         assert len(store) == 1
 
+    def test_mutating_a_stored_value_does_not_skew_the_accounting(self):
+        store = KeyValueStore()
+        value = {"count": 1}
+        store.put("k", value)
+        value["note"] = "x" * 100
+        store.put("k", {"count": 2})
+        assert store.bytes_stored == 16
+        store.delete("k")
+        assert store.bytes_stored == 0
+
     def test_increment(self):
         store = KeyValueStore()
         assert store.increment("counter") == 1
@@ -96,6 +106,13 @@ class TestTableStore:
         assert store.bytes_stored == 0
         store.upsert("t", 1, {"payload": "x" * 200})
         assert store.bytes_stored >= 200
+
+    def test_mutating_a_returned_row_does_not_skew_the_accounting(self):
+        store = TableStore()
+        store.upsert("t", "k", {"count": 1})
+        store.get("t", "k").columns["note"] = "x" * 100
+        store.delete("t", "k")
+        assert store.bytes_stored == 0
 
     def test_table_names(self):
         store = TableStore()
