@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import count
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Iterable
 
 #: Fixed per-message protocol overhead in bytes (Ethernet + IP + TCP headers).
 HEADER_OVERHEAD_BYTES = 66
@@ -47,15 +47,14 @@ class Packet:
     created_at: float = 0.0
     packet_id: int = field(default_factory=lambda: next(_packet_ids))
     headers: Dict[str, Any] = field(default_factory=dict)
+    #: Bytes actually occupying the wire (payload + protocol overhead), set
+    #: by ``__post_init__``: every hop reads it and ``size`` never changes.
+    wire_size: int = field(init=False)
 
     def __post_init__(self) -> None:
         if self.size < 0:
             raise ValueError(f"packet size must be non-negative, got {self.size}")
-
-    @property
-    def wire_size(self) -> int:
-        """Bytes actually occupying the wire (payload + protocol overhead)."""
-        return self.size + HEADER_OVERHEAD_BYTES
+        self.wire_size = self.size + HEADER_OVERHEAD_BYTES
 
     def __repr__(self) -> str:
         return (
@@ -64,51 +63,52 @@ class Packet:
         )
 
 
-def _flat_dict_size(payload: dict) -> Optional[int]:
-    """What the walk in :func:`estimate_size` sums over a dict whose keys and
-    values are all ``str`` / ``int`` / ``float`` (SPE results, control
-    messages: the common payload), in one loop; ``None`` for any other dict."""
+def _leaves_size(leaves: Iterable[Any]) -> int:
+    """Sum of ``estimate_size(leaf, 4)`` over ``leaves`` in one loop.
+
+    ``str``, ``int`` and ``float`` leaves (SPE results, control messages:
+    nearly every leaf) are sized inline; only containers and unusual types
+    recurse.  A dict is walked as its keys, then its values.
+    """
     total = 0
-    for item in payload.items():
-        for leaf in item:
-            kind = type(leaf)
-            if kind is str:
-                size = len(leaf) if leaf.isascii() else len(leaf.encode("utf-8"))
-                total += size if size > 4 else 4
-            elif kind is int or kind is float:
-                total += 8
-            else:
-                return None
+    for leaf in leaves:
+        kind = type(leaf)
+        if kind is str:
+            size = len(leaf) if leaf.isascii() else len(leaf.encode("utf-8"))
+            total += size if size > 4 else 4
+        elif kind is int or kind is float:
+            total += 8
+        else:
+            total += estimate_size(leaf, 4)
     return total
 
 
 def estimate_size(payload: Any, floor: int = 16) -> int:
     """Best-effort serialized size estimate for arbitrary payloads.
 
-    The broker and SPE compute record sizes explicitly (``ProducerRecord``
-    caches its size at construction and batch/reply sizes are summed from
-    those), so hot-path wire messages never reach this recursive walk; this
-    helper exists for stub components and control-plane messages that send
-    plain Python objects.  Checks are ordered by observed frequency, and
-    ASCII strings avoid the UTF-8 encode round-trip.
+    Strings count their UTF-8 bytes (ASCII ones skip the encode), numbers 8,
+    bytes their length and anything else its ``repr``; a dict sums its keys
+    and values and a list, tuple or set its items, each at a floor of 4.
+    The result is never below ``floor``.
+
+    Broker records and batches carry sizes computed once at construction,
+    but stub components, control-plane messages and the SPE's ``KafkaSink``
+    (every result record, through ``ColumnBatch.size_at``) send plain Python
+    objects sized here.  The walk visits each value once: scalar leaves are
+    sized inline by :func:`_leaves_size`, and only nested containers recurse.
     """
-    if type(payload) is dict:
-        size = _flat_dict_size(payload)
-        if size is not None:
-            return size if size > floor else floor
-    if payload is None:
-        return floor
-    if isinstance(payload, str):
-        return max(floor, len(payload) if payload.isascii() else len(payload.encode("utf-8")))
-    if isinstance(payload, (int, float, bool)):
-        return max(floor, 8)
     if isinstance(payload, dict):
-        return max(
-            floor,
-            sum(estimate_size(k, 4) + estimate_size(v, 4) for k, v in payload.items()),
-        )
-    if isinstance(payload, (list, tuple, set)):
-        return max(floor, sum(estimate_size(item, 4) for item in payload))
-    if isinstance(payload, (bytes, bytearray)):
-        return max(floor, len(payload))
-    return max(floor, len(repr(payload)))
+        size = _leaves_size(payload.keys()) + _leaves_size(payload.values())
+    elif payload is None:
+        return floor
+    elif isinstance(payload, str):
+        size = len(payload) if payload.isascii() else len(payload.encode("utf-8"))
+    elif isinstance(payload, (int, float, bool)):
+        size = 8
+    elif isinstance(payload, (list, tuple, set)):
+        size = _leaves_size(payload)
+    elif isinstance(payload, (bytes, bytearray)):
+        size = len(payload)
+    else:
+        size = len(repr(payload))
+    return size if size > floor else floor

@@ -13,11 +13,16 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from repro.network.host import Host
-from repro.network.transport import Request, RequestTimeout, Transport
+from repro.network.packet import estimate_size
+from repro.network.transport import Request, RequestTimeout, Response, Transport
 from repro.store.kvstore import KeyValueStore
 from repro.store.table import TableStore
 
 STORE_PORT = 3306
+
+#: Reply size of a ``put`` / ``upsert`` acknowledgement, sized once at import
+#: instead of on every reply.
+_OK_SIZE = estimate_size({"ok": True})
 
 
 @dataclass
@@ -57,7 +62,7 @@ class StoreServer:
             self.operations_served += 1
             if operation == "put":
                 self.kv.put(payload["key"], payload["value"])
-                return {"ok": True}
+                return Response({"ok": True}, _OK_SIZE)
             if operation == "get":
                 return {"ok": True, "value": self.kv.get(payload["key"])}
             if operation == "increment":
@@ -65,7 +70,7 @@ class StoreServer:
                 return {"ok": True, "value": value}
             if operation == "upsert":
                 self.tables.upsert(payload["table"], payload["key"], payload["columns"])
-                return {"ok": True}
+                return Response({"ok": True}, _OK_SIZE)
             if operation == "select":
                 rows = self.tables.select(payload["table"])
                 return {

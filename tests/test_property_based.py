@@ -1,5 +1,7 @@
 """Property-based tests (hypothesis) for core data structures and invariants."""
 
+from collections import Counter, OrderedDict
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -87,8 +89,9 @@ def test_serialization_delay_is_proportional_to_size(size, bandwidth):
 
 
 def _estimate_size_reference(payload, floor=16):
-    """``estimate_size`` as the plain recursive walk it was before flat dicts
-    got their one-loop fast path."""
+    """``estimate_size`` as the plain recursive walk that defines it: one call
+    per key, value and item, each at a floor of 4.  The one-pass walker that
+    sizes leaves inline must return exactly this."""
     if payload is None:
         return floor
     if isinstance(payload, str):
@@ -127,7 +130,38 @@ _payloads = st.recursive(
 )
 
 
-@given(payload=_payloads | st.dictionaries(_keys, _leaves, max_size=8), floor=st.integers(0, 64))
+#: Word-count ``counts``: many short, sometimes non-ASCII words to integers.
+_word_counts = st.dictionaries(
+    st.text(alphabet="abcdefghij", min_size=1, max_size=3) | st.text(min_size=1, max_size=8),
+    st.integers(0, 500),
+    min_size=20,
+    max_size=60,
+)
+#: Flat-looking dicts with one nested dict value (a word-count result).
+_nested_results = st.builds(
+    lambda flat, key, nested: {**flat, key: nested},
+    st.dictionaries(st.text(max_size=8), st.integers() | st.floats(allow_nan=False) | st.text(max_size=12), max_size=5),
+    st.text(max_size=8),
+    _word_counts | st.dictionaries(_keys, _payloads, max_size=4),
+)
+#: Dict subclasses take the ``isinstance(payload, dict)`` branch.
+_dict_subclasses = (
+    st.dictionaries(_keys, _payloads, max_size=6).map(OrderedDict)
+    | st.dictionaries(st.text(max_size=8), st.integers(), max_size=12).map(Counter)
+)
+
+
+@given(
+    payload=(
+        _payloads
+        | st.dictionaries(_keys, _leaves, max_size=8)
+        | _word_counts
+        | _nested_results
+        | _dict_subclasses
+        | st.lists(_dict_subclasses | _nested_results, max_size=3)
+    ),
+    floor=st.integers(0, 64),
+)
 @settings(max_examples=300, deadline=None)
 def test_estimate_size_fast_path_equals_the_recursive_walk(payload, floor):
     assert estimate_size(payload, floor) == _estimate_size_reference(payload, floor)
@@ -537,6 +571,67 @@ def test_kvstore_matches_reference_dict(operations):
     for key, value in reference.items():
         assert store.get(key) == value
     assert store.bytes_stored >= 0
+
+
+@given(
+    operations=st.lists(
+        st.tuples(
+            st.sampled_from(["put", "mutate", "delete"]), st.integers(0, 5), st.text(max_size=10)
+        ),
+        max_size=60,
+    )
+)
+@settings(max_examples=50, deadline=None)
+def test_kvstore_bytes_stored_is_what_live_keys_were_charged(operations):
+    """The store keeps the caller's object, so a value can change after its
+    put; ``bytes_stored`` stays the sum of every live key's size at its last
+    put."""
+    store = KeyValueStore()
+    charged = {}
+    for operation, key, text in operations:
+        if operation == "put":
+            value = {"count": len(text), "text": text}
+            store.put(key, value)
+            charged[key] = estimate_size(value)
+        elif operation == "mutate":
+            value = store.get(key)
+            if value is not None and text:
+                value[text] = text * 10
+            elif value is not None:
+                value.clear()
+        else:
+            store.delete(key)
+            charged.pop(key, None)
+        assert store.bytes_stored == sum(charged.values())
+
+
+@given(
+    operations=st.lists(
+        st.tuples(
+            st.sampled_from(["upsert", "mutate", "delete"]), st.integers(0, 5), st.text(max_size=10)
+        ),
+        max_size=60,
+    )
+)
+@settings(max_examples=50, deadline=None)
+def test_table_bytes_stored_is_what_live_rows_were_charged(operations):
+    """Same for rows: callers hold the ``Row`` objects ``get`` returns."""
+    store = TableStore()
+    charged = {}
+    for operation, key, text in operations:
+        if operation == "upsert":
+            row = store.upsert("t", key, {"text": text})
+            charged[key] = estimate_size(row.columns)
+        elif operation == "mutate":
+            row = store.get("t", key)
+            if row is not None and text:
+                row.columns[text] = text * 10
+            elif row is not None:
+                row.columns.clear()
+        else:
+            store.delete("t", key)
+            charged.pop(key, None)
+        assert store.bytes_stored == sum(charged.values())
 
 
 @given(
