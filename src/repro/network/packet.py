@@ -64,12 +64,8 @@ class Packet:
 
 
 def _leaves_size(leaves: Iterable[Any]) -> int:
-    """Sum of ``estimate_size(leaf, 4)`` over ``leaves`` in one loop.
-
-    ``str``, ``int`` and ``float`` leaves (SPE results, control messages:
-    nearly every leaf) are sized inline; only containers and unusual types
-    recurse.  A dict is walked as its keys, then its values.
-    """
+    """Sum of ``estimate_size(leaf, 4)`` over ``leaves``, in one loop that
+    sizes ``str`` / ``int`` / ``float`` leaves inline."""
     total = 0
     for leaf in leaves:
         kind = type(leaf)
@@ -86,16 +82,11 @@ def _leaves_size(leaves: Iterable[Any]) -> int:
 def estimate_size(payload: Any, floor: int = 16) -> int:
     """Best-effort serialized size estimate for arbitrary payloads.
 
-    Strings count their UTF-8 bytes (ASCII ones skip the encode), numbers 8,
-    bytes their length and anything else its ``repr``; a dict sums its keys
-    and values and a list, tuple or set its items, each at a floor of 4.
-    The result is never below ``floor``.
-
-    Broker records and batches carry sizes computed once at construction,
-    but stub components, control-plane messages and the SPE's ``KafkaSink``
-    (every result record, through ``ColumnBatch.size_at``) send plain Python
-    objects sized here.  The walk visits each value once: scalar leaves are
-    sized inline by :func:`_leaves_size`, and only nested containers recurse.
+    Broker records and batches carry sizes computed at construction; stub
+    components, control-plane messages and the SPE's ``KafkaSink`` (every
+    result record, through ``ColumnBatch.size_at``) send plain objects sized
+    here, in one walk: :func:`_leaves_size` sizes scalar leaves inline and
+    only nested containers recurse.
     """
     if isinstance(payload, dict):
         size = _leaves_size(payload.keys()) + _leaves_size(payload.values())

@@ -12,10 +12,9 @@ class KeyValueStore:
 
     The store tracks an approximate on-disk/in-memory footprint so the
     resource model can report storage growth, and counts operations so
-    benchmarks can reason about access patterns.  Each key remembers the
-    size it was charged at its last put, and an overwrite or delete gives
-    back exactly that: the store keeps the caller's object, which the caller
-    may mutate afterwards.
+    benchmarks can reason about access patterns.  An overwrite or delete
+    gives back what the key was charged at its put: the store keeps the
+    caller's object, which the caller may mutate afterwards.
     """
 
     def __init__(self, name: str = "kvstore") -> None:

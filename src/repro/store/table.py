@@ -22,9 +22,8 @@ class Row:
 class Table:
     """A single named table.
 
-    Each row remembers the size it was charged at its last upsert, and the
-    next upsert or a delete gives back exactly that: callers hold the
-    :class:`Row` objects and may mutate their columns in between.
+    An upsert or delete gives back what the row was charged at its last
+    upsert: callers hold the :class:`Row` objects and may mutate them.
     """
 
     def __init__(self, name: str) -> None:
