@@ -118,19 +118,17 @@ def test_bench_ablation_batch_interval(run_once):
 def test_bench_ablation_routing_under_failure(run_once):
     """Shortest-path re-routing restores connectivity faster than spanning-tree rebuilds."""
     from repro.network.network import Network
-    from repro.network.topology import TopologyBuilder
 
     def run_one(routing):
         sim = Simulator(seed=11)
-        builder = TopologyBuilder()
+        network = Network(sim, routing=routing)
+        network.add_host("a")
+        network.add_host("b")
         for name in ("s1", "s2", "s3"):
-            builder.add_switch(name)
-        builder.add_host("a").add_host("b")
-        cfg = LinkConfig(latency_ms=2.0)
-        builder.add_link("a", "s1", cfg).add_link("b", "s2", cfg)
-        builder.add_link("s1", "s2", cfg).add_link("s2", "s3", cfg).add_link("s1", "s3", cfg)
-        network = builder.build(sim, routing=routing)
-        network.start(monitor=False)
+            network.add_switch(name)
+        for a, b in (("a", "s1"), ("b", "s2"), ("s1", "s2"), ("s2", "s3"), ("s1", "s3")):
+            network.add_link(a, b, LinkConfig(latency_ms=2.0))
+        network.start()
         delivered = []
         network.host("b").bind(5, lambda pkt: delivered.append(sim.now))
 

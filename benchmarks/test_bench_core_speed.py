@@ -139,7 +139,7 @@ def test_bench_packet_round_trips():
     cfg = LinkConfig(latency_ms=1.0, bandwidth_mbps=1000.0)
     net.add_link("h1", "s1", cfg)
     net.add_link("h2", "s1", cfg)
-    net.start(monitor=False)
+    net.start()
     done = [0]
 
     def pong(pkt):

@@ -166,9 +166,7 @@ class BrokerCluster:
         self.coordinator.start()
         for broker in self.brokers.values():
             broker.start()
-        self.sim.schedule_callback(
-            settle_time, self._create_topics, name="cluster:create-topics"
-        )
+        self.sim.call_later(settle_time, self._create_topics)
 
     def _create_topics(self) -> None:
         for config in self.topics.values():

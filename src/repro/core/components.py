@@ -32,7 +32,6 @@ from repro.engine.executor import ExecutorConfig
 from repro.network.faults import FaultInjector, LinkFault, NodeDisconnection
 from repro.network.link import LinkConfig
 from repro.network.network import Network
-from repro.network.topology import TopologyBuilder
 from repro.simulation import Simulator
 from repro.store.server import StoreServer
 from repro.stubs.consumers import (
@@ -65,16 +64,15 @@ class Deployment:
 
 
 def build_network(task: TaskDescription, sim: Simulator, monitor_interval: float) -> Network:
-    """Create hosts, switches and links from the task description."""
-    builder = TopologyBuilder()
-    for node in task.nodes.values():
-        if node.is_switch:
-            builder.add_switch(node.node_id)
-        else:
-            cpu = float(node.attribute(NodeAttribute.CPU_PERCENTAGE.value, 100.0))
-            builder.add_host(node.node_id, cpu_percentage=cpu)
+    """Create hosts, then switches, then links from the (validated) task."""
+    network = Network(sim, monitor_interval=monitor_interval)
+    for node in task.hosts():
+        cpu = float(node.attribute(NodeAttribute.CPU_PERCENTAGE.value, 100.0))
+        network.add_host(node.node_id, cpu_percentage=cpu)
+    for node in task.switches():
+        network.add_switch(node.node_id)
     for link in task.links:
-        builder.add_link(
+        network.add_link(
             link.source,
             link.target,
             config=LinkConfig(
@@ -85,8 +83,7 @@ def build_network(task: TaskDescription, sim: Simulator, monitor_interval: float
             port_a=link.source_port,
             port_b=link.destination_port,
         )
-    network = builder.build(sim, monitor_interval=monitor_interval)
-    network.start(monitor=False)
+    network.start()
     return network
 
 
@@ -170,12 +167,10 @@ def schedule_fault(injector: FaultInjector, fault: FaultSpec) -> None:
                 def restore_loss(link=link, loss=original):
                     link.config.loss_percent = loss
 
-                injector.network.sim.schedule_callback(
-                    fault.start, raise_loss, name="fault:loss-up"
-                )
+                injector.network.sim.call_later(fault.start, raise_loss)
                 if fault.duration is not None:
-                    injector.network.sim.schedule_callback(
-                        fault.start + fault.duration, restore_loss, name="fault:loss-down"
+                    injector.network.sim.call_later(
+                        fault.start + fault.duration, restore_loss
                     )
     else:
         raise ValueError(f"unknown fault kind {fault.kind!r}")

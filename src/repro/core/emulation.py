@@ -196,7 +196,7 @@ class Emulation:
                 context.start()
             self.event_log.record(self.sim.now, "emulation", "clients-started")
 
-        self.sim.schedule_callback(start_at, start_clients, name="emulation:start-clients")
+        self.sim.call_later(start_at, start_clients)
 
         total = warmup + duration
         self.sim.run(until=total)

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+import networkx as nx
+
 from repro.core.attributes import (
     NodeAttribute,
     validate_link_attributes,
@@ -211,6 +213,13 @@ class TaskDescription:
                 problems.append(f"link {link.source}-{link.target}: {problem}")
         if not self.links and len(self.nodes) > 1:
             problems.append("task has multiple nodes but no links")
+        elif self.links:
+            graph = nx.Graph()
+            graph.add_nodes_from(self.nodes)
+            graph.add_edges_from((link.source, link.target) for link in self.links)
+            if not nx.is_connected(graph):
+                components = nx.number_connected_components(graph)
+                problems.append(f"topology is not connected ({components} components)")
         broker_nodes = self.nodes_with("brokerCfg")
         if self.topics and not broker_nodes:
             problems.append("topics are configured but no node hosts a broker")

@@ -80,30 +80,20 @@ class FaultInjector:
         """Register a link fault to be executed at its start time."""
         self.scheduled.append(fault)
         sim = self.network.sim
-        sim.schedule_callback(
-            fault.start, lambda f=fault: self._bring_link_down(f), name="fault:link-down"
-        )
+        sim.call_later(fault.start, self._bring_link_down, fault)
         if fault.duration is not None:
-            sim.schedule_callback(
-                fault.start + fault.duration,
-                lambda f=fault: self._bring_link_up(f),
-                name="fault:link-up",
-            )
+            sim.call_later(fault.start + fault.duration, self._bring_link_up, fault)
 
     def schedule_node_disconnection(self, disconnection: NodeDisconnection) -> None:
         """Register the disconnection of every link attached to a node."""
         self.scheduled.append(disconnection)
         sim = self.network.sim
-        sim.schedule_callback(
-            disconnection.start,
-            lambda d=disconnection: self._disconnect_node(d),
-            name="fault:node-down",
-        )
+        sim.call_later(disconnection.start, self._disconnect_node, disconnection)
         if disconnection.duration is not None:
-            sim.schedule_callback(
+            sim.call_later(
                 disconnection.start + disconnection.duration,
-                lambda d=disconnection: self._reconnect_node(d),
-                name="fault:node-up",
+                self._reconnect_node,
+                disconnection,
             )
 
     def partition(self, group_a: List[str], group_b: List[str], start: float,

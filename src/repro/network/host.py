@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
 
-from repro.network.addressing import NodeAddress
 from repro.network.node import NetworkNode, Port
 from repro.network.packet import Packet, estimate_size
 from repro.simulation.resources import Resource
@@ -31,7 +30,6 @@ class Host(NetworkNode):
         self,
         sim: "Simulator",
         name: str,
-        address: Optional[NodeAddress] = None,
         cpu_percentage: float = 100.0,
         cores: int = 8,
     ) -> None:
@@ -40,7 +38,6 @@ class Host(NetworkNode):
             raise ValueError("cpu_percentage must lie in (0, 100]")
         if cores <= 0:
             raise ValueError("cores must be positive")
-        self.address = address
         self.cpu_percentage = cpu_percentage
         self.cores = cores
         self.cpu = Resource(sim, capacity=cores)
@@ -112,11 +109,6 @@ class Host(NetworkNode):
         finally:
             self.cpu.release(request)
 
-    @property
-    def cpu_load(self) -> float:
-        """Fraction of cores currently busy (instantaneous)."""
-        return self.cpu.in_use / self.cpu.capacity
-
     # -- sending -----------------------------------------------------------------
     def send(
         self,
@@ -168,5 +160,4 @@ class Host(NetworkNode):
         handler(packet)
 
     def __repr__(self) -> str:
-        ip = self.address.ip if self.address else "?"
-        return f"<Host {self.name} ip={ip} services={sorted(self._services)}>"
+        return f"<Host {self.name} services={sorted(self._services)}>"

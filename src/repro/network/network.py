@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Union
 
-from repro.network.addressing import AddressAllocator
 from repro.network.controller import NetworkController
 from repro.network.host import Host
 from repro.network.link import Link, LinkConfig
@@ -39,7 +38,6 @@ class Network:
         self.hosts: Dict[str, Host] = {}
         self.switches: Dict[str, Switch] = {}
         self.links: List[Link] = []
-        self.allocator = AddressAllocator()
         self.controller = NetworkController(self, routing=routing)
         self.bandwidth_monitor = BandwidthMonitor(self, interval=monitor_interval)
         self.started = False
@@ -48,16 +46,8 @@ class Network:
     def add_host(
         self, name: str, cpu_percentage: float = 100.0, cores: int = 8
     ) -> Host:
-        """Create a host and allocate it an IP/MAC."""
         self._check_new_name(name)
-        address = self.allocator.allocate(name)
-        host = Host(
-            self.sim,
-            name,
-            address=address,
-            cpu_percentage=cpu_percentage,
-            cores=cores,
-        )
+        host = Host(self.sim, name, cpu_percentage=cpu_percentage, cores=cores)
         host.network = self
         self.hosts[name] = host
         return host
@@ -140,16 +130,12 @@ class Network:
         return [link for link in self.links if node_name in link.endpoints()]
 
     # -- lifecycle ----------------------------------------------------------------------
-    def start(self, monitor: bool = True) -> None:
-        """Install routes and start monitoring; must be called before traffic flows."""
+    def start(self) -> None:
+        """Install routes; must be called before traffic flows.  Nothing is
+        scheduled: whoever owns the sampling tick calls
+        ``bandwidth_monitor.sample`` (``Emulation._monitor`` does)."""
         self.controller.install_all_routes()
-        if monitor:
-            self.bandwidth_monitor.start()
         self.started = True
-
-    def stop(self) -> None:
-        self.bandwidth_monitor.stop()
-        self.started = False
 
     # -- statistics -----------------------------------------------------------------------
     def total_packets_delivered(self) -> int:

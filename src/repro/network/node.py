@@ -84,12 +84,6 @@ class NetworkNode:
         self.ports[number] = port
         return port
 
-    def port_by_number(self, number: int) -> Port:
-        try:
-            return self.ports[number]
-        except KeyError:
-            raise KeyError(f"{self.name} has no port {number}") from None
-
     def receive(self, packet: Packet, port: Port) -> None:
         """Handle a packet arriving on ``port`` (overridden by subclasses)."""
         raise NotImplementedError

@@ -1,9 +1,11 @@
-"""OpenFlow-style port statistics and bandwidth monitoring.
+"""OpenFlow-style port statistics and bandwidth sampling.
 
 stream2gym uses OpenFlow 1.3 port counters to report per-port throughput.  We
-keep equivalent counters on every emulated port and provide a periodic
-bandwidth monitor that samples them, producing the time-series the
-visualization module (and Figure 6d) consumes.
+keep equivalent counters on every emulated port, and a :class:`BandwidthMonitor`
+turns them into the time series the visualization module (and Figure 6d)
+consumes.  The monitor schedules nothing: its owner calls
+:meth:`BandwidthMonitor.sample` once per interval (``Emulation._monitor``,
+the one sampling tick of a run, does).
 """
 
 from __future__ import annotations
@@ -70,20 +72,6 @@ class BandwidthSeries:
     def times(self) -> List[float]:
         return [s.time for s in self.samples]
 
-    def tx_series(self) -> List[float]:
-        return [s.tx_mbps for s in self.samples]
-
-    def rx_series(self) -> List[float]:
-        return [s.rx_mbps for s in self.samples]
-
-    def peak_tx(self) -> float:
-        return max((s.tx_mbps for s in self.samples), default=0.0)
-
-    def mean_tx(self) -> float:
-        if not self.samples:
-            return 0.0
-        return sum(s.tx_mbps for s in self.samples) / len(self.samples)
-
     def __iter__(self) -> Iterator[BandwidthSample]:
         return iter(self.samples)
 
@@ -92,14 +80,16 @@ class BandwidthSeries:
 
 
 class BandwidthMonitor:
-    """Periodically samples port counters and derives throughput series.
+    """Derives per-host throughput series from port counters, one
+    :meth:`sample` at a time.
 
     Parameters
     ----------
     network:
         The :class:`~repro.network.network.Network` to monitor.
     interval:
-        Sampling period in seconds (stream2gym samples every 500 ms).
+        Seconds between two calls of :meth:`sample` (stream2gym samples every
+        500 ms); rates are byte deltas over this period.
     """
 
     def __init__(self, network, interval: float = 0.5) -> None:
@@ -109,28 +99,9 @@ class BandwidthMonitor:
         self.interval = interval
         self.series: Dict[str, BandwidthSeries] = {}
         self._last_counters: Dict[str, Tuple[int, int]] = {}
-        self._running = False
-        self._process = None
-
-    def start(self) -> None:
-        """Begin sampling (idempotent)."""
-        if self._running:
-            return
-        self._running = True
-        self._process = self.network.sim.process(self._run(), name="bandwidth-monitor")
-
-    def stop(self) -> None:
-        self._running = False
-
-    def _run(self):
-        sim = self.network.sim
-        while self._running:
-            yield sim.timeout(self.interval)
-            self.sample(sim.now)
 
     def sample(self, now: float) -> None:
-        """Take one sample per host; call once per ``interval`` (``start()``
-        does, and so does a caller that owns the sampling tick)."""
+        """Take one sample per host; the owner calls this once per ``interval``."""
         for host in self.network.hosts.values():
             stats = host.port.stats
             previous_tx, previous_rx = self._last_counters.get(host.name, (0, 0))

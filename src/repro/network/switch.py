@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Dict
 
 from repro.network.node import NetworkNode, Port
 from repro.network.packet import Packet
@@ -47,14 +47,8 @@ class Switch(NetworkNode):
             raise KeyError(f"{self.name} has no port {out_port}")
         self.forwarding_table[dst_host] = out_port
 
-    def remove_route(self, dst_host: str) -> None:
-        self.forwarding_table.pop(dst_host, None)
-
     def clear_routes(self) -> None:
         self.forwarding_table.clear()
-
-    def route_for(self, dst_host: str) -> Optional[int]:
-        return self.forwarding_table.get(dst_host)
 
     # -- data plane ------------------------------------------------------------------
     def receive(self, packet: Packet, port: Port) -> None:

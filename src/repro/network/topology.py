@@ -1,126 +1,23 @@
-"""Topology builders.
+"""Canonical topologies of the paper's evaluation.
 
-stream2gym users express topologies in GraphML; internally those are turned
-into hosts, switches and links.  This module provides both the programmatic
-builder used by the GraphML loader and a few canonical topologies used
-throughout the paper's evaluation: the "one big switch" abstraction (Figure 2)
-and the star of coordinating sites (Figure 6a).
+stream2gym users express topologies in GraphML; ``core.components``
+turns those into hosts, switches and links with ``Network.add_*``.  This
+module builds the shapes the evaluation uses the same way: the "one big
+switch" abstraction (Figure 2), the star of coordinating sites (Figure 6a)
+and Mininet's ``linear`` chain.  Hosts are created first, then switches,
+then links.  Every link gets its own copy of its :class:`LinkConfig`, so
+mutating one link mid-run (a ``transient_loss`` fault does) leaves the
+others and the caller's config alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import replace
 from typing import Dict, Iterable, List, Optional, Tuple
-
-import networkx as nx
 
 from repro.network.link import LinkConfig
 from repro.network.network import Network
 from repro.simulation import Simulator
-
-
-@dataclass
-class LinkSpec:
-    """Declarative description of one link before it is materialized."""
-
-    a: str
-    b: str
-    config: LinkConfig = field(default_factory=LinkConfig)
-    port_a: Optional[int] = None
-    port_b: Optional[int] = None
-
-
-@dataclass
-class HostSpec:
-    """Declarative description of one host."""
-
-    name: str
-    cpu_percentage: float = 100.0
-    cores: int = 8
-
-
-class TopologyBuilder:
-    """Accumulates node/link specifications and materializes a :class:`Network`."""
-
-    def __init__(self) -> None:
-        self.host_specs: Dict[str, HostSpec] = {}
-        self.switch_names: List[str] = []
-        self.link_specs: List[LinkSpec] = []
-
-    # -- declaration --------------------------------------------------------------
-    def add_host(
-        self, name: str, cpu_percentage: float = 100.0, cores: int = 8
-    ) -> "TopologyBuilder":
-        if name in self.host_specs or name in self.switch_names:
-            raise ValueError(f"duplicate node name {name!r}")
-        self.host_specs[name] = HostSpec(name, cpu_percentage, cores)
-        return self
-
-    def add_switch(self, name: str) -> "TopologyBuilder":
-        if name in self.host_specs or name in self.switch_names:
-            raise ValueError(f"duplicate node name {name!r}")
-        self.switch_names.append(name)
-        return self
-
-    def add_link(
-        self,
-        a: str,
-        b: str,
-        config: Optional[LinkConfig] = None,
-        port_a: Optional[int] = None,
-        port_b: Optional[int] = None,
-    ) -> "TopologyBuilder":
-        self.link_specs.append(
-            LinkSpec(a=a, b=b, config=config or LinkConfig(), port_a=port_a, port_b=port_b)
-        )
-        return self
-
-    @property
-    def node_names(self) -> List[str]:
-        return list(self.host_specs) + list(self.switch_names)
-
-    # -- validation ----------------------------------------------------------------
-    def validate(self) -> None:
-        """Check that links reference known nodes and the graph is connected."""
-        known = set(self.node_names)
-        for spec in self.link_specs:
-            for end in (spec.a, spec.b):
-                if end not in known:
-                    raise ValueError(f"link references unknown node {end!r}")
-        graph = self.as_graph()
-        if graph.number_of_nodes() > 1 and not nx.is_connected(graph):
-            components = list(nx.connected_components(graph))
-            raise ValueError(
-                f"topology is not connected ({len(components)} components)"
-            )
-
-    def as_graph(self) -> nx.Graph:
-        graph = nx.Graph()
-        for name in self.node_names:
-            graph.add_node(name)
-        for spec in self.link_specs:
-            graph.add_edge(spec.a, spec.b, latency_ms=spec.config.latency_ms)
-        return graph
-
-    # -- materialization ------------------------------------------------------------
-    def build(
-        self,
-        sim: Simulator,
-        routing: str = "shortest-path",
-        monitor_interval: float = 0.5,
-    ) -> Network:
-        """Create the network and all of its nodes and links."""
-        self.validate()
-        network = Network(sim, routing=routing, monitor_interval=monitor_interval)
-        for spec in self.host_specs.values():
-            network.add_host(spec.name, cpu_percentage=spec.cpu_percentage, cores=spec.cores)
-        for name in self.switch_names:
-            network.add_switch(name)
-        for spec in self.link_specs:
-            network.add_link(
-                spec.a, spec.b, config=spec.config, port_a=spec.port_a, port_b=spec.port_b
-            )
-        return network
 
 
 def one_big_switch(
@@ -136,15 +33,16 @@ def one_big_switch(
     is how the Figure 5 experiment varies one component's link delay at a
     time.
     """
-    builder = TopologyBuilder()
-    builder.add_switch(switch_name)
     configs = link_configs or {}
     base = default_config or LinkConfig(latency_ms=1.0)
-    for name in host_names:
-        builder.add_host(name)
-        builder.add_link(name, switch_name, config=configs.get(name, base))
-    network = builder.build(sim)
-    network.start(monitor=False)
+    network = Network(sim)
+    names = list(host_names)
+    for name in names:
+        network.add_host(name)
+    network.add_switch(switch_name)
+    for name in names:
+        network.add_link(name, switch_name, config=replace(configs.get(name, base)))
+    network.start()
     return network
 
 
@@ -162,17 +60,15 @@ def star_topology(
     """
     if n_sites <= 0:
         raise ValueError("n_sites must be positive")
-    builder = TopologyBuilder()
-    builder.add_switch(core_switch)
     config = link_config or LinkConfig(latency_ms=2.0, bandwidth_mbps=100.0)
-    names = []
-    for index in range(1, n_sites + 1):
-        name = f"{site_prefix}{index}"
-        names.append(name)
-        builder.add_host(name)
-        builder.add_link(name, core_switch, config=config)
-    network = builder.build(sim)
-    network.start(monitor=False)
+    names = [f"{site_prefix}{index}" for index in range(1, n_sites + 1)]
+    network = Network(sim)
+    for name in names:
+        network.add_host(name)
+    network.add_switch(core_switch)
+    for name in names:
+        network.add_link(name, core_switch, config=replace(config))
+    network.start()
     return network, names
 
 
@@ -184,16 +80,15 @@ def linear_topology(
     """A chain of switches, one host per switch (Mininet's ``linear`` topology)."""
     if n_hosts <= 0:
         raise ValueError("n_hosts must be positive")
-    builder = TopologyBuilder()
     config = link_config or LinkConfig(latency_ms=1.0)
+    network = Network(sim)
     for index in range(1, n_hosts + 1):
-        switch = f"s{index}"
-        host = f"h{index}"
-        builder.add_switch(switch)
-        builder.add_host(host)
-        builder.add_link(host, switch, config=config)
+        network.add_host(f"h{index}")
+    for index in range(1, n_hosts + 1):
+        network.add_switch(f"s{index}")
+    for index in range(1, n_hosts + 1):
+        network.add_link(f"h{index}", f"s{index}", config=replace(config))
         if index > 1:
-            builder.add_link(f"s{index - 1}", switch, config=config)
-    network = builder.build(sim)
-    network.start(monitor=False)
+            network.add_link(f"s{index - 1}", f"s{index}", config=replace(config))
+    network.start()
     return network

@@ -113,10 +113,6 @@ class Transport:
         if not self.host.is_bound(port):
             self.host.bind(port, lambda packet, p=port: self._on_request(packet, p))
 
-    def unregister(self, port: int) -> None:
-        self._handlers.pop(port, None)
-        self.host.unbind(port)
-
     def _on_request(self, packet: Packet, port: int) -> None:
         handler = self._handlers.get(port)
         if handler is None:

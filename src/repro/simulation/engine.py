@@ -171,16 +171,6 @@ class Simulator:
             self._queue, (self._now + delay, NORMAL, next(self._eid), _Callback(fn, args))
         )
 
-    def schedule_callback(
-        self, delay: float, callback: Callable[[], None], name: str = "callback"
-    ) -> None:
-        """Run ``callback()`` once, ``delay`` seconds from now.
-
-        Thin compatibility wrapper over :meth:`call_later` (it used to spawn a
-        throwaway process per callback; it no longer does).
-        """
-        self.call_later(delay, callback)
-
     # -- run loop -------------------------------------------------------------
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if the queue is empty."""

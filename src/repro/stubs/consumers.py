@@ -45,9 +45,7 @@ class ConsumerStub:
             return
         self.running = True
         if self.config.start_delay > 0:
-            self.sim.schedule_callback(
-                self.config.start_delay, self.consumer.start, name=f"{self.name}:start"
-            )
+            self.sim.call_later(self.config.start_delay, self.consumer.start)
         else:
             self.consumer.start()
 

@@ -26,7 +26,6 @@ value)`` — the history's default identity — is unique.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import List, Tuple
 
 from repro.broker.cluster import BrokerCluster, ClusterConfig
@@ -138,10 +137,15 @@ class FaultSchedule:
                 )
             else:  # leader_failover
                 topic, _, partition = action.target.rpartition("-")
-                fire = partial(
-                    _disconnect_leader, injector, cluster, topic, int(partition), action.duration
+                cluster.sim.call_later(
+                    action.start,
+                    _disconnect_leader,
+                    injector,
+                    cluster,
+                    topic,
+                    int(partition),
+                    action.duration,
                 )
-                cluster.sim.schedule_callback(action.start, fire, name="chaos:leader-failover")
 
 
 def _disconnect(injector: FaultInjector, host: str, duration: float, start: float = 0.0) -> None:

@@ -1,9 +1,8 @@
-"""Unit tests for addressing, packets, links, hosts and switches."""
+"""Unit tests for packets, links, hosts and switches."""
 
 import pytest
 
 from repro.network import LinkConfig, Network, Packet
-from repro.network.addressing import AddressAllocator
 from repro.network.packet import estimate_size
 from repro.simulation import Simulator
 
@@ -17,38 +16,8 @@ def make_two_host_net(latency_ms=10.0, bandwidth_mbps=100.0, loss=0.0, seed=1):
     cfg = LinkConfig(latency_ms=latency_ms, bandwidth_mbps=bandwidth_mbps, loss_percent=loss)
     net.add_link("h1", "s1", cfg)
     net.add_link("h2", "s1", cfg)
-    net.start(monitor=False)
+    net.start()
     return sim, net
-
-
-class TestAddressing:
-    def test_sequential_ips(self):
-        alloc = AddressAllocator()
-        a = alloc.allocate("h1")
-        b = alloc.allocate("h2")
-        assert a.ip == "10.0.0.1"
-        assert b.ip == "10.0.0.2"
-
-    def test_allocate_is_idempotent(self):
-        alloc = AddressAllocator()
-        assert alloc.allocate("h1") is alloc.allocate("h1")
-        assert len(alloc) == 1
-
-    def test_lookup_and_resolve(self):
-        alloc = AddressAllocator()
-        addr = alloc.allocate("h9")
-        assert alloc.lookup("h9") == addr
-        assert alloc.resolve_ip(addr.ip) == addr
-        assert alloc.lookup("nope") is None
-
-    def test_macs_are_unique(self):
-        alloc = AddressAllocator()
-        macs = {alloc.allocate(f"h{i}").mac for i in range(50)}
-        assert len(macs) == 50
-
-    def test_invalid_base_network(self):
-        with pytest.raises(ValueError):
-            AddressAllocator("not-an-ip")
 
 
 class TestPacket:

@@ -4,12 +4,9 @@ import pytest
 
 from repro.network import LinkConfig, Network, RequestTimeout, RemoteError, Transport
 from repro.network.faults import FaultInjector, LinkFault, NodeDisconnection
-from repro.network.topology import (
-    TopologyBuilder,
-    linear_topology,
-    one_big_switch,
-    star_topology,
-)
+from repro.core.emulation import Emulation
+from repro.core.task import TaskDescription
+from repro.network.topology import linear_topology, one_big_switch, star_topology
 from repro.network.transport import Request, Response
 from repro.simulation import Simulator
 
@@ -39,15 +36,14 @@ class TestController:
     def test_reroute_after_link_failure(self):
         # Triangle of switches: traffic should survive one inter-switch failure.
         sim = Simulator()
-        builder = TopologyBuilder()
+        net = Network(sim)
+        net.add_host("h1")
+        net.add_host("h2")
         for s in ("s1", "s2", "s3"):
-            builder.add_switch(s)
-        builder.add_host("h1").add_host("h2")
-        cfg = LinkConfig(latency_ms=1.0)
-        builder.add_link("h1", "s1", cfg).add_link("h2", "s2", cfg)
-        builder.add_link("s1", "s2", cfg).add_link("s2", "s3", cfg).add_link("s1", "s3", cfg)
-        net = builder.build(sim)
-        net.start(monitor=False)
+            net.add_switch(s)
+        for a, b in (("h1", "s1"), ("h2", "s2"), ("s1", "s2"), ("s2", "s3"), ("s1", "s3")):
+            net.add_link(a, b, LinkConfig(latency_ms=1.0))
+        net.start()
         got = []
         net.host("h2").bind(7, lambda pkt: got.append(sim.now))
 
@@ -82,7 +78,7 @@ class TestController:
         net.add_link("h1", "s1", cfg)
         net.add_link("h2", "s2", cfg)
         net.add_link("s1", "s2", cfg)
-        net.start(monitor=False)
+        net.start()
         got = []
         net.host("h2").bind(1, lambda pkt: got.append(pkt.payload))
         net.host("h1").send("h2", "ok", size=10, dst_port=1)
@@ -97,23 +93,72 @@ class TestController:
 
 class TestTopologies:
     def test_builder_validates_unknown_nodes(self):
-        builder = TopologyBuilder()
-        builder.add_host("h1")
-        builder.add_link("h1", "ghost")
+        """A task whose link names an unknown node never reaches ``Network``."""
+        task = TaskDescription()
+        task.add_node("h1", brokerCfg={})
+        task.add_link("h1", "ghost")
+        assert task.validate() == ["link references unknown node 'ghost'"]
         with pytest.raises(ValueError, match="unknown node"):
-            builder.validate()
+            Emulation(task)
 
     def test_builder_rejects_disconnected_graphs(self):
-        builder = TopologyBuilder()
-        builder.add_host("h1").add_host("h2")
+        """h1-s1 and h2-s2 with nothing between the switches."""
+        task = TaskDescription()
+        for host, switch in (("h1", "s1"), ("h2", "s2")):
+            task.add_node(host, brokerCfg={})
+            task.add_switch(switch)
+            task.add_link(host, switch)
+        assert task.validate() == ["topology is not connected (2 components)"]
         with pytest.raises(ValueError, match="not connected"):
-            builder.validate()
+            Emulation(task)
 
     def test_builder_duplicate_names(self):
-        builder = TopologyBuilder()
-        builder.add_host("x")
-        with pytest.raises(ValueError):
-            builder.add_switch("x")
+        net = Network(Simulator())
+        net.add_host("x")
+        with pytest.raises(ValueError, match="already in use"):
+            net.add_switch("x")
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda sim: one_big_switch(sim, ["h1", "h2", "h3"]),
+            lambda sim: star_topology(sim, 4)[0],
+            lambda sim: linear_topology(sim, 4),
+        ],
+        ids=["one_big_switch", "star", "linear"],
+    )
+    def test_canned_topology_is_fully_reachable(self, build):
+        matrix = build(Simulator()).controller.reachability()
+        assert matrix and all(all(row.values()) for row in matrix.values())
+
+    def test_canned_topologies_give_each_link_its_own_config(self):
+        """Mutating one link mid-run (``transient_loss`` does) must not reach
+        the other links or the caller's config objects."""
+        sim = Simulator()
+        default = LinkConfig(latency_ms=1.0)
+        override = LinkConfig(latency_ms=150.0)
+        net = one_big_switch(
+            sim, ["h1", "h2", "h3"], link_configs={"h3": override}, default_config=default
+        )
+        net.link_between("h1", "s1").config.loss_percent = 100.0
+        net.link_between("h3", "s1").config.loss_percent = 100.0
+        assert net.link_between("h2", "s1").config.loss_percent == 0.0
+        assert default.loss_percent == 0.0 and override.loss_percent == 0.0
+
+        shared = LinkConfig(latency_ms=2.0)
+        star, sites = star_topology(sim, 3, link_config=shared)
+        star.link_between(sites[0], "s0").config.latency_ms = 500.0
+        assert [star.link_between(site, "s0").config.latency_ms for site in sites] == [
+            500.0,
+            2.0,
+            2.0,
+        ]
+        assert shared.latency_ms == 2.0
+
+        chain = linear_topology(sim, 3, link_config=shared)
+        chain.link_between("s1", "s2").config.latency_ms = 500.0
+        assert [link.config.latency_ms for link in chain.links].count(500.0) == 1
+        assert shared.latency_ms == 2.0
 
     def test_star_topology_shape(self):
         sim = Simulator()

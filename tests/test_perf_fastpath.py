@@ -22,7 +22,7 @@ def make_two_host_net(latency_ms=10.0, bandwidth_mbps=100.0, loss=0.0, seed=1):
     cfg = LinkConfig(latency_ms=latency_ms, bandwidth_mbps=bandwidth_mbps, loss_percent=loss)
     net.add_link("h1", "s1", cfg)
     net.add_link("h2", "s1", cfg)
-    net.start(monitor=False)
+    net.start()
     return sim, net
 
 

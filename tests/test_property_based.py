@@ -11,7 +11,6 @@ from repro.broker.message import ProducerRecord, _stable_hash
 from repro.broker.segment import LogStorageConfig
 from repro.core.configs import _duration_to_seconds, _size_to_bytes
 from repro.core.visualization import cdf, percentile, summarize_distribution
-from repro.network.addressing import AddressAllocator
 from repro.network.link import LinkConfig
 from repro.network.packet import estimate_size
 from repro.simulation import Simulator
@@ -67,15 +66,6 @@ def test_poisson_samples_are_non_negative_integers(lam):
 # ---------------------------------------------------------------------------
 # Network primitives
 # ---------------------------------------------------------------------------
-@given(names=st.lists(st.text(min_size=1, max_size=10), min_size=1, max_size=100, unique=True))
-@settings(max_examples=30, deadline=None)
-def test_address_allocation_is_unique(names):
-    allocator = AddressAllocator()
-    addresses = [allocator.allocate(name) for name in names]
-    assert len({address.ip for address in addresses}) == len(names)
-    assert len({address.mac for address in addresses}) == len(names)
-
-
 @given(
     size=st.integers(min_value=0, max_value=10**7),
     bandwidth=st.floats(min_value=0.1, max_value=10_000.0),

@@ -225,10 +225,10 @@ def test_any_of_fires_on_first_event():
     assert sim.now == pytest.approx(1.0)
 
 
-def test_schedule_callback_runs_at_delay():
+def test_call_later_runs_at_delay():
     sim = Simulator()
     fired = []
-    sim.schedule_callback(7.5, lambda: fired.append(sim.now))
+    sim.call_later(7.5, lambda: fired.append(sim.now))
     sim.run()
     assert fired == [7.5]
 

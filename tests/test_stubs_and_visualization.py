@@ -52,7 +52,7 @@ class TestProducerStubs:
         sink = StandardConsumerStub(
             cluster, sites[2], config=ConsumerStubConfig(topics=["events"])
         )
-        sim.schedule_callback(8.0, lambda: (stub.start(), sink.start()))
+        sim.call_later(8.0, lambda: (stub.start(), sink.start()))
         sim.run(until=30.0)
         assert stub.messages_produced == 15
         assert [record.value for record in sink.records] == items
@@ -65,7 +65,7 @@ class TestProducerStubs:
             ["a", "b"],
             config=ProducerStubConfig(topic="events", total_messages=5, messages_per_second=20),
         )
-        sim.schedule_callback(8.0, stub.start)
+        sim.call_later(8.0, stub.start)
         sim.run(until=20.0)
         assert stub.messages_produced == 5
 
@@ -81,7 +81,7 @@ class TestProducerStubs:
         sink = StandardConsumerStub(
             cluster, sites[2], config=ConsumerStubConfig(topics=["events"])
         )
-        sim.schedule_callback(8.0, lambda: (stub.start(), sink.start()))
+        sim.call_later(8.0, lambda: (stub.start(), sink.start()))
         sim.run(until=25.0)
         assert sink.received_keys("events") == ["a.txt", "b.txt"]
 
@@ -92,7 +92,7 @@ class TestProducerStubs:
             sites[0],
             config=ProducerStubConfig(topics=["events"], rate_kbps=30.0, message_size=512),
         )
-        sim.schedule_callback(8.0, stub.start)
+        sim.call_later(8.0, stub.start)
         sim.run(until=68.0)
         elapsed = 60.0
         achieved_kbps = stub.bytes_produced * 8 / 1000.0 / elapsed
@@ -107,7 +107,7 @@ class TestProducerStubs:
         sink = StandardConsumerStub(
             cluster, sites[2], config=ConsumerStubConfig(topics=["events"])
         )
-        sim.schedule_callback(8.0, lambda: (stub.start(), sink.start()))
+        sim.call_later(8.0, lambda: (stub.start(), sink.start()))
         sim.run(until=30.0)
         received_at = {record.value: record.received_at for record in sink.records}
         assert received_at["second"] - received_at["first"] == pytest.approx(5.0, abs=0.5)
@@ -126,7 +126,7 @@ class TestConsumerStubs:
         sink = StandardConsumerStub(
             cluster, sites[1], config=ConsumerStubConfig(topics=["events"])
         )
-        sim.schedule_callback(8.0, lambda: (stub.start(), sink.start()))
+        sim.call_later(8.0, lambda: (stub.start(), sink.start()))
         sim.run(until=25.0)
         assert sink.messages_consumed == 10
         assert 0 < sink.mean_latency() < 1.0
@@ -145,7 +145,7 @@ class TestConsumerStubs:
         sink = FileSinkConsumerStub(
             cluster, sites[2], config=ConsumerStubConfig(topics=["alpha", "beta"])
         )
-        sim.schedule_callback(
+        sim.call_later(
             8.0, lambda: (producer_a.start(), producer_b.start(), sink.start())
         )
         sim.run(until=25.0)
@@ -164,7 +164,7 @@ class TestConsumerStubs:
             sites[2],
             config=ConsumerStubConfig(topics=["events"], store_host=sites[1], store_table="out"),
         )
-        sim.schedule_callback(8.0, lambda: (producer.start(), sink.start()))
+        sim.call_later(8.0, lambda: (producer.start(), sink.start()))
         sim.run(until=30.0)
         assert store.tables.table("out").count() == 3
 
@@ -185,7 +185,7 @@ class TestVisualizationFigures:
         )
         consumer = cluster.create_consumer(sites[2], name="obs")
         consumer.subscribe(["events"])
-        sim.schedule_callback(8.0, lambda: (producer_stub.start(), consumer.start()))
+        sim.call_later(8.0, lambda: (producer_stub.start(), consumer.start()))
         sim.run(until=25.0)
         return producer_stub.producer, consumer
 
