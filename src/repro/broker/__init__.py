@@ -23,12 +23,7 @@ from repro.broker.broker import Broker, BrokerConfig
 from repro.broker.cluster import BrokerCluster, ClusterConfig, CoordinationMode
 from repro.broker.consumer import Consumer, ConsumerConfig, ConsumerRecord
 from repro.broker.coordinator import Coordinator, GroupState, assign_range, assign_roundrobin
-from repro.broker.errors import (
-    BrokerUnavailableError,
-    DeliveryFailed,
-    NotLeaderError,
-    UnknownTopicError,
-)
+from repro.broker.errors import DeliveryFailed
 from repro.broker.log import LogRecord, PartitionLog
 from repro.broker.message import ProducerRecord, RecordMetadata
 from repro.broker.producer import Producer, ProducerConfig
@@ -55,8 +50,5 @@ __all__ = [
     "PartitionState",
     "PartitionLog",
     "LogRecord",
-    "NotLeaderError",
-    "UnknownTopicError",
-    "BrokerUnavailableError",
     "DeliveryFailed",
 ]

@@ -278,11 +278,6 @@ class RecordBatch:
             return default
         return self.timestamps[index]
 
-    def epoch_at(self, index: int) -> int:
-        if self.leader_epochs is None:
-            return self.leader_epoch
-        return self.leader_epochs[index]
-
     # -- iteration ---------------------------------------------------------------------
     def iter_records(self) -> Iterator[Tuple[int, Any, Any, int, float]]:
         """Yield ``(offset, key, value, size, produced_at)`` lazily per record."""

@@ -6,11 +6,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.broker.coordinator import COORDINATOR_PORT, CoordinationMode
-from repro.broker.errors import (
-    NotEnoughReplicasError,
-    NotLeaderError,
-    UnknownTopicError,
-)
 from repro.broker.batch import CONTROL_RECORD_SIZE, RecordBatch
 from repro.broker.log import LogRecord, PartitionLog
 from repro.broker.segment import LogStorageConfig, resolve_log_storage
@@ -158,12 +153,6 @@ class Broker:
             #: locally-led partitions and the log bytes they occupy.
             "control_batches": 0,
             "control_batch_bytes": 0,
-            #: Storage-plane counters, folded up from per-log ``stats`` after
-            #: every maintenance pass (all zero on flat-layout logs).
-            "segments_sealed": 0,
-            "segments_evicted": 0,
-            "retention_records_dropped": 0,
-            "compaction_records_removed": 0,
         }
         self.lost_records: List[LogRecord] = []
         self.transport.register(BROKER_PORT, self._handle)
@@ -439,7 +428,7 @@ class Broker:
             # accounted once from ``batch.total_size`` inside the log.
             base_offset = log.append_batch(batch, timestamp=self.sim.now, leader_epoch=epoch)
             self.records_appended += len(batch)
-            self._log_maintenance(log)
+            log.maybe_maintain(self.sim.now)
             self._maybe_advance_high_watermark(key)
             if acks == "all":
                 failure = yield from self._await_high_watermark(key, log.log_end_offset)
@@ -673,7 +662,7 @@ class Broker:
             )
             self.metrics["control_batches"] += 1
             self.metrics["control_batch_bytes"] += CONTROL_RECORD_SIZE
-            self._log_maintenance(log)
+            log.maybe_maintain(self.sim.now)
             self._maybe_advance_high_watermark(key)
             failure = yield from self._await_high_watermark(key, offset + 1)
             if failure is not None:
@@ -895,34 +884,9 @@ class Broker:
             # batch *past* the LEO — the leader's retention/compaction left a
             # gap — is adopted with a forced segment boundary.
             log.append_wire_batch(batch)
-            self._log_maintenance(log)
+            log.maybe_maintain(self.sim.now)
         log.set_high_watermark(reply["high_watermark"])
         return True
-
-    # -- storage maintenance -------------------------------------------------------------
-    def _log_maintenance(self, log: PartitionLog) -> None:
-        """Run one retention/compaction/eviction pass on ``log`` and fold the
-        per-log storage counters up into the broker metrics (a log without a
-        storage policy has neither)."""
-        if log.maybe_maintain(self.sim.now):
-            self.refresh_storage_metrics()
-
-    def refresh_storage_metrics(self) -> None:
-        """Fold the per-log storage counters up into ``metrics``.
-
-        Runs after every maintenance pass; readers (cluster aggregates,
-        scenario metrics) call it directly since fetch-driven fault-in can
-        evict segments between produce-side maintenance passes.
-        """
-        for name in (
-            "segments_sealed",
-            "segments_evicted",
-            "retention_records_dropped",
-            "compaction_records_removed",
-        ):
-            self.metrics[name] = sum(
-                partition_log.stats[name] for partition_log in self.logs.values()
-            )
 
     def __repr__(self) -> str:
         return f"<Broker {self.name} on {self.host.name} partitions={len(self.logs)}>"

@@ -173,24 +173,9 @@ class BrokerCluster:
             self.coordinator.create_topic(config)
 
     # -- introspection --------------------------------------------------------------------
-    def broker_on(self, host_name: str) -> Optional[Broker]:
-        for broker in self.brokers.values():
-            if broker.host.name == host_name:
-                return broker
-        return None
-
     def leader_broker(self, topic: str, partition: int = 0) -> Optional[Broker]:
         leader_name = self.coordinator.leader_of(topic, partition)
         return self.brokers.get(leader_name) if leader_name else None
-
-    def partition_states(self, topic: str) -> List:
-        """All partition states of one topic, in partition order."""
-        states = [
-            state
-            for state in self.coordinator.partitions.values()
-            if state.topic == topic
-        ]
-        return sorted(states, key=lambda state: state.partition)
 
     def group_state(self, name: str):
         """Coordinator-side state of one consumer group (or None)."""
@@ -231,13 +216,10 @@ class BrokerCluster:
         )
 
     def _total_storage_metric(self, name: str) -> int:
-        # Refresh first: fetch-driven fault-in can evict segments between
-        # produce-side maintenance passes, leaving broker.metrics stale.
-        total = 0
-        for broker in self.brokers.values():
-            broker.refresh_storage_metrics()
-            total += broker.metrics[name]
-        return total
+        """Sum of one ``PartitionLog.stats`` counter over every replica."""
+        return sum(
+            log.stats[name] for broker in self.brokers.values() for log in broker.logs.values()
+        )
 
     def total_segments_sealed(self) -> int:
         """Head segments sealed across all replicas (storage plane)."""

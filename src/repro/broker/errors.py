@@ -7,30 +7,6 @@ class BrokerError(Exception):
     """Base class for broker-side errors returned to clients."""
 
 
-class UnknownTopicError(BrokerError):
-    """The topic (or partition) does not exist on this cluster."""
-
-
-class NotLeaderError(BrokerError):
-    """The contacted broker is not the leader for the partition.
-
-    Clients react by refreshing their metadata and retrying against the new
-    leader, exactly like Kafka's ``NOT_LEADER_OR_FOLLOWER`` error code.
-    """
-
-
-class NotEnoughReplicasError(BrokerError):
-    """acks=all produce rejected because the in-sync replica set is too small."""
-
-
-class StaleEpochError(BrokerError):
-    """A request carried an out-of-date leader epoch."""
-
-
-class BrokerUnavailableError(BrokerError):
-    """The broker process is stopped (crashed host or shut down)."""
-
-
 class ProducerFencedError(BrokerError):
     """An idempotent produce carried a producer epoch older than the current
     one: a newer instance re-initialized the producer id, fencing this zombie
@@ -50,42 +26,5 @@ class InvalidTxnStateError(BrokerError):
     Kafka's ``INVALID_TXN_STATE``."""
 
 
-class TransactionAbortedError(BrokerError):
-    """The transaction was aborted (by the coordinator's timeout sweeper or a
-    fencing re-initialization) before the producer's commit could complete."""
-
-
-class BufferExhaustedError(Exception):
-    """Producer-side: the configured ``buffer.memory`` is full and
-    ``max.block.ms`` elapsed before space became available."""
-
-
 class DeliveryFailed(Exception):
     """Producer-side: a record could not be delivered within ``delivery.timeout.ms``."""
-
-
-#: Error-code strings used on the wire (payload dictionaries).
-ERROR_CODES = {
-    "unknown_topic": UnknownTopicError,
-    "not_leader": NotLeaderError,
-    "not_enough_replicas": NotEnoughReplicasError,
-    "stale_epoch": StaleEpochError,
-    "unavailable": BrokerUnavailableError,
-    "producer_fenced": ProducerFencedError,
-    "invalid_txn_state": InvalidTxnStateError,
-    "transaction_aborted": TransactionAbortedError,
-}
-
-
-def error_from_code(code: str, message: str = "") -> BrokerError:
-    """Instantiate the exception class matching a wire error code."""
-    exception_class = ERROR_CODES.get(code, BrokerError)
-    return exception_class(message or code)
-
-
-def code_for_error(error: BaseException) -> str:
-    """Map an exception instance back to its wire error code."""
-    for code, exception_class in ERROR_CODES.items():
-        if isinstance(error, exception_class):
-            return code
-    return "broker_error"

@@ -627,9 +627,9 @@ class PartitionLog:
             self.stats["segments_evicted"] += 1
 
     # -- maintenance: retention / compaction / eviction ---------------------------------
-    def maybe_maintain(self, now: float) -> bool:
-        """One storage-maintenance pass (brokers call this after appends);
-        False when the log has no storage policy and so nothing to maintain.
+    def maybe_maintain(self, now: float) -> None:
+        """One storage-maintenance pass (brokers call this after appends); a
+        no-op when the log has no storage policy.
 
         Order matters: compaction first (it shrinks segments, so retention
         sees real sizes), then time retention (deletes), then the size bound
@@ -637,7 +637,7 @@ class PartitionLog:
         """
         storage = self.storage
         if storage is None:
-            return False
+            return
         if (
             storage.cleanup_policy == "compact"
             and self._dirty_sealed >= storage.compaction_min_segments
@@ -658,7 +658,6 @@ class PartitionLog:
             else:
                 while len(segments) > 1 and self.total_size_bytes > retention_bytes:
                     self._drop_oldest()
-        return True
 
     def _drop_oldest(self) -> None:
         segment = self._segments.pop(0)

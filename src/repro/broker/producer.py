@@ -167,7 +167,7 @@ class SendFuture(Event):
 
     The slots of :class:`Event` are left unset.  Whatever waits on an event
     or asks for its outcome reads one of them (``Process._resume``,
-    ``Condition`` and ``run(until=)`` read ``callbacks``), and that first
+    ``AllOf`` and ``run(until=)`` read ``callbacks``), and that first
     read lands in :meth:`__getattr__`, which makes this an ordinary event:
     already *processed* with its batch's outcome if the batch has settled —
     like any event that fired before its waiter came — else pending and
@@ -304,10 +304,6 @@ class Producer:
     def buffer_used(self) -> int:
         """Bytes of ``buffer.memory`` currently occupied by unacknowledged records."""
         return self._buffer_used
-
-    @property
-    def buffer_available(self) -> int:
-        return self.config.buffer_memory - self._buffer_used
 
     # -- public API ------------------------------------------------------------------
     def send(self, record: ProducerRecord) -> SendFuture:

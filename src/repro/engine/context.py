@@ -43,10 +43,6 @@ class BatchMetric:
     processing_time: float
     scheduling_delay: float
 
-    @property
-    def total_delay(self) -> float:
-        return self.processing_time + self.scheduling_delay
-
 
 class StreamingContext:
     """A micro-batch stream processing engine bound to a driver host."""

@@ -11,7 +11,6 @@ from repro.engine.columns import ColumnBatch
 from repro.engine.records import StreamRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.broker.cluster import BrokerCluster
     from repro.network.host import Host
 
 
@@ -167,23 +166,3 @@ class MergingSource(Source):
         for child in self.children:
             child.stop()
 
-
-def kafka_source_for_cluster(
-    cluster: "BrokerCluster",
-    host_name: str,
-    topics: List[str],
-    consumer_config: Optional[ConsumerConfig] = None,
-    partitions: Optional[Sequence[int]] = None,
-    group: Optional[str] = None,
-) -> KafkaSource:
-    """Convenience constructor wiring a KafkaSource to a cluster's bootstrap list."""
-    host = cluster.network.host(host_name)
-    source = KafkaSource(
-        host,
-        topics=topics,
-        bootstrap=cluster.bootstrap_hosts(prefer=host_name),
-        consumer_config=consumer_config,
-        partitions=partitions,
-        group=group,
-    )
-    return source

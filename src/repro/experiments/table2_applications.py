@@ -88,9 +88,6 @@ class Table2Row:
 class Table2Result:
     rows: List[Table2Row] = field(default_factory=list)
 
-    def as_dicts(self) -> List[dict]:
-        return [row.__dict__ for row in self.rows]
-
     def row(self, application: str) -> Table2Row:
         for row in self.rows:
             if row.application == application:

@@ -63,12 +63,6 @@ class Host(NetworkNode):
             raise ValueError(f"port {service_port} already bound on {self.name}")
         self._services[service_port] = handler
 
-    def unbind(self, service_port: int) -> None:
-        self._services.pop(service_port, None)
-
-    def is_bound(self, service_port: int) -> bool:
-        return service_port in self._services
-
     def allocate_port(self) -> int:
         """Return a fresh ephemeral port number (used for transport replies)."""
         port = self._next_ephemeral_port

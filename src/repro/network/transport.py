@@ -109,15 +109,14 @@ class Transport:
             raise ValueError(
                 f"ports >= {REPLY_PORT} are reserved for transport replies"
             )
-        self._handlers[port] = handler
-        if not self.host.is_bound(port):
+        if port not in self._handlers:
+            # Host.bind raises if another endpoint on this host owns the port.
             self.host.bind(port, lambda packet, p=port: self._on_request(packet, p))
+        self._handlers[port] = handler
 
     def _on_request(self, packet: Packet, port: int) -> None:
-        handler = self._handlers.get(port)
-        if handler is None:
-            return
-        request_id = packet.headers.get("request_id")
+        handler = self._handlers[port]
+        request_id = packet.headers["request_id"]
         request = Request(
             payload=packet.payload,
             src=packet.src,
@@ -149,8 +148,6 @@ class Transport:
                 result = yield from result
         except Exception as exc:  # noqa: BLE001 - remote errors travel to the caller
             error = f"{type(exc).__name__}: {exc}"
-        if request_id is None:
-            return None
         if isinstance(result, Response):
             payload, size = result.payload, result.size
         else:
@@ -241,38 +238,8 @@ class Transport:
             raise last_error if last_error is not None else RequestTimeout("request failed")
         finally:
             # Covers every exit: error replies, exhausted retries, and the
-            # requesting process being interrupted / garbage-collected while a
+            # requesting generator being closed or garbage-collected while a
             # request is in flight.  (Successful replies were already removed
             # by _on_reply; pop is a no-op then.)
             if request_id is not None:
                 self._pending.pop(request_id, None)
-
-    def request_event(
-        self,
-        dst: str,
-        port: int,
-        payload: Any,
-        size: Optional[int] = None,
-        timeout: Optional[float] = None,
-        retries: Optional[int] = None,
-    ):
-        """Run :meth:`request` as a standalone process and return its Process event.
-
-        Useful for fire-and-forget or fan-out patterns where the caller wants
-        to wait on several outstanding requests at once.
-        """
-        return self.sim.process(
-            self.request(dst, port, payload, size=size, timeout=timeout, retries=retries),
-            name=f"{self.host.name}:request:{dst}:{port}",
-        )
-
-    def notify(self, dst: str, port: int, payload: Any, size: Optional[int] = None) -> None:
-        """One-way message with no response and no retries (e.g. metrics, gossip)."""
-        self.host.send(
-            dst=dst,
-            payload=payload,
-            size=size if size is not None else estimate_size(payload),
-            dst_port=port,
-            src_port=self.reply_port,
-            headers={},
-        )

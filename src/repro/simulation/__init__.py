@@ -12,20 +12,19 @@ Public API
 
 ``Simulator``
     The event loop: schedules events, advances simulated time and runs
-    processes.
+    processes (``run`` to a time, an event or the end; ``step`` for one
+    entry).
 ``Process``
     A running generator registered with the simulator.
-``Event`` / ``Timeout`` / ``AnyOf`` / ``AllOf``
+``Event`` / ``Timeout`` / ``AllOf``
     Awaitable primitives.
 ``Resource``
     A counted resource with FIFO request queues (a host's CPU cores).
-``Interrupt``
-    Exception injected into a process when it is interrupted.
 """
 
 from repro.simulation.engine import Simulator
-from repro.simulation.events import AllOf, AnyOf, Event, Timeout
-from repro.simulation.process import Interrupt, Process
+from repro.simulation.events import AllOf, Event, Timeout
+from repro.simulation.process import Process
 from repro.simulation.resources import Resource
 
 __all__ = [
@@ -33,8 +32,6 @@ __all__ = [
     "Process",
     "Event",
     "Timeout",
-    "AnyOf",
     "AllOf",
-    "Interrupt",
     "Resource",
 ]

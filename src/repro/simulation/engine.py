@@ -26,11 +26,12 @@ import heapq
 from itertools import count
 from typing import Any, Callable, Generator, Iterable, Optional, Union
 
-from repro.simulation.events import AllOf, AnyOf, Event, Timeout, until_interest
+from repro.simulation.events import AllOf, Event, Timeout, until_interest
 from repro.simulation.process import BOOTSTRAP, Process
 from repro.simulation.rng import SeededRandom, deterministic_hash
 
-# Priorities: interrupts pre-empt normal events scheduled at the same time.
+# Priorities: ``run(until=t)``'s deadline entry comes before every other
+# entry scheduled for ``t``, so the run stops with those still queued.
 URGENT = 0
 NORMAL = 1
 
@@ -70,9 +71,9 @@ class Simulator:
     initial_time:
         Starting value of the simulated clock (seconds).
     seed:
-        Seed for the simulator-owned random number generator.  Components
-        should draw randomness from :attr:`random` (or children created via
-        :meth:`rng`) so that experiments are reproducible.
+        Root of every random stream: components draw from the named,
+        independent streams of :meth:`rng` so that experiments are
+        reproducible.
     """
 
     def __init__(self, initial_time: float = 0.0, seed: int = 0) -> None:
@@ -80,7 +81,6 @@ class Simulator:
         self._queue: list = []
         self._eid = count()
         self._active_process: Optional[Process] = None
-        self.random = SeededRandom(seed)
         self._seed = seed
         self._processed_events = 0
 
@@ -138,10 +138,6 @@ class Simulator:
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Event that fires once all ``events`` have fired."""
         return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Event that fires once any of ``events`` has fired."""
-        return AnyOf(self, events)
 
     # -- scheduling ----------------------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0, priority: int = NORMAL) -> None:
@@ -218,19 +214,6 @@ class Simulator:
             return self._dispatch(until_event)
         except EmptySchedule:
             return None
-
-    def run_until_idle(self, max_time: Optional[float] = None) -> float:
-        """Drain the event queue (optionally bounded by ``max_time``) and return the clock."""
-        if max_time is None:
-            self.run()
-            return self._now
-        queue = self._queue
-        while queue:
-            if queue[0][0] > max_time:
-                self._now = max_time
-                break
-            self._dispatch(budget=1)
-        return self._now
 
     def _dispatch(self, until_event: Optional[Event] = None, budget: int = -1) -> Any:
         """The dispatch loop: pop and deliver events in time order.

@@ -113,12 +113,6 @@ class Event:
         self._settle()
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Copy the outcome of ``event`` onto this event (used by conditions)."""
-        self._ok = event._ok
-        self._value = event._value
-        self._settle()
-
     def _settle(self) -> None:
         """Deliver the (just triggered) event at the current time.
 
@@ -142,27 +136,25 @@ class Event:
 class Timeout(Event):
     """An event that fires after a fixed simulated-time delay."""
 
-    __slots__ = ("delay",)
+    __slots__ = ()
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:  # noqa: F821
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
         super().__init__(sim)
-        self.delay = delay
         self._ok = True
         self._value = value
         sim._schedule(self, delay=delay)
 
 
 class ConditionValue:
-    """Mapping-like view over the events that triggered within a condition."""
+    """Mapping-like view over the events an :class:`AllOf` waited for."""
 
     __slots__ = ("events", "_members")
 
     def __init__(self, events: List[Event]) -> None:
         self.events = events
-        # Identity set for O(1) membership; events hash by identity, and the
-        # ``request`` hot path probes ``waiter in outcome`` on every RPC.
+        # Identity set for O(1) lookups (events hash by identity).
         self._members = set(events)
 
     def __getitem__(self, event: Event) -> Any:
@@ -186,21 +178,17 @@ class ConditionValue:
         return f"<ConditionValue {self.todict()!r}>"
 
 
-class Condition(Event):
-    """Waits for a boolean combination of other events."""
+class AllOf(Event):
+    """Fires once *all* given events have fired, with a
+    :class:`ConditionValue` over them; fails with the first failure among
+    them (defusing it)."""
 
-    __slots__ = ("_events", "_count", "_evaluate")
+    __slots__ = ("_events", "_count")
 
-    def __init__(
-        self,
-        sim: "Simulator",  # noqa: F821
-        evaluate: Callable[[List[Event], int], bool],
-        events: Iterable[Event],
-    ) -> None:
+    def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:  # noqa: F821
         super().__init__(sim)
         self._events = list(events)
         self._count = 0
-        self._evaluate = evaluate
 
         for event in self._events:
             if event.sim is not sim:
@@ -212,20 +200,14 @@ class Condition(Event):
 
         for event in self._events:
             if self.triggered:
-                # Fast path: already-processed events decided the condition
-                # (e.g. AnyOf over a fired event); skip registering callbacks
-                # on the rest — _check would ignore them anyway.
+                # An already-processed failure decided the condition; skip
+                # registering callbacks on the rest — _check would ignore
+                # them anyway.
                 break
             if event.callbacks is None:
                 self._check(event)
             else:
                 event.callbacks.append(self._check)
-
-    def _triggered_events(self) -> List[Event]:
-        # An event counts as having fired for condition purposes once it has
-        # been *processed* (Timeouts are value-triggered at creation time, so
-        # ``triggered`` alone would over-report).
-        return [e for e in self._events if e.callbacks is None]
 
     def _check(self, event: Event) -> None:
         if self.triggered:
@@ -234,19 +216,7 @@ class Condition(Event):
         if not event._ok:
             event.defuse()
             self.fail(event._value)
-        elif self._evaluate(self._events, self._count):
-            self.succeed(ConditionValue(self._triggered_events()))
-
-
-class AllOf(Condition):
-    """Fires once *all* given events have fired."""
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:  # noqa: F821
-        super().__init__(sim, lambda events, count: count == len(events), events)
-
-
-class AnyOf(Condition):
-    """Fires once *any* of the given events has fired."""
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:  # noqa: F821
-        super().__init__(sim, lambda events, count: count >= 1, events)
+        elif self._count == len(self._events):
+            # Every event has fired, so every one is processed: an event's
+            # ``callbacks`` is None before its callbacks run.
+            self.succeed(ConditionValue(self._events))

@@ -7,14 +7,6 @@ from typing import Any, Generator, Optional
 from repro.simulation.events import Event
 
 
-class Interrupt(Exception):
-    """Raised inside a process when another process interrupts it."""
-
-    @property
-    def cause(self) -> Any:
-        return self.args[0] if self.args else None
-
-
 class _Bootstrap:
     """Shared successful pseudo-event used to kick-start every process (by
     ``Simulator.process`` / ``Simulator.start``, the only makers of one).
@@ -42,7 +34,7 @@ class Process(Event):
     generator's return value, so processes can wait for each other.
     """
 
-    __slots__ = ("generator", "name", "_target", "_interrupts")
+    __slots__ = ("generator", "name", "_target")
 
     def __init__(
         self,
@@ -55,45 +47,10 @@ class Process(Event):
         super().__init__(sim)
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        self._target: Optional[Event] = None
-        self._interrupts: list = []
-
-    @property
-    def is_alive(self) -> bool:
-        """True while the underlying generator has not finished."""
-        return not self.triggered
-
-    @property
-    def target(self) -> Optional[Event]:
-        """The event this process is currently waiting for (if any)."""
-        return self._target
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw an :class:`Interrupt` into the process at the current time.
-
-        Interrupting a finished process is an error; interrupting a process
-        that is waiting on an event detaches it from that event.
-        """
-        if self.triggered:
-            raise RuntimeError(f"{self} has terminated and cannot be interrupted")
-        interrupt_event = Event(self.sim)
-        interrupt_event._ok = False
-        interrupt_event._value = Interrupt(cause)
-        interrupt_event._defused = True
-        interrupt_event.callbacks.append(self._resume)
-        self.sim._schedule(interrupt_event, priority=0)
 
     # -- internal ----------------------------------------------------------
     def _resume(self, event: Event) -> None:
-        if self.triggered:
-            # Already finished (e.g. interrupted after normal completion raced).
-            return
         self.sim._active_process = self
-        # Detach from the event we were waiting on if this is an interrupt.
-        if self._target is not None and event is not self._target:
-            if self._target.callbacks is not None and self._resume in self._target.callbacks:
-                self._target.callbacks.remove(self._resume)
-        self._target = None
         try:
             if event._ok:
                 next_event = self.generator.send(event._value)
@@ -132,6 +89,11 @@ class Process(Event):
         if next_event.callbacks is not None:
             # Event still pending: register for resumption.
             next_event.callbacks.append(self._resume)
+            # Never read: the event owns this process through its callbacks,
+            # and this keeps the reverse edge.  Without it a collector that
+            # closes an inner generator of the chain first (a request's
+            # cleanup drops the waiter) frees the process and re-enters its
+            # generator mid-close: "generator already executing".
             self._target = next_event
         else:
             # Event already processed: resume on the next step via the

@@ -13,25 +13,6 @@ from typing import Deque, List
 from repro.simulation.events import Event
 
 
-class ResourceRequest(Event):
-    """A pending or granted claim on a :class:`Resource`."""
-
-    __slots__ = ("resource",)
-
-    def __init__(self, resource: "Resource") -> None:
-        super().__init__(resource.sim)
-        self.resource = resource
-
-    def release(self) -> None:
-        self.resource.release(self)
-
-    def __enter__(self) -> "ResourceRequest":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.release()
-
-
 class Resource:
     """A counted resource (e.g. CPU cores, connection slots).
 
@@ -44,8 +25,8 @@ class Resource:
             raise ValueError("capacity must be positive")
         self.sim = sim
         self.capacity = capacity
-        self.users: List[ResourceRequest] = []
-        self.queue: Deque[ResourceRequest] = deque()
+        self.users: List[Event] = []
+        self.queue: Deque[Event] = deque()
 
     @property
     def in_use(self) -> int:
@@ -55,8 +36,10 @@ class Resource:
     def available(self) -> int:
         return self.capacity - len(self.users)
 
-    def request(self) -> ResourceRequest:
-        event = ResourceRequest(self)
+    def request(self) -> Event:
+        """A claim on one unit: an event that fires once the unit is granted;
+        give it back with :meth:`release`."""
+        event = Event(self.sim)
         if len(self.users) < self.capacity:
             self.users.append(event)
             event.succeed()
@@ -64,7 +47,7 @@ class Resource:
             self.queue.append(event)
         return event
 
-    def release(self, request: ResourceRequest) -> None:
+    def release(self, request: Event) -> None:
         if request in self.users:
             self.users.remove(request)
         elif request in self.queue:

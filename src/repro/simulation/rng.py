@@ -1,16 +1,16 @@
 """Seeded random number streams used across the emulation.
 
 Every stochastic decision in the emulator (message loss, Poisson inter-arrival
-times, jitter) draws from a :class:`SeededRandom` owned by the simulator so
-that experiments are exactly reproducible and the property-based tests can
-assert determinism.
+times, jitter) draws from a :class:`SeededRandom` stream named through
+``Simulator.rng`` so that experiments are exactly reproducible and the
+property-based tests can assert determinism.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import List, Optional, Sequence, TypeVar
+from typing import List, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -21,10 +21,6 @@ class SeededRandom:
     def __init__(self, seed: int = 0) -> None:
         self._seed = seed
         self._random = random.Random(seed)
-
-    @property
-    def seed(self) -> int:
-        return self._seed
 
     def child(self, name: str) -> "SeededRandom":
         """Derive an independent, deterministic sub-stream."""
@@ -45,9 +41,6 @@ class SeededRandom:
 
     def sample(self, seq: Sequence[T], k: int) -> List[T]:
         return self._random.sample(list(seq), k)
-
-    def shuffle(self, seq: list) -> None:
-        self._random.shuffle(seq)
 
     def gauss(self, mu: float, sigma: float) -> float:
         return self._random.gauss(mu, sigma)
@@ -85,12 +78,6 @@ class SeededRandom:
                 return k
             k += 1
 
-    def pareto(self, alpha: float, minimum: float = 1.0) -> float:
-        """Pareto-distributed value (heavy-tailed sizes, e.g. flow sizes)."""
-        if alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {alpha}")
-        return minimum * self._random.paretovariate(alpha)
-
     def lognormal(self, mu: float, sigma: float) -> float:
         return self._random.lognormvariate(mu, sigma)
 
@@ -115,16 +102,6 @@ class SeededRandom:
             if target <= acc:
                 return index
         return n - 1
-
-    def bytes_payload(self, size: int) -> bytes:
-        """Deterministic pseudo-random payload of ``size`` bytes."""
-        return bytes(self._random.getrandbits(8) for _ in range(size))
-
-    def state(self) -> object:
-        return self._random.getstate()
-
-    def restore(self, state: object) -> None:
-        self._random.setstate(state)
 
 
 def deterministic_hash(*parts: object) -> int:

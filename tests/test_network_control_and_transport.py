@@ -336,31 +336,35 @@ class TestTransport:
         sim.run()
         assert errors and "bad request" in errors[0]
 
-    def test_notify_is_one_way(self):
-        sim, net, client, server = self._net()
-        seen = []
-        server.register(9000, lambda req: seen.append(req.payload))
-        client.notify("server", 9000, {"metric": 1})
-        sim.run()
-        assert seen == [{"metric": 1}]
-
     def test_reserved_port_rejected(self):
         sim, net, client, server = self._net()
         with pytest.raises(ValueError):
             server.register(60000, lambda req: None)
 
-    def test_request_event_fanout(self):
+    def test_a_port_owned_by_another_transport_cannot_be_registered(self):
         sim, net, client, server = self._net()
-        server.register(9000, lambda req: req.payload * 2)
+        other = Transport(net.host("server"))
+        server.register(9000, lambda req: "A")
+        with pytest.raises(ValueError, match="already bound"):
+            other.register(9000, lambda req: "B")
         results = []
 
         def caller():
-            events = [
-                client.request_event("server", 9000, i) for i in range(3)
-            ]
-            outcome = yield sim.all_of(events)
-            results.extend(sorted(outcome[e] for e in events))
+            results.append((yield from client.request("server", 9000, "x")))
 
         sim.process(caller())
         sim.run()
-        assert results == [0, 2, 4]
+        assert results == ["A"]
+
+    def test_reregistering_a_port_replaces_its_handler(self):
+        sim, net, client, server = self._net()
+        server.register(9000, lambda req: "A")
+        server.register(9000, lambda req: "B")
+        results = []
+
+        def caller():
+            results.append((yield from client.request("server", 9000, "x")))
+
+        sim.process(caller())
+        sim.run()
+        assert results == ["B"]

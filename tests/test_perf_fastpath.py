@@ -5,11 +5,13 @@ fast paths, precomputed link shaping parameters, and transport pending-request
 cleanup (late replies must neither leak memory nor resolve stale ids).
 """
 
+import sys
+
 import pytest
 
 from repro.network import LinkConfig, Network
 from repro.network.transport import RemoteError, RequestTimeout, Transport
-from repro.simulation import Interrupt, Simulator
+from repro.simulation import Simulator
 from repro.simulation.engine import EmptySchedule
 
 
@@ -90,32 +92,17 @@ class TestCallLater:
         with pytest.raises(EmptySchedule):
             sim.step()
 
-    def test_run_until_idle_bounded_with_callbacks(self):
+    def test_run_until_time_bounded_with_callbacks(self):
         sim = Simulator()
         seen = []
         for delay in (1.0, 2.0, 9.0):
             sim.call_later(delay, seen.append, delay)
-        now = sim.run_until_idle(max_time=5.0)
-        assert now == 5.0
+        sim.run(until=5.0)
+        assert sim.now == 5.0
         assert seen == [1.0, 2.0]
 
 
 class TestConditionFastPaths:
-    def test_any_of_with_already_processed_event(self):
-        sim = Simulator()
-        done = []
-
-        def proc():
-            fast = sim.timeout(1.0, value="fast")
-            yield fast  # process it fully
-            slow = sim.timeout(100.0, value="slow")
-            result = yield sim.any_of([fast, slow])
-            done.append((fast in result, slow in result, result[fast]))
-
-        sim.process(proc())
-        sim.run_until_idle(max_time=10.0)
-        assert done == [(True, False, "fast")]
-
     def test_all_of_with_all_processed_events(self):
         sim = Simulator()
         done = []
@@ -139,29 +126,15 @@ class TestConditionFastPaths:
         def proc():
             t1 = sim.timeout(1.0, value="a")
             t2 = sim.timeout(5.0, value="b")
-            result = yield sim.any_of([t1, t2])
-            outcome["contains"] = (t1 in result, t2 in result)
+            outside = sim.event()
+            result = yield sim.all_of([t1, t2])
+            outcome["contains"] = (t1 in result, t2 in result, outside in result)
             with pytest.raises(KeyError):
-                result[t2]
+                result[outside]
 
         sim.process(proc())
         sim.run()
-        assert outcome["contains"] == (True, False)
-
-
-    def test_any_of_over_elided_and_pending_events(self):
-        sim = Simulator()
-        done = []
-
-        def proc():
-            elided = sim.event().succeed("inline")  # nobody waited: settled inline
-            pending = sim.event()
-            result = yield sim.any_of([pending, elided])
-            done.append((sim.now, elided in result, pending in result, result[elided]))
-
-        sim.process(proc())
-        sim.run()
-        assert done == [(0.0, True, False, "inline")]
+        assert outcome["contains"] == (True, True, False)
 
     def test_all_of_over_elided_and_pending_events(self):
         sim = Simulator()
@@ -258,7 +231,7 @@ class TestTransportPendingCleanup:
                 outcomes.append("timeout")
 
         sim.process(caller())
-        sim.run_until_idle(max_time=30.0)
+        sim.run(until=30.0)
         assert outcomes == ["timeout"]
         # The late reply must not leak a pending entry or resolve a stale id.
         assert client._pending == {}
@@ -269,20 +242,36 @@ class TestTransportPendingCleanup:
         # No handler registered: the request would wait out its full timeout.
 
         def caller():
-            try:
-                yield from client.request("h2", 80, "ping", timeout=60.0, retries=0)
-            except Interrupt:
-                pass
+            yield from client.request("h2", 80, "ping", timeout=60.0, retries=0)
 
         proc = sim.process(caller())
-
-        def interrupter():
-            yield sim.timeout(0.5)
-            proc.interrupt("teardown")
-
-        sim.process(interrupter())
-        sim.run_until_idle(max_time=5.0)
+        sim.run(until=0.5)
+        assert len(client._pending) == 1
+        proc.generator.close()  # the requester goes away mid-request
+        sim.run(until=5.0)
         assert client._pending == {}
+
+    def test_closing_the_inner_generator_first_leaves_the_process_intact(self, monkeypatch):
+        # The order a collector may pick for an abandoned run: the request's
+        # cleanup drops the last reference to the waiter the process is
+        # parked on, which must not free the process mid-close.
+        sim, net, client, server = self._two_hosts()
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        inner = []
+
+        def request():
+            return (yield from client.request("h2", 80, "ping", timeout=60.0, retries=0))
+
+        def caller():
+            inner.append(request())
+            yield from inner[0]
+
+        sim.process(caller())
+        sim.run(until=0.5)
+        inner[0].close()
+        assert client._pending == {}
+        assert unraisable == []
 
     def test_successful_request_cleans_up(self):
         sim, net, client, server = self._two_hosts()
@@ -294,7 +283,7 @@ class TestTransportPendingCleanup:
             results.append(reply)
 
         sim.process(caller())
-        sim.run_until_idle(max_time=10.0)
+        sim.run(until=10.0)
         assert results == [{"pong": "hi"}]
         assert client._pending == {}
 

@@ -261,7 +261,7 @@ def test_outcome_properties_of_a_future_nobody_waits_on():
     assert sim.run(until=untouched).offset == 1  # run(until=) on a settled send
 
 
-def test_any_of_over_send_futures_in_different_batches():
+def test_all_of_over_send_futures_in_different_batches():
     sim, _network, sites, cluster = build_cluster()
     producer = started_producer(sim, cluster, sites[2], ProducerConfig(linger=0.05))
     fired = []
@@ -271,15 +271,17 @@ def test_any_of_over_send_futures_in_different_batches():
         yield sim.timeout(0.5)  # the first batch is long gone
         second = producer.send(ProducerRecord(topic="events", key="b", value=2, size=100))
         third = producer.send(ProducerRecord(topic="events", key="c", value=3, size=100))
-        outcome = yield sim.any_of([second, first])  # first is already settled
-        fired.append((sim.now, first in outcome, second in outcome, outcome[first].offset))
-        outcome = yield sim.all_of([second, third])
+        fired.append(sim.now)
+        outcome = yield sim.all_of([second, first])  # first is already settled
+        fired.append((sim.now, outcome[first].offset, outcome[second].offset))
+        outcome = yield sim.all_of([second, third])  # both settled by now
         fired.append((sim.now, outcome[second].offset, outcome[third].offset))
 
     sim.process(workload())
     sim.run(until=8.0)
     acked_at = producer.reports[1].acknowledged_at
-    assert fired == [(6.5, True, False, 0), (acked_at, 1, 2)]
+    assert acked_at > 6.5
+    assert fired == [6.5, (acked_at, 0, 1), (acked_at, 1, 2)]
     assert producer._placement[0] is not producer._placement[1]
     assert producer._placement[1] is producer._placement[2]
 

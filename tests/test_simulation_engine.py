@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simulation import Interrupt, Simulator
+from repro.simulation import Simulator
 
 
 def test_clock_starts_at_zero():
@@ -164,39 +164,6 @@ def test_yielding_non_event_fails_process():
         sim.run(until=proc)
 
 
-def test_interrupt_is_raised_inside_process():
-    sim = Simulator()
-    outcomes = []
-
-    def sleeper():
-        try:
-            yield sim.timeout(100.0)
-            outcomes.append("finished")
-        except Interrupt as interrupt:
-            outcomes.append(("interrupted", interrupt.cause, sim.now))
-
-    def interrupter(target):
-        yield sim.timeout(5.0)
-        target.interrupt("wake up")
-
-    target = sim.process(sleeper())
-    sim.process(interrupter(target))
-    sim.run()
-    assert outcomes == [("interrupted", "wake up", 5.0)]
-
-
-def test_interrupting_finished_process_raises():
-    sim = Simulator()
-
-    def quick():
-        yield sim.timeout(1.0)
-
-    proc = sim.process(quick())
-    sim.run()
-    with pytest.raises(RuntimeError):
-        proc.interrupt()
-
-
 def test_all_of_waits_for_every_event():
     sim = Simulator()
 
@@ -209,20 +176,6 @@ def test_all_of_waits_for_every_event():
     result = sim.run(until=sim.process(proc()))
     assert result == ["a", "b"]
     assert sim.now == pytest.approx(3.0)
-
-
-def test_any_of_fires_on_first_event():
-    sim = Simulator()
-
-    def proc():
-        t1 = sim.timeout(1.0, value="fast")
-        t2 = sim.timeout(5.0, value="slow")
-        results = yield sim.any_of([t1, t2])
-        return (t1 in results, t2 in results)
-
-    result = sim.run(until=sim.process(proc()))
-    assert result == (True, False)
-    assert sim.now == pytest.approx(1.0)
 
 
 def test_call_later_runs_at_delay():
@@ -240,18 +193,6 @@ def test_peek_returns_next_event_time():
     assert sim.peek() == pytest.approx(0.0) or sim.peek() <= 1.0
     sim.run()
     assert sim.peek() == float("inf")
-
-
-def test_run_until_idle_bounded():
-    sim = Simulator()
-
-    def proc():
-        while True:
-            yield sim.timeout(1.0)
-
-    sim.process(proc())
-    now = sim.run_until_idle(max_time=5.5)
-    assert now == 5.5
 
 
 def test_processed_events_counter_increases():
