@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.broker.coordinator import COORDINATOR_PORT, CoordinationMode
 from repro.broker.batch import CONTROL_RECORD_SIZE, RecordBatch
@@ -11,9 +11,8 @@ from repro.broker.log import LogRecord, PartitionLog
 from repro.broker.segment import LogStorageConfig, resolve_log_storage
 from repro.network.host import Host
 from repro.network.packet import estimate_size
-from repro.network.transport import Request, RequestTimeout, Response, Transport
+from repro.network.transport import DEFERRED, Request, RequestTimeout, Response, Transport
 from repro.simulation.deadlines import DeadlineHeap
-from repro.simulation.events import Event
 
 BROKER_PORT = 9092
 
@@ -59,6 +58,12 @@ def find_coordinator_host(transport: Transport, bootstrap: List[str], timeout: f
             return reply["coordinator_host"]
         return None
     return None
+
+
+def _resume(outcome: Any, then: Callable[[], Any]) -> Any:
+    """A parked wait's answer: ``then()`` once its bound is there (or its
+    deadline passed with nothing to say), else the reply it was released with."""
+    return then() if outcome is None else outcome
 
 
 @dataclass
@@ -127,12 +132,15 @@ class Broker:
         self._local_epochs: Dict[str, int] = {}
         self._truncation_pending: Dict[str, bool] = {}
         #: The purgatory: per partition, the parked produces and fetches as
-        #: ``(bound, target, waiter)`` — released once ``getattr(log, bound)``
-        #: reaches ``target`` (see _park).  Their deadlines share one heap,
-        #: swept by one armed timer.
-        self._purgatory: Dict[str, List[Tuple[str, int, Event]]] = {}
+        #: ``(bound, target, request, then)`` — answered with ``then()`` once
+        #: ``getattr(log, bound)`` reaches ``target`` (see _park).  Their
+        #: deadlines share one heap, swept by one armed timer; a wait no
+        #: longer in its list was answered.
+        self._purgatory: Dict[str, List[Tuple[str, int, Request, Callable]]] = {}
         self._deadlines = DeadlineHeap(
-            host.sim, lambda parked: parked[1][2].triggered, self._expire
+            host.sim,
+            lambda parked: parked[1] not in self._purgatory.get(parked[0], ()),
+            self._expire,
         )
         #: Partitions this broker is running a replica fetcher for.
         self._fetchers: Set[str] = set()
@@ -285,15 +293,15 @@ class Broker:
         payload = request.payload or {}
         request_type = payload.get("type")
         if request_type == "produce":
-            return self._handle_produce(payload)
+            return self._handle_produce(request, payload)
         if request_type == "fetch":
-            return self._handle_fetch(payload)
+            return self._handle_fetch(request, payload)
         if request_type == "replica_fetch":
-            return self._handle_replica_fetch(payload)
+            return self._handle_replica_fetch(request, payload)
         if request_type == "epoch_end_offset":
             return self._handle_epoch_end_offset(payload)
         if request_type == "write_txn_markers":
-            return self._handle_write_txn_markers(payload)
+            return self._handle_write_txn_markers(request, payload)
         if request_type == "find_coordinator":
             # Group-management clients ask any bootstrap broker where the
             # coordinator lives (Kafka's FindCoordinator request).  Kept out
@@ -321,39 +329,39 @@ class Broker:
         return cached_size
 
     # -- produce path ------------------------------------------------------------------------------
-    def _handle_produce(self, payload: dict):
+    def _handle_produce(self, request: Request, payload: dict):
         key = f"{payload['topic']}-{payload.get('partition', 0)}"
         wire_batch: RecordBatch = payload["batch"]
         acks = payload.get("acks", 1)
+        info = self._partition_info(key)
+        if info is None:
+            self.produce_rejections += 1
+            return {"error": "unknown_topic"}
+        if not self._is_leader(key):
+            self.produce_rejections += 1
+            return {"error": "not_leader", "leader_host": self._leader_hint(key)}
+        if self.mode is CoordinationMode.KRAFT and not self.session_fresh:
+            # Raft-based metadata: a leader that lost quorum contact stops
+            # acknowledging writes, so nothing can be silently truncated.
+            self.produce_rejections += 1
+            return {"error": "not_leader", "leader_host": None}
+        if acks == "all" and len(info["isr"]) < self.config.min_insync_replicas:
+            self.produce_rejections += 1
+            return {"error": "not_enough_replicas"}
+        log = self.logs[key]
 
-        def produce_process():
+        def append():
+            """The produce at its CPU completion time: fence, deduplicate, append."""
             # Local copy: the partial-duplicate path rebinds it to the tail.
             batch = wire_batch
-            info = self._partition_info(key)
-            if info is None:
-                self.produce_rejections += 1
-                return {"error": "unknown_topic"}
-            if not self._is_leader(key):
-                self.produce_rejections += 1
-                return {"error": "not_leader", "leader_host": self._leader_hint(key)}
-            if self.mode is CoordinationMode.KRAFT and not self.session_fresh:
-                # Raft-based metadata: a leader that lost quorum contact stops
-                # acknowledging writes, so nothing can be silently truncated.
-                self.produce_rejections += 1
-                return {"error": "not_leader", "leader_host": None}
-            if acks == "all" and len(info["isr"]) < self.config.min_insync_replicas:
-                self.produce_rejections += 1
-                return {"error": "not_enough_replicas"}
-            log = self.logs[key]
-            cost = self.config.cpu_per_request + self.config.cpu_per_record * len(batch)
-            yield from self.host.compute(cost)
             producer_id = batch.producer_id
+            partial_prefix = False
             if producer_id >= 0:
                 # Idempotent produce: fence zombie epochs and drop duplicate
-                # retries.  Checked *after* the compute yield so no other
-                # produce process can interleave between verdict and append —
-                # a concurrent retry parked in compute must observe this
-                # batch's append when its own check finally runs.
+                # retries.  Checked at the completion time, next to the append,
+                # so no other produce can interleave between verdict and append —
+                # a concurrent retry still waiting for CPU observes this batch's
+                # append when its own check finally runs.
                 verdict = log.check_producer_batch(
                     producer_id,
                     batch.producer_epoch,
@@ -370,9 +378,9 @@ class Broker:
                     }
                 if verdict == "duplicate":
                     # The records are already durable here — acknowledge
-                    # positively, but distinguishably: a DuplicateSequence
-                    # ack, with the original offsets when the retry matches
-                    # the last appended batch.
+                    # positively, but distinguishably: a DuplicateSequence ack,
+                    # with the original offsets when the retry matches the last
+                    # appended batch.
                     self.metrics["duplicate_batches"] += 1
                     self.metrics["duplicate_records"] += len(batch)
                     entry = log.producer_entry(producer_id)
@@ -382,47 +390,44 @@ class Broker:
                         and entry.last_sequence == batch.base_sequence + len(batch) - 1
                     ):
                         base_offset = entry.last_base_offset
+
+                    def duplicate_ack():
+                        return Response(
+                            payload={
+                                "error": None,
+                                "duplicate": True,
+                                "base_offset": base_offset,
+                                "log_end_offset": log.log_end_offset,
+                            },
+                            size=64,
+                        )
+
                     if acks == "all":
                         # The original append may still be replicating; a
-                        # duplicate ack must honor the same durability bar.
-                        # The entry's last batch always covers this batch's
-                        # final record, so its end bounds the wait without
-                        # dragging in unrelated later appends.
+                        # duplicate ack must honor the same durability bar.  The
+                        # entry's last batch always covers this batch's final
+                        # record, so its end bounds the wait without dragging in
+                        # unrelated later appends.
                         target = (
                             base_offset + len(batch)
                             if base_offset >= 0
                             else entry.last_base_offset + entry.last_count
                         )
-                        failure = yield from self._await_high_watermark(key, target)
-                        if failure is not None:
-                            return failure
-                    return Response(
-                        payload={
-                            "error": None,
-                            "duplicate": True,
-                            "base_offset": base_offset,
-                            "log_end_offset": log.log_end_offset,
-                        },
-                        size=64,
-                    )
+                        return self._await_high_watermark(request, key, target, duplicate_ack)
+                    return duplicate_ack()
                 if verdict == "partial":
-                    # This replica holds only a *prefix* of the batch (a
-                    # replica fetch sliced mid-batch right before this
-                    # broker took leadership).  The prefix is a duplicate,
-                    # but the tail was never appended anywhere: trim and
-                    # fall through to append exactly the lost records — a
-                    # whole-batch duplicate ack here would acknowledge
-                    # records that no log holds.
+                    # This replica holds only a *prefix* of the batch (a replica
+                    # fetch sliced mid-batch right before this broker took
+                    # leadership).  The prefix is a duplicate, but the tail was
+                    # never appended anywhere: trim and fall through to append
+                    # exactly the lost records — a whole-batch duplicate ack here
+                    # would acknowledge records that no log holds.
                     entry = log.producer_entry(producer_id)
                     skip = entry.last_sequence - batch.base_sequence + 1
                     self.metrics["duplicate_batches"] += 1
                     self.metrics["duplicate_records"] += skip
                     batch = batch.tail(skip)
                     partial_prefix = True
-                else:
-                    partial_prefix = False
-            else:
-                partial_prefix = False
             epoch = self._local_epochs.get(key, info["leader_epoch"])
             # One append per batch: offsets assigned from the header, size
             # accounted once from ``batch.total_size`` inside the log.
@@ -430,75 +435,91 @@ class Broker:
             self.records_appended += len(batch)
             log.maybe_maintain(self.sim.now)
             self._maybe_advance_high_watermark(key)
-            if acks == "all":
-                failure = yield from self._await_high_watermark(key, log.log_end_offset)
-                if failure is not None:
-                    return failure
-            if partial_prefix:
-                # The ack covers prefix records whose original offsets this
-                # leader cannot echo: a duplicate-style ack (positions not
-                # re-derived) rather than a fake contiguous base offset.
+
+            def ack():
+                if partial_prefix:
+                    # The ack covers prefix records whose original offsets this
+                    # leader cannot echo: a duplicate-style ack (positions not
+                    # re-derived) rather than a fake contiguous base offset.
+                    return Response(
+                        payload={
+                            "error": None,
+                            "duplicate": True,
+                            "base_offset": -1,
+                            "log_end_offset": log.log_end_offset,
+                        },
+                        size=64,
+                    )
                 return Response(
-                    payload={
-                        "error": None,
-                        "duplicate": True,
-                        "base_offset": -1,
-                        "log_end_offset": log.log_end_offset,
-                    },
+                    payload={"error": None, "base_offset": base_offset, "log_end_offset": log.log_end_offset},
                     size=64,
                 )
-            return Response(
-                payload={"error": None, "base_offset": base_offset, "log_end_offset": log.log_end_offset},
-                size=64,
-            )
 
-        return produce_process()
+            if acks == "all":
+                return self._await_high_watermark(request, key, log.log_end_offset, ack)
+            return ack()
 
-    def _await_high_watermark(self, key: str, target: int):
-        """acks=all durability bar: park until the HW covers ``target``.
+        cost = self.config.cpu_per_request + self.config.cpu_per_record * len(wire_batch)
+        return request.after(self.host.compute(cost), append)
 
-        Returns ``None`` once replicated, otherwise the error reply
-        (``not_enough_replicas`` after ``PRODUCE_PURGATORY_TIMEOUT``,
-        ``not_leader`` on leadership loss) — the producer retries either.
+    def _await_high_watermark(self, request: Request, key: str, target: int, then: Callable):
+        """acks=all durability bar: ``then()`` once the HW covers ``target``.
+
+        Answers at once if it already does; otherwise parks, and the answer
+        is ``not_enough_replicas`` after ``PRODUCE_PURGATORY_TIMEOUT`` or
+        ``not_leader`` on leadership loss — the producer retries either.
         """
         if self.logs[key].high_watermark >= target:
-            return None
+            return then()
         expired = {"error": "not_enough_replicas"}
-        return (
-            yield from self._park(key, "high_watermark", target, PRODUCE_PURGATORY_TIMEOUT, expired)
+        return self._park(
+            request, key, "high_watermark", target, PRODUCE_PURGATORY_TIMEOUT, then, expired
         )
 
-    def _park(self, key: str, bound: str, target: int, timeout: float, expired: Any = None):
-        """Park until ``getattr(self.logs[key], bound) >= target``.
+    def _park(
+        self,
+        request: Request,
+        key: str,
+        bound: str,
+        target: int,
+        timeout: float,
+        then: Callable,
+        expired: Any = None,
+    ):
+        """Answer ``request`` with ``then()`` once ``getattr(self.logs[key],
+        bound) >= target``; returns ``DEFERRED``.
 
-        The purgatory, for produces and fetches alike: no polling — a wait is
-        released by :meth:`_complete_waits` (run wherever a leader's log end,
-        high watermark or last stable offset moves), by its deadline, or by
-        :meth:`_fail_waits` when the partition's leader epoch changes.
-        Returns ``None`` once the bound is there, ``expired`` after
-        ``timeout`` and the ``not_leader`` reply on an epoch change.
+        The purgatory, for produces and fetches alike: no polling and no
+        process — a wait is a continuation, released by
+        :meth:`_complete_waits` (run wherever a leader's log end, high
+        watermark or last stable offset moves), by its deadline, or by
+        :meth:`_fail_waits` when the partition's leader epoch changes.  The
+        answer is ``then()`` once the bound is there (also at the deadline
+        when ``expired`` is ``None``), ``expired`` after ``timeout`` and the
+        ``not_leader`` reply on an epoch change.
         """
-        wait = (bound, target, self.sim.event())
+        wait = (bound, target, request, then)
         self._purgatory.setdefault(key, []).append(wait)
         self._deadlines.push(self.sim.now + timeout, (key, wait, expired))
-        return (yield wait[2])
+        return DEFERRED
 
     def _expire(self, parked: tuple) -> None:
         key, wait, expired = parked
         self._purgatory[key].remove(wait)
-        wait[2].succeed_now(expired)  # the sweep is a heap callback
+        wait[2].answer(_resume, expired, wait[3])  # the sweep is a heap callback
 
     def _complete_waits(self, key: str) -> None:
-        """Release every parked wait of ``key`` whose bound reached its target."""
+        """Release every parked wait of ``key`` whose bound reached its target:
+        each answers in an entry of its own at the current time."""
         waits = self._purgatory.get(key)
         if not waits:
             return
         log = self.logs[key]
         parked = []
         for wait in waits:
-            bound, target, waiter = wait
+            bound, target, request, then = wait
             if getattr(log, bound) >= target:
-                waiter.succeed(None)
+                self.sim.call_later(0.0, request.answer, then)
             else:
                 parked.append(wait)
         waits[:] = parked
@@ -516,8 +537,8 @@ class Broker:
         waits = self._purgatory.pop(key, None)
         if waits:
             reply = {"error": "not_leader", "leader_host": self._leader_hint(key)}
-            for _bound, _target, waiter in waits:
-                waiter.succeed(reply)
+            for _bound, _target, request, then in waits:
+                self.sim.call_later(0.0, request.answer, _resume, reply, then)
 
     def _maybe_advance_high_watermark(self, key: str) -> None:
         """Leader-side: HW = min(LEO, slowest in-sync follower's fetched offset).
@@ -543,77 +564,85 @@ class Broker:
         self._complete_waits(key)
 
     # -- consumer fetch path -----------------------------------------------------------------------------
-    def _handle_fetch(self, payload: dict):
+    def _handle_fetch(self, request: Request, payload: dict):
         key = f"{payload['topic']}-{payload.get('partition', 0)}"
-
-        def fetch_process():
-            info = self._partition_info(key)
-            if info is None:
-                return {"error": "unknown_topic"}
-            if not self._is_leader(key):
-                return {"error": "not_leader", "leader_host": self._leader_hint(key)}
-            log = self.logs[key]
-            offset = payload.get("offset", 0)
-            if offset < log.log_start_offset:
-                # Retention dropped the requested range: a real Kafka
-                # OffsetOutOfRange — the consumer applies its
-                # ``auto_offset_reset`` policy against the bounds we return.
-                return {
-                    "error": "offset_out_of_range",
-                    "log_start_offset": log.log_start_offset,
-                    "log_end_offset": log.log_end_offset,
-                }
-            if offset > log.log_end_offset:
-                offset = log.log_end_offset
-            max_records = payload.get("max_records", 500)
-            isolation = payload.get("isolation", "read_uncommitted")
-            # read_committed never reads past the Last Stable Offset (the
-            # first offset of the earliest still-open transaction); with no
-            # transactions the LSO equals the HW and both paths are identical.
-            bound = FETCH_BOUND[isolation]
-            # One wire object per fetch: the batch header carries the size, so
-            # the reply size is header arithmetic, not a per-record sum.
-            batch = log.read_batch(offset, max_records=max_records, up_to=getattr(log, bound))
-            if not len(batch):
-                # Nothing visible yet: wait here for the bound to move (the
-                # reply then leaves at that instant) or for FETCH_MAX_WAIT.
-                failure = yield from self._park(
-                    key, bound, max(offset, getattr(log, bound)) + 1, FETCH_MAX_WAIT
-                )
-                if failure is not None:
-                    return failure
-                batch = log.read_batch(
-                    offset, max_records=max_records, up_to=getattr(log, bound)
-                )
-            cost = self.config.cpu_per_request + self.config.cpu_per_record * len(batch)
-            yield from self.host.compute(cost)
-            reply = {
-                "error": None,
-                "batch": batch,
-                "high_watermark": log.high_watermark,
+        info = self._partition_info(key)
+        if info is None:
+            return {"error": "unknown_topic"}
+        if not self._is_leader(key):
+            return {"error": "not_leader", "leader_host": self._leader_hint(key)}
+        log = self.logs[key]
+        offset = payload.get("offset", 0)
+        if offset < log.log_start_offset:
+            # Retention dropped the requested range: a real Kafka
+            # OffsetOutOfRange — the consumer applies its
+            # ``auto_offset_reset`` policy against the bounds we return.
+            return {
+                "error": "offset_out_of_range",
+                "log_start_offset": log.log_start_offset,
                 "log_end_offset": log.log_end_offset,
             }
-            visible = len(batch)
-            if len(batch) and log.has_transactions:
-                # Control records (and, under read_committed, records of
-                # aborted transactions) ship inside the contiguous batch but
-                # must not reach the application: the consumer filters them by
-                # offset.  Keys added to the reply dict do not change its
-                # explicitly-sized timing.
-                skip_offsets, skipped_bytes = log.invisible_offsets(
-                    batch.base_offset, batch.next_offset, isolation
-                )
-                if skip_offsets:
-                    reply["skip_offsets"] = skip_offsets
-                    reply["skipped_bytes"] = skipped_bytes
-                    visible -= len(skip_offsets)
-            self.records_served += visible
-            return Response(payload=reply, size=batch.total_size + 64)
+        if offset > log.log_end_offset:
+            offset = log.log_end_offset
+        max_records = payload.get("max_records", 500)
+        isolation = payload.get("isolation", "read_uncommitted")
+        # read_committed never reads past the Last Stable Offset (the first
+        # offset of the earliest still-open transaction); with no
+        # transactions the LSO equals the HW and both paths are identical.
+        bound = FETCH_BOUND[isolation]
 
-        return fetch_process()
+        def read():
+            # One wire object per fetch: the batch header carries the size,
+            # so the reply size is header arithmetic, not a per-record sum.
+            return log.read_batch(offset, max_records=max_records, up_to=getattr(log, bound))
+
+        def serve(batch):
+            cost = self.config.cpu_per_request + self.config.cpu_per_record * len(batch)
+            return request.after(
+                self.host.compute(cost), self._fetch_reply, log, batch, isolation
+            )
+
+        batch = read()
+        if len(batch):
+            return serve(batch)
+        # Nothing visible yet: wait here for the bound to move (the read and
+        # the reply then happen at that instant) or for FETCH_MAX_WAIT.
+        return self._park(
+            request,
+            key,
+            bound,
+            max(offset, getattr(log, bound)) + 1,
+            FETCH_MAX_WAIT,
+            lambda: serve(read()),
+        )
+
+    def _fetch_reply(self, log: PartitionLog, batch: RecordBatch, isolation: str) -> Response:
+        """A consumer fetch's reply, built at its CPU completion time."""
+        reply = {
+            "error": None,
+            "batch": batch,
+            "high_watermark": log.high_watermark,
+            "log_end_offset": log.log_end_offset,
+        }
+        visible = len(batch)
+        if len(batch) and log.has_transactions:
+            # Control records (and, under read_committed, records of aborted
+            # transactions) ship inside the contiguous batch but must not
+            # reach the application: the consumer filters them by offset.
+            # Keys added to the reply dict do not change its explicitly-sized
+            # timing.
+            skip_offsets, skipped_bytes = log.invisible_offsets(
+                batch.base_offset, batch.next_offset, isolation
+            )
+            if skip_offsets:
+                reply["skip_offsets"] = skip_offsets
+                reply["skipped_bytes"] = skipped_bytes
+                visible -= len(skip_offsets)
+        self.records_served += visible
+        return Response(payload=reply, size=batch.total_size + 64)
 
     # -- transaction markers -----------------------------------------------------------------------
-    def _handle_write_txn_markers(self, payload: dict):
+    def _handle_write_txn_markers(self, request: Request, payload: dict):
         """Append a COMMIT/ABORT control record (coordinator-issued).
 
         Marker writes honor the acks=all durability bar — the coordinator
@@ -626,32 +655,31 @@ class Broker:
         producer_id = payload["producer_id"]
         producer_epoch = payload["producer_epoch"]
         marker = payload["marker"]
+        info = self._partition_info(key)
+        if info is None:
+            return {"error": "unknown_topic"}
+        if not self._is_leader(key):
+            return {"error": "not_leader", "leader_host": self._leader_hint(key)}
+        log = self.logs[key]
+        last = log.last_markers.get(producer_id)
+        if (
+            log.open_txn_first_offset(producer_id) is None
+            and last is not None
+            and last[0] >= producer_epoch
+            and last[1] == marker
+        ):
+            # The marker already closed this transaction here (retry of a
+            # write whose ack was lost): re-ack at the same durability bar.
+            return self._await_high_watermark(
+                request,
+                key,
+                last[2] + 1,
+                lambda: Response(
+                    payload={"error": None, "duplicate": True, "offset": last[2]}, size=48
+                ),
+            )
 
-        def marker_process():
-            info = self._partition_info(key)
-            if info is None:
-                return {"error": "unknown_topic"}
-            if not self._is_leader(key):
-                return {"error": "not_leader", "leader_host": self._leader_hint(key)}
-            log = self.logs[key]
-            last = log.last_markers.get(producer_id)
-            if (
-                log.open_txn_first_offset(producer_id) is None
-                and last is not None
-                and last[0] >= producer_epoch
-                and last[1] == marker
-            ):
-                # The marker already closed this transaction here (retry of a
-                # write whose ack was lost): re-ack at the same durability bar.
-                failure = yield from self._await_high_watermark(key, last[2] + 1)
-                if failure is not None:
-                    return failure
-                return Response(
-                    payload={"error": None, "duplicate": True, "offset": last[2]},
-                    size=48,
-                )
-            cost = self.config.cpu_per_request + self.config.cpu_per_record
-            yield from self.host.compute(cost)
+        def append():
             epoch = self._local_epochs.get(key, info["leader_epoch"])
             offset = log.append_control(
                 producer_id,
@@ -664,12 +692,15 @@ class Broker:
             self.metrics["control_batch_bytes"] += CONTROL_RECORD_SIZE
             log.maybe_maintain(self.sim.now)
             self._maybe_advance_high_watermark(key)
-            failure = yield from self._await_high_watermark(key, offset + 1)
-            if failure is not None:
-                return failure
-            return Response(payload={"error": None, "offset": offset}, size=48)
+            return self._await_high_watermark(
+                request,
+                key,
+                offset + 1,
+                lambda: Response(payload={"error": None, "offset": offset}, size=48),
+            )
 
-        return marker_process()
+        cost = self.config.cpu_per_request + self.config.cpu_per_record
+        return request.after(self.host.compute(cost), append)
 
     # -- replication path -----------------------------------------------------------------------------------
     def _handle_epoch_end_offset(self, payload: dict) -> dict:
@@ -689,39 +720,43 @@ class Broker:
                 break
         return {"error": None, "end_offset": end_offset}
 
-    def _handle_replica_fetch(self, payload: dict):
+    def _handle_replica_fetch(self, request: Request, payload: dict):
         key = payload["partition_key"]
         follower = payload["follower"]
         offset = payload["offset"]
+        info = self._partition_info(key)
+        if info is None or not self._is_leader(key):
+            return {"error": "not_leader", "leader_host": self._leader_hint(key)}
+        log = self.logs[key]
+        replica_state = self.replica_states.setdefault(key, ReplicaState())
+        replica_state.follower_offsets[follower] = offset
+        caught_up = offset >= log.log_end_offset
+        if caught_up:
+            replica_state.follower_caught_up_at[follower] = self.sim.now
+        # The fetch is the follower's acknowledgement of everything below
+        # ``offset``: the high watermark moves on its arrival.
+        self._maybe_advance_high_watermark(key)
 
-        def replica_fetch_process():
-            info = self._partition_info(key)
-            if info is None or not self._is_leader(key):
-                return {"error": "not_leader", "leader_host": self._leader_hint(key)}
-            log = self.logs[key]
-            replica_state = self.replica_states.setdefault(key, ReplicaState())
-            replica_state.follower_offsets[follower] = offset
-            caught_up = offset >= log.log_end_offset
-            if caught_up:
-                replica_state.follower_caught_up_at[follower] = self.sim.now
-            # The fetch is the follower's acknowledgement of everything below
-            # ``offset``: the high watermark moves on its arrival.
-            self._maybe_advance_high_watermark(key)
-            if caught_up:
-                # Wait here for the next append (or FETCH_MAX_WAIT).
-                failure = yield from self._park(
-                    key, "log_end_offset", offset + 1, FETCH_MAX_WAIT
-                )
-                if failure is not None:
-                    return failure
+        def serve():
             batch = log.read_batch(
                 offset,
                 max_records=self.config.replica_fetch_max_records,
                 with_epochs=True,
             )
             cost = self.config.cpu_per_request + self.config.cpu_per_record * len(batch)
-            yield from self.host.compute(cost)
-            yield from self._maybe_update_isr(key)
+            return request.after(
+                self.host.compute(cost), self._replica_fetch_reply, request, key, log, batch
+            )
+
+        if caught_up:
+            # Wait here for the next append (or FETCH_MAX_WAIT).
+            return self._park(request, key, "log_end_offset", offset + 1, FETCH_MAX_WAIT, serve)
+        return serve()
+
+    def _replica_fetch_reply(self, request: Request, key: str, log: PartitionLog, batch):
+        """A replica fetch at its CPU completion time: maintain the ISR, reply."""
+
+        def reply():
             return Response(
                 payload={
                     "error": None,
@@ -732,13 +767,23 @@ class Broker:
                 size=batch.total_size + 64,
             )
 
-        return replica_fetch_process()
+        isr_change = self._isr_change(key)
+        if isr_change is None:
+            return reply()
+        # Persisting the change is an RPC of the leader's own: the one reply
+        # that waits in a process.
+        self.sim.start(
+            self._persist_isr(key, *isr_change, request, reply),
+            name=f"{self.name}:isr-update:{key}",
+        )
+        return DEFERRED
 
-    def _maybe_update_isr(self, key: str):
-        """Leader-side ISR maintenance, persisted through the coordinator."""
+    def _isr_change(self, key: str) -> Optional[Tuple[dict, List[str]]]:
+        """Leader-side ISR maintenance: ``(info, desired_isr)`` when the ISR
+        should change, else ``None``."""
         info = self._partition_info(key)
         if info is None or not self._is_leader(key) or self.coordinator_host is None:
-            return
+            return None
         log = self.logs[key]
         replica_state = self.replica_states.setdefault(key, ReplicaState())
         now = self.sim.now
@@ -761,9 +806,16 @@ class Broker:
             if lag_ok:
                 desired_isr.append(follower)
         if set(desired_isr) == set(info["isr"]):
-            return
+            return None
+        return info, desired_isr
+
+    def _persist_isr(
+        self, key: str, info: dict, desired_isr: List[str], request: Request, reply: Callable
+    ):
+        """Persist an ISR change through the coordinator, then answer the
+        replica fetch that found it."""
         try:
-            reply = yield from self.transport.request(
+            ack = yield from self.transport.request(
                 self.coordinator_host,
                 COORDINATOR_PORT,
                 {
@@ -778,14 +830,15 @@ class Broker:
             # ZooKeeper unreachable: the ISR change cannot be persisted, so the
             # local view keeps the old ISR (and the HW stays put) — matching
             # the stale-leader behaviour under a partition.
-            return
-        if reply.get("error") is None:
+            ack = None
+        if ack is not None and ack.get("error") is None:
             info = dict(info)
             info["isr"] = desired_isr
             self.metadata["partitions"][key] = info
             # In-place mutation without a version bump: drop the cached
             # metadata reply size so it is re-estimated from fresh content.
             self._metadata_size_cache = (None, 0)
+        request.answer(reply)
 
     # -- follower replication ----------------------------------------------------------------------------------
     def _followed_leader(self, key: str) -> Optional[str]:

@@ -489,7 +489,7 @@ class Consumer:
         count = len(batch) if batch is not None else 0
         cost = self.config.cpu_per_record * count
         if cost > 0:
-            yield from self.host.compute(cost)
+            yield self.sim.timeout_at(self.host.compute(cost))
         if self._fetchable(key) is None or self.offsets.get(key, 0) != offset:
             # Revoked, fenced, stopped or repositioned while the fetch was in
             # flight — parked at the leader, it can be for FETCH_MAX_WAIT:

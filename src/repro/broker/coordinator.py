@@ -45,12 +45,13 @@ controller does.  Heartbeat stamps are liveness, not metadata, and stay out.
 from __future__ import annotations
 
 import enum
+from functools import partial
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional
 
 from repro.network.host import Host
 from repro.network.packet import estimate_size
-from repro.network.transport import Request, RequestTimeout, Response, Transport
+from repro.network.transport import DEFERRED, Request, RequestTimeout, Response, Transport
 from repro.broker.errors import InvalidTxnStateError
 from repro.broker.topic import PartitionState, TopicConfig
 from repro.simulation.deadlines import DeadlineHeap
@@ -243,7 +244,9 @@ class Coordinator:
         #: per transactional id; each gives up at its deadline.
         self._end_txn_waiters: Dict[str, List] = {}
         self._deadlines = DeadlineHeap(
-            self.sim, lambda entry: entry[1].triggered, self._expire_end_txn_waiter
+            self.sim,
+            lambda entry: entry[1] not in self._end_txn_waiters.get(entry[0], ()),
+            self._expire_end_txn_waiter,
         )
         #: The metadata log, one ``{"time", "event", ...}`` record per state
         #: change; ``replay`` folds it (an empty log folds to an empty cluster).
@@ -387,9 +390,13 @@ class Coordinator:
     # -- request handling -------------------------------------------------------------
     def _handle(self, request: Request):
         payload = request.payload or {}
-        handler = self._handlers.get(payload.get("type"))
+        request_type = payload.get("type")
+        if request_type == "end_txn":
+            # The one reply that may wait: it answers ``request`` itself.
+            return self._handle_end_txn(request, payload)
+        handler = self._handlers.get(request_type)
         if handler is None:
-            return {"error": f"unknown request type {payload.get('type')!r}"}
+            return {"error": f"unknown request type {request_type!r}"}
         return handler(payload)
 
     def _handle_metadata(self, payload: dict) -> Response:
@@ -531,8 +538,8 @@ class Coordinator:
             )
         return {"error": None, "state": txn.state}
 
-    def _handle_end_txn(self, payload: dict):
-        """Commit or abort the caller's transaction (generator process).
+    def _handle_end_txn(self, request: Request, payload: dict):
+        """Commit or abort the caller's transaction.
 
         Moves Ongoing -> Prepare*, fans COMMIT/ABORT markers out to every
         registered partition leader in the background, and replies only once
@@ -556,26 +563,34 @@ class Coordinator:
             # Committing an aborted (timed-out/fenced) transaction, aborting
             # a committing one, or ending one that never began.
             return {"error": "invalid_txn_state", "message": f"transaction is {txn.state}"}
-        return self._end_txn_reply(txn.transactional_id, _COMPLETE[outcome])
+        reply = partial(self._end_txn_reply, txn.transactional_id, _COMPLETE[outcome])
+        if txn.state == _COMPLETE[outcome]:
+            return reply()
+        # Parked until the Complete* record, or END_TXN_TIMEOUT.
+        parked = (request, reply)
+        self._end_txn_waiters.setdefault(txn.transactional_id, []).append(parked)
+        self._deadlines.push(self.sim.now + END_TXN_TIMEOUT, (txn.transactional_id, parked))
+        return DEFERRED
 
-    def _end_txn_reply(self, transactional_id: str, complete: str):
-        """end_txn's reply once the transaction is ``complete`` — released by
-        its Complete* record, or ``invalid_txn_state`` after END_TXN_TIMEOUT."""
-        if self.transactions[transactional_id].state != complete:
-            waiter = self.sim.event()
-            self._end_txn_waiters.setdefault(transactional_id, []).append(waiter)
-            self._deadlines.push(self.sim.now + END_TXN_TIMEOUT, (transactional_id, waiter))
-            yield waiter
+    def _end_txn_reply(self, transactional_id: str, complete: str) -> dict:
+        """end_txn's reply: the transaction reached ``complete``, or it did
+        not (END_TXN_TIMEOUT passed first) and the answer is
+        ``invalid_txn_state``."""
         state = self.transactions[transactional_id].state
         if state != complete:
             return {"error": "invalid_txn_state", "message": f"transaction is {state}"}
         return {"error": None, "state": state}
 
+    def _release_end_txn(self, parked: tuple) -> None:
+        """Answer a parked end_txn in an entry of its own at the current time."""
+        request, reply = parked
+        self.sim.call_later(0.0, request.answer, reply)
+
     def _expire_end_txn_waiter(self, entry: tuple) -> None:
         """At its deadline an end_txn waiter leaves its list and gives up."""
-        transactional_id, waiter = entry
-        self._end_txn_waiters[transactional_id].remove(waiter)
-        waiter.succeed()
+        transactional_id, parked = entry
+        self._end_txn_waiters[transactional_id].remove(parked)
+        self._release_end_txn(parked)
 
     def _begin_abort(self, txn: TransactionState, reason: str, **changes) -> None:
         """Move an Ongoing transaction to PrepareAbort and fan markers out."""
@@ -634,8 +649,8 @@ class Coordinator:
         if txn.state != _PREPARE[outcome]:
             return
         self._record_txn("txn-completed", txn, state=_COMPLETE[outcome], outcome=outcome)
-        for waiter in self._end_txn_waiters.pop(transactional_id, ()):
-            waiter.succeed()
+        for parked in self._end_txn_waiters.pop(transactional_id, ()):
+            self._release_end_txn(parked)
         ended = "transactions_committed" if outcome == "commit" else "transactions_aborted"
         self.txn_metrics[ended] += 1
 

@@ -166,9 +166,8 @@ class SendFuture(Event):
     until somebody looks at it, and the producer keeps no reference to it.
 
     The slots of :class:`Event` are left unset.  Whatever waits on an event
-    or asks for its outcome reads one of them (``Process._resume``,
-    ``AllOf`` and ``run(until=)`` read ``callbacks``), and that first
-    read lands in :meth:`__getattr__`, which makes this an ordinary event:
+    or asks for its outcome reads one of them (``Process._resume`` and
+    ``run(until=)`` read ``callbacks``), and that first read lands in :meth:`__getattr__`, which makes this an ordinary event:
     already *processed* with its batch's outcome if the batch has settled —
     like any event that fired before its waiter came — else pending and
     registered with the producer, which triggers it when the batch settles.

@@ -5,7 +5,7 @@ executor cores.  The emulation reproduces the *timing* of that execution on
 the host's CPU model: processing ``n`` records through an operator chain of
 depth ``d`` costs ``n * d * per_record_cost`` CPU-seconds (plus a fixed
 per-job scheduling overhead), divided across ``parallelism`` tasks that each
-occupy one core of the SPE host.  This is what makes job runtimes grow with
+occupy one core of the SPE host (``Host.compute``).  This is what makes job runtimes grow with
 input volume (Figure 7b) and saturate when the host runs out of cores
 (Figure 7a).
 """
@@ -60,19 +60,20 @@ class Executor:
         self.busy_seconds = 0.0
 
     def run_job(self, n_records: int, n_bytes: int, n_stages: int):
-        """Generator: execute one job's worth of CPU work and return its duration."""
-        start = self.host.sim.now
+        """Generator: execute one job's worth of CPU work and return its duration.
+
+        The job is ``tasks`` equal charges on the host's CPU, made now in task
+        order; it ends when the last one completes — one wait, at that time.
+        """
+        sim = self.host.sim
+        start = sim.now
         total_cost = self.config.job_cost(n_records, n_bytes, n_stages)
         tasks = min(self.config.parallelism, max(1, n_records))
         per_task = total_cost / tasks
-        task_events = [
-            self.host.sim.process(
-                self.host.compute(per_task), name=f"executor-task-{index}"
-            )
-            for index in range(tasks)
-        ]
-        yield self.host.sim.all_of(task_events)
-        duration = self.host.sim.now - start
+        done = max(self.host.compute(per_task) for _ in range(tasks))
+        if done > start:
+            yield sim.timeout_at(done)
+        duration = sim.now - start
         self.jobs_run += 1
         self.busy_seconds += total_cost
         return duration

@@ -8,11 +8,11 @@ resource model and the stream processing engine's executor cost model
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
+from heapq import heappush, heapreplace
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 from repro.network.node import NetworkNode, Port
 from repro.network.packet import Packet, estimate_size
-from repro.simulation.resources import Resource
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simulation import Simulator
@@ -39,9 +39,11 @@ class Host(NetworkNode):
         if cores <= 0:
             raise ValueError("cores must be positive")
         self.cpu_percentage = cpu_percentage
+        self._share = cpu_percentage / 100.0
         self.cores = cores
-        self.cpu = Resource(sim, capacity=cores)
-        self.cpu_busy_seconds = 0.0
+        #: When each reserved core frees, as a heap; a core that was never
+        #: reserved is not in it (so it holds at most ``cores`` entries).
+        self._core_free_at: List[float] = []
         self.network = None  # set by Network.add_host
         self._services: Dict[int, ServiceHandler] = {}
         self._next_ephemeral_port = 60000
@@ -75,33 +77,46 @@ class Host(NetworkNode):
 
     # -- CPU model --------------------------------------------------------------
     def set_cores(self, cores: int) -> None:
-        """Change the host's core count (before traffic starts)."""
+        """Change the host's core count — before any work was charged: the
+        completion times already handed out assumed the old count."""
         if cores <= 0:
             raise ValueError("cores must be positive")
+        if self._core_free_at:
+            raise ValueError(f"{self.name}: cores are already reserved; set them before traffic")
         self.cores = cores
-        self.cpu.capacity = cores
 
-    def compute(self, duration: float):
-        """Generator: occupy one CPU core for ``duration`` seconds of work.
+    def compute(self, duration: float) -> float:
+        """Charge ``duration`` CPU-seconds of work to one core; returns the
+        simulated time the work completes.
 
-        The effective duration is stretched by the host's ``cpuPercentage``
-        cap (a host allowed only 50% of the CPU takes twice as long), and the
-        work queues behind other tasks when all cores are busy — this is what
-        makes single-host experiments such as the Ichinose reproduction
-        saturate at the core count.
+        The CPU is ``cores`` servers shared first come, first served: the
+        work starts on the core that frees first (at once if one is idle) and
+        takes ``duration`` stretched by the ``cpuPercentage`` cap (a host
+        allowed only 50% of the CPU takes twice as long) —
+        ``done = max(now, earliest free core) + duration / share``.  That is
+        what makes single-host experiments such as the Ichinose reproduction
+        saturate at the core count.  The caller waits for ``done`` itself
+        (``sim.call_at`` / ``sim.timeout_at``); a zero charge on an idle core
+        returns ``now`` and reserves nothing.
         """
         if duration < 0:
             raise ValueError("duration must be non-negative")
-        effective = duration / (self.cpu_percentage / 100.0)
-        request = self.cpu.request()
-        if not request.processed:  # every core busy: queue for one
-            yield request
-        try:
-            if effective > 0:
-                yield self.sim.timeout(effective)
-            self.cpu_busy_seconds += effective
-        finally:
-            self.cpu.release(request)
+        now = self.sim.now
+        free_at = self._core_free_at
+        if len(free_at) < self.cores:
+            if duration == 0:
+                return now
+            done = now + duration / self._share
+            heappush(free_at, done)
+            return done
+        start = free_at[0]
+        if start <= now:
+            if duration == 0:
+                return now
+            start = now
+        done = start + duration / self._share
+        heapreplace(free_at, done)
+        return done
 
     # -- sending -----------------------------------------------------------------
     def send(

@@ -11,9 +11,11 @@ provides the subset of TCP + RPC semantics the paper's systems rely on:
   inflation discussed around Figure 6c;
 * remote errors propagated back to the caller as :class:`RemoteError`.
 
-Handlers registered on a service port may be plain functions returning a
-response payload, or generator functions that take simulated time (yielding
-events) before returning their response.
+A handler registered on a service port runs inside the request's arrival.
+It returns the reply — a payload or a :class:`Response` — or
+:data:`DEFERRED` when the reply leaves later: at a CPU charge's completion
+time (:meth:`Request.after`) or when a parked wait is released
+(:meth:`Request.answer`).  No request is served by a process of its own.
 """
 
 from __future__ import annotations
@@ -42,15 +44,46 @@ class RemoteError(Exception):
 _EXPIRED = object()
 
 
-@dataclass
-class Request:
-    """The object handed to service handlers."""
+#: What a handler returns when its reply leaves later (see :class:`Request`).
+DEFERRED = object()
 
-    payload: Any
-    src: str
-    src_port: int
-    size: int
-    created_at: float
+
+class Request:
+    """The object handed to service handlers, and the handle that answers it.
+
+    A handler that cannot reply in its arrival returns :data:`DEFERRED` and
+    leaves a continuation: :meth:`after` for a reply built at a CPU charge's
+    completion time, :meth:`answer` for one built when a parked wait is
+    released.  Either way the continuation's result is the reply, an
+    exception in it reaches the caller as :class:`RemoteError`, and a
+    continuation may itself return ``DEFERRED`` and continue later.
+    """
+
+    __slots__ = ("payload", "src", "src_port", "size", "created_at", "_transport", "_id")
+
+    def __init__(self, transport: "Transport", packet: Packet) -> None:
+        self.payload = packet.payload
+        self.src = packet.src
+        self.src_port = packet.src_port
+        self.size = packet.size
+        self.created_at = packet.created_at
+        self._transport = transport
+        self._id = packet.headers["request_id"]
+
+    def answer(self, fn: Callable, *args: Any) -> None:
+        """Reply now with ``fn(*args)``."""
+        self._transport._answer(self, fn, args)
+
+    def after(self, done: float, fn: Callable, *args: Any) -> Any:
+        """Reply with ``fn(*args)``, run at ``done`` — the completion time
+        ``Host.compute`` returned, scheduled as given.  A charge that completes
+        now (zero work on an idle core) runs ``fn`` inline and returns its
+        result; otherwise returns :data:`DEFERRED`."""
+        sim = self._transport.sim
+        if done == sim.now:
+            return fn(*args)
+        sim.call_at(done, self._transport._answer, self, fn, args)
+        return DEFERRED
 
 
 @dataclass
@@ -101,9 +134,8 @@ class Transport:
     def register(self, port: int, handler: Callable) -> None:
         """Expose ``handler`` on ``port``.
 
-        ``handler(request: Request)`` may return a payload, a
-        :class:`Response`, or be a generator that yields simulation events
-        before returning its result.
+        ``handler(request: Request)`` returns a payload, a :class:`Response`,
+        or :data:`DEFERRED` (it answers ``request`` later).
         """
         if port >= REPLY_PORT:
             raise ValueError(
@@ -115,52 +147,34 @@ class Transport:
         self._handlers[port] = handler
 
     def _on_request(self, packet: Packet, port: int) -> None:
-        handler = self._handlers[port]
-        request_id = packet.headers["request_id"]
-        request = Request(
-            payload=packet.payload,
-            src=packet.src,
-            src_port=packet.src_port,
-            size=packet.size,
-            created_at=packet.created_at,
-        )
-        # Only ever reached from a heap callback (arrival, loopback delivery).
-        self.sim.start(
-            self._serve(handler, request, packet.src, request_id, packet.src_port),
-            name=f"{self.host.name}:serve:{port}",
-        )
-
-    def _serve(
-        self,
-        handler: Callable,
-        request: Request,
-        reply_to: str,
-        request_id: Any,
-        reply_port: int,
-    ):
         self.requests_served += 1
+        request = Request(self, packet)
+        self._answer(request, self._handlers[port], (request,))
+
+    def _answer(self, request: Request, fn: Callable, args: tuple) -> None:
+        """Run one step of serving ``request`` and send its reply, unless the
+        step returned :data:`DEFERRED`."""
         error: Optional[str] = None
-        result: Any = None
         try:
-            result = handler(request)
-            if hasattr(result, "send") and hasattr(result, "throw"):
-                # A generator handler runs inside this serve process.
-                result = yield from result
+            result = fn(*args)
         except Exception as exc:  # noqa: BLE001 - remote errors travel to the caller
             error = f"{type(exc).__name__}: {exc}"
+            result = None
+        else:
+            if result is DEFERRED:
+                return
         if isinstance(result, Response):
             payload, size = result.payload, result.size
         else:
             payload, size = result, None
         self.host.send(
-            dst=reply_to,
+            dst=request.src,
             payload=payload,
             size=size if size is not None else estimate_size(payload),
-            dst_port=reply_port,
+            dst_port=request.src_port,
             src_port=0,
-            headers={"request_id": request_id, "error": error},
+            headers={"request_id": request._id, "error": error},
         )
-        return None
 
     # -- client side ------------------------------------------------------------------
     def _on_reply(self, packet: Packet) -> None:

@@ -16,22 +16,17 @@ Public API
     entry).
 ``Process``
     A running generator registered with the simulator.
-``Event`` / ``Timeout`` / ``AllOf``
+``Event`` / ``Timeout``
     Awaitable primitives.
-``Resource``
-    A counted resource with FIFO request queues (a host's CPU cores).
 """
 
 from repro.simulation.engine import Simulator
-from repro.simulation.events import AllOf, Event, Timeout
+from repro.simulation.events import Event, Timeout
 from repro.simulation.process import Process
-from repro.simulation.resources import Resource
 
 __all__ = [
     "Simulator",
     "Process",
     "Event",
     "Timeout",
-    "AllOf",
-    "Resource",
 ]

@@ -24,9 +24,9 @@ from __future__ import annotations
 
 import heapq
 from itertools import count
-from typing import Any, Callable, Generator, Iterable, Optional, Union
+from typing import Any, Callable, Generator, Optional, Union
 
-from repro.simulation.events import AllOf, Event, Timeout, until_interest
+from repro.simulation.events import Event, Timeout, until_interest
 from repro.simulation.process import BOOTSTRAP, Process
 from repro.simulation.rng import SeededRandom, deterministic_hash
 
@@ -113,6 +113,17 @@ class Simulator:
         """Create an event that fires ``delay`` seconds from now."""
         return Timeout(self, delay, value)
 
+    def timeout_at(self, when: float) -> Event:
+        """Create an event that fires at simulated time ``when`` — a CPU
+        charge's completion (``Host.compute``), pushed as given: ``now +
+        (when - now)`` is not always the same float."""
+        if when < self._now:
+            raise ValueError(f"when={when} lies in the past (now={self._now})")
+        event = Event(self)
+        event._value = None
+        heapq.heappush(self._queue, (when, NORMAL, next(self._eid), event))
+        return event
+
     def process(
         self, generator: Generator[Event, Any, Any], name: Optional[str] = None
     ) -> Process:
@@ -126,7 +137,8 @@ class Simulator:
         self, generator: Generator[Event, Any, Any], name: Optional[str] = None
     ) -> Process:
         """Like :meth:`process`, but the first step runs *now*, in the heap
-        callback that calls this (a request arriving at a server) instead of
+        callback that calls this (a producer's flush timer, a leader's ISR
+        update at a replica fetch's completion time) instead of
         through a zero-delay entry of its own.  Inside a running process the
         nested resume would clobber :attr:`active_process`: an error."""
         if self._active_process is not None:
@@ -134,10 +146,6 @@ class Simulator:
         process = Process(self, generator, name=name)
         process._resume(BOOTSTRAP)
         return process
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Event that fires once all ``events`` have fired."""
-        return AllOf(self, events)
 
     # -- scheduling ----------------------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0, priority: int = NORMAL) -> None:

@@ -8,7 +8,7 @@ fires.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, List, Optional
+from typing import Any, Callable, List, Optional
 
 PENDING = object()
 
@@ -145,78 +145,3 @@ class Timeout(Event):
         self._ok = True
         self._value = value
         sim._schedule(self, delay=delay)
-
-
-class ConditionValue:
-    """Mapping-like view over the events an :class:`AllOf` waited for."""
-
-    __slots__ = ("events", "_members")
-
-    def __init__(self, events: List[Event]) -> None:
-        self.events = events
-        # Identity set for O(1) lookups (events hash by identity).
-        self._members = set(events)
-
-    def __getitem__(self, event: Event) -> Any:
-        if event not in self._members:
-            raise KeyError(event)
-        return event._value
-
-    def __contains__(self, event: Event) -> bool:
-        return event in self._members
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self):
-        return iter(self.events)
-
-    def todict(self) -> dict:
-        return {e: e._value for e in self.events}
-
-    def __repr__(self) -> str:
-        return f"<ConditionValue {self.todict()!r}>"
-
-
-class AllOf(Event):
-    """Fires once *all* given events have fired, with a
-    :class:`ConditionValue` over them; fails with the first failure among
-    them (defusing it)."""
-
-    __slots__ = ("_events", "_count")
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:  # noqa: F821
-        super().__init__(sim)
-        self._events = list(events)
-        self._count = 0
-
-        for event in self._events:
-            if event.sim is not sim:
-                raise ValueError("cannot mix events from different simulators")
-
-        if not self._events:
-            self.succeed(ConditionValue([]))
-            return
-
-        for event in self._events:
-            if self.triggered:
-                # An already-processed failure decided the condition; skip
-                # registering callbacks on the rest — _check would ignore
-                # them anyway.
-                break
-            if event.callbacks is None:
-                self._check(event)
-            else:
-                event.callbacks.append(self._check)
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            return
-        self._count += 1
-        if not event._ok:
-            event.defuse()
-            self.fail(event._value)
-        elif self._count == len(self._events):
-            # Every event has fired, so every one is processed: an event's
-            # ``callbacks`` is None before its callbacks run.
-            self.succeed(ConditionValue(self._events))

@@ -58,7 +58,6 @@ class StoreServer:
         operation = payload.get("op")
 
         def serve():
-            yield from self.host.compute(self.config.cpu_per_operation)
             self.operations_served += 1
             if operation == "put":
                 self.kv.put(payload["key"], payload["value"])
@@ -83,7 +82,7 @@ class StoreServer:
                 return {"ok": True, "items": self.kv.scan(payload.get("prefix"))}
             return {"ok": False, "error": f"unknown operation {operation!r}"}
 
-        return serve()
+        return request.after(self.host.compute(self.config.cpu_per_operation), serve)
 
 
 class StoreClient:

@@ -10,6 +10,7 @@ change made without a record) to show the check is not blind.
 """
 
 from dataclasses import asdict
+from unittest.mock import Mock
 
 import pytest
 
@@ -277,7 +278,8 @@ def test_replay_at_prepare_commit_resumes_the_markers():
     caller = {"transactional_id": "tx1", "producer_id": reply["producer_id"],
               "producer_epoch": reply["producer_epoch"]}
     coordinator._handle_add_partitions_to_txn(dict(caller, partitions=["topicA-0"]))
-    coordinator._handle_end_txn(dict(caller, outcome="commit"))
+    # The request stands in for the transport's: the reply is not looked at.
+    coordinator._handle_end_txn(Mock(), dict(caller, outcome="commit"))
     # The markers are still on their way when the controller restarts.
     assert coordinator.event_log[-1]["event"] == "txn-end-requested"
     assert coordinator.event_log[-1]["state"] == "PrepareCommit"

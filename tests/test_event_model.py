@@ -23,7 +23,7 @@ from repro.core import emulation
 from repro.experiments.fig6_partition import Fig6Config, run_fig6
 from repro.network.link import LinkConfig
 from repro.network.topology import star_topology
-from repro.simulation import Simulator
+from repro.simulation import Process, Simulator
 
 
 def build_cluster(replication=2, mode=CoordinationMode.ZOOKEEPER, seed=1):
@@ -275,6 +275,13 @@ def test_control_arm_acknowledging_on_an_adopted_high_watermark_loses_records(mo
 FIG6_SMOKE_EVENTS = 35_245
 FIG6_SMOKE_DELIVERIES = 3_896
 
+#: ``Process`` objects the same run creates, gated the same way.  6,472 while
+#: every served request ran in a serve process of its own; 790 once a
+#: handler answers from its arrival, its CPU completion time or a purgatory
+#: release (what is left: producer sends, metadata refreshes, client loops
+#: and the leaders' ISR updates).
+FIG6_SMOKE_PROCESSES = 790
+
 
 #: ``(reports, sha256)`` over every field of every producer's delivery
 #: reports in that run, captured on the per-record ``DeliveryReport``
@@ -289,8 +296,9 @@ FIG6_SMOKE_REPORTS = (
 
 @pytest.fixture(scope="module")
 def fig6_smoke():
-    """One run of the smoke shape; its result, simulators and producers."""
-    simulators, producers = [], []
+    """One run of the smoke shape; its result, simulators, producers and the
+    number of processes it created."""
+    simulators, producers, processes = [], [], []
 
     class RecordingSimulator(Simulator):
         def __init__(self, *args, **kwargs):
@@ -303,9 +311,16 @@ def fig6_smoke():
         producer_init(self, *args, **kwargs)
         producers.append(self)
 
+    process_init = Process.__init__
+
+    def counting_init(self, *args, **kwargs):
+        process_init(self, *args, **kwargs)
+        processes.append(None)
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(emulation, "Simulator", RecordingSimulator)
         patch.setattr(Producer, "__init__", recording_init)
+        patch.setattr(Process, "__init__", counting_init)
         result = run_fig6(
             Fig6Config(
                 n_sites=4,
@@ -321,11 +336,11 @@ def fig6_smoke():
                 seed=11,
             )
         )
-    return result, simulators, producers
+    return result, simulators, producers, len(processes)
 
 
 def test_fig6_smoke_event_budget(fig6_smoke):
-    result, simulators, _producers = fig6_smoke
+    result, simulators, _producers, _processes = fig6_smoke
     assert result.acked_but_lost == 0
     events = sum(sim.processed_events for sim in simulators)
     assert (
@@ -333,9 +348,16 @@ def test_fig6_smoke_event_budget(fig6_smoke):
     ), (events, result.messages_consumed)
 
 
+def test_fig6_smoke_process_budget(fig6_smoke):
+    result, _simulators, _producers, processes = fig6_smoke
+    assert (
+        processes / result.messages_consumed <= FIG6_SMOKE_PROCESSES / FIG6_SMOKE_DELIVERIES
+    ), (processes, result.messages_consumed)
+
+
 def test_fig6_smoke_delivery_reports_equal_the_per_record_bookkeeping(
     fig6_smoke, reports_digest
 ):
-    _result, _simulators, producers = fig6_smoke
+    _result, _simulators, producers, _processes = fig6_smoke
     assert len(producers) == 4
     assert reports_digest(producers) == FIG6_SMOKE_REPORTS

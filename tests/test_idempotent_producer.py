@@ -20,10 +20,27 @@ from repro.broker import (
     TopicConfig,
 )
 from repro.broker.batch import RecordBatch
+from repro.broker.broker import BROKER_PORT
 from repro.broker.log import PartitionLog
 from repro.network.link import LinkConfig
 from repro.network.topology import star_topology
+from repro.network.transport import Transport
 from repro.simulation import Simulator
+
+
+def replay_produce(sim, leader, batch):
+    """Send ``batch`` to ``leader`` as an ``acks=1`` produce (what a producer's
+    retry delivers after a lost ack), from a transport on the leader's host;
+    the reply payload lands in the returned list."""
+    client = Transport(leader.host)
+    replies = []
+    request = {"type": "produce", "topic": "topicA", "partition": 0, "batch": batch, "acks": 1}
+
+    def replay():
+        replies.append((yield from client.request(leader.host.name, BROKER_PORT, request)))
+
+    sim.process(replay())
+    return replies
 
 
 def build_cluster(
@@ -273,19 +290,9 @@ class TestIdempotentProduce:
         retry.producer_id = producer.producer_id
         retry.producer_epoch = producer.producer_epoch
         retry.base_sequence = 0
-        replies = []
-
-        def replay():
-            handler = leader._handle_produce(
-                {"type": "produce", "topic": "topicA", "partition": 0,
-                 "batch": retry, "acks": 1}
-            )
-            reply = yield sim.process(handler)
-            replies.append(reply)
-
-        sim.process(replay())
+        replies = replay_produce(sim, leader, retry)
         sim.run(until=25.0)
-        payload = replies[0].payload
+        payload = replies[0]
         assert payload["error"] is None
         assert payload["duplicate"] is True
         assert payload["base_offset"] == 0  # original offsets echoed back
@@ -312,19 +319,9 @@ class TestIdempotentProduce:
         for i in range(5):
             retry.append(key="k", value=i, size=40, produced_at=0.0)
         retry.producer_id, retry.producer_epoch, retry.base_sequence = 9, 0, 0
-        replies = []
-
-        def replay():
-            handler = leader._handle_produce(
-                {"type": "produce", "topic": "topicA", "partition": 0,
-                 "batch": retry, "acks": 1}
-            )
-            reply = yield sim.process(handler)
-            replies.append(reply)
-
-        sim.process(replay())
+        replies = replay_produce(sim, leader, retry)
         sim.run(until=15.0)
-        payload = replies[0].payload
+        payload = replies[0]
         assert payload["error"] is None
         assert payload["duplicate"] is True  # positions not re-derived
         assert payload["base_offset"] == -1
@@ -420,20 +417,10 @@ class TestIdempotentProduce:
         retry.producer_id = producer.producer_id
         retry.producer_epoch = producer.producer_epoch
         retry.base_sequence = 4
-        replies = []
-
-        def replay():
-            handler = new_leader._handle_produce(
-                {"type": "produce", "topic": "topicA", "partition": 0,
-                 "batch": retry, "acks": 1}
-            )
-            reply = yield sim.process(handler)
-            replies.append(reply)
-
         before = new_log.log_end_offset
-        sim.process(replay())
+        replies = replay_produce(sim, new_leader, retry)
         sim.run(until=sim.now + 5.0)
-        payload = replies[0].payload
+        payload = replies[0]
         assert payload["error"] is None and payload["duplicate"] is True
         assert new_log.log_end_offset == before
         assert new_leader.metrics["duplicate_records"] == 1

@@ -7,7 +7,7 @@ from repro.network.faults import FaultInjector, LinkFault, NodeDisconnection
 from repro.core.emulation import Emulation
 from repro.core.task import TaskDescription
 from repro.network.topology import linear_topology, one_big_switch, star_topology
-from repro.network.transport import Request, Response
+from repro.network.transport import DEFERRED, Request, Response
 from repro.simulation import Simulator
 
 
@@ -261,12 +261,11 @@ class TestTransport:
         # 4 link traversals at 5 ms each = at least 20 ms round trip.
         assert results[0][1] >= 0.020
 
-    def test_generator_handler_takes_time(self):
+    def test_deferred_handler_takes_time(self):
         sim, net, client, server = self._net()
 
         def slow_handler(request):
-            yield sim.timeout(1.0)
-            return Response(payload="done", size=10)
+            return request.after(sim.now + 1.0, lambda: Response(payload="done", size=10))
 
         server.register(9000, slow_handler)
         results = []
@@ -335,6 +334,43 @@ class TestTransport:
         sim.process(caller())
         sim.run()
         assert errors and "bad request" in errors[0]
+
+    def _remote_errors(self, sim, client):
+        errors = []
+
+        def caller():
+            try:
+                yield from client.request("server", 9000, "x", timeout=5.0)
+            except RemoteError as exc:
+                errors.append((str(exc), sim.now))
+
+        sim.process(caller())
+        sim.run()
+        return errors
+
+    @staticmethod
+    def _fail():
+        raise ValueError("bad request")
+
+    def test_remote_error_raised_at_the_completion_time_propagates(self):
+        sim, net, client, server = self._net()
+        server.register(9000, lambda request: request.after(sim.now + 1.0, self._fail))
+        ((error, answered_at),) = self._remote_errors(sim, client)
+        assert error == "ValueError: bad request" and answered_at > 1.0
+
+    def test_remote_error_raised_after_a_purgatory_release_propagates(self):
+        sim, net, client, server = self._net()
+        parked = []
+
+        def parking_handler(request):
+            parked.append(request)
+            return DEFERRED
+
+        server.register(9000, parking_handler)
+        # The release: whatever the request waited for happens at 1.0.
+        sim.call_at(1.0, lambda: parked[0].answer(self._fail))
+        ((error, answered_at),) = self._remote_errors(sim, client)
+        assert error == "ValueError: bad request" and answered_at > 1.0
 
     def test_reserved_port_rejected(self):
         sim, net, client, server = self._net()

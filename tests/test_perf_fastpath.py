@@ -1,8 +1,8 @@
 """Tests for the zero-allocation fast path and its satellite fixes.
 
-Covers ``Simulator.call_later`` semantics, link drop accounting, condition
-fast paths, precomputed link shaping parameters, and transport pending-request
-cleanup (late replies must neither leak memory nor resolve stale ids).
+Covers ``Simulator.call_later`` semantics, link drop accounting, precomputed
+link shaping parameters, and transport pending-request cleanup (late replies
+must neither leak memory nor resolve stale ids).
 """
 
 import sys
@@ -102,70 +102,6 @@ class TestCallLater:
         assert seen == [1.0, 2.0]
 
 
-class TestConditionFastPaths:
-    def test_all_of_with_all_processed_events(self):
-        sim = Simulator()
-        done = []
-
-        def proc():
-            t1 = sim.timeout(1.0, value=1)
-            t2 = sim.timeout(2.0, value=2)
-            yield t1
-            yield t2
-            result = yield sim.all_of([t1, t2])
-            done.append([result[t1], result[t2]])
-
-        sim.process(proc())
-        sim.run()
-        assert done == [[1, 2]]
-
-    def test_condition_value_membership_and_keyerror(self):
-        sim = Simulator()
-        outcome = {}
-
-        def proc():
-            t1 = sim.timeout(1.0, value="a")
-            t2 = sim.timeout(5.0, value="b")
-            outside = sim.event()
-            result = yield sim.all_of([t1, t2])
-            outcome["contains"] = (t1 in result, t2 in result, outside in result)
-            with pytest.raises(KeyError):
-                result[outside]
-
-        sim.process(proc())
-        sim.run()
-        assert outcome["contains"] == (True, True, False)
-
-    def test_all_of_over_elided_and_pending_events(self):
-        sim = Simulator()
-        done = []
-
-        def proc():
-            elided = sim.event().succeed(1)
-            pending = sim.event()
-            sim.call_later(2.0, pending.succeed, 2)
-            timer = sim.timeout(1.0, value=3)
-            result = yield sim.all_of([elided, pending, timer])
-            done.append((sim.now, [result[e] for e in (elided, pending, timer)]))
-
-        sim.process(proc())
-        sim.run()
-        assert done == [(2.0, [1, 2, 3])]
-
-    def test_all_of_over_only_elided_events_fires_at_once(self):
-        sim = Simulator()
-        done = []
-
-        def proc():
-            yield sim.timeout(1.0)
-            events = [sim.event().succeed(i) for i in range(3)]
-            result = yield sim.all_of(events)
-            done.append((sim.now, [result[e] for e in events]))
-
-        sim.process(proc())
-        sim.run()
-        assert done == [(1.0, [0, 1, 2])]
-
 class TestLinkConfigDerived:
     def test_derived_values_follow_mutation(self):
         cfg = LinkConfig(latency_ms=10.0, bandwidth_mbps=100.0, loss_percent=0.0)
@@ -217,8 +153,8 @@ class TestTransportPendingCleanup:
         sim, net, client, server = self._two_hosts()
 
         def slow_handler(request):
-            yield sim.timeout(1.0)  # far longer than the client's timeout
-            return "late"
+            # Far longer than the client's timeout.
+            return request.after(sim.now + 1.0, lambda: "late")
 
         server.register(80, slow_handler)
         outcomes = []
@@ -332,12 +268,14 @@ class TestTransportRequestPaths:
         assert (client.requests_retried, client.requests_failed) == (1, 0)
         assert client._pending == {}
 
-    def test_remote_error_from_generator_handler_is_not_retried(self):
+    def test_remote_error_at_a_completion_time_is_not_retried(self):
         sim, net, client, server = self._two_hosts()
 
-        def failing_handler(request):
-            yield sim.timeout(0.1)
+        def boom():
             raise ValueError("boom")
+
+        def failing_handler(request):
+            return request.after(sim.now + 0.1, boom)
 
         server.register(80, failing_handler)
         errors = []
@@ -366,9 +304,22 @@ class TestTransportRequestPaths:
         sim.process(caller())
         sim.run()
         # caller start + 4 arrivals (request and reply, two links each; the
-        # switch forwards, the serve process starts and the caller resumes
-        # inside an arrival) + one sweep of the deadline heap.
+        # switch forwards, the handler replies and the caller resumes inside
+        # an arrival) + one sweep of the deadline heap.
         assert sim.processed_events == 6
+
+    def test_a_reply_after_a_zero_charge_on_an_idle_core_costs_no_entry(self):
+        sim, net, client, server = self._two_hosts()
+        host = server.host
+        server.register(80, lambda request: request.after(host.compute(0.0), lambda: "pong"))
+        replies = []
+
+        def caller():
+            replies.append((yield from client.request("h2", 80, "ping", size=64)))
+
+        sim.process(caller())
+        sim.run()
+        assert replies == ["pong"] and sim.processed_events == 6
 
     def test_shorter_timeout_behind_a_longer_one_expires_on_time(self):
         sim, net, client, server = self._two_hosts()

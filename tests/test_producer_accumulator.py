@@ -261,7 +261,7 @@ def test_outcome_properties_of_a_future_nobody_waits_on():
     assert sim.run(until=untouched).offset == 1  # run(until=) on a settled send
 
 
-def test_all_of_over_send_futures_in_different_batches():
+def test_yielding_send_futures_in_different_batches():
     sim, _network, sites, cluster = build_cluster()
     producer = started_producer(sim, cluster, sites[2], ProducerConfig(linger=0.05))
     fired = []
@@ -272,10 +272,11 @@ def test_all_of_over_send_futures_in_different_batches():
         second = producer.send(ProducerRecord(topic="events", key="b", value=2, size=100))
         third = producer.send(ProducerRecord(topic="events", key="c", value=3, size=100))
         fired.append(sim.now)
-        outcome = yield sim.all_of([second, first])  # first is already settled
-        fired.append((sim.now, outcome[first].offset, outcome[second].offset))
-        outcome = yield sim.all_of([second, third])  # both settled by now
-        fired.append((sim.now, outcome[second].offset, outcome[third].offset))
+        pending = yield second  # parks until the second batch's ack
+        settled = yield first  # settled long ago: resumes at the same time
+        fired.append((sim.now, settled.offset, pending.offset))
+        second_again = yield second  # both settled by now
+        fired.append((sim.now, second_again.offset, (yield third).offset))
 
     sim.process(workload())
     sim.run(until=8.0)

@@ -164,20 +164,6 @@ def test_yielding_non_event_fails_process():
         sim.run(until=proc)
 
 
-def test_all_of_waits_for_every_event():
-    sim = Simulator()
-
-    def proc():
-        t1 = sim.timeout(1.0, value="a")
-        t2 = sim.timeout(3.0, value="b")
-        results = yield sim.all_of([t1, t2])
-        return [results[t1], results[t2]]
-
-    result = sim.run(until=sim.process(proc()))
-    assert result == ["a", "b"]
-    assert sim.now == pytest.approx(3.0)
-
-
 def test_call_later_runs_at_delay():
     sim = Simulator()
     fired = []

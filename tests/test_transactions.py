@@ -30,7 +30,20 @@ from repro.broker.errors import (
 from repro.broker.log import PartitionLog
 from repro.network.link import LinkConfig
 from repro.network.topology import star_topology
+from repro.network.transport import DEFERRED
 from repro.simulation import Simulator
+
+
+class AnsweredHere:
+    """Stands in for a transport ``Request`` handed to the coordinator's
+    end_txn handler: keeps ``(time, reply)`` for each answer it gets."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.answers = []
+
+    def answer(self, fn, *args):
+        self.answers.append((self.sim.now, fn(*args)))
 
 
 def build_cluster(
@@ -188,11 +201,11 @@ class TestCoordinatorTransactions:
         caller = {"transactional_id": "tx1", "producer_id": reply["producer_id"],
                   "producer_epoch": reply["producer_epoch"]}
         # Committing a transaction that never began: illegal.
-        refused = coordinator._handle_end_txn(dict(caller, outcome="commit"))
+        refused = coordinator._handle_end_txn(AnsweredHere(sim), dict(caller, outcome="commit"))
         assert refused["error"] == "invalid_txn_state"
         stale = coordinator._handle_end_txn(
-            dict(caller, producer_epoch=caller["producer_epoch"] - 1,
-                 outcome="commit")
+            AnsweredHere(sim),
+            dict(caller, producer_epoch=caller["producer_epoch"] - 1, outcome="commit"),
         )
         assert stale["error"] == "producer_fenced"
         assert coordinator.txn_metrics["fenced_end_txn"] == 1
@@ -213,20 +226,15 @@ class TestCoordinatorTransactions:
         assert coordinator.txn_metrics["transactions_aborted"] == 1
 
     def _commit_in_background(self, sim, coordinator):
-        """Open tx1 on topicA-0 and commit it from a process; the reply and
-        its time land in the returned list."""
+        """Open tx1 on topicA-0 and ask to commit it; the reply and its time
+        land in the returned list once the coordinator answers."""
         reply = coordinator._handle_init_producer_id({"transactional_id": "tx1"})
         caller = {"transactional_id": "tx1", "producer_id": reply["producer_id"],
                   "producer_epoch": reply["producer_epoch"]}
         coordinator._handle_add_partitions_to_txn(dict(caller, partitions=["topicA-0"]))
-        replies = []
-
-        def commit():
-            answer = yield from coordinator._handle_end_txn(dict(caller, outcome="commit"))
-            replies.append((sim.now, answer))
-
-        sim.process(commit())
-        return replies
+        request = AnsweredHere(sim)
+        assert coordinator._handle_end_txn(request, dict(caller, outcome="commit")) is DEFERRED
+        return request.answers
 
     def test_end_txn_replies_the_moment_the_transaction_completes(self):
         sim, network, sites, cluster = build_cluster()
