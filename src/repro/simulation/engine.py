@@ -5,14 +5,17 @@ Two scheduling tiers share one heap:
 * the full :class:`~repro.simulation.events.Event` / ``Process`` machinery,
   used wherever a caller needs to *wait* on an occurrence; and
 * a zero-allocation fast path — :meth:`Simulator.call_at` / ``call_later`` —
-  that pushes a bare ``(fn, args)`` entry and invokes it directly from the
-  dispatch loop.  One heap entry per callback, no ``Event``, no generator
-  frame.  The network data plane (one entry per link hop, loopback delivery)
-  runs entirely on this path; see :class:`_Callback`.
+  that pushes ``fn`` and ``args`` in the heap entry itself and calls
+  ``fn(*args)`` directly from the dispatch loop.  One heap entry per
+  callback, no ``Event``, no generator frame, no wrapper object.  The network
+  data plane (one entry per link hop, loopback delivery) and the replies of
+  served requests run entirely on this path.
 
-Both tiers are ordered by ``(time, priority, sequence)`` from a single
-monotonic counter, so mixing them cannot reorder same-time events and
-determinism is preserved.
+An entry is ``(time, priority, sequence, target, args)``: ``args`` is the
+callback's argument tuple, or ``None`` when ``target`` is an event.  Both
+tiers are ordered by ``(time, priority, sequence)`` from a single monotonic
+counter, so mixing them cannot reorder same-time events and determinism is
+preserved.
 
 A heap entry exists only for something that has a waiter (or a time to wait
 for): an event that succeeds while nothing waits on it is settled inline
@@ -38,25 +41,6 @@ NORMAL = 1
 
 class EmptySchedule(Exception):
     """Raised internally when there are no more events to process."""
-
-
-class _Callback:
-    """A bare scheduled callback: the fast-path heap entry.
-
-    Unlike an :class:`Event` it cannot be waited on, has no value and no
-    failure state — the dispatch loop just calls ``fn(*args)``.  This is what
-    makes per-packet scheduling cheap: one small object and one heap push
-    instead of a ``Process`` + init ``Event`` + ``Timeout``.
-    """
-
-    __slots__ = ("fn", "args")
-
-    def __init__(self, fn: Callable[..., Any], args: tuple) -> None:
-        self.fn = fn
-        self.args = args
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<_Callback {getattr(self.fn, '__qualname__', self.fn)!r}>"
 
 
 class Simulator:
@@ -121,7 +105,7 @@ class Simulator:
             raise ValueError(f"when={when} lies in the past (now={self._now})")
         event = Event(self)
         event._value = None
-        heapq.heappush(self._queue, (when, NORMAL, next(self._eid), event))
+        heapq.heappush(self._queue, (when, NORMAL, next(self._eid), event, None))
         return event
 
     def process(
@@ -149,14 +133,15 @@ class Simulator:
 
     # -- scheduling ----------------------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0, priority: int = NORMAL) -> None:
-        heapq.heappush(self._queue, (self._now + delay, priority, next(self._eid), event))
+        heapq.heappush(
+            self._queue, (self._now + delay, priority, next(self._eid), event, None)
+        )
 
     def call_at(self, when: float, fn: Callable[..., Any], *args: Any) -> None:
         """Run ``fn(*args)`` once, at simulated time ``when`` (fast path).
 
         This is the zero-allocation scheduling primitive: it costs one heap
-        push and a tiny :class:`_Callback` record, and the dispatch loop calls
-        ``fn`` directly.  Use it for fire-and-forget work (packet delivery,
+        push, and the dispatch loop calls ``fn`` directly.  Use it for fire-and-forget work (packet delivery,
         deferred starts) where nothing needs to wait on the result; use
         :meth:`process` / :meth:`timeout` when the caller must synchronize.
         A caller folding several delays into one entry sums them onto ``now``
@@ -164,16 +149,14 @@ class Simulator:
         """
         if when < self._now:
             raise ValueError(f"when={when} lies in the past (now={self._now})")
-        heapq.heappush(self._queue, (when, NORMAL, next(self._eid), _Callback(fn, args)))
+        heapq.heappush(self._queue, (when, NORMAL, next(self._eid), fn, args))
 
     def call_later(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
         """``call_at(now + delay, fn, *args)``, pushed here: delegating costs a
         third of an entry's whole price (1.75M -> 1.2M entries/s)."""
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        heapq.heappush(
-            self._queue, (self._now + delay, NORMAL, next(self._eid), _Callback(fn, args))
-        )
+        heapq.heappush(self._queue, (self._now + delay, NORMAL, next(self._eid), fn, args))
 
     # -- run loop -------------------------------------------------------------
     def peek(self) -> float:
@@ -242,13 +225,13 @@ class Simulator:
         try:
             while processed != budget:
                 try:
-                    when, _priority, _eid, event = pop(queue)
+                    when, _priority, _eid, event, args = pop(queue)
                 except IndexError:
                     raise EmptySchedule() from None
                 self._now = when
                 processed += 1
-                if type(event) is _Callback:
-                    event.fn(*event.args)
+                if args is not None:
+                    event(*args)  # a call_at / call_later callback
                     continue
                 callbacks, event.callbacks = event.callbacks, None
                 if callbacks:

@@ -268,7 +268,7 @@ class TestTransportRequestPaths:
         assert (client.requests_retried, client.requests_failed) == (1, 0)
         assert client._pending == {}
 
-    def test_remote_error_at_a_completion_time_is_not_retried(self):
+    def test_remote_error_at_completion_is_not_retried(self):
         sim, net, client, server = self._two_hosts()
 
         def boom():
