@@ -45,8 +45,8 @@ controller does.  Heartbeat stamps are liveness, not metadata, and stay out.
 from __future__ import annotations
 
 import enum
-from functools import partial
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from typing import Dict, List, Optional
 
 from repro.network.host import Host

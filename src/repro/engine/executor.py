@@ -5,9 +5,9 @@ executor cores.  The emulation reproduces the *timing* of that execution on
 the host's CPU model: processing ``n`` records through an operator chain of
 depth ``d`` costs ``n * d * per_record_cost`` CPU-seconds (plus a fixed
 per-job scheduling overhead), divided across ``parallelism`` tasks that each
-occupy one core of the SPE host (``Host.compute``).  This is what makes job runtimes grow with
-input volume (Figure 7b) and saturate when the host runs out of cores
-(Figure 7a).
+occupy one core of the SPE host (``Host.compute``).  This is what makes job
+runtimes grow with input volume (Figure 7b) and saturate when the host runs
+out of cores (Figure 7a).
 """
 
 from __future__ import annotations
