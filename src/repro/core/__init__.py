@@ -30,7 +30,6 @@ from repro.core.attributes import (
 from repro.core.configs import (
     BrokerNodeConfig,
     ConsumerStubConfig,
-    FaultSpec,
     ProducerStubConfig,
     SPEAppConfig,
     StoreNodeConfig,
@@ -66,7 +65,6 @@ __all__ = [
     "StreamProcType",
     "StoreType",
     "TopicSpec",
-    "FaultSpec",
     "ProducerStubConfig",
     "ConsumerStubConfig",
     "SPEAppConfig",

@@ -19,7 +19,6 @@ from repro.core.attributes import ConsumerType, NodeAttribute, ProducerType, Sto
 from repro.core.configs import (
     BrokerNodeConfig,
     ConsumerStubConfig,
-    FaultSpec,
     PlatformOverrides,
     ProducerStubConfig,
     SPEAppConfig,
@@ -29,7 +28,7 @@ from repro.core.registry import app_builder
 from repro.core.task import NodeDescription, TaskDescription
 from repro.engine.context import StreamingConfig, StreamingContext
 from repro.engine.executor import ExecutorConfig
-from repro.network.faults import FaultInjector, LinkFault, NodeDisconnection
+from repro.network.faults import FaultInjector
 from repro.network.link import LinkConfig
 from repro.network.network import Network
 from repro.simulation import Simulator
@@ -133,47 +132,8 @@ def build_fault_injector(task: TaskDescription, network: Network) -> FaultInject
     """Arm the fault injector with the ``faultCfg`` entries."""
     injector = FaultInjector(network)
     for fault in task.faults:
-        schedule_fault(injector, fault)
+        injector.schedule(fault)
     return injector
-
-
-def schedule_fault(injector: FaultInjector, fault: FaultSpec) -> None:
-    if fault.kind == "link_down":
-        if len(fault.targets) != 2:
-            raise ValueError(
-                f"link_down fault needs exactly two targets, got {fault.targets}"
-            )
-        injector.schedule_link_fault(
-            LinkFault(
-                endpoints=(fault.targets[0], fault.targets[1]),
-                start=fault.start,
-                duration=fault.duration,
-            )
-        )
-    elif fault.kind == "node_disconnect":
-        for node in fault.targets:
-            injector.schedule_node_disconnection(
-                NodeDisconnection(node=node, start=fault.start, duration=fault.duration)
-            )
-    elif fault.kind == "transient_loss":
-        for link in injector.network.links:
-            endpoints = set(link.endpoints())
-            if endpoints == set(fault.targets):
-                original = link.config.loss_percent
-
-                def raise_loss(link=link, loss=fault.loss_percent):
-                    link.config.loss_percent = loss
-
-                def restore_loss(link=link, loss=original):
-                    link.config.loss_percent = loss
-
-                injector.network.sim.call_later(fault.start, raise_loss)
-                if fault.duration is not None:
-                    injector.network.sim.call_later(
-                        fault.start + fault.duration, restore_loss
-                    )
-    else:
-        raise ValueError(f"unknown fault kind {fault.kind!r}")
 
 
 def deploy_components(

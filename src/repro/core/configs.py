@@ -14,6 +14,9 @@ from typing import Any, Dict, List, Optional
 
 import yaml
 
+from repro.network.faults import Fault
+from repro.simulation.engine import duration_to_seconds
+
 
 def load_yaml_file(path: str) -> Any:
     """Load a YAML document from disk."""
@@ -56,20 +59,6 @@ def _size_to_bytes(value: Any, default: int) -> int:
             factor = multipliers.get(suffix[0], 1)
             return int(float(number) * factor)
     return int(float(text))
-
-
-def _duration_to_seconds(value: Any, default: float) -> float:
-    """Parse durations such as ``2000ms``, ``2s``, ``1.5`` (seconds)."""
-    if value is None:
-        return default
-    if isinstance(value, (int, float)):
-        return float(value)
-    text = str(value).strip().lower()
-    if text.endswith("ms"):
-        return float(text[:-2]) / 1000.0
-    if text.endswith("s"):
-        return float(text[:-1])
-    return float(text)
 
 
 @dataclass
@@ -147,32 +136,6 @@ class TopicSpec:
 
 
 @dataclass
-class FaultSpec:
-    """One entry of the ``faultCfg`` document."""
-
-    kind: str  # "link_down" | "node_disconnect" | "transient_loss"
-    targets: List[str] = field(default_factory=list)
-    start: float = 0.0
-    duration: Optional[float] = None
-    loss_percent: float = 0.0
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "FaultSpec":
-        kind = data.get("kind") or data.get("type") or "link_down"
-        targets = data.get("targets") or data.get("links") or data.get("nodes") or []
-        if isinstance(targets, str):
-            targets = [targets]
-        duration = data.get("duration")
-        return cls(
-            kind=str(kind),
-            targets=list(targets),
-            start=_duration_to_seconds(data.get("start"), 0.0),
-            duration=None if duration is None else _duration_to_seconds(duration, 0.0),
-            loss_percent=float(data.get("lossPercent", data.get("loss", 0.0))),
-        )
-
-
-@dataclass
 class ProducerStubConfig:
     """Configuration of a data source stub (Figure 3a)."""
 
@@ -233,8 +196,8 @@ class ProducerStubConfig:
                 if data.get("messagesPerSecond") is None
                 else float(data["messagesPerSecond"])
             ),
-            request_timeout=_duration_to_seconds(data.get("requestTimeout"), 2.0),
-            delivery_timeout=_duration_to_seconds(data.get("deliveryTimeout"), 120.0),
+            request_timeout=duration_to_seconds(data.get("requestTimeout"), 2.0),
+            delivery_timeout=duration_to_seconds(data.get("deliveryTimeout"), 120.0),
             buffer_memory=_size_to_bytes(data.get("bufferMemory"), 32 * 1024 * 1024),
             acks=data.get("acks", 1),
             idempotence=bool(data.get("idempotence", data.get("idempotent", False))),
@@ -244,7 +207,7 @@ class ProducerStubConfig:
             transaction_batch=int(
                 data.get("transactionBatch", data.get("transaction_batch", 20))
             ),
-            start_delay=_duration_to_seconds(data.get("startDelay"), 0.0),
+            start_delay=duration_to_seconds(data.get("startDelay"), 0.0),
             key_field=data.get("keyField") or data.get("key_field"),
         )
 
@@ -283,12 +246,12 @@ class ConsumerStubConfig:
             output_path=data.get("outputPath"),
             store_host=data.get("storeHost"),
             store_table=data.get("storeTable", "results"),
-            poll_interval=_duration_to_seconds(data.get("pollInterval"), 0.05),
+            poll_interval=duration_to_seconds(data.get("pollInterval"), 0.05),
             keep_payloads=bool(data.get("keepPayloads", True)),
             isolation_level=str(
                 data.get("isolationLevel", data.get("isolation_level", "read_uncommitted"))
             ),
-            start_delay=_duration_to_seconds(data.get("startDelay"), 0.0),
+            start_delay=duration_to_seconds(data.get("startDelay"), 0.0),
         )
 
 
@@ -323,7 +286,7 @@ class SPEAppConfig:
             app=app,
             input_topics=list(input_topics),
             output_topic=data.get("outputTopic"),
-            batch_interval=_duration_to_seconds(data.get("batchInterval"), 1.0),
+            batch_interval=duration_to_seconds(data.get("batchInterval"), 1.0),
             parallelism=int(data.get("parallelism", 4)),
             executor_memory=_size_to_bytes(data.get("executorMemory"), 1024**3),
             event_log=bool(data.get("eventLog", False)),
@@ -374,12 +337,12 @@ def parse_topics_config(document: Any) -> List[TopicSpec]:
     return [TopicSpec.from_dict(entry) for entry in entries]
 
 
-def parse_faults_config(document: Any) -> List[FaultSpec]:
-    """Parse a ``faultCfg`` document."""
+def parse_faults_config(document: Any) -> List[Fault]:
+    """Parse a ``faultCfg`` document (list of fault entries or mapping)."""
     if document is None:
         return []
     if isinstance(document, dict):
         entries = document.get("faults", [])
     else:
         entries = document
-    return [FaultSpec.from_dict(entry) for entry in entries]
+    return [Fault.from_dict(entry) for entry in entries]

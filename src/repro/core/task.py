@@ -19,12 +19,8 @@ from repro.core.attributes import (
     validate_link_attributes,
     validate_node_attributes,
 )
-from repro.core.configs import (
-    FaultSpec,
-    TopicSpec,
-    parse_faults_config,
-    parse_topics_config,
-)
+from repro.core.configs import TopicSpec, parse_faults_config, parse_topics_config
+from repro.network.faults import Fault
 
 
 @dataclass
@@ -161,19 +157,8 @@ class TaskDescription:
             entries.append(entry)
         self.graph_attributes["topicCfg"] = {"topics": entries}
 
-    def set_faults(self, faults: List[FaultSpec]) -> None:
-        self.graph_attributes["faultCfg"] = {
-            "faults": [
-                {
-                    "kind": fault.kind,
-                    "targets": list(fault.targets),
-                    "start": fault.start,
-                    "duration": fault.duration,
-                    "lossPercent": fault.loss_percent,
-                }
-                for fault in faults
-            ]
-        }
+    def set_faults(self, faults: List[Fault]) -> None:
+        self.graph_attributes["faultCfg"] = {"faults": [fault.to_dict() for fault in faults]}
 
     # -- derived views -------------------------------------------------------------------
     @property
@@ -181,7 +166,7 @@ class TaskDescription:
         return parse_topics_config(self.graph_attributes.get("topicCfg"))
 
     @property
-    def faults(self) -> List[FaultSpec]:
+    def faults(self) -> List[Fault]:
         return parse_faults_config(self.graph_attributes.get("faultCfg"))
 
     def hosts(self) -> List[NodeDescription]:
@@ -230,7 +215,12 @@ class TaskDescription:
                     f"{len(broker_nodes)} broker nodes exist"
                 )
         linked = {frozenset((link.source, link.target)) for link in self.links}
-        for fault in self.faults:
+        try:
+            faults = self.faults
+        except ValueError as error:
+            problems.append(str(error))
+            faults = []
+        for fault in faults:
             for target in fault.targets:
                 if target not in known:
                     problems.append(f"{fault.kind} fault targets unknown node {target!r}")

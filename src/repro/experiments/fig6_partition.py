@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.broker.cluster import ClusterConfig
 from repro.broker.coordinator import CoordinationMode
-from repro.core.configs import FaultSpec, PlatformOverrides, TopicSpec
+from repro.core.configs import PlatformOverrides, TopicSpec
 from repro.core.emulation import Emulation
 from repro.core.task import TaskDescription
 from repro.core.visualization import (
@@ -38,6 +38,7 @@ from repro.core.visualization import (
     latency_spikes,
     throughput_timeseries,
 )
+from repro.network.faults import Fault
 from repro.scenarios import Scenario, ScenarioRunner, register
 from repro.testing.history import History, Reader, acked_delivered
 
@@ -158,9 +159,7 @@ def sites_task(
     )
     if disconnect is not None:
         start, duration = disconnect
-        task.set_faults(
-            [FaultSpec("node_disconnect", [leaders[0]], start=start, duration=duration)]
-        )
+        task.set_faults([Fault("node_disconnect", [leaders[0]], start=start, duration=duration)])
     return task
 
 

@@ -19,7 +19,7 @@ and data store clients use.
 """
 
 from repro.network.controller import NetworkController
-from repro.network.faults import FaultInjector, LinkFault
+from repro.network.faults import Fault, FaultInjector
 from repro.network.host import Host
 from repro.network.link import Link, LinkConfig
 from repro.network.network import Network
@@ -46,5 +46,5 @@ __all__ = [
     "RequestTimeout",
     "RemoteError",
     "FaultInjector",
-    "LinkFault",
+    "Fault",
 ]

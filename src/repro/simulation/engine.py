@@ -39,6 +39,20 @@ URGENT = 0
 NORMAL = 1
 
 
+def duration_to_seconds(value: Any, default: float) -> float:
+    """Parse durations such as ``2000ms``, ``2s``, ``1.5`` (seconds)."""
+    if value is None:
+        return default
+    if isinstance(value, (int, float)):
+        return float(value)
+    text = str(value).strip().lower()
+    if text.endswith("ms"):
+        return float(text[:-2]) / 1000.0
+    if text.endswith("s"):
+        return float(text[:-1])
+    return float(text)
+
+
 class EmptySchedule(Exception):
     """Raised internally when there are no more events to process."""
 

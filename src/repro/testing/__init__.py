@@ -8,7 +8,6 @@ test suite uses.
 from repro.testing.chaos import (  # noqa: F401
     CHAOS_PROFILES,
     TXN_CHAOS_PROFILES,
-    FaultAction,
     FaultSchedule,
     run_chaos,
 )

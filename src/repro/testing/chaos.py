@@ -4,7 +4,7 @@ The broker plane's guarantees (``docs/exactly_once.md``) are only worth
 anything if they hold under broker kills, link loss, leader failovers and
 clients dying mid-transaction, so a *faulted run* is one reusable object:
 
-* :class:`FaultSchedule` derives a timeline of fault actions from a base seed
+* :class:`FaultSchedule` derives a timeline of faults from a base seed
   (:func:`~repro.scenarios.spec.derive_seed`, the scenario API's convention):
   identical inputs yield the identical timeline, so a failing combination
   from CI replays locally bit for bit.
@@ -36,7 +36,7 @@ from repro.broker.message import ProducerRecord
 from repro.broker.producer import Producer, ProducerConfig
 from repro.broker.topic import TopicConfig
 from repro.engine import StreamingConfig, StreamingContext
-from repro.network.faults import FaultInjector, LinkFault, NodeDisconnection
+from repro.network.faults import Fault, FaultInjector
 from repro.network.link import LinkConfig
 from repro.network.topology import one_big_switch
 from repro.scenarios.spec import derive_seed
@@ -65,29 +65,17 @@ KEYED_RUN, TXN_RUN = 50.0, 70.0
 N_FAULTS, ACTIVE_WINDOW, FAULT_DURATION = 4, (0.22, 0.62), (0.04, 0.10)
 
 
-@dataclass(frozen=True)
-class FaultAction:
-    """One scheduled fault: ``kind`` is ``"broker_kill"`` (disconnect every
-    link of a broker host), ``"link_loss"`` (one access link down — the
-    classic lost-ack window) or ``"leader_failover"`` (disconnect whoever
-    leads the target partition at fire time); ``target`` a host name, an
-    ``"a|b"`` link or a ``"topic-partition"`` key respectively; ``start`` a
-    delay from schedule-application time; ``duration`` how long it holds."""
-
-    kind: str
-    target: str
-    start: float
-    duration: float
-
-
 @dataclass
 class FaultSchedule:
-    """A deterministic, seed-derived timeline of fault actions."""
+    """A deterministic, seed-derived timeline of faults.  Their ``start`` is a
+    delay from when the schedule is applied.  Besides the network's kinds, a
+    ``leader_failover`` fault targets a ``"topic-partition"``: it disconnects
+    whoever leads that partition when it fires."""
 
     seed: int
     profile: str
     duration: float
-    actions: List[FaultAction] = field(default_factory=list)
+    actions: List[Fault] = field(default_factory=list)
 
     @classmethod
     def generate(
@@ -104,54 +92,43 @@ class FaultSchedule:
             raise ValueError(f"unknown chaos profile {profile!r}; use {CHAOS_PROFILES}")
         rng = SeededRandom(derive_seed(seed, "fault-schedule", profile)).child("timeline")
         kinds = {
-            "broker-kill": ["broker_kill"],
-            "link-loss": ["link_loss"],
-            "mixed": ["broker_kill", "link_loss", "leader_failover"],
+            "broker-kill": ["node_disconnect"],
+            "link-loss": ["link_down"],
+            "mixed": ["node_disconnect", "link_down", "leader_failover"],
         }[profile]
         targets = {
-            "broker_kill": kill_hosts,
-            "link_loss": [f"{a}|{b}" for a, b in loss_links],
-            "leader_failover": failover_partitions,
+            "node_disconnect": [[host] for host in kill_hosts],
+            "link_down": [list(link) for link in loss_links],
+            "leader_failover": [[key] for key in failover_partitions],
         }
         (lo, hi), (short, long) = ACTIVE_WINDOW, FAULT_DURATION
-        actions: List[FaultAction] = []
+        actions: List[Fault] = []
         for _ in range(N_FAULTS):
             kind = kinds[rng.randint(0, len(kinds) - 1)]
             start = duration * (lo + (hi - lo) * rng.random())
             hold = duration * (short + (long - short) * rng.random())
             target = targets[kind][rng.randint(0, len(targets[kind]) - 1)]
-            actions.append(FaultAction(kind, target, round(start, 3), round(hold, 3)))
-        actions.sort(key=lambda action: (action.start, action.target))
+            actions.append(Fault(kind, list(target), round(start, 3), round(hold, 3)))
+        actions.sort(key=lambda fault: (fault.start, "|".join(fault.targets)))
         return cls(seed=seed, profile=profile, duration=duration, actions=actions)
 
     def apply(self, cluster: BrokerCluster) -> None:
-        """Schedule every action against the cluster's network (relative to *now*)."""
+        """Schedule every fault against the cluster's network (relative to *now*)."""
         injector = FaultInjector(cluster.network)
-        for action in self.actions:
-            if action.kind == "broker_kill":
-                _disconnect(injector, action.target, action.duration, start=action.start)
-            elif action.kind == "link_loss":
-                a, b = action.target.split("|")
-                injector.schedule_link_fault(
-                    LinkFault(endpoints=(a, b), start=action.start, duration=action.duration)
-                )
-            else:  # leader_failover
-                topic, _, partition = action.target.rpartition("-")
+        for fault in self.actions:
+            if fault.kind == "leader_failover":
+                topic, _, partition = fault.targets[0].rpartition("-")
                 cluster.sim.call_later(
-                    action.start,
+                    fault.start,
                     _disconnect_leader,
                     injector,
                     cluster,
                     topic,
                     int(partition),
-                    action.duration,
+                    fault.duration,
                 )
-
-
-def _disconnect(injector: FaultInjector, host: str, duration: float, start: float = 0.0) -> None:
-    injector.schedule_node_disconnection(
-        NodeDisconnection(node=host, start=start, duration=duration)
-    )
+            else:
+                injector.schedule(fault)
 
 
 def _disconnect_leader(injector, cluster, topic: str, partition: int, duration: float) -> None:
@@ -160,7 +137,7 @@ def _disconnect_leader(injector, cluster, topic: str, partition: int, duration: 
     cluster (and hit nobody in between leaders)."""
     leader = cluster.leader_broker(topic, partition)
     if leader is not None:
-        _disconnect(injector, leader.host.name, duration)
+        injector.schedule(Fault("node_disconnect", [leader.host.name], duration=duration))
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +335,8 @@ def _transactions(history: History, seed: int, profile: str, topic: str, partiti
                 active.begin_transaction()
                 half = base  # the successor sends all of it
             elif txn == fault_txn and profile == "coordinator-kill":
-                _disconnect(injector, cluster.coordinator.host.name, 4.5)
+                coordinator = cluster.coordinator.host.name
+                injector.schedule(Fault("node_disconnect", [coordinator], duration=4.5))
             elif txn == fault_txn:  # leader-failover
                 _disconnect_leader(injector, cluster, topic, fault_partition, 5.0)
             yield from send_range(active, half, base + TXN_SIZE)

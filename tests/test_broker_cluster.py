@@ -11,7 +11,7 @@ from repro.broker import (
     ProducerRecord,
     TopicConfig,
 )
-from repro.network.faults import FaultInjector, NodeDisconnection
+from repro.network.faults import Fault, FaultInjector
 from repro.network.link import LinkConfig
 from repro.network.topology import star_topology
 from repro.simulation import Simulator
@@ -358,9 +358,7 @@ class TestFailover:
         )
         consumer = cluster.create_consumer("site4", name="observer")
         consumer.subscribe(["topicA"])
-        injector.schedule_node_disconnection(
-            NodeDisconnection(node="site3", start=30.0, duration=disconnect_for)
-        )
+        injector.schedule(Fault("node_disconnect", ["site3"], start=30.0, duration=disconnect_for))
 
         def workload():
             yield sim.timeout(10.0)

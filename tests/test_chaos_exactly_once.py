@@ -24,10 +24,10 @@ bit-for-bit.  All tests carry the ``chaos`` marker; deselect with
 
 import pytest
 
+from repro.network.faults import Fault
 from repro.testing import (
     CHAOS_PROFILES,
     TXN_CHAOS_PROFILES,
-    FaultAction,
     FaultSchedule,
     acked_delivered,
     check_history,
@@ -75,23 +75,23 @@ class TestFaultSchedule:
     def test_profiles_restrict_fault_kinds(self):
         kills = {a.kind for a in self.generate(profile="broker-kill").actions}
         loss = {a.kind for a in self.generate(profile="link-loss").actions}
-        assert kills == {"broker_kill"}
-        assert loss == {"link_loss"}
+        assert kills == {"node_disconnect"}
+        assert loss == {"link_down"}
 
     def test_timelines_are_pinned(self):
         """The RNG's draw order and the ``(start, target)`` sort: a change to
         either moves every keyed chaos arm."""
         assert self.generate().actions == [
-            FaultAction("leader_failover", "chaos-0", 13.773, 3.761),
-            FaultAction("broker_kill", "broker3", 14.546, 4.958),
-            FaultAction("link_loss", "producer|s1", 17.105, 4.548),
-            FaultAction("leader_failover", "chaos-0", 22.687, 3.453),
+            Fault("leader_failover", ["chaos-0"], 13.773, 3.761),
+            Fault("node_disconnect", ["broker3"], 14.546, 4.958),
+            Fault("link_down", ["producer", "s1"], 17.105, 4.548),
+            Fault("leader_failover", ["chaos-0"], 22.687, 3.453),
         ]
         assert self.generate(profile="broker-kill").actions == [
-            FaultAction("broker_kill", "broker2", 21.808, 3.543),
-            FaultAction("broker_kill", "broker3", 22.544, 3.917),
-            FaultAction("broker_kill", "broker3", 26.979, 4.514),
-            FaultAction("broker_kill", "broker3", 29.847, 4.139),
+            Fault("node_disconnect", ["broker2"], 21.808, 3.543),
+            Fault("node_disconnect", ["broker3"], 22.544, 3.917),
+            Fault("node_disconnect", ["broker3"], 26.979, 4.514),
+            Fault("node_disconnect", ["broker3"], 29.847, 4.139),
         ]
 
     def test_unknown_profile_rejected(self):

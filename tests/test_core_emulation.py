@@ -5,7 +5,7 @@ import pytest
 from repro.broker.cluster import ClusterConfig
 from repro.broker.coordinator import CoordinationMode
 from repro.core import Emulation
-from repro.core.configs import FaultSpec, PlatformOverrides, TopicSpec
+from repro.core.configs import PlatformOverrides, TopicSpec
 from repro.core.monitoring import EventLog
 from repro.core.resources import HostResourceModel, ServerSpec
 from repro.core.task import TaskDescription
@@ -16,6 +16,7 @@ from repro.core.visualization import (
     render_series_text,
     summarize_distribution,
 )
+from repro.network.faults import Fault
 from repro.network.topology import star_topology
 from repro.simulation import Simulator
 
@@ -120,7 +121,7 @@ class TestEmulationLifecycle:
     def test_fault_injection_from_task_description(self):
         task = simple_task(n_messages=60, rate=2.0, replicas=1)
         task.set_faults(
-            [FaultSpec(kind="node_disconnect", targets=["h1"], start=20.0, duration=10.0)]
+            [Fault(kind="node_disconnect", targets=["h1"], start=20.0, duration=10.0)]
         )
         emulation = Emulation(task, seed=5)
         result = emulation.run(duration=60.0)
@@ -190,9 +191,9 @@ class TestFaultTargetValidation:
         task = simple_task()
         task.set_faults(
             [
-                FaultSpec(kind="node_disconnect", targets=["ghost"], start=5.0),
-                FaultSpec(kind="transient_loss", targets=["h1", "nope"], start=5.0,
-                          loss_percent=50.0),
+                Fault(kind="node_disconnect", targets=["ghost"], start=5.0),
+                Fault(kind="transient_loss", targets=["h1", "nope"], start=5.0,
+                      loss_percent=50.0),
             ]
         )
         problems = task.validate()
@@ -205,10 +206,38 @@ class TestFaultTargetValidation:
     def test_link_faults_need_an_existing_link(self, kind):
         task = simple_task()
         # h1 and h3 both exist, but each hangs off s1: no h1-h3 link.
-        task.set_faults([FaultSpec(kind=kind, targets=["h1", "h3"], start=5.0)])
+        task.set_faults([Fault(kind=kind, targets=["h1", "h3"], start=5.0)])
         assert task.validate() == [f"{kind} fault: no link between ['h1', 'h3']"]
-        task.set_faults([FaultSpec(kind=kind, targets=["s1", "h1"], start=5.0)])
+        task.set_faults([Fault(kind=kind, targets=["s1", "h1"], start=5.0)])
         assert task.validate() == []
+
+    @pytest.mark.parametrize(
+        "entry, problem",
+        [
+            ({"kind": "node_disconnect", "targets": ["h1"], "start": 5, "duration": -2},
+             "node_disconnect fault duration must be positive, got -2.0"),
+            ({"kind": "link_down", "targets": ["h1", "s1"], "start": -1},
+             "link_down fault start must be non-negative, got -1.0"),
+            ({"kind": "transient_loss", "targets": ["h1", "s1"], "lossPercent": 150},
+             "transient_loss fault lossPercent must be in [0, 100], got 150.0"),
+            ({"kind": "transient_loss", "targets": ["h1", "s1"], "lossPercent": -5},
+             "transient_loss fault lossPercent must be in [0, 100], got -5.0"),
+            ({"kind": "link_down", "targets": ["h1", "s1", "h2"]},
+             "link_down fault needs exactly 2 targets, got ['h1', 's1', 'h2']"),
+            ({"kind": "node_disconnect", "targets": []},
+             "node_disconnect fault needs at least 1 target"),
+            ({"kind": "meteor_strike", "targets": ["h1"]},
+             "unknown fault kind 'meteor_strike'"),
+        ],
+    )
+    def test_fault_numbers_and_arity_are_reported(self, entry, problem):
+        """Checked once, when a ``faultCfg`` entry becomes a ``Fault``: a bad
+        entry is a validation problem, not a fault that never heals."""
+        task = simple_task()
+        task.graph_attributes["faultCfg"] = {"faults": [entry]}
+        assert any(found.startswith(problem) for found in task.validate())
+        with pytest.raises(ValueError, match="invalid task description"):
+            Emulation(task)
 
 
 class TestPlatformOverrides:

@@ -8,17 +8,17 @@ from repro.core.attributes import (
 )
 from repro.core.configs import (
     ConsumerStubConfig,
-    FaultSpec,
     ProducerStubConfig,
     SPEAppConfig,
     TopicSpec,
-    _duration_to_seconds,
     _size_to_bytes,
     parse_faults_config,
     parse_topics_config,
 )
 from repro.core.graphml import parse_graphml_string, to_graphml
 from repro.core.task import TaskDescription
+from repro.network.faults import Fault
+from repro.simulation.engine import duration_to_seconds
 
 
 class TestAttributeValidation:
@@ -56,10 +56,10 @@ class TestConfigParsing:
         assert _size_to_bytes(None, 7) == 7
 
     def test_duration_parsing(self):
-        assert _duration_to_seconds("2000ms", 0) == pytest.approx(2.0)
-        assert _duration_to_seconds("1.5s", 0) == pytest.approx(1.5)
-        assert _duration_to_seconds(3, 0) == 3.0
-        assert _duration_to_seconds(None, 9.0) == 9.0
+        assert duration_to_seconds("2000ms", 0) == pytest.approx(2.0)
+        assert duration_to_seconds("1.5s", 0) == pytest.approx(1.5)
+        assert duration_to_seconds(3, 0) == 3.0
+        assert duration_to_seconds(None, 9.0) == 9.0
 
     def test_producer_stub_config_from_paper_example(self):
         # Figure 3a of the paper.
@@ -165,9 +165,24 @@ class TestTaskDescription:
 
     def test_faults_roundtrip(self):
         task = self._small_task()
-        task.set_faults([FaultSpec(kind="node_disconnect", targets=["h2"], start=10, duration=5)])
+        task.set_faults([Fault(kind="node_disconnect", targets=["h2"], start=10, duration=5)])
         assert task.faults[0].targets == ["h2"]
         assert task.faults[0].duration == 5
+
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            Fault("link_down", ["h1", "s1"], start=5.0, duration=10.0),
+            Fault("node_disconnect", ["h1", "h2"], start=0.0),
+            Fault("transient_loss", ["h2", "s1"], start=1.5, duration=3.0, loss_percent=40.0),
+            Fault("leader_failover", ["topicA-0"], start=2.0, duration=4.0),
+        ],
+        ids=lambda fault: fault.kind,
+    )
+    def test_every_fault_kind_roundtrips_through_fault_cfg(self, fault):
+        task = self._small_task()
+        task.set_faults([fault])
+        assert task.faults == [fault]
 
     def test_summary(self):
         summary = self._small_task().summary()

@@ -396,13 +396,11 @@ class TestIdempotentProduce:
         old_log = old_leader.log_for("topicA", 0)
         assert old_log.log_end_offset == 5
         # Fail the leader's host; a follower is elected.
-        from repro.network.faults import FaultInjector, NodeDisconnection
+        from repro.network.faults import Fault, FaultInjector
 
         injector = FaultInjector(network)
         # Fault start times are delays from scheduling time.
-        injector.schedule_node_disconnection(
-            NodeDisconnection(node=old_leader.host.name, start=0.1)
-        )
+        injector.schedule(Fault("node_disconnect", [old_leader.host.name], start=0.1))
         sim.run(until=sim.now + 15.0)
         new_leader = cluster.leader_broker("topicA", 0)
         assert new_leader is not None and new_leader is not old_leader
@@ -430,7 +428,7 @@ class TestIdempotentProduce:
         the id handshake — queued records must still fail at their
         ``delivery_timeout`` instead of hanging forever."""
         from repro.broker.errors import DeliveryFailed
-        from repro.network.faults import FaultInjector, NodeDisconnection
+        from repro.network.faults import Fault, FaultInjector
 
         sim, network, sites, cluster = build_cluster()
         producer = cluster.create_producer(
@@ -438,9 +436,7 @@ class TestIdempotentProduce:
             config=ProducerConfig(idempotence=True, delivery_timeout=5.0),
         )
         injector = FaultInjector(network)
-        injector.schedule_node_disconnection(
-            NodeDisconnection(node=sites[1], start=6.0)
-        )
+        injector.schedule(Fault("node_disconnect", [sites[1]], start=6.0))
         outcomes = []
 
         def workload():

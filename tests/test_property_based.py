@@ -9,11 +9,12 @@ from repro.broker.batch import RecordBatch
 from repro.broker.log import PartitionLog
 from repro.broker.message import ProducerRecord, _stable_hash
 from repro.broker.segment import LogStorageConfig
-from repro.core.configs import _duration_to_seconds, _size_to_bytes
+from repro.core.configs import _size_to_bytes
 from repro.core.visualization import cdf, percentile, summarize_distribution
 from repro.network.link import LinkConfig
 from repro.network.packet import estimate_size
 from repro.simulation import Simulator
+from repro.simulation.engine import duration_to_seconds
 from repro.simulation.rng import SeededRandom
 from repro.store import KeyValueStore, TableStore
 
@@ -654,7 +655,7 @@ def test_size_parsing_roundtrip_for_megabytes(megabytes):
 @given(milliseconds=st.integers(min_value=0, max_value=10**6))
 @settings(max_examples=50, deadline=None)
 def test_duration_parsing_roundtrip_for_milliseconds(milliseconds):
-    assert _duration_to_seconds(f"{milliseconds}ms", 0) == milliseconds / 1000.0
+    assert duration_to_seconds(f"{milliseconds}ms", 0) == milliseconds / 1000.0
 
 
 @given(values=st.lists(st.floats(min_value=0, max_value=1e6, allow_nan=False), min_size=1, max_size=200))

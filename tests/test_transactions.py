@@ -587,12 +587,10 @@ class TestTransactionalProduce:
         sim.process(workload())
         sim.run(until=20.0)
         old_leader = cluster.leader_broker("topicA", 0)
-        from repro.network.faults import FaultInjector, NodeDisconnection
+        from repro.network.faults import Fault, FaultInjector
 
         injector = FaultInjector(network)
-        injector.schedule_node_disconnection(
-            NodeDisconnection(node=old_leader.host.name, start=0.1)
-        )
+        injector.schedule(Fault("node_disconnect", [old_leader.host.name], start=0.1))
         sim.run(until=sim.now + 15.0)
         new_leader = cluster.leader_broker("topicA", 0)
         assert new_leader is not None and new_leader is not old_leader
