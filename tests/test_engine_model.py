@@ -261,6 +261,16 @@ def _running_total(new_values, previous):
     return (previous or 0) + sum(new_values)
 
 
+#: Odd-length words pair with themselves (an identity pair value), the
+#: others with a rewritten value; a word of length 4 or 8 keeps its old key.
+_WORDS = ["ab", "abc", "abcd", "x", "xyz", "abcdef", "abcdefgh"]
+
+
+def _pair_or_rewrite(word):
+    key = None if len(word) % 4 == 0 else len(word) % 3
+    return key, word if len(word) % 2 else word.upper()
+
+
 CASES = {
     "map": ([("map", lambda v: v * 2)], [rows_of([1, 2, 3], sizes=[8, None, 8])]),
     "map_identity_keeps_sizes": ([("map", lambda v: v)], [rows_of(["a", "b"], sizes=[64, None])]),
@@ -313,6 +323,59 @@ CASES = {
     "for_each": (
         [("for_each",), ("filter", lambda v: v > 1), ("for_each",)],
         [rows_of([1, 2, 3], keys=["a", None, "b"], sizes=[4, None, 4]), []],
+    ),
+    # A shuffle in front of a keyed aggregation, and the map-side combine.
+    "repartition_then_reduce_by_key": (
+        [("repartition_by_key",), ("reduce_by_key", lambda a, b: a + b)],
+        [
+            rows_of([1, 2, 3, 4, 5, 6], keys=["b", "a", None, "b", None, "a"],
+                    sizes=[4, None, 4, 4, None, 4]),
+            rows_of([7], keys=["z"], sizes=[3]),
+            [],
+        ],
+    ),
+    "repartition_then_group_by_key": (
+        [("repartition_by_key",), ("group_by_key",)],
+        [rows_of([1, 2, 3, 4, 5], keys=["b", "a", "b", None, "a"], sizes=[4, None, 4, 4, 4])],
+    ),
+    "repartition_then_update_state_by_key": (
+        [("repartition_by_key",), ("update_state_by_key", _running_total)],
+        [
+            rows_of([1, 2, 3, 4], keys=["b", "a", "b", "a"], sizes=[6, None, 6, 6]),
+            rows_of([0, 5], keys=["c", "b"], sizes=[6, 6]),  # c's new state `is` 0
+            [],
+        ],
+    ),
+    "repartition_twice": (
+        [("repartition_by_key",), ("repartition_by_key",)],
+        [rows_of([1, 2, 3, 4, 5], keys=["b", "a", "b", None, "a"], sizes=[4, None, 4, 4, 4])],
+    ),
+    # Pair values are the input itself for odd inputs (identity: the size may
+    # carry) and rewritten otherwise; multiples of 4 keep their old key.
+    "map_pairs_then_reduce_by_key": (
+        [("map_pairs", _pair_or_rewrite), ("reduce_by_key", lambda a, b: a + b)],
+        [
+            rows_of(_WORDS, keys=["p", "q", "r", "s", "t", "u", "v"],
+                    sizes=[5, 6, 5, 5, None, 5, None]),
+            rows_of(_WORDS[1:2], sizes=[9]),
+        ],
+    ),
+    "map_pairs_then_reduce_keep_first": (
+        [("map_pairs", _pair_or_rewrite), ("reduce_by_key", lambda a, b: a)],
+        [rows_of(_WORDS, keys=["p", "p", "q", "q", "r", "r", "s"],
+                 sizes=[5, 6, 5, 5, None, 5, 5])],
+    ),
+    "map_pairs_then_repartition_then_reduce_by_key": (
+        [
+            ("map_pairs", _pair_or_rewrite),
+            ("repartition_by_key",),
+            ("reduce_by_key", lambda a, b: a),
+        ],
+        [
+            rows_of(_WORDS, keys=["p", "q", "p", "q", "r", "s", "s"],
+                    sizes=[5, None, None, 5, 5, 5, None]),
+            [],
+        ],
     ),
 }
 
@@ -391,8 +454,14 @@ _STAGES: Dict[str, List[Stage]] = {
     "flat_map_rewrite": [("flat_map", lambda v: [v, v + 100])],
     "filter": [("filter", lambda v: v % 2 == 0)],
     "map_pairs": [("map_pairs", lambda v: (v % 3, v))],
+    # Odd values pair with themselves, even ones are rewritten; multiples of
+    # 4 keep their old key.
+    "map_pairs_rewrite": [("map_pairs", lambda v: (None if v % 4 == 0 else v % 3,
+                                                    v if v % 2 else v + 1))],
     "repartition_by_key": [("repartition_by_key",)],
     "reduce_by_key": [("reduce_by_key", lambda a, b: a + b)],
+    # The accumulator stays the key's first value: its size may carry.
+    "reduce_keep_first": [("reduce_by_key", lambda a, b: a)],
     # List- and pair-valued outputs are mapped back to ints so that any stage
     # can follow any other.
     "group_by_key": [("group_by_key",), ("map", sum)],
