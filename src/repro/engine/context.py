@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.broker.consumer import ConsumerConfig
 from repro.broker.producer import ProducerConfig
-from repro.engine.dstream import DStream
+from repro.engine.columns import ColumnBatch
+from repro.engine.dstream import DStream, drain_once
 from repro.engine.executor import Executor, ExecutorConfig
 from repro.engine.sinks import KafkaSink, Sink
 from repro.engine.sources import KafkaSource, MemorySource, MergingSource, Source
@@ -113,7 +114,10 @@ class StreamingContext:
         merges their pending records in partition order at every micro-batch
         boundary, so the merged output is deterministic under the simulator
         and per-key order survives sharding.  Chain ``.repartition_by_key()``
-        before keyed stateful operators to regroup records by key.
+        before keyed stateful operators to regroup records by key; in front of
+        a keyed aggregation the shuffle is free (the physical plan drops it).
+        Output streams branched from this stream share one drain per
+        micro-batch.
         """
         if self.cluster is None:
             raise RuntimeError(
@@ -190,8 +194,12 @@ class StreamingContext:
                 return
 
     def _run_batch(self, scheduled_at: float):
+        # Each source is drained once per micro-batch, when a job first needs
+        # it; every output stream (and join side) branched from it shares
+        # that batch, and each job is charged for its own input.
+        drained: Dict[Source, ColumnBatch] = {}
         for index, stream in enumerate(self.output_streams):
-            cols = stream.source.drain()
+            cols = drain_once(stream.source, drained)
             input_records = len(cols)
             input_bytes = cols.total_bytes()
             start = self.sim.now
@@ -202,7 +210,7 @@ class StreamingContext:
                 n_bytes=input_bytes,
                 n_stages=stream.n_stages,
             )
-            output = stream.execute_columns(cols, self.sim.now)
+            output = stream.execute_columns(cols, self.sim.now, drained)
             # Row views are materialised only for sinks that need them, and
             # shared between those that do.
             records = None

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.engine.columns import ColumnBatch
 from repro.engine.operators import (
@@ -18,6 +18,7 @@ from repro.engine.operators import (
     RepartitionByKeyOperator,
     UpdateStateByKeyOperator,
     WindowOperator,
+    physical_plan,
 )
 from repro.engine.records import StreamRecord
 from repro.engine.sinks import CallbackSink, MemorySink, Sink
@@ -48,6 +49,7 @@ class DStream:
         self.operators: List[Operator] = list(operators or [])
         self.joined_with = joined_with
         self.sinks: List[Sink] = []
+        self._plan: Optional[List[Operator]] = None
 
     # -- transformations -----------------------------------------------------------
     def _derive(self, operator: Operator) -> "DStream":
@@ -135,20 +137,41 @@ class DStream:
     # -- execution (called by the context) -------------------------------------------------
     @property
     def n_stages(self) -> int:
+        """Declared stages: what the executor cost model charges, whatever
+        the plan fuses or drops."""
         return max(1, len(self.operators))
 
-    def execute_columns(self, cols: ColumnBatch, now: float) -> ColumnBatch:
+    @property
+    def plan(self) -> List[Operator]:
+        """The kernels that run the chain (see :func:`physical_plan`),
+        computed from :attr:`operators` on first use."""
+        if self._plan is None:
+            self._plan = physical_plan(self.operators)
+        return self._plan
+
+    def execute_columns(
+        self,
+        cols: ColumnBatch,
+        now: float,
+        drained: Optional[Dict["Source", ColumnBatch]] = None,
+    ) -> ColumnBatch:
         """Run the operator chain over one micro-batch (pure computation).
 
-        A join's right side drains its own source and runs its own chain
-        first, within the same micro-batch.
+        A join's right side takes its source's batch and runs its own chain
+        first, within the same micro-batch.  ``drained`` maps each source
+        already drained in this micro-batch to its batch (the context passes
+        its own, so a self-join's right side gets the left's batch); a source
+        not in it is drained now and added.
         """
         if self.joined_with is not None:
             other_stream, join_operator = self.joined_with
+            drained = {} if drained is None else drained
             join_operator.set_right_batch(
-                other_stream.execute_columns(other_stream.source.drain(), now)
+                other_stream.execute_columns(
+                    drain_once(other_stream.source, drained), now, drained
+                )
             )
-        for operator in self.operators:
+        for operator in self.plan:
             cols = operator.apply(cols, now)
         return cols
 
@@ -159,3 +182,15 @@ class DStream:
     def reset_state(self) -> None:
         for operator in self.operators:
             operator.reset()
+
+
+def drain_once(source: "Source", drained: Dict["Source", ColumnBatch]) -> ColumnBatch:
+    """``source``'s batch for this micro-batch, drained on first use.
+
+    Every stream branched from one source shares the batch; kernels never
+    mutate their input, so sharing it is safe.
+    """
+    cols = drained.get(source)
+    if cols is None:
+        cols = drained[source] = source.drain()
+    return cols

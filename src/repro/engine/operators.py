@@ -22,6 +22,11 @@ reference every kernel is judged against):
   sizes each record at most once, never per hop;
 * its input — a kernel never mutates the columns it was handed; it returns
   them unchanged or builds a new batch (windows re-emit retained batches).
+
+A stream does not run its declared operators one by one: it runs the
+:func:`physical_plan` of them, which drops a shuffle the next operator makes
+redundant and fuses ``map_pairs`` into a following ``reduce_by_key``.  Both
+rewrites are exact, so the rules above hold for the plan too.
 """
 
 from __future__ import annotations
@@ -201,6 +206,53 @@ class ReduceByKeyOperator(Operator):
         )
 
 
+class MapSideCombineOperator(Operator):
+    """``map_pairs`` then ``reduce_by_key`` as one pass (a map-side combine).
+
+    Each pair is folded into its key's accumulator as soon as it is made, so
+    no per-row pair column exists.  The output is exactly the two kernels'
+    output: keys in first-seen order, each with its first row's provenance,
+    and that row's size only when the accumulator *is* the first pair value
+    and that *is* the input value (each kernel's identity rule in turn).
+    """
+
+    name = "map_pairs+reduce_by_key"
+
+    def __init__(self, pair_fn: Callable[[Any], Tuple[Any, Any]],
+                 reduce_fn: Callable[[Any, Any], Any]) -> None:
+        self.pair_fn = pair_fn
+        self.reduce_fn = reduce_fn
+
+    def apply(self, cols: ColumnBatch, now: float) -> ColumnBatch:
+        pair_fn = self.pair_fn
+        reduce_fn = self.reduce_fn
+        in_keys = cols.keys
+        accumulators: Dict[Any, Any] = {}
+        first_rows: List[int] = []
+        first_values: List[Any] = []
+        for index, in_value in enumerate(cols.values):
+            key, value = pair_fn(in_value)
+            if key is None:
+                key = in_keys[index]
+            if key in accumulators:
+                accumulators[key] = reduce_fn(accumulators[key], value)
+            else:
+                accumulators[key] = value
+                first_rows.append(index)
+                first_values.append(value)
+        firsts = cols.take(first_rows)
+        values = list(accumulators.values())
+        sizes = [
+            size if accumulator is first and first is old else None
+            for accumulator, first, old, size in zip(
+                values, first_values, firsts.values, firsts.sizes
+            )
+        ]
+        return ColumnBatch(
+            values, list(accumulators.keys()), firsts.event_times, firsts.ingest_times, sizes
+        )
+
+
 class GroupByKeyOperator(Operator):
     """Collect all values of each key within the batch into a list."""
 
@@ -332,3 +384,45 @@ class ForEachOperator(Operator):
         for record in cols.to_records():
             fn(record)
         return cols
+
+
+#: Operators that group rows by key exactly as a shuffle leaves them: keys in
+#: first-seen order, each key's rows in arrival order.
+_KEY_GROUPING = (
+    RepartitionByKeyOperator,
+    ReduceByKeyOperator,
+    GroupByKeyOperator,
+    UpdateStateByKeyOperator,
+)
+
+
+def physical_plan(operators: List[Operator]) -> List[Operator]:
+    """The kernels that run a declared operator chain.
+
+    Two exact rewrites, applied to built-in operator types only (a subclass
+    may override ``apply``, so it is never rewritten):
+
+    * shuffle elision — a ``repartition_by_key`` directly followed by a
+      keyed aggregation or another shuffle is dropped: the next operator
+      sees the same first-seen key order, the same rows in the same order
+      within each key, and the same first row per key;
+    * map-side combine — a ``map_pairs`` directly followed (after elision)
+      by ``reduce_by_key`` becomes one :class:`MapSideCombineOperator`.
+
+    Stateful operators stay the same objects, so resetting the declared
+    chain resets the plan.
+    """
+    following = operators[1:] + [None]
+    plan: List[Operator] = []
+    for operator, after in zip(operators, following):
+        if type(operator) is RepartitionByKeyOperator and type(after) in _KEY_GROUPING:
+            continue
+        if (
+            type(operator) is ReduceByKeyOperator
+            and plan
+            and type(plan[-1]) is MapPairsOperator
+        ):
+            plan[-1] = MapSideCombineOperator(plan[-1].fn, operator.fn)
+        else:
+            plan.append(operator)
+    return plan

@@ -69,6 +69,48 @@ class TestMemoryPipelines:
         sim.run(until=4.0)
         assert sink.latest_by_key()["alpha"] == 2
 
+    def test_branched_output_streams_share_one_drain(self):
+        """Two output streams over one source each see the whole micro-batch,
+        and each job is charged for it."""
+        sim, network, ctx = make_context()
+        stream = ctx.memory_stream()
+        doubled = stream.map(lambda x: x * 2).to_memory()
+        kept = stream.filter(lambda x: x > 1).to_memory()
+        source = ctx.sources[0]
+
+        def feed():
+            ctx.start()
+            for value in (1, 2, 3):
+                source.push_value(value, now=sim.now)
+            yield sim.timeout(1.5)
+            ctx.stop()
+
+        sim.process(feed())
+        sim.run(until=3.0)
+        assert [record.value for record in doubled.results] == [2, 4, 6]
+        assert [record.value for record in kept.results] == [2, 3]
+        first_batch = ctx.batch_metrics[:2]
+        assert [(m.stream_index, m.input_records) for m in first_batch] == [(0, 3), (1, 3)]
+
+    def test_self_join_sees_its_own_batch(self):
+        sim, network, ctx = make_context()
+        pairs = ctx.memory_stream().map_pairs(lambda v: (v % 2, v))
+        sink = pairs.join(pairs).to_memory()
+        source = ctx.sources[0]
+
+        def feed():
+            ctx.start()
+            for value in (1, 2, 3):
+                source.push_value(value, now=sim.now)
+            yield sim.timeout(1.5)
+            ctx.stop()
+
+        sim.process(feed())
+        sim.run(until=3.0)
+        assert [record.value for record in sink.results] == [
+            (1, 1), (1, 3), (2, 2), (3, 1), (3, 3),
+        ]
+
     def test_batch_metrics_recorded(self):
         sim, network, ctx = make_context(batch_interval=0.5)
         stream = ctx.memory_stream()

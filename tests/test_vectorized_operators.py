@@ -10,7 +10,9 @@ wrong by hand, with literal expectations:
   its input unchanged, and a window's retained chunks survive whatever a
   downstream kernel does to an emitted batch;
 * lazy sizes: identity expansions share the parent's observed size state,
-  pinned by counting ``estimate_size`` calls.
+  pinned by counting ``estimate_size`` calls;
+* the physical plan: which declared chains lose their shuffle or fuse
+  ``map_pairs`` into ``reduce_by_key``, and which must not.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from typing import List
 import pytest
 
 from repro.engine.columns import ColumnBatch
+from repro.engine.dstream import DStream
 from repro.engine.operators import (
     FilterOperator,
     FlatMapOperator,
@@ -27,10 +30,12 @@ from repro.engine.operators import (
     MapOperator,
     MapPairsOperator,
     ReduceByKeyOperator,
+    RepartitionByKeyOperator,
     UpdateStateByKeyOperator,
     WindowOperator,
 )
 from repro.engine.records import StreamRecord
+from repro.engine.sources import MemorySource
 
 
 def make_columns(values, keys=None, t0: float = 1.0) -> ColumnBatch:
@@ -205,3 +210,93 @@ class TestFlatMapSizeSharing:
         # Re-reading is cached: no further estimates.
         assert [out.size_at(index) for index in range(len(out))] == sizes
         assert count_estimates["n"] == 2
+
+
+# -- the physical plan ----------------------------------------------------------------
+
+
+def plan_names(stream: DStream) -> List[str]:
+    return [operator.name for operator in stream.plan]
+
+
+def fresh_stream() -> DStream:
+    return DStream(None, MemorySource())
+
+
+def replay_chain(stream: DStream) -> DStream:
+    """The shape of the ``replay_spe`` benchmark chain: the sharded-ingest
+    idiom, a shuffle in front of a keyed aggregation."""
+    return (
+        stream.map(lambda value: value % 1_000_003)
+        .filter(lambda value: value % 7 != 0)
+        .map_pairs(lambda value: (value % 64, (1, value)))
+        .repartition_by_key()
+        .reduce_by_key(lambda a, b: (a[0] + b[0], a[1] + b[1]))
+        .update_state_by_key(lambda new, old: (old or 0) + len(new))
+    )
+
+
+class TestPhysicalPlan:
+    def test_replay_chain_drops_its_shuffle_and_combines_map_side(self):
+        stream = replay_chain(fresh_stream())
+        assert plan_names(stream) == [
+            "map", "filter", "map_pairs+reduce_by_key", "update_state_by_key",
+        ]
+        # The cost model still charges every declared stage.
+        assert stream.n_stages == 6
+        # Stateful operators are the declared objects; the plan is cached.
+        assert stream.plan[-1] is stream.operators[-1]
+        assert stream.plan is stream.plan
+
+    @pytest.mark.parametrize("aggregate", ["reduce_by_key", "group_by_key",
+                                           "update_state_by_key", "repartition_by_key"])
+    def test_a_shuffle_before_a_key_grouping_operator_is_dropped(self, aggregate):
+        args = {"reduce_by_key": (max,), "update_state_by_key": (lambda new, old: 0,)}
+        stream = getattr(fresh_stream().repartition_by_key(), aggregate)(*args.get(aggregate, ()))
+        assert plan_names(stream) == [aggregate]
+
+    @pytest.mark.parametrize("between", ["for_each", "window"])
+    def test_an_operator_between_shuffle_and_reduce_keeps_the_shuffle(self, between):
+        args = {"for_each": (lambda record: None,), "window": (5.0,)}
+        stream = getattr(fresh_stream().map_pairs(lambda v: (v, v)).repartition_by_key(),
+                         between)(*args[between]).reduce_by_key(max)
+        assert plan_names(stream) == ["map_pairs", "repartition_by_key", between,
+                                      "reduce_by_key"]
+
+    def test_chains_outside_the_two_rules_run_as_declared(self):
+        word_count = fresh_stream().map_pairs(lambda w: (w, 1)).update_state_by_key(
+            lambda new, old: (old or 0) + sum(new))
+        trailing_shuffle = fresh_stream().map(abs).repartition_by_key()
+        reduce_alone = fresh_stream().filter(bool).reduce_by_key(max)
+        assert plan_names(word_count) == ["map_pairs", "update_state_by_key"]
+        assert plan_names(trailing_shuffle) == ["map", "repartition_by_key"]
+        assert plan_names(reduce_alone) == ["filter", "reduce_by_key"]
+
+    def test_subclasses_are_never_rewritten(self):
+        class CountingShuffle(RepartitionByKeyOperator):
+            pass
+
+        class CountingReduce(ReduceByKeyOperator):
+            pass
+
+        shuffled = fresh_stream()._derive(CountingShuffle()).reduce_by_key(max)
+        paired = fresh_stream().map_pairs(lambda v: (v, v))._derive(CountingReduce(max))
+        assert [type(op) for op in shuffled.plan] == [CountingShuffle, ReduceByKeyOperator]
+        assert [type(op) for op in paired.plan] == [MapPairsOperator, CountingReduce]
+
+    def test_combined_chain_matches_the_declared_kernels_one_by_one(self):
+        stream = replay_chain(fresh_stream())
+        cols = ColumnBatch(
+            values=list(range(1, 400)),
+            keys=[None] * 399,
+            event_times=[float(i) for i in range(399)],
+            ingest_times=[float(i) + 0.5 for i in range(399)],
+            sizes=[8] * 399,
+        )
+        expected = cols
+        for operator in stream.operators:
+            expected = operator.apply(expected, 1.0)
+        stream.reset_state()
+        got = stream.execute_columns(cols, 1.0)
+        for column in ColumnBatch.__slots__:
+            assert getattr(got, column) == getattr(expected, column), column
