@@ -194,9 +194,8 @@ class StreamingContext:
                 return
 
     def _run_batch(self, scheduled_at: float):
-        # Each source is drained once per micro-batch, when a job first needs
-        # it; every output stream (and join side) branched from it shares
-        # that batch, and each job is charged for its own input.
+        # One drain per source per micro-batch, shared by every stream that
+        # reads it; each job is still charged for its own input.
         drained: Dict[Source, ColumnBatch] = {}
         for index, stream in enumerate(self.output_streams):
             cols = drain_once(stream.source, drained)
