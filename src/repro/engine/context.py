@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.broker.consumer import ConsumerConfig
 from repro.broker.producer import ProducerConfig
 from repro.engine.columns import ColumnBatch
-from repro.engine.dstream import DStream, drain_once
+from repro.engine.dstream import DStream
 from repro.engine.executor import Executor, ExecutorConfig
 from repro.engine.sinks import KafkaSink, Sink
 from repro.engine.sources import KafkaSource, MemorySource, MergingSource, Source
@@ -116,8 +116,8 @@ class StreamingContext:
         and per-key order survives sharding.  Chain ``.repartition_by_key()``
         before keyed stateful operators to regroup records by key; in front of
         a keyed aggregation the shuffle is free (the physical plan drops it).
-        Output streams branched from this stream share one drain per
-        micro-batch.
+        Output streams branched from this stream share one drain and one run
+        of their common prefix per micro-batch.
         """
         if self.cluster is None:
             raise RuntimeError(
@@ -194,11 +194,12 @@ class StreamingContext:
                 return
 
     def _run_batch(self, scheduled_at: float):
-        # One drain per source per micro-batch, shared by every stream that
-        # reads it; each job is still charged for its own input.
-        drained: Dict[Source, ColumnBatch] = {}
+        # One drain per source and one run of each declared prefix per
+        # micro-batch, shared by every stream that reads it (see
+        # DStream.execute_columns); each job is still charged for its own input.
+        batches: Dict[Any, ColumnBatch] = {}
         for index, stream in enumerate(self.output_streams):
-            cols = drain_once(stream.source, drained)
+            cols = stream.source_batch(batches)
             input_records = len(cols)
             input_bytes = cols.total_bytes()
             start = self.sim.now
@@ -209,7 +210,7 @@ class StreamingContext:
                 n_bytes=input_bytes,
                 n_stages=stream.n_stages,
             )
-            output = stream.execute_columns(cols, self.sim.now, drained)
+            output = stream.execute_columns(cols, self.sim.now, batches)
             # Row views are materialised only for sinks that need them, and
             # shared between those that do.
             records = None

@@ -42,14 +42,16 @@ class DStream:
         context: "StreamingContext",
         source: "Source",
         operators: Optional[List[Operator]] = None,
-        joined_with: Optional[Tuple["DStream", JoinOperator]] = None,
+        joins: Optional[Dict[JoinOperator, "DStream"]] = None,
     ) -> None:
         self.context = context
         self.source = source
         self.operators: List[Operator] = list(operators or [])
-        self.joined_with = joined_with
+        #: The right-side stream of each join in :attr:`operators`.
+        self.joins: Dict[JoinOperator, DStream] = joins or {}
         self.sinks: List[Sink] = []
-        self._plan: Optional[List[Operator]] = None
+        #: The steps that run the chain (see :func:`physical_plan`).
+        self.plan = physical_plan(self.operators)
 
     # -- transformations -----------------------------------------------------------
     def _derive(self, operator: Operator) -> "DStream":
@@ -57,7 +59,7 @@ class DStream:
             self.context,
             self.source,
             self.operators + [operator],
-            joined_with=self.joined_with,
+            joins=self.joins,
         )
 
     def map(self, fn: Callable[[Any], Any]) -> "DStream":
@@ -99,13 +101,12 @@ class DStream:
     def join(self, other: "DStream") -> "DStream":
         """Join with another keyed stream within the current micro-batch."""
         join_operator = JoinOperator()
-        joined = DStream(
+        return DStream(
             self.context,
             self.source,
             self.operators + [join_operator],
-            joined_with=(other, join_operator),
+            joins={**self.joins, join_operator: other},
         )
-        return joined
 
     def for_each(self, fn: Callable[[StreamRecord], None]) -> "DStream":
         """Run a side effect on a row view of every element (pass-through)."""
@@ -141,38 +142,46 @@ class DStream:
         the plan fuses or drops."""
         return max(1, len(self.operators))
 
-    @property
-    def plan(self) -> List[Operator]:
-        """The kernels that run the chain (see :func:`physical_plan`),
-        computed from :attr:`operators` on first use."""
-        if self._plan is None:
-            self._plan = physical_plan(self.operators)
-        return self._plan
+    def source_batch(self, batches: Dict[Any, ColumnBatch]) -> ColumnBatch:
+        """This micro-batch's batch of the stream's source, drained on first use."""
+        cols = batches.get(self.source)
+        if cols is None:
+            cols = batches[self.source] = self.source.drain()
+        return cols
 
     def execute_columns(
         self,
         cols: ColumnBatch,
         now: float,
-        drained: Optional[Dict["Source", ColumnBatch]] = None,
+        batches: Optional[Dict[Any, ColumnBatch]] = None,
     ) -> ColumnBatch:
-        """Run the operator chain over one micro-batch (pure computation).
+        """Run the plan over one micro-batch whose source batch is ``cols``.
 
-        A join's right side takes its source's batch and runs its own chain
-        first, within the same micro-batch.  ``drained`` maps each source
-        already drained in this micro-batch to its batch (the context passes
-        its own, so a self-join's right side gets the left's batch); a source
-        not in it is drained now and added.
+        ``batches`` holds what one micro-batch has computed so far: each
+        drained source's batch, and each plan step's output keyed by the last
+        declared operator the step runs.  Streams branched from one another
+        share the operator objects of their common prefix, so with one
+        ``batches`` per micro-batch (the context passes its own) a shared
+        prefix runs once: its stateful operators advance once, and every
+        branch and join side, a self-join included, reads the same output.
+        Kernels never mutate their input, so sharing it is safe.  Without
+        ``batches`` the call is a micro-batch of its own.
         """
-        if self.joined_with is not None:
-            other_stream, join_operator = self.joined_with
-            drained = {} if drained is None else drained
-            join_operator.set_right_batch(
-                other_stream.execute_columns(
-                    drain_once(other_stream.source, drained), now, drained
-                )
-            )
-        for operator in self.plan:
-            cols = operator.apply(cols, now)
+        batches = {} if batches is None else batches
+        batches.setdefault(self.source, cols)
+        return self._run(now, batches)
+
+    def _run(self, now: float, batches: Dict[Any, ColumnBatch]) -> ColumnBatch:
+        plan = self.plan
+        done = len(plan)
+        while done and plan[done - 1][1] not in batches:
+            done -= 1
+        cols = batches[plan[done - 1][1]] if done else self.source_batch(batches)
+        for kernel, last in plan[done:]:
+            right = self.joins.get(kernel)
+            if right is not None:
+                kernel.set_right_batch(right._run(now, batches))
+            cols = batches[last] = kernel.apply(cols, now)
         return cols
 
     def execute(self, batch: List[StreamRecord], now: float) -> List[StreamRecord]:
@@ -182,15 +191,3 @@ class DStream:
     def reset_state(self) -> None:
         for operator in self.operators:
             operator.reset()
-
-
-def drain_once(source: "Source", drained: Dict["Source", ColumnBatch]) -> ColumnBatch:
-    """``source``'s batch for this micro-batch, drained on first use.
-
-    Every stream branched from one source shares the batch; kernels never
-    mutate their input, so sharing it is safe.
-    """
-    cols = drained.get(source)
-    if cols is None:
-        cols = drained[source] = source.drain()
-    return cols

@@ -396,8 +396,9 @@ _KEY_GROUPING = (
 )
 
 
-def physical_plan(operators: List[Operator]) -> List[Operator]:
-    """The kernels that run a declared operator chain.
+def physical_plan(operators: List[Operator]) -> List[Tuple[Operator, Operator]]:
+    """The steps that run a declared operator chain: each kernel paired with
+    the last declared operator it runs.
 
     Two exact rewrites, applied to built-in operator types only (a subclass
     may override ``apply``, so it is never rewritten):
@@ -409,20 +410,20 @@ def physical_plan(operators: List[Operator]) -> List[Operator]:
     * map-side combine — a ``map_pairs`` directly followed (after elision)
       by ``reduce_by_key`` becomes one :class:`MapSideCombineOperator`.
 
-    Stateful operators stay the same objects, so resetting the declared
-    chain resets the plan.
+    Neither touches a stateful operator: each is its own step, run by the
+    declared object, so resetting the declared chain resets the plan.
     """
     following = operators[1:] + [None]
-    plan: List[Operator] = []
+    plan: List[Tuple[Operator, Operator]] = []
     for operator, after in zip(operators, following):
         if type(operator) is RepartitionByKeyOperator and type(after) in _KEY_GROUPING:
             continue
         if (
             type(operator) is ReduceByKeyOperator
             and plan
-            and type(plan[-1]) is MapPairsOperator
+            and type(plan[-1][0]) is MapPairsOperator
         ):
-            plan[-1] = MapSideCombineOperator(plan[-1].fn, operator.fn)
+            plan[-1] = (MapSideCombineOperator(plan[-1][0].fn, operator.fn), operator)
         else:
-            plan.append(operator)
+            plan.append((operator, operator))
     return plan

@@ -111,6 +111,64 @@ class TestMemoryPipelines:
             (1, 1), (1, 3), (2, 2), (3, 1), (3, 3),
         ]
 
+    @staticmethod
+    def run_batches(sim, ctx, *batches):
+        """Push each batch of values mid-way through its own micro-batch
+        interval, then stop."""
+        source = ctx.sources[0]
+
+        def feed():
+            ctx.start()
+            for values in batches:
+                yield sim.timeout(0.5)
+                for value in values:
+                    source.push_value(value, now=sim.now)
+                yield sim.timeout(0.5)
+            yield sim.timeout(0.5)
+            ctx.stop()
+
+        sim.process(feed())
+        sim.run(until=len(batches) + 1.0)
+
+    def test_self_join_of_a_running_count_advances_it_once(self):
+        sim, network, ctx = make_context()
+        counts = ctx.memory_stream().map_pairs(lambda v: (v, 1)).update_state_by_key(
+            lambda new, old: (old or 0) + len(new))
+        sink = counts.join(counts).to_memory()
+        self.run_batches(sim, ctx, ["a", "a", "b"], ["a"])
+        assert [(record.key, record.value) for record in sink.results] == [
+            ("a", (2, 2)), ("b", (1, 1)), ("a", (3, 3)),
+        ]
+
+    def test_branches_of_a_running_count_advance_it_once(self):
+        sim, network, ctx = make_context()
+        counts = ctx.memory_stream().map_pairs(lambda v: (v, 1)).update_state_by_key(
+            lambda new, old: (old or 0) + len(new))
+        plain = counts.to_memory()
+        scaled = counts.map(lambda count: count * 10).to_memory()
+        self.run_batches(sim, ctx, ["a", "a", "b"], ["a"])
+        assert [record.value for record in plain.results] == [2, 1, 3]
+        assert [record.value for record in scaled.results] == [20, 10, 30]
+
+    def test_branches_of_a_window_keep_each_chunk_once(self):
+        sim, network, ctx = make_context()
+        seen = []
+        window = ctx.memory_stream().for_each(lambda record: seen.append(record.value)).window(10.0)
+        whole = window.to_memory()
+        doubled = window.map(lambda v: v * 2).to_memory()
+        self.run_batches(sim, ctx, [1, 2], [3])
+        assert [record.value for record in whole.results] == [1, 2, 1, 2, 3]
+        assert [record.value for record in doubled.results] == [2, 4, 2, 4, 6]
+        # The side effect in the shared prefix runs once per record.
+        assert seen == [1, 2, 3]
+
+    def test_chained_joins_each_read_their_right_side(self):
+        sim, network, ctx = make_context()
+        pairs = ctx.memory_stream().map_pairs(lambda v: (v % 2, v))
+        sink = pairs.join(pairs.map(lambda v: -v)).join(pairs.map(lambda v: v * 10)).to_memory()
+        self.run_batches(sim, ctx, [1, 2])
+        assert [record.value for record in sink.results] == [((1, -1), 10), ((2, -2), 20)]
+
     def test_batch_metrics_recorded(self):
         sim, network, ctx = make_context(batch_interval=0.5)
         stream = ctx.memory_stream()

@@ -216,7 +216,7 @@ class TestFlatMapSizeSharing:
 
 
 def plan_names(stream: DStream) -> List[str]:
-    return [operator.name for operator in stream.plan]
+    return [kernel.name for kernel, _ in stream.plan]
 
 
 def fresh_stream() -> DStream:
@@ -244,8 +244,10 @@ class TestPhysicalPlan:
         ]
         # The cost model still charges every declared stage.
         assert stream.n_stages == 6
-        # Stateful operators are the declared objects; the plan is cached.
-        assert stream.plan[-1] is stream.operators[-1]
+        # Stateful operators are the declared objects; the combine step ends
+        # at the declared reduce_by_key; the plan is cached.
+        assert stream.plan[-1] == (stream.operators[-1], stream.operators[-1])
+        assert stream.plan[-2][1] is stream.operators[-2]
         assert stream.plan is stream.plan
 
     @pytest.mark.parametrize("aggregate", ["reduce_by_key", "group_by_key",
@@ -281,8 +283,8 @@ class TestPhysicalPlan:
 
         shuffled = fresh_stream()._derive(CountingShuffle()).reduce_by_key(max)
         paired = fresh_stream().map_pairs(lambda v: (v, v))._derive(CountingReduce(max))
-        assert [type(op) for op in shuffled.plan] == [CountingShuffle, ReduceByKeyOperator]
-        assert [type(op) for op in paired.plan] == [MapPairsOperator, CountingReduce]
+        assert [type(kernel) for kernel, _ in shuffled.plan] == [CountingShuffle, ReduceByKeyOperator]
+        assert [type(kernel) for kernel, _ in paired.plan] == [MapPairsOperator, CountingReduce]
 
     def test_combined_chain_matches_the_declared_kernels_one_by_one(self):
         stream = replay_chain(fresh_stream())
@@ -300,3 +302,24 @@ class TestPhysicalPlan:
         got = stream.execute_columns(cols, 1.0)
         for column in ColumnBatch.__slots__:
             assert getattr(got, column) == getattr(expected, column), column
+
+    def test_branches_share_a_prefix_whatever_their_plans(self):
+        """With one micro-batch's ``batches``, a prefix two branches declare
+        runs once, although one branch drops its shuffle and the other runs it."""
+        seen = []
+        shuffled = (
+            fresh_stream()
+            .map(lambda value: seen.append(value) or value)
+            .map_pairs(lambda value: (value % 2, value))
+            .repartition_by_key()
+        )
+        summed = shuffled.reduce_by_key(lambda a, b: a + b)
+        listed = shuffled.map(lambda value: -value)
+        assert plan_names(summed) == ["map", "map_pairs+reduce_by_key"]
+        cols = ColumnBatch([1, 2, 3, 4], [None] * 4, [0.0] * 4, [0.0] * 4, [8] * 4)
+        batches = {}
+        got_summed = summed.execute_columns(cols, 1.0, batches)
+        got_listed = listed.execute_columns(cols, 1.0, batches)
+        assert (got_summed.keys, got_summed.values) == ([1, 0], [4, 6])
+        assert (got_listed.keys, got_listed.values) == ([1, 1, 0, 0], [-1, -3, -2, -4])
+        assert seen == [1, 2, 3, 4]
