@@ -27,6 +27,37 @@ PRODUCE_PURGATORY_TIMEOUT = 30.0
 #: leader.
 FETCH_MAX_WAIT = 0.5
 
+#: How often a broker heartbeats the coordinator.
+HEARTBEAT_INTERVAL = 1.5
+
+#: In KRaft mode a leader only accepts produce requests while its coordinator
+#: session has been refreshed within this horizon.
+LEADERSHIP_LEASE = 4.0
+
+#: A follower's pause after a replica fetch that failed (error reply or
+#: timeout).  Not a replication period: a served fetch is followed by the next
+#: one at once, and an idle one is parked at the leader.
+REPLICA_FETCH_BACKOFF = 0.1
+
+#: The most records one replica fetch asks for.
+REPLICA_FETCH_MAX_RECORDS = 500
+
+#: How long a follower may lag the leader's log end — or, never having
+#: fetched, how long after the leader took over — and stay in the ISR.
+REPLICA_LAG_MAX = 10.0
+
+#: An ``acks="all"`` produce is rejected while the ISR is smaller than this.
+MIN_INSYNC_REPLICAS = 1
+
+#: CPU seconds charged per handled request, modelling the JVM broker's
+#: request-handler work on the shared emulation host (plus
+#: ``BrokerConfig.cpu_per_record`` per record).
+CPU_PER_REQUEST = 60e-6
+
+#: How often producers and consumers refresh their cluster metadata: the
+#: producer lazily before a send, the consumer on a loop.
+METADATA_REFRESH_INTERVAL = 5.0
+
 #: The log attribute a consumer fetch of each isolation level reads up to.
 FETCH_BOUND = {
     "read_uncommitted": "high_watermark",
@@ -39,9 +70,9 @@ def find_coordinator_host(transport: Transport, bootstrap: List[str], timeout: f
 
     Shared by every group-management and idempotent-producer client.  Returns
     the coordinator's host name, or ``None`` when no bootstrap broker answered
-    (all timed out) or the first responsive one reported no coordinator —
-    mirroring Kafka clients, which take the first broker's word rather than
-    polling the rest.
+    (all timed out) or the first responsive one answered an error (it was
+    stopped) — mirroring Kafka clients, which take the first broker's word
+    rather than polling the rest.
     """
     for bootstrap_host in bootstrap:
         try:
@@ -68,28 +99,14 @@ def _resume(outcome: Any, then: Callable[[], Any]) -> Any:
 
 @dataclass
 class BrokerConfig:
-    """Tunable broker parameters (a subset of Kafka's ``server.properties``).
-
-    The defaults reflect the "tuned for emulation scale" settings described in
-    the paper's design section (smaller buffers, tighter intervals) rather
-    than stock Kafka defaults.
+    """The broker settings a caller varies; the fixed ones (heartbeat,
+    lease, replica fetch, ISR lag, per-request CPU) are the module constants
+    above.  The values reflect the "tuned for emulation scale" settings
+    described in the paper's design section rather than stock Kafka defaults.
     """
 
-    heartbeat_interval: float = 1.5
-    #: A follower's pause after a replica fetch that failed (error reply or
-    #: timeout).  Not a replication period: a served fetch is followed by the
-    #: next one at once, and an idle one is parked at the leader.
-    replica_fetch_interval: float = 0.1
-    replica_fetch_max_records: int = 500
-    replica_lag_max: float = 10.0
-    min_insync_replicas: int = 1
-    #: CPU seconds charged per handled request and per record, modelling the
-    #: JVM broker's request-handler work on the shared emulation host.
-    cpu_per_request: float = 60e-6
+    #: CPU seconds charged per record on top of ``CPU_PER_REQUEST``.
     cpu_per_record: float = 12e-6
-    #: In KRaft mode a leader only accepts produce requests while its
-    #: coordinator session has been refreshed within this horizon.
-    leadership_lease: float = 4.0
     #: Broker-wide default log storage policy (segment roll size, retention,
     #: cleanup policy, cold tier).  ``None`` — the default — means logs
     #: never roll and keep every record; per-topic overrides from
@@ -104,7 +121,7 @@ class ReplicaState:
     follower_offsets: Dict[str, int] = field(default_factory=dict)
     follower_caught_up_at: Dict[str, float] = field(default_factory=dict)
     #: When this broker (re)took leadership — new followers get a grace
-    #: period of ``replica_lag_max`` from this point before ISR eviction.
+    #: period of ``REPLICA_LAG_MAX`` from this point before ISR eviction.
     since: float = 0.0
 
 
@@ -114,8 +131,8 @@ class Broker:
     def __init__(
         self,
         host: Host,
+        coordinator_host: str,
         name: Optional[str] = None,
-        coordinator_host: Optional[str] = None,
         mode: CoordinationMode = CoordinationMode.ZOOKEEPER,
         config: Optional[BrokerConfig] = None,
     ) -> None:
@@ -181,23 +198,20 @@ class Broker:
     # -- control plane -------------------------------------------------------------------
     def _control_loop(self):
         """Register, then heartbeat and refresh metadata forever."""
-        if self.coordinator_host is not None:
-            while True:
-                try:
-                    yield from self.transport.request(
-                        self.coordinator_host,
-                        COORDINATOR_PORT,
-                        {"type": "register", "broker": self.name, "host": self.host.name},
-                        timeout=1.0,
-                    )
-                    self.last_session_refresh = self.sim.now
-                    break
-                except RequestTimeout:
-                    yield self.sim.timeout(1.0)
+        while True:
+            try:
+                yield from self.transport.request(
+                    self.coordinator_host,
+                    COORDINATOR_PORT,
+                    {"type": "register", "broker": self.name, "host": self.host.name},
+                    timeout=1.0,
+                )
+                self.last_session_refresh = self.sim.now
+                break
+            except RequestTimeout:
+                yield self.sim.timeout(1.0)
         while self.running:
-            yield self.sim.timeout(self.config.heartbeat_interval)
-            if self.coordinator_host is None:
-                continue
+            yield self.sim.timeout(HEARTBEAT_INTERVAL)
             try:
                 reply = yield from self.transport.request(
                     self.coordinator_host,
@@ -259,7 +273,7 @@ class Broker:
     @property
     def session_fresh(self) -> bool:
         """True while the broker's coordinator session is within the lease window."""
-        return (self.sim.now - self.last_session_refresh) <= self.config.leadership_lease
+        return (self.sim.now - self.last_session_refresh) <= LEADERSHIP_LEASE
 
     # -- helpers -----------------------------------------------------------------------------
     def _partition_info(self, key: str) -> Optional[dict]:
@@ -307,8 +321,6 @@ class Broker:
             # coordinator lives (Kafka's FindCoordinator request).  Kept out
             # of the metadata snapshot so the (size-cached) metadata replies
             # of clients that never use groups are byte-identical.
-            if self.coordinator_host is None:
-                return {"error": "no_coordinator"}
             return {"error": None, "coordinator_host": self.coordinator_host}
         if request_type == "metadata":
             # Explicit reply size: clients poll metadata constantly, and
@@ -345,7 +357,7 @@ class Broker:
             # acknowledging writes, so nothing can be silently truncated.
             self.produce_rejections += 1
             return {"error": "not_leader", "leader_host": None}
-        if acks == "all" and len(info["isr"]) < self.config.min_insync_replicas:
+        if acks == "all" and len(info["isr"]) < MIN_INSYNC_REPLICAS:
             self.produce_rejections += 1
             return {"error": "not_enough_replicas"}
         log = self.logs[key]
@@ -459,7 +471,7 @@ class Broker:
                 return self._await_high_watermark(request, key, log.log_end_offset, ack)
             return ack()
 
-        cost = self.config.cpu_per_request + self.config.cpu_per_record * len(wire_batch)
+        cost = CPU_PER_REQUEST + self.config.cpu_per_record * len(wire_batch)
         return request.after(self.host.compute(cost), append)
 
     def _await_high_watermark(self, request: Request, key: str, target: int, then: Callable):
@@ -597,7 +609,7 @@ class Broker:
             return log.read_batch(offset, max_records=max_records, up_to=getattr(log, bound))
 
         def serve(batch):
-            cost = self.config.cpu_per_request + self.config.cpu_per_record * len(batch)
+            cost = CPU_PER_REQUEST + self.config.cpu_per_record * len(batch)
             return request.after(
                 self.host.compute(cost), self._fetch_reply, log, batch, isolation
             )
@@ -699,7 +711,7 @@ class Broker:
                 lambda: Response(payload={"error": None, "offset": offset}, size=48),
             )
 
-        cost = self.config.cpu_per_request + self.config.cpu_per_record
+        cost = CPU_PER_REQUEST + self.config.cpu_per_record
         return request.after(self.host.compute(cost), append)
 
     # -- replication path -----------------------------------------------------------------------------------
@@ -740,10 +752,10 @@ class Broker:
         def serve():
             batch = log.read_batch(
                 offset,
-                max_records=self.config.replica_fetch_max_records,
+                max_records=REPLICA_FETCH_MAX_RECORDS,
                 with_epochs=True,
             )
-            cost = self.config.cpu_per_request + self.config.cpu_per_record * len(batch)
+            cost = CPU_PER_REQUEST + self.config.cpu_per_record * len(batch)
             return request.after(
                 self.host.compute(cost), self._replica_fetch_reply, request, key, log, batch
             )
@@ -782,7 +794,7 @@ class Broker:
         """Leader-side ISR maintenance: ``(info, desired_isr)`` when the ISR
         should change, else ``None``."""
         info = self._partition_info(key)
-        if info is None or not self._is_leader(key) or self.coordinator_host is None:
+        if info is None or not self._is_leader(key):
             return None
         log = self.logs[key]
         replica_state = self.replica_states.setdefault(key, ReplicaState())
@@ -796,12 +808,12 @@ class Broker:
             if fetched is None:
                 # Never fetched yet: keep it in the ISR during the grace period
                 # after this broker took leadership, evict afterwards.
-                if (now - replica_state.since) <= self.config.replica_lag_max:
+                if (now - replica_state.since) <= REPLICA_LAG_MAX:
                     desired_isr.append(follower)
                 continue
             lag_ok = (
                 fetched >= log.log_end_offset
-                or (now - caught_up_at) <= self.config.replica_lag_max
+                or (now - caught_up_at) <= REPLICA_LAG_MAX
             )
             if lag_ok:
                 desired_isr.append(follower)
@@ -866,7 +878,7 @@ class Broker:
         The next fetch leaves the moment a reply lands — it is the
         acknowledgement that moves the leader's high watermark — and parks at
         the leader while there is nothing new; only an error or a timeout is
-        followed by a ``replica_fetch_interval`` pause.
+        followed by a ``REPLICA_FETCH_BACKOFF`` pause.
         """
         log = self.logs[key]
         while self.running:
@@ -879,7 +891,7 @@ class Broker:
             if answered:
                 answered = yield from self._fetch_once_from_leader(key, leader_host, log)
             if not answered:
-                yield self.sim.timeout(self.config.replica_fetch_interval)
+                yield self.sim.timeout(REPLICA_FETCH_BACKOFF)
         self._fetchers.discard(key)
 
     def _reconcile_with_leader(self, key: str, leader_host: str):

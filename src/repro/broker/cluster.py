@@ -27,7 +27,6 @@ class ClusterConfig:
 
     mode: CoordinationMode = CoordinationMode.ZOOKEEPER
     session_timeout: float = 9.0
-    failure_check_interval: float = 1.0
     preferred_election_interval: float = 30.0
     #: Ceiling on how long a transaction may stay open before the
     #: coordinator's sweeper aborts it (producers may configure less).
@@ -79,7 +78,6 @@ class BrokerCluster:
             network.host(coordinator_host),
             mode=self.config.mode,
             session_timeout=self.config.session_timeout,
-            failure_check_interval=self.config.failure_check_interval,
             preferred_election_interval=self.config.preferred_election_interval,
             transaction_timeout=self.config.transaction_timeout,
         )

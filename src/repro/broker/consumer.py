@@ -31,10 +31,19 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.broker.batch import RecordBatch
-from repro.broker.broker import BROKER_PORT, find_coordinator_host
+from repro.broker.broker import BROKER_PORT, METADATA_REFRESH_INTERVAL, find_coordinator_host
 from repro.broker.coordinator import COORDINATOR_PORT, GROUP_ASSIGNORS
 from repro.network.host import Host
 from repro.network.transport import RequestTimeout, Transport
+
+#: How long a consumer waits for any reply — above the leader's
+#: ``FETCH_MAX_WAIT``, so a parked fetch is answered before it times out.
+FETCH_TIMEOUT = 1.0
+#: A consumer's pause before it retries after a failed fetch or group request.
+RETRY_BACKOFF = 0.2
+#: How often a group member heartbeats the coordinator (each heartbeat also
+#: commits the member's current offsets).
+GROUP_HEARTBEAT_INTERVAL = 1.0
 
 
 @dataclass
@@ -46,9 +55,6 @@ class ConsumerConfig:
     #: parked at the leader and answered when a record becomes visible.
     poll_interval: float = 0.05
     max_records_per_fetch: int = 500
-    fetch_timeout: float = 1.0
-    metadata_refresh_interval: float = 5.0
-    retry_backoff: float = 0.2
     #: Per-record processing cost charged to the consumer's host CPU.
     cpu_per_record: float = 15e-6
     #: Append every received record to ``Consumer.received`` (disable for
@@ -60,9 +66,6 @@ class ConsumerConfig:
     group: Optional[str] = None
     #: Partition assignor the group uses: ``"range"`` or ``"roundrobin"``.
     assignor: str = "range"
-    #: How often a group member heartbeats the coordinator (each heartbeat
-    #: also commits the member's current offsets).
-    group_heartbeat_interval: float = 1.0
     #: ``"read_uncommitted"`` (default — every record below the HW, exactly
     #: today's behaviour) or ``"read_committed"`` — fetches stop at the Last
     #: Stable Offset and records of aborted transactions are filtered out, so
@@ -90,8 +93,6 @@ class ConsumerConfig:
             raise ValueError("poll_interval must be positive")
         if self.max_records_per_fetch <= 0:
             raise ValueError("max_records_per_fetch must be positive")
-        if self.group_heartbeat_interval <= 0:
-            raise ValueError("group_heartbeat_interval must be positive")
         if self.assignor not in GROUP_ASSIGNORS:
             raise ValueError(
                 f"unknown assignor {self.assignor!r}; expected one of {GROUP_ASSIGNORS}"
@@ -152,7 +153,7 @@ class Consumer:
         #: delivered.
         self.on_batch = on_batch
         self.transport = Transport(
-            host, default_timeout=self.config.fetch_timeout, max_retries=0
+            host, default_timeout=FETCH_TIMEOUT, max_retries=0
         )
         self.metadata: dict = {"version": -1, "partitions": {}, "brokers": {}}
         self.subscriptions: List[str] = []
@@ -254,7 +255,7 @@ class Consumer:
         yet learns that its topic exists)."""
         while self.running:
             yield from self._refresh_metadata()
-            yield self.sim.timeout(self.config.metadata_refresh_interval)
+            yield self.sim.timeout(METADATA_REFRESH_INTERVAL)
 
     def _start_fetchers(self) -> None:
         """Run one fetcher per fetchable partition; called wherever the
@@ -283,7 +284,7 @@ class Consumer:
             if fetched is None:
                 # Leader unknown or unreachable: back off a little and
                 # refresh metadata so we discover newly elected leaders.
-                yield self.sim.timeout(self.config.retry_backoff)
+                yield self.sim.timeout(RETRY_BACKOFF)
                 yield from self._refresh_metadata()
             elif fetched:
                 tick = self._poll_tick
@@ -308,12 +309,11 @@ class Consumer:
     # -- group membership -----------------------------------------------------------
     def _group_loop(self):
         """Join the configured group, then heartbeat/commit/resync forever."""
-        config = self.config
         while self.running:
             if self._coordinator_host is None:
                 yield from self._find_coordinator()
                 if self._coordinator_host is None:
-                    yield self.sim.timeout(config.retry_backoff)
+                    yield self.sim.timeout(RETRY_BACKOFF)
                     continue
             if not self._group_joined:
                 joined = yield from self._join_group()
@@ -322,9 +322,9 @@ class Consumer:
                     # would hammer the coordinator forever without progress.
                     return
                 if not joined:
-                    yield self.sim.timeout(config.retry_backoff)
+                    yield self.sim.timeout(RETRY_BACKOFF)
                     continue
-            yield self.sim.timeout(config.group_heartbeat_interval)
+            yield self.sim.timeout(GROUP_HEARTBEAT_INTERVAL)
             if self.running:
                 yield from self._group_heartbeat()
 
@@ -480,7 +480,7 @@ class Consumer:
                 BROKER_PORT,
                 fetch_request,
                 size=96,
-                timeout=self.config.fetch_timeout,
+                timeout=FETCH_TIMEOUT,
             )
         except RequestTimeout:
             self.fetch_errors += 1

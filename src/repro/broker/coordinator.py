@@ -59,6 +59,9 @@ from repro.simulation.deadlines import DeadlineHeap
 COORDINATOR_PORT = 2181
 #: How long an end_txn reply waits for the marker fan-out to complete.
 END_TXN_TIMEOUT = 30.0
+#: How often the failure detector checks broker sessions and the transaction
+#: sweeper checks open transactions.
+FAILURE_CHECK_INTERVAL = 1.0
 #: The requests the coordinator serves.
 REQUEST_TYPES = (
     "register", "heartbeat", "metadata", "create_topic", "isr_update",
@@ -216,7 +219,6 @@ class Coordinator:
         host: Host,
         mode: CoordinationMode = CoordinationMode.ZOOKEEPER,
         session_timeout: float = 9.0,
-        failure_check_interval: float = 1.0,
         preferred_election_interval: float = 30.0,
         transaction_timeout: float = 60.0,
     ) -> None:
@@ -226,7 +228,6 @@ class Coordinator:
         self.sim = host.sim
         self.mode = CoordinationMode(mode)
         self.session_timeout = session_timeout
-        self.failure_check_interval = failure_check_interval
         self.preferred_election_interval = preferred_election_interval
         self.transport = Transport(host)
         #: Default transaction timeout; producers may lower it per init.
@@ -667,7 +668,7 @@ class Coordinator:
         transactional ids in sorted order.
         """
         while True:
-            yield self.sim.timeout(self.failure_check_interval)
+            yield self.sim.timeout(FAILURE_CHECK_INTERVAL)
             now = self.sim.now
             for transactional_id in sorted(self.transactions):
                 txn = self.transactions[transactional_id]
@@ -882,7 +883,7 @@ class Coordinator:
     # -- failure detection and elections ------------------------------------------------
     def _failure_detector(self):
         while True:
-            yield self.sim.timeout(self.failure_check_interval)
+            yield self.sim.timeout(FAILURE_CHECK_INTERVAL)
             now = self.sim.now
             for registration in self.brokers.values():
                 if registration.alive and now - registration.last_heartbeat > self.session_timeout:

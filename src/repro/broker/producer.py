@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Union
 
 from repro.broker.batch import RecordBatch
-from repro.broker.broker import BROKER_PORT, find_coordinator_host
+from repro.broker.broker import BROKER_PORT, METADATA_REFRESH_INTERVAL, find_coordinator_host
 from repro.broker.coordinator import COORDINATOR_PORT
 from repro.broker.errors import (
     DeliveryFailed,
@@ -46,6 +46,9 @@ from repro.broker.message import (
 from repro.network.host import Host
 from repro.network.transport import RequestTimeout, Transport
 from repro.simulation.events import Event
+
+#: A producer's pause before it retries a request that failed or timed out.
+RETRY_BACKOFF = 0.1
 
 
 @dataclass
@@ -87,10 +90,7 @@ class ProducerConfig:
     linger: float = 0.02
     request_timeout: float = 2.0
     delivery_timeout: float = 120.0
-    retries: int = 1_000_000
-    retry_backoff: float = 0.1
     acks: Any = 1
-    metadata_refresh_interval: float = 5.0
     max_batch_records: int = 500
     idempotence: bool = False
     transactional_id: Optional[str] = None
@@ -490,7 +490,7 @@ class Producer:
             # metadata refresh); what they need from here is a refresh while
             # their topic is unknown and their ``delivery_timeout``.  The line
             # is in send order, so its head expires first.
-            refresh_at = self._metadata_refreshed_at + self.config.metadata_refresh_interval
+            refresh_at = self._metadata_refreshed_at + METADATA_REFRESH_INTERVAL
             expire_at = self._waiting[0][1] + self.config.delivery_timeout
             yield self.sim.timeout(max(min(refresh_at, expire_at) - self.sim.now, 0.0))
             if self._waiting and refresh_at <= expire_at:
@@ -628,10 +628,10 @@ class Producer:
                 )
                 return
         while self.running:
-            if self.sim.now >= deadline or attempts > self.config.retries:
+            if self.sim.now >= deadline:
                 self._fail_batch(batch, reason="delivery timeout")
                 return
-            if self.sim.now - self._metadata_refreshed_at > self.config.metadata_refresh_interval:
+            if self.sim.now - self._metadata_refreshed_at > METADATA_REFRESH_INTERVAL:
                 # Lazy periodic refresh: metadata only matters when sending.
                 # A first attempt does not wait for it — a saturated
                 # partition would lose a round trip of its one in-flight
@@ -647,7 +647,7 @@ class Producer:
                     )
             leader_host = self._leader_host(key)
             if leader_host is None:
-                yield self.sim.timeout(self.config.retry_backoff)
+                yield self.sim.timeout(RETRY_BACKOFF)
                 yield from self._refresh_metadata()
                 attempts += 1
                 continue
@@ -667,7 +667,7 @@ class Producer:
                 )
             except RequestTimeout:
                 attempts += 1
-                yield self.sim.timeout(self.config.retry_backoff)
+                yield self.sim.timeout(RETRY_BACKOFF)
                 continue
             error = reply.get("error")
             if error is None:
@@ -683,12 +683,13 @@ class Producer:
                 return
             if error == "not_leader":
                 attempts += 1
-                yield self.sim.timeout(self.config.retry_backoff)
+                yield self.sim.timeout(RETRY_BACKOFF)
                 yield from self._refresh_metadata()
                 continue
             if error in ("not_enough_replicas", "unknown_topic"):
+                # A longer pause: the ISR or the topic has to appear first.
                 attempts += 1
-                yield self.sim.timeout(max(self.config.retry_backoff, 0.5))
+                yield self.sim.timeout(0.5)
                 yield from self._refresh_metadata()
                 continue
             self._fail_batch(batch, reason=error)
@@ -784,7 +785,7 @@ class Producer:
                 timeout=min(1.0, self.config.request_timeout),
             )
             if coordinator_host is None:
-                yield self.sim.timeout(self.config.retry_backoff)
+                yield self.sim.timeout(RETRY_BACKOFF)
                 continue
             self._coordinator_host = coordinator_host
             init_request = {"type": "init_producer_id", "name": self.name}
@@ -800,7 +801,7 @@ class Producer:
                     timeout=min(1.0, self.config.request_timeout),
                 )
             except RequestTimeout:
-                yield self.sim.timeout(self.config.retry_backoff)
+                yield self.sim.timeout(RETRY_BACKOFF)
                 continue
             if reply.get("error") is None:
                 self.producer_id = reply["producer_id"]
@@ -938,7 +939,7 @@ class Producer:
             while queue:
                 self._fail_batch(queue.popleft(), reason="transaction_aborted")
         yield from self._await_drained(
-            self.sim.now + self.config.request_timeout + self.config.retry_backoff
+            self.sim.now + self.config.request_timeout + RETRY_BACKOFF
         )
         if self._txn_registered:
             yield from self._send_end_txn("abort", self.sim.now + 10.0)
@@ -960,7 +961,7 @@ class Producer:
     def _ask_coordinator(self, kind: str, timeout: float, **fields):
         """Generator: one transactional request under this producer's identity.
 
-        Returns the reply, or None — one ``retry_backoff`` later — when the
+        Returns the reply, or None — one ``RETRY_BACKOFF`` later — when the
         coordinator cannot be found or does not answer in ``timeout``.
         """
         coordinator_host = yield from self._txn_coordinator()
@@ -980,7 +981,7 @@ class Producer:
                 )
             except RequestTimeout:
                 pass
-        yield self.sim.timeout(self.config.retry_backoff)
+        yield self.sim.timeout(RETRY_BACKOFF)
         return None
 
     def _add_partitions_to_txn(self, key: str, deadline: float):
@@ -1005,7 +1006,7 @@ class Producer:
             if error == "producer_fenced":
                 self._txn_fatal = True
                 return False
-            yield self.sim.timeout(self.config.retry_backoff)
+            yield self.sim.timeout(RETRY_BACKOFF)
         return False
 
     def _send_end_txn(self, outcome: str, deadline: float):
@@ -1031,7 +1032,7 @@ class Producer:
                 return "fenced"
             if error == "invalid_txn_state":
                 return "invalid"
-            yield self.sim.timeout(self.config.retry_backoff)
+            yield self.sim.timeout(RETRY_BACKOFF)
         return "invalid"
 
     # -- metadata ---------------------------------------------------------------------------

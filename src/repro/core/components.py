@@ -62,9 +62,9 @@ class Deployment:
     stores: Dict[str, StoreServer] = field(default_factory=dict)
 
 
-def build_network(task: TaskDescription, sim: Simulator, monitor_interval: float) -> Network:
+def build_network(task: TaskDescription, sim: Simulator) -> Network:
     """Create hosts, then switches, then links from the (validated) task."""
-    network = Network(sim, monitor_interval=monitor_interval)
+    network = Network(sim)
     for node in task.hosts():
         cpu = float(node.attribute(NodeAttribute.CPU_PERCENTAGE.value, 100.0))
         network.add_host(node.node_id, cpu_percentage=cpu)

@@ -26,9 +26,10 @@ from repro.core.components import (
 from repro.core.configs import PlatformOverrides
 from repro.core.graphml import parse_graphml, parse_graphml_string
 from repro.core.monitoring import EventLog
-from repro.core.resources import HostResourceModel, ResourceReport, ServerSpec
+from repro.core.resources import HostResourceModel, ResourceReport
 from repro.core.task import TaskDescription
 from repro.core.visualization import summarize_distribution
+from repro.network.stats import SAMPLE_INTERVAL
 from repro.simulation import Simulator
 
 
@@ -70,8 +71,6 @@ class Emulation:
         mode: Union[str, CoordinationMode, None] = None,
         cluster_config: Optional[ClusterConfig] = None,
         datasets: Optional[Dict[str, Sequence[Any]]] = None,
-        server_spec: Optional[ServerSpec] = None,
-        monitor_interval: float = 0.5,
         platform: Optional[PlatformOverrides] = None,
     ) -> None:
         if isinstance(task, str):
@@ -83,7 +82,6 @@ class Emulation:
         self.task = task
         self.seed = seed
         self.datasets = dict(datasets or {})
-        self.monitor_interval = monitor_interval
         # ``mode=None`` means "what ``cluster_config`` says"; the caller's
         # object is never modified.
         self.cluster_config = cluster_config or ClusterConfig()
@@ -93,7 +91,6 @@ class Emulation:
             )
         self.mode = self.cluster_config.mode
         self.platform = platform or PlatformOverrides()
-        self.server_spec = server_spec or ServerSpec()
         self.sim = Simulator(seed=seed)
         self.event_log = EventLog()
         self.deployment: Optional[Deployment] = None
@@ -146,15 +143,13 @@ class Emulation:
         """Construct the network, platform and components (no traffic yet)."""
         if self._built:
             return self
-        network = build_network(self.task, self.sim, self.monitor_interval)
+        network = build_network(self.task, self.sim)
         cluster = build_cluster(self.task, network, self.cluster_config, self.platform)
         deployment = Deployment(network=network, cluster=cluster)
         deployment.fault_injector = build_fault_injector(self.task, network)
         self.deployment = deployment
         deploy_components(self.task, deployment, self, self.datasets, self.platform)
-        self.resource_model = HostResourceModel(
-            network, interval=self.monitor_interval, server=self.server_spec
-        )
+        self.resource_model = HostResourceModel(network)
         self.event_log.record(self.sim.now, "emulation", "built", **self.task.summary())
         self._built = True
         return self
@@ -206,12 +201,12 @@ class Emulation:
         return self._collect_result(duration=duration, warmup=warmup)
 
     def _monitor(self, warmup: float):
-        """The one sampling tick: every ``monitor_interval`` the port counters
+        """The one sampling tick: every ``SAMPLE_INTERVAL`` the port counters
         feed the bandwidth series and the resource model takes a sample
         (discarded during the warm-up, as in the paper's methodology)."""
         bandwidth = self.deployment.network.bandwidth_monitor
         while True:
-            yield self.sim.timeout(self.monitor_interval)
+            yield self.sim.timeout(SAMPLE_INTERVAL)
             bandwidth.sample(self.sim.now)
             self.resource_model.tick(warmup)
 

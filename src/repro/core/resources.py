@@ -21,25 +21,22 @@ buffer-size effect) is what the Figure 9 reproduction asserts on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.broker.broker import Broker
 from repro.broker.consumer import Consumer
 from repro.broker.producer import Producer
 from repro.engine.context import StreamingContext
+from repro.network.stats import SAMPLE_INTERVAL
 from repro.store.server import StoreServer
 
-
-@dataclass
-class ServerSpec:
-    """The physical server hosting the emulation (Section IV of the paper)."""
-
-    cores: int = 8
-    memory_bytes: int = 16 * 1024**3
-    #: Baseline CPU utilization of the idle OS + emulator control plane (%).
-    baseline_cpu: float = 2.0
-    #: Baseline memory utilization (OS, emulator, interpreter) as a fraction.
-    baseline_memory_fraction: float = 0.14
+#: Memory of the physical server hosting the emulation (Section IV of the
+#: paper).
+SERVER_MEMORY_BYTES = 16 * 1024**3
+#: Baseline CPU utilization of the idle OS + emulator control plane (%).
+BASELINE_CPU = 2.0
+#: Baseline memory utilization (OS, emulator, interpreter) as a fraction.
+BASELINE_MEMORY_FRACTION = 0.14
 
 
 @dataclass
@@ -123,18 +120,9 @@ STARTUP_WINDOW = 12.0
 class HostResourceModel:
     """Samples the modelled CPU/memory utilization of the underlying server."""
 
-    def __init__(
-        self,
-        network,
-        interval: float = 0.5,
-        server: Optional[ServerSpec] = None,
-    ) -> None:
-        if interval <= 0:
-            raise ValueError("interval must be positive")
+    def __init__(self, network) -> None:
         self.network = network
         self.sim = network.sim
-        self.interval = interval
-        self.server = server or ServerSpec()
         self.report = ResourceReport()
         self._last_bytes = 0
         self._started_at = self.sim.now
@@ -168,7 +156,7 @@ class HostResourceModel:
 
     # -- sampling ------------------------------------------------------------------------
     def tick(self, warmup: float) -> None:
-        """One ``interval`` has passed (the emulation's monitoring tick calls
+        """One ``SAMPLE_INTERVAL`` has passed (the emulation's monitoring tick calls
         this): take a sample, discarding it during the warm-up as in the
         paper's methodology."""
         sample = self.sample()
@@ -186,19 +174,19 @@ class HostResourceModel:
         now = self.sim.now
         counts = self.component_counts()
 
-        cpu = self.server.baseline_cpu
+        cpu = BASELINE_CPU
         for kind, count in counts.items():
             cpu += COMPONENT_CPU_IDLE.get(kind, 0.1) * count
         current_bytes = self._network_bytes()
         delta_mb = max(0, current_bytes - self._last_bytes) / 1024**2
         self._last_bytes = current_bytes
-        cpu += CPU_PER_MBYTE * delta_mb / self.interval
+        cpu += CPU_PER_MBYTE * delta_mb / SAMPLE_INTERVAL
         if now - self._started_at < STARTUP_WINDOW:
             remaining = 1.0 - (now - self._started_at) / STARTUP_WINDOW
             cpu += STARTUP_SURGE_CPU * remaining
         cpu = min(100.0, cpu)
 
-        memory_bytes = self.server.baseline_memory_fraction * self.server.memory_bytes
+        memory_bytes = BASELINE_MEMORY_FRACTION * SERVER_MEMORY_BYTES
         for kind, count in counts.items():
             memory_bytes += COMPONENT_MEMORY.get(kind, 16 * 1024**2) * count
         for host in self.network.hosts.values():
@@ -213,5 +201,5 @@ class HostResourceModel:
                     memory_bytes += component.kv.bytes_stored + component.tables.bytes_stored
                 elif isinstance(component, StreamingContext):
                     memory_bytes += 0.1 * component.config.executor.executor_memory
-        memory_percent = min(100.0, 100.0 * memory_bytes / self.server.memory_bytes)
+        memory_percent = min(100.0, 100.0 * memory_bytes / SERVER_MEMORY_BYTES)
         return ResourceSample(time=now, cpu_percent=cpu, memory_percent=memory_percent)

@@ -183,6 +183,9 @@ class StreamingContext:
     def _driver_loop(self):
         while self.running:
             yield self.sim.timeout(self.config.batch_interval)
+            if not self.running:
+                # stop() came while this batch was waiting for its time.
+                return
             scheduled_at = self.sim.now
             yield from self._run_batch(scheduled_at)
             self.batches_run += 1
@@ -211,16 +214,8 @@ class StreamingContext:
                 n_stages=stream.n_stages,
             )
             output = stream.execute_columns(cols, self.sim.now, batches)
-            # Row views are materialised only for sinks that need them, and
-            # shared between those that do.
-            records = None
             for sink in stream.sinks:
-                if sink.accepts_columns:
-                    sink.write_columns(output, self.sim.now)
-                else:
-                    if records is None:
-                        records = output.to_records()
-                    sink.write(records, self.sim.now)
+                sink.write_columns(output, self.sim.now)
             self.batch_metrics.append(
                 BatchMetric(
                     batch_time=scheduled_at,

@@ -18,6 +18,9 @@ from typing import TYPE_CHECKING, List
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.network.host import Host
 
+#: CPU seconds charged per byte of input read into a job.
+PER_BYTE_COST = 4e-9
+
 
 @dataclass
 class ExecutorConfig:
@@ -29,15 +32,13 @@ class ExecutorConfig:
     job_overhead: float = 0.030
     #: CPU seconds charged per record per operator stage.
     per_record_cost: float = 25e-6
-    #: CPU seconds charged per byte of input read into the job.
-    per_byte_cost: float = 4e-9
     #: Executor memory in bytes (accounted by the resource model, Figure 9).
     executor_memory: int = 1024 * 1024 * 1024
 
     def __post_init__(self) -> None:
         if self.parallelism <= 0:
             raise ValueError("parallelism must be positive")
-        if self.job_overhead < 0 or self.per_record_cost < 0 or self.per_byte_cost < 0:
+        if self.job_overhead < 0 or self.per_record_cost < 0:
             raise ValueError("costs must be non-negative")
 
     def job_cost(self, n_records: int, n_bytes: int, n_stages: int) -> float:
@@ -46,7 +47,7 @@ class ExecutorConfig:
         return (
             self.job_overhead
             + n_records * stages * self.per_record_cost
-            + n_bytes * self.per_byte_cost
+            + n_bytes * PER_BYTE_COST
         )
 
 

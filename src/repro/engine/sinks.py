@@ -17,15 +17,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class Sink:
     """Base sink: receives the records emitted by a DStream every micro-batch.
 
-    Sinks that can consume a :class:`~repro.engine.columns.ColumnBatch`
-    without per-record ``StreamRecord`` objects set ``accepts_columns`` and
-    override :meth:`write_columns`; the engine then defers materialization
-    past the sink entirely.  Sinks with record granularity (user callbacks,
-    store writers) leave it False — the engine materializes the output once
-    and calls :meth:`write` as before.
+    The engine calls :meth:`write_columns` with the batch's
+    :class:`~repro.engine.columns.ColumnBatch`.  Sinks that can consume the
+    columns directly override it and never build a ``StreamRecord``; sinks
+    with record granularity (user callbacks, store writers) override
+    :meth:`write` instead, and the base materializes the records for them.
     """
-
-    accepts_columns = False
 
     def __init__(self, name: str = "sink") -> None:
         self.name = name
@@ -48,17 +45,10 @@ class Sink:
 class MemorySink(Sink):
     """Collects emitted records in memory (used by tests and local analysis)."""
 
-    accepts_columns = True
-
     def __init__(self, name: str = "memory-sink", keep_records: bool = True) -> None:
         super().__init__(name=name)
         self.keep_records = keep_records
         self.results: List[StreamRecord] = []
-
-    def write(self, batch: List[StreamRecord], now: float) -> None:
-        super().write(batch, now)
-        if self.keep_records:
-            self.results.extend(batch)
 
     def write_columns(self, cols: ColumnBatch, now: float) -> None:
         # With keep_records off (the large-experiment mode) this is pure
@@ -122,23 +112,6 @@ class KafkaSink(Sink):
 
     def stop(self) -> None:
         self.producer.stop()
-
-    accepts_columns = True
-
-    def write(self, batch: List[StreamRecord], now: float) -> None:
-        super().write(batch, now)
-        for record in batch:
-            value = record.value
-            if self.envelope:
-                value = {"value": record.value, "event_time": record.event_time}
-            self.producer.send(
-                ProducerRecord(
-                    topic=self.topic,
-                    key=record.key,
-                    value=value,
-                    size=max(record.size, 16),
-                )
-            )
 
     def write_columns(self, cols: ColumnBatch, now: float) -> None:
         """Publish straight from columns: same envelope, same size accounting."""

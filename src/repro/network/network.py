@@ -32,14 +32,13 @@ class Network:
         self,
         sim: Simulator,
         routing: str = "shortest-path",
-        monitor_interval: float = 0.5,
     ) -> None:
         self.sim = sim
         self.hosts: Dict[str, Host] = {}
         self.switches: Dict[str, Switch] = {}
         self.links: List[Link] = []
         self.controller = NetworkController(self, routing=routing)
-        self.bandwidth_monitor = BandwidthMonitor(self, interval=monitor_interval)
+        self.bandwidth_monitor = BandwidthMonitor(self)
         self.started = False
 
     # -- topology construction ---------------------------------------------------

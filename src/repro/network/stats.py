@@ -79,29 +79,24 @@ class BandwidthSeries:
         return len(self.samples)
 
 
-class BandwidthMonitor:
-    """Derives per-host throughput series from port counters, one
-    :meth:`sample` at a time.
+#: Seconds between two monitoring samples: stream2gym samples bandwidth and
+#: host utilization every 500 ms.
+SAMPLE_INTERVAL = 0.5
 
-    Parameters
-    ----------
-    network:
-        The :class:`~repro.network.network.Network` to monitor.
-    interval:
-        Seconds between two calls of :meth:`sample` (stream2gym samples every
-        500 ms); rates are byte deltas over this period.
+
+class BandwidthMonitor:
+    """Derives per-host throughput series from port counters of ``network``,
+    one :meth:`sample` per ``SAMPLE_INTERVAL``; rates are byte deltas over
+    that period.
     """
 
-    def __init__(self, network, interval: float = 0.5) -> None:
-        if interval <= 0:
-            raise ValueError("interval must be positive")
+    def __init__(self, network) -> None:
         self.network = network
-        self.interval = interval
         self.series: Dict[str, BandwidthSeries] = {}
         self._last_counters: Dict[str, Tuple[int, int]] = {}
 
     def sample(self, now: float) -> None:
-        """Take one sample per host; the owner calls this once per ``interval``."""
+        """Take one sample per host; the owner calls this once per ``SAMPLE_INTERVAL``."""
         for host in self.network.hosts.values():
             stats = host.port.stats
             previous_tx, previous_rx = self._last_counters.get(host.name, (0, 0))
@@ -112,8 +107,8 @@ class BandwidthMonitor:
             series.append(
                 BandwidthSample(
                     time=now,
-                    tx_mbps=delta_tx * 8 / self.interval / 1e6,
-                    rx_mbps=delta_rx * 8 / self.interval / 1e6,
+                    tx_mbps=delta_tx * 8 / SAMPLE_INTERVAL / 1e6,
+                    rx_mbps=delta_rx * 8 / SAMPLE_INTERVAL / 1e6,
                 )
             )
 

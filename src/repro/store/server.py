@@ -9,7 +9,6 @@ exactly like any other pipeline component.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from repro.network.host import Host
@@ -24,13 +23,8 @@ STORE_PORT = 3306
 #: instead of on every reply.
 _OK_SIZE = estimate_size({"ok": True})
 
-
-@dataclass
-class StoreConfig:
-    """Store server tunables (``storeCfg`` keys map onto these)."""
-
-    cpu_per_operation: float = 40e-6
-    request_timeout: float = 2.0
+#: CPU seconds the store host spends on each request.
+CPU_PER_OPERATION = 40e-6
 
 
 class StoreServer:
@@ -40,15 +34,13 @@ class StoreServer:
         self,
         host: Host,
         name: Optional[str] = None,
-        config: Optional[StoreConfig] = None,
     ) -> None:
         self.host = host
         self.sim = host.sim
         self.name = name or f"store-{host.name}"
-        self.config = config or StoreConfig()
         self.kv = KeyValueStore(name=f"{self.name}-kv")
         self.tables = TableStore(name=f"{self.name}-tables")
-        self.transport = Transport(host, default_timeout=self.config.request_timeout)
+        self.transport = Transport(host)
         self.operations_served = 0
         self.transport.register(STORE_PORT, self._handle)
         host.register_component(self)
@@ -82,7 +74,7 @@ class StoreServer:
                 return {"ok": True, "items": self.kv.scan(payload.get("prefix"))}
             return {"ok": False, "error": f"unknown operation {operation!r}"}
 
-        return request.after(self.host.compute(self.config.cpu_per_operation), serve)
+        return request.after(self.host.compute(CPU_PER_OPERATION), serve)
 
 
 class StoreClient:

@@ -199,7 +199,7 @@ def run_chaos(
     cluster.start(settle_time=2.0)
 
     producer_config = ProducerConfig(
-        acks="all", idempotence=idempotence, request_timeout=0.6, retry_backoff=0.1, linger=0.01,
+        acks="all", idempotence=idempotence, request_timeout=0.6, linger=0.01,
         transactional_id="chaos-tx" if transactional else None,
         delivery_timeout=30.0 if transactional else duration,
     )

@@ -18,7 +18,7 @@ Covers the acceptance contract of the sharded-topics refactor:
 import pytest
 
 from repro.broker.cluster import BrokerCluster, ClusterConfig
-from repro.broker.consumer import ConsumerConfig
+from repro.broker.consumer import GROUP_HEARTBEAT_INTERVAL, ConsumerConfig
 from repro.broker.coordinator import assign_range, assign_roundrobin
 from repro.broker.message import ProducerRecord
 from repro.broker.producer import ProducerConfig
@@ -637,7 +637,7 @@ def test_eager_join_at_least_once_window_is_at_most_one_heartbeat():
     (3) the old owner stops fetching a reassigned partition within one
     heartbeat interval (plus one in-flight fetch) of the rebalance.
     """
-    heartbeat = 1.0
+    heartbeat = GROUP_HEARTBEAT_INTERVAL
     sim = Simulator(seed=5)
     network = one_big_switch(
         sim,
@@ -653,11 +653,7 @@ def test_eager_join_at_least_once_window_is_at_most_one_heartbeat():
     def make_member(host, name):
         member = cluster.create_consumer(
             host,
-            config=ConsumerConfig(
-                group="workers",
-                poll_interval=0.05,
-                group_heartbeat_interval=heartbeat,
-            ),
+            config=ConsumerConfig(group="workers", poll_interval=0.05),
             name=name,
         )
         member.subscribe(["events"])

@@ -7,7 +7,7 @@ from repro.broker.coordinator import CoordinationMode
 from repro.core import Emulation
 from repro.core.configs import PlatformOverrides, TopicSpec
 from repro.core.monitoring import EventLog
-from repro.core.resources import HostResourceModel, ServerSpec
+from repro.core.resources import HostResourceModel
 from repro.core.task import TaskDescription
 from repro.core.visualization import (
     cdf,
@@ -315,12 +315,12 @@ class TestMonitoringPrimitives:
     def test_resource_model_scales_with_components(self):
         sim = Simulator(seed=1)
         network_small, _ = star_topology(sim, 2)
-        model_small = HostResourceModel(network_small, server=ServerSpec())
+        model_small = HostResourceModel(network_small)
         sample_small = model_small.sample()
 
         sim2 = Simulator(seed=1)
         network_large, _ = star_topology(sim2, 10)
-        model_large = HostResourceModel(network_large, server=ServerSpec())
+        model_large = HostResourceModel(network_large)
         sample_large = model_large.sample()
         assert sample_large.cpu_percent > sample_small.cpu_percent
         assert sample_large.memory_percent > sample_small.memory_percent

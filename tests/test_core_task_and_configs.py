@@ -1,7 +1,13 @@
 """Tests for Table I attributes, YAML configs, task descriptions and GraphML parsing."""
 
+import dataclasses
+
 import pytest
 
+from repro.broker.broker import BrokerConfig
+from repro.broker.cluster import ClusterConfig
+from repro.broker.consumer import ConsumerConfig
+from repro.broker.producer import ProducerConfig
 from repro.core.attributes import (
     validate_link_attributes,
     validate_node_attributes,
@@ -17,6 +23,8 @@ from repro.core.configs import (
 )
 from repro.core.graphml import parse_graphml_string, to_graphml
 from repro.core.task import TaskDescription
+from repro.engine.context import StreamingConfig
+from repro.engine.executor import ExecutorConfig
 from repro.network.faults import Fault
 from repro.simulation.engine import duration_to_seconds
 
@@ -111,6 +119,35 @@ class TestConfigParsing:
         assert parse_topics_config(None) == []
         assert parse_faults_config(None) == []
         assert ProducerStubConfig.from_dict({}).topic == "raw-data"
+
+
+#: Every setting of the platform's config dataclasses.  A value no caller
+#: changes is a module constant next to its reader instead, so adding a field
+#: here is a stated change.
+CONFIG_SURFACE = {
+    ProducerConfig: [
+        "buffer_memory", "batch_size", "linger", "request_timeout", "delivery_timeout",
+        "acks", "max_batch_records", "idempotence", "transactional_id",
+        "transaction_timeout",
+    ],
+    ConsumerConfig: [
+        "poll_interval", "max_records_per_fetch", "cpu_per_record", "keep_payloads",
+        "group", "assignor", "isolation_level", "auto_offset_reset",
+    ],
+    BrokerConfig: ["cpu_per_record", "log_storage"],
+    ClusterConfig: [
+        "mode", "session_timeout", "preferred_election_interval", "transaction_timeout",
+        "broker", "segment_records", "retention_bytes", "retention_ms", "cleanup_policy",
+        "log_dir",
+    ],
+    ExecutorConfig: ["parallelism", "job_overhead", "per_record_cost", "executor_memory"],
+    StreamingConfig: ["batch_interval", "executor", "max_batches"],
+}
+
+
+@pytest.mark.parametrize("config", list(CONFIG_SURFACE), ids=lambda config: config.__name__)
+def test_config_surface_is_pinned(config):
+    assert [field.name for field in dataclasses.fields(config)] == CONFIG_SURFACE[config]
 
 
 class TestTaskDescription:

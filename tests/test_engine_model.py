@@ -161,8 +161,15 @@ class ModelChain:
         )
 
     def run(self, rows: List[Row], now: float, right_rows: Sequence[Row] = ()) -> List[Row]:
+        return self.run_stages(rows, now, right_rows)[-1]
+
+    def run_stages(
+        self, rows: List[Row], now: float, right_rows: Sequence[Row] = ()
+    ) -> List[List[Row]]:
+        """The rows after every prefix of the chain, the input first."""
         # The join's right side runs its own chain first, as the engine does.
         joined = self.right.run(list(right_rows), now) if self.right else []
+        stages = [rows]
         for (name, *args), state in zip(self.spec, self.states):
             if name == "window":
                 rows = model_window(rows, now, state, *args)
@@ -174,7 +181,8 @@ class ModelChain:
                 rows = model_for_each(rows, self.seen)
             else:
                 rows = STATELESS[name](rows, *args)
-        return rows
+            stages.append(rows)
+        return stages
 
 
 # -- the harness: the same chain on the engine -----------------------------------------------
@@ -197,11 +205,14 @@ def to_rows(output) -> List[Row]:
 
 
 def build(spec: Sequence[Stage], seen: List[Tuple]):
-    """The chain as a ``DStream`` on a memory source; returns (stream, right stream)."""
+    """The chain as ``DStream``s on a memory source: returns ``(streams,
+    right)``, where ``streams[i]`` is the stream after the first ``i`` stages
+    and ``right`` is the join's right stream."""
     stream, right = DStream(None, MemorySource()), None
+    streams = [stream]
     for name, *args in spec:
         if name == "join":
-            right, _ = build(args[0], [])
+            right = build(args[0], [])[0][-1]
             stream = stream.join(right)
         elif name == "for_each":
             stream = stream.for_each(
@@ -209,7 +220,8 @@ def build(spec: Sequence[Stage], seen: List[Tuple]):
             )
         else:
             stream = getattr(stream, name)(*args)
-    return stream, right
+        streams.append(stream)
+    return streams, right
 
 
 #: How a chain is driven: ``columns`` is ``DStream.execute_columns`` over a
@@ -224,27 +236,37 @@ def assert_matches_model(
     right_batches: Optional[Sequence[Sequence[Row]]] = None,
     nows: Optional[Sequence[float]] = None,
 ) -> List[List[Row]]:
-    """Run the batch stream through the model and through the engine."""
+    """Run the batch stream through the model and through the engine.
+
+    On the columnar plane every prefix of the chain is an output stream of
+    its own, and all of them run over one ``batches`` per micro-batch, as
+    branched streams do in a context: each must match the model, size state
+    included, while a shared step runs once.  Returns the chain's output per
+    batch.
+    """
     nows = nows or [1.0 + index for index in range(len(batches))]
     right_batches = right_batches or [[] for _ in batches]
     model = ModelChain(spec)
     expected = [
-        model.run(list(rows), now, right_rows)
+        model.run_stages(list(rows), now, right_rows)
         for rows, right_rows, now in zip(batches, right_batches, nows)
     ]
     for plane in PLANES:
         seen: List[Tuple] = []
-        stream, right = build(spec, seen)
+        streams, right = build(spec, seen)
         for index, (rows, right_rows, now) in enumerate(zip(batches, right_batches, nows)):
             for row in right_rows if right is not None else ():
                 right.source.push(to_record(row))
             if plane == "records":
-                output = stream.execute([to_record(row) for row in rows], now)
+                output = streams[-1].execute([to_record(row) for row in rows], now)
+                assert to_rows(output) == expected[index][-1], (plane, index)
             else:
-                output = stream.execute_columns(to_columns(rows), now)
-            assert to_rows(output) == expected[index], (plane, index)
+                cols, shared = to_columns(rows), {}
+                for length, stream in enumerate(streams[1:], 1):
+                    output = stream.execute_columns(cols, now, shared)
+                    assert to_rows(output) == expected[index][length], (plane, index, length)
         assert seen == model.seen, plane
-    return expected
+    return [stages[-1] for stages in expected]
 
 
 def rows_of(values, keys=None, sizes=None, t0: float = 1.0) -> List[Row]:
@@ -407,7 +429,7 @@ def test_reset_state_returns_the_chain_to_a_fresh_model():
     spec = [("window", 5.0), ("update_state_by_key", _running_total)]
     batches = [rows_of([1, 2], keys=["a", "b"]), rows_of([3], keys=["a"])]
     expected = assert_matches_model(spec, batches)
-    stream, _ = build(spec, [])
+    stream = build(spec, [])[0][-1]
     for _ in range(2):
         got = [
             to_rows(stream.execute_columns(to_columns(rows), 1.0 + index))
@@ -447,6 +469,12 @@ def test_the_model_itself_is_pinned():
 
 
 # -- hypothesis: random chains over random batch streams -----------------------------------------
+def _pair_or_rewrite_int(v):
+    """Odd values pair with themselves, even ones are rewritten; multiples of
+    4 keep their old key."""
+    return None if v % 4 == 0 else v % 3, v if v % 2 else v + 1
+
+
 _STAGES: Dict[str, List[Stage]] = {
     "map": [("map", lambda v: v + 1)],
     "map_identity": [("map", lambda v: v)],
@@ -454,10 +482,13 @@ _STAGES: Dict[str, List[Stage]] = {
     "flat_map_rewrite": [("flat_map", lambda v: [v, v + 100])],
     "filter": [("filter", lambda v: v % 2 == 0)],
     "map_pairs": [("map_pairs", lambda v: (v % 3, v))],
-    # Odd values pair with themselves, even ones are rewritten; multiples of
-    # 4 keep their old key.
-    "map_pairs_rewrite": [("map_pairs", lambda v: (None if v % 4 == 0 else v % 3,
-                                                    v if v % 2 else v + 1))],
+    "map_pairs_rewrite": [("map_pairs", _pair_or_rewrite_int)],
+    # Directly followed by reduce_by_key, map_pairs runs as one map-side
+    # combine; drawn as a pair so that the plan's fusion is common.
+    "pairs_then_reduce": [("map_pairs", _pair_or_rewrite_int),
+                          ("reduce_by_key", lambda a, b: a + b)],
+    "pairs_then_keep_first": [("map_pairs", _pair_or_rewrite_int),
+                              ("reduce_by_key", lambda a, b: a)],
     "repartition_by_key": [("repartition_by_key",)],
     "reduce_by_key": [("reduce_by_key", lambda a, b: a + b)],
     # The accumulator stays the key's first value: its size may carry.

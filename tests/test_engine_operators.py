@@ -153,7 +153,7 @@ class TestStatefulOperators:
 
 class TestExecutorConfig:
     def test_job_cost_scales_with_records_and_stages(self):
-        config = ExecutorConfig(job_overhead=0.1, per_record_cost=1e-3, per_byte_cost=0)
+        config = ExecutorConfig(job_overhead=0.1, per_record_cost=1e-3)
         small = config.job_cost(n_records=10, n_bytes=0, n_stages=1)
         large = config.job_cost(n_records=100, n_bytes=0, n_stages=2)
         assert small == pytest.approx(0.11)

@@ -260,6 +260,15 @@ class TestMemoryPipelines:
         assert ctx.batches_run == 3
         assert not ctx.running
 
+    def test_stop_mid_interval_runs_no_further_batch(self):
+        """The batch already waiting for its time when stop() comes is not run."""
+        sim, network, ctx = make_context(batch_interval=1.0)
+        ctx.memory_stream().map(lambda x: x).to_memory()
+        ctx.start()
+        sim.call_later(1.5, ctx.stop)
+        sim.run(until=5.0)
+        assert [metric.batch_time for metric in ctx.batch_metrics] == [1.0]
+
 
 class TestKafkaIntegration:
     def _cluster(self, seed=5):

@@ -396,7 +396,7 @@ def run_starved_producer():
         sites[2],
         config=ProducerConfig(
             buffer_memory=2000, delivery_timeout=3.0, request_timeout=0.5,
-            linger=0.01, retry_backoff=0.1, acks="all",
+            linger=0.01, acks="all",
         ),
         name="starved",
     )
