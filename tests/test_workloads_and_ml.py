@@ -1,5 +1,7 @@
 """Tests for the synthetic workload generators and the ML helpers."""
 
+import hashlib
+
 import pytest
 
 from repro.ml.sentiment import classify_polarity, sentiment_scores
@@ -15,7 +17,56 @@ from repro.workloads import (
     generate_tweets,
     generate_user_traffic,
 )
+from repro.simulation.rng import SeededRandom
 from repro.workloads.transactions import labelled_features, transaction_features
+
+#: ``SeededRandom(seed).zipf_index(n, skew)`` × 16, keyed by ``(seed, n, skew)``.
+#: Captured from the linear-scan implementation; a faster draw must return
+#: exactly these indices from the same stream state.
+ZIPF_DRAWS = {
+    (0, 49, 1.1): [20, 13, 2, 0, 3, 2, 15, 1, 3, 5, 29, 3, 1, 13, 6, 0],
+    (0, 5, 0.8): [3, 2, 1, 0, 1, 1, 3, 0, 1, 1, 4, 1, 0, 2, 2, 0],
+    (0, 7, 0.6): [5, 4, 1, 0, 2, 1, 4, 1, 2, 2, 5, 2, 1, 4, 3, 0],
+    (0, 3, 0.7): [2, 1, 0, 0, 1, 0, 2, 0, 0, 1, 2, 1, 0, 1, 1, 0],
+    (0, 1, 1.0): [0] * 16,
+    (0, 6, 0.0): [3, 3, 0, 2, 4, 3, 3, 2, 3, 2, 4, 1, 4, 1, 2, 1],
+    (7, 49, 1.1): [1, 0, 7, 0, 4, 1, 0, 3, 0, 2, 0, 0, 2, 19, 0, 0],
+    (7, 5, 0.8): [0, 0, 2, 0, 1, 0, 0, 1, 0, 1, 0, 0, 1, 3, 0, 0],
+    (7, 7, 0.6): [1, 0, 3, 0, 2, 1, 0, 2, 0, 1, 0, 0, 1, 5, 0, 0],
+    (7, 3, 0.7): [0, 0, 1, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 2, 0, 0],
+    (7, 6, 0.0): [2, 1, 3, 5, 0, 0, 4, 0, 2, 4, 0, 4, 1, 0, 0, 3],
+    (2024, 49, 1.1): [3, 11, 1, 26, 2, 10, 1, 0, 17, 3, 2, 11, 39, 1, 10, 3],
+    (2024, 5, 0.8): [1, 2, 0, 3, 1, 2, 0, 0, 3, 1, 1, 2, 4, 0, 2, 1],
+    (2024, 7, 0.6): [2, 4, 1, 5, 1, 4, 0, 0, 4, 2, 1, 4, 6, 1, 3, 2],
+    (2024, 3, 0.7): [0, 1, 0, 2, 0, 1, 0, 0, 2, 1, 0, 1, 2, 0, 1, 1],
+    (2024, 6, 0.0): [3, 1, 5, 4, 2, 1, 5, 3, 5, 2, 4, 1, 5, 5, 3, 2],
+}
+
+#: sha256 of ``repr(generate_documents(1500, seed=11))`` — the word-count
+#: benchmark's input, byte for byte.
+DOCUMENTS_1500_SEED_11 = "81450f5eb996b841c783462c6571f63dfb5dfa2604e48c1a0e23393c23b1cecf"
+
+
+class TestZipfPins:
+    @pytest.mark.parametrize("key", sorted(ZIPF_DRAWS), ids=str)
+    def test_draw_sequence(self, key):
+        seed, n, skew = key
+        rng = SeededRandom(seed)
+        assert [rng.zipf_index(n, skew) for _ in range(16)] == ZIPF_DRAWS[key]
+
+    def test_interleaved_shapes_share_one_stream(self):
+        shapes = [(49, 1.1), (5, 0.8), (7, 0.6), (3, 0.7), (1, 1.0), (6, 0.0)]
+        rng = SeededRandom(5)
+        draws = [rng.zipf_index(*shapes[i % len(shapes)]) for i in range(24)]
+        assert draws == [6, 2, 4, 2, 0, 4, 0, 1, 6, 1, 0, 0, 1, 3, 1, 0, 0, 5, 0, 0, 6, 1, 0, 0]
+
+    def test_invalid_n(self):
+        with pytest.raises(ValueError):
+            SeededRandom(0).zipf_index(0, 1.0)
+
+    def test_documents_digest(self):
+        digest = hashlib.sha256(repr(generate_documents(1500, seed=11)).encode()).hexdigest()
+        assert digest == DOCUMENTS_1500_SEED_11
 
 
 class TestTextWorkload:
