@@ -10,9 +10,7 @@ directly through the fluent helper methods.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
-
-import networkx as nx
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.attributes import (
     NodeAttribute,
@@ -199,11 +197,10 @@ class TaskDescription:
         if not self.links and len(self.nodes) > 1:
             problems.append("task has multiple nodes but no links")
         elif self.links:
-            graph = nx.Graph()
-            graph.add_nodes_from(self.nodes)
-            graph.add_edges_from((link.source, link.target) for link in self.links)
-            if not nx.is_connected(graph):
-                components = nx.number_connected_components(graph)
+            components = _count_components(
+                self.nodes, [(link.source, link.target) for link in self.links]
+            )
+            if components > 1:
                 problems.append(f"topology is not connected ({components} components)")
         broker_nodes = self.nodes_with("brokerCfg")
         if self.topics and not broker_nodes:
@@ -247,3 +244,26 @@ class TaskDescription:
             "topics": [topic.name for topic in self.topics],
             "faults": len(self.faults),
         }
+
+
+def _count_components(nodes: Iterable[str], edges: List[Tuple[str, str]]) -> int:
+    """Connected components of the undirected graph on ``nodes`` plus every
+    edge endpoint (a link to an unknown node counts that node too)."""
+    neighbours: Dict[str, Set[str]] = {node: set() for node in nodes}
+    for a, b in edges:
+        neighbours.setdefault(a, set()).add(b)
+        neighbours.setdefault(b, set()).add(a)
+    seen: Set[str] = set()
+    components = 0
+    for start in neighbours:
+        if start in seen:
+            continue
+        components += 1
+        seen.add(start)
+        frontier = [start]
+        while frontier:
+            for other in neighbours[frontier.pop()]:
+                if other not in seen:
+                    seen.add(other)
+                    frontier.append(other)
+    return components

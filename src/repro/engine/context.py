@@ -65,7 +65,10 @@ class StreamingContext:
         self.output_streams: List[DStream] = []
         self.batch_metrics: List[BatchMetric] = []
         self.batches_run = 0
-        self.running = False
+        # One token per start(): a driver loop runs only while its own token
+        # is current, so a stop() and a start() inside one interval cannot
+        # leave the old loop running beside the new one.
+        self._driver: Optional[object] = None
         host.register_component(self)
 
     # -- stream construction ---------------------------------------------------------
@@ -163,16 +166,20 @@ class StreamingContext:
             return
         if not self.output_streams:
             raise RuntimeError(f"{self.name} has no output streams registered")
-        self.running = True
+        self._driver = token = object()
         for source in self.sources:
             source.start()
         for stream in self.output_streams:
             for sink in stream.sinks:
                 sink.start()
-        self.sim.process(self._driver_loop(), name=f"{self.name}:driver")
+        self.sim.process(self._driver_loop(token), name=f"{self.name}:driver")
+
+    @property
+    def running(self) -> bool:
+        return self._driver is not None
 
     def stop(self) -> None:
-        self.running = False
+        self._driver = None
         for source in self.sources:
             source.stop()
         for stream in self.output_streams:
@@ -180,10 +187,10 @@ class StreamingContext:
                 sink.stop()
 
     # -- driver loop ------------------------------------------------------------------------
-    def _driver_loop(self):
-        while self.running:
+    def _driver_loop(self, token: object):
+        while self._driver is token:
             yield self.sim.timeout(self.config.batch_interval)
-            if not self.running:
+            if self._driver is not token:
                 # stop() came while this batch was waiting for its time.
                 return
             scheduled_at = self.sim.now

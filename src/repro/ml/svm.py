@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import TYPE_CHECKING, List, Sequence
 
-import numpy as np
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 
 class LinearSVM:
@@ -13,7 +14,8 @@ class LinearSVM:
     Labels are +1 / -1.  Training minimizes the L2-regularized hinge loss with
     a simple learning-rate schedule; this is deliberately small and
     dependency-free (numpy only) while behaving like the SVM used in the
-    paper's fraud-detection pipeline.
+    paper's fraud-detection pipeline.  numpy is imported by the methods that
+    use it, so importing this module (as ``repro.apps`` does) does not load it.
     """
 
     def __init__(self, n_features: int, regularization: float = 1e-3, seed: int = 0) -> None:
@@ -21,6 +23,8 @@ class LinearSVM:
             raise ValueError("n_features must be positive")
         if regularization <= 0:
             raise ValueError("regularization must be positive")
+        import numpy as np
+
         self.n_features = n_features
         self.regularization = regularization
         self.weights = np.zeros(n_features, dtype=float)
@@ -36,6 +40,8 @@ class LinearSVM:
         epochs: int = 10,
     ) -> "LinearSVM":
         """Train on a labelled batch; can be called repeatedly (warm start)."""
+        import numpy as np
+
         x = np.asarray(features, dtype=float)
         y = np.asarray(labels, dtype=float)
         if x.ndim != 2 or x.shape[1] != self.n_features:
@@ -65,6 +71,8 @@ class LinearSVM:
 
     # -- inference --------------------------------------------------------------------
     def decision_function(self, features: Sequence[Sequence[float]]) -> np.ndarray:
+        import numpy as np
+
         x = np.asarray(features, dtype=float)
         if x.ndim == 1:
             x = x.reshape(1, -1)

@@ -2,21 +2,32 @@
 
 stream2gym configures its emulated network proactively with a lightweight
 control daemon based on ``ovs-ofctl`` so that the control plane does not
-interfere with measurements.  This controller plays the same role: it builds a
-graph of the current topology (excluding failed links), computes shortest
-paths (latency-weighted) from every switch to every host, and installs the
-resulting next-hop entries in the switches' forwarding tables.  It is invoked
-once at start-up and again whenever the fault injector changes link state.
+interfere with measurements.  This controller plays the same role: it builds
+an adjacency map of the current topology (excluding failed links), weights
+each link by its latency plus 1e-3 (so zero-latency links still count hops),
+runs one Dijkstra from every switch and installs the first hop towards every
+host in the switches' forwarding tables.  It is invoked once at start-up and
+again whenever the fault injector changes link state.
+
+``spanning-tree`` routing first reduces the map to a minimum spanning tree
+with Kruskal's method.  Edges are taken in adjacency order (nodes in
+insertion order, hosts before switches; each node's neighbours in the order
+their links were added; each edge once, from the node that comes first) and
+stably sorted by weight, so among equal-weight edges the earlier one wins.
+Among equal-cost paths Dijkstra keeps the one it finds first: a node's
+predecessor changes only for a strictly shorter distance.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
-
-import networkx as nx
+from heapq import heappop, heappush
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.network.network import Network
+
+#: node -> {neighbour: link weight}
+Adjacency = Dict[str, Dict[str, float]]
 
 
 class NetworkController:
@@ -37,12 +48,9 @@ class NetworkController:
         for switch in self.network.switches.values():
             switch.clear_routes()
         for switch_name, switch in self.network.switches.items():
-            if switch_name not in graph:
-                continue
+            previous = _shortest_paths(graph, switch_name)
             for host_name in self.network.hosts:
-                if host_name not in graph:
-                    continue
-                next_hop = self._next_hop(graph, switch_name, host_name)
+                next_hop = _next_hop(previous, switch_name, host_name)
                 if next_hop is None:
                     continue
                 port = self._port_towards(switch_name, next_hop)
@@ -53,36 +61,36 @@ class NetworkController:
         """Called by the fault injector after links go down or come back up."""
         self.install_all_routes()
 
+    def path_between(self, src: str, dst: str) -> Optional[Tuple[str, ...]]:
+        """Return the current forwarding path between two nodes (for tests)."""
+        previous = _shortest_paths(self._build_graph(), src)
+        if dst not in previous:
+            return None
+        return tuple(_path_to(previous, dst))
+
+    def reachability(self) -> Dict[str, Dict[str, bool]]:
+        """Host-to-host reachability matrix under the current topology."""
+        graph = self._build_graph()
+        matrix: Dict[str, Dict[str, bool]] = {}
+        for src in self.network.hosts:
+            reached = _shortest_paths(graph, src)
+            matrix[src] = {dst: dst in reached for dst in self.network.hosts}
+        return matrix
+
     # -- internals --------------------------------------------------------------------
-    def _build_graph(self) -> nx.Graph:
-        graph = nx.Graph()
-        for name in self.network.hosts:
-            graph.add_node(name)
-        for name in self.network.switches:
-            graph.add_node(name)
+    def _build_graph(self) -> Adjacency:
+        graph: Adjacency = {name: {} for name in self.network.hosts}
+        graph.update((name, {}) for name in self.network.switches)
         for link in self.network.links:
             if not link.up:
                 continue
             a, b = link.endpoints()
-            # Weight by latency so multi-path topologies prefer fast routes;
-            # add a tiny epsilon so zero-latency links still count hops.
             weight = link.config.latency_ms + 1e-3
-            graph.add_edge(a, b, weight=weight)
+            graph[a][b] = weight
+            graph[b][a] = weight
         if self.routing == "spanning-tree":
-            if graph.number_of_edges() > 0:
-                graph = nx.minimum_spanning_tree(graph, weight="weight")
+            graph = _minimum_spanning_tree(graph)
         return graph
-
-    def _next_hop(self, graph: nx.Graph, src: str, dst: str) -> Optional[str]:
-        if src == dst:
-            return None
-        try:
-            path = nx.shortest_path(graph, src, dst, weight="weight")
-        except (nx.NetworkXNoPath, nx.NodeNotFound):
-            return None
-        if len(path) < 2:
-            return None
-        return path[1]
 
     def _port_towards(self, node_name: str, neighbor_name: str) -> Optional[int]:
         node = self.network.node(node_name)
@@ -94,26 +102,69 @@ class NetworkController:
                 return number
         return None
 
-    def path_between(self, src: str, dst: str) -> Optional[Tuple[str, ...]]:
-        """Return the current forwarding path between two nodes (for tests)."""
-        graph = self._build_graph()
-        try:
-            return tuple(nx.shortest_path(graph, src, dst, weight="weight"))
-        except (nx.NetworkXNoPath, nx.NodeNotFound):
-            return None
 
-    def reachability(self) -> Dict[str, Dict[str, bool]]:
-        """Host-to-host reachability matrix under the current topology."""
-        graph = self._build_graph()
-        hosts = list(self.network.hosts)
-        matrix: Dict[str, Dict[str, bool]] = {}
-        for src in hosts:
-            matrix[src] = {}
-            for dst in hosts:
-                if src == dst:
-                    matrix[src][dst] = True
-                    continue
-                matrix[src][dst] = (
-                    src in graph and dst in graph and nx.has_path(graph, src, dst)
-                )
-        return matrix
+def _shortest_paths(graph: Adjacency, source: str) -> Dict[str, Optional[str]]:
+    """Dijkstra from ``source``: each reachable node -> its predecessor on the
+    shortest path (``source`` -> None); unreachable nodes are absent."""
+    if source not in graph:
+        return {}
+    distance = {source: 0.0}
+    previous: Dict[str, Optional[str]] = {source: None}
+    heap: List[Tuple[float, int, str]] = [(0.0, 0, source)]
+    pushes = 1
+    while heap:
+        dist, _, node = heappop(heap)
+        if dist > distance[node]:
+            continue
+        for neighbour, weight in graph[node].items():
+            candidate = dist + weight
+            if neighbour not in distance or candidate < distance[neighbour]:
+                distance[neighbour] = candidate
+                previous[neighbour] = node
+                heappush(heap, (candidate, pushes, neighbour))
+                pushes += 1
+    return previous
+
+
+def _path_to(previous: Dict[str, Optional[str]], dst: str) -> List[str]:
+    path = [dst]
+    while previous[path[-1]] is not None:
+        path.append(previous[path[-1]])
+    path.reverse()
+    return path
+
+
+def _next_hop(previous: Dict[str, Optional[str]], src: str, dst: str) -> Optional[str]:
+    """The node after ``src`` on its path to ``dst``; None when ``src == dst``
+    or ``dst`` is unknown or unreachable."""
+    if src == dst or dst not in previous:
+        return None
+    return _path_to(previous, dst)[1]
+
+
+def _minimum_spanning_tree(graph: Adjacency) -> Adjacency:
+    """Kruskal over the edges in adjacency order, stably sorted by weight."""
+    edges = []
+    seen = set()
+    for node, neighbours in graph.items():
+        for neighbour, weight in neighbours.items():
+            if neighbour not in seen:
+                edges.append((weight, node, neighbour))
+        seen.add(node)
+    edges.sort(key=lambda edge: edge[0])
+    parent = {node: node for node in graph}
+
+    def root(node: str) -> str:
+        while parent[node] != node:
+            parent[node] = parent[parent[node]]
+            node = parent[node]
+        return node
+
+    tree: Adjacency = {node: {} for node in graph}
+    for weight, a, b in edges:
+        root_a, root_b = root(a), root(b)
+        if root_a != root_b:
+            parent[root_a] = root_b
+            tree[a][b] = weight
+            tree[b][a] = weight
+    return tree

@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import math
 import random
-from typing import List, Sequence, TypeVar
+from bisect import bisect_left
+from functools import lru_cache
+from itertools import accumulate
+from typing import List, Sequence, Tuple, TypeVar
 
 T = TypeVar("T")
 
@@ -88,20 +91,31 @@ class SeededRandom:
         return value * (1.0 + self._random.uniform(-fraction, fraction))
 
     def zipf_index(self, n: int, skew: float = 1.0) -> int:
-        """Draw an index in [0, n) following a Zipf distribution (topic popularity)."""
+        """Draw an index in [0, n) following a Zipf distribution (topic popularity).
+
+        One ``random()`` draw per call (``randrange(n)`` when ``skew <= 0``).
+        The draw is the first index whose running weight sum reaches
+        ``random() * total``: a bisection over a cumulative table built once
+        per ``(n, skew)``, with the same left-to-right sums a linear scan would
+        add up, so the index equals the scan's for the same stream state.
+        """
         if n <= 0:
             raise ValueError("n must be positive")
         if skew <= 0:
             return self._random.randrange(n)
-        weights = [1.0 / ((i + 1) ** skew) for i in range(n)]
-        total = sum(weights)
-        target = self._random.random() * total
-        acc = 0.0
-        for index, weight in enumerate(weights):
-            acc += weight
-            if target <= acc:
-                return index
-        return n - 1
+        cumulative, total = _zipf_table(n, skew)
+        index = bisect_left(cumulative, self._random.random() * total)
+        return min(index, n - 1)
+
+
+@lru_cache(maxsize=None)
+def _zipf_table(n: int, skew: float) -> Tuple[Tuple[float, ...], float]:
+    """Running weight sums and the total for ``zipf_index`` (a few shapes per
+    program, so the cache stays small; the tuple is shared, hence immutable).
+    The total is ``sum(weights)``, not the last running sum: ``sum`` may round
+    differently, and every draw depends on the total bit for bit."""
+    weights = [1.0 / ((i + 1) ** skew) for i in range(n)]
+    return tuple(accumulate(weights)), sum(weights)
 
 
 def deterministic_hash(*parts: object) -> int:

@@ -269,6 +269,20 @@ class TestMemoryPipelines:
         sim.run(until=5.0)
         assert [metric.batch_time for metric in ctx.batch_metrics] == [1.0]
 
+    def test_restart_within_one_interval_runs_one_driver_loop(self):
+        """The loop stopped at 1.5 s must not wake at 2.03 s beside the one
+        started at 1.7 s: one batch per interval after the restart (each
+        interval starts when the previous 0.03 s batch ends)."""
+        sim, network, ctx = make_context(batch_interval=1.0)
+        ctx.memory_stream().map(lambda x: x).to_memory()
+        ctx.start()
+        sim.call_later(1.5, ctx.stop)
+        sim.call_later(1.7, ctx.start)
+        sim.run(until=4.0)
+        times = [metric.batch_time for metric in ctx.batch_metrics]
+        assert times == pytest.approx([1.0, 2.7, 3.73])
+        assert ctx.running
+
 
 class TestKafkaIntegration:
     def _cluster(self, seed=5):
