@@ -24,6 +24,7 @@ columns and outcomes when it is read.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
@@ -117,13 +118,14 @@ class _Batch:
     """One wire batch and everything the producer keeps about its records.
 
     The accumulator's unit.  Rows go straight into ``wire``'s columns, the
-    records' sequence numbers into the parallel ``seqs`` list.  ``topic``,
-    ``partition``, ``keys`` and ``produced_ats`` alias the wire batch's header
-    and columns; when the batch settles ``wire`` is dropped — the payload is
-    the broker's to keep — and those stay for delivery reports and late
-    waiters to read.  The outcome is recorded once per batch: ``settled_at``,
-    plus ``base_offset`` / ``duplicate`` on acknowledgement or ``reason`` on
-    failure.
+    records' sequence numbers into the parallel ``seqs`` array, packed as
+    64-bit integers so a kept batch holds no ``int`` object per record.
+    ``topic``, ``partition``, ``keys`` and ``produced_ats`` alias the wire
+    batch's header and columns; when the batch settles ``wire`` is dropped —
+    the payload is the broker's to keep — and those stay for delivery
+    reports and late waiters to read.  The outcome is recorded once per
+    batch: ``settled_at``, plus ``base_offset`` / ``duplicate`` on
+    acknowledgement or ``reason`` on failure.
     """
 
     __slots__ = (
@@ -137,7 +139,7 @@ class _Batch:
         self.partition = partition
         self.keys = wire.keys
         self.produced_ats = wire.produced_ats
-        self.seqs: List[int] = []
+        self.seqs = array("q")
         self.settled_at: Optional[float] = None
         self.base_offset = -1
         self.duplicate = False

@@ -6,8 +6,11 @@ interfere with measurements.  This controller plays the same role: it builds
 an adjacency map of the current topology (excluding failed links), weights
 each link by its latency plus 1e-3 (so zero-latency links still count hops),
 runs one Dijkstra from every switch and installs the first hop towards every
-host in the switches' forwarding tables.  It is invoked once at start-up and
-again whenever the fault injector changes link state.
+host in the switches' forwarding tables.  Between two nodes joined by
+parallel links the map keeps the lightest link that is up, and the route
+leaves through that link's port (the lowest port number among equal
+weights).  It is invoked once at start-up and again whenever the fault
+injector changes link state.
 
 ``spanning-tree`` routing first reduces the map to a minimum spanning tree
 with Kruskal's method.  Edges are taken in adjacency order (nodes in
@@ -85,22 +88,33 @@ class NetworkController:
             if not link.up:
                 continue
             a, b = link.endpoints()
-            weight = link.config.latency_ms + 1e-3
-            graph[a][b] = weight
-            graph[b][a] = weight
+            weight = _weight(link)
+            if b not in graph[a] or weight < graph[a][b]:
+                graph[a][b] = weight
+                graph[b][a] = weight
         if self.routing == "spanning-tree":
             graph = _minimum_spanning_tree(graph)
         return graph
 
     def _port_towards(self, node_name: str, neighbor_name: str) -> Optional[int]:
+        """The port of the lightest up link to ``neighbor_name``, the lowest
+        port number among equal weights."""
         node = self.network.node(node_name)
+        best: Optional[Tuple[float, int]] = None
         for number, port in node.ports.items():
-            if port.link is None:
+            link = port.link
+            if link is None or not link.up:
                 continue
-            other = port.link.other_port(port)
-            if other.node.name == neighbor_name:
-                return number
-        return None
+            if link.other_port(port).node.name == neighbor_name:
+                candidate = (_weight(link), number)
+                if best is None or candidate < best:
+                    best = candidate
+        return None if best is None else best[1]
+
+
+def _weight(link) -> float:
+    """A link's routing weight: its latency plus 1e-3, so hops count."""
+    return link.config.latency_ms + 1e-3
 
 
 def _shortest_paths(graph: Adjacency, source: str) -> Dict[str, Optional[str]]:

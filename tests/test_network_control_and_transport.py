@@ -58,6 +58,47 @@ class TestController:
         sim.run()
         assert len(got) == 2
 
+    def test_parallel_links_route_around_the_one_that_is_down(self):
+        sim = Simulator()
+        net = Network(sim)
+        net.add_host("h1")
+        net.add_host("h2")
+        net.add_switch("s1")
+        net.add_switch("s2")
+        net.add_link("h1", "s1", LinkConfig(latency_ms=1.0))
+        net.add_link("h2", "s2", LinkConfig(latency_ms=1.0))
+        first = net.add_link("s1", "s2", LinkConfig(latency_ms=1.0))
+        second = net.add_link("s1", "s2", LinkConfig(latency_ms=1.0))
+        net.start()
+        first.set_down()
+        net.controller.handle_topology_change()
+        s1_port = second.port_a if second.port_a.node.name == "s1" else second.port_b
+        assert net.switches["s1"].forwarding_table["h2"] == s1_port.number
+        got = []
+        net.host("h2").bind(7, lambda pkt: got.append(pkt.payload))
+        net.host("h1").send("h2", "around", size=10, dst_port=7)
+        sim.run()
+        assert got == ["around"]
+
+    def test_parallel_links_weigh_as_the_lightest(self):
+        """s1-s2 joined by a 1 ms and a 50 ms link (the slow one added last),
+        with a 20 ms detour through s3: the route takes the 1 ms link."""
+        sim = Simulator()
+        net = Network(sim)
+        net.add_host("h1")
+        net.add_host("h2")
+        for s in ("s1", "s2", "s3"):
+            net.add_switch(s)
+        net.add_link("h1", "s1", LinkConfig(latency_ms=1.0))
+        net.add_link("h2", "s2", LinkConfig(latency_ms=1.0))
+        net.add_link("s1", "s2", LinkConfig(latency_ms=1.0))
+        net.add_link("s1", "s2", LinkConfig(latency_ms=50.0))
+        net.add_link("s1", "s3", LinkConfig(latency_ms=10.0))
+        net.add_link("s3", "s2", LinkConfig(latency_ms=10.0))
+        net.start()
+        assert net.controller.path_between("h1", "h2") == ("h1", "s1", "s2", "h2")
+        assert net.controller._build_graph()["s1"]["s2"] == 1.0 + 1e-3
+
     def test_reachability_matrix_under_partition(self):
         sim = Simulator()
         net = one_big_switch(sim, ["h1", "h2", "h3"])
