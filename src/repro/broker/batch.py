@@ -55,9 +55,11 @@ Column ownership on fetch replies
 ``PartitionLog.read_batch`` builds every reply batch from *fresh* list
 slices of the log's columns, and nothing on the broker or transport side
 retains a reference after the reply is sent.  A consumer therefore owns the
-columns of every fetched batch it receives, and batch-level observers
-(``Consumer.on_batch``) may adopt ``keys``/``values``/``sizes``/
-``produced_ats`` wholesale instead of copying — this is what makes the
+columns of every fetched batch it receives, and hands its ``on_batch``
+observer the reply's visible rows once: the reply batch itself, or — when
+the broker named control markers or aborted records — the fresh columns of
+:meth:`RecordBatch.without`.  The observer may adopt ``keys``/``values``/
+``sizes``/``produced_ats`` wholesale instead of copying — this is what makes the
 SPE's fused columnar ingest zero-copy from fetch slice to operator plane
 (see :meth:`repro.engine.columns.ColumnBatch.extend_from_wire`).  The one
 shared object is :data:`EMPTY_BATCH`, whose columns are empty and must stay
@@ -392,6 +394,22 @@ class RecordBatch:
             leader_epoch=self.leader_epoch,
         )
         return piece
+
+    def without(self, hidden) -> "RecordBatch":
+        """The rows whose offsets are not in ``hidden``, kept at their
+        original — now gapped — offsets: what a consumer delivers of a fetch
+        reply that carries control markers or aborted records.  Carries the
+        columns a reader sees, not the producer and transaction columns."""
+        rows = [row for row in range(len(self.values)) if self.offset_at(row) not in hidden]
+        visible = RecordBatch(self.topic, self.partition, leader_epoch=self.leader_epoch)
+        for name in ("keys", "values", "sizes", "produced_ats", "timestamps", "headers"):
+            column = getattr(self, name)
+            if column is not None:
+                setattr(visible, name, [column[row] for row in rows])
+        visible.offsets = [self.offset_at(row) for row in rows]
+        visible.base_offset = visible.offsets[0] if rows else self.next_offset
+        visible.total_size = sum(visible.sizes)
+        return visible
 
     def __repr__(self) -> str:
         return (

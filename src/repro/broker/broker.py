@@ -640,15 +640,14 @@ class Broker:
         if len(batch) and log.has_transactions:
             # Control records (and, under read_committed, records of aborted
             # transactions) ship inside the contiguous batch but must not
-            # reach the application: the consumer filters them by offset.
+            # reach the application: the consumer drops them by offset.
             # Keys added to the reply dict do not change its explicitly-sized
             # timing.
-            skip_offsets, skipped_bytes = log.invisible_offsets(
+            skip_offsets, _ = log.invisible_offsets(
                 batch.base_offset, batch.next_offset, isolation
             )
             if skip_offsets:
                 reply["skip_offsets"] = skip_offsets
-                reply["skipped_bytes"] = skipped_bytes
                 visible -= len(skip_offsets)
         self.records_served += visible
         return Response(payload=reply, size=batch.total_size + 64)

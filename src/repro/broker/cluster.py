@@ -126,14 +126,14 @@ class BrokerCluster:
         host_name: str,
         config: Optional[ConsumerConfig] = None,
         name: Optional[str] = None,
-        on_record=None,
+        on_batch=None,
     ) -> Consumer:
         consumer = Consumer(
             self.network.host(host_name),
             bootstrap=self.bootstrap_hosts(prefer=host_name),
             config=config,
             name=name,
-            on_record=on_record,
+            on_batch=on_batch,
         )
         self.consumers.append(consumer)
         return consumer

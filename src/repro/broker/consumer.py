@@ -7,11 +7,11 @@ per-message delivery latency (time between the producer's send call and local
 receipt) — the measurement behind Figures 5, 6b and 6c.
 
 Fetch replies arrive as one :class:`~repro.broker.batch.RecordBatch` per
-partition: the consumer decodes the batch *header* (base offset, count,
-total size) in O(1) and only materializes per-record
-:class:`ConsumerRecord` objects when an observer (``keep_payloads`` or the
-``on_record`` callback) actually needs them.  Batch-aware observers can set
-``on_batch`` instead and receive the columnar batch directly.
+partition, and each reaches the reader once, along one path: the rows the
+broker named invisible (control markers, aborted records) are dropped, the
+record and byte counts are read off the remaining batch's header, per-record
+:class:`ConsumerRecord` objects are built only under ``keep_payloads``, and
+the ``on_batch`` observer receives the batch of visible rows.
 
 Three assignment modes exist:
 
@@ -58,8 +58,8 @@ class ConsumerConfig:
     #: Per-record processing cost charged to the consumer's host CPU.
     cpu_per_record: float = 15e-6
     #: Append every received record to ``Consumer.received`` (disable for
-    #: large experiments to bound memory; the ``on_record`` callback always
-    #: sees the full record either way).
+    #: large experiments to bound memory; the ``on_batch`` observer sees
+    #: every batch either way).
     keep_payloads: bool = True
     #: Consumer group to join (``None`` = standalone: the consumer reads every
     #: partition of its subscriptions and manages offsets purely locally).
@@ -129,7 +129,6 @@ class Consumer:
         bootstrap: List[str],
         config: Optional[ConsumerConfig] = None,
         name: Optional[str] = None,
-        on_record: Optional[Callable[[ConsumerRecord], None]] = None,
         on_batch: Optional[Callable[[str, int, RecordBatch, float], None]] = None,
     ) -> None:
         if not bootstrap:
@@ -139,16 +138,14 @@ class Consumer:
         self.name = name or f"consumer-{host.name}"
         self.bootstrap = list(bootstrap)
         self.config = config or ConsumerConfig()
-        self.on_record = on_record
-        #: Batch-level observer: called as ``on_batch(topic, partition, batch,
-        #: received_at)`` instead of materializing ConsumerRecords — plus a
-        #: trailing ``skip`` frozenset of invisible offsets (control records,
-        #: aborted transactions) whenever the batch contains any; the observer
-        #: must not surface those records.  Ignored while ``on_record`` or
-        #: ``keep_payloads`` demand per-record objects.  Ownership: every
-        #: delivered batch is built from fresh column slices and the consumer
-        #: never touches it again, so the observer may adopt its column lists
-        #: zero-copy (the SPE's fused columnar ingest does — see
+        #: Called as ``on_batch(topic, partition, batch, received_at)`` once
+        #: per fetch reply, with the batch of its visible rows: control
+        #: records and aborted transactions are already dropped, and the rows
+        #: keep their log offsets (gapped where rows were dropped — read them
+        #: with ``batch.offset_at``).  Ownership: every delivered batch is
+        #: built from fresh column slices and the consumer never touches it
+        #: again, so the observer may adopt its column lists zero-copy (the
+        #: SPE's fused columnar ingest does — see
         #: ``repro.engine.columns.ColumnBatch.extend_from_wire``).  Empty
         #: batches (including the shared ``EMPTY_BATCH`` sentinel) are never
         #: delivered.
@@ -519,63 +516,32 @@ class Consumer:
             return None
         if not count:
             return 0
+        # The position moves past every row of the reply, visible or not.
+        self.offsets[key] = batch.next_offset
         # Offsets the broker marked invisible: control records (always) and,
         # under read_committed, records of aborted transactions.  They ship
-        # inside the contiguous batch but never reach the application, and
-        # they do not count towards consumer-visible record/byte metrics.
+        # inside the contiguous batch but never reach the application and
+        # do not count towards the consumer's record/byte metrics.
         skip_offsets = reply.get("skip_offsets")
-        if not self.config.keep_payloads and self.on_record is None:
-            # Fast path for large experiments: the batch header already
-            # carries the count, byte total and next offset — O(1) per fetch.
-            if skip_offsets:
-                self.records_consumed += count - len(skip_offsets)
-                self.bytes_consumed += batch.total_size - reply.get("skipped_bytes", 0)
-            else:
-                self.records_consumed += count
-                self.bytes_consumed += batch.total_size
-            self.offsets[key] = batch.next_offset
-            if self.on_batch is not None:
-                if skip_offsets:
-                    self.on_batch(
-                        info["topic"],
-                        info["partition"],
-                        batch,
-                        self.sim.now,
-                        frozenset(skip_offsets),
-                    )
-                else:
-                    self.on_batch(info["topic"], info["partition"], batch, self.sim.now)
-            return count
+        if skip_offsets:
+            batch = batch.without(frozenset(skip_offsets))
+            if not batch:
+                return count
         now = self.sim.now
-        topic = info["topic"]
-        partition = info["partition"]
-        skip = frozenset(skip_offsets) if skip_offsets else None
-        for index, (offset, record_key, value, size, produced_at) in enumerate(
-            batch.iter_records()
-        ):
-            if skip is not None and offset in skip:
-                self.offsets[key] = offset + 1
-                continue
-            consumer_record = ConsumerRecord(
-                topic=topic,
-                partition=partition,
-                offset=offset,
-                key=record_key,
-                value=value,
-                size=size,
-                # Row index, not offset arithmetic: compacted ranges carry
-                # gapped per-record offsets.
-                timestamp=batch.timestamp_at(index, now),
-                produced_at=produced_at,
-                received_at=now,
+        topic, partition = info["topic"], info["partition"]
+        self.records_consumed += len(batch)
+        self.bytes_consumed += batch.total_size
+        if self.config.keep_payloads:
+            self.received.extend(
+                ConsumerRecord(
+                    topic, partition, row_offset, row_key, value, size,
+                    batch.timestamp_at(index, now), produced_at, now,
+                )
+                for index, (row_offset, row_key, value, size, produced_at)
+                in enumerate(batch.iter_records())
             )
-            self.records_consumed += 1
-            self.bytes_consumed += size
-            if self.config.keep_payloads:
-                self.received.append(consumer_record)
-            if self.on_record is not None:
-                self.on_record(consumer_record)
-            self.offsets[key] = offset + 1
+        if self.on_batch is not None:
+            self.on_batch(topic, partition, batch, now)
         return count
 
     # -- metadata -----------------------------------------------------------------------

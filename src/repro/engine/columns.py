@@ -12,11 +12,13 @@ callbacks.
 Zero-copy ingest
 ----------------
 ``PartitionLog.read_batch`` builds every fetch reply from *fresh* column
-slices, and the consumer hands the reply batch to its ``on_batch`` observer
-without retaining it (see :mod:`repro.broker.consumer`).  The observer
-therefore owns the columns, and :meth:`ColumnBatch.extend_from_wire` adopts
-them directly — a drained micro-batch whose records all came from one fetch
-reuses the broker's slices without copying a single element.
+slices, and the consumer hands its ``on_batch`` observer the batch of the
+reply's visible rows — the reply itself, or fresh columns without the control
+markers and aborted records — without retaining it (see
+:mod:`repro.broker.consumer`).  The observer therefore owns the columns, and
+:meth:`ColumnBatch.extend_from_wire` adopts them directly — a drained
+micro-batch whose records all came from one fetch reuses the broker's slices
+without copying a single element.
 
 Size-carry rules
 ----------------
@@ -94,40 +96,15 @@ class ColumnBatch:
         self.ingest_times.append(record.ingest_time)
         self.sizes.append(record._size)
 
-    def extend_from_wire(self, batch, received_at: float, skip=None) -> int:
-        """Ingest one fetched :class:`RecordBatch`; returns records ingested.
+    def extend_from_wire(self, batch, received_at: float) -> int:
+        """Ingest one fetched :class:`RecordBatch` of visible rows; returns
+        records ingested.
 
-        When this ColumnBatch is empty and nothing must be skipped, the wire
-        batch's ``values``/``keys``/``sizes``/``produced_ats`` columns are
-        adopted wholesale (zero-copy — see the module docstring for the
-        ownership contract).  ``skip`` holds offsets the consumer marked
-        invisible (control markers, aborted transactions); those records
-        must never enter the stream.
+        When this ColumnBatch is empty, the wire batch's ``values``/``keys``/
+        ``sizes``/``produced_ats`` columns are adopted wholesale (zero-copy —
+        see the module docstring for the ownership contract).
         """
         count = len(batch)
-        if skip:
-            base = batch.base_offset
-            offsets = batch.offsets  # gapped (compacted-range) batches only
-            values = self.values
-            keys = self.keys
-            event_times = self.event_times
-            ingest_times = self.ingest_times
-            sizes = self.sizes
-            ingested = 0
-            batch_keys = batch.keys
-            batch_sizes = batch.sizes
-            batch_produced = batch.produced_ats
-            for index, value in enumerate(batch.values):
-                offset = offsets[index] if offsets is not None else base + index
-                if offset in skip:
-                    continue
-                values.append(value)
-                keys.append(batch_keys[index])
-                event_times.append(batch_produced[index])
-                ingest_times.append(received_at)
-                sizes.append(batch_sizes[index])
-                ingested += 1
-            return ingested
         if not self.values:
             # Adopt the reply's freshly-sliced columns outright.
             self.values = batch.values

@@ -108,15 +108,10 @@ class KafkaSource(Source):
         partition: int,
         batch: RecordBatch,
         received_at: float,
-        skip=None,
     ) -> None:
-        """Accumulate one fetched batch as pending columns (no materialization).
-
-        ``skip`` holds offsets the consumer marked invisible (transaction
-        control markers and, under ``read_committed``, aborted records) —
-        they ship inside the contiguous wire batch but must never enter the
-        stream."""
-        self.records_ingested += self._pending.extend_from_wire(batch, received_at, skip)
+        """Accumulate one fetched batch of visible rows as pending columns
+        (no materialization)."""
+        self.records_ingested += self._pending.extend_from_wire(batch, received_at)
 
     def start(self) -> None:
         self.consumer.start()

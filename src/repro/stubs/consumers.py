@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
+from repro.broker.batch import RecordBatch
 from repro.broker.cluster import BrokerCluster
 from repro.broker.consumer import Consumer, ConsumerConfig, ConsumerRecord
 from repro.core.configs import ConsumerStubConfig
@@ -33,10 +34,9 @@ class ConsumerStub:
                 isolation_level=self.config.isolation_level,
             ),
             name=f"{self.name}-consumer",
-            on_record=self._on_record,
+            on_batch=self._on_batch,
         )
         self.consumer.subscribe(self.config.topics)
-        self.messages_consumed = 0
         self.latencies: List[float] = []
         self.running = False
 
@@ -53,13 +53,20 @@ class ConsumerStub:
         self.running = False
         self.consumer.stop()
 
-    def _on_record(self, record: ConsumerRecord) -> None:
-        self.messages_consumed += 1
-        self.latencies.append(record.latency)
-        self.handle(record)
+    @property
+    def messages_consumed(self) -> int:
+        return self.consumer.records_consumed
 
-    def handle(self, record: ConsumerRecord) -> None:
-        """Subclass hook: what to do with each record."""
+    def _on_batch(
+        self, topic: str, partition: int, batch: RecordBatch, received_at: float
+    ) -> None:
+        self.latencies.extend(
+            [received_at - produced_at for produced_at in batch.produced_ats]
+        )
+        self.handle(topic, batch)
+
+    def handle(self, topic: str, batch: RecordBatch) -> None:
+        """Subclass hook: what to do with each delivered batch of visible rows."""
 
     # -- metrics --------------------------------------------------------------------
     def mean_latency(self) -> float:
@@ -95,8 +102,8 @@ class FileSinkConsumerStub(ConsumerStub):
         super().__init__(*args, **kwargs)
         self.files: Dict[str, List[Any]] = {}
 
-    def handle(self, record: ConsumerRecord) -> None:
-        self.files.setdefault(record.topic, []).append(record.value)
+    def handle(self, topic: str, batch: RecordBatch) -> None:
+        self.files.setdefault(topic, []).extend(batch.values)
 
     def lines(self, topic: str) -> List[Any]:
         return list(self.files.get(topic, []))
@@ -119,6 +126,10 @@ class StoreSinkConsumerStub(ConsumerStub):
             cluster.network.host(host_name), store_host=self.config.store_host
         )
 
-    def handle(self, record: ConsumerRecord) -> None:
-        key = record.key if record.key is not None else f"{record.topic}-{record.offset}"
-        self.store_client.put_async(self.config.store_table, key, record.value)
+    def handle(self, topic: str, batch: RecordBatch) -> None:
+        keys = batch.keys
+        for index, value in enumerate(batch.values):
+            key = keys[index]
+            if key is None:
+                key = f"{topic}-{batch.offset_at(index)}"
+            self.store_client.put_async(self.config.store_table, key, value)

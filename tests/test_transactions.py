@@ -652,9 +652,9 @@ class TestScenarioPlumbing:
         assert ConsumerStubConfig.from_dict({}).isolation_level == "read_uncommitted"
 
     def test_control_records_never_reach_the_spe(self):
-        """The SPE's batch-native ingest (``on_batch`` fast path) must filter
-        commit/abort markers: a marker's payload leaking into an operator
-        crashes any map that indexes into its records."""
+        """The batch the consumer hands the SPE's ingest (``on_batch``) must
+        not carry commit/abort markers: a marker's payload leaking into an
+        operator crashes any map that indexes into its records."""
         from repro.engine.sources import KafkaSource
 
         sim, network, sites, cluster = build_cluster()
