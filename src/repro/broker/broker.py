@@ -107,11 +107,6 @@ class BrokerConfig:
 
     #: CPU seconds charged per record on top of ``CPU_PER_REQUEST``.
     cpu_per_record: float = 12e-6
-    #: Broker-wide default log storage policy (segment roll size, retention,
-    #: cleanup policy, cold tier).  ``None`` — the default — means logs
-    #: never roll and keep every record; per-topic overrides from
-    #: the metadata snapshot are merged on top (``resolve_log_storage``).
-    log_storage: Optional[LogStorageConfig] = None
 
 
 @dataclass
@@ -135,13 +130,19 @@ class Broker:
         name: Optional[str] = None,
         mode: CoordinationMode = CoordinationMode.ZOOKEEPER,
         config: Optional[BrokerConfig] = None,
+        log_storage: Optional[LogStorageConfig] = None,
     ) -> None:
+        """``log_storage`` is the storage every log on this broker starts
+        from (``None``: logs never roll and keep every record); per-topic
+        overrides from the metadata snapshot are merged on top
+        (``resolve_log_storage``)."""
         self.host = host
         self.sim = host.sim
         self.name = name or f"broker-{host.name}"
         self.coordinator_host = coordinator_host
         self.mode = CoordinationMode(mode)
         self.config = config or BrokerConfig()
+        self.log_storage = log_storage
         self.transport = Transport(host, default_timeout=1.0, max_retries=0)
         self.logs: Dict[str, PartitionLog] = {}
         self.metadata: dict = {"version": -1, "partitions": {}, "brokers": {}}
@@ -248,7 +249,7 @@ class Broker:
                     info["topic"],
                     info["partition"],
                     storage=resolve_log_storage(
-                        info.get("log"), self.config.log_storage
+                        info.get("log"), self.log_storage
                     ),
                     file_tag=self.name,
                 )

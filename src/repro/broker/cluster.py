@@ -32,12 +32,12 @@ class ClusterConfig:
     #: coordinator's sweeper aborts it (producers may configure less).
     transaction_timeout: float = 60.0
     broker: BrokerConfig = field(default_factory=BrokerConfig)
-    #: Catalog-wide log storage defaults (sweepable like every other knob
-    #: here).  When any is set they are folded into one
-    #: :class:`~repro.broker.segment.LogStorageConfig` on
-    #: ``broker.log_storage``; all-``None`` (the default) means logs never
-    #: roll and keep every record.  ``retention_ms`` follows Kafka's unit;
-    #: ``log_dir`` enables the on-disk cold tier for sealed segments.
+    #: Cluster-wide log storage, declared here and only here (sweepable like
+    #: every other knob): :meth:`log_storage` folds these five into the
+    #: :class:`~repro.broker.segment.LogStorageConfig` each broker's logs
+    #: start from; all at their defaults means logs never roll and keep
+    #: every record.  ``retention_ms`` follows Kafka's unit; ``log_dir``
+    #: enables the on-disk cold tier for sealed segments.
     segment_records: Optional[int] = None
     retention_bytes: Optional[int] = None
     retention_ms: Optional[float] = None
@@ -46,20 +46,18 @@ class ClusterConfig:
 
     def __post_init__(self) -> None:
         self.mode = CoordinationMode(self.mode)
-        if (
-            self.segment_records is not None
-            or self.retention_bytes is not None
-            or self.retention_ms is not None
-            or self.cleanup_policy != "delete"
-            or self.log_dir is not None
-        ) and self.broker.log_storage is None:
-            self.broker.log_storage = LogStorageConfig(
-                segment_records=self.segment_records,
-                retention_bytes=self.retention_bytes,
-                retention_ms=self.retention_ms,
-                cleanup_policy=self.cleanup_policy,
-                segment_dir=self.log_dir,
-            )
+        self.log_storage()  # a bad storage knob fails here, not at deployment
+
+    def log_storage(self) -> Optional[LogStorageConfig]:
+        """The storage knobs as one config (``None`` when none is set)."""
+        storage = LogStorageConfig(
+            segment_records=self.segment_records,
+            retention_bytes=self.retention_bytes,
+            retention_ms=self.retention_ms,
+            cleanup_policy=self.cleanup_policy,
+            segment_dir=self.log_dir,
+        )
+        return None if storage == LogStorageConfig() else storage
 
 
 class BrokerCluster:
@@ -96,6 +94,7 @@ class BrokerCluster:
             coordinator_host=self.coordinator.host.name,
             mode=self.config.mode,
             config=self.config.broker,
+            log_storage=self.config.log_storage(),
         )
         self.brokers[broker.name] = broker
         return broker

@@ -36,7 +36,6 @@ from repro.core.configs import (
     TopicSpec,
     load_yaml_file,
 )
-from repro.core.emulation import Emulation, EmulationResult
 from repro.core.graphml import parse_graphml, parse_graphml_string
 from repro.core.task import LinkDescription, NodeDescription, TaskDescription
 from repro.core.monitoring import EventLog
@@ -48,6 +47,19 @@ from repro.core.visualization import (
     latency_by_arrival,
     throughput_timeseries,
 )
+
+
+
+def __getattr__(name):
+    # ``Emulation`` is loaded on first use: it deploys the stubs, and the
+    # stubs read their configs from this package, so loading it here would
+    # close an import cycle for a process that imports ``repro.stubs`` first.
+    if name in ("Emulation", "EmulationResult"):
+        from repro.core import emulation
+
+        return getattr(emulation, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Emulation",

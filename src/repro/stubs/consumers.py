@@ -45,8 +45,13 @@ class ConsumerStub:
             return
         self.running = True
         if self.config.start_delay > 0:
-            self.sim.call_later(self.config.start_delay, self.consumer.start)
+            self.sim.call_later(self.config.start_delay, self._start_consumer)
         else:
+            self.consumer.start()
+
+    def _start_consumer(self) -> None:
+        # A stub stopped during its start delay stays stopped.
+        if self.running:
             self.consumer.start()
 
     def stop(self) -> None:

@@ -8,8 +8,7 @@ of a directory, a constant random bitrate, or replaying timestamped items.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, Optional, Sequence, Tuple
 
 from repro.broker.cluster import BrokerCluster
 from repro.broker.message import ProducerRecord
@@ -131,72 +130,60 @@ class ProducerStub:
             self.running = False
 
 
-class SFSTProducerStub(ProducerStub):
+class PacedProducerStub(ProducerStub):
+    """Send ``totalMessages`` records (default: one per entry, cycling past
+    the end) one every ``1 / messagesPerSecond`` seconds — or every 1e-4 s,
+    which still yields to the scheduler, when no rate is set.  A subclass
+    says how a send's index maps to its key and value."""
+
+    def __init__(
+        self,
+        cluster: BrokerCluster,
+        host_name: str,
+        entries: Sequence[Any],
+        config: Optional[ProducerStubConfig] = None,
+        name: Optional[str] = None,
+    ) -> None:
+        super().__init__(cluster, host_name, config, name)
+        self.entries = list(entries)
+
+    def _record(self, index: int) -> Tuple[Any, Any]:
+        """The ``(key, value)`` of the ``index``-th send."""
+        raise NotImplementedError
+
+    def _run(self):
+        yield self.sim.timeout(self.config.start_delay)
+        rate = self.config.messages_per_second
+        pause = 1.0 / rate if rate and rate > 0 else 1e-4
+        for index in range(self.config.total_messages or len(self.entries)):
+            if not self.running:
+                return
+            key, value = self._record(index)
+            self._send(self.config.topic, value, key=key)
+            yield from self._txn_pulse()
+            yield self.sim.timeout(pause)
+
+
+class SFSTProducerStub(PacedProducerStub):
     """Single File Single Topic: produce each element of one "file" to a topic.
 
     The file contents are provided as a list of items (the workload generators
-    in :mod:`repro.workloads` create them); ``totalMessages`` truncates or
-    cycles the list, and ``messagesPerSecond`` paces the production.
+    in :mod:`repro.workloads` create them), keyed by their send index;
+    ``totalMessages`` truncates or cycles the list, and ``messagesPerSecond``
+    paces the production.
     """
 
-    def __init__(
-        self,
-        cluster: BrokerCluster,
-        host_name: str,
-        items: Sequence[Any],
-        config: Optional[ProducerStubConfig] = None,
-        name: Optional[str] = None,
-    ) -> None:
-        super().__init__(cluster, host_name, config, name)
-        self.items = list(items)
-
-    def _run(self):
-        yield self.sim.timeout(self.config.start_delay)
-        total = self.config.total_messages or len(self.items)
-        rate = self.config.messages_per_second
-        interval = (1.0 / rate) if rate else 0.0
-        for index in range(total):
-            if not self.running:
-                return
-            item = self.items[index % len(self.items)] if self.items else index
-            self._send(self.config.topic, item, key=index)
-            yield from self._txn_pulse()
-            if interval > 0:
-                yield self.sim.timeout(interval)
-            else:
-                # Produce as fast as possible but still yield to the scheduler.
-                yield self.sim.timeout(1e-4)
+    def _record(self, index: int) -> Tuple[Any, Any]:
+        items = self.entries
+        return index, (items[index % len(items)] if items else index)
 
 
-class DirectoryProducerStub(ProducerStub):
-    """Produce each file of a directory as one message (word-count ingestion)."""
+class DirectoryProducerStub(PacedProducerStub):
+    """Produce each ``(file name, contents)`` of a directory as one message
+    keyed by its file name (word-count ingestion)."""
 
-    def __init__(
-        self,
-        cluster: BrokerCluster,
-        host_name: str,
-        files: Sequence[Tuple[str, Any]],
-        config: Optional[ProducerStubConfig] = None,
-        name: Optional[str] = None,
-    ) -> None:
-        super().__init__(cluster, host_name, config, name)
-        self.files = list(files)
-
-    def _run(self):
-        yield self.sim.timeout(self.config.start_delay)
-        rate = self.config.messages_per_second
-        interval = (1.0 / rate) if rate else 0.0
-        total = self.config.total_messages or len(self.files)
-        for index in range(total):
-            if not self.running:
-                return
-            file_name, contents = self.files[index % len(self.files)]
-            self._send(self.config.topic, contents, key=file_name)
-            yield from self._txn_pulse()
-            if interval > 0:
-                yield self.sim.timeout(interval)
-            else:
-                yield self.sim.timeout(1e-4)
+    def _record(self, index: int) -> Tuple[Any, Any]:
+        return self.entries[index % len(self.entries)]
 
 
 class RandomRateProducerStub(ProducerStub):

@@ -134,7 +134,7 @@ CONFIG_SURFACE = {
         "poll_interval", "max_records_per_fetch", "cpu_per_record", "keep_payloads",
         "group", "assignor", "isolation_level", "auto_offset_reset",
     ],
-    BrokerConfig: ["cpu_per_record", "log_storage"],
+    BrokerConfig: ["cpu_per_record"],
     ClusterConfig: [
         "mode", "session_timeout", "preferred_election_interval", "transaction_timeout",
         "broker", "segment_records", "retention_bytes", "retention_ms", "cleanup_policy",

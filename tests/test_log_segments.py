@@ -7,9 +7,12 @@ retention enabled and exercise the consumer's ``auto_offset_reset`` policies
 against genuine OffsetOutOfRange replies.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.broker.batch import RecordBatch
+from repro.broker.broker import BrokerConfig
 from repro.broker.cluster import BrokerCluster, ClusterConfig
 from repro.broker.consumer import ConsumerConfig
 from repro.broker.log import PartitionLog
@@ -404,9 +407,35 @@ class TestStorageConfigResolution:
 
     def test_cluster_config_folds_storage_knobs_into_broker(self):
         config = ClusterConfig(segment_records=64, retention_bytes=1 << 16)
-        assert config.broker.log_storage is not None
-        assert config.broker.log_storage.segment_records == 64
-        assert ClusterConfig().broker.log_storage is None
+        assert deployed_storage(config) == LogStorageConfig(
+            segment_records=64, retention_bytes=1 << 16
+        )
+        assert deployed_storage(ClusterConfig()) is None
+
+    def test_clusters_sharing_a_broker_config_keep_their_own_storage(self):
+        shared = BrokerConfig()
+        first = ClusterConfig(segment_records=64, broker=shared)
+        second = ClusterConfig(segment_records=128, broker=shared)
+        assert deployed_storage(first).segment_records == 64
+        assert deployed_storage(second).segment_records == 128
+        assert deployed_storage(replace(second, retention_ms=5.0)).retention_ms == 5.0
+
+    def test_a_bad_storage_knob_fails_at_construction(self):
+        with pytest.raises(ValueError):
+            ClusterConfig(cleanup_policy="shred")
+
+
+def deployed_storage(config):
+    """The storage config a one-broker cluster built from ``config`` gives a
+    topic's log that sets none of its own."""
+    sim = Simulator(seed=1)
+    network, sites = star_topology(sim, 1)
+    cluster = BrokerCluster(network, coordinator_host=sites[0], config=config)
+    broker = cluster.add_broker(sites[0])
+    cluster.add_topic(TopicConfig(name="t"))
+    cluster.start(settle_time=1.0)
+    sim.run(until=3.0)
+    return broker.logs["t-0"].storage
 
 
 # ---------------------------------------------------------------------------

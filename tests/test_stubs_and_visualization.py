@@ -132,6 +132,25 @@ class TestConsumerStubs:
         assert 0 < sink.mean_latency() < 1.0
         assert sink.max_latency() >= sink.mean_latency()
 
+    @pytest.mark.parametrize("stopped_at", [4.0, None])
+    def test_a_sink_stopped_during_its_start_delay_never_starts(self, stopped_at):
+        sim, network, sites, cluster = make_cluster()
+        stub = SFSTProducerStub(
+            cluster, sites[0], [f"m{i}" for i in range(20)],
+            config=ProducerStubConfig(topic="events", total_messages=20, messages_per_second=10),
+        )
+        sink = StandardConsumerStub(
+            cluster, sites[1], config=ConsumerStubConfig(topics=["events"], start_delay=5.0)
+        )
+        sim.call_later(3.0, lambda: (stub.start(), sink.start()))
+        if stopped_at is not None:
+            sim.call_later(stopped_at, sink.stop)
+        sim.run(until=20.0)
+        if stopped_at is None:
+            assert sink.consumer.running and sink.messages_consumed == 20
+        else:
+            assert not sink.consumer.running and sink.messages_consumed == 0
+
     def test_file_sink_consumer_groups_by_topic(self):
         sim, network, sites, cluster = make_cluster(topics=("alpha", "beta"))
         producer_a = SFSTProducerStub(
