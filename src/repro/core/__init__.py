@@ -49,7 +49,6 @@ from repro.core.visualization import (
 )
 
 
-
 def __getattr__(name):
     # ``Emulation`` is loaded on first use: it deploys the stubs, and the
     # stubs read their configs from this package, so loading it here would
