@@ -78,6 +78,7 @@ Size accounting rules
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 #: Bytes of shared batch-header overhead charged once per batch on the wire
@@ -399,16 +400,38 @@ class RecordBatch:
         """The rows whose offsets are not in ``hidden``, kept at their
         original — now gapped — offsets: what a consumer delivers of a fetch
         reply that carries control markers or aborted records.  Carries the
-        columns a reader sees, not the producer and transaction columns."""
-        rows = [row for row in range(len(self.values)) if self.offset_at(row) not in hidden]
+        columns a reader sees, not the producer and transaction columns.
+
+        Costs one list copy per column plus the hidden rows: each column is
+        copied whole and the runs of hidden rows are deleted from the copy,
+        and a range whose visible rows are contiguous (only a leading or a
+        trailing run hidden, such as a COMMIT marker at the end) needs no
+        ``offsets`` column."""
+        count = len(self.values)
+        base, offsets = self.base_offset, self.offsets
+        rows = set()
+        for offset in hidden:
+            row = offset - base if offsets is None else bisect_left(offsets, offset)
+            if 0 <= row < count and self.offset_at(row) == offset:
+                rows.add(row)
+        spans: List[slice] = []
+        for row in sorted(rows):
+            if spans and spans[-1].stop == row:
+                spans[-1] = slice(spans[-1].start, row + 1)
+            else:
+                spans.append(slice(row, row + 1))
         visible = RecordBatch(self.topic, self.partition, leader_epoch=self.leader_epoch)
         for name in ("keys", "values", "sizes", "produced_ats", "timestamps", "headers"):
             column = getattr(self, name)
             if column is not None:
-                setattr(visible, name, [column[row] for row in rows])
-        visible.offsets = [self.offset_at(row) for row in rows]
-        visible.base_offset = visible.offsets[0] if rows else self.next_offset
-        visible.total_size = sum(visible.sizes)
+                setattr(visible, name, _drop(column, spans))
+        if offsets is not None:
+            visible.offsets = _drop(offsets, spans)
+        elif any(0 < span.start and span.stop < count for span in spans):
+            visible.offsets = _drop(list(range(base, base + count)), spans)
+        first = spans[0].stop if spans and spans[0].start == 0 else 0
+        visible.base_offset = self.offset_at(first) if first < count else self.next_offset
+        visible.total_size = self.total_size - sum(self.sizes[row] for row in rows)
         return visible
 
     def __repr__(self) -> str:
@@ -416,6 +439,14 @@ class RecordBatch:
             f"<RecordBatch {self.topic}-{self.partition} base={self.base_offset} "
             f"n={len(self.values)} bytes={self.total_size}>"
         )
+
+
+def _drop(column, spans: List[slice]) -> list:
+    """A fresh copy of ``column`` without its rows in ``spans`` (sorted)."""
+    kept = column[:]
+    for span in reversed(spans):
+        del kept[span]
+    return kept
 
 
 #: Shared immutable-by-convention empty batch.  Idle consumers and replica

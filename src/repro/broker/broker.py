@@ -644,7 +644,7 @@ class Broker:
             # reach the application: the consumer drops them by offset.
             # Keys added to the reply dict do not change its explicitly-sized
             # timing.
-            skip_offsets, _ = log.invisible_offsets(
+            skip_offsets = log.invisible_offsets(
                 batch.base_offset, batch.next_offset, isolation
             )
             if skip_offsets:

@@ -524,7 +524,7 @@ class Consumer:
         # do not count towards the consumer's record/byte metrics.
         skip_offsets = reply.get("skip_offsets")
         if skip_offsets:
-            batch = batch.without(frozenset(skip_offsets))
+            batch = batch.without(skip_offsets)
             if not batch:
                 return count
         now = self.sim.now

@@ -333,21 +333,19 @@ class PartitionLog:
 
     def invisible_offsets(
         self, from_offset: int, up_to: int, isolation: str
-    ) -> Tuple[List[int], int]:
+    ) -> List[int]:
         """Offsets in ``[from_offset, up_to)`` a consumer must not observe.
 
         Control records are invisible to *every* consumer (Kafka never
         delivers them to clients); records of aborted transactions are
         additionally invisible under ``read_committed``.  Returns the sorted
-        offset list plus their total payload bytes, so fetch accounting can
-        exclude them.  Row lookups go through each segment's offset index,
+        offset list.  Row lookups go through each segment's offset index,
         so compacted (gapped) segments need no special case.
         """
         if not self.has_transactions:
-            return [], 0
+            return []
         aborted = self.aborted_ranges if isolation == "read_committed" else ()
         skipped: List[int] = []
-        bytes_skipped = 0
         for segment, start, end in self._row_ranges(from_offset, up_to):
             self._ensure_loaded(segment)
             controls = segment.controls
@@ -365,11 +363,8 @@ class PartitionLog:
                         if transactionals[index] and producer_ids[index] == producer_id:
                             hidden.append(index)
             hidden.sort()
-            sizes = segment.sizes
-            for index in hidden:
-                skipped.append(segment.offset_at(index))
-                bytes_skipped += sizes[index]
-        return skipped, bytes_skipped
+            skipped.extend(segment.offset_at(index) for index in hidden)
+        return skipped
 
     # -- producer dedup table ---------------------------------------------------------
     def check_producer_batch(

@@ -39,19 +39,25 @@ class ConsumerStub:
         self.consumer.subscribe(self.config.topics)
         self.latencies: List[float] = []
         self.running = False
+        #: Counts ``start()`` calls; a delayed start acts only for the latest.
+        self._generation = 0
 
     def start(self) -> None:
         if self.running:
             return
         self.running = True
+        self._generation += 1
         if self.config.start_delay > 0:
-            self.sim.call_later(self.config.start_delay, self._start_consumer)
+            self.sim.call_later(
+                self.config.start_delay, self._start_consumer, self._generation
+            )
         else:
             self.consumer.start()
 
-    def _start_consumer(self) -> None:
-        # A stub stopped during its start delay stays stopped.
-        if self.running:
+    def _start_consumer(self, generation: int) -> None:
+        # A stub stopped during its start delay stays stopped, and one
+        # restarted there starts when the restart's delay runs out.
+        if self.running and generation == self._generation:
             self.consumer.start()
 
     def stop(self) -> None:

@@ -57,23 +57,35 @@ class ProducerStub:
         self.transactions_committed = 0
         self._txn_pending = 0
         self.running = False
+        #: Counts ``start()`` calls; only the latest start's driver sends.
+        self._generation = 0
 
     # -- lifecycle ----------------------------------------------------------------
     def start(self) -> None:
         if self.running:
             return
         self.running = True
+        self._generation += 1
         self.producer.start()
-        self.sim.process(self._driver(), name=f"{self.name}:driver")
+        self.sim.process(self._driver(self._generation), name=f"{self.name}:driver")
 
-    def _driver(self):
-        yield from self._run()
-        yield from self._txn_finish()
+    def _driver(self, generation: int):
+        yield self.sim.timeout(self.config.start_delay)
+        yield from self._run(generation)
+        if generation == self._generation:
+            # A driver a restart took over leaves the open transaction to
+            # the new one.
+            yield from self._txn_finish()
 
     def stop(self) -> None:
         self.running = False
 
-    def _run(self):
+    def _live(self, generation: int) -> bool:
+        """Whether the driver of ``generation`` may keep sending: the stub
+        runs and no later ``start()`` replaced it."""
+        return self.running and generation == self._generation
+
+    def _run(self, generation: int):
         raise NotImplementedError
         yield  # pragma: no cover
 
@@ -151,12 +163,11 @@ class PacedProducerStub(ProducerStub):
         """The ``(key, value)`` of the ``index``-th send."""
         raise NotImplementedError
 
-    def _run(self):
-        yield self.sim.timeout(self.config.start_delay)
+    def _run(self, generation: int):
         rate = self.config.messages_per_second
         pause = 1.0 / rate if rate and rate > 0 else 1e-4
         for index in range(self.config.total_messages or len(self.entries)):
-            if not self.running:
+            if not self._live(generation):
                 return
             key, value = self._record(index)
             self._send(self.config.topic, value, key=key)
@@ -204,15 +215,16 @@ class RandomRateProducerStub(ProducerStub):
         self._rng = self.sim.rng(f"random-producer:{self.name}")
         self._sequence = 0
 
-    def _run(self):
-        yield self.sim.timeout(self.config.start_delay)
+    def _run(self, generation: int):
         size = self.config.message_size
         rate_kbps = self.config.rate_kbps or 30.0
         bytes_per_second = rate_kbps * 1000.0 / 8.0
         interval = size / bytes_per_second
         topics = self.config.all_topics
         total = self.config.total_messages
-        while self.running and (total is None or self.messages_produced < total):
+        while self._live(generation) and (
+            total is None or self.messages_produced < total
+        ):
             topic = topics[self._rng.randint(0, len(topics) - 1)]
             key = f"{self.host_name}:{self._sequence}"
             self._sequence += 1
@@ -235,11 +247,10 @@ class ReplayProducerStub(ProducerStub):
         super().__init__(cluster, host_name, config, name)
         self.timeline = sorted(timeline, key=lambda item: item[0])
 
-    def _run(self):
-        yield self.sim.timeout(self.config.start_delay)
+    def _run(self, generation: int):
         previous = 0.0
         for index, (at, value) in enumerate(self.timeline):
-            if not self.running:
+            if not self._live(generation):
                 return
             gap = max(0.0, at - previous)
             previous = at

@@ -138,7 +138,7 @@ class History:
                     self.leader_logs[at] = {record.offset: record for record in records}
                 if committed:
                     stable = log.last_stable_offset
-                    hidden = set(log.invisible_offsets(0, stable, "read_committed")[0])
+                    hidden = set(log.invisible_offsets(0, stable, "read_committed"))
                     records = [r for r in records if r.offset < stable and r.offset not in hidden]
                 self.readers.append(
                     Reader(

@@ -91,7 +91,7 @@ def test_received_records_keep_the_logs_offsets(runs):
     cluster, sink, store = runs[True]
     log = next(broker.logs["topicA-0"] for broker in cluster.brokers.values()
                if "topicA-0" in broker.logs)
-    hidden, _ = log.invisible_offsets(0, log.log_end_offset, "read_committed")
+    hidden = log.invisible_offsets(0, log.log_end_offset, "read_committed")
     assert hidden == [3, 4, 5, 6, 7, 10]
     assert [record.offset for record in sink.records] == COMMITTED_OFFSETS
     assert [record.value for record in sink.records] == [0, 1, 2, 20, 21]
@@ -106,7 +106,7 @@ def test_a_reply_ending_in_a_commit_marker_moves_the_position_past_it(runs):
         log = next(broker.logs["topicA-0"] for broker in cluster.brokers.values()
                    if "topicA-0" in broker.logs)
         assert log.log_end_offset == LOG_END
-        assert (LOG_END - 1) in log.invisible_offsets(0, LOG_END, "read_committed")[0]
+        assert (LOG_END - 1) in log.invisible_offsets(0, LOG_END, "read_committed")
         assert sink.consumer.position("topicA", 0) == LOG_END
 
 
@@ -155,7 +155,7 @@ def test_visible_rows_of_a_compacted_range_keep_their_gapped_offsets(
     log = compacted_transactional_log()
     reply = log.read_batch(0, up_to=log.high_watermark)
     assert reply.offsets == [0, 2, 3, 4, 5, 6, 7]
-    hidden, _ = log.invisible_offsets(reply.base_offset, reply.next_offset, isolation)
+    hidden = log.invisible_offsets(reply.base_offset, reply.next_offset, isolation)
     visible = reply.without(frozenset(hidden))
     assert [visible.offset_at(row) for row in range(len(visible))] == offsets
     assert visible.values == values
@@ -176,3 +176,30 @@ def test_hiding_every_row_leaves_an_empty_batch_at_the_replys_end():
     assert not visible
     assert visible.total_size == 0
     assert visible.next_offset == reply.next_offset == 6
+
+
+@pytest.mark.parametrize(
+    "hidden, offsets, contiguous",
+    [
+        ([13], [10, 11, 12], True),  # a trailing COMMIT marker
+        ([10], [11, 12, 13], True),  # a leading marker
+        ([11, 12], [10, 13], False),  # an aborted run between two kept rows
+        ([], [10, 11, 12, 13], True),
+    ],
+)
+def test_visible_rows_of_a_contiguous_reply(hidden, offsets, contiguous):
+    reply = RecordBatch.from_columns(
+        "t", 0, 10, [f"k{o}" for o in range(10, 14)], [f"v{o}" for o in range(10, 14)],
+        [o for o in range(10, 14)], [o / 2 for o in range(10, 14)],
+        timestamps=[float(o) for o in range(10, 14)],
+    )
+    visible = reply.without(hidden)
+    assert [visible.offset_at(row) for row in range(len(visible))] == offsets
+    assert (visible.offsets is None) == contiguous
+    assert visible.values == [f"v{o}" for o in offsets]
+    assert visible.keys == [f"k{o}" for o in offsets]
+    assert visible.sizes == offsets and visible.total_size == sum(offsets)
+    assert visible.produced_ats == [o / 2 for o in offsets]
+    assert visible.timestamps == [float(o) for o in offsets]
+    assert visible.last_offset == offsets[-1]
+    assert visible.values is not reply.values and len(reply) == 4

@@ -257,7 +257,7 @@ class TestCompaction:
         assert log.last_markers[1][1] == "commit"
         assert log.last_markers[2][1] == "abort"
         log.advance_high_watermark(log.log_end_offset)
-        skipped, _ = log.invisible_offsets(0, log.log_end_offset, "read_committed")
+        skipped = log.invisible_offsets(0, log.log_end_offset, "read_committed")
         visible = [
             r.value for r in log.all_records() if r.offset not in set(skipped)
         ]

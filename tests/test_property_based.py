@@ -265,7 +265,7 @@ def test_committed_read_of_compacted_log_never_resurrects_aborted_records(
     log._seal_head()
     log.compact()
     log.advance_high_watermark(log.log_end_offset)
-    skipped, _ = log.invisible_offsets(
+    skipped = log.invisible_offsets(
         0, log.log_end_offset, "read_committed"
     )
     skipped = set(skipped)
@@ -273,7 +273,7 @@ def test_committed_read_of_compacted_log_never_resurrects_aborted_records(
     assert not aborted_values.intersection(visible)
     assert set(visible).issubset(committed_values)
     # Control markers are invisible to every isolation level.
-    uncommitted_skip, _ = log.invisible_offsets(
+    uncommitted_skip = log.invisible_offsets(
         0, log.log_end_offset, "read_uncommitted"
     )
     for offset in uncommitted_skip:
@@ -494,12 +494,12 @@ def test_read_committed_view_is_exactly_the_committed_records(script):
     log.advance_high_watermark(log.log_end_offset)
     assert log.last_stable_offset == log.high_watermark  # nothing left open
     expected = [v for v, token in record_meta if token["committed"]]
-    skip, _ = log.invisible_offsets(0, log.last_stable_offset, "read_committed")
+    skip = log.invisible_offsets(0, log.last_stable_offset, "read_committed")
     skip_set = frozenset(skip)
     visible = [r.value for r in log.all_records() if r.offset not in skip_set]
     assert visible == expected
     # read_uncommitted hides only the markers: every data record is served.
-    skip_u, _ = log.invisible_offsets(0, log.high_watermark, "read_uncommitted")
+    skip_u = log.invisible_offsets(0, log.high_watermark, "read_uncommitted")
     visible_u = [
         r.value for r in log.all_records() if r.offset not in frozenset(skip_u)
     ]

@@ -113,6 +113,48 @@ class TestProducerStubs:
         assert received_at["second"] - received_at["first"] == pytest.approx(5.0, abs=0.5)
         assert received_at["third"] - received_at["second"] == pytest.approx(1.0, abs=0.5)
 
+    def test_a_producer_restarted_during_its_start_delay_runs_one_driver(self):
+        sim, network, sites, cluster = make_cluster()
+        stub = SFSTProducerStub(
+            cluster, sites[0], [f"m{i}" for i in range(10)],
+            config=ProducerStubConfig(
+                topic="events", total_messages=10, messages_per_second=10, start_delay=5.0
+            ),
+        )
+        sink = StandardConsumerStub(
+            cluster, sites[1], config=ConsumerStubConfig(topics=["events"])
+        )
+        sim.call_later(3.0, lambda: (stub.start(), sink.start()))
+        sim.call_later(4.0, stub.stop)
+        sim.call_later(6.0, stub.start)
+        produced = {}
+        for at in (10.9, 11.1):
+            sim.call_later(at, lambda at=at: produced.__setitem__(at, stub.messages_produced))
+        sim.run(until=30.0)
+        assert produced == {10.9: 0, 11.1: 1}
+        assert stub.messages_produced == 10 and sink.messages_consumed == 10
+
+    def test_a_transactional_producer_restarted_mid_run_keeps_full_transactions(self):
+        sim, network, sites, cluster = make_cluster()
+        stub = SFSTProducerStub(
+            cluster, sites[0], [f"m{i}" for i in range(20)],
+            config=ProducerStubConfig(
+                topic="events", total_messages=20, messages_per_second=10,
+                transactional_id="restarted", transaction_batch=5,
+            ),
+        )
+        sim.call_later(10.0, stub.start)
+        # Stopped between two sends and restarted before the old driver
+        # wakes: that driver must leave the open transaction to the new one.
+        sim.call_later(11.55, stub.stop)
+        sim.call_later(11.57, stub.start)
+        committed = []
+        sim.call_later(11.65, lambda: committed.append(stub.transactions_committed))
+        sim.run(until=40.0)
+        assert committed == [3]  # the old driver woke at 11.6 s and committed nothing
+        # Every transaction but the last holds ``transaction_batch`` records.
+        assert stub.messages_produced == 36 and stub.transactions_committed == 8
+
 
 class TestConsumerStubs:
     def test_standard_consumer_latency_metrics(self):
@@ -132,8 +174,12 @@ class TestConsumerStubs:
         assert 0 < sink.mean_latency() < 1.0
         assert sink.max_latency() >= sink.mean_latency()
 
-    @pytest.mark.parametrize("stopped_at", [4.0, None])
-    def test_a_sink_stopped_during_its_start_delay_never_starts(self, stopped_at):
+    @pytest.mark.parametrize(
+        "stopped_at, restarted_at", [(4.0, None), (None, None), (4.0, 6.0)]
+    )
+    def test_a_sink_starts_when_its_latest_start_delay_runs_out(
+        self, stopped_at, restarted_at
+    ):
         sim, network, sites, cluster = make_cluster()
         stub = SFSTProducerStub(
             cluster, sites[0], [f"m{i}" for i in range(20)],
@@ -145,11 +191,24 @@ class TestConsumerStubs:
         sim.call_later(3.0, lambda: (stub.start(), sink.start()))
         if stopped_at is not None:
             sim.call_later(stopped_at, sink.stop)
+        if restarted_at is not None:
+            sim.call_later(restarted_at, sink.start)
+        running = {}
+        for at in (7.9, 8.1, 10.9, 11.1):
+            sim.call_later(at, lambda at=at: running.__setitem__(at, sink.consumer.running))
         sim.run(until=20.0)
         if stopped_at is None:
+            # Started once at 3 s: the consumer runs from 8 s.
+            assert running == {7.9: False, 8.1: True, 10.9: True, 11.1: True}
             assert sink.consumer.running and sink.messages_consumed == 20
-        else:
+        elif restarted_at is None:
+            assert not any(running.values())
             assert not sink.consumer.running and sink.messages_consumed == 0
+        else:
+            # Restarted at 6 s: the consumer waits out the restart's delay,
+            # not the first start's.
+            assert running == {7.9: False, 8.1: False, 10.9: False, 11.1: True}
+            assert sink.consumer.running and sink.messages_consumed == 20
 
     def test_file_sink_consumer_groups_by_topic(self):
         sim, network, sites, cluster = make_cluster(topics=("alpha", "beta"))

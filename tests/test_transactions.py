@@ -304,8 +304,8 @@ class TestPartitionLogTransactions:
         assert log.aborted_ranges == [(0, 2, 7)]
         # read_committed hides the aborted data and the marker; the default
         # view hides only the marker.
-        committed, _ = log.invisible_offsets(0, 3, "read_committed")
-        uncommitted, _ = log.invisible_offsets(0, 3, "read_uncommitted")
+        committed = log.invisible_offsets(0, 3, "read_committed")
+        uncommitted = log.invisible_offsets(0, 3, "read_uncommitted")
         assert committed == [0, 1, 2]
         assert uncommitted == [2]
 
@@ -316,7 +316,7 @@ class TestPartitionLogTransactions:
         log.append_control(1, 0, "abort", timestamp=2.0, leader_epoch=0)
         log.append_control(2, 0, "commit", timestamp=2.0, leader_epoch=0)
         log.advance_high_watermark(6)
-        skipped, _ = log.invisible_offsets(0, 6, "read_committed")
+        skipped = log.invisible_offsets(0, 6, "read_committed")
         # Producer 1's data (0-1) and both markers (4-5); producer 2's
         # committed records (2-3) stay visible.
         assert skipped == [0, 1, 4, 5]
