@@ -8,6 +8,8 @@ from repro.broker.broker import BrokerConfig
 from repro.broker.cluster import ClusterConfig
 from repro.broker.consumer import ConsumerConfig
 from repro.broker.producer import ProducerConfig
+from repro.broker.topic import TopicConfig
+from repro.core import Emulation
 from repro.core.attributes import (
     validate_link_attributes,
     validate_node_attributes,
@@ -120,6 +122,79 @@ class TestConfigParsing:
         assert parse_faults_config(None) == []
         assert ProducerStubConfig.from_dict({}).topic == "raw-data"
 
+
+
+class TestTopicCfg:
+    """A ``topicCfg`` entry: what the task description writes, the keys it
+    reads, and the topic the deployed cluster gets."""
+
+    #: What ``set_topics`` writes for a default topic and for one with a
+    #: primary broker and every storage knob, key order included.
+    WRITTEN = [
+        [("name", "a"), ("partitions", 1), ("replicas", 1), ("primaryBroker", None)],
+        [
+            ("name", "b"), ("partitions", 2), ("replicas", 2), ("primaryBroker", "h2"),
+            ("segmentRecords", 64), ("retentionBytes", 4096), ("retentionMs", 1500.0),
+            ("cleanupPolicy", "compact"),
+        ],
+    ]
+
+    @staticmethod
+    def _task():
+        task = TaskDescription("topics")
+        task.add_node("h1", brokerCfg={"name": "kafka-1", "coordinator": True})
+        task.add_node("h2", brokerCfg={"name": "kafka-2"})
+        task.add_switch("s1")
+        task.add_link("h1", "s1")
+        task.add_link("h2", "s1")
+        task.graph_attributes["topicCfg"] = {
+            "topics": [{"name": "a"}, dict(TestTopicCfg.WRITTEN[1])]
+        }
+        return task
+
+    def test_set_topics_writes_the_literal_document(self):
+        task = self._task()
+        task.set_topics(task.topics)
+        document = task.graph_attributes["topicCfg"]
+        assert list(document) == ["topics"]
+        assert [list(entry.items()) for entry in document["topics"]] == self.WRITTEN
+
+    def test_aliases_parse_to_the_same_topic(self):
+        aliased = {
+            "topicName": "b",
+            "partitions": "2",
+            "replicationFactor": 2,
+            "primary_broker": "h2",
+            "segment_records": "64",
+            "retention_bytes": 4096,
+            "retention_ms": 1500,
+            "cleanup_policy": "compact",
+        }
+        assert parse_topics_config([aliased]) == parse_topics_config(
+            [dict(self.WRITTEN[1])]
+        )
+
+    def test_the_cluster_gets_the_leader_as_a_broker_name(self):
+        task = self._task()
+        task.graph_attributes["topicCfg"]["topics"].append(
+            {"name": "c", "primaryBroker": "kafka-1"}
+        )
+        emulation = Emulation(task, seed=1).build()
+        assert emulation.cluster.topics == {
+            "a": TopicConfig(name="a"),
+            "b": TopicConfig(
+                name="b",
+                partitions=2,
+                replication_factor=2,
+                preferred_leader="kafka-2",
+                retention_bytes=4096,
+                retention_ms=1500.0,
+                segment_records=64,
+                cleanup_policy="compact",
+            ),
+            # A broker name passes through unchanged.
+            "c": TopicConfig(name="c", preferred_leader="kafka-1"),
+        }
 
 #: Every setting of the platform's config dataclasses.  A value no caller
 #: changes is a module constant next to its reader instead, so adding a field
