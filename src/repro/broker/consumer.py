@@ -181,6 +181,8 @@ class Consumer:
         #: Partitions abandoned under ``auto_offset_reset="error"``.
         self._dead_partitions: set = set()
         self.running = False
+        #: Counts ``start()`` calls; only the latest start's loops run.
+        self._start_generation = 0
         host.register_component(self)
 
     # -- lifecycle -----------------------------------------------------------------
@@ -215,13 +217,14 @@ class Consumer:
         if not self.subscriptions:
             raise RuntimeError(f"{self.name} started without subscriptions")
         self.running = True
+        self._start_generation = start = self._start_generation + 1
         if self.config.group:
             # Nothing may be fetched before the coordinator hands out an
             # assignment, or members would double-consume each other's
             # partitions while joining.
             self._assigned = frozenset()
-            self.sim.process(self._group_loop(), name=f"{self.name}:group")
-        self.sim.process(self._metadata_loop(), name=f"{self.name}:metadata")
+            self.sim.process(self._group_loop(start), name=f"{self.name}:group")
+        self.sim.process(self._metadata_loop(start), name=f"{self.name}:metadata")
 
     def stop(self) -> None:
         was_running = self.running
@@ -231,6 +234,11 @@ class Consumer:
             # partitions resumes exactly where we stopped (no re-delivery).
             self._group_joined = False
             self.sim.process(self._leave_group(), name=f"{self.name}:leave-group")
+
+    def _live(self, start: int) -> bool:
+        """Whether a loop of the ``start``-th ``start()`` may go on: the
+        consumer runs and no later ``start()`` replaced that loop."""
+        return self.running and start == self._start_generation
 
     def seek(self, topic: str, partition: int, offset: int) -> None:
         """Set the next fetch offset for one partition (per-partition positions)."""
@@ -247,11 +255,12 @@ class Consumer:
         return sorted(self._assigned)
 
     # -- fetching -------------------------------------------------------------------
-    def _metadata_loop(self):
+    def _metadata_loop(self, start: int):
         """Keep the metadata fresh; every refresh starts the fetchers of the
         partitions it made fetchable (how a consumer with nothing to fetch
-        yet learns that its topic exists)."""
-        while self.running:
+        yet learns that its topic exists).  A loop a restart replaced ends
+        when it wakes."""
+        while self._live(start):
             yield from self._refresh_metadata()
             yield self.sim.timeout(METADATA_REFRESH_INTERVAL)
 
@@ -305,9 +314,10 @@ class Consumer:
         return info if info and info["topic"] in self.subscriptions else None
 
     # -- group membership -----------------------------------------------------------
-    def _group_loop(self):
-        """Join the configured group, then heartbeat/commit/resync forever."""
-        while self.running:
+    def _group_loop(self, start: int):
+        """Join the configured group, then heartbeat/commit/resync while the
+        start it belongs to is the latest."""
+        while self._live(start):
             if self._coordinator_host is None:
                 yield from self._find_coordinator()
                 if self._coordinator_host is None:
@@ -323,7 +333,7 @@ class Consumer:
                     yield self.sim.timeout(RETRY_BACKOFF)
                     continue
             yield self.sim.timeout(GROUP_HEARTBEAT_INTERVAL)
-            if self.running:
+            if self._live(start):
                 yield from self._group_heartbeat()
 
     def _find_coordinator(self):
