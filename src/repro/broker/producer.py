@@ -235,6 +235,8 @@ class Producer:
         self._flushing = False
         #: The parked flush barrier, if any (_await_drained).
         self._drained: Optional[Event] = None
+        #: True while a commit or abort runs: it owns the one barrier above.
+        self._txn_ending = False
         #: Set once the sender bootstrap (producer identity, first metadata)
         #: is done; nothing is flushed before.
         self._sender_ready = False
@@ -851,6 +853,15 @@ class Producer:
             raise InvalidTxnStateError("producer has no transactional_id")
         if not self._txn_active:
             raise InvalidTxnStateError(f"no open transaction to {outcome}")
+        if self._txn_ending:
+            raise InvalidTxnStateError(f"cannot {outcome}: the transaction is already ending")
+        self._txn_ending = True
+        try:
+            yield from self._finish_transaction(outcome, timeout)
+        finally:
+            self._txn_ending = False
+
+    def _finish_transaction(self, outcome: str, timeout: Optional[float]):
         if self._txn_fatal:
             self._txn_active = False
             raise self._fenced()

@@ -15,6 +15,7 @@ from repro.broker.message import ProducerRecord
 from repro.broker.producer import Producer, ProducerConfig
 from repro.core.configs import ProducerStubConfig
 from repro.network.packet import estimate_size
+from repro.simulation.events import Event
 
 
 class ProducerStub:
@@ -59,6 +60,8 @@ class ProducerStub:
         self.running = False
         #: Counts ``start()`` calls; only the latest start's driver sends.
         self._generation = 0
+        #: Set while a driver commits; fires when that commit has returned.
+        self._committing: Optional[Event] = None
 
     # -- lifecycle ----------------------------------------------------------------
     def start(self) -> None:
@@ -71,6 +74,10 @@ class ProducerStub:
 
     def _driver(self, generation: int):
         yield self.sim.timeout(self.config.start_delay)
+        if self._committing is not None:
+            # The driver this start replaced is committing; the producer
+            # ends one transaction at a time.
+            yield self._committing
         yield from self._run(generation)
         if generation == self._generation:
             # A driver a restart took over leaves the open transaction to
@@ -129,6 +136,7 @@ class ProducerStub:
         from repro.broker.errors import DeliveryFailed, ProducerFencedError
 
         self._txn_pending = 0
+        committing = self._committing = self.sim.event()
         try:
             yield from self.producer.commit_transaction()
             self.transactions_committed += 1
@@ -140,6 +148,9 @@ class ProducerStub:
             # A successor took over this transactional id: this instance is
             # permanently dead.
             self.running = False
+        finally:
+            self._committing = None
+            committing.succeed()
 
 
 class PacedProducerStub(ProducerStub):

@@ -155,6 +155,38 @@ class TestProducerStubs:
         # Every transaction but the last holds ``transaction_batch`` records.
         assert stub.messages_produced == 36 and stub.transactions_committed == 8
 
+    def test_a_transactional_producer_restarted_mid_commit_waits_for_that_commit(self):
+        sim, network, sites, cluster = make_cluster()
+        stub = SFSTProducerStub(
+            cluster, sites[0], [f"m{i}" for i in range(20)],
+            config=ProducerStubConfig(
+                topic="events", total_messages=20, messages_per_second=10,
+                transactional_id="restarted", transaction_batch=5,
+            ),
+        )
+        commits = []  # per commit: records sent when it started, and whether it returned
+        commit = stub.producer.commit_transaction
+
+        def tracked_commit(*args, **kwargs):
+            entry = [stub.messages_produced, False]
+            commits.append(entry)
+            yield from commit(*args, **kwargs)
+            entry[1] = True
+
+        stub.producer.commit_transaction = tracked_commit
+        sim.call_later(3.0, stub.start)
+        # The first commit starts at 3.4 s and waits for the producer's
+        # first metadata until 8 s; the restarted driver sends after it.
+        sim.call_later(4.05, stub.stop)
+        sim.call_later(4.07, stub.start)
+        sim.run(until=40.0)
+        assert [returned for _, returned in commits] == [True] * 5
+        sent = [at_start for at_start, _ in commits]
+        assert [b - a for a, b in zip([0] + sent, sent)] == [5, 5, 5, 5, 5]
+        assert stub.transactions_committed == 5
+        log = cluster.leader_broker("events").logs["events-0"]
+        assert log.log_end_offset == 25 + 5  # every record, one marker per commit
+
 
 class TestConsumerStubs:
     def test_standard_consumer_latency_metrics(self):

@@ -396,6 +396,40 @@ class TestTransactionalProduce:
         with pytest.raises(InvalidTxnStateError):
             plain.begin_transaction()
 
+    def test_an_end_requested_while_another_runs_raises(self):
+        sim, network, sites, cluster = build_cluster()
+        producer = cluster.create_producer(
+            sites[0], config=ProducerConfig(transactional_id="tx1", linger=0.01)
+        )
+        outcomes = []
+
+        def end(outcome):
+            try:
+                if outcome == "commit":
+                    yield from producer.commit_transaction()
+                else:
+                    yield from producer.abort_transaction()
+                outcomes.append((outcome, "ok", sim.now))
+            except InvalidTxnStateError:
+                outcomes.append((outcome, "refused", sim.now))
+
+        def workload():
+            yield sim.timeout(8.0)
+            producer.start()
+            producer.begin_transaction()
+            producer.send(ProducerRecord(topic="topicA", key="k", value=1, size=50))
+            sim.process(end("commit"))
+            yield sim.timeout(0.001)
+            sim.process(end("abort"))
+
+        sim.process(workload())
+        sim.run(until=20.0)
+        assert [outcome[:2] for outcome in outcomes] == [
+            ("abort", "refused"), ("commit", "ok")
+        ]
+        assert outcomes[0][2] == pytest.approx(8.001)
+        assert producer.transactions_committed == 1
+
     def test_commit_spans_partitions_atomically(self):
         sim, network, sites, cluster = build_cluster(partitions=2)
         producer = cluster.create_producer(
