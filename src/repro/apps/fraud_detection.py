@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.core.configs import PlatformOverrides, TopicSpec
+from repro.core.configs import PlatformOverrides, TopicConfig
 from repro.core.emulation import Emulation, EmulationResult
 from repro.core.registry import register_app
 from repro.core.task import TaskDescription
@@ -111,8 +111,8 @@ def create_task(
         task.add_link(host, "s1", lat=link_latency_ms, bw=100.0)
     task.set_topics(
         [
-            TopicSpec(name=TRANSACTIONS_TOPIC, primary_broker="h2"),
-            TopicSpec(name=ALERTS_TOPIC, primary_broker="h2"),
+            TopicConfig(name=TRANSACTIONS_TOPIC, preferred_leader="h2"),
+            TopicConfig(name=ALERTS_TOPIC, preferred_leader="h2"),
         ]
     )
     return task

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.configs import PlatformOverrides, TopicSpec
+from repro.core.configs import PlatformOverrides, TopicConfig
 from repro.core.emulation import Emulation, EmulationResult
 from repro.core.registry import register_app
 from repro.core.task import TaskDescription
@@ -116,9 +116,9 @@ def create_task(
         task.add_link(host, "s1", lat=link_latency_ms, bw=100.0)
     task.set_topics(
         [
-            TopicSpec(name=RIDES_TOPIC, primary_broker="h3"),
-            TopicSpec(name=TIPS_TOPIC, primary_broker="h3"),
-            TopicSpec(name=RANKING_TOPIC, primary_broker="h3"),
+            TopicConfig(name=RIDES_TOPIC, preferred_leader="h3"),
+            TopicConfig(name=TIPS_TOPIC, preferred_leader="h3"),
+            TopicConfig(name=RANKING_TOPIC, preferred_leader="h3"),
         ]
     )
     return task

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.core.configs import PlatformOverrides, TopicSpec
+from repro.core.configs import PlatformOverrides, TopicConfig
 from repro.core.emulation import Emulation, EmulationResult
 from repro.core.registry import register_app
 from repro.core.task import TaskDescription
@@ -81,7 +81,7 @@ def create_task(
     task.add_switch("s1")
     for host in ("h1", "h2", "h3"):
         task.add_link(host, "s1", lat=link_latency_ms, bw=100.0)
-    task.set_topics([TopicSpec(name=TWEETS_TOPIC, primary_broker="h2")])
+    task.set_topics([TopicConfig(name=TWEETS_TOPIC, preferred_leader="h2")])
     return task
 
 

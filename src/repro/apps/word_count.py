@@ -19,7 +19,7 @@ import sys
 from collections import Counter
 from typing import Dict, Optional
 
-from repro.core.configs import PlatformOverrides, TopicSpec
+from repro.core.configs import PlatformOverrides, TopicConfig
 from repro.core.emulation import Emulation, EmulationResult
 from repro.core.registry import register_app
 from repro.core.task import TaskDescription
@@ -162,9 +162,9 @@ def create_task(
         )
     task.set_topics(
         [
-            TopicSpec(name=RAW_TOPIC, primary_broker=HOSTS["broker"]),
-            TopicSpec(name=WORDS_TOPIC, primary_broker=HOSTS["broker"]),
-            TopicSpec(name=AVERAGE_TOPIC, primary_broker=HOSTS["broker"]),
+            TopicConfig(name=RAW_TOPIC, preferred_leader=HOSTS["broker"]),
+            TopicConfig(name=WORDS_TOPIC, preferred_leader=HOSTS["broker"]),
+            TopicConfig(name=AVERAGE_TOPIC, preferred_leader=HOSTS["broker"]),
         ]
     )
     return task

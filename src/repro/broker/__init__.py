@@ -19,7 +19,7 @@ Public entry points are :class:`BrokerCluster` (server side),
 :class:`Producer` and :class:`Consumer` (client side).
 """
 
-from repro.broker.broker import Broker, BrokerConfig
+from repro.broker.broker import Broker
 from repro.broker.cluster import BrokerCluster, ClusterConfig, CoordinationMode
 from repro.broker.consumer import Consumer, ConsumerConfig, ConsumerRecord
 from repro.broker.coordinator import Coordinator, GroupState, assign_range, assign_roundrobin
@@ -31,7 +31,6 @@ from repro.broker.topic import PartitionState, TopicConfig
 
 __all__ = [
     "Broker",
-    "BrokerConfig",
     "BrokerCluster",
     "ClusterConfig",
     "CoordinationMode",

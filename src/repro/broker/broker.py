@@ -7,7 +7,7 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.broker.coordinator import COORDINATOR_PORT, CoordinationMode
 from repro.broker.batch import CONTROL_RECORD_SIZE, RecordBatch
-from repro.broker.log import LogRecord, PartitionLog
+from repro.broker.log import PartitionLog
 from repro.broker.segment import LogStorageConfig, resolve_log_storage
 from repro.network.host import Host
 from repro.network.packet import estimate_size
@@ -51,7 +51,7 @@ MIN_INSYNC_REPLICAS = 1
 
 #: CPU seconds charged per handled request, modelling the JVM broker's
 #: request-handler work on the shared emulation host (plus
-#: ``BrokerConfig.cpu_per_record`` per record).
+#: ``Broker.cpu_per_record`` per record).
 CPU_PER_REQUEST = 60e-6
 
 #: How often producers and consumers refresh their cluster metadata: the
@@ -98,18 +98,6 @@ def _resume(outcome: Any, then: Callable[[], Any]) -> Any:
 
 
 @dataclass
-class BrokerConfig:
-    """The broker settings a caller varies; the fixed ones (heartbeat,
-    lease, replica fetch, ISR lag, per-request CPU) are the module constants
-    above.  The values reflect the "tuned for emulation scale" settings
-    described in the paper's design section rather than stock Kafka defaults.
-    """
-
-    #: CPU seconds charged per record on top of ``CPU_PER_REQUEST``.
-    cpu_per_record: float = 12e-6
-
-
-@dataclass
 class ReplicaState:
     """Leader-side bookkeeping for one locally-led partition."""
 
@@ -129,7 +117,6 @@ class Broker:
         coordinator_host: str,
         name: Optional[str] = None,
         mode: CoordinationMode = CoordinationMode.ZOOKEEPER,
-        config: Optional[BrokerConfig] = None,
         log_storage: Optional[LogStorageConfig] = None,
     ) -> None:
         """``log_storage`` is the storage every log on this broker starts
@@ -141,7 +128,10 @@ class Broker:
         self.name = name or f"broker-{host.name}"
         self.coordinator_host = coordinator_host
         self.mode = CoordinationMode(mode)
-        self.config = config or BrokerConfig()
+        #: CPU seconds charged per record on top of ``CPU_PER_REQUEST`` —
+        #: "tuned for emulation scale" as the paper's design section puts it,
+        #: and the one broker cost a scenario varies (fig8's host profiles).
+        self.cpu_per_record = 12e-6
         self.log_storage = log_storage
         self.transport = Transport(host, default_timeout=1.0, max_retries=0)
         self.logs: Dict[str, PartitionLog] = {}
@@ -180,7 +170,6 @@ class Broker:
             "control_batches": 0,
             "control_batch_bytes": 0,
         }
-        self.lost_records: List[LogRecord] = []
         self.transport.register(BROKER_PORT, self._handle)
         host.register_component(self)
 
@@ -472,7 +461,7 @@ class Broker:
                 return self._await_high_watermark(request, key, log.log_end_offset, ack)
             return ack()
 
-        cost = CPU_PER_REQUEST + self.config.cpu_per_record * len(wire_batch)
+        cost = CPU_PER_REQUEST + self.cpu_per_record * len(wire_batch)
         return request.after(self.host.compute(cost), append)
 
     def _await_high_watermark(self, request: Request, key: str, target: int, then: Callable):
@@ -610,7 +599,7 @@ class Broker:
             return log.read_batch(offset, max_records=max_records, up_to=getattr(log, bound))
 
         def serve(batch):
-            cost = CPU_PER_REQUEST + self.config.cpu_per_record * len(batch)
+            cost = CPU_PER_REQUEST + self.cpu_per_record * len(batch)
             return request.after(
                 self.host.compute(cost), self._fetch_reply, log, batch, isolation
             )
@@ -711,7 +700,7 @@ class Broker:
                 lambda: Response(payload={"error": None, "offset": offset}, size=48),
             )
 
-        cost = CPU_PER_REQUEST + self.config.cpu_per_record
+        cost = CPU_PER_REQUEST + self.cpu_per_record
         return request.after(self.host.compute(cost), append)
 
     # -- replication path -----------------------------------------------------------------------------------
@@ -755,7 +744,7 @@ class Broker:
                 max_records=REPLICA_FETCH_MAX_RECORDS,
                 with_epochs=True,
             )
-            cost = CPU_PER_REQUEST + self.config.cpu_per_record * len(batch)
+            cost = CPU_PER_REQUEST + self.cpu_per_record * len(batch)
             return request.after(
                 self.host.compute(cost), self._replica_fetch_reply, request, key, log, batch
             )
@@ -911,9 +900,7 @@ class Broker:
             return False
         end_offset = reply["end_offset"]
         if end_offset < log.log_end_offset:
-            discarded = log.truncate_to(end_offset)
-            acked_discarded = [r for r in discarded if r is not None]
-            self.lost_records.extend(acked_discarded)
+            log.truncate_to(end_offset)
         self._truncation_pending[key] = False
         return True
 

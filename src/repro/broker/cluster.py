@@ -9,10 +9,10 @@ specific hosts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.broker.broker import Broker, BrokerConfig
+from repro.broker.broker import Broker
 from repro.broker.consumer import Consumer, ConsumerConfig
 from repro.broker.coordinator import CoordinationMode, Coordinator
 from repro.broker.producer import Producer, ProducerConfig
@@ -31,7 +31,6 @@ class ClusterConfig:
     #: Ceiling on how long a transaction may stay open before the
     #: coordinator's sweeper aborts it (producers may configure less).
     transaction_timeout: float = 60.0
-    broker: BrokerConfig = field(default_factory=BrokerConfig)
     #: Cluster-wide log storage, declared here and only here (sweepable like
     #: every other knob): :meth:`log_storage` folds these five into the
     #: :class:`~repro.broker.segment.LogStorageConfig` each broker's logs
@@ -93,7 +92,6 @@ class BrokerCluster:
             name=name or f"broker-{host_name}",
             coordinator_host=self.coordinator.host.name,
             mode=self.config.mode,
-            config=self.config.broker,
             log_storage=self.config.log_storage(),
         )
         self.brokers[broker.name] = broker
@@ -180,7 +178,11 @@ class BrokerCluster:
 
     def total_lost_records(self) -> int:
         """Records that were acknowledged to producers but truncated away."""
-        return sum(len(broker.lost_records) for broker in self.brokers.values())
+        return sum(
+            log.truncated_records
+            for broker in self.brokers.values()
+            for log in broker.logs.values()
+        )
 
     def total_duplicates_dropped(self) -> int:
         """Duplicate records dropped by broker-side idempotence dedup."""

@@ -3,25 +3,37 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
+
+from repro.broker.segment import LogStorageConfig
+
+#: The storage knobs in ``topicCfg`` order: their YAML key and value type.
+#: The field names are read as keys too.
+_STORAGE_KEYS = {
+    "segment_records": ("segmentRecords", int),
+    "retention_bytes": ("retentionBytes", int),
+    "retention_ms": ("retentionMs", float),
+    "cleanup_policy": ("cleanupPolicy", str),
+}
 
 
 @dataclass
 class TopicConfig:
-    """Static configuration of one topic (from the ``topicCfg`` graph attribute).
+    """One topic: an entry of the ``topicCfg`` graph attribute (Table I).
 
     Attributes
     ----------
     name:
-        Topic name.
+        Topic name (``name`` or ``topicName`` in YAML).
     partitions:
         Number of partitions (the paper's scenarios use 1 per topic).
     replication_factor:
-        Number of replicas per partition.
+        Number of replicas per partition (``replicas`` or
+        ``replicationFactor`` in YAML).
     preferred_leader:
         Broker name that should lead partition 0 (stream2gym lets users pin a
-        "primary broker" per topic); remaining replicas are assigned by the
-        cluster.
+        "primary broker" per topic: ``primaryBroker`` in YAML, which may name
+        the broker's node); remaining replicas are assigned by the cluster.
     retention_bytes / retention_ms / segment_records / cleanup_policy:
         Per-topic log storage knobs (Kafka's ``retention.bytes`` /
         ``retention.ms`` / ``segment.*`` / ``cleanup.policy``).  All default
@@ -48,35 +60,43 @@ class TopicConfig:
             raise ValueError("partitions must be positive")
         if self.replication_factor <= 0:
             raise ValueError("replication_factor must be positive")
-        if self.cleanup_policy is not None and self.cleanup_policy not in (
-            "delete",
-            "compact",
-        ):
-            raise ValueError(
-                f"unknown cleanup_policy {self.cleanup_policy!r}; expected "
-                "'delete' or 'compact'"
-            )
-        if self.retention_bytes is not None and self.retention_bytes <= 0:
-            raise ValueError("retention_bytes must be positive")
-        if self.retention_ms is not None and self.retention_ms <= 0:
-            raise ValueError("retention_ms must be positive")
-        if self.segment_records is not None and self.segment_records <= 0:
-            raise ValueError("segment_records must be positive")
+        LogStorageConfig(**(self.storage_overrides() or {}))  # checks the knobs
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, Any]) -> "TopicConfig":
+        """One entry of a ``topicCfg`` document."""
+        storage = {}
+        for name, (key, kind) in _STORAGE_KEYS.items():
+            value = data.get(key, data.get(name))
+            if value is not None:
+                storage[name] = kind(value)
+        return cls(
+            name=data.get("name") or data.get("topicName"),
+            partitions=int(data.get("partitions", 1)),
+            replication_factor=int(data.get("replicas", data.get("replicationFactor", 1))),
+            preferred_leader=data.get("primaryBroker") or data.get("primary_broker"),
+            **storage,
+        )
+
+    def to_dict(self) -> Dict[str, Any]:
+        """The ``topicCfg`` entry :meth:`from_dict` reads back as this topic
+        (storage knobs only when set, keeping default documents stable)."""
+        entry = {
+            "name": self.name,
+            "partitions": self.partitions,
+            "replicas": self.replication_factor,
+            "primaryBroker": self.preferred_leader,
+        }
+        for name, value in (self.storage_overrides() or {}).items():
+            entry[_STORAGE_KEYS[name][0]] = value
+        return entry
 
     def storage_overrides(self) -> Optional[dict]:
         """The topic's non-default storage knobs as a metadata-snapshot dict
         (``None`` — no ``"log"`` entry at all — when everything is default,
         keeping default snapshots byte-identical on the wire)."""
-        overrides = {}
-        if self.segment_records is not None:
-            overrides["segment_records"] = self.segment_records
-        if self.retention_bytes is not None:
-            overrides["retention_bytes"] = self.retention_bytes
-        if self.retention_ms is not None:
-            overrides["retention_ms"] = self.retention_ms
-        if self.cleanup_policy is not None:
-            overrides["cleanup_policy"] = self.cleanup_policy
-        return overrides or None
+        overrides = {name: getattr(self, name) for name in _STORAGE_KEYS}
+        return {name: value for name, value in overrides.items() if value is not None} or None
 
 
 @dataclass

@@ -18,6 +18,7 @@ The workflow mirrors Figure 1 of the paper:
    visualization module turns them into the figures reported in the paper.
 """
 
+from repro.broker.topic import TopicConfig
 from repro.core.attributes import (
     ConsumerType,
     GraphAttribute,
@@ -33,7 +34,6 @@ from repro.core.configs import (
     ProducerStubConfig,
     SPEAppConfig,
     StoreNodeConfig,
-    TopicSpec,
     load_yaml_file,
 )
 from repro.core.graphml import parse_graphml, parse_graphml_string
@@ -75,7 +75,7 @@ __all__ = [
     "ConsumerType",
     "StreamProcType",
     "StoreType",
-    "TopicSpec",
+    "TopicConfig",
     "ProducerStubConfig",
     "ConsumerStubConfig",
     "SPEAppConfig",

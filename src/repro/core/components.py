@@ -10,11 +10,10 @@ configurations are translated into scheduled fault-injector actions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 from repro.broker.cluster import BrokerCluster, ClusterConfig
-from repro.broker.topic import TopicConfig
 from repro.core.attributes import ConsumerType, NodeAttribute, ProducerType, StoreType
 from repro.core.configs import (
     BrokerNodeConfig,
@@ -112,19 +111,9 @@ def build_cluster(
         for node_id, config in configs.items()
     }
     for topic in map(platform.onto, task.topics):
-        cluster.add_topic(
-            TopicConfig(
-                name=topic.name,
-                partitions=topic.partitions,
-                replication_factor=topic.replicas,
-                # ``primaryBroker`` names a node; a broker name passes through.
-                preferred_leader=broker_names.get(topic.primary_broker, topic.primary_broker),
-                segment_records=topic.segment_records,
-                retention_bytes=topic.retention_bytes,
-                retention_ms=topic.retention_ms,
-                cleanup_policy=topic.cleanup_policy,
-            )
-        )
+        # ``primaryBroker`` names a node; a broker name passes through.
+        leader = broker_names.get(topic.preferred_leader, topic.preferred_leader)
+        cluster.add_topic(replace(topic, preferred_leader=leader))
     return cluster
 
 

@@ -14,6 +14,7 @@ from typing import Any, Dict, List, Optional
 
 import yaml
 
+from repro.broker.topic import TopicConfig
 from repro.network.faults import Fault
 from repro.simulation.engine import duration_to_seconds
 
@@ -70,8 +71,8 @@ class PlatformOverrides:
     :meth:`Emulation.build <repro.core.emulation.Emulation.build>` lays it
     :meth:`onto` every topic, ``prodCfg`` and ``consCfg`` of the task
     description it deploys.  A knob is named after the field it overrides on
-    the configs below and on the broker primitives they feed, so adding one
-    is adding one field here.  A knob left at its default leaves the
+    :class:`~repro.broker.topic.TopicConfig`, the stub configs below and the
+    broker client configs they feed, so adding one is adding one field here.  A knob left at its default leaves the
     description's own value alone.
     """
 
@@ -100,39 +101,6 @@ class PlatformOverrides:
             if knob.name in names and getattr(self, knob.name) != knob.default
         }
         return replace(config, **changes) if changes else config
-
-
-@dataclass
-class TopicSpec:
-    """One entry of the ``topicCfg`` document."""
-
-    name: str
-    partitions: int = 1
-    replicas: int = 1
-    primary_broker: Optional[str] = None
-    #: Per-topic log storage knobs (YAML ``segmentRecords`` /
-    #: ``retentionBytes`` / ``retentionMs`` / ``cleanupPolicy``); ``None``
-    #: inherits the cluster/broker default.
-    segment_records: Optional[int] = None
-    retention_bytes: Optional[int] = None
-    retention_ms: Optional[float] = None
-    cleanup_policy: Optional[str] = None
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "TopicSpec":
-        segment_records = data.get("segmentRecords", data.get("segment_records"))
-        retention_bytes = data.get("retentionBytes", data.get("retention_bytes"))
-        retention_ms = data.get("retentionMs", data.get("retention_ms"))
-        return cls(
-            name=data.get("name") or data.get("topicName"),
-            partitions=int(data.get("partitions", 1)),
-            replicas=int(data.get("replicas", data.get("replicationFactor", 1))),
-            primary_broker=data.get("primaryBroker") or data.get("primary_broker"),
-            segment_records=None if segment_records is None else int(segment_records),
-            retention_bytes=None if retention_bytes is None else int(retention_bytes),
-            retention_ms=None if retention_ms is None else float(retention_ms),
-            cleanup_policy=data.get("cleanupPolicy", data.get("cleanup_policy")),
-        )
 
 
 @dataclass
@@ -326,23 +294,19 @@ class StoreNodeConfig:
         return cls(name=data.get("name"), tables=list(tables))
 
 
-def parse_topics_config(document: Any) -> List[TopicSpec]:
-    """Parse a ``topicCfg`` document (list of topic entries or mapping)."""
+def _entries(document: Any, key: str) -> List[Dict[str, Any]]:
+    """A ``topicCfg`` / ``faultCfg`` document's entries: the document is their
+    list, or a mapping holding it under ``key``."""
     if document is None:
         return []
-    if isinstance(document, dict):
-        entries = document.get("topics", [])
-    else:
-        entries = document
-    return [TopicSpec.from_dict(entry) for entry in entries]
+    return document.get(key, []) if isinstance(document, dict) else document
+
+
+def parse_topics_config(document: Any) -> List[TopicConfig]:
+    """Parse a ``topicCfg`` document (list of topic entries or mapping)."""
+    return [TopicConfig.from_dict(entry) for entry in _entries(document, "topics")]
 
 
 def parse_faults_config(document: Any) -> List[Fault]:
     """Parse a ``faultCfg`` document (list of fault entries or mapping)."""
-    if document is None:
-        return []
-    if isinstance(document, dict):
-        entries = document.get("faults", [])
-    else:
-        entries = document
-    return [Fault.from_dict(entry) for entry in entries]
+    return [Fault.from_dict(entry) for entry in _entries(document, "faults")]

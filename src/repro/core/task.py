@@ -17,7 +17,8 @@ from repro.core.attributes import (
     validate_link_attributes,
     validate_node_attributes,
 )
-from repro.core.configs import TopicSpec, parse_faults_config, parse_topics_config
+from repro.broker.topic import TopicConfig
+from repro.core.configs import parse_faults_config, parse_topics_config
 from repro.network.faults import Fault
 
 
@@ -134,33 +135,15 @@ class TaskDescription:
         self.links.append(link)
         return link
 
-    def set_topics(self, topics: List[TopicSpec]) -> None:
-        entries = []
-        for topic in topics:
-            entry = {
-                "name": topic.name,
-                "partitions": topic.partitions,
-                "replicas": topic.replicas,
-                "primaryBroker": topic.primary_broker,
-            }
-            # Storage knobs only when set, keeping default documents stable.
-            if topic.segment_records is not None:
-                entry["segmentRecords"] = topic.segment_records
-            if topic.retention_bytes is not None:
-                entry["retentionBytes"] = topic.retention_bytes
-            if topic.retention_ms is not None:
-                entry["retentionMs"] = topic.retention_ms
-            if topic.cleanup_policy is not None:
-                entry["cleanupPolicy"] = topic.cleanup_policy
-            entries.append(entry)
-        self.graph_attributes["topicCfg"] = {"topics": entries}
+    def set_topics(self, topics: List[TopicConfig]) -> None:
+        self.graph_attributes["topicCfg"] = {"topics": [topic.to_dict() for topic in topics]}
 
     def set_faults(self, faults: List[Fault]) -> None:
         self.graph_attributes["faultCfg"] = {"faults": [fault.to_dict() for fault in faults]}
 
     # -- derived views -------------------------------------------------------------------
     @property
-    def topics(self) -> List[TopicSpec]:
+    def topics(self) -> List[TopicConfig]:
         return parse_topics_config(self.graph_attributes.get("topicCfg"))
 
     @property
@@ -202,14 +185,19 @@ class TaskDescription:
             )
             if components > 1:
                 problems.append(f"topology is not connected ({components} components)")
+        try:
+            topics = self.topics
+        except ValueError as error:
+            problems.append(str(error))
+            topics = []
         broker_nodes = self.nodes_with("brokerCfg")
-        if self.topics and not broker_nodes:
+        if topics and not broker_nodes:
             problems.append("topics are configured but no node hosts a broker")
-        for topic in self.topics:
-            if topic.replicas > max(1, len(broker_nodes)):
+        for topic in topics:
+            if topic.replication_factor > max(1, len(broker_nodes)):
                 problems.append(
-                    f"topic {topic.name!r} requests {topic.replicas} replicas but only "
-                    f"{len(broker_nodes)} broker nodes exist"
+                    f"topic {topic.name!r} requests {topic.replication_factor} replicas "
+                    f"but only {len(broker_nodes)} broker nodes exist"
                 )
         linked = {frozenset((link.source, link.target)) for link in self.links}
         try:

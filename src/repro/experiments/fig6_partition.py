@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.broker.cluster import ClusterConfig
 from repro.broker.coordinator import CoordinationMode
-from repro.core.configs import PlatformOverrides, TopicSpec
+from repro.core.configs import PlatformOverrides, TopicConfig
 from repro.core.emulation import Emulation
 from repro.core.task import TaskDescription
 from repro.core.visualization import (
@@ -153,7 +153,7 @@ def sites_task(
         task.add_link(site, "s0", lat=2.0, bw=100.0)
     task.set_topics(
         [
-            TopicSpec(name=topic, replicas=replication_factor, primary_broker=leader)
+            TopicConfig(topic, replication_factor=replication_factor, preferred_leader=leader)
             for topic, leader in zip(topics, leaders)
         ]
     )
@@ -195,7 +195,7 @@ def run_fig6(config: Optional[Fig6Config] = None) -> Fig6Result:
     producers = {site: stub.producer for site, stub in emulation.producers.items()}
     consumers = {site: stub.consumer for site, stub in emulation.consumers.items()}
 
-    leader_site, other_leader = (topic.primary_broker for topic in task.topics)
+    leader_site, other_leader = (topic.preferred_leader for topic in task.topics)
     coordinator_site = cluster.coordinator.host.name
     observer = next(consumers[site] for site in consumers if site != leader_site)
 

@@ -81,7 +81,7 @@ def run_single(n_consumers: int, config: Fig7aConfig) -> Dict[str, object]:
 
     cluster = BrokerCluster(network, coordinator_host="node", config=ClusterConfig())
     broker = cluster.add_broker("node")
-    broker.config.cpu_per_record = config.broker_cpu_per_record
+    broker.cpu_per_record = config.broker_cpu_per_record
     cluster.add_topic(platform.onto(TopicConfig(name="frames", replication_factor=1)))
     cluster.start(settle_time=1.0)
 

@@ -113,7 +113,7 @@ def run_single(
         switch.switching_delay = profile.switching_delay
     if emulation.cluster is not None:
         for broker in emulation.cluster.brokers.values():
-            broker.config.cpu_per_record = profile.broker_cpu_per_record
+            broker.cpu_per_record = profile.broker_cpu_per_record
     emulation.run(duration=config.duration)
     latencies = end_to_end_latencies(emulation)
     if not latencies:

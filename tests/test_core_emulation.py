@@ -5,7 +5,8 @@ import pytest
 from repro.broker.cluster import ClusterConfig
 from repro.broker.coordinator import CoordinationMode
 from repro.core import Emulation
-from repro.core.configs import PlatformOverrides, TopicSpec
+from repro.broker.topic import TopicConfig
+from repro.core.configs import PlatformOverrides
 from repro.core.monitoring import EventLog
 from repro.core.resources import HostResourceModel
 from repro.core.task import TaskDescription
@@ -39,7 +40,7 @@ def simple_task(n_messages=30, rate=10.0, latency=5.0, replicas=1):
     task.add_switch("s1")
     for host in ("h1", "h2", "h3"):
         task.add_link(host, "s1", lat=latency, bw=100.0)
-    task.set_topics([TopicSpec(name="events", replicas=replicas, primary_broker="h2")])
+    task.set_topics([TopicConfig(name="events", replication_factor=replicas, preferred_leader="h2")])
     return task
 
 
@@ -259,7 +260,7 @@ class TestPlatformOverrides:
 
     def test_unset_knobs_leave_the_descriptions_own_values(self):
         task = simple_task()
-        task.set_topics([TopicSpec(name="events", partitions=2, primary_broker="h2")])
+        task.set_topics([TopicConfig(name="events", partitions=2, preferred_leader="h2")])
         task.nodes["h1"].attributes["prodCfg"]["idempotence"] = True
         emulation = Emulation(task, platform=PlatformOverrides()).build()
         assert emulation.cluster.topics["events"].partitions == 2

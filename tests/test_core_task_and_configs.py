@@ -4,7 +4,6 @@ import dataclasses
 
 import pytest
 
-from repro.broker.broker import BrokerConfig
 from repro.broker.cluster import ClusterConfig
 from repro.broker.consumer import ConsumerConfig
 from repro.broker.producer import ProducerConfig
@@ -18,7 +17,6 @@ from repro.core.configs import (
     ConsumerStubConfig,
     ProducerStubConfig,
     SPEAppConfig,
-    TopicSpec,
     _size_to_bytes,
     parse_faults_config,
     parse_topics_config,
@@ -105,8 +103,8 @@ class TestConfigParsing:
             {"topics": [{"name": "tA", "replicas": 3, "primaryBroker": "h2"}]}
         )
         assert topics[0].name == "tA"
-        assert topics[0].replicas == 3
-        assert topics[0].primary_broker == "h2"
+        assert topics[0].replication_factor == 3
+        assert topics[0].preferred_leader == "h2"
 
     def test_fault_spec_parsing(self):
         faults = parse_faults_config(
@@ -209,10 +207,9 @@ CONFIG_SURFACE = {
         "poll_interval", "max_records_per_fetch", "cpu_per_record", "keep_payloads",
         "group", "assignor", "isolation_level", "auto_offset_reset",
     ],
-    BrokerConfig: ["cpu_per_record"],
     ClusterConfig: [
         "mode", "session_timeout", "preferred_election_interval", "transaction_timeout",
-        "broker", "segment_records", "retention_bytes", "retention_ms", "cleanup_policy",
+        "segment_records", "retention_bytes", "retention_ms", "cleanup_policy",
         "log_dir",
     ],
     ExecutorConfig: ["parallelism", "job_overhead", "per_record_cost", "executor_memory"],
@@ -234,7 +231,7 @@ class TestTaskDescription:
         task.add_switch("s1")
         for host in ("h1", "h2", "h3"):
             task.add_link(host, "s1", lat=5.0, bw=100.0)
-        task.set_topics([TopicSpec(name="a")])
+        task.set_topics([TopicConfig(name="a")])
         return task
 
     def test_component_count(self):
@@ -260,14 +257,29 @@ class TestTaskDescription:
     def test_topics_without_brokers_detected(self):
         task = TaskDescription()
         task.add_node("h1", prodType="SFST")
-        task.set_topics([TopicSpec(name="x")])
+        task.set_topics([TopicConfig(name="x")])
         problems = task.validate()
         assert any("no node hosts a broker" in problem for problem in problems)
 
     def test_replication_exceeding_brokers_detected(self):
         task = self._small_task()
-        task.set_topics([TopicSpec(name="a", replicas=5)])
+        task.set_topics([TopicConfig(name="a", replication_factor=5)])
         assert any("replicas" in problem for problem in task.validate())
+
+    @pytest.mark.parametrize(
+        "entry, problem",
+        [
+            ({"name": "a", "partitions": 0}, "partitions must be positive"),
+            ({"name": "a", "retentionMs": -1}, "retention_ms must be positive"),
+            ({"name": "a", "cleanupPolicy": "shred"}, "unknown cleanup_policy 'shred'"),
+        ],
+    )
+    def test_bad_topic_entry_is_reported(self, entry, problem):
+        task = self._small_task()
+        task.graph_attributes["topicCfg"] = {"topics": [entry]}
+        assert any(found.startswith(problem) for found in task.validate())
+        with pytest.raises(ValueError, match="invalid task description"):
+            task.require_valid()
 
     def test_require_valid_raises(self):
         task = self._small_task()

@@ -12,7 +12,6 @@ from dataclasses import replace
 import pytest
 
 from repro.broker.batch import RecordBatch
-from repro.broker.broker import BrokerConfig
 from repro.broker.cluster import BrokerCluster, ClusterConfig
 from repro.broker.consumer import ConsumerConfig
 from repro.broker.log import PartitionLog
@@ -412,10 +411,9 @@ class TestStorageConfigResolution:
         )
         assert deployed_storage(ClusterConfig()) is None
 
-    def test_clusters_sharing_a_broker_config_keep_their_own_storage(self):
-        shared = BrokerConfig()
-        first = ClusterConfig(segment_records=64, broker=shared)
-        second = ClusterConfig(segment_records=128, broker=shared)
+    def test_two_clusters_keep_their_own_storage(self):
+        first = ClusterConfig(segment_records=64)
+        second = ClusterConfig(segment_records=128)
         assert deployed_storage(first).segment_records == 64
         assert deployed_storage(second).segment_records == 128
         assert deployed_storage(replace(second, retention_ms=5.0)).retention_ms == 5.0
