@@ -128,9 +128,8 @@ class Broker:
         self.name = name or f"broker-{host.name}"
         self.coordinator_host = coordinator_host
         self.mode = CoordinationMode(mode)
-        #: CPU seconds charged per record on top of ``CPU_PER_REQUEST`` —
-        #: "tuned for emulation scale" as the paper's design section puts it,
-        #: and the one broker cost a scenario varies (fig8's host profiles).
+        #: CPU seconds charged per record on top of ``CPU_PER_REQUEST``; the
+        #: one broker cost a scenario varies (fig8's calibration profiles).
         self.cpu_per_record = 12e-6
         self.log_storage = log_storage
         self.transport = Transport(host, default_timeout=1.0, max_retries=0)

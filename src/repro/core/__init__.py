@@ -18,7 +18,6 @@ The workflow mirrors Figure 1 of the paper:
    visualization module turns them into the figures reported in the paper.
 """
 
-from repro.broker.topic import TopicConfig
 from repro.core.attributes import (
     ConsumerType,
     GraphAttribute,
@@ -34,6 +33,7 @@ from repro.core.configs import (
     ProducerStubConfig,
     SPEAppConfig,
     StoreNodeConfig,
+    TopicConfig,
     load_yaml_file,
 )
 from repro.core.graphml import parse_graphml, parse_graphml_string

@@ -72,8 +72,8 @@ class PlatformOverrides:
     :meth:`onto` every topic, ``prodCfg`` and ``consCfg`` of the task
     description it deploys.  A knob is named after the field it overrides on
     :class:`~repro.broker.topic.TopicConfig`, the stub configs below and the
-    broker client configs they feed, so adding one is adding one field here.  A knob left at its default leaves the
-    description's own value alone.
+    broker client configs they feed, so adding one is adding one field here.
+    A knob left at its default leaves the description's own value alone.
     """
 
     #: Partitions per topic (replica sets rotate across the brokers).

@@ -17,8 +17,7 @@ from repro.core.attributes import (
     validate_link_attributes,
     validate_node_attributes,
 )
-from repro.broker.topic import TopicConfig
-from repro.core.configs import parse_faults_config, parse_topics_config
+from repro.core.configs import TopicConfig, parse_faults_config, parse_topics_config
 from repro.network.faults import Fault
 
 
