@@ -13,6 +13,7 @@ from repro.network.host import Host
 from repro.network.packet import estimate_size
 from repro.network.transport import DEFERRED, Request, RequestTimeout, Response, Transport
 from repro.simulation.deadlines import DeadlineHeap
+from repro.simulation.process import Lifecycle
 
 BROKER_PORT = 9092
 
@@ -108,7 +109,7 @@ class ReplicaState:
     since: float = 0.0
 
 
-class Broker:
+class Broker(Lifecycle):
     """One broker process bound to an emulated host."""
 
     def __init__(
@@ -153,7 +154,6 @@ class Broker:
         self._fetchers: Set[str] = set()
         self.last_session_refresh: float = host.sim.now
         self._metadata_size_cache: tuple = (None, 0)
-        self.running = False
         self.records_appended = 0
         self.records_served = 0
         self.produce_rejections = 0
@@ -175,19 +175,15 @@ class Broker:
     # -- lifecycle -----------------------------------------------------------------------
     def start(self) -> None:
         """Register with the coordinator and start background loops."""
-        if self.running:
+        if not self._open():
             return
-        self.running = True
-        self.sim.process(self._control_loop(), name=f"{self.name}:control")
+        self.spawn(self._control_loop(), name=f"{self.name}:control")
         self._follow_leaders()
-
-    def stop(self) -> None:
-        self.running = False
 
     # -- control plane -------------------------------------------------------------------
     def _control_loop(self):
-        """Register, then heartbeat and refresh metadata forever."""
-        while True:
+        """Register, then heartbeat and refresh metadata while ``live()``."""
+        while self.live():
             try:
                 yield from self.transport.request(
                     self.coordinator_host,
@@ -199,7 +195,7 @@ class Broker:
                 break
             except RequestTimeout:
                 yield self.sim.timeout(1.0)
-        while self.running:
+        while self.live():
             yield self.sim.timeout(HEARTBEAT_INTERVAL)
             try:
                 reply = yield from self.transport.request(

@@ -35,6 +35,7 @@ from repro.broker.broker import BROKER_PORT, METADATA_REFRESH_INTERVAL, find_coo
 from repro.broker.coordinator import COORDINATOR_PORT, GROUP_ASSIGNORS
 from repro.network.host import Host
 from repro.network.transport import RequestTimeout, Transport
+from repro.simulation.process import Lifecycle
 
 #: How long a consumer waits for any reply — above the leader's
 #: ``FETCH_MAX_WAIT``, so a parked fetch is answered before it times out.
@@ -120,7 +121,7 @@ class ConsumerRecord:
         return self.received_at - self.produced_at
 
 
-class Consumer:
+class Consumer(Lifecycle):
     """A consumer client bound to an emulated host."""
 
     def __init__(
@@ -180,9 +181,6 @@ class Consumer:
         self.offset_resets = 0
         #: Partitions abandoned under ``auto_offset_reset="error"``.
         self._dead_partitions: set = set()
-        self.running = False
-        #: Counts ``start()`` calls; only the latest start's loops run.
-        self._start_generation = 0
         host.register_component(self)
 
     # -- lifecycle -----------------------------------------------------------------
@@ -212,33 +210,26 @@ class Consumer:
         self._start_fetchers()
 
     def start(self) -> None:
-        if self.running:
-            return
         if not self.subscriptions:
             raise RuntimeError(f"{self.name} started without subscriptions")
-        self.running = True
-        self._start_generation = start = self._start_generation + 1
+        if not self._open():
+            return
         if self.config.group:
             # Nothing may be fetched before the coordinator hands out an
             # assignment, or members would double-consume each other's
             # partitions while joining.
             self._assigned = frozenset()
-            self.sim.process(self._group_loop(start), name=f"{self.name}:group")
-        self.sim.process(self._metadata_loop(start), name=f"{self.name}:metadata")
+            self.spawn(self._group_loop(), name=f"{self.name}:group")
+        self.spawn(self._metadata_loop(), name=f"{self.name}:metadata")
 
     def stop(self) -> None:
         was_running = self.running
-        self.running = False
+        super().stop()
         if was_running and self.config.group and self._group_joined:
             # Graceful leave: commit final offsets so whoever inherits our
             # partitions resumes exactly where we stopped (no re-delivery).
             self._group_joined = False
             self.sim.process(self._leave_group(), name=f"{self.name}:leave-group")
-
-    def _live(self, start: int) -> bool:
-        """Whether a loop of the ``start``-th ``start()`` may go on: the
-        consumer runs and no later ``start()`` replaced that loop."""
-        return self.running and start == self._start_generation
 
     def seek(self, topic: str, partition: int, offset: int) -> None:
         """Set the next fetch offset for one partition (per-partition positions)."""
@@ -255,12 +246,12 @@ class Consumer:
         return sorted(self._assigned)
 
     # -- fetching -------------------------------------------------------------------
-    def _metadata_loop(self, start: int):
+    def _metadata_loop(self):
         """Keep the metadata fresh; every refresh starts the fetchers of the
         partitions it made fetchable (how a consumer with nothing to fetch
         yet learns that its topic exists).  A loop a restart replaced ends
         when it wakes."""
-        while self._live(start):
+        while self.live():
             yield from self._refresh_metadata()
             yield self.sim.timeout(METADATA_REFRESH_INTERVAL)
 
@@ -314,10 +305,10 @@ class Consumer:
         return info if info and info["topic"] in self.subscriptions else None
 
     # -- group membership -----------------------------------------------------------
-    def _group_loop(self, start: int):
-        """Join the configured group, then heartbeat/commit/resync while the
-        start it belongs to is the latest."""
-        while self._live(start):
+    def _group_loop(self):
+        """Join the configured group, then heartbeat/commit/resync while
+        ``live()``."""
+        while self.live():
             if self._coordinator_host is None:
                 yield from self._find_coordinator()
                 if self._coordinator_host is None:
@@ -333,7 +324,7 @@ class Consumer:
                     yield self.sim.timeout(RETRY_BACKOFF)
                     continue
             yield self.sim.timeout(GROUP_HEARTBEAT_INTERVAL)
-            if self._live(start):
+            if self.live():
                 yield from self._group_heartbeat()
 
     def _find_coordinator(self):

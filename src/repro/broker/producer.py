@@ -47,6 +47,7 @@ from repro.broker.message import (
 from repro.network.host import Host
 from repro.network.transport import RequestTimeout, Transport
 from repro.simulation.events import Event
+from repro.simulation.process import Lifecycle
 
 #: A producer's pause before it retries a request that failed or timed out.
 RETRY_BACKOFF = 0.1
@@ -204,7 +205,7 @@ class SendFuture(Event):
             self._value = DeliveryFailed(batch.reason)
 
 
-class Producer:
+class Producer(Lifecycle):
     """A producer client bound to an emulated host."""
 
     def __init__(
@@ -258,7 +259,6 @@ class Producer:
         self._placement: List[Union[_Batch, tuple]] = []
         #: Send futures somebody waits on whose batch has not settled yet.
         self._waiters: Dict[int, SendFuture] = {}
-        self.running = False
         self.records_acked = 0
         self.records_failed = 0
         #: Idempotence state: the coordinator-allocated identity (-1 until
@@ -290,14 +290,12 @@ class Producer:
 
     # -- lifecycle -------------------------------------------------------------------
     def start(self) -> None:
-        if self.running:
-            return
-        self.running = True
-        self.sim.process(self._sender_loop(), name=f"{self.name}:sender")
+        if self._open():
+            self.spawn(self._sender_loop(), name=f"{self.name}:sender")
 
     def stop(self) -> None:
-        self.running = False
-        self._wake_sender()  # a parked sender sees ``running`` and exits
+        super().stop()
+        self._wake_sender()  # a parked sender sees it is not live and exits
 
     @property
     def records_sent(self) -> int:
@@ -323,6 +321,10 @@ class Producer:
             raise InvalidTxnStateError(
                 "transactional producer requires begin_transaction() before send"
             )
+        if self._txn_ending:
+            # Kafka refuses a send while the transaction commits or aborts:
+            # the record would join a transaction whose end already began.
+            raise InvalidTxnStateError("cannot send: the transaction is ending")
         sequence = self._sequence
         now = self.sim.now
         placed = self._enqueue(record, sequence, now)
@@ -481,10 +483,14 @@ class Producer:
         if self.config.idempotence:
             yield from self._init_producer_id()
         yield from self._refresh_metadata()
+        if not self.live():
+            # Stopped or restarted mid-bootstrap: readiness (no flush under
+            # producer id -1) is the latest start's sender's to establish.
+            return
         self._sender_ready = True
         for key in list(self._accumulator):
             self._arm_flush(key)
-        while self.running:
+        while self.live():
             if not self._waiting:
                 self._wakeup = self.sim.event()
                 yield self._wakeup
@@ -780,7 +786,7 @@ class Producer:
         but queued records still honor ``delivery_timeout`` while it waits
         (no flush path runs yet, so expiry must happen here).
         """
-        while self.running and self.producer_id < 0:
+        while self.live() and self.producer_id < 0:
             self._expire_accumulated_records()
             self._admit_waiting_records()
             coordinator_host = yield from find_coordinator_host(

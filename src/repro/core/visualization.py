@@ -141,19 +141,6 @@ def throughput_timeseries(series: BandwidthSeries) -> List[Tuple[float, float]]:
     return [(sample.time, sample.tx_mbps) for sample in series]
 
 
-def moving_average(points: Sequence[Tuple[float, float]], window: int = 5) -> List[Tuple[float, float]]:
-    """Smooth a (time, value) series with a trailing moving average."""
-    if window <= 0:
-        raise ValueError("window must be positive")
-    output = []
-    values: List[float] = []
-    for time, value in points:
-        values.append(value)
-        recent = values[-window:]
-        output.append((time, sum(recent) / len(recent)))
-    return output
-
-
 def render_series_text(
     points: Sequence[Tuple[float, float]],
     width: int = 60,

@@ -12,6 +12,7 @@ from repro.engine.dstream import DStream
 from repro.engine.executor import Executor, ExecutorConfig
 from repro.engine.sinks import KafkaSink, Sink
 from repro.engine.sources import KafkaSource, MemorySource, MergingSource, Source
+from repro.simulation.process import Lifecycle
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.broker.cluster import BrokerCluster
@@ -45,7 +46,7 @@ class BatchMetric:
     scheduling_delay: float
 
 
-class StreamingContext:
+class StreamingContext(Lifecycle):
     """A micro-batch stream processing engine bound to a driver host."""
 
     def __init__(
@@ -65,10 +66,6 @@ class StreamingContext:
         self.output_streams: List[DStream] = []
         self.batch_metrics: List[BatchMetric] = []
         self.batches_run = 0
-        # One token per start(): a driver loop runs only while its own token
-        # is current, so a stop() and a start() inside one interval cannot
-        # leave the old loop running beside the new one.
-        self._driver: Optional[object] = None
         host.register_component(self)
 
     # -- stream construction ---------------------------------------------------------
@@ -162,24 +159,19 @@ class StreamingContext:
     # -- lifecycle -----------------------------------------------------------------------
     def start(self) -> None:
         """Start receivers, sinks and the micro-batch scheduling loop."""
-        if self.running:
-            return
         if not self.output_streams:
             raise RuntimeError(f"{self.name} has no output streams registered")
-        self._driver = token = object()
+        if not self._open():
+            return
         for source in self.sources:
             source.start()
         for stream in self.output_streams:
             for sink in stream.sinks:
                 sink.start()
-        self.sim.process(self._driver_loop(token), name=f"{self.name}:driver")
-
-    @property
-    def running(self) -> bool:
-        return self._driver is not None
+        self.spawn(self._driver_loop(), name=f"{self.name}:driver")
 
     def stop(self) -> None:
-        self._driver = None
+        super().stop()
         for source in self.sources:
             source.stop()
         for stream in self.output_streams:
@@ -187,10 +179,10 @@ class StreamingContext:
                 sink.stop()
 
     # -- driver loop ------------------------------------------------------------------------
-    def _driver_loop(self, token: object):
-        while self._driver is token:
+    def _driver_loop(self):
+        while self.live():
             yield self.sim.timeout(self.config.batch_interval)
-            if self._driver is not token:
+            if not self.live():
                 # stop() came while this batch was waiting for its time.
                 return
             scheduled_at = self.sim.now

@@ -16,17 +16,20 @@ Public API
     entry).
 ``Process``
     A running generator registered with the simulator.
+``Lifecycle``
+    Start / stop scopes for a component's long-lived processes.
 ``Event`` / ``Timeout``
     Awaitable primitives.
 """
 
 from repro.simulation.engine import Simulator
 from repro.simulation.events import Event, Timeout
-from repro.simulation.process import Process
+from repro.simulation.process import Lifecycle, Process
 
 __all__ = [
     "Simulator",
     "Process",
+    "Lifecycle",
     "Event",
     "Timeout",
 ]

@@ -104,3 +104,42 @@ class Process(Event):
 
     def __repr__(self) -> str:
         return f"<Process {self.name!r} at {hex(id(self))}>"
+
+
+class Lifecycle:
+    """Start / stop for a component whose long-lived loops must not outlive
+    a restart (structured concurrency: one scope per start).
+
+    ``start()`` opens a scope (``_open``) and spawns its loops into it
+    (``spawn``); each loop asks ``live()`` at its own check points, so a loop
+    a ``stop()`` left asleep ends when it wakes after a later ``start()``.
+    Nothing is dropped mid-step: a loop inside an RPC finishes it first.
+    Short-lived work reads the plain ``running`` attribute.  Needs ``sim``.
+    """
+
+    running = False
+    #: The processes the latest start spawned (a fresh set, so a captured
+    #: scope compares by identity).
+    _scope = frozenset()
+
+    def _open(self) -> bool:
+        """Open a new scope; False if already running."""
+        if self.running:
+            return False
+        self.running = True
+        self._scope = set()
+        return True
+
+    def stop(self) -> None:
+        self.running = False
+
+    def spawn(self, generator: Generator[Event, Any, Any], name: str) -> None:
+        self._scope.add(self.sim.process(generator, name=name))
+
+    def live(self) -> bool:
+        """Running, and the active process belongs to the latest start."""
+        return self.running and self.sim._active_process in self._scope
+
+    def current(self) -> bool:
+        """No later start replaced the active process's scope."""
+        return self.sim._active_process in self._scope

@@ -8,10 +8,11 @@ from repro.broker.batch import RecordBatch
 from repro.broker.cluster import BrokerCluster
 from repro.broker.consumer import Consumer, ConsumerConfig, ConsumerRecord
 from repro.core.configs import ConsumerStubConfig
+from repro.simulation.process import Lifecycle
 from repro.store.server import StoreClient
 
 
-class ConsumerStub:
+class ConsumerStub(Lifecycle):
     """Base class for data sinks: owns a consumer client and latency accounting."""
 
     def __init__(
@@ -38,30 +39,23 @@ class ConsumerStub:
         )
         self.consumer.subscribe(self.config.topics)
         self.latencies: List[float] = []
-        self.running = False
-        #: Counts ``start()`` calls; a delayed start acts only for the latest.
-        self._generation = 0
 
     def start(self) -> None:
-        if self.running:
+        if not self._open():
             return
-        self.running = True
-        self._generation += 1
         if self.config.start_delay > 0:
-            self.sim.call_later(
-                self.config.start_delay, self._start_consumer, self._generation
-            )
+            self.sim.call_later(self.config.start_delay, self._start_consumer, self._scope)
         else:
             self.consumer.start()
 
-    def _start_consumer(self, generation: int) -> None:
+    def _start_consumer(self, scope: set) -> None:
         # A stub stopped during its start delay stays stopped, and one
         # restarted there starts when the restart's delay runs out.
-        if self.running and generation == self._generation:
+        if self.running and scope is self._scope:
             self.consumer.start()
 
     def stop(self) -> None:
-        self.running = False
+        super().stop()
         self.consumer.stop()
 
     @property

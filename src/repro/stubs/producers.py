@@ -16,9 +16,10 @@ from repro.broker.producer import Producer, ProducerConfig
 from repro.core.configs import ProducerStubConfig
 from repro.network.packet import estimate_size
 from repro.simulation.events import Event
+from repro.simulation.process import Lifecycle
 
 
-class ProducerStub:
+class ProducerStub(Lifecycle):
     """Base class: owns the underlying producer client and common accounting."""
 
     def __init__(
@@ -57,42 +58,29 @@ class ProducerStub:
         self.bytes_produced = 0
         self.transactions_committed = 0
         self._txn_pending = 0
-        self.running = False
-        #: Counts ``start()`` calls; only the latest start's driver sends.
-        self._generation = 0
         #: Set while a driver commits; fires when that commit has returned.
         self._committing: Optional[Event] = None
 
     # -- lifecycle ----------------------------------------------------------------
     def start(self) -> None:
-        if self.running:
+        if not self._open():
             return
-        self.running = True
-        self._generation += 1
         self.producer.start()
-        self.sim.process(self._driver(self._generation), name=f"{self.name}:driver")
+        self.spawn(self._driver(), name=f"{self.name}:driver")
 
-    def _driver(self, generation: int):
+    def _driver(self):
         yield self.sim.timeout(self.config.start_delay)
         if self._committing is not None:
             # The driver this start replaced is committing; the producer
             # ends one transaction at a time.
             yield self._committing
-        yield from self._run(generation)
-        if generation == self._generation:
+        yield from self._run()
+        if self.current():
             # A driver a restart took over leaves the open transaction to
             # the new one.
             yield from self._txn_finish()
 
-    def stop(self) -> None:
-        self.running = False
-
-    def _live(self, generation: int) -> bool:
-        """Whether the driver of ``generation`` may keep sending: the stub
-        runs and no later ``start()`` replaced it."""
-        return self.running and generation == self._generation
-
-    def _run(self, generation: int):
+    def _run(self):
         raise NotImplementedError
         yield  # pragma: no cover
 
@@ -174,11 +162,11 @@ class PacedProducerStub(ProducerStub):
         """The ``(key, value)`` of the ``index``-th send."""
         raise NotImplementedError
 
-    def _run(self, generation: int):
+    def _run(self):
         rate = self.config.messages_per_second
         pause = 1.0 / rate if rate and rate > 0 else 1e-4
         for index in range(self.config.total_messages or len(self.entries)):
-            if not self._live(generation):
+            if not self.live():
                 return
             key, value = self._record(index)
             self._send(self.config.topic, value, key=key)
@@ -226,16 +214,14 @@ class RandomRateProducerStub(ProducerStub):
         self._rng = self.sim.rng(f"random-producer:{self.name}")
         self._sequence = 0
 
-    def _run(self, generation: int):
+    def _run(self):
         size = self.config.message_size
         rate_kbps = self.config.rate_kbps or 30.0
         bytes_per_second = rate_kbps * 1000.0 / 8.0
         interval = size / bytes_per_second
         topics = self.config.all_topics
         total = self.config.total_messages
-        while self._live(generation) and (
-            total is None or self.messages_produced < total
-        ):
+        while self.live() and (total is None or self.messages_produced < total):
             topic = topics[self._rng.randint(0, len(topics) - 1)]
             key = f"{self.host_name}:{self._sequence}"
             self._sequence += 1
@@ -258,10 +244,10 @@ class ReplayProducerStub(ProducerStub):
         super().__init__(cluster, host_name, config, name)
         self.timeline = sorted(timeline, key=lambda item: item[0])
 
-    def _run(self, generation: int):
+    def _run(self):
         previous = 0.0
         for index, (at, value) in enumerate(self.timeline):
-            if not self._live(generation):
+            if not self.live():
                 return
             gap = max(0.0, at - previous)
             previous = at

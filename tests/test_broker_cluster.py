@@ -5,7 +5,6 @@ import pytest
 from repro.broker import (
     BrokerCluster,
     ClusterConfig,
-    ConsumerConfig,
     CoordinationMode,
     ProducerConfig,
     ProducerRecord,
@@ -289,42 +288,6 @@ class TestProduceConsume:
         sim.run(until=40.0)
         assert producer.records_acked == 1
         assert consumer.records_consumed == 1
-
-    @staticmethod
-    def _requests_after_a_restart(restart_at, config=None):
-        """The requests, by type, a consumer started at 2 s sends in
-        [20, 40) s: stopped at 5.5 s and started again at ``restart_at``
-        (``None``: never stopped)."""
-        sim, network, sites, cluster = build_cluster()
-        consumer = cluster.create_consumer(sites[0], config=config)
-        consumer.subscribe(["topicA"])
-        sent = []
-        request = consumer.transport.request
-
-        def counting_request(host, port, payload, *args, **kwargs):
-            if 20.0 <= sim.now < 40.0:
-                sent.append(payload["type"])
-            return request(host, port, payload, *args, **kwargs)
-
-        consumer.transport.request = counting_request
-        sim.call_later(2.0, consumer.start)
-        if restart_at is not None:
-            sim.call_later(5.5, consumer.stop)
-            sim.call_later(restart_at, consumer.start)
-        sim.run(until=40.0)
-        return sent
-
-    # 5.7 s restarts before the stopped loops wake (7 s refresh, 6 s heartbeat).
-    @pytest.mark.parametrize("restart_at", [None, 5.7, 10.0], ids=["never", "5.7s", "10s"])
-    def test_a_restarted_consumer_runs_one_metadata_loop(self, restart_at):
-        sent = self._requests_after_a_restart(restart_at)
-        assert sent.count("metadata") == 4  # one per METADATA_REFRESH_INTERVAL
-
-    @pytest.mark.parametrize("restart_at", [None, 5.7, 10.0], ids=["never", "5.7s", "10s"])
-    def test_a_restarted_group_member_runs_one_group_loop(self, restart_at):
-        sent = self._requests_after_a_restart(restart_at, ConsumerConfig(group="g"))
-        assert sent.count("group_heartbeat") == 20  # one per GROUP_HEARTBEAT_INTERVAL
-        assert sent.count("metadata") == 4
 
     def test_multiple_topics_are_isolated(self):
         sim, network, sites, cluster = build_cluster(topics=("alpha", "beta"))

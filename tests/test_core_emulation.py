@@ -12,7 +12,6 @@ from repro.core.resources import HostResourceModel
 from repro.core.task import TaskDescription
 from repro.core.visualization import (
     cdf,
-    moving_average,
     percentile,
     render_series_text,
     summarize_distribution,
@@ -308,8 +307,6 @@ class TestMonitoringPrimitives:
         summary = summarize_distribution([1.0, 2.0, 3.0])
         assert summary["count"] == 3
         assert summary["mean"] == pytest.approx(2.0)
-        smoothed = moving_average([(0, 0.0), (1, 10.0)], window=2)
-        assert smoothed[1][1] == pytest.approx(5.0)
         text = render_series_text([(0, 1.0), (1, 2.0)], label="demo")
         assert "demo" in text
 

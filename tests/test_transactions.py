@@ -430,6 +430,32 @@ class TestTransactionalProduce:
         assert outcomes[0][2] == pytest.approx(8.001)
         assert producer.transactions_committed == 1
 
+    def test_a_send_while_the_transaction_ends_raises(self):
+        sim, network, sites, cluster = build_cluster(partitions=1)
+        producer = cluster.create_producer(
+            sites[0], config=ProducerConfig(transactional_id="tx1", linger=0.01)
+        )
+        refused = []
+
+        def workload():
+            yield sim.timeout(8.0)
+            producer.start()
+            producer.begin_transaction()
+            producer.send(ProducerRecord(topic="topicA", key="k", value=1, size=50))
+            sim.process(producer.commit_transaction())
+            yield sim.timeout(0.001)
+            try:
+                producer.send(ProducerRecord(topic="topicA", key="k", value=2, size=50))
+            except InvalidTxnStateError:
+                refused.append(sim.now)
+
+        sim.process(workload())
+        sim.run(until=20.0)
+        assert refused == [pytest.approx(8.001)]
+        assert producer.transactions_committed == 1
+        log = cluster.leader_broker("topicA").logs["topicA-0"]
+        assert log.log_end_offset == 2  # the first record and its commit marker
+
     def test_commit_spans_partitions_atomically(self):
         sim, network, sites, cluster = build_cluster(partitions=2)
         producer = cluster.create_producer(
